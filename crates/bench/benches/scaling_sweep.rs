@@ -1,8 +1,8 @@
 //! Node-count scaling sweep: the speculative directory system under OLTP on
 //! rectangular tori from 8 to 1024 nodes, both routing policies, recording
-//! throughput, mis-speculation rate and simulator ns/simulated-cycle for
-//! both the serial reference kernel and the deterministic phase-split
-//! engine (byte-identical schedules, so the columns time the same run).
+//! throughput, mis-speculation rate and simulator ns/simulated-cycle with
+//! serial and with sharded network forwarding (byte-identical schedules, so
+//! the columns time the same run).
 //!
 //! Besides the console table the run writes `BENCH_scaling.json` next to
 //! `BENCH_kernel.json`, so the perf trajectory across commits has a

@@ -107,29 +107,21 @@ pub struct SystemConfig {
     /// `total_slots`. `None` keeps the historical unified pool
     /// (bit-identical).
     pub pool_split: Option<(usize, usize)>,
-    /// Threads applied to one run's per-node phases (processor ticks,
-    /// endpoint ingest). `1` — the default — is the serial reference kernel,
-    /// byte-identical to every historical run. Values above `1` enable the
-    /// deterministic phase split: per-node work is executed on a barrier
-    /// thread pool and merged in fixed node order, so the schedule digest
-    /// stays byte-identical to the serial kernel at any thread count (the
-    /// pool clamps to the host's cores). The `SPECSIM_WORKERS` environment
-    /// variable overrides this field at engine construction unless
+    /// Threads for one run's sharded network forward phase. `1` — the
+    /// default — forwards serially. Values above `1` build a worker pool
+    /// (clamped to the host's cores) over which the torus forward phase is
+    /// split into fixed switch-index shards, so the schedule digest stays
+    /// byte-identical at any thread count; the processor tick is serial
+    /// either way. The `SPECSIM_WORKERS` environment variable overrides
+    /// this field at engine construction unless
     /// [`Self::worker_threads_pinned`] is set.
     pub worker_threads: usize,
     /// When set, [`Self::worker_threads`] is authoritative and the
     /// `SPECSIM_WORKERS` environment override is ignored. Timing rows
     /// (`ns_per_cycle`) pin their worker count so a CI job forcing the
-    /// phase split on cannot silently switch which kernel a labelled
+    /// worker pool on cannot silently switch what a labelled
     /// serial/parallel column measures.
     pub worker_threads_pinned: bool,
-    /// Whether the phase-split engine also hands its worker pool to the
-    /// exchange phase (sharded network forwarding). On — the default — is
-    /// the full parallel kernel; off restricts the pool to the tick phase.
-    /// Schedule-neutral either way (the sharded forward is byte-identical
-    /// to the serial scan); the scaling sweep pins it off for its
-    /// tick-only timing column. Irrelevant when `worker_threads` is 1.
-    pub parallel_exchange: bool,
     /// Telemetry knobs (windowed time-series sampler + lifecycle event
     /// trace). Disabled by default; purely observational — the simulated
     /// schedule is byte-identical with telemetry on or off.
@@ -177,7 +169,6 @@ impl SystemConfig {
             pool_split: None,
             worker_threads: 1,
             worker_threads_pinned: false,
-            parallel_exchange: true,
             telemetry: TelemetryConfig::default(),
         }
     }
@@ -210,7 +201,6 @@ impl SystemConfig {
             pool_split: None,
             worker_threads: 1,
             worker_threads_pinned: false,
-            parallel_exchange: true,
             telemetry: TelemetryConfig::default(),
         }
     }
@@ -247,7 +237,6 @@ impl SystemConfig {
             pool_split: None,
             worker_threads: 1,
             worker_threads_pinned: false,
-            parallel_exchange: true,
             telemetry: TelemetryConfig::default(),
         }
     }
@@ -291,7 +280,6 @@ impl SystemConfig {
             pool_split: None,
             worker_threads: 1,
             worker_threads_pinned: false,
-            parallel_exchange: true,
             telemetry: TelemetryConfig::default(),
         }
     }
@@ -401,8 +389,8 @@ impl SystemConfig {
         c
     }
 
-    /// Returns a copy with a different worker-thread count for the
-    /// deterministic phase split (`1` = the serial reference kernel).
+    /// Returns a copy with a different worker-thread count for the sharded
+    /// network forward phase (`1` = serial forwarding).
     #[must_use]
     pub fn with_workers(&self, worker_threads: usize) -> Self {
         let mut c = self.clone();
@@ -412,22 +400,12 @@ impl SystemConfig {
 
     /// Returns a copy with the worker count both set and **pinned**: the
     /// `SPECSIM_WORKERS` environment override no longer applies. Use for
-    /// runs whose identity depends on which kernel executed them — timing
-    /// rows, serial-vs-parallel digest comparisons.
+    /// runs whose identity depends on the worker count — timing rows,
+    /// serial-vs-sharded digest comparisons.
     #[must_use]
     pub fn with_workers_pinned(&self, worker_threads: usize) -> Self {
         let mut c = self.with_workers(worker_threads);
         c.worker_threads_pinned = true;
-        c
-    }
-
-    /// Returns a copy with the exchange-phase pool hand-off enabled or
-    /// disabled (see [`Self::parallel_exchange`]). Timing knob only — the
-    /// schedule is byte-identical either way.
-    #[must_use]
-    pub fn with_parallel_exchange(&self, enabled: bool) -> Self {
-        let mut c = self.clone();
-        c.parallel_exchange = enabled;
         c
     }
 
@@ -444,8 +422,8 @@ impl SystemConfig {
     /// The worker-thread count a run should actually use: the
     /// `SPECSIM_WORKERS` environment variable when set to a positive
     /// integer, [`Self::worker_threads`] otherwise. The override exists so
-    /// CI can force the phase-split engine on across an unmodified test
-    /// suite (races cannot hide behind the serial default); a pinned config
+    /// CI can force sharded forwarding on across an unmodified test suite
+    /// (races cannot hide behind the serial default); a pinned config
     /// ([`Self::worker_threads_pinned`]) is exempt from it.
     #[must_use]
     pub fn effective_worker_threads(&self) -> usize {

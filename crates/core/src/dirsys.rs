@@ -22,7 +22,7 @@ use specsim_base::{
 use specsim_coherence::dir::{
     AccessOutcome, CacheState, DirCacheController, DirMsg, DirectoryController, OutMsg,
 };
-use specsim_coherence::types::{CpuAccess, CpuRequest, MisSpecKind, MsgClass, ProtocolError};
+use specsim_coherence::types::{CpuRequest, MisSpecKind, MsgClass, ProtocolError};
 use specsim_net::{Network, PacketTaint, VirtualNetwork};
 use specsim_safetynet::SafetyNet;
 use specsim_workloads::{Processor, Trace, WorkloadGenerator, ZipfTable};
@@ -285,65 +285,6 @@ impl ProtocolNode for DirProtocol {
         }
     }
 
-    const SUPPORTS_PARALLEL_TICK: bool = true;
-
-    const SUPPORTS_PARALLEL_EXCHANGE: bool = true;
-
-    fn tick_nodes_parallel(
-        arch: &mut ArchState,
-        nodes: &[u32],
-        now: Cycle,
-        pool: &specsim_base::WorkerPool,
-    ) -> Option<u64> {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        // Raw-pointer view of the per-node arrays. A node's tick touches
-        // only `procs[i]` (poll, note_*) and `caches[i]` (cpu_request), and
-        // `nodes` holds strictly ascending — hence distinct — indices split
-        // into disjoint chunks, so no two tasks alias the same element.
-        struct Arrays {
-            procs: *mut Processor,
-            caches: *mut DirCacheController,
-        }
-        unsafe impl Sync for Arrays {}
-        let arrays = Arrays {
-            procs: arch.procs.as_mut_ptr(),
-            caches: arch.caches.as_mut_ptr(),
-        };
-        let polls = AtomicU64::new(0);
-        // A few chunks per thread so claim-based stealing can rebalance.
-        let chunk = nodes.len().div_ceil(pool.threads() * 4).max(1);
-        let tasks = nodes.len().div_ceil(chunk);
-        // Capture the whole `Arrays` (which is Sync), not its raw-pointer
-        // fields — edition-2021 disjoint capture would otherwise pull the
-        // bare `*mut` fields into the closure and lose the Sync wrapper.
-        let arrays = &arrays;
-        pool.run(tasks, |t| {
-            let arrays: &Arrays = arrays;
-            let mut chunk_polls = 0u64;
-            for &node in &nodes[t * chunk..((t + 1) * chunk).min(nodes.len())] {
-                let i = node as usize;
-                // SAFETY: chunk ranges partition `nodes` (distinct indices),
-                // so this task has exclusive access to element `i`; the
-                // barrier in `pool.run` ends these borrows before the arrays
-                // can be touched again.
-                let proc = unsafe { &mut *arrays.procs.add(i) };
-                let Some(req) = proc.poll(now) else { continue };
-                chunk_polls += 1;
-                let cache = unsafe { &mut *arrays.caches.add(i) };
-                let outcome = cache.cpu_request(now, req);
-                match outcome {
-                    AccessOutcome::L1Hit { latency, .. } | AccessOutcome::L2Hit { latency, .. } => {
-                        proc.note_hit(now, latency, req.access == CpuAccess::Store);
-                    }
-                    AccessOutcome::MissIssued => proc.note_miss_issued(now),
-                    AccessOutcome::Stall => proc.note_stall(),
-                }
-            }
-            polls.fetch_add(chunk_polls, Ordering::Relaxed);
-        });
-        Some(polls.load(Ordering::Relaxed))
-    }
-
     fn exchange(&mut self, arch: &mut ArchState, now: Cycle, ctx: &mut EngineCtx<'_, ArchState>) {
         self.ingest_messages(arch, now, ctx);
         {
@@ -511,7 +452,6 @@ impl DirectorySystem {
         let perturb_rng = seed_rng.fork();
         let fault_plan = cfg.fault_config.lower(cfg.seed, n);
         let worker_threads = cfg.effective_worker_threads();
-        let parallel_exchange = cfg.parallel_exchange;
         let mut engine = SystemEngine::new(
             DirProtocol { cfg: cfg.clone() },
             arch,
@@ -522,7 +462,6 @@ impl DirectorySystem {
             fault_plan,
             worker_threads,
         );
-        engine.set_parallel_exchange(parallel_exchange);
         engine.set_telemetry(cfg.telemetry);
         Self { engine }
     }
@@ -660,6 +599,14 @@ impl DirectorySystem {
             }
         }
         Ok(())
+    }
+
+    /// Whether a delivered message is waiting in node `i`'s ejection
+    /// queues — the only way node `i`'s controllers can ingest during the
+    /// next cycle's exchange, which ingests before the torus ticks.
+    #[cfg(test)]
+    pub(crate) fn message_waiting_at(&self, i: usize) -> bool {
+        self.engine.arch().net.next_ejectable_at_or_after(i) == Some(i)
     }
 }
 

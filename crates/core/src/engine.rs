@@ -5,11 +5,14 @@
 //! the same step loop. The common parts now live here, in a generic
 //! [`SystemEngine`]:
 //!
-//! * **node stepping with idle-skip/wake-up cycles** — processors that are
-//!   mid-think or blocked on a miss carry a wake-up cycle
-//!   ([`Processor::ready_at`]) and are skipped in O(1), with the slow-start
-//!   demand census computed lazily on the first cycle a processor actually
-//!   presents a request;
+//! * **node stepping over a compact wake index** — one serial tick loop,
+//!   the only processor-tick kernel for both protocols at every worker
+//!   count, scans a per-node wake-cycle hint and visits only nodes whose
+//!   hint has come due, re-validating each against [`Processor::ready_at`].
+//!   A processor whose request stalls is *parked* until its own cache
+//!   controller ingests a message, and its skipped retries are settled in
+//!   bulk. The slow-start demand census is computed lazily on the first
+//!   cycle a processor actually presents a request;
 //! * **message outbox plumbing over one-or-more fabrics** — the
 //!   [`StagedOutbox`] staging queue holds controller outputs while they wait
 //!   out their access latency, then injects them into whichever fabric the
@@ -29,9 +32,14 @@
 //! Each protocol reduces to a [`ProtocolNode`] implementation: the
 //! architectural state it checkpoints, the per-node controller hooks the
 //! engine drives, and one `exchange` method that moves messages across its
-//! fabrics in protocol order. The extraction is a pure refactor on the
-//! directory path: `tests/kernel_equivalence.rs` pins its schedule
-//! byte-for-byte.
+//! fabrics in protocol order. `tests/kernel_equivalence.rs` pins the
+//! schedule byte-for-byte, including the processor poll/skip counts a dense
+//! every-node scan would report.
+//!
+//! `worker_threads > 1` changes nothing above: it only builds a
+//! [`WorkerPool`] that protocols hand to their fabric tick, which then
+//! shards the network forward phase across threads with a byte-identical
+//! schedule.
 
 use std::collections::VecDeque;
 
@@ -47,7 +55,6 @@ use specsim_workloads::Processor;
 
 use crate::config::ForwardProgressConfig;
 use crate::metrics::RunMetrics;
-use crate::wake::WakeCalendar;
 
 /// The forward-progress mode a system is currently operating in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -176,9 +183,12 @@ impl<M: Copy> StagedOutbox<M> {
     }
 }
 
-/// Counters describing how much per-cycle work the engine actually did —
-/// the observable face of the idle-skip/wake-up machinery, used by the
-/// invariant tests shared by both protocols.
+/// Counters describing how much per-cycle work the engine did — the
+/// observable face of the idle-skip/wake-up machinery, used by the
+/// invariant tests shared by both protocols. The two processor counters are
+/// those a dense every-node scan would report (a parked stall's skipped
+/// retries are settled as polls); the exchange counters count the visits
+/// the worklists actually made.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineProbe {
     /// Processor polls performed (the processor was awake and was asked for
@@ -199,7 +209,7 @@ pub struct EngineProbe {
 }
 
 /// Active-node worklists for the exchange phase: the engine-side twin of the
-/// tick phase's wake calendar. A node enters a list when something happened
+/// tick phase's wake index. A node enters a list when something happened
 /// that could give it exchange work — its processor issued a request, a
 /// fabric delivered a message to one of its controllers, or a recovery
 /// restored it — and leaves when a visit finds it drained. Idle nodes cost
@@ -243,16 +253,42 @@ impl ExchangeIndex {
     }
 }
 
-/// The phase-split engine's wake-up surface handed to protocols through
-/// [`EngineCtx`]: the wake calendar plus the parked-stalled set. `None` on
-/// the serial reference kernel.
+/// The tick phase's wake index: one compact wake-cycle hint per node, so
+/// the per-cycle processor scan reads a flat `Vec<Cycle>` instead of every
+/// processor. Every hint of an unparked node is a lower bound on the cycle
+/// at which the node can next present a request; the tick loop re-validates
+/// a due hint against [`Processor::ready_at`], so a hint that is too early
+/// costs one visit and never changes the schedule.
 #[derive(Debug)]
-pub(crate) struct WakeHooks<'a> {
-    calendar: &'a mut WakeCalendar,
+pub(crate) struct WakeIndex {
+    /// Per-node wake hint. `Cycle::MAX` means only an event can wake the
+    /// node: completion delivery for a processor blocked on a miss, cache
+    /// ingest for a parked one, or a recovery.
+    wake_at: Vec<Cycle>,
     /// Per-node cycle at which the node was parked with a stalled request
-    /// (`Cycle::MAX` = not parked). See
-    /// [`SystemEngine::tick_processors_indexed`].
-    parked: &'a mut [Cycle],
+    /// (`Cycle::MAX` = not parked). A stall retry's outcome depends only on
+    /// the node's own cache controller, and repeating it changes nothing a
+    /// later decision reads (it re-touches the LRU stamp of a line nothing
+    /// else touches meanwhile), so instead of re-presenting it every cycle
+    /// the tick parks the node until that controller next ingests a message
+    /// ([`EngineCtx::note_cache_activity`]) and settles the skipped retries
+    /// in bulk ([`Processor::note_skipped_stalls`]) when it is re-visited.
+    parked: Vec<Cycle>,
+}
+
+impl WakeIndex {
+    /// Every node is due on the first cycle.
+    fn new(n: usize) -> Self {
+        Self {
+            wake_at: vec![0; n],
+            parked: vec![Cycle::MAX; n],
+        }
+    }
+
+    /// Lowers node `i`'s hint to `at`.
+    fn lower(&mut self, i: usize, at: Cycle) {
+        self.wake_at[i] = self.wake_at[i].min(at);
+    }
 }
 
 /// The engine-side context handed to [`ProtocolNode::exchange`]: the shared
@@ -266,18 +302,16 @@ pub struct EngineCtx<'a, A> {
     metrics: &'a mut RunMetrics,
     fabric_deadlocked: &'a mut bool,
     faults: Option<&'a mut FaultDirector>,
-    /// The phase-split engine's wake calendar and parked set; completion
-    /// delivery and cache ingest schedule processors here so the indexed
-    /// tick phase visits them. `None` on the serial reference kernel.
-    wake: Option<WakeHooks<'a>>,
-    /// The exchange-phase worklists (always present — the serial kernel uses
-    /// them too; they are a pure scan-cost optimization).
+    /// The tick phase's wake index; completion delivery and cache ingest
+    /// lower its hints.
+    wake: &'a mut WakeIndex,
+    /// The exchange-phase worklists (a pure scan-cost optimization).
     exchange: &'a mut ExchangeIndex,
     /// The engine's work counters (exchange-visit accounting).
     probe: &'a mut EngineProbe,
-    /// The phase split's worker pool, handed to protocols so their fabric
-    /// tick can fan the forward phase out ([`Network::tick_faulted_with_pool`]
-    /// — byte-identical schedule). `None` on the serial reference kernel.
+    /// The worker pool, handed to protocols so their fabric tick can shard
+    /// the forward phase ([`Network::tick_faulted_with_pool`] —
+    /// byte-identical schedule). `None` at one worker.
     pool: Option<&'a WorkerPool>,
 }
 
@@ -358,7 +392,10 @@ impl<'a, A: Clone> EngineCtx<'a, A> {
     /// recovery the restored cache controller may complete a transaction
     /// whose requesting instruction was rolled back (the processor
     /// re-executes from the register checkpoint); such completions update
-    /// the cache but wake nobody.
+    /// the cache but wake nobody. A node with a completion has its tick
+    /// wake hint lowered to the processor's live wake cycle, so the tick
+    /// visits it no later than a dense scan would.
+    ///
     /// Visits only the nodes on the completions worklist, in the same
     /// ascending order as the dense scan it replaces: a node enters the list
     /// when a controller ingests a message ([`EngineCtx::note_exchange_activity`])
@@ -397,14 +434,11 @@ impl<'a, A: Clone> EngineCtx<'a, A> {
                 }
             }
             if woken {
-                // Phase-split engines index processor wake-ups: a node whose
-                // miss completed at cycle `now` is visible to the dense scan
-                // at `now + 1` at the earliest, so that is when the calendar
-                // visits it.
-                if let Some(w) = self.wake.as_mut() {
-                    if let Some(r) = proc.ready_at() {
-                        w.calendar.schedule(now, r.max(now + 1), i as u32);
-                    }
+                // The completion may have unblocked the processor (or a
+                // parked one may retry): its next tick visit is due no later
+                // than its live wake cycle.
+                if let Some(r) = proc.ready_at() {
+                    self.wake.lower(i, r);
                 }
             }
             // Fully drained: all message ingest for this cycle happened
@@ -442,27 +476,25 @@ impl<'a, A: Clone> EngineCtx<'a, A> {
         self.exchange.outbox.remove(i);
     }
 
-    /// The phase split's worker pool, when this run opted into
-    /// `worker_threads > 1` (for a supporting protocol). Protocols pass this
-    /// into their fabric's tick so the forward phase fans out across threads
-    /// with a byte-identical schedule; `None` keeps every fabric serial.
+    /// The worker pool, when this run opted into `worker_threads > 1`.
+    /// Protocols pass this into their fabric's tick so the forward phase
+    /// shards across threads with a byte-identical schedule; `None` keeps
+    /// every fabric serial.
     #[must_use]
     pub fn worker_pool(&self) -> Option<&'a WorkerPool> {
         self.pool
     }
 
     /// Reports that node `i`'s cache controller ingested a message at cycle
-    /// `now`. A parked stalled processor (see the phase-split engine's
-    /// indexed processor tick) can only unstall when its
-    /// own controller's state changes, and that state changes only here — so
-    /// this is the exact wake condition: the node is re-visited at `now + 1`,
-    /// the first cycle the dense scan could observe the ingest's effect.
-    /// No-op on the serial kernel and for unparked nodes.
+    /// `now`. A parked stalled processor can only unstall when its own
+    /// controller's state changes, and that state changes only through
+    /// message ingest — so this is the exact wake condition: the node is
+    /// re-visited at `now + 1`, the first cycle a dense scan could observe
+    /// the ingest's effect. No-op for unparked nodes. Protocols must call
+    /// this for every message their cache controller observes.
     pub fn note_cache_activity(&mut self, now: Cycle, i: usize) {
-        if let Some(w) = self.wake.as_mut() {
-            if w.parked[i] != Cycle::MAX {
-                w.calendar.schedule(now, now + 1, i as u32);
-            }
+        if self.wake.parked[i] != Cycle::MAX {
+            self.wake.lower(i, now + 1);
         }
     }
 }
@@ -607,39 +639,6 @@ pub trait ProtocolNode {
     /// operation.
     fn normal_outstanding_limit(&self) -> usize;
 
-    /// Whether [`ProtocolNode::tick_nodes_parallel`] is implemented. The
-    /// engine's deterministic phase split (`worker_threads > 1`) activates
-    /// its *wake-calendar indexed tick* only for protocols whose per-node
-    /// tick state is disjoint across nodes; the snooping system's totally
-    /// ordered bus is inherently serial and keeps the default.
-    const SUPPORTS_PARALLEL_TICK: bool = false;
-
-    /// Whether this protocol's `exchange` passes the phase split's worker
-    /// pool into a fabric tick ([`EngineCtx::worker_pool`]). A protocol may
-    /// support the parallel *exchange* without the parallel tick — the
-    /// snooping machine's address bus is serial by design, but its
-    /// point-to-point data torus forwards in parallel shards just like the
-    /// directory torus. `worker_threads > 1` builds the pool when either
-    /// capability is present.
-    const SUPPORTS_PARALLEL_EXCHANGE: bool = false;
-
-    /// Phase-split processor tick: polls and dispatches every node in
-    /// `nodes` (ascending node indices, each with `ready_at() <= now`)
-    /// across `pool`'s threads, touching only per-node state so the result
-    /// is independent of the claim schedule. Returns the number of nodes
-    /// whose poll produced a request, or `None` when the protocol cannot
-    /// run this cycle in parallel (the engine then falls back to the exact
-    /// serial order). Called only when the outstanding-transaction gate
-    /// provably cannot bind, so implementations skip it.
-    fn tick_nodes_parallel(
-        _arch: &mut Self::Arch,
-        _nodes: &[u32],
-        _now: Cycle,
-        _pool: &WorkerPool,
-    ) -> Option<u64> {
-        None
-    }
-
     /// Fills the protocol-specific half of the run metrics (fabric stats,
     /// ordering stats, address-network counts).
     fn collect_protocol_metrics(&self, arch: &Self::Arch, now: Cycle, m: &mut RunMetrics);
@@ -651,42 +650,6 @@ pub trait ProtocolNode {
     fn fabric_counters(_arch: &Self::Arch) -> FabricCounters {
         FabricCounters::default()
     }
-}
-
-/// The wake-calendar index of the phase split's tick phase, present only
-/// for protocols with [`ProtocolNode::SUPPORTS_PARALLEL_TICK`]. The
-/// calendar replaces the dense every-cycle processor scan with an exact
-/// due-cycle index; protocols without it (the snooping bus) keep the dense
-/// tick even when a pool exists for their exchange phase — handing them a
-/// calendar would be a correctness hazard, since their exchange never
-/// schedules wake-ups into it.
-#[derive(Debug)]
-struct TickIndex {
-    wake: WakeCalendar,
-    /// Scratch: nodes due this cycle (calendar pop).
-    due: Vec<u32>,
-    /// Scratch: due nodes whose recheck confirmed `ready_at() <= now`.
-    ready: Vec<u32>,
-    /// Per-node cycle at which the node was parked with a stalled request
-    /// (`Cycle::MAX` = not parked). A stall is a pure no-op retry — it
-    /// mutates nothing and its outcome depends only on the node's own cache
-    /// controller state — so instead of re-presenting it every cycle the
-    /// engine parks the node until its controller next ingests a message
-    /// ([`EngineCtx::note_cache_activity`]) and settles the skipped retries
-    /// in bulk ([`Processor::note_skipped_stalls`]) when it is re-visited.
-    parked: Vec<Cycle>,
-}
-
-/// State of the deterministic phase split, present only when a run opted
-/// into `worker_threads > 1` and the protocol supports a parallel phase
-/// (tick, exchange, or both). The pool fans the supported phases out across
-/// threads with a barrier between them. Everything here is
-/// schedule-neutral: the serial kernel's goldens pin the digest either way.
-#[derive(Debug)]
-struct PhaseSplit {
-    pool: WorkerPool,
-    /// The indexed tick phase, only for protocols that support it.
-    tick_index: Option<TickIndex>,
 }
 
 /// The generic full-system simulation engine: drives a [`ProtocolNode`]
@@ -751,17 +714,14 @@ pub struct SystemEngine<P: ProtocolNode> {
     /// `c + 1 + timeout` when none) is a sound earliest-fire bound. Reset to
     /// the resume cycle on every recovery (the anchor moves).
     next_timeout_scan: Cycle,
-    /// The deterministic phase split (`None` = the serial reference kernel).
-    par: Option<PhaseSplit>,
-    /// Whether the exchange phase may see the worker pool (and hence shard
-    /// the network forward phase). Schedule-neutral either way — the
-    /// parallel forward is byte-identical to the serial scan — so this is a
-    /// pure timing knob: the scaling sweep pins it off to isolate how much
-    /// of the phase-split speedup comes from the tick phase alone.
-    parallel_exchange: bool,
-    /// The exchange-phase worklists (present on every kernel, serial
-    /// included: visiting a superset of the busy nodes is a no-op, so the
-    /// lists are a pure scan-cost optimization).
+    /// The tick phase's wake index.
+    wake: WakeIndex,
+    /// The worker pool for the sharded network forward phase, built only
+    /// when a run opted into `worker_threads > 1` (building one probes the
+    /// host's parallelism, which is not free).
+    pool: Option<WorkerPool>,
+    /// The exchange-phase worklists (visiting a superset of the busy nodes
+    /// is a no-op, so the lists are a pure scan-cost optimization).
     exchange: ExchangeIndex,
     /// Always-on availability record: which [`EngineMode`] each cycle
     /// executed in (one array increment per cycle; transitions are as rare
@@ -777,9 +737,8 @@ impl<P: ProtocolNode> SystemEngine<P> {
     /// state. `perturb_rng` is the protocol's perturbation stream (each
     /// system derives it from its own seed domain); `safetynet_cfg` opens
     /// the checkpoint/recovery substrate with `arch` as the initial
-    /// checkpoint. `worker_threads > 1` requests the deterministic phase
-    /// split (honoured only when the protocol supports the parallel tick
-    /// phase; the schedule stays byte-identical either way).
+    /// checkpoint. `worker_threads > 1` builds a worker pool for the sharded
+    /// network forward phase (the schedule stays byte-identical either way).
     #[must_use]
     #[allow(clippy::too_many_arguments)]
     pub fn new(
@@ -796,27 +755,6 @@ impl<P: ProtocolNode> SystemEngine<P> {
         let safetynet = SafetyNet::new(safetynet_cfg, n, arch.clone(), 0);
         let next_injected_recovery = inject_recovery_every.map(|i| i.max(1));
         let fault_director = (!fault_plan.is_empty()).then(|| FaultDirector::new(fault_plan));
-        let supports_split = P::SUPPORTS_PARALLEL_TICK || P::SUPPORTS_PARALLEL_EXCHANGE;
-        let par = (worker_threads > 1 && supports_split).then(|| {
-            let tick_index = P::SUPPORTS_PARALLEL_TICK.then(|| {
-                let mut wake = WakeCalendar::new();
-                // Every node starts live: visit all of them on the first
-                // cycle.
-                for i in 0..n {
-                    wake.schedule(0, 1, i as u32);
-                }
-                TickIndex {
-                    wake,
-                    due: Vec::new(),
-                    ready: Vec::new(),
-                    parked: vec![Cycle::MAX; n],
-                }
-            });
-            PhaseSplit {
-                pool: WorkerPool::new(worker_threads),
-                tick_index,
-            }
-        });
         Self {
             protocol,
             now: 0,
@@ -839,18 +777,12 @@ impl<P: ProtocolNode> SystemEngine<P> {
             fault_evidence_at: None,
             fault_fires_seen: 0,
             next_timeout_scan: 0,
-            par,
-            parallel_exchange: true,
+            wake: WakeIndex::new(n),
+            pool: (worker_threads > 1).then(|| WorkerPool::new(worker_threads)),
             exchange: ExchangeIndex::new_full(n),
             timeline: ModeTimeline::new(),
             telemetry: None,
         }
-    }
-
-    /// Enables or disables handing the worker pool to the exchange phase
-    /// (see the field doc: schedule-neutral, timing only).
-    pub fn set_parallel_exchange(&mut self, enabled: bool) {
-        self.parallel_exchange = enabled;
     }
 
     /// Installs (or, with a disabled config, removes) the telemetry
@@ -961,23 +893,9 @@ impl<P: ProtocolNode> SystemEngine<P> {
         }
         self.update_forward_progress(now);
         self.timeline.observe(now, self.engine_mode(now));
-        if self.par.as_ref().is_some_and(|p| p.tick_index.is_some()) {
-            self.tick_processors_indexed(now);
-        } else {
-            self.tick_processors(now);
-        }
+        self.tick_processors(now);
         self.fabric_deadlocked = false;
         {
-            let (pool, wake) = match self.par.as_mut() {
-                Some(p) => (
-                    self.parallel_exchange.then_some(&p.pool),
-                    p.tick_index.as_mut().map(|t| WakeHooks {
-                        calendar: &mut t.wake,
-                        parked: &mut t.parked,
-                    }),
-                ),
-                None => (None, None),
-            };
             let mut ctx = EngineCtx {
                 safetynet: &mut self.safetynet,
                 pending_misspec: &mut self.pending_misspec,
@@ -986,10 +904,10 @@ impl<P: ProtocolNode> SystemEngine<P> {
                 metrics: &mut self.metrics,
                 fabric_deadlocked: &mut self.fabric_deadlocked,
                 faults: self.fault_director.as_mut(),
-                wake,
+                wake: &mut self.wake,
                 exchange: &mut self.exchange,
                 probe: &mut self.probe,
-                pool,
+                pool: self.pool.as_ref(),
             };
             self.protocol.exchange(&mut self.arch, now, &mut ctx);
         }
@@ -1101,20 +1019,42 @@ impl<P: ProtocolNode> SystemEngine<P> {
         }
     }
 
+    /// The processor tick: visits, in ascending node order, every node
+    /// whose wake hint has come due, with per-node state transitions and
+    /// probe counts identical to a dense every-node scan. Due hints are
+    /// re-validated against the processor's live `ready_at()`; a visit then
+    /// re-indexes the node from its post-tick wake cycle.
     fn tick_processors(&mut self, now: Cycle) {
         let limit = self.outstanding_limit();
+        // Parking is exact only while the outstanding-transaction gate
+        // cannot bind: under a finite limit (slow-start) a held-back node's
+        // admission depends on the system-wide demand census, not on its own
+        // controller, so it keeps the every-cycle retry. Slow-start is only
+        // ever entered through a recovery, which unparks every node.
+        let may_park = limit == usize::MAX;
         // Demand census for the slow-start governor, computed lazily on the
         // first cycle a processor actually presents a request: on quiescent
         // cycles (every processor mid-think or blocked on a miss) the whole
         // per-cache scan is skipped.
         let mut outstanding: Option<usize> = None;
-        let n = P::procs(&self.arch).len();
-        for i in 0..n {
-            // Per-node wake-up cycle: a thinking processor sleeps until its
-            // think time elapses, a blocked one until its miss completes.
+        for i in 0..self.wake.wake_at.len() {
+            if self.wake.wake_at[i] > now {
+                // Mid-think, blocked on a miss, or parked on a stall.
+                self.probe.processor_skips += 1;
+                continue;
+            }
+            if self.wake.parked[i] != Cycle::MAX {
+                // Re-visiting a parked node: settle the retries a dense scan
+                // performed on every skipped cycle in `(parked, now)` — the
+                // retry at `now` itself happens below.
+                let skipped = now.saturating_sub(self.wake.parked[i] + 1);
+                self.settle_stalls(i, skipped);
+                self.wake.parked[i] = Cycle::MAX;
+            }
             match P::procs(&self.arch)[i].ready_at() {
                 Some(ready) if ready <= now => {}
-                _ => {
+                ready => {
+                    self.wake.wake_at[i] = ready.unwrap_or(Cycle::MAX);
                     self.probe.processor_skips += 1;
                     continue;
                 }
@@ -1125,7 +1065,8 @@ impl<P: ProtocolNode> SystemEngine<P> {
             self.probe.processor_polls += 1;
             let outstanding = outstanding.get_or_insert_with(|| P::outstanding_demand(&self.arch));
             if *outstanding >= limit {
-                // Slow-start governor: hold back new transactions.
+                // Slow-start governor: hold back new transactions. The hint
+                // stays due, so the node retries next cycle.
                 continue;
             }
             let outcome = P::cpu_request(&mut self.arch, i, now, req);
@@ -1143,129 +1084,28 @@ impl<P: ProtocolNode> SystemEngine<P> {
                     proc.note_miss_issued(now);
                     *outstanding += 1;
                 }
-                EngineAccess::Stall => proc.note_stall(),
+                EngineAccess::Stall => {
+                    proc.note_stall();
+                    if may_park {
+                        self.wake.parked[i] = now;
+                        self.wake.wake_at[i] = Cycle::MAX;
+                        continue;
+                    }
+                }
             }
+            // Thinking: due when the think time elapses; blocked: woken by
+            // completion delivery; still presenting a request: due next cycle.
+            self.wake.wake_at[i] = proc.ready_at().unwrap_or(Cycle::MAX);
         }
     }
 
-    /// The phase-split twin of [`SystemEngine::tick_processors`]: visits the
-    /// wake calendar's due nodes instead of scanning all of them, producing
-    /// byte-identical per-node state transitions in the same ascending node
-    /// order. Calendar entries are hints — each is re-validated against the
-    /// processor's live `ready_at()` and rescheduled (or dropped) if it
-    /// moved. When the outstanding-transaction gate provably cannot bind
-    /// (the unlimited default), the per-node work fans out across the
-    /// worker pool; otherwise — and for protocols without a parallel tick —
-    /// the ready nodes run serially with the exact dense-loop semantics
-    /// (lazy demand census, in-order gate).
-    fn tick_processors_indexed(&mut self, now: Cycle) {
-        let limit = self.outstanding_limit();
-        let mut par = self.par.take().expect("indexed tick requires phase split");
-        let mut ti = par
-            .tick_index
-            .take()
-            .expect("indexed tick requires wake index");
-        ti.wake.pop_due(now, &mut ti.due);
-        ti.ready.clear();
-        for &node in &ti.due {
-            let i = node as usize;
-            // A parked node is being re-visited (its cache controller
-            // ingested a message, or a completion woke it): settle the stall
-            // retries the serial kernel performed on every skipped cycle in
-            // `(parked, now)` — the retry at `now` itself happens below.
-            if ti.parked[i] != Cycle::MAX {
-                let skipped = now.saturating_sub(ti.parked[i] + 1);
-                P::procs_mut(&mut self.arch)[i].note_skipped_stalls(skipped);
-                // The dense scan would have counted each skipped retry as a
-                // poll; this loop counted the parked cycles as skips.
-                self.probe.processor_polls += skipped;
-                self.probe.processor_skips = self.probe.processor_skips.saturating_sub(skipped);
-                ti.parked[i] = Cycle::MAX;
-            }
-            match P::procs(&self.arch)[i].ready_at() {
-                Some(r) if r <= now => ti.ready.push(node),
-                Some(r) => ti.wake.schedule(now, r, node),
-                // Blocked on a miss: completion delivery reschedules it.
-                None => {}
-            }
-        }
-        let n = P::procs(&self.arch).len();
-        // Dense-scan equivalence: every node that is not ready this cycle
-        // counts as one skip there; here they are simply never visited.
-        self.probe.processor_skips += (n - ti.ready.len()) as u64;
-        // With an unlimited outstanding budget the slow-start gate cannot
-        // bind, so node order cannot influence admission and the tick may
-        // fan out. Any finite limit (slow-start windows, capped configs)
-        // takes the exact serial order below.
-        let polls = if limit == usize::MAX {
-            P::tick_nodes_parallel(&mut self.arch, &ti.ready, now, &par.pool)
-        } else {
-            None
-        };
-        match polls {
-            Some(polls) => {
-                self.probe.processor_polls += polls;
-                // The parallel tick reports only its poll count, not which
-                // nodes issued misses: arm the outbox worklist for every
-                // ready node (a superset — the idle ones retire on their
-                // first exchange visit).
-                for &node in &ti.ready {
-                    self.exchange.outbox.insert(node as usize);
-                }
-            }
-            None => {
-                let mut outstanding: Option<usize> = None;
-                for &node in &ti.ready {
-                    let i = node as usize;
-                    let Some(req) = P::procs_mut(&mut self.arch)[i].poll(now) else {
-                        continue;
-                    };
-                    self.probe.processor_polls += 1;
-                    let outstanding =
-                        outstanding.get_or_insert_with(|| P::outstanding_demand(&self.arch));
-                    if *outstanding >= limit {
-                        continue;
-                    }
-                    let outcome = P::cpu_request(&mut self.arch, i, now, req);
-                    // See `tick_processors`: any presented request may have
-                    // enqueued controller output.
-                    self.exchange.outbox.insert(i);
-                    let proc = &mut P::procs_mut(&mut self.arch)[i];
-                    match outcome {
-                        EngineAccess::Hit { latency } => {
-                            proc.note_hit(now, latency, req.access == CpuAccess::Store);
-                        }
-                        EngineAccess::MissIssued => {
-                            proc.note_miss_issued(now);
-                            *outstanding += 1;
-                        }
-                        EngineAccess::Stall => proc.note_stall(),
-                    }
-                }
-            }
-        }
-        // Re-index every visited node from its post-tick wake cycle. A node
-        // that went thinking comes back when its think time elapses; a node
-        // that went blocking waits for completion delivery. A node still in
-        // `Ready` (`ready_at() == Some(0)`, the unique post-tick signature of
-        // a stalled request) is *parked* instead of rescheduled at `now + 1`:
-        // a stall retry is pure and its outcome cannot change until the
-        // node's cache controller ingests a message, at which point
-        // [`EngineCtx::note_cache_activity`] re-schedules it. Parking only
-        // applies on the parallel-hook path — under a finite outstanding
-        // limit a held-back node's admission depends on the system-wide
-        // demand census, not its own controller, so it keeps the dense
-        // scan's every-cycle retry.
-        let may_park = polls.is_some();
-        for &node in &ti.ready {
-            match P::procs(&self.arch)[node as usize].ready_at() {
-                Some(0) if may_park => ti.parked[node as usize] = now,
-                Some(r) => ti.wake.schedule(now, r.max(now + 1), node),
-                None => {}
-            }
-        }
-        par.tick_index = Some(ti);
-        self.par = Some(par);
+    /// Accounts `skipped` stall retries of parked node `i` exactly as the
+    /// dense scan would have: in the processor's statistics, and in the
+    /// probe as polls rather than the skips the tick counted them as.
+    fn settle_stalls(&mut self, i: usize, skipped: u64) {
+        P::procs_mut(&mut self.arch)[i].note_skipped_stalls(skipped);
+        self.probe.processor_polls += skipped;
+        self.probe.processor_skips -= skipped;
     }
 
     fn safetynet_tick(&mut self, now: Cycle) {
@@ -1286,9 +1126,9 @@ impl<P: ProtocolNode> SystemEngine<P> {
         {
             self.protocol.on_checkpoint_taken(&self.arch);
             // Parked nodes' skipped stall retries must be settled before the
-            // snapshot (processor stats are checkpointed state): the serial
-            // kernel's tick at `now` precedes this snapshot, so the settle
-            // covers `(parked, now]` and re-bases the park cycle to `now`.
+            // snapshot (processor stats are checkpointed state): the tick at
+            // `now` precedes this snapshot, so the settle covers
+            // `(parked, now]` and re-bases the park cycle to `now`.
             self.settle_parked_stalls(now);
             let snapshot = self.arch.clone();
             self.safetynet.take_checkpoint(now, snapshot);
@@ -1299,22 +1139,17 @@ impl<P: ProtocolNode> SystemEngine<P> {
     }
 
     /// Brings parked nodes' stall-retry accounting up to date with the
-    /// serial kernel as of the end of cycle `now`'s tick phase (the serial
-    /// scan at `now` has already retried), re-basing each park cycle to
-    /// `now` so later settles do not double-count. Called before state
-    /// observations that include processor stats: a SafetyNet snapshot and
-    /// metrics collection.
+    /// dense scan as of the end of cycle `now`'s tick phase (the dense scan
+    /// at `now` has already retried), re-basing each park cycle to `now` so
+    /// later settles do not double-count. Called before state observations
+    /// that include processor stats or probe counts: a SafetyNet snapshot,
+    /// a rollback and metrics collection.
     fn settle_parked_stalls(&mut self, now: Cycle) {
-        let Some(par) = self.par.as_mut().and_then(|p| p.tick_index.as_mut()) else {
-            return;
-        };
-        for (i, p) in par.parked.iter_mut().enumerate() {
-            if *p != Cycle::MAX {
-                let skipped = now.saturating_sub(*p);
-                P::procs_mut(&mut self.arch)[i].note_skipped_stalls(skipped);
-                self.probe.processor_polls += skipped;
-                self.probe.processor_skips = self.probe.processor_skips.saturating_sub(skipped);
-                *p = now;
+        for i in 0..self.wake.parked.len() {
+            let parked = self.wake.parked[i];
+            if parked != Cycle::MAX {
+                self.settle_stalls(i, now.saturating_sub(parked));
+                self.wake.parked[i] = now;
             }
         }
     }
@@ -1430,6 +1265,10 @@ impl<P: ProtocolNode> SystemEngine<P> {
     }
 
     fn perform_recovery(&mut self, now: Cycle, cause: RecoveryCause) {
+        // The rollback discards the parked nodes' processor stats along with
+        // the rest of the machine, but the probe is not rolled back: settle
+        // first so its poll/skip counts stay those of the dense scan.
+        self.settle_parked_stalls(now);
         let (state, outcome) = self.safetynet.recover(now);
         self.arch = state;
         // Processors resume from their register checkpoints at the restored
@@ -1455,21 +1294,11 @@ impl<P: ProtocolNode> SystemEngine<P> {
                 },
             });
         }
-        if let Some(ti) = self.par.as_mut().and_then(|p| p.tick_index.as_mut()) {
-            // The rollback invalidated every scheduled wake-up (the restored
-            // processors carry restored wake cycles): rebuild the calendar by
-            // visiting every node on the first post-stall cycle, which
-            // re-indexes each from its live `ready_at()`. Parked entries are
-            // discarded unsettled — their accumulated retries belonged to the
-            // rolled-back state, and the checkpoint being restored was
-            // settled when it was taken.
-            ti.parked.fill(Cycle::MAX);
-            ti.wake.clear();
-            let visit = self.resume_at.max(now + 1);
-            for i in 0..P::procs(&self.arch).len() {
-                ti.wake.schedule(now, visit, i as u32);
-            }
-        }
+        // The restored processors carry restored wake cycles: unpark every
+        // node and visit all of them on the first post-stall cycle, which
+        // re-indexes each from its live `ready_at()`.
+        self.wake.parked.fill(Cycle::MAX);
+        self.wake.wake_at.fill(self.resume_at);
         // The restored controllers and outboxes may hold completions and
         // pending output at any node: re-arm both exchange worklists.
         self.exchange.insert_all();
@@ -1548,7 +1377,7 @@ impl<P: ProtocolNode> SystemEngine<P> {
 mod tests {
     use super::*;
     use crate::config::SystemConfig;
-    use crate::dirsys::DirectorySystem;
+    use crate::dirsys::{DirProtocol, DirectorySystem};
     use crate::snoopsys::{SnoopSystemConfig, SnoopingSystem};
     use specsim_base::{
         FaultConfig, FaultEvent, FaultSite, LinkBandwidth, ProtocolVariant, RoutingPolicy,
@@ -1614,6 +1443,86 @@ mod tests {
         assert!(probe.processor_skips > 0);
         assert_eq!(m.recoveries, 0, "a lost wake-up would time out");
         assert!(m.ops_completed > 1_000);
+    }
+
+    #[test]
+    fn stall_parking_wakes_on_own_cache_ingest_and_recovery_and_matches_the_dense_scan() {
+        // Hot blocks and 4 MSHRs make processors stall; injected recoveries
+        // land while some of them are parked.
+        let mut cfg = dir_cfg();
+        cfg.traffic = crate::experiments::heavy_traffic::heavy_traffic();
+        cfg.memory.mshr_entries = 4;
+        cfg.inject_recovery_every = Some(7_000);
+        // The reference: a finite outstanding limit that the demand census
+        // can never reach leaves the schedule alone but forbids parking, so
+        // every stalled processor retries every cycle, exactly as a dense
+        // every-node scan does.
+        let mut dense_cfg = cfg.clone();
+        dense_cfg.max_outstanding = usize::MAX - 1;
+        let mut sys = DirectorySystem::new(cfg);
+        let mut dense = DirectorySystem::new(dense_cfg);
+        let n = sys.engine.wake.parked.len();
+        let (mut parks, mut wakes, mut recoveries_during_park) = (0, 0, 0);
+        for _ in 0..30_000 {
+            let parked_before = sys.engine.wake.parked.clone();
+            let waiting: Vec<bool> = (0..n).map(|i| sys.message_waiting_at(i)).collect();
+            let recoveries = sys.engine.metrics.injected_recoveries;
+            sys.engine.step().expect("no protocol errors");
+            dense.engine.step().expect("no protocol errors");
+            let now = sys.now();
+            let wake = &sys.engine.wake;
+            if sys.engine.metrics.injected_recoveries > recoveries {
+                // A rollback unparks every node and makes all of them due at
+                // the resume cycle.
+                assert!(wake.parked.iter().all(|&p| p == Cycle::MAX));
+                assert!(wake.wake_at.iter().all(|&w| w == sys.engine.resume_at));
+                if parked_before.iter().any(|&p| p != Cycle::MAX) {
+                    recoveries_during_park += 1;
+                }
+                continue;
+            }
+            for i in 0..n {
+                if wake.parked[i] == now {
+                    parks += 1;
+                }
+                // Still parked from an earlier cycle but due again: only a
+                // message ingested by this node's own controllers (or a
+                // completion it produced) can have lowered the hint.
+                if parked_before[i] != Cycle::MAX
+                    && wake.parked[i] != Cycle::MAX
+                    && wake.wake_at[i] != Cycle::MAX
+                {
+                    assert!(
+                        waiting[i],
+                        "node {i} woken at cycle {now} without an ingest"
+                    );
+                    assert!(wake.wake_at[i] <= now + 1);
+                    wakes += 1;
+                }
+            }
+        }
+        assert!(parks > 0, "no processor ever parked");
+        assert!(wakes > 0, "no parked processor was ever woken by its cache");
+        assert!(
+            recoveries_during_park > 0,
+            "no recovery landed during a park"
+        );
+        // Stall counts, probe counts and every metric match the dense scan.
+        let (m, m_dense) = (sys.collect_metrics(), dense.collect_metrics());
+        assert_eq!(format!("{m:?}"), format!("{m_dense:?}"));
+        let stalls = |s: &DirectorySystem| -> u64 {
+            DirProtocol::procs(s.engine.arch())
+                .iter()
+                .map(|p| p.stats().stall_retries)
+                .sum()
+        };
+        assert!(stalls(&sys) > 0);
+        assert_eq!(stalls(&sys), stalls(&dense));
+        let (p, p_dense) = (sys.engine.probe(), dense.engine.probe());
+        assert_eq!(
+            (p.processor_polls, p.processor_skips),
+            (p_dense.processor_polls, p_dense.processor_skips)
+        );
     }
 
     #[test]

@@ -139,8 +139,8 @@ where
 /// serial/parallel columns always measure the kernel they claim to. An
 /// unpinned config is rejected even when its field happens to match,
 /// because the `SPECSIM_WORKERS` environment override could silently swap
-/// the engine underneath the label (e.g. in the CI job that forces the
-/// phase split on across the whole test suite).
+/// the forwarding underneath the label (e.g. in the CI job that forces
+/// sharded forwarding on across the whole test suite).
 ///
 /// # Panics
 ///

@@ -13,11 +13,9 @@
 //! * **ns per simulated cycle** — wall-clock nanoseconds the simulator
 //!   spends per simulated cycle at this machine size (an engineering metric:
 //!   it tracks how the active-set kernel scales with node count), measured
-//!   three times: on the serial reference kernel, on the phase-split engine
-//!   with the pool restricted to the tick phase, and on the full phase-split
-//!   engine with the sharded exchange forwarding as well
-//!   ([`PARALLEL_TIMING_WORKERS`] workers for both parallel columns). All
-//!   three kernels produce byte-identical schedules, so the columns are
+//!   twice: with serial network forwarding (one worker) and with the
+//!   network forward phase sharded over [`PARALLEL_TIMING_WORKERS`]
+//!   workers. Both produce byte-identical schedules, so the columns are
 //!   timing the same simulation. The throughput/mis-speculation statistics
 //!   come from the perturbed-seed sharded runner; the timings come from
 //!   dedicated *unsharded* runs per design point with **pinned** worker
@@ -47,14 +45,13 @@ use crate::experiments::runner::{
     ExperimentScale, Measurement,
 };
 
-/// The node counts the full sweep visits (8 → 1024, doubling). The top
-/// three sizes are where the phase-split engine's indexed wake calendar
-/// separates from the serial dense scan.
+/// The node counts the full sweep visits (8 → 1024, doubling).
 pub const FULL_NODE_COUNTS: [usize; 8] = [8, 16, 32, 64, 128, 256, 512, 1024];
 
 /// Worker count pinned for the parallel `ns_per_cycle` timing run. The
 /// engine clamps the pool to the host's cores, but any value above 1
-/// activates the phase split, which is what the column measures.
+/// builds the pool that shards the forward phase, which is what the column
+/// measures.
 pub const PARALLEL_TIMING_WORKERS: usize = 4;
 
 /// Node count at which the sweep's heavy-traffic knobs start scaling with
@@ -193,8 +190,8 @@ impl Default for ScalingConfig {
 
 impl ScalingConfig {
     /// A CI-sized sweep: two small machines plus one at-scale point (256
-    /// nodes, where the phase-split engine must already beat the serial
-    /// kernel), few seeds, short runs (still honouring
+    /// nodes, where sharded forwarding has switches to shard), few seeds,
+    /// short runs (still honouring
     /// `SPECSIM_ALL_WORKLOADS`).
     #[must_use]
     pub fn quick() -> Self {
@@ -231,24 +228,16 @@ pub struct ScalingRow {
     /// Detected mis-speculations per million simulated cycles.
     pub misspec_per_mcycle: Measurement,
     /// Wall-clock nanoseconds per simulated cycle of one dedicated
-    /// unsharded run on the **serial reference kernel** (worker count
-    /// pinned to 1; lower is better; comparable across machines and seed
-    /// counts).
+    /// unsharded run with **serial forwarding** (worker count pinned to 1;
+    /// lower is better; comparable across machines and seed counts).
     pub ns_per_cycle: f64,
     /// Wall-clock nanoseconds per simulated cycle of the same dedicated run
-    /// on the phase-split engine with the pool restricted to the **tick
-    /// phase** (worker count pinned to [`PARALLEL_TIMING_WORKERS`],
-    /// [`SystemConfig::with_parallel_exchange`] off). Isolates how much of
-    /// the phase-split speedup the tick phase alone buys.
-    pub ns_per_cycle_parallel_tick: f64,
-    /// Wall-clock nanoseconds per simulated cycle of the same dedicated run
-    /// on the **full deterministic phase-split engine** (worker count pinned
-    /// to [`PARALLEL_TIMING_WORKERS`], parallel tick *and* sharded exchange
-    /// forwarding). The schedule is byte-identical to the serial run; only
-    /// the kernel differs.
+    /// with the network forward phase **sharded** over
+    /// [`PARALLEL_TIMING_WORKERS`] workers (pinned). The schedule is
+    /// byte-identical to the serial run; only the forwarding differs.
     pub ns_per_cycle_parallel: f64,
     /// Engine work counters ([`crate::engine::EngineProbe`]) of the pinned
-    /// parallel timing run: processor polls performed, wake-calendar skips,
+    /// parallel timing run: processor polls performed, wake-index skips,
     /// and exchange-worklist node visits. Deterministic observability for
     /// how much per-cycle work the active-set kernel actually did at this
     /// machine size — the denominator behind the `ns_per_cycle` columns.
@@ -328,15 +317,6 @@ pub fn run(cfg: &ScalingConfig) -> Result<ScalingData, ProtocolError> {
                 let started = Instant::now();
                 timed.run_for(cfg.scale.cycles)?;
                 let wall_ns = started.elapsed().as_nanos() as f64;
-                let tick_cfg = sys_cfg
-                    .with_seed(timing_seed)
-                    .with_workers_pinned(PARALLEL_TIMING_WORKERS)
-                    .with_parallel_exchange(false);
-                assert_timing_workers(&tick_cfg, PARALLEL_TIMING_WORKERS);
-                let mut timed_tick = DirectorySystem::new(tick_cfg);
-                let started_tick = Instant::now();
-                timed_tick.run_for(cfg.scale.cycles)?;
-                let wall_ns_tick = started_tick.elapsed().as_nanos() as f64;
                 let parallel_cfg = sys_cfg
                     .with_seed(timing_seed)
                     .with_workers_pinned(PARALLEL_TIMING_WORKERS);
@@ -359,7 +339,6 @@ pub fn run(cfg: &ScalingConfig) -> Result<ScalingData, ProtocolError> {
                     throughput: throughput_measurement(&runs),
                     misspec_per_mcycle: Measurement::from_samples(&rates),
                     ns_per_cycle: wall_ns / cfg.scale.cycles.max(1) as f64,
-                    ns_per_cycle_parallel_tick: wall_ns_tick / cfg.scale.cycles.max(1) as f64,
                     ns_per_cycle_parallel: wall_ns_par / cfg.scale.cycles.max(1) as f64,
                     probe,
                 });
@@ -385,13 +364,13 @@ impl ScalingData {
         ));
         out.push_str(
             "nodes  torus  workload   routing   ops/kcycle        misspec/Mcycle    \
-             ns/cyc-serial  ns/cyc-par-tick  ns/cyc-parallel  \
+             ns/cyc-serial  ns/cyc-parallel  \
              polls/kcyc  skips/kcyc  exch-visits/kcyc\n",
         );
         let kcycles = (self.cycles as f64 / 1_000.0).max(f64::MIN_POSITIVE);
         for r in &self.rows {
             out.push_str(&format!(
-                "{:>5}  {:>2}x{:<2}  {:<9}  {:<8}  {:<16}  {:<16}  {:>13.1}  {:>15.1}  {:>15.1}  \
+                "{:>5}  {:>2}x{:<2}  {:<9}  {:<8}  {:<16}  {:<16}  {:>13.1}  {:>15.1}  \
                  {:>10.1}  {:>10.1}  {:>16.1}\n",
                 r.num_nodes,
                 r.width,
@@ -401,7 +380,6 @@ impl ScalingData {
                 r.throughput.display(),
                 r.misspec_per_mcycle.display(),
                 r.ns_per_cycle,
-                r.ns_per_cycle_parallel_tick,
                 r.ns_per_cycle_parallel,
                 r.probe.processor_polls as f64 / kcycles,
                 r.probe.processor_skips as f64 / kcycles,
@@ -430,7 +408,6 @@ impl ScalingData {
                  \"misspec_per_mcycle_mean\": {:.6}, \
                  \"misspec_per_mcycle_std\": {:.6}, \
                  \"ns_per_cycle\": {:.2}, \
-                 \"ns_per_cycle_parallel_tick\": {:.2}, \
                  \"ns_per_cycle_parallel\": {:.2}, \
                  \"processor_polls\": {}, \"processor_skips\": {}, \
                  \"exchange_completion_visits\": {}, \
@@ -445,7 +422,6 @@ impl ScalingData {
                 r.misspec_per_mcycle.mean,
                 r.misspec_per_mcycle.std_dev,
                 r.ns_per_cycle,
-                r.ns_per_cycle_parallel_tick,
                 r.ns_per_cycle_parallel,
                 r.probe.processor_polls,
                 r.probe.processor_skips,
@@ -544,22 +520,19 @@ mod tests {
                 r.num_nodes
             );
             assert!(r.ns_per_cycle > 0.0);
-            assert!(r.ns_per_cycle_parallel_tick > 0.0);
             assert!(r.ns_per_cycle_parallel > 0.0);
             assert!(r.misspec_per_mcycle.mean >= 0.0);
-            // The pinned timing run did real work, and the wake calendar
-            // skipped at least some idle processor visits.
+            // The pinned timing run did real work.
             assert!(r.probe.processor_polls > 0);
             assert!(r.probe.exchange_completion_visits + r.probe.exchange_outbox_visits > 0);
         }
         let txt = data.render();
         assert!(txt.contains("4x2") && txt.contains("adaptive"));
-        assert!(txt.contains("ns/cyc-par-tick") && txt.contains("ns/cyc-parallel"));
+        assert!(txt.contains("ns/cyc-serial") && txt.contains("ns/cyc-parallel"));
         assert!(txt.contains("polls/kcyc"));
         let json = data.to_json();
         assert!(json.contains("\"nodes\": 8") && json.contains("\"routing\": \"static\""));
         assert!(json.contains("\"ns_per_cycle\""));
-        assert!(json.contains("\"ns_per_cycle_parallel_tick\""));
         assert!(json.contains("\"ns_per_cycle_parallel\""));
         assert!(json.contains("\"processor_polls\""));
         assert!(json.contains("\"exchange_outbox_visits\""));

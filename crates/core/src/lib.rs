@@ -31,7 +31,6 @@ pub mod experiments;
 pub mod framework;
 pub mod metrics;
 pub mod snoopsys;
-mod wake;
 
 pub use config::{ForwardProgressConfig, SystemConfig};
 pub use dirsys::DirectorySystem;

@@ -110,17 +110,17 @@ pub struct SnoopSystemConfig {
     /// a [`FaultConfig::Random`] is lowered from [`Self::seed`] so the same
     /// configuration always replays bit-identically.
     pub fault_config: FaultConfig,
-    /// Threads applied to the run's parallel exchange phase. The snooping
-    /// machine's address bus is totally ordered and stays serial by design
-    /// (no parallel *tick*), but its point-to-point data torus forwards in
-    /// parallel shards exactly like the directory torus when this is above
-    /// `1`. The schedule digest stays byte-identical at any thread count;
+    /// Threads for the data torus's sharded forward phase. The address bus
+    /// is totally ordered and stays serial by design, but the
+    /// point-to-point data torus forwards in parallel shards exactly like
+    /// the directory torus when this is above `1`. The schedule digest
+    /// stays byte-identical at any thread count;
     /// the `SPECSIM_WORKERS` environment variable overrides this field at
     /// engine construction unless [`Self::worker_threads_pinned`] is set.
     pub worker_threads: usize,
     /// When set, [`Self::worker_threads`] is authoritative and the
     /// `SPECSIM_WORKERS` environment override is ignored (timing rows and
-    /// serial-vs-parallel digest comparisons pin their kernel).
+    /// serial-vs-sharded digest comparisons pin their worker count).
     pub worker_threads_pinned: bool,
 }
 
@@ -154,8 +154,8 @@ impl SnoopSystemConfig {
         }
     }
 
-    /// Returns a copy with a different worker-thread count for the parallel
-    /// exchange phase (`1` = the serial reference kernel).
+    /// Returns a copy with a different worker-thread count for the data
+    /// torus's sharded forward phase (`1` = serial forwarding).
     #[must_use]
     pub fn with_workers(&self, worker_threads: usize) -> Self {
         let mut c = self.clone();
@@ -165,8 +165,8 @@ impl SnoopSystemConfig {
 
     /// Returns a copy with the worker count both set and **pinned**: the
     /// `SPECSIM_WORKERS` environment override no longer applies. Use for
-    /// runs whose identity depends on which kernel executed them — timing
-    /// rows, serial-vs-parallel digest comparisons.
+    /// runs whose identity depends on the worker count — timing rows,
+    /// serial-vs-sharded digest comparisons.
     #[must_use]
     pub fn with_workers_pinned(&self, worker_threads: usize) -> Self {
         let mut c = self.with_workers(worker_threads);
@@ -401,6 +401,9 @@ impl SnoopProtocol {
                     Err(e) => ctx.note_error(e),
                 }
             }
+            // The cache controller's state changed: a processor parked on a
+            // stalled request at this node may now make progress.
+            ctx.note_cache_activity(now, i);
         }
     }
 
@@ -436,7 +439,11 @@ impl SnoopProtocol {
                     SnoopDataMsg::WbData { .. } => {
                         arch.memories[i].handle_data(now, packet.payload)
                     }
-                    SnoopDataMsg::Data { .. } => arch.caches[i].handle_data(now, packet.payload),
+                    SnoopDataMsg::Data { .. } => {
+                        // As for snoops: a parked processor may now proceed.
+                        ctx.note_cache_activity(now, i);
+                        arch.caches[i].handle_data(now, packet.payload)
+                    }
                 };
                 if let Err(e) = result {
                     ctx.note_error(e);
@@ -472,8 +479,6 @@ impl ProtocolNode for SnoopProtocol {
             SnoopAccessOutcome::Stall => EngineAccess::Stall,
         }
     }
-
-    const SUPPORTS_PARALLEL_EXCHANGE: bool = true;
 
     fn exchange(&mut self, arch: &mut ArchState, now: Cycle, ctx: &mut EngineCtx<'_, ArchState>) {
         self.pump_controllers(arch, now, ctx);
@@ -652,9 +657,8 @@ impl SnoopingSystem {
             cfg.inject_recovery_every,
             perturb_rng,
             fault_plan,
-            // The address bus is totally ordered and never ticks in
-            // parallel; above 1 the worker pool drives the data torus's
-            // parallel forward phase (byte-identical schedule).
+            // Above 1 the worker pool shards the data torus's forward phase
+            // (byte-identical schedule); the ordered address bus is serial.
             cfg.effective_worker_threads(),
         );
         engine.set_telemetry(cfg.telemetry);

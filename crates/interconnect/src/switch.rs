@@ -325,6 +325,9 @@ mod tests {
         assert!(slab.link_is_free(l, 100));
     }
 
+    // The check is a `debug_assert!`, so release builds have nothing to
+    // panic.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "delivery without reservation")]
     fn accepting_without_reservation_panics_in_debug() {

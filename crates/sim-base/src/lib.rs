@@ -26,8 +26,8 @@
 //! * [`telemetry`] — deterministic observability primitives: log2-bucketed
 //!   latency histograms, engine-mode timelines, cycle-windowed samplers and
 //!   speculation-lifecycle event traces (all stamped in simulated cycles),
-//! * [`workers`] — a persistent barrier-phase thread pool for the engine's
-//!   deterministic intra-run parallel phase split.
+//! * [`workers`] — a persistent barrier-phase thread pool for the
+//!   network's deterministic sharded forward phase.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -3,8 +3,8 @@
 //! event traces.
 //!
 //! Everything in this module is timestamped in *simulated cycles* — never
-//! wall clock — so its output is bit-identical across the serial reference
-//! kernel and the phase-split engine (`SPECSIM_WORKERS=4`), and across
+//! wall clock — so its output is bit-identical across worker counts
+//! (`SPECSIM_WORKERS=4` shards the network forward phase), and across
 //! repeated runs. The recorder is disabled by default
 //! ([`TelemetryConfig::default`]) and costs nothing when off; the engine's
 //! mode timeline is always on but only does one array increment per cycle

@@ -1,7 +1,7 @@
 //! A small persistent thread pool for barrier-separated simulation phases.
 //!
-//! The phase-split engine runs "tick every node"-shaped work as a flat index
-//! space `0..num_tasks`. Workers (plus the calling thread) *claim* task
+//! The sharded network forward phase runs "visit every switch"-shaped work
+//! as a flat index space `0..num_tasks`. Workers (plus the calling thread) *claim* task
 //! indices from a shared atomic cursor, which is work stealing in its
 //! simplest form: a worker that finishes early keeps claiming whatever is
 //! left, so imbalanced chunks never serialise the phase. [`WorkerPool::run`]

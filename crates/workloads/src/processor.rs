@@ -323,11 +323,11 @@ impl Processor {
         // Stay in Ready; the request is re-presented next cycle.
     }
 
-    /// Accounts `cycles` stall retries in one step. The phase-split engine
+    /// Accounts `cycles` stall retries in one step. The engine's tick
     /// parks a stalled processor instead of re-presenting its request every
     /// cycle (a stall's outcome cannot change until the node's cache
     /// controller ingests a message), then settles the skipped retries here
-    /// so the statistics match the cycle-by-cycle reference kernel exactly.
+    /// so the statistics match a cycle-by-cycle retry exactly.
     pub fn note_skipped_stalls(&mut self, cycles: u64) {
         self.stats.stall_retries += cycles;
     }

@@ -196,6 +196,8 @@ const GOLDEN_SNOOP_DATA_TORUS_400: u64 = 0x084d1fa80ab27e48;
 const GOLDEN_NET_SHARED_POOL: u64 = 0x2ea57983677172d5;
 const GOLDEN_DIR_TRACE_REPLAY: u64 = 0x0ec36632238bff1a;
 const GOLDEN_DIR_256_NODES: u64 = 0x784ef0f04071c789;
+const GOLDEN_DIR16_HOT_PARKING: u64 = 0xe661884929613c41;
+const GOLDEN_SNOOP16_HOT_PARKING: u64 = 0xb780296ca9cea10a;
 
 #[test]
 fn rectangular_4x2_network_matches_golden_under_both_policies() {
@@ -509,7 +511,7 @@ fn recorded_trace_replays_bit_identically() {
 
 /// The 256-node machine the at-scale goldens run: a 16×16 speculative torus
 /// with non-blocking processors under the canonical heavy traffic shape, so
-/// the wake calendar, the eject worklists and the timeout-scan memoization
+/// the wake index, the eject worklists and the timeout-scan memoization
 /// all carry real load.
 fn dir_256_config() -> SystemConfig {
     let mut cfg = small_dir_config(ProtocolVariant::Speculative, RoutingPolicy::Adaptive);
@@ -530,9 +532,10 @@ fn directory_256_nodes_matches_golden() {
 
 #[test]
 fn phase_split_engine_is_byte_identical_to_serial_at_256_nodes() {
-    // The acceptance gate for the deterministic phase split: the same
-    // 256-node machine run with worker count > 1 must produce exactly the
-    // serial schedule digest — not merely the same aggregate counters.
+    // The worker count must not change the schedule: the same 256-node
+    // machine run with worker count > 1 (sharded network forwarding) must
+    // produce exactly the serial schedule digest — not merely the same
+    // aggregate counters.
     let mut serial = DirectorySystem::new(dir_256_config().with_workers_pinned(1));
     let ms = serial.run_for(6_000).expect("no protocol errors");
     let mut parallel = DirectorySystem::new(dir_256_config().with_workers_pinned(4));
@@ -540,15 +543,15 @@ fn phase_split_engine_is_byte_identical_to_serial_at_256_nodes() {
     assert_eq!(
         metrics_digest(&ms),
         metrics_digest(&mp),
-        "phase-split engine diverged from the serial reference kernel"
+        "the 4-worker run diverged from the serial run"
     );
     check("dir_256_nodes", GOLDEN_DIR_256_NODES, metrics_digest(&mp));
 }
 
 #[test]
-fn parallel_exchange_is_byte_identical_and_actually_parallel_at_256_nodes() {
-    // The acceptance gate for the parallel exchange phase: at 256 nodes the
-    // phase-split run must match the serial golden digest byte-for-byte,
+fn sharded_forwarding_is_byte_identical_and_actually_parallel_at_256_nodes() {
+    // The acceptance gate for sharded network forwarding: at 256 nodes the
+    // 4-worker run must match the serial golden digest byte-for-byte,
     // and — when the host actually has cores to shard over — the worker
     // pool must have fanned the torus's forward phase out in parallel
     // shards, not merely been constructed. The forward probe is
@@ -563,7 +566,7 @@ fn parallel_exchange_is_byte_identical_and_actually_parallel_at_256_nodes() {
     assert_eq!(
         serial.net_forward_probe().parallel_phases,
         0,
-        "the serial reference kernel must never shard the forward phase"
+        "a one-worker run must never shard the forward phase"
     );
     let mut parallel = DirectorySystem::new(dir_256_config().with_workers_pinned(4));
     let mp = parallel.run_for(6_000).expect("no protocol errors");
@@ -572,7 +575,7 @@ fn parallel_exchange_is_byte_identical_and_actually_parallel_at_256_nodes() {
     if multi_core {
         assert!(
             probe.parallel_phases > 0,
-            "the parallel exchange never engaged at 256 nodes under heavy traffic"
+            "sharded forwarding never engaged at 256 nodes under heavy traffic"
         );
         assert!(
             probe.parallel_tasks >= probe.parallel_phases,
@@ -587,16 +590,16 @@ fn parallel_exchange_is_byte_identical_and_actually_parallel_at_256_nodes() {
     assert_eq!(
         metrics_digest(&ms),
         metrics_digest(&mp),
-        "parallel exchange diverged from the serial reference kernel"
+        "sharded forwarding diverged from the serial run"
     );
     check("dir_256_nodes", GOLDEN_DIR_256_NODES, metrics_digest(&mp));
 }
 
 #[test]
 fn snooping_parallel_data_torus_matches_the_serial_golden() {
-    // The snooping machine's phase split: the address bus stays serial by
-    // design (no parallel tick), but the point-to-point data torus adopts
-    // the parallel forward phase. Pinned to 4 workers — the digest must be
+    // The snooping machine's worker pool: the address bus stays serial by
+    // design, but the point-to-point data torus adopts the sharded forward
+    // phase. Pinned to 4 workers — the digest must be
     // the historical serial snooping golden byte-for-byte, whatever
     // `SPECSIM_WORKERS` says.
     let mut cfg = SnoopSystemConfig::new(WorkloadKind::Apache, ProtocolVariant::Speculative, 11)
@@ -643,4 +646,60 @@ fn sharded_runner_preserves_per_seed_results_and_order() {
         );
     }
     check("runner_directory", GOLDEN_RUNNER_DIRECTORY, d.0);
+}
+
+/// Digest of a whole run as the processor-tick kernel sees it: every
+/// `RunMetrics` field (through its `Debug` form) plus the engine's processor
+/// poll/skip counters, which must equal what a dense every-node scan counts
+/// (a parked stall retry is one poll per skipped cycle).
+fn run_digest(m: &RunMetrics, probe: specsim::EngineProbe) -> u64 {
+    let mut d = Digest::new();
+    for byte in format!("{m:?}").bytes() {
+        d.u64(u64::from(byte));
+    }
+    d.u64(probe.processor_polls).u64(probe.processor_skips);
+    d.0
+}
+
+#[test]
+fn directory_hot_run_with_parking_and_slow_start_matches_golden() {
+    // The canonical heavy 16-node directory machine (Zipf+burst traffic,
+    // 4 MSHRs, 5k-cycle checkpoints, adaptive routing) on one worker. Hot
+    // blocks make processors stall on busy MSHRs, so stall parking carries
+    // real load; the run is long enough for a transaction timeout, whose
+    // rollback rebuilds the wake index, and for the slow-start window that
+    // follows, where the finite outstanding limit forbids parking.
+    let mut cfg = SystemConfig::directory_speculative(WorkloadKind::Oltp, LinkBandwidth::MB_400, 7);
+    cfg.routing = RoutingPolicy::Adaptive;
+    cfg.traffic = heavy_traffic();
+    cfg.memory.mshr_entries = 4;
+    cfg.memory.safetynet.checkpoint_interval_cycles = 5_000;
+    let mut sys = DirectorySystem::new(cfg.with_workers_pinned(1));
+    let m = sys.run_for(240_000).expect("no protocol errors");
+    assert!(m.recoveries >= 1, "the run must cross a rollback");
+    assert!(m.slow_start_frac() > 0.0, "the run must cross slow-start");
+    check(
+        "dir16_hot_parking",
+        GOLDEN_DIR16_HOT_PARKING,
+        run_digest(&m, sys.engine_probe()),
+    );
+}
+
+#[test]
+fn snooping_hot_run_with_parking_matches_golden() {
+    // The same heavy traffic on the 16-node snooping machine with 4 MSHRs:
+    // stalled processors park until a snoop or a data message reaches
+    // their own cache controller.
+    let mut cfg = SnoopSystemConfig::new(WorkloadKind::Oltp, ProtocolVariant::Speculative, 7)
+        .with_workers_pinned(1);
+    cfg.traffic = heavy_traffic();
+    cfg.memory.mshr_entries = 4;
+    let mut sys = SnoopingSystem::new(cfg);
+    let m = sys.run_for(60_000).expect("no protocol errors");
+    assert!(m.ops_completed > 1_000);
+    check(
+        "snoop16_hot_parking",
+        GOLDEN_SNOOP16_HOT_PARKING,
+        run_digest(&m, sys.engine_probe()),
+    );
 }

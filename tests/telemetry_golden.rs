@@ -1,7 +1,7 @@
 //! Pinned telemetry goldens: the windowed JSONL stream and the Chrome
 //! trace-event document of a 16-node heavy-traffic fault campaign must be
-//! **byte-identical** between the serial reference kernel and the
-//! phase-split engine at 4 workers, and stable across revisions.
+//! **byte-identical** between serial and sharded network forwarding
+//! (1 and 4 workers), and stable across revisions.
 //!
 //! Telemetry is timestamped exclusively in simulated cycles and recorded at
 //! deterministic points of the engine's step loop, so the outputs are a
@@ -83,7 +83,7 @@ fn snoop_outputs(workers: usize) -> (String, String) {
     )
 }
 
-/// Captured from the serial reference kernel; see the module doc.
+/// Captured at one worker; see the module doc.
 const GOLDEN_DIR_JSONL_DIGEST: u64 = 2_699_253_261_894_583_325;
 const GOLDEN_DIR_TRACE_DIGEST: u64 = 1_953_312_100_789_147_611;
 
