@@ -3,10 +3,10 @@
 use std::sync::Arc;
 
 use specsim_base::{
-    BufferPolicy, CycleDelta, FaultConfig, FlowControl, LinkBandwidth, MemorySystemConfig,
-    ProtocolVariant, RoutingPolicy, TelemetryConfig,
+    CycleDelta, FaultConfig, LinkBandwidth, MemorySystemConfig, ProtocolVariant, RoutingPolicy,
+    SafetyNetConfig, TelemetryConfig,
 };
-use specsim_net::NetConfig;
+use specsim_net::{Buffering, NetConfig, PoolSlots};
 use specsim_workloads::{Trace, TrafficConfig, WorkloadKind};
 
 /// Forward-progress measures applied after a recovery (Section 2, feature 4).
@@ -56,15 +56,11 @@ pub struct SystemConfig {
     pub protocol: ProtocolVariant,
     /// Interconnect routing policy.
     pub routing: RoutingPolicy,
-    /// Interconnect deadlock-avoidance strategy / buffering.
-    pub flow_control: FlowControl,
-    /// How interconnect buffer capacity is provisioned:
-    /// [`BufferPolicy::VirtualNetworks`] (each buffer owns its depth —
-    /// today's behavior, bit-identical) or [`BufferPolicy::SharedPool`]
-    /// (all classes at a node draw from one slot pool; deadlock becomes
-    /// possible and is detected by transaction timeout — Section 4's third
-    /// case study).
-    pub buffer_policy: BufferPolicy,
+    /// Interconnect buffer design: the deadlock-free virtual channels or
+    /// worst-case buffering, or one of Section 4's speculative designs
+    /// (shared buffers, a shared slot pool), in which deadlock becomes
+    /// possible and is detected by transaction timeout.
+    pub buffering: Buffering,
     /// Workload to run.
     pub workload: WorkloadKind,
     /// Top-level seed; every generator, perturbation and arbitration draw is
@@ -101,12 +97,6 @@ pub struct SystemConfig {
     /// from [`Self::seed`] before the run starts, so the same `(seed,
     /// fault_config)` pair always replays bit-identically.
     pub fault_config: FaultConfig,
-    /// Optional endpoint-vs-switch split of the shared slot pool, as
-    /// `(switch_slots, endpoint_slots)`. Applied only under
-    /// [`BufferPolicy::SharedPool`]; the two budgets must sum to the pool's
-    /// `total_slots`. `None` keeps the historical unified pool
-    /// (bit-identical).
-    pub pool_split: Option<(usize, usize)>,
     /// Threads for one run's sharded network forward phase. `1` — the
     /// default — forwards serially. Values above `1` build a worker pool
     /// (clamped to the host's cores) over which the torus forward phase is
@@ -140,7 +130,8 @@ impl Default for SystemConfig {
 impl SystemConfig {
     /// The paper's baseline directory-protocol system: 16 nodes, adaptive
     /// routing isolated from deadlock concerns by full buffering
-    /// (footnote 1), speculative reliance on point-to-point ordering.
+    /// (footnote 1), speculative reliance on point-to-point ordering. The
+    /// other presets are this machine with one design choice changed.
     #[must_use]
     pub fn directory_speculative(
         workload: WorkloadKind,
@@ -154,8 +145,7 @@ impl SystemConfig {
             },
             protocol: ProtocolVariant::Speculative,
             routing: RoutingPolicy::Adaptive,
-            flow_control: FlowControl::WorstCaseBuffering,
-            buffer_policy: BufferPolicy::VirtualNetworks,
+            buffering: Buffering::Unbounded,
             workload,
             seed,
             forward_progress: ForwardProgressConfig::default(),
@@ -166,7 +156,6 @@ impl SystemConfig {
             record_trace: false,
             replay_trace: None,
             fault_config: FaultConfig::Disabled,
-            pool_split: None,
             worker_threads: 1,
             worker_threads_pinned: false,
             telemetry: TelemetryConfig::default(),
@@ -178,66 +167,26 @@ impl SystemConfig {
     #[must_use]
     pub fn directory_baseline(workload: WorkloadKind, bandwidth: LinkBandwidth, seed: u64) -> Self {
         Self {
-            memory: MemorySystemConfig {
-                link_bandwidth: bandwidth,
-                ..MemorySystemConfig::default()
-            },
             protocol: ProtocolVariant::Full,
             routing: RoutingPolicy::Static,
-            flow_control: FlowControl::VirtualChannels {
-                channels_per_network: 2,
-            },
-            buffer_policy: BufferPolicy::VirtualNetworks,
-            workload,
-            seed,
-            forward_progress: ForwardProgressConfig::default(),
-            inject_recovery_every: None,
-            perturbation_cycles: 4,
-            max_outstanding: usize::MAX,
-            traffic: TrafficConfig::default(),
-            record_trace: false,
-            replay_trace: None,
-            fault_config: FaultConfig::Disabled,
-            pool_split: None,
-            worker_threads: 1,
-            worker_threads_pinned: false,
-            telemetry: TelemetryConfig::default(),
+            buffering: Buffering::VirtualChannels,
+            ..Self::directory_speculative(workload, bandwidth, seed)
         }
     }
 
     /// The speculatively simplified interconnect of Section 4: no virtual
-    /// channels/networks, shared buffers of the given size, deadlock detected
-    /// by transaction timeout and resolved by recovery.
+    /// channels/networks, one shared `depth`-message buffer per port,
+    /// deadlock detected by transaction timeout and resolved by recovery.
     #[must_use]
     pub fn simplified_interconnect(
         workload: WorkloadKind,
         bandwidth: LinkBandwidth,
-        buffers_per_port: usize,
+        depth: usize,
         seed: u64,
     ) -> Self {
         Self {
-            memory: MemorySystemConfig {
-                link_bandwidth: bandwidth,
-                ..MemorySystemConfig::default()
-            },
-            protocol: ProtocolVariant::Speculative,
-            routing: RoutingPolicy::Adaptive,
-            flow_control: FlowControl::SharedBuffers { buffers_per_port },
-            buffer_policy: BufferPolicy::VirtualNetworks,
-            workload,
-            seed,
-            forward_progress: ForwardProgressConfig::default(),
-            inject_recovery_every: None,
-            perturbation_cycles: 4,
-            max_outstanding: usize::MAX,
-            traffic: TrafficConfig::default(),
-            record_trace: false,
-            replay_trace: None,
-            fault_config: FaultConfig::Disabled,
-            pool_split: None,
-            worker_threads: 1,
-            worker_threads_pinned: false,
-            telemetry: TelemetryConfig::default(),
+            buffering: Buffering::SharedBuffers { depth },
+            ..Self::directory_speculative(workload, bandwidth, seed)
         }
     }
 
@@ -257,35 +206,16 @@ impl SystemConfig {
         seed: u64,
     ) -> Self {
         Self {
-            memory: MemorySystemConfig {
-                link_bandwidth: bandwidth,
-                ..MemorySystemConfig::default()
+            buffering: Buffering::SharedPool {
+                virtual_channels: true,
+                slots: PoolSlots::Unified(total_slots),
             },
-            protocol: ProtocolVariant::Speculative,
-            routing: RoutingPolicy::Adaptive,
-            flow_control: FlowControl::VirtualChannels {
-                channels_per_network: 2,
-            },
-            buffer_policy: BufferPolicy::SharedPool { total_slots },
-            workload,
-            seed,
-            forward_progress: ForwardProgressConfig::default(),
-            inject_recovery_every: None,
-            perturbation_cycles: 4,
-            max_outstanding: usize::MAX,
-            traffic: TrafficConfig::default(),
-            record_trace: false,
-            replay_trace: None,
-            fault_config: FaultConfig::Disabled,
-            pool_split: None,
-            worker_threads: 1,
-            worker_threads_pinned: false,
-            telemetry: TelemetryConfig::default(),
+            ..Self::directory_speculative(workload, bandwidth, seed)
         }
     }
 
     /// Sanity-checks the configuration: the memory-system geometry plus the
-    /// interconnect buffer policy. Returns human-readable problems (empty
+    /// interconnect buffer design. Returns human-readable problems (empty
     /// when consistent).
     #[must_use]
     pub fn validate(&self) -> Vec<String> {
@@ -293,31 +223,7 @@ impl SystemConfig {
         if let Err(e) = self.traffic.validate() {
             problems.push(e);
         }
-        if let BufferPolicy::SharedPool { total_slots } = self.buffer_policy {
-            if total_slots == 0 {
-                problems.push("shared-pool buffer policy needs at least one slot".to_string());
-            }
-            let r = self.forward_progress.reserved_slots_per_network;
-            if self.forward_progress.reserved_slot_cycles > 0 && r > 0 && total_slots < 4 {
-                problems.push(format!(
-                    "a {total_slots}-slot pool cannot hold one reserved slot per \
-                     virtual network; the post-deadlock reservation would be inert"
-                ));
-            }
-            if let Some((switch, endpoint)) = self.pool_split {
-                if switch + endpoint != total_slots {
-                    problems.push(format!(
-                        "pool split {switch}+{endpoint} does not sum to the \
-                         {total_slots}-slot pool"
-                    ));
-                }
-                if switch == 0 || endpoint == 0 {
-                    problems.push("a pool split needs at least one slot on each side".to_string());
-                }
-            }
-        } else if self.pool_split.is_some() {
-            problems.push("pool_split requires the shared-pool buffer policy".to_string());
-        }
+        problems.extend(buffering_problems(self.buffering, &self.forward_progress));
         if let FaultConfig::Random { kinds, .. } = &self.fault_config {
             if kinds.is_empty() {
                 problems.push("a random fault campaign needs at least one fault kind".to_string());
@@ -329,45 +235,15 @@ impl SystemConfig {
     /// The derived interconnect configuration.
     #[must_use]
     pub fn net_config(&self) -> NetConfig {
-        let mut cfg = match self.flow_control {
-            FlowControl::VirtualChannels {
-                channels_per_network,
-            } => {
-                let mut c =
-                    NetConfig::conventional(self.memory.num_nodes, self.memory.link_bandwidth);
-                c.flow_control = FlowControl::VirtualChannels {
-                    channels_per_network,
-                };
-                c
-            }
-            FlowControl::SharedBuffers { buffers_per_port } => NetConfig::speculative(
-                self.memory.num_nodes,
-                self.memory.link_bandwidth,
-                buffers_per_port,
-            ),
-            FlowControl::WorstCaseBuffering => NetConfig::full_buffering(
-                self.memory.num_nodes,
-                self.memory.link_bandwidth,
-                self.routing,
-            ),
-        };
+        let mut cfg = NetConfig::new(
+            self.memory.num_nodes,
+            self.memory.link_bandwidth,
+            self.routing,
+            self.buffering,
+        );
         cfg.torus_dims = self.memory.torus_dims;
-        cfg.routing = self.routing;
         cfg.switch_latency = self.memory.switch_latency_cycles;
-        cfg.buffer_policy = self.buffer_policy;
-        if matches!(self.buffer_policy, BufferPolicy::SharedPool { .. }) {
-            if let Some((switch, endpoint)) = self.pool_split {
-                cfg.pool_slots_switch = Some(switch);
-                cfg.pool_slots_endpoint = Some(endpoint);
-            }
-            // The watchdog must be able to *confirm* a wedged fabric before
-            // the three-checkpoint-interval transaction timeout fires, so the
-            // engine can classify the timeout as a detected deadlock: give it
-            // one checkpoint interval of silence.
-            cfg.stall_threshold = cfg
-                .stall_threshold
-                .min(self.memory.safetynet.checkpoint_interval_cycles.max(1));
-        }
+        cfg.stall_threshold = watchdog_threshold(&cfg, &self.memory.safetynet);
         cfg
     }
 
@@ -437,24 +313,44 @@ impl SystemConfig {
             .unwrap_or(self.worker_threads)
             .max(1)
     }
+}
 
-    /// Returns a copy whose shared slot pool is split endpoint-vs-switch:
-    /// `switch_slots` back the fabric (input-port buffers and in-transit
-    /// reservations), `endpoint_slots` back the ejection queues. The pool
-    /// total is re-derived as the sum, so the split is the complete sizing
-    /// statement. Panics if the configuration is not shared-pool.
-    #[must_use]
-    pub fn with_pool_split(&self, switch_slots: usize, endpoint_slots: usize) -> Self {
-        assert!(
-            matches!(self.buffer_policy, BufferPolicy::SharedPool { .. }),
-            "pool split requires the shared-pool buffer policy"
-        );
-        let mut c = self.clone();
-        c.buffer_policy = BufferPolicy::SharedPool {
-            total_slots: switch_slots + endpoint_slots,
-        };
-        c.pool_split = Some((switch_slots, endpoint_slots));
-        c
+/// Problems with a fabric's buffer design under the machine's
+/// forward-progress measures (empty when consistent). Both machines'
+/// `validate` report these for the fabric they pool.
+pub(crate) fn buffering_problems(buffering: Buffering, fp: &ForwardProgressConfig) -> Vec<String> {
+    let mut problems = Vec::new();
+    let Some(slots) = buffering.pool_slots() else {
+        return problems;
+    };
+    match slots {
+        PoolSlots::Unified(0) => problems.push("a shared pool needs at least one slot".to_string()),
+        PoolSlots::Split { switch, endpoint } if switch == 0 || endpoint == 0 => {
+            problems.push("a pool split needs at least one slot on each side".to_string());
+        }
+        _ => {}
+    }
+    let total = slots.total();
+    if fp.reserved_slot_cycles > 0 && fp.reserved_slots_per_network > 0 && total < 4 {
+        problems.push(format!(
+            "a {total}-slot pool cannot hold one reserved slot per virtual \
+             network; the post-deadlock reservation would be inert"
+        ));
+    }
+    problems
+}
+
+/// The progress-watchdog threshold a machine gives `net`. A pooled
+/// fabric's watchdog must be able to *confirm* a wedge before the
+/// three-checkpoint-interval transaction timeout fires, so the engine can
+/// classify the timeout as a detected deadlock: it gets at most one
+/// checkpoint interval of silence. Other fabrics keep their own threshold.
+pub(crate) fn watchdog_threshold(net: &NetConfig, safetynet: &SafetyNetConfig) -> u64 {
+    match net.buffering.pool_slots() {
+        Some(_) => net
+            .stall_threshold
+            .min(safetynet.checkpoint_interval_cycles.max(1)),
+        None => net.stall_threshold,
     }
 }
 
@@ -462,26 +358,29 @@ impl SystemConfig {
 mod tests {
     use super::*;
 
+    fn pool(slots: PoolSlots) -> Buffering {
+        Buffering::SharedPool {
+            virtual_channels: true,
+            slots,
+        }
+    }
+
     #[test]
     fn presets_match_the_papers_three_designs() {
         let spec =
             SystemConfig::directory_speculative(WorkloadKind::Oltp, LinkBandwidth::MB_400, 1);
         assert_eq!(spec.protocol, ProtocolVariant::Speculative);
         assert_eq!(spec.routing, RoutingPolicy::Adaptive);
-        assert_eq!(spec.flow_control, FlowControl::WorstCaseBuffering);
+        assert_eq!(spec.buffering, Buffering::Unbounded);
 
         let base = SystemConfig::directory_baseline(WorkloadKind::Oltp, LinkBandwidth::MB_400, 1);
         assert_eq!(base.protocol, ProtocolVariant::Full);
         assert_eq!(base.routing, RoutingPolicy::Static);
+        assert_eq!(base.buffering, Buffering::VirtualChannels);
 
         let net =
             SystemConfig::simplified_interconnect(WorkloadKind::Jbb, LinkBandwidth::GB_3_2, 16, 1);
-        assert_eq!(
-            net.flow_control,
-            FlowControl::SharedBuffers {
-                buffers_per_port: 16
-            }
-        );
+        assert_eq!(net.buffering, Buffering::SharedBuffers { depth: 16 });
     }
 
     #[test]
@@ -490,18 +389,38 @@ mod tests {
             SystemConfig::simplified_interconnect(WorkloadKind::Jbb, LinkBandwidth::MB_400, 8, 3);
         let net = cfg.net_config();
         assert_eq!(net.routing, RoutingPolicy::Adaptive);
-        assert_eq!(
-            net.flow_control,
-            FlowControl::SharedBuffers {
-                buffers_per_port: 8
-            }
-        );
+        assert_eq!(net.buffering, Buffering::SharedBuffers { depth: 8 });
         assert_eq!(net.num_nodes, 16);
 
         let mut base =
             SystemConfig::directory_baseline(WorkloadKind::Jbb, LinkBandwidth::MB_400, 3);
         base.routing = RoutingPolicy::Adaptive;
         assert_eq!(base.net_config().routing, RoutingPolicy::Adaptive);
+    }
+
+    #[test]
+    fn net_config_of_each_preset_is_the_matching_network_preset() {
+        let bw = LinkBandwidth::MB_400;
+        let w = WorkloadKind::Oltp;
+        assert_eq!(
+            SystemConfig::directory_baseline(w, bw, 1).net_config(),
+            NetConfig::conventional(16, bw)
+        );
+        assert_eq!(
+            SystemConfig::simplified_interconnect(w, bw, 8, 1).net_config(),
+            NetConfig::speculative(16, bw, 8)
+        );
+        assert_eq!(
+            SystemConfig::directory_speculative(w, bw, 1).net_config(),
+            NetConfig::full_buffering(16, bw, RoutingPolicy::Adaptive)
+        );
+        // The pooled preset differs from the network preset only by the
+        // watchdog threshold fitted to the checkpoint interval.
+        let mut pooled = SystemConfig::shared_pool_interconnect(w, bw, 24, 1);
+        pooled.memory.safetynet.checkpoint_interval_cycles = 2_000;
+        let mut expected = NetConfig::shared_pool(16, bw, 24);
+        expected.stall_threshold = 2_000;
+        assert_eq!(pooled.net_config(), expected);
     }
 
     #[test]
@@ -512,14 +431,11 @@ mod tests {
             24,
             1,
         );
-        assert_eq!(
-            cfg.buffer_policy,
-            BufferPolicy::SharedPool { total_slots: 24 }
-        );
+        assert_eq!(cfg.buffering, pool(PoolSlots::Unified(24)));
         assert_eq!(cfg.routing, RoutingPolicy::Adaptive);
         assert!(cfg.validate().is_empty());
         let net = cfg.net_config();
-        assert_eq!(net.pool_slots(), Some(24));
+        assert_eq!(net.buffering.pool_slots(), Some(PoolSlots::Unified(24)));
         // The watchdog must confirm a wedge within one checkpoint interval,
         // well before the three-interval transaction timeout fires (short
         // experiment intervals tighten it; the Table 2 interval leaves the
@@ -528,10 +444,15 @@ mod tests {
         let mut short = cfg.clone();
         short.memory.safetynet.checkpoint_interval_cycles = 2_000;
         assert_eq!(short.net_config().stall_threshold, 2_000);
-        // Unpooled presets carry no pool.
-        let base =
+        // Unpooled presets carry no pool and keep the default threshold.
+        let mut base =
             SystemConfig::directory_speculative(WorkloadKind::Oltp, LinkBandwidth::MB_400, 1);
-        assert_eq!(base.net_config().pool_slots(), None);
+        base.memory.safetynet.checkpoint_interval_cycles = 2_000;
+        assert_eq!(base.net_config().buffering.pool_slots(), None);
+        assert_eq!(
+            base.net_config().stall_threshold,
+            specsim_net::config::DEFAULT_STALL_THRESHOLD
+        );
     }
 
     #[test]
@@ -539,7 +460,7 @@ mod tests {
         let mut cfg =
             SystemConfig::shared_pool_interconnect(WorkloadKind::Oltp, LinkBandwidth::MB_400, 0, 1);
         assert!(!cfg.validate().is_empty(), "0-slot pool must be rejected");
-        cfg.buffer_policy = BufferPolicy::SharedPool { total_slots: 3 };
+        cfg.buffering = pool(PoolSlots::Unified(3));
         assert!(
             !cfg.validate().is_empty(),
             "a pool too small for the reservation measure must be flagged"
@@ -552,31 +473,27 @@ mod tests {
     }
 
     #[test]
-    fn with_pool_split_rederives_the_total_and_validates() {
-        let cfg = SystemConfig::shared_pool_interconnect(
+    fn pool_split_validates_each_side() {
+        let mut cfg = SystemConfig::shared_pool_interconnect(
             WorkloadKind::Oltp,
             LinkBandwidth::MB_400,
             24,
             1,
-        )
-        .with_pool_split(18, 6);
-        assert_eq!(
-            cfg.buffer_policy,
-            BufferPolicy::SharedPool { total_slots: 24 }
         );
+        let split = PoolSlots::Split {
+            switch: 18,
+            endpoint: 6,
+        };
+        cfg.buffering = pool(split);
         assert!(cfg.validate().is_empty());
-        let net = cfg.net_config();
-        assert_eq!(net.pool_split(), Some((18, 6)));
-        assert_eq!(net.pool_slots(), Some(24));
-        // A split that disagrees with the pool total is flagged.
+        assert_eq!(cfg.net_config().buffering.pool_slots(), Some(split));
+        // Each side of a split needs a slot.
         let mut bad = cfg.clone();
-        bad.pool_split = Some((1, 1));
+        bad.buffering = pool(PoolSlots::Split {
+            switch: 24,
+            endpoint: 0,
+        });
         assert!(!bad.validate().is_empty());
-        // A split without the shared-pool policy is flagged.
-        let mut unpooled =
-            SystemConfig::directory_speculative(WorkloadKind::Oltp, LinkBandwidth::MB_400, 1);
-        unpooled.pool_split = Some((18, 6));
-        assert!(!unpooled.validate().is_empty());
         // Random campaigns need at least one kind to draw from.
         let mut nokinds = cfg.clone();
         nokinds.fault_config = FaultConfig::Random {

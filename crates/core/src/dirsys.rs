@@ -16,9 +16,7 @@
 
 use std::sync::Arc;
 
-use specsim_base::{
-    BlockAddr, Cycle, CycleDelta, DetRng, FaultKind, FlowControl, NodeId, RoutingPolicy,
-};
+use specsim_base::{BlockAddr, Cycle, CycleDelta, DetRng, FaultKind, NodeId, RoutingPolicy};
 use specsim_coherence::dir::{
     AccessOutcome, CacheState, DirCacheController, DirMsg, DirectoryController, OutMsg,
 };
@@ -84,7 +82,7 @@ impl DirProtocol {
         ctx: &mut EngineCtx<'_, ArchState>,
     ) {
         let n = arch.procs.len();
-        let vc_mode = matches!(self.cfg.flow_control, FlowControl::VirtualChannels { .. });
+        let vc_mode = arch.net.has_virtual_networks();
         // In virtual-channel mode the endpoint has one ejection queue per
         // class; responses are served first, which is exactly how virtual
         // networks break the request-response endpoint dependency. With

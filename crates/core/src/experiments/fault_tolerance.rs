@@ -196,7 +196,6 @@ fn snoop_config(
     let mut sys = SnoopSystemConfig::new(cfg.workload, ProtocolVariant::Speculative, 7000);
     sys.memory.num_nodes = cfg.num_nodes;
     sys.memory.link_bandwidth = cfg.bandwidth;
-    sys.data_net.link_bandwidth = cfg.bandwidth;
     sys.memory.mshr_entries = cfg.mshr_entries;
     sys.memory.safetynet.checkpoint_interval_cycles = 5_000;
     sys.forward_progress.slow_start_cycles = 20_000;

@@ -31,6 +31,7 @@
 
 use specsim_base::{LinkBandwidth, ProtocolVariant, RoutingPolicy};
 use specsim_coherence::types::{MisSpecKind, ProtocolError};
+use specsim_net::{Buffering, PoolSlots};
 use specsim_workloads::{TrafficConfig, WorkloadKind};
 
 use crate::config::SystemConfig;
@@ -46,20 +47,15 @@ use crate::snoopsys::SnoopSystemConfig;
 pub const FULL_POOL_SIZES: [usize; 6] = [128, 64, 32, 16, 8, 4];
 
 /// Per-node slot budget of the conservatively-sized virtual-network
-/// baseline this sweep compares against: each of the four link ports holds
-/// one depth-4 buffer per (virtual network, virtual channel) pair, the
-/// local injection port holds the same buffers at the injection depth (8),
-/// and the endpoint has four depth-8 ejection queues. Static routing uses
-/// 2 virtual channels per network, adaptive 3 (the extra Duato channel),
-/// so the budgets differ: 224 vs. 320 slots per node.
+/// baseline this sweep compares against: the depths of every buffer of
+/// [`Buffering::VirtualChannels`] at one node summed (see
+/// [`Buffering::slots_per_node`]). Adaptive routing adds a virtual channel
+/// per network, so the budgets differ: 224 vs. 320 slots per node.
 #[must_use]
 pub fn vn_baseline_slots_per_node(routing: RoutingPolicy) -> usize {
-    let channels_per_network = match routing {
-        RoutingPolicy::Static => 2,
-        RoutingPolicy::Adaptive => 3,
-    };
-    let buffers_per_port = 4 * channels_per_network;
-    4 * buffers_per_port * 4 + buffers_per_port * 8 + 4 * 8
+    Buffering::VirtualChannels
+        .slots_per_node(routing)
+        .expect("virtual-channel buffers have fixed depths")
 }
 
 /// Which machine a sweep row ran on: the directory system pools its single
@@ -174,12 +170,10 @@ pub struct SharedBufferRow {
     pub workload: WorkloadKind,
     /// Routing policy of this design point.
     pub routing: RoutingPolicy,
-    /// Slots in each node's shared pool; `None` is the virtual-network
-    /// baseline (conservative per-class sizing, deadlock-free).
-    pub pool_slots: Option<usize>,
-    /// Endpoint-vs-switch split `(switch_slots, endpoint_slots)` of the
-    /// pool; `None` is the unified pool (any slot backs anything).
-    pub pool_split: Option<(usize, usize)>,
+    /// Each node's shared-pool budget, unified or split endpoint-vs-switch;
+    /// `None` is the baseline (the directory machine's conservatively
+    /// sized virtual networks, the snooping machine's full buffering).
+    pub pool: Option<PoolSlots>,
     /// Committed operations per kilo-cycle over the perturbed seeds.
     pub throughput: Measurement,
     /// Throughput normalized to the virtual-network baseline with the same
@@ -214,9 +208,7 @@ fn baseline_config(
     routing: RoutingPolicy,
 ) -> SystemConfig {
     let mut sys = SystemConfig::directory_speculative(workload, cfg.bandwidth, 6000);
-    sys.flow_control = specsim_base::FlowControl::VirtualChannels {
-        channels_per_network: 2,
-    };
+    sys.buffering = Buffering::VirtualChannels;
     sys.routing = routing;
     sys.memory.num_nodes = cfg.num_nodes;
     sys.memory.safetynet.checkpoint_interval_cycles = 5_000;
@@ -229,9 +221,13 @@ fn pooled_config(
     cfg: &SharedBufferConfig,
     workload: WorkloadKind,
     routing: RoutingPolicy,
-    slots: usize,
+    slots: PoolSlots,
 ) -> SystemConfig {
-    let mut sys = SystemConfig::shared_pool_interconnect(workload, cfg.bandwidth, slots, 6000);
+    let mut sys = SystemConfig::directory_speculative(workload, cfg.bandwidth, 6000);
+    sys.buffering = Buffering::SharedPool {
+        virtual_channels: true,
+        slots,
+    };
     sys.routing = routing;
     sys.memory.num_nodes = cfg.num_nodes;
     sys.memory.safetynet.checkpoint_interval_cycles = 5_000;
@@ -244,7 +240,6 @@ fn snoop_baseline_config(cfg: &SharedBufferConfig, workload: WorkloadKind) -> Sn
     let mut sys = SnoopSystemConfig::new(workload, ProtocolVariant::Speculative, 6000);
     sys.memory.num_nodes = cfg.num_nodes;
     sys.memory.link_bandwidth = cfg.bandwidth;
-    sys.data_net.link_bandwidth = cfg.bandwidth;
     sys.memory.safetynet.checkpoint_interval_cycles = 5_000;
     sys.memory.mshr_entries = cfg.mshr_entries;
     sys.traffic = cfg.traffic;
@@ -256,8 +251,7 @@ fn row_from_runs(
     machine: Machine,
     workload: WorkloadKind,
     routing: RoutingPolicy,
-    pool_slots: Option<usize>,
-    pool_split: Option<(usize, usize)>,
+    pool: Option<PoolSlots>,
     runs: &[crate::metrics::RunMetrics],
     baseline_mean: f64,
 ) -> SharedBufferRow {
@@ -272,11 +266,10 @@ fn row_from_runs(
         machine,
         workload,
         routing,
-        pool_slots,
-        pool_split,
+        pool,
         throughput: throughput_measurement(runs),
         normalized,
-        deadlock_recoveries: if pool_slots.is_some() {
+        deadlock_recoveries: if pool.is_some() {
             runs.iter()
                 .map(|r| r.misspeculations_of(MisSpecKind::BufferDeadlock))
                 .sum()
@@ -304,11 +297,15 @@ pub fn run(cfg: &SharedBufferConfig) -> Result<SharedBufferData, ProtocolError> 
                 workload,
                 routing,
                 None,
-                None,
                 &base_runs,
                 baseline,
             ));
-            for &slots in &cfg.pool_sizes {
+            let unified = cfg.pool_sizes.iter().map(|&n| PoolSlots::Unified(n));
+            let splits = cfg
+                .pool_splits
+                .iter()
+                .map(|&(switch, endpoint)| PoolSlots::Split { switch, endpoint });
+            for slots in unified.chain(splits) {
                 let runs =
                     measure_directory(&pooled_config(cfg, workload, routing, slots), cfg.scale)?;
                 rows.push(row_from_runs(
@@ -316,22 +313,6 @@ pub fn run(cfg: &SharedBufferConfig) -> Result<SharedBufferData, ProtocolError> 
                     workload,
                     routing,
                     Some(slots),
-                    None,
-                    &runs,
-                    baseline,
-                ));
-            }
-            for &(switch, endpoint) in &cfg.pool_splits {
-                let total = switch + endpoint;
-                let split_cfg =
-                    pooled_config(cfg, workload, routing, total).with_pool_split(switch, endpoint);
-                let runs = measure_directory(&split_cfg, cfg.scale)?;
-                rows.push(row_from_runs(
-                    Machine::Directory,
-                    workload,
-                    routing,
-                    Some(total),
-                    Some((switch, endpoint)),
                     &runs,
                     baseline,
                 ));
@@ -346,7 +327,6 @@ pub fn run(cfg: &SharedBufferConfig) -> Result<SharedBufferData, ProtocolError> 
                 workload,
                 base_cfg.data_net.routing,
                 None,
-                None,
                 &base_runs,
                 baseline,
             ));
@@ -357,8 +337,7 @@ pub fn run(cfg: &SharedBufferConfig) -> Result<SharedBufferData, ProtocolError> 
                     Machine::Snooping,
                     workload,
                     pooled.data_net.routing,
-                    Some(slots),
-                    None,
+                    Some(PoolSlots::Unified(slots)),
                     &runs,
                     baseline,
                 ));
@@ -393,10 +372,10 @@ impl SharedBufferData {
             "machine    workload  routing   slots/node  ops/kcycle        normalized        deadlocks  recoveries\n",
         );
         for r in &self.rows {
-            let slots = match (r.pool_slots, r.pool_split) {
-                (Some(_), Some((s, e))) => format!("{s}+{e}"),
-                (Some(s), None) => s.to_string(),
-                (None, _) => "VN".to_string(),
+            let slots = match r.pool {
+                Some(PoolSlots::Split { switch, endpoint }) => format!("{switch}+{endpoint}"),
+                Some(PoolSlots::Unified(n)) => n.to_string(),
+                None => "VN".to_string(),
             };
             out.push_str(&format!(
                 "{:<9}  {:<9} {:<8}  {:>10}  {:<16}  {:<16}  {:>9}  {:>10}\n",
@@ -437,13 +416,12 @@ impl SharedBufferData {
         json.push_str("  \"rows\": [\n");
         for (i, r) in self.rows.iter().enumerate() {
             let comma = if i + 1 == self.rows.len() { "" } else { "," };
-            let slots = match r.pool_slots {
-                Some(s) => s.to_string(),
-                None => "null".to_string(),
-            };
-            let (split_switch, split_endpoint) = match r.pool_split {
-                Some((s, e)) => (s.to_string(), e.to_string()),
-                None => ("null".to_string(), "null".to_string()),
+            let slots = r.pool.map_or("null".to_string(), |p| p.total().to_string());
+            let (split_switch, split_endpoint) = match r.pool {
+                Some(PoolSlots::Split { switch, endpoint }) => {
+                    (switch.to_string(), endpoint.to_string())
+                }
+                _ => ("null".to_string(), "null".to_string()),
             };
             json.push_str(&format!(
                 "    {{\"machine\": \"{}\", \"workload\": \"{}\", \"routing\": \"{}\", \
@@ -516,9 +494,9 @@ mod tests {
         let base = &data.rows[0];
         let pooled = &data.rows[1];
         assert_eq!(base.machine, Machine::Directory);
-        assert_eq!(base.pool_slots, None);
+        assert_eq!(base.pool, None);
         assert!((base.normalized.mean - 1.0).abs() < 1e-9);
-        assert_eq!(pooled.pool_slots, Some(64));
+        assert_eq!(pooled.pool, Some(PoolSlots::Unified(64)));
         // A pool at a quarter of the baseline budget stays close to (or
         // above) it — the Section 4 claim at the plateau.
         assert!(
@@ -529,8 +507,13 @@ mod tests {
         assert_eq!(pooled.deadlock_recoveries, 0);
         // The split row: same 64-slot budget, walled 48 fabric / 16 endpoint.
         let split = &data.rows[2];
-        assert_eq!(split.pool_slots, Some(64));
-        assert_eq!(split.pool_split, Some((48, 16)));
+        assert_eq!(
+            split.pool,
+            Some(PoolSlots::Split {
+                switch: 48,
+                endpoint: 16
+            })
+        );
         assert!(
             split.normalized.mean > 0.8,
             "a generous 48+16 split fell to {} of the VN baseline",
@@ -567,8 +550,8 @@ mod tests {
         let pooled = snoop_baseline_config(&cfg, WorkloadKind::Oltp).with_pooled_data_torus(16);
         assert_eq!(pooled.validate(), Vec::<String>::new());
         assert_eq!(
-            pooled.data_net.buffer_policy,
-            specsim_base::BufferPolicy::SharedPool { total_slots: 16 }
+            pooled.data_net.buffering.pool_slots(),
+            Some(PoolSlots::Unified(16))
         );
         assert_eq!(pooled.data_net.routing, RoutingPolicy::Adaptive);
         // A degenerate pool is rejected.
@@ -578,8 +561,8 @@ mod tests {
         let data = run(&cfg).expect("no protocol errors");
         assert_eq!(data.rows.len(), 2); // snoop baseline + one pooled size
         assert!(data.rows.iter().all(|r| r.machine == Machine::Snooping));
-        assert_eq!(data.rows[0].pool_slots, None);
-        assert_eq!(data.rows[1].pool_slots, Some(16));
+        assert_eq!(data.rows[0].pool, None);
+        assert_eq!(data.rows[1].pool, Some(PoolSlots::Unified(16)));
         assert!(
             data.rows[1].throughput.mean > 0.0,
             "pooled snooping machine must make forward progress"

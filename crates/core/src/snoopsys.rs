@@ -27,11 +27,11 @@ use specsim_coherence::snoop::{
 use specsim_coherence::types::{CpuRequest, MisSpecKind, ProtocolError};
 use std::sync::Arc;
 
-use specsim_net::{NetConfig, Network, OrderedBus, VirtualNetwork};
+use specsim_net::{Buffering, NetConfig, Network, OrderedBus, PoolSlots, VirtualNetwork};
 use specsim_safetynet::SafetyNet;
 use specsim_workloads::{Processor, TrafficConfig, WorkloadGenerator, WorkloadKind, ZipfTable};
 
-use crate::config::ForwardProgressConfig;
+use crate::config::{buffering_problems, watchdog_threshold, ForwardProgressConfig};
 use crate::engine::{
     EngineAccess, EngineCtx, ForwardProgressMode, ProtocolNode, StagedOutbox, SystemEngine,
 };
@@ -81,12 +81,12 @@ pub struct SnoopSystemConfig {
     pub bus_arbitration_interval: CycleDelta,
     /// Cycles from a grant to every node observing the request.
     pub bus_broadcast_latency: CycleDelta,
-    /// The point-to-point data-network fabric: a torus instance whose link
-    /// bandwidth, routing policy and buffering are the snooping system's
-    /// bandwidth-experiment knobs. `num_nodes` and `torus_dims` are always
-    /// taken from [`Self::memory`] (see [`Self::data_net_config`]); the
-    /// default is a worst-case-buffered static torus at the memory system's
-    /// link bandwidth.
+    /// The point-to-point data-network fabric: a torus instance whose
+    /// routing policy and buffering are the snooping system's
+    /// data-network knobs. Its geometry (`num_nodes`, `torus_dims`) and link
+    /// timing (`link_bandwidth`, `switch_latency`) are always taken from
+    /// [`Self::memory`] (see [`Self::data_net_config`]); the default is a
+    /// worst-case-buffered static torus.
     pub data_net: NetConfig,
     /// Forward-progress measures (slow-start) after recoveries.
     pub forward_progress: ForwardProgressConfig,
@@ -193,30 +193,36 @@ impl SnoopSystemConfig {
     }
 
     /// Returns a copy whose data network runs at `bandwidth` (the snooping
-    /// half of the paper's 400 MB/s → 3.2 GB/s link-bandwidth axis).
+    /// half of the paper's 400 MB/s → 3.2 GB/s link-bandwidth axis). The
+    /// address bus has its own timing, so `memory.link_bandwidth` reaches
+    /// the data torus only.
     #[must_use]
     pub fn with_data_bandwidth(&self, bandwidth: LinkBandwidth) -> Self {
         let mut c = self.clone();
-        c.data_net.link_bandwidth = bandwidth;
+        c.memory.link_bandwidth = bandwidth;
         c
     }
 
     /// The data-network configuration actually instantiated: a copy of
     /// [`Self::data_net`] with the machine geometry (`num_nodes`,
-    /// `torus_dims`) forced to match [`Self::memory`], so the two can never
-    /// disagree about the machine size.
+    /// `torus_dims`) and link timing (`link_bandwidth`, `switch_latency`)
+    /// taken from [`Self::memory`], so the two can never disagree, and the
+    /// watchdog threshold fitted to the checkpoint interval.
     #[must_use]
     pub fn data_net_config(&self) -> NetConfig {
         let mut net = self.data_net.clone();
         net.num_nodes = self.memory.num_nodes;
         net.torus_dims = self.memory.torus_dims;
+        net.link_bandwidth = self.memory.link_bandwidth;
+        net.switch_latency = self.memory.switch_latency_cycles;
+        net.stall_threshold = watchdog_threshold(&net, &self.memory.safetynet);
         net
     }
 
     /// Returns a copy whose data torus runs the Section 4 shared-pool
-    /// speculation: adaptive routing, individual buffers unbounded, each
-    /// node bounded by one pool of `total_slots` slots shared by owner
-    /// transfers and writebacks. Buffer-dependency deadlock becomes
+    /// speculation: adaptive routing, one individually unbounded buffer per
+    /// port, each node bounded by one pool of `total_slots` slots shared by
+    /// owner transfers and writebacks. Buffer-dependency deadlock becomes
     /// possible; detection (progress watchdog + transaction timeout) and
     /// reserved-slot recovery are already wired into the snooping
     /// [`ProtocolNode`], so this knob is all a sweep needs to turn.
@@ -224,19 +230,15 @@ impl SnoopSystemConfig {
     pub fn with_pooled_data_torus(&self, total_slots: usize) -> Self {
         let mut c = self.clone();
         c.data_net.routing = RoutingPolicy::Adaptive;
-        c.data_net.buffer_policy = specsim_base::BufferPolicy::SharedPool { total_slots };
-        // As in the directory machine's pooled fabric: the watchdog must be
-        // able to confirm a wedged network before the transaction timeout
-        // fires, so it gets at most one checkpoint interval of silence.
-        c.data_net.stall_threshold = c
-            .data_net
-            .stall_threshold
-            .min(c.memory.safetynet.checkpoint_interval_cycles.max(1));
+        c.data_net.buffering = Buffering::SharedPool {
+            virtual_channels: false,
+            slots: PoolSlots::Unified(total_slots),
+        };
         c
     }
 
     /// Sanity-checks the configuration: memory-system geometry, traffic
-    /// shaping, and the data torus's buffer policy. Returns human-readable
+    /// shaping, and the data torus's buffer design. Returns human-readable
     /// problems (empty when consistent), mirroring
     /// [`crate::config::SystemConfig::validate`].
     #[must_use]
@@ -245,19 +247,10 @@ impl SnoopSystemConfig {
         if let Err(e) = self.traffic.validate() {
             problems.push(e);
         }
-        if let specsim_base::BufferPolicy::SharedPool { total_slots } = self.data_net.buffer_policy
-        {
-            if total_slots == 0 {
-                problems.push("shared-pool data torus needs at least one slot".to_string());
-            }
-            let r = self.forward_progress.reserved_slots_per_network;
-            if self.forward_progress.reserved_slot_cycles > 0 && r > 0 && total_slots < 4 {
-                problems.push(format!(
-                    "a {total_slots}-slot data-torus pool cannot hold one reserved slot \
-                     per virtual network; the post-deadlock reservation would be inert"
-                ));
-            }
-        }
+        problems.extend(buffering_problems(
+            self.data_net.buffering,
+            &self.forward_progress,
+        ));
         problems
     }
 }
@@ -829,12 +822,39 @@ mod tests {
     }
 
     #[test]
+    fn data_net_link_timing_follows_the_memory_config() {
+        let mut cfg = small_config(ProtocolVariant::Full);
+        cfg.memory.link_bandwidth = LinkBandwidth::MB_800;
+        cfg.memory.switch_latency_cycles = 12;
+        let net = cfg.data_net_config();
+        assert_eq!(net.link_bandwidth, LinkBandwidth::MB_800);
+        assert_eq!(net.switch_latency, 12);
+    }
+
+    #[test]
     fn with_data_bandwidth_changes_only_the_data_fabric() {
         let cfg = small_config(ProtocolVariant::Full);
         let slow = cfg.with_data_bandwidth(LinkBandwidth::MB_400);
-        assert_eq!(slow.data_net.link_bandwidth, LinkBandwidth::MB_400);
-        assert_eq!(slow.memory.link_bandwidth, cfg.memory.link_bandwidth);
+        assert_eq!(slow.data_net_config().link_bandwidth, LinkBandwidth::MB_400);
+        assert_eq!(slow.memory.link_bandwidth, LinkBandwidth::MB_400);
         assert_eq!(slow.bus_arbitration_interval, cfg.bus_arbitration_interval);
+        assert_eq!(slow.bus_broadcast_latency, cfg.bus_broadcast_latency);
+    }
+
+    #[test]
+    fn pooled_data_torus_watchdog_follows_a_later_checkpoint_interval() {
+        // The watchdog must confirm a wedge before the three-interval
+        // transaction timeout fires, whatever order the knobs are set in.
+        let mut cfg = small_config(ProtocolVariant::Speculative).with_pooled_data_torus(16);
+        cfg.memory.safetynet.checkpoint_interval_cycles = 2_000;
+        assert_eq!(cfg.data_net_config().stall_threshold, 2_000);
+        // The unpooled data torus keeps the default threshold.
+        let mut plain = small_config(ProtocolVariant::Speculative);
+        plain.memory.safetynet.checkpoint_interval_cycles = 2_000;
+        assert_eq!(
+            plain.data_net_config().stall_threshold,
+            specsim_net::config::DEFAULT_STALL_THRESHOLD
+        );
     }
 
     #[test]

@@ -1,9 +1,119 @@
 //! Network configuration and buffer layout.
 
-use specsim_base::{BufferPolicy, CycleDelta, FlowControl, LinkBandwidth, RoutingPolicy};
+use specsim_base::{CycleDelta, LinkBandwidth, RoutingPolicy};
 
-use crate::packet::VirtualNetwork;
+use crate::packet::{VirtualNetwork, ALL_VIRTUAL_NETWORKS};
+use crate::switch::LINKS_PER_SWITCH;
 use crate::topology::Direction;
+
+/// Messages each virtual-channel buffer of the conventional design holds.
+const VC_BUFFER_DEPTH: usize = 4;
+/// Messages each ejection and injection queue of the conventional design
+/// holds.
+const VC_QUEUE_DEPTH: usize = 8;
+
+/// How a network buffers messages. Each variant is one complete buffer
+/// design of the paper's third case study (Section 4, Figs. 2–3) or of its
+/// baselines, so every field of every variant is in effect.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Buffering {
+    /// The conventional design: one virtual network per message class to
+    /// avoid endpoint deadlock, and virtual channels with dateline
+    /// allocation to avoid switch deadlock. Static routing gets two channels
+    /// per network (Section 4: 4 virtual networks × 2 channels = 8 VCs);
+    /// adaptive routing gets a third, Duato's adaptive channel ("at least
+    /// one additional virtual channel"). Every channel buffer holds 4
+    /// messages; each of the four per-class ejection queues and each
+    /// injection buffer holds 8.
+    VirtualChannels,
+    /// The speculatively simplified design of Section 4: no virtual
+    /// networks or channels. All message classes share one buffer of
+    /// `depth` messages at every switch port, and one ejection queue and
+    /// one injection queue of the same depth. Deadlock becomes possible; it
+    /// is detected by transaction timeout and resolved by SafetyNet
+    /// recovery. The paper sweeps `depth`: performance is steady at 16 and
+    /// above and drops sharply at 8, where deadlocks first appear.
+    SharedBuffers {
+        /// Messages each port buffer and endpoint queue holds.
+        depth: usize,
+    },
+    /// Worst-case buffering: one unbounded buffer per port and one
+    /// unbounded ejection queue, so deadlock is structurally impossible
+    /// without virtual channels. The comparison baseline of Section 5.3, and
+    /// (footnote 1) how the directory experiments "simplistically avoid
+    /// deadlock with full buffering" to isolate adaptive routing.
+    Unbounded,
+    /// The Section 4 speculation proper: no buffer is sized on its own.
+    /// Every input-port buffer and ejection queue of a node is individually
+    /// unbounded and draws from the node's slot budget ([`crate::SlotPool`]).
+    /// Sized near the common case this needs far less SRAM than worst-case
+    /// sizing, at the price of possible deadlock, which the transaction
+    /// timeout detects and SafetyNet recovery breaks.
+    SharedPool {
+        /// `true` keeps the conventional virtual-channel structure
+        /// (per-class buffers and ejection queues, so routing and fairness
+        /// are unchanged); `false` gives one buffer per port and one
+        /// ejection queue shared by all classes.
+        virtual_channels: bool,
+        /// Each node's slot budget.
+        slots: PoolSlots,
+    },
+}
+
+/// A node's slot budget under [`Buffering::SharedPool`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum PoolSlots {
+    /// One pool backs the node's input-port buffers, its in-flight
+    /// downstream reservations and its ejection queues alike.
+    Unified(usize),
+    /// The budget walled endpoint-vs-switch. A message trades its switch
+    /// slot for an endpoint slot on ejection, so a saturated fabric can no
+    /// longer starve local delivery, and vice versa.
+    Split {
+        /// Slots for input-port buffers and in-flight reservations.
+        switch: usize,
+        /// Slots for the ejection queues.
+        endpoint: usize,
+    },
+}
+
+impl PoolSlots {
+    /// Slots per node, both sides of a split counted.
+    #[must_use]
+    pub fn total(self) -> usize {
+        match self {
+            PoolSlots::Unified(slots) => slots,
+            PoolSlots::Split { switch, endpoint } => switch + endpoint,
+        }
+    }
+}
+
+impl Buffering {
+    /// The node slot budget of a [`Buffering::SharedPool`], else `None`.
+    #[must_use]
+    pub fn pool_slots(self) -> Option<PoolSlots> {
+        match self {
+            Buffering::SharedPool { slots, .. } => Some(slots),
+            _ => None,
+        }
+    }
+
+    /// Message slots one node provisions under `routing`: the depths of
+    /// every buffer at the four link ports, the local injection port and
+    /// the ejection queues summed. `None` when buffers are individually
+    /// unbounded (worst-case buffering or a shared pool).
+    #[must_use]
+    pub fn slots_per_node(self, routing: RoutingPolicy) -> Option<usize> {
+        let layout = BufferLayout::new(self, routing);
+        let depths = layout.depths?;
+        let per_port = layout.buffers_per_port();
+        Some(
+            LINKS_PER_SWITCH * per_port * depths.port
+                + per_port * depths.injection
+                + layout.ejection_queues() * depths.ejection,
+        )
+    }
+}
 
 /// Configuration of one interconnection network instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -17,42 +127,15 @@ pub struct NetConfig {
     pub torus_dims: Option<(usize, usize)>,
     /// Routing policy (static dimension-order or minimal adaptive).
     pub routing: RoutingPolicy,
-    /// Deadlock-avoidance strategy (virtual channels, shared buffers, or
-    /// worst-case buffering).
-    pub flow_control: FlowControl,
-    /// How buffer capacity is provisioned. [`BufferPolicy::VirtualNetworks`]
-    /// keeps the per-buffer depths below (today's behavior, bit-identical);
-    /// [`BufferPolicy::SharedPool`] makes individual buffers unbounded and
-    /// bounds each node by one shared slot pool instead — the speculative
-    /// Section 4 design in which deadlock is possible (see
-    /// [`crate::SlotPool`]).
-    pub buffer_policy: BufferPolicy,
+    /// The buffer design.
+    pub buffering: Buffering,
     /// Link bandwidth, which sets per-message serialization time.
     pub link_bandwidth: LinkBandwidth,
     /// Per-hop switch pipeline latency in cycles.
     pub switch_latency: CycleDelta,
-    /// Depth (in messages) of each virtual-channel buffer in
-    /// [`FlowControl::VirtualChannels`] mode.
-    pub vc_buffer_depth: usize,
-    /// Depth of each endpoint ejection queue (per virtual network in VC mode,
-    /// shared in shared-buffer mode).
-    pub ejection_queue_depth: usize,
-    /// Depth of each endpoint injection queue.
-    pub injection_queue_depth: usize,
     /// Quiet cycles the progress watchdog tolerates before reporting a stall
     /// (see [`crate::ProgressWatchdog`]).
     pub stall_threshold: u64,
-    /// In [`BufferPolicy::SharedPool`] mode, an optional separate budget for
-    /// the *switch side* of each node (input-port buffers and in-flight
-    /// reservations). `None` (with [`Self::pool_slots_endpoint`] also `None`)
-    /// keeps the single unified pool — bit-identical to the historical
-    /// behavior. Set both fields (or use [`Self::shared_pool_split`]) to
-    /// split the budget.
-    pub pool_slots_switch: Option<usize>,
-    /// In [`BufferPolicy::SharedPool`] mode, an optional separate budget for
-    /// the *endpoint side* of each node (ejection queues). See
-    /// [`Self::pool_slots_switch`].
-    pub pool_slots_endpoint: Option<usize>,
 }
 
 /// Default progress-watchdog threshold: long enough that back-pressure waves
@@ -61,196 +144,109 @@ pub struct NetConfig {
 pub const DEFAULT_STALL_THRESHOLD: u64 = 10_000;
 
 impl NetConfig {
-    /// A configuration mirroring the paper's conventional (non-speculative)
-    /// interconnect: 16 nodes, static dimension-order routing, four virtual
-    /// networks with two virtual channels each.
+    /// A network of `num_nodes` nodes with the given routing and buffer
+    /// design, on the squarest torus, with an 8-cycle switch pipeline and
+    /// the default watchdog threshold. The presets below name the designs
+    /// the paper evaluates.
     #[must_use]
-    pub fn conventional(num_nodes: usize, link_bandwidth: LinkBandwidth) -> Self {
-        Self {
-            num_nodes,
-            torus_dims: None,
-            routing: RoutingPolicy::Static,
-            flow_control: FlowControl::VirtualChannels {
-                channels_per_network: 2,
-            },
-            buffer_policy: BufferPolicy::VirtualNetworks,
-            link_bandwidth,
-            switch_latency: 8,
-            vc_buffer_depth: 4,
-            ejection_queue_depth: 8,
-            injection_queue_depth: 8,
-            stall_threshold: DEFAULT_STALL_THRESHOLD,
-            pool_slots_switch: None,
-            pool_slots_endpoint: None,
-        }
-    }
-
-    /// The speculatively simplified interconnect of Section 4: adaptive
-    /// routing, no virtual channels or networks, a single shared buffer pool
-    /// of `buffers_per_port` messages at every switch port and endpoint.
-    #[must_use]
-    pub fn speculative(
+    pub fn new(
         num_nodes: usize,
         link_bandwidth: LinkBandwidth,
-        buffers_per_port: usize,
+        routing: RoutingPolicy,
+        buffering: Buffering,
     ) -> Self {
         Self {
             num_nodes,
             torus_dims: None,
-            routing: RoutingPolicy::Adaptive,
-            flow_control: FlowControl::SharedBuffers { buffers_per_port },
-            buffer_policy: BufferPolicy::VirtualNetworks,
+            routing,
+            buffering,
             link_bandwidth,
             switch_latency: 8,
-            vc_buffer_depth: buffers_per_port,
-            ejection_queue_depth: buffers_per_port,
-            injection_queue_depth: buffers_per_port,
             stall_threshold: DEFAULT_STALL_THRESHOLD,
-            pool_slots_switch: None,
-            pool_slots_endpoint: None,
         }
     }
 
-    /// The worst-case-buffering baseline of Section 5.3 (no virtual channels,
-    /// buffers that can never fill), with a choice of routing policy. Also
-    /// used (per footnote 1 of the paper) for the directory-protocol
-    /// experiments, which "simplistically avoid deadlock with full buffering"
-    /// to isolate the effect of adaptive routing.
+    /// The paper's conventional (non-speculative) interconnect: static
+    /// dimension-order routing over virtual networks and channels.
+    #[must_use]
+    pub fn conventional(num_nodes: usize, link_bandwidth: LinkBandwidth) -> Self {
+        Self::new(
+            num_nodes,
+            link_bandwidth,
+            RoutingPolicy::Static,
+            Buffering::VirtualChannels,
+        )
+    }
+
+    /// The speculatively simplified interconnect of Section 4: adaptive
+    /// routing over one shared `depth`-message buffer per port.
+    #[must_use]
+    pub fn speculative(num_nodes: usize, link_bandwidth: LinkBandwidth, depth: usize) -> Self {
+        let buffering = Buffering::SharedBuffers { depth };
+        Self::new(
+            num_nodes,
+            link_bandwidth,
+            RoutingPolicy::Adaptive,
+            buffering,
+        )
+    }
+
+    /// The worst-case-buffering baseline of Section 5.3 under `routing`.
     #[must_use]
     pub fn full_buffering(
         num_nodes: usize,
         link_bandwidth: LinkBandwidth,
         routing: RoutingPolicy,
     ) -> Self {
-        Self {
-            num_nodes,
-            torus_dims: None,
-            routing,
-            flow_control: FlowControl::WorstCaseBuffering,
-            buffer_policy: BufferPolicy::VirtualNetworks,
-            link_bandwidth,
-            switch_latency: 8,
-            vc_buffer_depth: 4,
-            ejection_queue_depth: 8,
-            injection_queue_depth: 8,
-            stall_threshold: DEFAULT_STALL_THRESHOLD,
-            pool_slots_switch: None,
-            pool_slots_endpoint: None,
-        }
+        Self::new(num_nodes, link_bandwidth, routing, Buffering::Unbounded)
     }
 
-    /// The speculative shared-pool interconnect of Section 4's third case
-    /// study: the buffer *structure* of the conventional design (so routing
-    /// and fairness are unchanged) but all sizing analysis replaced by one
-    /// pool of `total_slots` message slots per node, from which every
-    /// virtual network and the ejection path draw. Deadlock is possible and
-    /// is detected by the coherence-transaction timeout, then broken by
-    /// SafetyNet recovery.
+    /// The shared-pool interconnect of Section 4's third case study:
+    /// adaptive routing over the conventional virtual-channel structure,
+    /// every buffer of a node drawing from one pool of `total_slots`.
     #[must_use]
     pub fn shared_pool(
         num_nodes: usize,
         link_bandwidth: LinkBandwidth,
         total_slots: usize,
     ) -> Self {
-        let mut cfg = Self::conventional(num_nodes, link_bandwidth);
-        cfg.routing = RoutingPolicy::Adaptive;
-        cfg.buffer_policy = BufferPolicy::SharedPool { total_slots };
-        cfg
-    }
-
-    /// A shared-pool interconnect whose per-node budget is split
-    /// endpoint-vs-switch: `switch_slots` message slots cover a node's
-    /// switch-side occupancy (input-port buffers plus in-flight downstream
-    /// reservations) and `endpoint_slots` cover its ejection queues. A
-    /// message trades its switch slot for an endpoint slot on ejection, so a
-    /// saturated fabric can no longer starve local delivery (and vice versa)
-    /// — a finer-grained version of the Section 4 single pool.
-    #[must_use]
-    pub fn shared_pool_split(
-        num_nodes: usize,
-        link_bandwidth: LinkBandwidth,
-        switch_slots: usize,
-        endpoint_slots: usize,
-    ) -> Self {
-        let mut cfg = Self::shared_pool(num_nodes, link_bandwidth, switch_slots + endpoint_slots);
-        cfg.pool_slots_switch = Some(switch_slots);
-        cfg.pool_slots_endpoint = Some(endpoint_slots);
-        cfg
-    }
-
-    /// Slots in each node's shared pool when the policy is
-    /// [`BufferPolicy::SharedPool`], else `None`.
-    #[must_use]
-    pub fn pool_slots(&self) -> Option<usize> {
-        match self.buffer_policy {
-            BufferPolicy::SharedPool { total_slots } => Some(total_slots),
-            BufferPolicy::VirtualNetworks => None,
-        }
-    }
-
-    /// The `(switch_slots, endpoint_slots)` split budget, when the policy is
-    /// [`BufferPolicy::SharedPool`] *and* both split fields are set. `None`
-    /// means the unified single-pool accounting is in effect.
-    #[must_use]
-    pub fn pool_split(&self) -> Option<(usize, usize)> {
-        self.pool_slots()?;
-        match (self.pool_slots_switch, self.pool_slots_endpoint) {
-            (Some(s), Some(e)) => Some((s, e)),
-            _ => None,
-        }
+        let buffering = Buffering::SharedPool {
+            virtual_channels: true,
+            slots: PoolSlots::Unified(total_slots),
+        };
+        Self::new(
+            num_nodes,
+            link_bandwidth,
+            RoutingPolicy::Adaptive,
+            buffering,
+        )
     }
 
     /// The buffer layout implied by this configuration.
     #[must_use]
     pub(crate) fn layout(&self) -> BufferLayout {
-        match self.flow_control {
-            FlowControl::VirtualChannels {
-                channels_per_network,
-            } => {
-                // Deadlock-free adaptive routing needs at least one extra
-                // (adaptive) channel on top of the two escape channels
-                // (Duato); the conventional static configuration needs two
-                // (dateline) channels.
-                let vcs = match self.routing {
-                    RoutingPolicy::Static => channels_per_network.max(2),
-                    RoutingPolicy::Adaptive => channels_per_network.max(3),
-                };
-                BufferLayout::PerVirtualChannel {
-                    channels_per_network: vcs,
-                    depth: self.vc_buffer_depth,
-                    ejection_depth: self.ejection_queue_depth,
-                    injection_depth: self.injection_queue_depth,
-                }
-            }
-            FlowControl::SharedBuffers { buffers_per_port } => BufferLayout::Shared {
-                depth: buffers_per_port,
-                ejection_depth: self.ejection_queue_depth,
-                injection_depth: self.injection_queue_depth,
-            },
-            FlowControl::WorstCaseBuffering => BufferLayout::Unbounded,
-        }
+        BufferLayout::new(self.buffering, self.routing)
     }
 }
 
-/// How switch-port buffering is organised; derived from
-/// [`NetConfig::flow_control`].
+/// How switch-port buffering is organised; derived from a [`Buffering`]
+/// and the routing policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum BufferLayout {
-    /// One buffer per (virtual network, virtual channel) pair at every port.
-    PerVirtualChannel {
-        channels_per_network: usize,
-        depth: usize,
-        ejection_depth: usize,
-        injection_depth: usize,
-    },
-    /// One shared buffer per port; every message class competes for it.
-    Shared {
-        depth: usize,
-        ejection_depth: usize,
-        injection_depth: usize,
-    },
-    /// One unbounded buffer per port (worst-case buffering).
-    Unbounded,
+pub(crate) struct BufferLayout {
+    /// Virtual channels per virtual network, or `None` when every message
+    /// class shares one buffer per port and one ejection queue.
+    vcs: Option<usize>,
+    /// Buffer capacities, or `None` when every buffer is individually
+    /// unbounded (worst-case buffering, or a shared pool is the only bound).
+    depths: Option<Depths>,
+}
+
+/// Per-buffer capacities, in messages.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Depths {
+    port: usize,
+    ejection: usize,
+    injection: usize,
 }
 
 /// Index of the escape virtual channel used before a packet crosses the
@@ -263,101 +259,105 @@ pub(crate) const ESCAPE_VC_HIGH: usize = 1;
 pub(crate) const ADAPTIVE_VC: usize = 2;
 
 impl BufferLayout {
+    /// The layout of `buffering` under `routing`.
+    pub(crate) fn new(buffering: Buffering, routing: RoutingPolicy) -> Self {
+        // Two dateline escape channels per network; deadlock-free adaptive
+        // routing needs one more, fully adaptive channel (Duato).
+        let vcs = match routing {
+            RoutingPolicy::Static => 2,
+            RoutingPolicy::Adaptive => 3,
+        };
+        let (vcs, depths) = match buffering {
+            Buffering::VirtualChannels => (
+                Some(vcs),
+                Some(Depths {
+                    port: VC_BUFFER_DEPTH,
+                    ejection: VC_QUEUE_DEPTH,
+                    injection: VC_QUEUE_DEPTH,
+                }),
+            ),
+            Buffering::SharedBuffers { depth } => (
+                None,
+                Some(Depths {
+                    port: depth,
+                    ejection: depth,
+                    injection: depth,
+                }),
+            ),
+            Buffering::Unbounded => (None, None),
+            Buffering::SharedPool {
+                virtual_channels, ..
+            } => (virtual_channels.then_some(vcs), None),
+        };
+        Self { vcs, depths }
+    }
+
+    /// True when every message class has its own buffers and ejection
+    /// queue (virtual networks).
+    pub(crate) fn has_virtual_networks(&self) -> bool {
+        self.vcs.is_some()
+    }
+
     /// Number of buffers at each switch input port.
     pub(crate) fn buffers_per_port(&self) -> usize {
-        match self {
-            BufferLayout::PerVirtualChannel {
-                channels_per_network,
-                ..
-            } => 4 * channels_per_network,
-            BufferLayout::Shared { .. } | BufferLayout::Unbounded => 1,
-        }
+        self.vcs.map_or(1, |vcs| ALL_VIRTUAL_NETWORKS.len() * vcs)
     }
 
     /// Capacity of each switch-port buffer (`None` = unbounded).
     pub(crate) fn buffer_capacity(&self) -> Option<usize> {
-        match self {
-            BufferLayout::PerVirtualChannel { depth, .. } => Some(*depth),
-            BufferLayout::Shared { depth, .. } => Some(*depth),
-            BufferLayout::Unbounded => None,
-        }
+        self.depths.map(|d| d.port)
     }
 
     /// Number of ejection queues per endpoint.
     pub(crate) fn ejection_queues(&self) -> usize {
-        match self {
-            BufferLayout::PerVirtualChannel { .. } => 4,
-            BufferLayout::Shared { .. } | BufferLayout::Unbounded => 1,
+        if self.has_virtual_networks() {
+            ALL_VIRTUAL_NETWORKS.len()
+        } else {
+            1
         }
     }
 
     /// Capacity of each ejection queue (`None` = unbounded).
     pub(crate) fn ejection_capacity(&self) -> Option<usize> {
-        match self {
-            BufferLayout::PerVirtualChannel { ejection_depth, .. } => Some(*ejection_depth),
-            BufferLayout::Shared { ejection_depth, .. } => Some(*ejection_depth),
-            BufferLayout::Unbounded => None,
-        }
+        self.depths.map(|d| d.ejection)
     }
 
     /// Capacity of each injection queue (`None` = unbounded).
     pub(crate) fn injection_capacity(&self) -> Option<usize> {
-        match self {
-            BufferLayout::PerVirtualChannel {
-                injection_depth, ..
-            } => Some(*injection_depth),
-            BufferLayout::Shared {
-                injection_depth, ..
-            } => Some(*injection_depth),
-            BufferLayout::Unbounded => None,
-        }
+        self.depths.map(|d| d.injection)
     }
 
     /// Number of virtual channels per virtual network (1 when buffers are
     /// shared).
     #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn channels_per_network(&self) -> usize {
-        match self {
-            BufferLayout::PerVirtualChannel {
-                channels_per_network,
-                ..
-            } => *channels_per_network,
-            BufferLayout::Shared { .. } | BufferLayout::Unbounded => 1,
-        }
+        self.vcs.unwrap_or(1)
     }
 
     /// The ejection queue a delivered packet of class `vnet` is placed in.
     pub(crate) fn ejection_index(&self, vnet: VirtualNetwork) -> usize {
-        match self {
-            BufferLayout::PerVirtualChannel { .. } => vnet.index(),
-            BufferLayout::Shared { .. } | BufferLayout::Unbounded => 0,
+        if self.has_virtual_networks() {
+            vnet.index()
+        } else {
+            0
         }
     }
 
     /// Port-buffer index for a packet of class `vnet` on virtual channel
     /// `vc`.
     pub(crate) fn buffer_index(&self, vnet: VirtualNetwork, vc: usize) -> usize {
-        match self {
-            BufferLayout::PerVirtualChannel {
-                channels_per_network,
-                ..
-            } => {
-                debug_assert!(vc < *channels_per_network);
-                vnet.index() * channels_per_network + vc
+        match self.vcs {
+            Some(vcs) => {
+                debug_assert!(vc < vcs);
+                vnet.index() * vcs + vc
             }
-            BufferLayout::Shared { .. } | BufferLayout::Unbounded => 0,
+            None => 0,
         }
     }
 
     /// The virtual channel encoded by a port-buffer index.
     pub(crate) fn vc_of_buffer(&self, buffer_index: usize) -> usize {
-        match self {
-            BufferLayout::PerVirtualChannel {
-                channels_per_network,
-                ..
-            } => buffer_index % channels_per_network,
-            BufferLayout::Shared { .. } | BufferLayout::Unbounded => 0,
-        }
+        self.vcs.map_or(0, |vcs| buffer_index % vcs)
     }
 
     /// The buffer a newly injected packet of class `vnet` starts in (escape
@@ -388,13 +388,10 @@ impl BufferLayout {
         crosses_dateline: bool,
         use_adaptive_channel: bool,
     ) -> usize {
-        match self {
-            BufferLayout::Shared { .. } | BufferLayout::Unbounded => 0,
-            BufferLayout::PerVirtualChannel {
-                channels_per_network,
-                ..
-            } => {
-                let vc = if use_adaptive_channel && *channels_per_network > ADAPTIVE_VC {
+        match self.vcs {
+            None => 0,
+            Some(vcs) => {
+                let vc = if use_adaptive_channel && vcs > ADAPTIVE_VC {
                     ADAPTIVE_VC
                 } else {
                     // Escape (dateline) channels. Staying within the same
@@ -464,36 +461,66 @@ mod tests {
     #[test]
     fn shared_pool_preset_keeps_the_vc_structure_but_pools_capacity() {
         let cfg = NetConfig::shared_pool(16, LinkBandwidth::MB_400, 24);
-        assert_eq!(cfg.pool_slots(), Some(24));
+        assert_eq!(cfg.buffering.pool_slots(), Some(PoolSlots::Unified(24)));
         assert_eq!(cfg.routing, RoutingPolicy::Adaptive);
         // The buffer *structure* is the conventional adaptive VC layout
-        // (4 networks x 3 channels); only the capacity accounting changes.
-        assert_eq!(cfg.layout().buffers_per_port(), 12);
+        // (4 networks x 3 channels); only the capacity accounting changes:
+        // the pool, not any one buffer, is the bound.
+        let layout = cfg.layout();
+        assert_eq!(layout.buffers_per_port(), 12);
+        assert_eq!(layout.ejection_queues(), 4);
+        assert_eq!(layout.buffer_capacity(), None);
+        assert_eq!(layout.ejection_capacity(), None);
         assert_eq!(
-            NetConfig::conventional(16, LinkBandwidth::MB_400).pool_slots(),
+            NetConfig::conventional(16, LinkBandwidth::MB_400)
+                .buffering
+                .pool_slots(),
             None
         );
+        // Without virtual channels, one pooled buffer per port.
+        let per_port = BufferLayout::new(
+            Buffering::SharedPool {
+                virtual_channels: false,
+                slots: PoolSlots::Unified(16),
+            },
+            RoutingPolicy::Adaptive,
+        );
+        assert_eq!(per_port.buffers_per_port(), 1);
+        assert_eq!(per_port.ejection_queues(), 1);
+        assert_eq!(per_port.buffer_capacity(), None);
     }
 
     #[test]
     fn shared_pool_split_sets_both_budgets() {
-        let cfg = NetConfig::shared_pool_split(16, LinkBandwidth::MB_400, 18, 6);
-        assert_eq!(cfg.pool_slots(), Some(24));
-        assert_eq!(cfg.pool_split(), Some((18, 6)));
-        // The unified preset and every legacy constructor stay un-split.
+        let slots = PoolSlots::Split {
+            switch: 18,
+            endpoint: 6,
+        };
+        let buffering = Buffering::SharedPool {
+            virtual_channels: true,
+            slots,
+        };
+        assert_eq!(buffering.pool_slots(), Some(slots));
+        assert_eq!(slots.total(), 24);
+        assert_eq!(PoolSlots::Unified(24).total(), 24);
+    }
+
+    #[test]
+    fn slots_per_node_sums_every_buffer_depth() {
+        // 4 link ports x (4 networks x VCs) x depth 4, the local port's
+        // buffers at injection depth 8, and 4 ejection queues of depth 8.
+        let vc = Buffering::VirtualChannels;
+        assert_eq!(vc.slots_per_node(RoutingPolicy::Static), Some(224));
+        assert_eq!(vc.slots_per_node(RoutingPolicy::Adaptive), Some(320));
+        // One buffer per port: 4 link ports + injection + ejection.
+        let shared = Buffering::SharedBuffers { depth: 16 };
+        assert_eq!(shared.slots_per_node(RoutingPolicy::Adaptive), Some(96));
         assert_eq!(
-            NetConfig::shared_pool(16, LinkBandwidth::MB_400, 24).pool_split(),
+            Buffering::Unbounded.slots_per_node(RoutingPolicy::Static),
             None
         );
-        assert_eq!(
-            NetConfig::conventional(16, LinkBandwidth::MB_400).pool_split(),
-            None
-        );
-        // Split fields without the SharedPool policy are inert.
-        let mut cfg2 = NetConfig::conventional(16, LinkBandwidth::MB_400);
-        cfg2.pool_slots_switch = Some(8);
-        cfg2.pool_slots_endpoint = Some(8);
-        assert_eq!(cfg2.pool_split(), None);
+        let pool = NetConfig::shared_pool(16, LinkBandwidth::MB_400, 24).buffering;
+        assert_eq!(pool.slots_per_node(RoutingPolicy::Adaptive), None);
     }
 
     #[test]
@@ -507,12 +534,7 @@ mod tests {
 
     #[test]
     fn buffer_index_roundtrips_vc() {
-        let layout = BufferLayout::PerVirtualChannel {
-            channels_per_network: 3,
-            depth: 4,
-            ejection_depth: 8,
-            injection_depth: 8,
-        };
+        let layout = BufferLayout::new(Buffering::VirtualChannels, RoutingPolicy::Adaptive);
         for vn in crate::packet::ALL_VIRTUAL_NETWORKS {
             for vc in 0..3 {
                 let idx = layout.buffer_index(vn, vc);
@@ -523,12 +545,7 @@ mod tests {
 
     #[test]
     fn dateline_allocation_switches_to_high_channel() {
-        let layout = BufferLayout::PerVirtualChannel {
-            channels_per_network: 2,
-            depth: 4,
-            ejection_depth: 8,
-            injection_depth: 8,
-        };
+        let layout = BufferLayout::new(Buffering::VirtualChannels, RoutingPolicy::Static);
         let vn = VirtualNetwork::Request;
         // First hop in a dimension without crossing the dateline stays low.
         let idx = layout.next_buffer_index(vn, 0, Direction::Local, Direction::East, false, false);
@@ -546,22 +563,12 @@ mod tests {
 
     #[test]
     fn adaptive_channel_used_when_requested_and_available() {
-        let layout = BufferLayout::PerVirtualChannel {
-            channels_per_network: 3,
-            depth: 4,
-            ejection_depth: 8,
-            injection_depth: 8,
-        };
+        let layout = BufferLayout::new(Buffering::VirtualChannels, RoutingPolicy::Adaptive);
         let vn = VirtualNetwork::Response;
         let idx = layout.next_buffer_index(vn, 0, Direction::Local, Direction::East, true, true);
         assert_eq!(layout.vc_of_buffer(idx), ADAPTIVE_VC);
         // With only two channels the request is ignored and escape rules apply.
-        let layout2 = BufferLayout::PerVirtualChannel {
-            channels_per_network: 2,
-            depth: 4,
-            ejection_depth: 8,
-            injection_depth: 8,
-        };
+        let layout2 = BufferLayout::new(Buffering::VirtualChannels, RoutingPolicy::Static);
         let idx = layout2.next_buffer_index(vn, 0, Direction::Local, Direction::East, true, true);
         assert_eq!(layout2.vc_of_buffer(idx), ESCAPE_VC_HIGH);
     }

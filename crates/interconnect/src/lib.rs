@@ -11,17 +11,18 @@
 //!   deadlock, and **virtual-channel flow control** with dateline allocation
 //!   (plus a Duato-style adaptive channel) to avoid switch deadlock in the
 //!   conventional design (Section 4),
-//! * a **shared-buffer mode** with no virtual channels/networks — the
+//! * a **shared-buffer design** with no virtual channels/networks — the
 //!   speculatively simplified design of Section 4, in which deadlock is
 //!   possible and must be detected and recovered from,
-//! * a **shared-pool buffer policy** ([`specsim_base::BufferPolicy`]) that
-//!   keeps any buffer structure but replaces all per-class sizing with one
-//!   slot pool per node ([`SlotPool`]) — the Section 4 speculation proper:
+//! * a **shared-pool design** that keeps a buffer structure but replaces
+//!   all per-class sizing with one slot pool per node ([`SlotPool`]) — the
+//!   Section 4 speculation proper:
 //!   buffer-dependency cycles can deadlock, detection is left to the
 //!   coherence-transaction timeout, and post-recovery re-execution can
 //!   reserve per-network slots as a forward-progress measure,
-//! * a **worst-case-buffering mode** used as the deadlock-free comparison
-//!   baseline in Section 5.3,
+//! * a **worst-case-buffering design** used as the deadlock-free comparison
+//!   baseline in Section 5.3 (the five designs are the variants of
+//!   [`Buffering`]),
 //! * per-(source, destination, virtual-network) **sequence stamping and
 //!   reorder accounting** (the "fraction of messages re-ordered" statistics of
 //!   Section 5.3),
@@ -49,7 +50,7 @@ pub mod switch;
 pub mod topology;
 
 pub use bus::OrderedBus;
-pub use config::NetConfig;
+pub use config::{Buffering, NetConfig, PoolSlots};
 pub use deadlock::ProgressWatchdog;
 pub use network::{ForwardProbe, InjectError, Network};
 pub use ordering::OrderingTracker;

@@ -53,7 +53,7 @@ use specsim_base::{
     RoutingPolicy, UtilizationTracker, WorkerPool,
 };
 
-use crate::config::{BufferLayout, NetConfig};
+use crate::config::{BufferLayout, NetConfig, PoolSlots};
 use crate::deadlock::ProgressWatchdog;
 use crate::ordering::OrderingTracker;
 use crate::packet::{Packet, PacketArena, PacketTaint, VirtualNetwork};
@@ -352,14 +352,13 @@ pub struct Network<P> {
     ordering: OrderingTracker,
     stats: NetStats,
     watchdog: ProgressWatchdog,
-    /// Per-node shared slot pools ([`specsim_base::BufferPolicy::SharedPool`]
-    /// only; `None` in virtual-network provisioning, whose behavior this
-    /// leaves bit-identical). A node's pool covers its switch input-port
+    /// Per-node shared slot pools ([`crate::Buffering::SharedPool`] only;
+    /// `None` otherwise). A node's pool covers its switch input-port
     /// buffers (including the injection port) and its ejection queues: a slot
     /// is taken at injection or when a hop reserves downstream space, moves
     /// with the packet from node to node, and is freed when the endpoint
     /// drains the packet from an ejection queue. When the budget is split
-    /// ([`NetConfig::pool_split`]), these pools cover only the switch side
+    /// ([`crate::PoolSlots::Split`]), these pools cover only the switch side
     /// (input-port buffers and in-transit link reservations) and
     /// [`Network::endpoint_pools`] covers the ejection queues.
     pools: Option<Vec<SlotPool>>,
@@ -409,23 +408,17 @@ impl<P> Network<P> {
             None => Torus::new(cfg.num_nodes),
         };
         let layout = cfg.layout();
-        let (pools, endpoint_pools) = match cfg.pool_split() {
-            Some((switch_slots, endpoint_slots)) => (
-                Some(vec![SlotPool::new(switch_slots); cfg.num_nodes]),
-                Some(vec![SlotPool::new(endpoint_slots); cfg.num_nodes]),
-            ),
-            None => (
-                cfg.pool_slots()
-                    .map(|slots| vec![SlotPool::new(slots); cfg.num_nodes]),
-                None,
-            ),
+        let pools_of = |slots: usize| Some(vec![SlotPool::new(slots); cfg.num_nodes]);
+        let (pools, endpoint_pools) = match cfg.buffering.pool_slots() {
+            Some(PoolSlots::Unified(slots)) => (pools_of(slots), None),
+            Some(PoolSlots::Split { switch, endpoint }) => (pools_of(switch), pools_of(endpoint)),
+            None => (None, None),
         };
-        let pooled = pools.is_some();
-        let slab = SwitchSlab::new(cfg.num_nodes, &layout, pooled);
+        let slab = SwitchSlab::new(cfg.num_nodes, &layout);
         let eject = (0..cfg.num_nodes)
             .map(|_| {
                 (0..layout.ejection_queues())
-                    .map(|_| match layout.ejection_capacity().filter(|_| !pooled) {
+                    .map(|_| match layout.ejection_capacity() {
                         Some(c) => MsgQueue::bounded(c),
                         None => MsgQueue::unbounded(),
                     })
@@ -495,6 +488,14 @@ impl<P> Network<P> {
         self.routing = routing;
     }
 
+    /// True when every message class has its own buffers and ejection
+    /// queue (virtual networks), so an endpoint can choose which class to
+    /// ingest next; false when all classes share one ejection FIFO.
+    #[must_use]
+    pub fn has_virtual_networks(&self) -> bool {
+        self.layout.has_virtual_networks()
+    }
+
     /// True when this network provisions buffers from shared per-node slot
     /// pools (the speculative Section 4 design, in which deadlock is
     /// possible).
@@ -504,7 +505,7 @@ impl<P> Network<P> {
     }
 
     /// True when this network splits its slot budget between switch-side
-    /// and endpoint-side pools ([`NetConfig::pool_split`]).
+    /// and endpoint-side pools ([`crate::PoolSlots::Split`]).
     #[must_use]
     pub fn is_pool_split(&self) -> bool {
         self.endpoint_pools.is_some()

@@ -1,4 +1,5 @@
 use super::*;
+use crate::config::Buffering;
 use specsim_base::{DetRng, LinkBandwidth};
 
 type Net = Network<u64>;
@@ -982,17 +983,21 @@ fn inbox_drop_window_discards_ejections() {
     assert_eq!(delivered.len(), 1);
 }
 
+/// The shared-pool preset with its budget split `switch`/`endpoint`.
+fn split_pool(link_bandwidth: LinkBandwidth, switch: usize, endpoint: usize) -> NetConfig {
+    let buffering = Buffering::SharedPool {
+        virtual_channels: true,
+        slots: PoolSlots::Split { switch, endpoint },
+    };
+    NetConfig::new(16, link_bandwidth, RoutingPolicy::Adaptive, buffering)
+}
+
 #[test]
 fn split_pool_network_delivers_with_exact_accounting() {
     // The endpoint/switch split budget under random all-class traffic:
     // everything is delivered and both sides' slot accounting (checked
     // against full scans every cycle) stays exact.
-    let mut net: Net = Network::new(NetConfig::shared_pool_split(
-        16,
-        LinkBandwidth::GB_3_2,
-        18,
-        6,
-    ));
+    let mut net: Net = Network::new(split_pool(LinkBandwidth::GB_3_2, 18, 6));
     assert!(net.is_pooled());
     assert!(net.is_pool_split());
     let mut rng = DetRng::new(61);
@@ -1035,12 +1040,7 @@ fn split_pool_endpoint_budget_gates_ejection_but_not_the_fabric() {
     // wait *in the fabric* (their switch-side slots intact) instead of
     // overrunning the ejection queue. Draining releases the endpoint
     // slot and the next message comes through.
-    let mut net: Net = Network::new(NetConfig::shared_pool_split(
-        16,
-        LinkBandwidth::MB_400,
-        12,
-        1,
-    ));
+    let mut net: Net = Network::new(split_pool(LinkBandwidth::MB_400, 12, 1));
     inject_one(&mut net, 0, 0, 1, 10);
     inject_one(&mut net, 0, 2, 1, 11);
     inject_one(&mut net, 0, 5, 1, 12);

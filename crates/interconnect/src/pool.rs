@@ -1,5 +1,5 @@
 //! Shared buffer-slot pools for the speculative interconnect
-//! ([`specsim_base::BufferPolicy::SharedPool`]).
+//! ([`crate::Buffering::SharedPool`]).
 //!
 //! The conventional design sizes each virtual network/channel buffer for its
 //! worst case; the Section 4 speculation replaces that analysis with one

@@ -74,25 +74,16 @@ pub(crate) struct SwitchSlab {
 }
 
 impl SwitchSlab {
-    /// Builds the slab with the layout's per-buffer capacities. With
-    /// `pooled` set (shared-pool buffer policy) the buffer *structure* is
-    /// kept but every individual capacity is unbounded — the node's shared
-    /// slot pool, enforced by [`crate::network::Network`], is the only
-    /// bound. The local (injection) port honours the injection-queue depth
-    /// rather than the per-VC depth.
-    pub fn new(num_nodes: usize, layout: &BufferLayout, pooled: bool) -> Self {
+    /// Builds the slab with the layout's per-buffer capacities (a pooled
+    /// layout's buffers are individually unbounded: the node's shared slot
+    /// pool, enforced by [`crate::network::Network`], is the only bound).
+    /// The local (injection) port honours the injection-queue depth rather
+    /// than the per-VC depth.
+    pub fn new(num_nodes: usize, layout: &BufferLayout) -> Self {
         let bpp = layout.buffers_per_port();
         let to_cap = |c: Option<usize>| c.map_or(UNBOUNDED, |c| c as u32);
-        let link_cap = if pooled {
-            UNBOUNDED
-        } else {
-            to_cap(layout.buffer_capacity())
-        };
-        let injection_cap = if pooled {
-            UNBOUNDED
-        } else {
-            to_cap(layout.injection_capacity())
-        };
+        let link_cap = to_cap(layout.buffer_capacity());
+        let injection_cap = to_cap(layout.injection_capacity());
         let slots = num_nodes * PORTS_PER_SWITCH * bpp;
         let mut cap = vec![link_cap; slots];
         for node in 0..num_nodes {
@@ -232,19 +223,25 @@ impl SwitchSlab {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{Buffering, PoolSlots};
     use proptest::prelude::*;
+    use specsim_base::RoutingPolicy;
 
     fn shared_layout(depth: usize) -> BufferLayout {
-        BufferLayout::Shared {
-            depth,
-            ejection_depth: depth,
-            injection_depth: depth,
-        }
+        BufferLayout::new(Buffering::SharedBuffers { depth }, RoutingPolicy::Adaptive)
+    }
+
+    fn pooled_layout() -> BufferLayout {
+        let buffering = Buffering::SharedPool {
+            virtual_channels: false,
+            slots: PoolSlots::Unified(1),
+        };
+        BufferLayout::new(buffering, RoutingPolicy::Adaptive)
     }
 
     #[test]
     fn reservation_consumes_space_before_arrival() {
-        let mut slab = SwitchSlab::new(1, &shared_layout(2), false);
+        let mut slab = SwitchSlab::new(1, &shared_layout(2));
         let s = slab.slot(0, 0, 0);
         assert!(slab.has_space(s));
         slab.reserved[s] += 1;
@@ -259,7 +256,7 @@ mod tests {
 
     #[test]
     fn unbounded_buffer_always_has_space() {
-        let mut slab = SwitchSlab::new(1, &shared_layout(1), true);
+        let mut slab = SwitchSlab::new(1, &pooled_layout());
         let s = slab.slot(0, 0, 0);
         for i in 0..1000 {
             slab.reserved[s] += 1;
@@ -271,7 +268,7 @@ mod tests {
 
     #[test]
     fn pooled_slab_buffers_are_individually_unbounded() {
-        let slab = SwitchSlab::new(4, &shared_layout(1), true);
+        let slab = SwitchSlab::new(4, &pooled_layout());
         assert!(
             slab.cap.iter().all(|&c| c == UNBOUNDED),
             "pooled buffers must be unbounded"
@@ -280,23 +277,23 @@ mod tests {
 
     #[test]
     fn injection_port_gets_the_injection_depth() {
-        let layout = BufferLayout::Shared {
-            depth: 2,
-            ejection_depth: 2,
-            injection_depth: 9,
-        };
-        let slab = SwitchSlab::new(3, &layout, false);
+        // The conventional design: depth-4 channel buffers, depth-8
+        // injection buffers.
+        let layout = BufferLayout::new(Buffering::VirtualChannels, RoutingPolicy::Static);
+        let slab = SwitchSlab::new(3, &layout);
         for node in 0..3 {
             for p in 0..PORTS_PER_SWITCH {
-                let expect = if p == Direction::Local.index() { 9 } else { 2 };
-                assert_eq!(slab.cap[slab.slot(node, p, 0)], expect);
+                let expect = if p == Direction::Local.index() { 8 } else { 4 };
+                for b in 0..layout.buffers_per_port() {
+                    assert_eq!(slab.cap[slab.slot(node, p, b)], expect);
+                }
             }
         }
     }
 
     #[test]
     fn slab_occupancy_and_clear() {
-        let mut slab = SwitchSlab::new(4, &shared_layout(4), false);
+        let mut slab = SwitchSlab::new(4, &shared_layout(4));
         let s1 = slab.slot(3, 0, 0);
         let s2 = slab.slot(3, 4, 0);
         slab.push(s1, 1).unwrap();
@@ -317,7 +314,7 @@ mod tests {
 
     #[test]
     fn link_busy_accounting() {
-        let mut slab = SwitchSlab::new(1, &shared_layout(2), false);
+        let mut slab = SwitchSlab::new(1, &shared_layout(2));
         let l = SwitchSlab::link(0, 0);
         assert!(slab.link_is_free(l, 0));
         slab.busy_until[l] = 100;
@@ -331,7 +328,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "delivery without reservation")]
     fn accepting_without_reservation_panics_in_debug() {
-        let mut slab = SwitchSlab::new(1, &shared_layout(2), false);
+        let mut slab = SwitchSlab::new(1, &shared_layout(2));
         slab.accept_reserved(0, 0);
     }
 
@@ -370,7 +367,7 @@ mod tests {
         ) {
             // One switch, all five ports, shared layout (one buffer/port).
             let layout = shared_layout(depth);
-            let mut slab = SwitchSlab::new(1, &layout, false);
+            let mut slab = SwitchSlab::new(1, &layout);
             let mut model: Vec<ModelBuffer> = (0..PORTS_PER_SWITCH)
                 .map(|_| ModelBuffer {
                     queue: VecDeque::new(),

@@ -65,86 +65,6 @@ impl RoutingPolicy {
     }
 }
 
-/// How the network avoids (or does not avoid) deadlock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FlowControl {
-    /// The conventional design: one virtual network per message class to
-    /// avoid endpoint deadlock, and virtual channels (dateline allocation on
-    /// torus rings) to avoid switch deadlock. Section 4 notes the target
-    /// system needs 4 virtual networks × 2 virtual channels = 8 VCs with
-    /// static routing (plus one more VC for adaptive routing).
-    VirtualChannels {
-        /// Virtual channels per virtual network per unidirectional link.
-        channels_per_network: usize,
-    },
-    /// The speculatively simplified design of Section 4: no virtual networks,
-    /// no virtual channels; every message class shares a single buffer pool
-    /// per port. Deadlock becomes possible and is detected by transaction
-    /// timeout, then resolved by SafetyNet recovery.
-    SharedBuffers {
-        /// Buffer capacity (in messages) of each switch input port and each
-        /// endpoint ingress queue. The paper sweeps this: performance is
-        /// steady at 16 and above and drops sharply at 8, where deadlocks
-        /// first appear.
-        buffers_per_port: usize,
-    },
-    /// Worst-case buffering: buffers large enough that they can never fill,
-    /// making deadlock structurally impossible without virtual channels. Used
-    /// as the comparison baseline in Section 5.3 ("we compare the performance
-    /// of this system against a system with the same protocol running on an
-    /// interconnection network with worst-case buffering").
-    WorstCaseBuffering,
-}
-
-impl FlowControl {
-    /// Human-readable label used in experiment output.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            FlowControl::VirtualChannels { .. } => "virtual-channels",
-            FlowControl::SharedBuffers { .. } => "shared-buffers",
-            FlowControl::WorstCaseBuffering => "worst-case-buffering",
-        }
-    }
-}
-
-/// How buffer *capacity* is provisioned at each node (switch + endpoint),
-/// orthogonally to the buffer *structure* chosen by [`FlowControl`].
-///
-/// This is the third case study's boldest speculation (Section 4): instead
-/// of sizing every virtual network/channel for its worst case, all message
-/// classes at a node draw from one shared slot pool. Buffer-dependency
-/// cycles then *can* deadlock (Figures 2 and 3); deadlock is detected by the
-/// transaction timeout (three checkpoint intervals) and broken by SafetyNet
-/// recovery, with per-network slot reservations during re-execution as the
-/// forward-progress measure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BufferPolicy {
-    /// The conventional provisioning: each buffer owns its configured
-    /// capacity outright (today's behavior, bit-identical schedules).
-    VirtualNetworks,
-    /// Speculative provisioning: every input-port buffer and ejection queue
-    /// of a node draws from one pool of `total_slots` message slots.
-    /// Individual buffers are unbounded; only the pool binds. Sized near the
-    /// common case this needs far less SRAM than worst-case virtual-network
-    /// sizing — at the price of possible deadlock.
-    SharedPool {
-        /// Message slots in each node's shared pool.
-        total_slots: usize,
-    },
-}
-
-impl BufferPolicy {
-    /// Human-readable label used in experiment output.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            BufferPolicy::VirtualNetworks => "virtual-networks",
-            BufferPolicy::SharedPool { .. } => "shared-pool",
-        }
-    }
-}
-
 /// Which variant of a coherence protocol to instantiate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProtocolVariant {
@@ -553,37 +473,10 @@ mod tests {
     }
 
     #[test]
-    fn buffer_policy_labels_are_stable() {
-        assert_eq!(BufferPolicy::VirtualNetworks.label(), "virtual-networks");
-        assert_eq!(
-            BufferPolicy::SharedPool { total_slots: 16 }.label(),
-            "shared-pool"
-        );
-    }
-
-    #[test]
     fn labels_are_stable() {
         assert_eq!(RoutingPolicy::Static.label(), "static");
         assert_eq!(RoutingPolicy::Adaptive.label(), "adaptive");
         assert_eq!(ProtocolVariant::Full.label(), "full");
         assert_eq!(ProtocolVariant::Speculative.label(), "speculative");
-        assert_eq!(
-            FlowControl::VirtualChannels {
-                channels_per_network: 2
-            }
-            .label(),
-            "virtual-channels"
-        );
-        assert_eq!(
-            FlowControl::SharedBuffers {
-                buffers_per_port: 16
-            }
-            .label(),
-            "shared-buffers"
-        );
-        assert_eq!(
-            FlowControl::WorstCaseBuffering.label(),
-            "worst-case-buffering"
-        );
     }
 }

@@ -46,8 +46,8 @@ pub mod workers;
 
 pub use active::ActiveSet;
 pub use config::{
-    squarest_torus_dims, BufferPolicy, FlowControl, LinkBandwidth, MemorySystemConfig,
-    ProtocolVariant, RoutingPolicy, SafetyNetConfig, BLOCK_SIZE_BYTES,
+    squarest_torus_dims, LinkBandwidth, MemorySystemConfig, ProtocolVariant, RoutingPolicy,
+    SafetyNetConfig, BLOCK_SIZE_BYTES,
 };
 pub use fault::{
     FaultConfig, FaultDirector, FaultEvent, FaultKind, FaultPlan, FaultSite, ALL_FAULT_KINDS,

@@ -22,7 +22,9 @@ use std::sync::Arc;
 use specsim::experiments::heavy_traffic::heavy_traffic;
 use specsim::{DirectorySystem, RunMetrics, SnoopSystemConfig, SnoopingSystem, SystemConfig};
 use specsim_base::{DetRng, LinkBandwidth, MessageSize, NodeId, ProtocolVariant, RoutingPolicy};
-use specsim_net::{NetConfig, Network, Packet, VirtualNetwork, ALL_VIRTUAL_NETWORKS};
+use specsim_net::{
+    Buffering, NetConfig, Network, Packet, PoolSlots, VirtualNetwork, ALL_VIRTUAL_NETWORKS,
+};
 use specsim_workloads::{Trace, WorkloadKind};
 
 /// FNV-1a, the classic 64-bit fold; stable across platforms and runs.
@@ -198,6 +200,9 @@ const GOLDEN_DIR_TRACE_REPLAY: u64 = 0x0ec36632238bff1a;
 const GOLDEN_DIR_256_NODES: u64 = 0x784ef0f04071c789;
 const GOLDEN_DIR16_HOT_PARKING: u64 = 0xe661884929613c41;
 const GOLDEN_SNOOP16_HOT_PARKING: u64 = 0xb780296ca9cea10a;
+const GOLDEN_DIR_POOL8_DEADLOCK: u64 = 0xc670da342e9382d5;
+const GOLDEN_DIR_POOL_SPLIT_12_4: u64 = 0x2ead0a5b57249d43;
+const GOLDEN_SNOOP_POOLED_DATA_TORUS_16: u64 = 0x7a55b5234861f87c;
 
 #[test]
 fn rectangular_4x2_network_matches_golden_under_both_policies() {
@@ -385,13 +390,11 @@ fn network_sparse_traffic_delivery_stream_matches_golden() {
 
 #[test]
 fn shared_pool_network_delivery_stream_matches_golden() {
-    // Pins the BufferPolicy::SharedPool schedule: a 12-slot per-node pool
-    // under random all-class traffic with intermittently drained endpoints
-    // (so pool back-pressure, injection rejects and slot hand-offs between
-    // neighbouring pools are all exercised). Every *other* golden in this
-    // file runs under BufferPolicy::VirtualNetworks — collectively they pin
-    // the tentpole requirement that the default policy leaves existing
-    // schedules byte-identical.
+    // Pins the shared-pool network schedule: a 12-slot per-node pool under
+    // random all-class traffic with intermittently drained endpoints (so
+    // pool back-pressure, injection rejects and slot hand-offs between
+    // neighbouring pools are all exercised). The machine-level pooled
+    // designs are pinned by the shared-pool goldens at the end of the file.
     let mut cfg = NetConfig::shared_pool(16, LinkBandwidth::MB_400, 12);
     cfg.routing = RoutingPolicy::Adaptive;
     let mut net: Network<u64> = Network::new(cfg);
@@ -700,6 +703,73 @@ fn snooping_hot_run_with_parking_matches_golden() {
     check(
         "snoop16_hot_parking",
         GOLDEN_SNOOP16_HOT_PARKING,
+        run_digest(&m, sys.engine_probe()),
+    );
+}
+
+/// The directory shared-pool machine of the shared-buffer sweep and
+/// `pool_deadlock_recovery.rs` (heavy traffic, 4 MSHRs, 5k-cycle
+/// checkpoints) over the given per-node slot budget.
+fn pooled_dir_config(slots: PoolSlots) -> SystemConfig {
+    let mut cfg =
+        SystemConfig::shared_pool_interconnect(WorkloadKind::Oltp, LinkBandwidth::MB_400, 8, 6001);
+    cfg.buffering = Buffering::SharedPool {
+        virtual_channels: true,
+        slots,
+    };
+    cfg.memory.safetynet.checkpoint_interval_cycles = 5_000;
+    cfg.memory.mshr_entries = 4;
+    cfg.traffic = heavy_traffic();
+    cfg.with_workers_pinned(1)
+}
+
+#[test]
+fn directory_8_slot_pool_across_a_buffer_deadlock_matches_golden() {
+    // The 8-slot pool wedges under heavy traffic: the run crosses a
+    // watchdog-confirmed buffer deadlock, its SafetyNet recovery and the
+    // reserved-slot re-execution that follows.
+    let mut sys = DirectorySystem::new(pooled_dir_config(PoolSlots::Unified(8)));
+    let m = sys.run_for(40_000).expect("no protocol errors");
+    assert!(
+        m.misspeculations_of(specsim_coherence::MisSpecKind::BufferDeadlock) > 0,
+        "the run must cross a buffer deadlock"
+    );
+    check(
+        "dir_pool8_deadlock",
+        GOLDEN_DIR_POOL8_DEADLOCK,
+        run_digest(&m, sys.engine_probe()),
+    );
+}
+
+#[test]
+fn directory_split_pool_matches_golden() {
+    let split = PoolSlots::Split {
+        switch: 12,
+        endpoint: 4,
+    };
+    let mut sys = DirectorySystem::new(pooled_dir_config(split));
+    let m = sys.run_for(40_000).expect("no protocol errors");
+    check(
+        "dir_pool_split_12_4",
+        GOLDEN_DIR_POOL_SPLIT_12_4,
+        run_digest(&m, sys.engine_probe()),
+    );
+}
+
+#[test]
+fn snooping_pooled_data_torus_matches_golden() {
+    // One pooled buffer per port on the 400 MB/s snooping data torus.
+    let mut cfg = SnoopSystemConfig::new(WorkloadKind::Oltp, ProtocolVariant::Speculative, 6000)
+        .with_data_bandwidth(LinkBandwidth::MB_400)
+        .with_workers_pinned(1);
+    cfg.memory.safetynet.checkpoint_interval_cycles = 5_000;
+    cfg.memory.mshr_entries = 4;
+    cfg.traffic = heavy_traffic();
+    let mut sys = SnoopingSystem::new(cfg.with_pooled_data_torus(16));
+    let m = sys.run_for(60_000).expect("no protocol errors");
+    check(
+        "snoop_pooled_data_torus_16",
+        GOLDEN_SNOOP_POOLED_DATA_TORUS_16,
         run_digest(&m, sys.engine_probe()),
     );
 }

@@ -14,6 +14,7 @@ use specsim::experiments::heavy_traffic::heavy_traffic;
 use specsim::{DirectorySystem, ForwardProgressMode, SystemConfig};
 use specsim_base::LinkBandwidth;
 use specsim_coherence::MisSpecKind;
+use specsim_net::{Buffering, PoolSlots};
 use specsim_workloads::WorkloadKind;
 
 /// The 16-node 8-slot design point from the shared-buffer sweep, at the
@@ -101,11 +102,10 @@ fn sixteen_slot_pool_rides_out_the_same_traffic_without_pool_deadlock() {
     // quiet (any recovery that does fire is a plain starvation timeout, not
     // a buffer deadlock).
     let mut cfg = eight_slot_pool_config();
-    if let specsim_base::BufferPolicy::SharedPool { total_slots } = &mut cfg.buffer_policy {
-        *total_slots = 16;
-    } else {
-        panic!("shared_pool_interconnect must configure a shared pool");
-    }
+    cfg.buffering = Buffering::SharedPool {
+        virtual_channels: true,
+        slots: PoolSlots::Unified(16),
+    };
     let mut sys = DirectorySystem::new(cfg);
     let m = sys.run_for(20_000).expect("no protocol errors");
     assert_eq!(
