@@ -16,7 +16,9 @@
 
 use std::sync::Arc;
 
-use specsim_base::{BlockAddr, Cycle, CycleDelta, DetRng, FaultKind, NodeId, RoutingPolicy};
+use specsim_base::{
+    ActiveSet, BlockAddr, Cycle, CycleDelta, DetRng, FaultKind, NodeId, RoutingPolicy,
+};
 use specsim_coherence::dir::{
     AccessOutcome, CacheState, DirCacheController, DirMsg, DirectoryController, OutMsg,
 };
@@ -175,6 +177,9 @@ impl DirProtocol {
                 if let Err(e) = arch.dirs[node_idx].handle_message(now, src, msg) {
                     ctx.note_error(e);
                 }
+                // A writeback may have written memory: the SafetyNet tick
+                // must drain this node's write log.
+                ctx.note_memory_activity(node_idx);
             }
             MsgClass::Forwarded | MsgClass::Response => {
                 match arch.caches[node_idx].handle_message(now, msg) {
@@ -304,6 +309,22 @@ impl ProtocolNode for DirProtocol {
         arch.dirs[i].take_write_log().len()
     }
 
+    fn next_event_at(arch: &ArchState, now: Cycle, limit: Cycle, outbox: &ActiveSet) -> Cycle {
+        let horizon = arch.net.next_event_at(now, limit);
+        crate::engine::outbox_horizon(now, horizon, outbox, |i| {
+            let queued = arch.caches[i].outgoing_len() + arch.dirs[i].outgoing_len();
+            if queued == 0 {
+                arch.outboxes[i].front_ready()
+            } else {
+                None
+            }
+        })
+    }
+
+    fn skip_quiescent_cycles(arch: &mut ArchState, cycles: u64) {
+        arch.net.skip_idle_cycles(cycles);
+    }
+
     fn checkpoint_due(
         &self,
         _arch: &ArchState,
@@ -313,6 +334,10 @@ impl ProtocolNode for DirProtocol {
         // The directory system checkpoints on the cycle clock (Table 2:
         // every 100 000 cycles).
         safetynet.should_checkpoint(now)
+    }
+
+    fn next_checkpoint_at(&self, safetynet: &SafetyNet<ArchState>) -> Cycle {
+        safetynet.next_checkpoint_at()
     }
 
     fn on_checkpoint_taken(&mut self, _arch: &ArchState) {}

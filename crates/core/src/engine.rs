@@ -10,9 +10,18 @@
 //!   count, scans a per-node wake-cycle hint and visits only nodes whose
 //!   hint has come due, re-validating each against [`Processor::ready_at`].
 //!   A processor whose request stalls is *parked* until its own cache
-//!   controller ingests a message, and its skipped retries are settled in
-//!   bulk. The slow-start demand census is computed lazily on the first
-//!   cycle a processor actually presents a request;
+//!   controller ingests a message; one whose request the slow-start gate
+//!   holds back is parked until any cache controller ingests a message or
+//!   slow-start ends. Skipped retries of both kinds are settled in bulk.
+//!   The slow-start demand census is computed lazily on the first cycle a
+//!   processor actually presents a request;
+//! * **quiescence fast-forward** — [`SystemEngine::run_for`] jumps the
+//!   clock over cycles in which nothing can happen: no processor is due, no
+//!   engine deadline falls, and the protocol's fabrics and controllers
+//!   report nothing before a later cycle
+//!   ([`ProtocolNode::next_event_at`]). The skipped cycles' per-cycle
+//!   counters are accounted in bulk; [`SystemEngine::step`] still advances
+//!   exactly one cycle;
 //! * **message outbox plumbing over one-or-more fabrics** — the
 //!   [`StagedOutbox`] staging queue holds controller outputs while they wait
 //!   out their access latency, then injects them into whichever fabric the
@@ -34,7 +43,8 @@
 //! engine drives, and one `exchange` method that moves messages across its
 //! fabrics in protocol order. `tests/kernel_equivalence.rs` pins the
 //! schedule byte-for-byte, including the processor poll/skip counts a dense
-//! every-node scan would report.
+//! every-node scan would report, and checks that `run_for` matches a
+//! `step()` loop.
 //!
 //! `worker_threads > 1` changes nothing above: it only builds a
 //! [`WorkerPool`] that protocols hand to their fabric tick, which then
@@ -170,6 +180,13 @@ impl<M: Copy> StagedOutbox<M> {
         self.queue.len()
     }
 
+    /// The cycle at which the front message becomes injectable (`None`
+    /// when nothing is staged). Pumping before then releases nothing.
+    #[must_use]
+    pub fn front_ready(&self) -> Option<Cycle> {
+        self.queue.front().map(|&(ready, _)| ready)
+    }
+
     /// Hands every ripe message at the queue's front to `send` in FIFO
     /// order. `send` returns `false` when the fabric has no space (the
     /// message stays staged and pumping stops, preserving order).
@@ -186,9 +203,12 @@ impl<M: Copy> StagedOutbox<M> {
 /// Counters describing how much per-cycle work the engine did — the
 /// observable face of the idle-skip/wake-up machinery, used by the
 /// invariant tests shared by both protocols. The two processor counters are
-/// those a dense every-node scan would report (a parked stall's skipped
+/// those a dense every-node scan would report (a parked node's skipped
 /// retries are settled as polls); the exchange counters count the visits
-/// the worklists actually made.
+/// the worklists made, fast-forwarded cycles included (each such cycle
+/// counts the visits its step would have made), so every counter except
+/// the last is identical whether a run used [`SystemEngine::run_for`] or a
+/// [`SystemEngine::step`] loop.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineProbe {
     /// Processor polls performed (the processor was awake and was asked for
@@ -206,17 +226,24 @@ pub struct EngineProbe {
     /// either pumps controller output toward a fabric or retires the node as
     /// idle). The dense equivalent is one visit per node per cycle.
     pub exchange_outbox_visits: u64,
+    /// Times a presented request was held back by the slow-start gate (the
+    /// outstanding-transaction limit) and its node parked until the demand
+    /// census or the limit could change.
+    pub held_parks: u64,
+    /// Cycles [`SystemEngine::run_for`] jumped over because nothing could
+    /// happen in them (always 0 for a [`SystemEngine::step`] loop).
+    pub cycles_fast_forwarded: u64,
 }
 
-/// Active-node worklists for the exchange phase: the engine-side twin of the
-/// tick phase's wake index. A node enters a list when something happened
-/// that could give it exchange work — its processor issued a request, a
-/// fabric delivered a message to one of its controllers, or a recovery
-/// restored it — and leaves when a visit finds it drained. Idle nodes cost
-/// zero in the per-cycle exchange scans, exactly as they do in the tick
-/// phase; visiting a node with nothing to do is a no-op, so the worklists
-/// only ever hold a superset of the busy nodes and the schedule stays
-/// byte-identical to the dense scans they replace.
+/// Active-node worklists fed by the exchange phase: the engine-side twin of
+/// the tick phase's wake index. A node enters a list when something happened
+/// that could give it work — its processor issued a request, a fabric
+/// delivered a message to one of its controllers, or a recovery restored
+/// it — and leaves when a visit finds it drained. Idle nodes cost zero in
+/// the per-cycle exchange and SafetyNet scans, exactly as they do in the
+/// tick phase; visiting a node with nothing to do is a no-op, so the
+/// worklists only ever hold a superset of the busy nodes and the schedule
+/// stays byte-identical to the dense scans they replace.
 #[derive(Debug)]
 pub(crate) struct ExchangeIndex {
     /// Nodes whose controllers ingested a message (or were restored by a
@@ -225,30 +252,33 @@ pub(crate) struct ExchangeIndex {
     /// Nodes that may have controller output queued or messages staged in an
     /// outbox waiting out a latency timer.
     outbox: ActiveSet,
+    /// Nodes whose directory or memory controller ingested a message (or
+    /// was restored by a recovery) and may therefore hold memory-write log
+    /// entries for the SafetyNet tick to drain.
+    write_logs: ActiveSet,
 }
 
 impl ExchangeIndex {
-    /// All `n` nodes start on both lists; the first visits retire the idle
+    /// All `n` nodes start on every list; the first visits retire the idle
     /// ones.
     fn new_full(n: usize) -> Self {
-        let mut completions = ActiveSet::new(n);
-        let mut outbox = ActiveSet::new(n);
-        for i in 0..n {
-            completions.insert(i);
-            outbox.insert(i);
-        }
-        Self {
-            completions,
-            outbox,
-        }
+        let mut index = Self {
+            completions: ActiveSet::new(n),
+            outbox: ActiveSet::new(n),
+            write_logs: ActiveSet::new(n),
+        };
+        index.insert_all();
+        index
     }
 
-    /// Re-arms both lists for every node (recovery restored the whole
-    /// machine: any node may hold completions or pending output again).
+    /// Re-arms every list for every node (recovery restored the whole
+    /// machine: any node may hold completions, pending output or logged
+    /// writes again).
     fn insert_all(&mut self) {
         for i in 0..self.completions.capacity() {
             self.completions.insert(i);
             self.outbox.insert(i);
+            self.write_logs.insert(i);
         }
     }
 }
@@ -263,8 +293,13 @@ impl ExchangeIndex {
 pub(crate) struct WakeIndex {
     /// Per-node wake hint. `Cycle::MAX` means only an event can wake the
     /// node: completion delivery for a processor blocked on a miss, cache
-    /// ingest for a parked one, or a recovery.
+    /// ingest for a parked or held one, the end of slow-start for a held
+    /// one, or a recovery.
     wake_at: Vec<Cycle>,
+    /// A lower bound on every entry of `wake_at`: recomputed by each tick
+    /// from the hints it leaves behind and lowered with them, so the
+    /// fast-forward horizon reads the earliest wake-up in O(1).
+    next_due: Cycle,
     /// Per-node cycle at which the node was parked with a stalled request
     /// (`Cycle::MAX` = not parked). A stall retry's outcome depends only on
     /// the node's own cache controller, and repeating it changes nothing a
@@ -274,6 +309,16 @@ pub(crate) struct WakeIndex {
     /// ([`EngineCtx::note_cache_activity`]) and settles the skipped retries
     /// in bulk ([`Processor::note_skipped_stalls`]) when it is re-visited.
     parked: Vec<Cycle>,
+    /// Per-node cycle of the latest retry of a request the slow-start gate
+    /// held back (`Cycle::MAX` = not held). A held retry reads only the
+    /// gate: the system-wide demand census against the outstanding limit.
+    /// The census falls only when some cache controller ingests a message,
+    /// and the limit rises only when slow-start expires, so the node is
+    /// parked until one of those happens and its skipped retries are
+    /// settled as probe polls (a held retry changes no processor state).
+    held: Vec<Cycle>,
+    /// Nodes held since the last gate wake-up (each at most once).
+    held_list: Vec<usize>,
 }
 
 impl WakeIndex {
@@ -281,13 +326,36 @@ impl WakeIndex {
     fn new(n: usize) -> Self {
         Self {
             wake_at: vec![0; n],
+            next_due: 0,
             parked: vec![Cycle::MAX; n],
+            held: vec![Cycle::MAX; n],
+            held_list: Vec::new(),
         }
     }
 
     /// Lowers node `i`'s hint to `at`.
     fn lower(&mut self, i: usize, at: Cycle) {
         self.wake_at[i] = self.wake_at[i].min(at);
+        self.next_due = self.next_due.min(at);
+    }
+
+    /// Makes every node held by the gate due at `at`; each is settled and
+    /// re-presents its request on that visit.
+    fn wake_held(&mut self, at: Cycle) {
+        for k in 0..self.held_list.len() {
+            self.lower(self.held_list[k], at);
+        }
+        self.held_list.clear();
+    }
+
+    /// Makes every node due at `at` and unparks them all (a recovery
+    /// restored every processor's wake cycle).
+    fn reset(&mut self, at: Cycle) {
+        self.wake_at.fill(at);
+        self.next_due = at;
+        self.parked.fill(Cycle::MAX);
+        self.held.fill(Cycle::MAX);
+        self.held_list.clear();
     }
 }
 
@@ -458,6 +526,15 @@ impl<'a, A: Clone> EngineCtx<'a, A> {
         self.exchange.outbox.insert(i);
     }
 
+    /// Reports that node `i`'s directory or memory controller ingested a
+    /// message, which may have written memory and logged the old values.
+    /// The SafetyNet tick drains the write logs of exactly these nodes (in
+    /// ascending order, like the dense scan it replaces). Protocols must
+    /// call this for every message those controllers observe.
+    pub fn note_memory_activity(&mut self, i: usize) {
+        self.exchange.write_logs.insert(i);
+    }
+
     /// The next node at or after `from` on the outbox worklist — the
     /// worklist twin of a dense `for i in from..n` outbox scan. Each call
     /// counts as one exchange visit; the caller either pumps the node or
@@ -490,12 +567,15 @@ impl<'a, A: Clone> EngineCtx<'a, A> {
     /// controller's state changes, and that state changes only through
     /// message ingest — so this is the exact wake condition: the node is
     /// re-visited at `now + 1`, the first cycle a dense scan could observe
-    /// the ingest's effect. No-op for unparked nodes. Protocols must call
-    /// this for every message their cache controller observes.
+    /// the ingest's effect. The same ingest may lower the slow-start demand
+    /// census, so every node the gate holds is re-visited at `now + 1` too.
+    /// Protocols must call this for every message their cache controller
+    /// observes.
     pub fn note_cache_activity(&mut self, now: Cycle, i: usize) {
         if self.wake.parked[i] != Cycle::MAX {
             self.wake.lower(i, now + 1);
         }
+        self.wake.wake_held(now + 1);
     }
 }
 
@@ -513,6 +593,27 @@ pub(crate) fn report_pooled_fabric_evidence<P, A: Clone>(
     if net.is_pooled() && (net.has_exhausted_pool() || net.is_stalled(now)) {
         ctx.report_fabric_deadlock();
     }
+}
+
+/// Shared half of both protocols' [`ProtocolNode::next_event_at`]: caps
+/// `horizon` at the first cycle the outbox pump can act on a node of the
+/// `outbox` worklist. `staged_only(i)` is the ready cycle of node `i`'s
+/// front staged message when staged messages are all the node holds, or
+/// `None` when it has controller output queued or nothing at all (the next
+/// cycle's visit then pumps or retires it).
+pub(crate) fn outbox_horizon(
+    now: Cycle,
+    mut horizon: Cycle,
+    outbox: &ActiveSet,
+    staged_only: impl Fn(usize) -> Option<Cycle>,
+) -> Cycle {
+    for i in outbox.iter_from(0) {
+        if horizon <= now + 1 {
+            break;
+        }
+        horizon = horizon.min(staged_only(i).map_or(now + 1, |r| r.max(now + 1)));
+    }
+    horizon
 }
 
 /// The shared buffer-deadlock forward-progress measure (Section 4's "revert
@@ -578,8 +679,25 @@ pub trait ProtocolNode {
     fn exchange(&mut self, arch: &mut Self::Arch, now: Cycle, ctx: &mut EngineCtx<'_, Self::Arch>);
 
     /// Drains node `i`'s memory-side write/undo log and returns the number
-    /// of entries, which the engine accounts into SafetyNet.
+    /// of entries, which the engine accounts into SafetyNet. Called only for
+    /// nodes reported through [`EngineCtx::note_memory_activity`].
     fn drain_write_log(arch: &mut Self::Arch, i: usize) -> usize;
+
+    /// The horizon hook of [`SystemEngine::run_for`]'s fast-forward: the
+    /// earliest cycle after `now` (whose step has just completed) at which
+    /// [`ProtocolNode::exchange`] could do more than visit idle nodes, capped
+    /// at `limit`. `outbox` is the engine's outbox worklist, the nodes the
+    /// next exchange visits. A node with controller output queued, or idle
+    /// but still listed, needs the next cycle; one with only staged
+    /// messages needs the cycle its front message ripens. Answering too
+    /// early only costs a step; answering too late would change the
+    /// schedule.
+    fn next_event_at(arch: &Self::Arch, now: Cycle, limit: Cycle, outbox: &ActiveSet) -> Cycle;
+
+    /// Accounts `cycles` cycles the engine fast-forwarded over, each of
+    /// which [`ProtocolNode::next_event_at`] showed to be quiescent: their
+    /// exchange would only have advanced per-cycle fabric counters.
+    fn skip_quiescent_cycles(arch: &mut Self::Arch, cycles: u64);
 
     /// Whether a checkpoint is due at `now` on this protocol's logical time
     /// base (cycles for the directory system, ordered requests for the
@@ -591,6 +709,13 @@ pub trait ProtocolNode {
         safetynet: &SafetyNet<Self::Arch>,
         now: Cycle,
     ) -> bool;
+
+    /// The first cycle after the current one at which
+    /// [`ProtocolNode::checkpoint_due`] can turn true on the clock alone
+    /// (`Cycle::MAX` when it follows another time base, whose events
+    /// [`ProtocolNode::next_event_at`] already bounds). The fast-forward
+    /// horizon never passes it.
+    fn next_checkpoint_at(&self, safetynet: &SafetyNet<Self::Arch>) -> Cycle;
 
     /// Called when the engine takes a checkpoint (for protocol-side interval
     /// bookkeeping).
@@ -869,15 +994,99 @@ impl<P: ProtocolNode> SystemEngine<P> {
     /// Runs the system for `cycles` cycles and returns the metrics collected
     /// so far. Returns an error if a transition occurred that the fully
     /// designed protocol considers impossible (a simulator bug).
+    ///
+    /// After each step the clock jumps over the following cycles in which
+    /// nothing can happen (see `fast_forward`), so the result —
+    /// metrics, probe counts, mode timeline and telemetry — is identical to
+    /// calling [`SystemEngine::step`] `cycles` times.
     pub fn run_for(&mut self, cycles: CycleDelta) -> Result<RunMetrics, ProtocolError> {
         let end = self.now + cycles;
         while self.now < end {
             self.step()?;
+            self.fast_forward(end);
         }
         Ok(self.collect_metrics())
     }
 
-    /// Advances the system by one cycle.
+    /// Advances the clock from `now` over every following cycle, up to
+    /// `end`, whose step would change nothing but per-cycle counters, and
+    /// accounts those counters in bulk. The jump ends before the horizon
+    /// `H`, the earliest of: the end of the run; the engine's own deadlines
+    /// (the next transaction-timeout scan, the expiry of the
+    /// forward-progress mode, the next injected recovery, the next
+    /// SafetyNet checkpoint or commit, the next telemetry window); the
+    /// smallest processor wake hint; and the protocol's
+    /// [`ProtocolNode::next_event_at`]. Each skipped cycle is accounted as
+    /// its step would have been: one mode-timeline cycle, a skip for every
+    /// processor, a visit for every node on the outbox worklist, and one
+    /// fabric tick's round-robin turn. Inside a recovery's stall window the
+    /// step does nothing but the timeline, so the jump runs to the resume
+    /// cycle. Off while a fault plan is armed (faults strike on a
+    /// per-cycle schedule the horizon does not model).
+    fn fast_forward(&mut self, end: Cycle) {
+        let now = self.now;
+        if self.fault_director.is_some()
+            || self.pending_misspec.is_some()
+            || self.protocol_error.is_some()
+        {
+            return;
+        }
+        let window = self
+            .telemetry
+            .as_ref()
+            .map_or(Cycle::MAX, TelemetryRecorder::next_window_at);
+        let limit = (end + 1).min(window);
+        if now + 1 < self.resume_at {
+            let horizon = limit.min(self.resume_at);
+            if horizon > now + 1 {
+                let cycles = horizon - 1 - now;
+                self.timeline
+                    .observe_span(now + 1, EngineMode::Rollback, cycles);
+                self.probe.cycles_fast_forwarded += cycles;
+                self.now = horizon - 1;
+            }
+            return;
+        }
+        // Cheapest bounds first: on a busy machine some processor is due
+        // next cycle and the check ends here in O(1).
+        let mut horizon = limit.min(self.wake.next_due);
+        if horizon <= now + 1
+            || !self.exchange.completions.is_empty()
+            || !self.exchange.write_logs.is_empty()
+        {
+            return;
+        }
+        let mode_until = match self.fp_mode {
+            ForwardProgressMode::Normal => Cycle::MAX,
+            ForwardProgressMode::AdaptiveRoutingDisabled { until }
+            | ForwardProgressMode::SlowStart { until, .. }
+            | ForwardProgressMode::ReservedSlots { until } => until,
+        };
+        horizon = horizon
+            .min(self.next_timeout_scan)
+            .min(mode_until)
+            .min(self.next_injected_recovery.unwrap_or(Cycle::MAX))
+            .min(self.safetynet.next_commit_at())
+            .min(self.protocol.next_checkpoint_at(&self.safetynet));
+        if horizon <= now + 1 {
+            return;
+        }
+        horizon = P::next_event_at(&self.arch, now, horizon, &self.exchange.outbox);
+        if horizon <= now + 1 {
+            return;
+        }
+        let cycles = horizon - 1 - now;
+        let n = self.wake.wake_at.len() as u64;
+        self.timeline
+            .observe_span(now + 1, self.engine_mode(now + 1), cycles);
+        self.probe.processor_skips += n * cycles;
+        self.probe.exchange_outbox_visits += self.exchange.outbox.len() as u64 * cycles;
+        self.probe.cycles_fast_forwarded += cycles;
+        P::skip_quiescent_cycles(&mut self.arch, cycles);
+        self.now = horizon - 1;
+    }
+
+    /// Advances the system by exactly one cycle (never fast-forwards).
     pub fn step(&mut self) -> Result<(), ProtocolError> {
         if let Some(e) = self.protocol_error.take() {
             return Err(e);
@@ -1001,6 +1210,9 @@ impl<P: ProtocolNode> SystemEngine<P> {
             }
             ForwardProgressMode::SlowStart { until, .. } if now >= until => {
                 self.fp_mode = ForwardProgressMode::Normal;
+                // The limit just rose: nodes the gate held re-present their
+                // requests in this cycle's tick.
+                self.wake.wake_held(now);
             }
             ForwardProgressMode::ReservedSlots { until } if now >= until => {
                 self.protocol.on_reserved_window_expired(&mut self.arch);
@@ -1023,50 +1235,66 @@ impl<P: ProtocolNode> SystemEngine<P> {
     /// whose wake hint has come due, with per-node state transitions and
     /// probe counts identical to a dense every-node scan. Due hints are
     /// re-validated against the processor's live `ready_at()`; a visit then
-    /// re-indexes the node from its post-tick wake cycle.
+    /// re-indexes the node from its post-tick wake cycle. The scan also
+    /// leaves the smallest hint behind for the fast-forward horizon.
     fn tick_processors(&mut self, now: Cycle) {
         let limit = self.outstanding_limit();
-        // Parking is exact only while the outstanding-transaction gate
-        // cannot bind: under a finite limit (slow-start) a held-back node's
-        // admission depends on the system-wide demand census, not on its own
-        // controller, so it keeps the every-cycle retry. Slow-start is only
-        // ever entered through a recovery, which unparks every node.
+        // Stall parking is exact only while the outstanding-transaction gate
+        // cannot bind: under a finite limit (slow-start) a dense scan's
+        // retry of a stalled request may instead be held by the gate, which
+        // leaves the processor's stall count alone, so stalled nodes keep
+        // the every-cycle retry. Slow-start is only ever entered through a
+        // recovery, which unparks every node. Requests held by the gate
+        // itself are parked under any limit (see `WakeIndex::held`).
         let may_park = limit == usize::MAX;
         // Demand census for the slow-start governor, computed lazily on the
         // first cycle a processor actually presents a request: on quiescent
         // cycles (every processor mid-think or blocked on a miss) the whole
         // per-cache scan is skipped.
         let mut outstanding: Option<usize> = None;
+        let mut next_due = Cycle::MAX;
         for i in 0..self.wake.wake_at.len() {
             if self.wake.wake_at[i] > now {
-                // Mid-think, blocked on a miss, or parked on a stall.
+                // Mid-think, blocked on a miss, or parked.
                 self.probe.processor_skips += 1;
+                next_due = next_due.min(self.wake.wake_at[i]);
                 continue;
             }
+            // Re-visiting a parked or held node: settle the retries a dense
+            // scan performed on every skipped cycle in `(parked, now)` — the
+            // retry at `now` itself happens below.
             if self.wake.parked[i] != Cycle::MAX {
-                // Re-visiting a parked node: settle the retries a dense scan
-                // performed on every skipped cycle in `(parked, now)` — the
-                // retry at `now` itself happens below.
                 let skipped = now.saturating_sub(self.wake.parked[i] + 1);
                 self.settle_stalls(i, skipped);
                 self.wake.parked[i] = Cycle::MAX;
+            }
+            if self.wake.held[i] != Cycle::MAX {
+                let skipped = now.saturating_sub(self.wake.held[i] + 1);
+                self.settle_probe(skipped);
+                self.wake.held[i] = Cycle::MAX;
             }
             match P::procs(&self.arch)[i].ready_at() {
                 Some(ready) if ready <= now => {}
                 ready => {
                     self.wake.wake_at[i] = ready.unwrap_or(Cycle::MAX);
                     self.probe.processor_skips += 1;
+                    next_due = next_due.min(self.wake.wake_at[i]);
                     continue;
                 }
             }
             let Some(req) = P::procs_mut(&mut self.arch)[i].poll(now) else {
+                next_due = next_due.min(self.wake.wake_at[i]);
                 continue;
             };
             self.probe.processor_polls += 1;
             let outstanding = outstanding.get_or_insert_with(|| P::outstanding_demand(&self.arch));
             if *outstanding >= limit {
-                // Slow-start governor: hold back new transactions. The hint
-                // stays due, so the node retries next cycle.
+                // Slow-start governor: hold back new transactions, and park
+                // the node until the census can fall or the limit rise.
+                self.wake.held[i] = now;
+                self.wake.wake_at[i] = Cycle::MAX;
+                self.wake.held_list.push(i);
+                self.probe.held_parks += 1;
                 continue;
             }
             let outcome = P::cpu_request(&mut self.arch, i, now, req);
@@ -1096,7 +1324,9 @@ impl<P: ProtocolNode> SystemEngine<P> {
             // Thinking: due when the think time elapses; blocked: woken by
             // completion delivery; still presenting a request: due next cycle.
             self.wake.wake_at[i] = proc.ready_at().unwrap_or(Cycle::MAX);
+            next_due = next_due.min(self.wake.wake_at[i]);
         }
+        self.wake.next_due = next_due;
     }
 
     /// Accounts `skipped` stall retries of parked node `i` exactly as the
@@ -1104,13 +1334,24 @@ impl<P: ProtocolNode> SystemEngine<P> {
     /// probe as polls rather than the skips the tick counted them as.
     fn settle_stalls(&mut self, i: usize, skipped: u64) {
         P::procs_mut(&mut self.arch)[i].note_skipped_stalls(skipped);
+        self.settle_probe(skipped);
+    }
+
+    /// Counts `skipped` retries of a parked node as the polls a dense scan
+    /// made, not the skips the tick counted them as. This is all a retry
+    /// held by the slow-start gate settles: it changes no processor state.
+    fn settle_probe(&mut self, skipped: u64) {
         self.probe.processor_polls += skipped;
         self.probe.processor_skips -= skipped;
     }
 
     fn safetynet_tick(&mut self, now: Cycle) {
-        let n = P::procs(&self.arch).len();
-        for i in 0..n {
+        // Only nodes whose directory or memory controller ingested a
+        // message can hold logged writes; drain those, in ascending order.
+        let mut cursor = 0;
+        while let Some(i) = self.exchange.write_logs.next_at_or_after(cursor) {
+            cursor = i + 1;
+            self.exchange.write_logs.remove(i);
             let entries = P::drain_write_log(&mut self.arch, i);
             if entries > 0
                 && self.safetynet.log_writes(NodeId::from(i), entries) == LogOutcome::Full
@@ -1129,7 +1370,7 @@ impl<P: ProtocolNode> SystemEngine<P> {
             // snapshot (processor stats are checkpointed state): the tick at
             // `now` precedes this snapshot, so the settle covers
             // `(parked, now]` and re-bases the park cycle to `now`.
-            self.settle_parked_stalls(now);
+            self.settle_parked(now);
             let snapshot = self.arch.clone();
             self.safetynet.take_checkpoint(now, snapshot);
             if let Some(t) = self.telemetry.as_mut() {
@@ -1138,18 +1379,23 @@ impl<P: ProtocolNode> SystemEngine<P> {
         }
     }
 
-    /// Brings parked nodes' stall-retry accounting up to date with the
+    /// Brings parked and held nodes' retry accounting up to date with the
     /// dense scan as of the end of cycle `now`'s tick phase (the dense scan
     /// at `now` has already retried), re-basing each park cycle to `now` so
     /// later settles do not double-count. Called before state observations
     /// that include processor stats or probe counts: a SafetyNet snapshot,
     /// a rollback and metrics collection.
-    fn settle_parked_stalls(&mut self, now: Cycle) {
+    fn settle_parked(&mut self, now: Cycle) {
         for i in 0..self.wake.parked.len() {
             let parked = self.wake.parked[i];
             if parked != Cycle::MAX {
                 self.settle_stalls(i, now.saturating_sub(parked));
                 self.wake.parked[i] = now;
+            }
+            let held = self.wake.held[i];
+            if held != Cycle::MAX {
+                self.settle_probe(now.saturating_sub(held));
+                self.wake.held[i] = now;
             }
         }
     }
@@ -1268,7 +1514,7 @@ impl<P: ProtocolNode> SystemEngine<P> {
         // The rollback discards the parked nodes' processor stats along with
         // the rest of the machine, but the probe is not rolled back: settle
         // first so its poll/skip counts stay those of the dense scan.
-        self.settle_parked_stalls(now);
+        self.settle_parked(now);
         let (state, outcome) = self.safetynet.recover(now);
         self.arch = state;
         // Processors resume from their register checkpoints at the restored
@@ -1297,10 +1543,9 @@ impl<P: ProtocolNode> SystemEngine<P> {
         // The restored processors carry restored wake cycles: unpark every
         // node and visit all of them on the first post-stall cycle, which
         // re-indexes each from its live `ready_at()`.
-        self.wake.parked.fill(Cycle::MAX);
-        self.wake.wake_at.fill(self.resume_at);
-        // The restored controllers and outboxes may hold completions and
-        // pending output at any node: re-arm both exchange worklists.
+        self.wake.reset(self.resume_at);
+        // The restored controllers and outboxes may hold completions,
+        // pending output and logged writes at any node: re-arm every list.
         self.exchange.insert_all();
         self.pending_misspec = None;
         // Transient semantics: the re-execution must not hit the same fault
@@ -1352,7 +1597,7 @@ impl<P: ProtocolNode> SystemEngine<P> {
     /// Gathers the run metrics: the protocol-independent half here, the
     /// fabric/ordering half from the protocol.
     pub fn collect_metrics(&mut self) -> RunMetrics {
-        self.settle_parked_stalls(self.now);
+        self.settle_parked(self.now);
         let mut m = self.metrics.clone();
         m.cycles = self.now;
         m.ops_completed = self.ops_completed();
@@ -1522,6 +1767,101 @@ mod tests {
         assert_eq!(
             (p.processor_polls, p.processor_skips),
             (p_dense.processor_polls, p_dense.processor_skips)
+        );
+    }
+
+    #[test]
+    fn gate_parking_wakes_only_on_cache_ingest_slow_start_expiry_and_recovery() {
+        // The `dir16-hot` knobs: a transaction timeout puts the machine in
+        // slow-start, where the gate holds nearly every request back. A
+        // short window lets it expire inside the run, and injected
+        // recoveries land while nodes are held.
+        let mut cfg =
+            SystemConfig::directory_speculative(WorkloadKind::Oltp, LinkBandwidth::MB_400, 7);
+        cfg.routing = RoutingPolicy::Adaptive;
+        cfg.traffic = crate::experiments::heavy_traffic::heavy_traffic();
+        cfg.memory.mshr_entries = 4;
+        cfg.memory.safetynet.checkpoint_interval_cycles = 5_000;
+        cfg.forward_progress.slow_start_cycles = 20_000;
+        cfg.inject_recovery_every = Some(30_000);
+        let mut sys = DirectorySystem::new(cfg);
+        let n = sys.engine.wake.held.len();
+        let (mut ingest_wakes, mut expiry_wakes, mut recoveries_during_hold) = (0, 0, 0);
+        for _ in 0..80_000 {
+            let held_before = sys.engine.wake.held.clone();
+            let wake_before = sys.engine.wake.wake_at.clone();
+            let ingest_possible = (0..n).any(|i| sys.message_waiting_at(i));
+            let slow_start_before = matches!(
+                sys.forward_progress_mode(),
+                ForwardProgressMode::SlowStart { .. }
+            );
+            let recoveries = sys.engine.metrics.recoveries + sys.engine.metrics.injected_recoveries;
+            let checkpoints = sys.engine.safetynet.stats().checkpoints_taken;
+            sys.engine.step().expect("no protocol errors");
+            let now = sys.now();
+            let wake = &sys.engine.wake;
+            // A checkpoint settles held nodes and re-bases their hold cycle
+            // to `now` without re-visiting them.
+            let rebased = sys.engine.safetynet.stats().checkpoints_taken > checkpoints;
+            if sys.engine.metrics.recoveries + sys.engine.metrics.injected_recoveries > recoveries {
+                // A rollback releases every held node.
+                assert!(wake.held.iter().all(|&h| h == Cycle::MAX));
+                assert!(wake.held_list.is_empty());
+                if held_before.iter().any(|&h| h != Cycle::MAX) {
+                    recoveries_during_hold += 1;
+                }
+                continue;
+            }
+            let expired = slow_start_before
+                && !matches!(
+                    sys.forward_progress_mode(),
+                    ForwardProgressMode::SlowStart { .. }
+                );
+            for i in 0..n {
+                let was_parked_on_gate =
+                    held_before[i] != Cycle::MAX && wake_before[i] == Cycle::MAX;
+                if !was_parked_on_gate {
+                    continue;
+                }
+                if wake.held[i] == held_before[i] && wake.wake_at[i] != Cycle::MAX {
+                    // Lowered but not yet re-visited: only a cache ingest,
+                    // which can lower the census, wakes a node for the
+                    // next cycle.
+                    assert!(ingest_possible, "node {i} woken at {now} without an ingest");
+                    assert!(wake.wake_at[i] <= now + 1);
+                    ingest_wakes += 1;
+                } else if wake.held[i] != held_before[i] && !(rebased && wake.held[i] == now) {
+                    // Lowered and re-visited in the same cycle: only the
+                    // end of slow-start raises the limit that early.
+                    assert!(
+                        expired,
+                        "node {i} re-presented at {now} with the gate unchanged"
+                    );
+                    expiry_wakes += 1;
+                }
+            }
+            // Exactness: while a node stays parked on the gate, a dense
+            // retry next cycle would be held too.
+            if (0..n).any(|i| wake.held[i] != Cycle::MAX && wake.wake_at[i] == Cycle::MAX) {
+                assert!(
+                    DirProtocol::outstanding_demand(sys.engine.arch())
+                        >= sys.engine.outstanding_limit(),
+                    "a node stayed parked at {now} although the gate would admit it"
+                );
+            }
+        }
+        assert!(
+            sys.engine.probe().held_parks > 0,
+            "the gate never held a request"
+        );
+        assert!(ingest_wakes > 0, "no held node was woken by a cache ingest");
+        assert!(
+            expiry_wakes > 0,
+            "no held node was released by slow-start expiry"
+        );
+        assert!(
+            recoveries_during_hold > 0,
+            "no recovery landed during a hold"
         );
     }
 

@@ -17,7 +17,7 @@
 //! contributes the snooping [`ProtocolNode`] implementation.
 
 use specsim_base::{
-    BlockAddr, Cycle, CycleDelta, DetRng, FaultConfig, FaultKind, LinkBandwidth,
+    ActiveSet, BlockAddr, Cycle, CycleDelta, DetRng, FaultConfig, FaultKind, LinkBandwidth,
     MemorySystemConfig, NodeId, ProtocolVariant, RoutingPolicy,
 };
 use specsim_coherence::snoop::msg::SnoopDataOut;
@@ -379,8 +379,10 @@ impl SnoopProtocol {
             }
             // Observing a snoop can enqueue controller output (an owner or
             // home-memory data response) and can complete the node's own
-            // ordered request: arm the exchange worklists.
+            // ordered request: arm the exchange worklists. The home memory
+            // observes it too, which may write memory.
             ctx.note_exchange_activity(i);
+            ctx.note_memory_activity(i);
             for _ in 0..SNOOP_BUDGET {
                 let Some(delivery) = arch.bus.pop_snoop(node) else {
                     break;
@@ -430,6 +432,8 @@ impl SnoopProtocol {
                 }
                 let result = match packet.payload {
                     SnoopDataMsg::WbData { .. } => {
+                        // Writeback data is written to memory and logged.
+                        ctx.note_memory_activity(i);
                         arch.memories[i].handle_data(now, packet.payload)
                     }
                     SnoopDataMsg::Data { .. } => {
@@ -495,6 +499,25 @@ impl ProtocolNode for SnoopProtocol {
         arch.memories[i].take_write_log().len()
     }
 
+    fn next_event_at(arch: &ArchState, now: Cycle, limit: Cycle, outbox: &ActiveSet) -> Cycle {
+        let horizon = arch
+            .data_net
+            .next_event_at(now, limit)
+            .min(arch.bus.next_event_at(now));
+        crate::engine::outbox_horizon(now, horizon, outbox, |i| {
+            let queued = arch.caches[i].outgoing_len() + arch.memories[i].outgoing_len();
+            if queued == 0 {
+                arch.mem_outboxes[i].front_ready()
+            } else {
+                None
+            }
+        })
+    }
+
+    fn skip_quiescent_cycles(arch: &mut ArchState, cycles: u64) {
+        arch.data_net.skip_idle_cycles(cycles);
+    }
+
     fn checkpoint_due(
         &self,
         arch: &ArchState,
@@ -508,6 +531,12 @@ impl ProtocolNode for SnoopProtocol {
             .granted()
             .saturating_sub(self.requests_at_last_checkpoint)
             >= self.cfg.memory.safetynet.checkpoint_interval_requests
+    }
+
+    fn next_checkpoint_at(&self, _safetynet: &SafetyNet<ArchState>) -> Cycle {
+        // Only a bus grant advances the request count, and grants are bus
+        // events the fast-forward horizon already stops at.
+        Cycle::MAX
     }
 
     fn on_checkpoint_taken(&mut self, arch: &ArchState) {

@@ -154,6 +154,25 @@ impl<P: Clone> OrderedBus<P> {
         }
     }
 
+    /// The earliest cycle after `now` (the cycle just ticked) at which
+    /// [`OrderedBus::tick`] or a node could change the bus's state:
+    /// `now + 1` while a snoop waits in a delivery queue, otherwise the
+    /// earlier of the next grant (when a request is pending) and the front
+    /// broadcast's delivery cycle. `Cycle::MAX` when the bus is empty.
+    #[must_use]
+    pub fn next_event_at(&self, now: Cycle) -> Cycle {
+        if self.delivery.iter().any(|q| !q.is_empty()) {
+            return now + 1;
+        }
+        let grant = if self.pending.iter().any(|q| !q.is_empty()) {
+            self.next_grant_at
+        } else {
+            Cycle::MAX
+        };
+        let broadcast = self.in_flight.front().map_or(Cycle::MAX, |&(at, ..)| at);
+        grant.min(broadcast).max(now + 1)
+    }
+
     /// Removes the next snoop for `node` (in global order).
     pub fn pop_snoop(&mut self, node: NodeId) -> Option<BusDelivery<P>> {
         let d = self.delivery[node.index()].pop_front();
@@ -281,6 +300,45 @@ mod tests {
             order < 4,
             "round robin should grant node 3 quickly, order {order}"
         );
+    }
+
+    #[test]
+    fn ticking_only_at_next_event_matches_ticking_every_cycle() {
+        // Two buses see the same requests; one ticks every cycle, the other
+        // jumps straight to `next_event_at`. Every snoop must arrive at the
+        // same cycle with the same grant stamp and order.
+        let mut dense: OrderedBus<u32> = OrderedBus::new(3, 8, 64);
+        let mut sparse = dense.clone();
+        let post = |bus: &mut OrderedBus<u32>, now: Cycle| {
+            if now % 100 == 1 {
+                bus.request(NodeId::from((now / 100 % 3) as usize), now as u32);
+                bus.request(NodeId(1), now as u32 + 1);
+            }
+        };
+        let (mut seen_dense, mut seen_sparse) = (Vec::new(), Vec::new());
+        let mut next = 1;
+        for now in 1..=1_000 {
+            post(&mut dense, now);
+            dense.tick(now);
+            while let Some(d) = dense.pop_snoop(NodeId(2)) {
+                seen_dense.push((now, d));
+            }
+            // The sparse bus ticks only at its events and at posts.
+            if now % 100 == 1 {
+                next = now;
+            }
+            if now == next {
+                post(&mut sparse, now);
+                sparse.tick(now);
+                while let Some(d) = sparse.pop_snoop(NodeId(2)) {
+                    seen_sparse.push((now, d));
+                }
+                next = sparse.next_event_at(now);
+                assert!(next > now);
+            }
+        }
+        assert_eq!(seen_dense.len(), 20);
+        assert_eq!(seen_dense, seen_sparse);
     }
 
     #[test]

@@ -215,6 +215,25 @@ impl ArrivalCalendar {
         false
     }
 
+    /// The earliest cycle holding an indexed arrival, or `limit` when none
+    /// is due before it. The wheel holds only arrivals in
+    /// `[next, next + buckets)`, so its first non-empty bucket from `next`
+    /// is its earliest entry; the scan stops at `limit`, so its cost is
+    /// bounded by the distance the caller can skip anyway.
+    fn earliest_due(&self, limit: Cycle) -> Cycle {
+        if self.pending == 0 {
+            return limit;
+        }
+        let limit = self
+            .overflow
+            .first_key_value()
+            .map_or(limit, |(&c, _)| c.min(limit));
+        let horizon = limit.min(self.next.saturating_add(self.wheel.len() as Cycle));
+        (self.next..horizon)
+            .find(|&c| !self.wheel[self.bucket_of(c)].is_empty())
+            .unwrap_or(limit)
+    }
+
     fn clear(&mut self) {
         for bucket in &mut self.wheel {
             bucket.clear();
@@ -734,6 +753,33 @@ impl<P> Network<P> {
         }
         self.deliver_phase(now, faults.as_deref());
         self.forward_phase(now, faults, pool);
+    }
+
+    /// The earliest cycle after `now` (the cycle just ticked) at which a
+    /// fault-free [`Network::tick`] or an endpoint could change this
+    /// network's state, capped at `limit`: `now + 1` while a switch holds a
+    /// queued packet, a packet waits in an ejection queue, or a pooled
+    /// fabric holds packets (its progress watchdog and pool-exhaustion
+    /// evidence are read every cycle); otherwise the earliest due link
+    /// arrival. Checks the O(1) activity conditions first, so a busy fabric
+    /// answers without touching the arrival calendar.
+    #[must_use]
+    pub fn next_event_at(&self, now: Cycle, limit: Cycle) -> Cycle {
+        let busy = !self.active.is_empty()
+            || !self.eject_active.is_empty()
+            || (self.pools.is_some() && (self.in_flight > 0 || self.has_exhausted_pool()));
+        if busy {
+            return limit.min(now + 1);
+        }
+        self.arrivals.earliest_due(limit)
+    }
+
+    /// Accounts `cycles` ticks that the caller skipped because
+    /// [`Network::next_event_at`] showed they could do nothing: such a tick
+    /// only turns the port round-robin (see `forward_rounds`), so skipping
+    /// it and calling this keeps the schedule identical.
+    pub fn skip_idle_cycles(&mut self, cycles: u64) {
+        self.forward_rounds += cycles;
     }
 
     /// Forward-phase execution counters (how the work was run, not what it

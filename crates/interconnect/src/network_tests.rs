@@ -145,6 +145,11 @@ fn calendar_matches_a_btreemap_model_under_random_traffic() {
                 break;
             }
         }
+        // The earliest due cycle is the model's first key, and the limit
+        // caps it.
+        let first = model.first_key_value().map_or(Cycle::MAX, |(&c, _)| c);
+        assert_eq!(cal.earliest_due(Cycle::MAX), first);
+        assert_eq!(cal.earliest_due(now + 2), first.min(now + 2));
         // Schedule a burst of arrivals, occasionally far enough out to
         // exercise the overflow map.
         for _ in 0..rng.next_below(4) {
@@ -184,6 +189,81 @@ fn run_until_drained(net: &mut Net, start: Cycle, max_cycles: u64) -> (Cycle, Ve
         delivered.extend(drain_all_ejections(net));
     }
     (now, delivered)
+}
+
+#[test]
+fn ticking_only_at_next_event_matches_ticking_every_cycle() {
+    // Sparse data traffic on slow adaptive links: one network ticks every
+    // cycle, the other ticks only at injections and at `next_event_at`,
+    // accounting the skipped ticks with `skip_idle_cycles`. Deliveries,
+    // their cycles and every statistic must match.
+    let mut cfg = NetConfig::conventional(16, LinkBandwidth::MB_400);
+    cfg.routing = RoutingPolicy::Adaptive;
+    let mut dense: Net = Network::new(cfg);
+    let mut sparse = dense.clone();
+    let mut rng = DetRng::new(5);
+    let injections: Vec<(Cycle, usize, usize)> = (0..40)
+        .map(|k| {
+            let src = rng.next_below(16) as usize;
+            let dst = rng.next_below(16) as usize;
+            (1 + 250 * k + rng.next_below(3), src, dst)
+        })
+        .collect();
+    let inject = |net: &mut Net, now: Cycle| {
+        for &(at, src, dst) in injections.iter().filter(|&&(at, ..)| at == now) {
+            net.inject(
+                now,
+                NodeId::from(src),
+                NodeId::from(dst),
+                VirtualNetwork::Response,
+                MessageSize::Data,
+                at,
+            )
+            .unwrap();
+        }
+    };
+    let (mut seen_dense, mut seen_sparse) = (Vec::new(), Vec::new());
+    let (mut next, mut ticked_at, mut sparse_ticks) = (1, 0, 0);
+    let end = 12_000;
+    for now in 1..=end {
+        inject(&mut dense, now);
+        dense.tick(now);
+        seen_dense.extend(
+            drain_all_ejections(&mut dense)
+                .into_iter()
+                .map(|p| (now, p)),
+        );
+        if injections.iter().any(|&(at, ..)| at == now) {
+            next = now;
+        }
+        if now == next {
+            sparse.skip_idle_cycles(now - ticked_at - 1);
+            inject(&mut sparse, now);
+            sparse.tick(now);
+            seen_sparse.extend(
+                drain_all_ejections(&mut sparse)
+                    .into_iter()
+                    .map(|p| (now, p)),
+            );
+            sparse_ticks += 1;
+            ticked_at = now;
+            next = sparse.next_event_at(now, Cycle::MAX);
+            assert!(next > now);
+        }
+    }
+    sparse.skip_idle_cycles(end - ticked_at);
+    assert_eq!(seen_dense.len(), 40);
+    assert_eq!(seen_dense, seen_sparse);
+    assert_eq!(dense.forward_rounds, sparse.forward_rounds);
+    assert_eq!(dense.stats().hops.get(), sparse.stats().hops.get());
+    assert_eq!(
+        dense.mean_link_utilization(end),
+        sparse.mean_link_utilization(end)
+    );
+    assert!(
+        sparse_ticks < end / 2,
+        "the sparse network ticked {sparse_ticks} of {end} cycles"
+    );
 }
 
 #[test]

@@ -149,6 +149,31 @@ impl<S: Clone> SafetyNet<S> {
         }
     }
 
+    /// The cycle at which [`SafetyNet::advance`] next commits a checkpoint
+    /// (`checkpoints[1]` leaves the validation window), or `Cycle::MAX`
+    /// with a single checkpoint outstanding. `advance` is a no-op on every
+    /// earlier cycle, so an engine may fast-forward up to it.
+    #[must_use]
+    pub fn next_commit_at(&self) -> Cycle {
+        self.checkpoints.get(1).map_or(Cycle::MAX, |c| {
+            c.at.saturating_add(self.cfg.transaction_timeout_cycles())
+        })
+    }
+
+    /// The first cycle at which a checkpoint on the cycle clock can be
+    /// taken: when [`SafetyNet::should_checkpoint`] first holds, or
+    /// `Cycle::MAX` while [`SafetyNet::can_checkpoint`] forbids one (only a
+    /// commit can lift that, see [`SafetyNet::next_commit_at`]).
+    #[must_use]
+    pub fn next_checkpoint_at(&self) -> Cycle {
+        if self.can_checkpoint() {
+            self.last_checkpoint_at
+                .saturating_add(self.cfg.checkpoint_interval_cycles)
+        } else {
+            Cycle::MAX
+        }
+    }
+
     /// Records `entries` memory-write pre-images in `node`'s log.
     pub fn log_writes(&mut self, node: NodeId, entries: usize) -> LogOutcome {
         if entries == 0 {
@@ -339,6 +364,34 @@ mod tests {
         }
         // Advancing time validates old checkpoints and allows new ones again.
         s.advance(now + 10_000);
+        assert!(s.can_checkpoint());
+    }
+
+    #[test]
+    fn next_commit_and_checkpoint_are_the_first_cycles_the_schedule_acts() {
+        let mut s = station();
+        // Only the initial checkpoint: nothing to commit, the next
+        // checkpoint is one interval out.
+        assert_eq!(s.next_commit_at(), Cycle::MAX);
+        assert_eq!(s.next_checkpoint_at(), 1_000);
+        assert!(!s.should_checkpoint(999) && s.should_checkpoint(1_000));
+        s.take_checkpoint(1_000, vec![1]);
+        assert_eq!(s.next_checkpoint_at(), 2_000);
+        let mut now = 1_000;
+        while s.can_checkpoint() {
+            now += 1_000;
+            s.take_checkpoint(now, vec![]);
+        }
+        // Checkpoints are blocked until the checkpoint taken at 1000 leaves
+        // the 3000-cycle validation window; nothing commits before then.
+        assert_eq!(s.next_checkpoint_at(), Cycle::MAX);
+        let commit = 1_000 + 3_000;
+        assert_eq!(s.next_commit_at(), commit);
+        let before = s.outstanding();
+        s.advance(commit - 1);
+        assert_eq!(s.outstanding(), before);
+        s.advance(commit);
+        assert_eq!(s.outstanding(), before - 1);
         assert!(s.can_checkpoint());
     }
 

@@ -277,6 +277,19 @@ impl ModeTimeline {
         self.cycles_in[mode.index()] += 1;
     }
 
+    /// Accounts the `cycles` consecutive cycles starting at `now` to
+    /// `mode`, exactly as `cycles` calls to [`ModeTimeline::observe`] would
+    /// (a mode change is recorded at `now`). Used by the engine to account
+    /// a fast-forwarded quiescent span in one step; no-op when `cycles` is
+    /// 0.
+    pub fn observe_span(&mut self, now: Cycle, mode: EngineMode, cycles: u64) {
+        if cycles == 0 {
+            return;
+        }
+        self.observe(now, mode);
+        self.cycles_in[mode.index()] += cycles - 1;
+    }
+
     /// The mode most recently observed.
     #[must_use]
     pub fn current(&self) -> EngineMode {
@@ -549,6 +562,18 @@ impl TelemetryRecorder {
         self.cfg.window_cycles > 0 && now >= self.next_window
     }
 
+    /// The first cycle at which [`TelemetryRecorder::window_due`] holds
+    /// (`Cycle::MAX` when the sampler is off): the engine never
+    /// fast-forwards past a window boundary.
+    #[must_use]
+    pub fn next_window_at(&self) -> Cycle {
+        if self.cfg.window_cycles > 0 {
+            self.next_window
+        } else {
+            Cycle::MAX
+        }
+    }
+
     /// Closes the window ending at `now` from the cumulative counter
     /// snapshot `c` (differenced against the previous boundary).
     pub fn sample_window(&mut self, now: Cycle, mode: EngineMode, c: WindowCounters) {
@@ -812,6 +837,35 @@ mod tests {
                 (14, 20, EngineMode::SlowStart),
             ]
         );
+    }
+
+    #[test]
+    fn observe_span_equals_observing_every_cycle() {
+        // Each segment is `(first cycle, mode, cycles)`; the spans include
+        // one that continues the current mode, one whose mode change lands
+        // on its first cycle, a zero-length span and a one-cycle span.
+        let segments = [
+            (1, EngineMode::Normal, 10),
+            (11, EngineMode::Normal, 5),
+            (16, EngineMode::Rollback, 1_000),
+            (1_016, EngineMode::SlowStart, 0),
+            (1_016, EngineMode::SlowStart, 1),
+            (1_017, EngineMode::SlowStart, 40),
+            (1_057, EngineMode::Normal, 3),
+        ];
+        let mut bulk = ModeTimeline::new();
+        let mut each = ModeTimeline::new();
+        for (start, mode, cycles) in segments {
+            bulk.observe_span(start, mode, cycles);
+            for now in start..start + cycles {
+                each.observe(now, mode);
+            }
+            assert_eq!(bulk, each, "diverged after the span at {start}");
+        }
+        assert_eq!(bulk.total_cycles(), 1_059);
+        assert_eq!(bulk.transitions().len(), 3);
+        assert_eq!(bulk.transitions()[0].at, 16);
+        assert_eq!(bulk.transitions()[1].at, 1_016);
     }
 
     #[test]

@@ -16,6 +16,11 @@
 //! topology work cannot silently change their schedules either. Any
 //! divergence — a skipped switch that should have forwarded, a stale
 //! congestion value, a reordered delivery — changes a digest.
+//!
+//! The `run_for_matches_a_step_loop_*` tests check the engine's quiescence
+//! fast-forward: `run_for` may jump over idle cycles, and must still
+//! produce exactly what a `step()` loop does, across rollbacks, slow-start,
+//! buffer deadlocks, faults and telemetry.
 
 use std::sync::Arc;
 
@@ -772,4 +777,224 @@ fn snooping_pooled_data_torus_matches_golden() {
         GOLDEN_SNOOP_POOLED_DATA_TORUS_16,
         run_digest(&m, sys.engine_probe()),
     );
+}
+
+/// A full-system machine as the `run_for` / `step()` equivalence tests see
+/// it.
+trait Machine {
+    fn run_for(&mut self, cycles: u64) -> RunMetrics;
+    fn step(&mut self);
+    fn collect(&mut self) -> RunMetrics;
+    fn probe(&self) -> specsim::EngineProbe;
+    fn transitions(&self) -> Vec<specsim_base::ModeTransition>;
+    fn telemetry(&self) -> (Option<String>, Option<String>);
+}
+
+impl Machine for DirectorySystem {
+    fn run_for(&mut self, cycles: u64) -> RunMetrics {
+        DirectorySystem::run_for(self, cycles).expect("no protocol errors")
+    }
+    fn step(&mut self) {
+        DirectorySystem::step(self).expect("no protocol errors");
+    }
+    fn collect(&mut self) -> RunMetrics {
+        self.collect_metrics()
+    }
+    fn probe(&self) -> specsim::EngineProbe {
+        self.engine_probe()
+    }
+    fn transitions(&self) -> Vec<specsim_base::ModeTransition> {
+        self.mode_timeline().transitions().to_vec()
+    }
+    fn telemetry(&self) -> (Option<String>, Option<String>) {
+        (self.telemetry_jsonl(), self.telemetry_trace())
+    }
+}
+
+impl Machine for SnoopingSystem {
+    fn run_for(&mut self, cycles: u64) -> RunMetrics {
+        SnoopingSystem::run_for(self, cycles).expect("no protocol errors")
+    }
+    fn step(&mut self) {
+        SnoopingSystem::step(self).expect("no protocol errors");
+    }
+    fn collect(&mut self) -> RunMetrics {
+        self.collect_metrics()
+    }
+    fn probe(&self) -> specsim::EngineProbe {
+        self.engine_probe()
+    }
+    fn transitions(&self) -> Vec<specsim_base::ModeTransition> {
+        self.mode_timeline().transitions().to_vec()
+    }
+    fn telemetry(&self) -> (Option<String>, Option<String>) {
+        (self.telemetry_jsonl(), self.telemetry_trace())
+    }
+}
+
+/// Runs two copies of one machine for `cycles`: one through `run_for` (in
+/// three uneven chunks, so chunk boundaries fall inside quiescent spans),
+/// the other one `step()` at a time. Everything observable must match:
+/// every `RunMetrics` field, every probe counter except the fast-forward
+/// count, the mode-timeline transitions and the telemetry bytes. Returns
+/// the metrics and the fast-forwarding run's probe.
+fn assert_run_for_matches_step_loop<M: Machine>(
+    mut fast: M,
+    mut stepped: M,
+    cycles: u64,
+) -> (RunMetrics, specsim::EngineProbe) {
+    let first = cycles / 7;
+    fast.run_for(first);
+    fast.run_for(cycles / 2 - first);
+    let m_fast = fast.run_for(cycles - cycles / 2);
+    for _ in 0..cycles {
+        stepped.step();
+    }
+    let m_stepped = stepped.collect();
+    let (p_fast, p_stepped) = (fast.probe(), stepped.probe());
+    assert_eq!(format!("{m_fast:?}"), format!("{m_stepped:?}"));
+    assert_eq!(
+        run_digest(&m_fast, p_fast),
+        run_digest(&m_stepped, p_stepped)
+    );
+    assert_eq!(p_stepped.cycles_fast_forwarded, 0, "step() fast-forwarded");
+    assert_eq!(
+        specsim::EngineProbe {
+            cycles_fast_forwarded: 0,
+            ..p_fast
+        },
+        p_stepped,
+        "probe counters diverged"
+    );
+    assert_eq!(fast.transitions(), stepped.transitions());
+    assert_eq!(fast.telemetry(), stepped.telemetry());
+    (m_fast, p_fast)
+}
+
+/// The `dir16-hot` benchmark machine: heavy Zipf+burst OLTP on the 16-node
+/// 400 MB/s adaptive directory with 4 MSHRs and 5k-cycle checkpoints.
+fn dir16_hot_config() -> SystemConfig {
+    let mut cfg = SystemConfig::directory_speculative(WorkloadKind::Oltp, LinkBandwidth::MB_400, 7);
+    cfg.routing = RoutingPolicy::Adaptive;
+    cfg.traffic = heavy_traffic();
+    cfg.memory.mshr_entries = 4;
+    cfg.memory.safetynet.checkpoint_interval_cycles = 5_000;
+    cfg.with_workers_pinned(1)
+}
+
+#[test]
+fn run_for_matches_a_step_loop_across_a_rollback_and_slow_start() {
+    let (m, p) = assert_run_for_matches_step_loop(
+        DirectorySystem::new(dir16_hot_config()),
+        DirectorySystem::new(dir16_hot_config()),
+        240_000,
+    );
+    assert!(m.recoveries >= 1, "the run must cross a rollback");
+    assert!(m.slow_start_frac() > 0.0, "the run must cross slow-start");
+    assert!(p.held_parks > 0, "the slow-start gate never parked a node");
+    assert!(p.cycles_fast_forwarded > 0);
+}
+
+#[test]
+fn dir16_hot_fast_forwards_most_cycles_across_slow_start() {
+    // The `dir16-hot` knobs spend most of this run in the slow-start
+    // window that follows a transaction timeout. There one transaction at
+    // a time crosses 400 MB/s links while every other processor waits on
+    // the gate, so nearly every slow-start cycle is quiescent and
+    // `run_for` jumps over it.
+    let cycles = 240_000;
+    let mut sys = DirectorySystem::new(dir16_hot_config());
+    let m = sys.run_for(cycles).expect("no protocol errors");
+    let p = sys.engine_probe();
+    let slow_start = sys
+        .mode_timeline()
+        .cycles_in(specsim_base::EngineMode::SlowStart);
+    assert!(slow_start > cycles / 2, "the run must cross slow-start");
+    assert!(
+        p.cycles_fast_forwarded * 10 >= cycles * 8,
+        "only {} of {cycles} cycles fast-forwarded",
+        p.cycles_fast_forwarded
+    );
+    assert!(
+        p.cycles_fast_forwarded * 100 >= slow_start * 95,
+        "only {} of {slow_start} slow-start cycles fast-forwarded",
+        p.cycles_fast_forwarded
+    );
+    assert!(m.ops_completed > 0);
+}
+
+#[test]
+fn run_for_matches_a_step_loop_across_a_buffer_deadlock() {
+    let (m, p) = assert_run_for_matches_step_loop(
+        DirectorySystem::new(pooled_dir_config(PoolSlots::Unified(8))),
+        DirectorySystem::new(pooled_dir_config(PoolSlots::Unified(8))),
+        40_000,
+    );
+    assert!(
+        m.misspeculations_of(specsim_coherence::MisSpecKind::BufferDeadlock) > 0,
+        "the run must cross a buffer deadlock"
+    );
+    assert!(p.cycles_fast_forwarded > 0);
+}
+
+#[test]
+fn run_for_matches_a_step_loop_with_a_drop_fault() {
+    let mut cfg = small_dir_config(ProtocolVariant::Full, RoutingPolicy::Static);
+    let events = (0..4)
+        .map(|dir| specsim_base::FaultEvent {
+            at: 1_000,
+            site: specsim_base::FaultSite::Link {
+                node: 0,
+                dir,
+                vnet: None,
+            },
+            kind: specsim_base::FaultKind::Drop,
+            param: 0,
+        })
+        .collect();
+    cfg.fault_config = specsim_base::FaultConfig::Explicit(specsim_base::FaultPlan { events });
+    let (m, p) = assert_run_for_matches_step_loop(
+        DirectorySystem::new(cfg.clone()),
+        DirectorySystem::new(cfg),
+        40_000,
+    );
+    assert!(m.fault_recoveries >= 1, "the drop must be detected");
+    // An armed fault plan keeps the clock on the per-cycle path.
+    assert_eq!(p.cycles_fast_forwarded, 0);
+}
+
+#[test]
+fn run_for_matches_a_step_loop_with_telemetry_on() {
+    let mut cfg = dir16_hot_config().with_telemetry(specsim::TelemetryConfig::windowed(2_000));
+    cfg.forward_progress.slow_start_cycles = 20_000;
+    let (m, p) = assert_run_for_matches_step_loop(
+        DirectorySystem::new(cfg.clone()),
+        DirectorySystem::new(cfg),
+        100_000,
+    );
+    // Windows close, checkpoints and rollbacks are recorded inside the
+    // spans the clock jumps over.
+    assert!(m.recoveries >= 1 && m.slow_start_frac() > 0.0);
+    assert!(p.cycles_fast_forwarded > 0);
+}
+
+#[test]
+fn run_for_matches_a_step_loop_on_snooping_slow_start() {
+    // A 3000-cycle transaction timeout fires on slow 400 MB/s transfers,
+    // so the run rolls back and re-executes under slow-start several times.
+    let mut cfg = SnoopSystemConfig::new(WorkloadKind::Oltp, ProtocolVariant::Speculative, 7)
+        .with_data_bandwidth(LinkBandwidth::MB_400)
+        .with_workers_pinned(1);
+    cfg.traffic = heavy_traffic();
+    cfg.memory.mshr_entries = 4;
+    cfg.memory.safetynet.checkpoint_interval_cycles = 1_000;
+    cfg.forward_progress.slow_start_cycles = 20_000;
+    let (m, p) = assert_run_for_matches_step_loop(
+        SnoopingSystem::new(cfg.clone()),
+        SnoopingSystem::new(cfg),
+        60_000,
+    );
+    assert!(m.recoveries >= 1 && m.slow_start_frac() > 0.0);
+    assert!(p.held_parks > 0, "the slow-start gate never parked a node");
+    assert!(p.cycles_fast_forwarded > 0);
 }
