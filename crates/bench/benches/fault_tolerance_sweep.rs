@@ -7,40 +7,14 @@
 //! does) for a small grid (two rates, three kinds, two seeds); the full
 //! grid size is controlled by `SPECSIM_CYCLES` / `SPECSIM_SEEDS` as usual.
 
-use specsim::experiments::fault_tolerance;
-use specsim::experiments::FaultToleranceConfig;
-use specsim_bench::{finish, start};
+use std::process::ExitCode;
 
-fn main() {
-    let cfg = if std::env::var("SPECSIM_BENCH_QUICK").is_ok() {
-        FaultToleranceConfig::quick()
-    } else {
-        FaultToleranceConfig::default()
-    };
-    let t = start(
-        "Fault-tolerance chaos campaign (rate x kind x machine)",
-        cfg.scale,
-    );
-    println!(
-        "rates/Mcycle: {:?}, kinds: {:?}, machines: {:?}, {} nodes, {} at {} MB/s\n",
-        cfg.rates_per_mcycle,
-        cfg.kinds.iter().map(|k| k.label()).collect::<Vec<_>>(),
-        cfg.machines.iter().map(|m| m.label()).collect::<Vec<_>>(),
-        cfg.num_nodes,
-        cfg.workload.label(),
-        cfg.bandwidth.megabytes_per_second
-    );
-    match fault_tolerance::run(&cfg) {
-        Ok(data) => {
-            println!("{}", data.render());
-            let json = data.to_json();
-            let path = "BENCH_fault_tolerance.json";
-            match std::fs::write(path, &json) {
-                Ok(()) => println!("wrote {path}"),
-                Err(e) => eprintln!("could not write {path}: {e}"),
-            }
-        }
-        Err(e) => eprintln!("protocol error during fault-tolerance campaign: {e}"),
-    }
-    finish(t);
+use specsim::experiments::{fault_tolerance, FaultToleranceConfig};
+
+fn main() -> ExitCode {
+    specsim_bench::run_sweep(
+        "BENCH_fault_tolerance.json",
+        FaultToleranceConfig::quick,
+        fault_tolerance::run,
+    )
 }

@@ -8,39 +8,14 @@
 //! axis, two seeds, short runs); the full sweep is controlled by
 //! `SPECSIM_CYCLES` / `SPECSIM_SEEDS` as usual.
 
-use specsim::experiments::fig5_crossover;
-use specsim::experiments::Fig5CrossoverConfig;
-use specsim_bench::{finish, start};
+use std::process::ExitCode;
 
-fn main() {
-    let cfg = if std::env::var("SPECSIM_BENCH_QUICK").is_ok() {
-        Fig5CrossoverConfig::quick()
-    } else {
-        Fig5CrossoverConfig::default()
-    };
-    let t = start(
-        "Fig. 5 crossover sweep (static vs. adaptive across 400 -> 3200 MB/s)",
-        cfg.scale,
-    );
-    println!(
-        "bandwidths: {:?} MB/s, workload: {}\n",
-        cfg.bandwidths
-            .iter()
-            .map(|b| b.megabytes_per_second)
-            .collect::<Vec<_>>(),
-        cfg.workload.label()
-    );
-    match fig5_crossover::run(&cfg) {
-        Ok(data) => {
-            println!("{}", data.render());
-            let json = data.to_json();
-            let path = "BENCH_fig5_crossover.json";
-            match std::fs::write(path, &json) {
-                Ok(()) => println!("wrote {path}"),
-                Err(e) => eprintln!("could not write {path}: {e}"),
-            }
-        }
-        Err(e) => eprintln!("protocol error during fig5 crossover sweep: {e}"),
-    }
-    finish(t);
+use specsim::experiments::{fig5_crossover, Fig5CrossoverConfig};
+
+fn main() -> ExitCode {
+    specsim_bench::run_sweep(
+        "BENCH_fig5_crossover.json",
+        Fig5CrossoverConfig::quick,
+        fig5_crossover::run,
+    )
 }

@@ -7,39 +7,14 @@
 //! a small grid (1/4 MSHRs, uniform vs. zipf+bursty, two seeds); the full
 //! grid size is controlled by `SPECSIM_CYCLES` / `SPECSIM_SEEDS` as usual.
 
-use specsim::experiments::heavy_traffic;
-use specsim::experiments::HeavyTrafficConfig;
-use specsim_bench::{finish, start};
+use std::process::ExitCode;
 
-fn main() {
-    let cfg = if std::env::var("SPECSIM_BENCH_QUICK").is_ok() {
-        HeavyTrafficConfig::quick()
-    } else {
-        HeavyTrafficConfig::default()
-    };
-    let t = start(
-        "Heavy-traffic sweep (outstanding x skew x injection shape)",
-        cfg.scale,
-    );
-    println!(
-        "mshr counts: {:?}, shapes: {:?}, {} nodes, {} at {} MB/s\n",
-        cfg.mshr_entries,
-        cfg.shapes.iter().map(|s| s.label()).collect::<Vec<_>>(),
-        cfg.num_nodes,
-        cfg.workload.label(),
-        cfg.bandwidth.megabytes_per_second
-    );
-    match heavy_traffic::run(&cfg) {
-        Ok(data) => {
-            println!("{}", data.render());
-            let json = data.to_json();
-            let path = "BENCH_heavy_traffic.json";
-            match std::fs::write(path, &json) {
-                Ok(()) => println!("wrote {path}"),
-                Err(e) => eprintln!("could not write {path}: {e}"),
-            }
-        }
-        Err(e) => eprintln!("protocol error during heavy-traffic sweep: {e}"),
-    }
-    finish(t);
+use specsim::experiments::{heavy_traffic, HeavyTrafficConfig};
+
+fn main() -> ExitCode {
+    specsim_bench::run_sweep(
+        "BENCH_heavy_traffic.json",
+        HeavyTrafficConfig::quick,
+        heavy_traffic::run,
+    )
 }

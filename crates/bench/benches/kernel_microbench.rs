@@ -17,10 +17,12 @@
 //! simulated cycle`), so successive commits leave a machine-readable perf
 //! trajectory. Set `SPECSIM_BENCH_QUICK=1` (as CI does) to cut sample counts.
 
+use std::process::ExitCode;
 use std::time::Instant;
 
 use specsim::{DirectorySystem, SystemConfig};
 use specsim_base::{DetRng, LinkBandwidth, MessageSize, NodeId, RoutingPolicy};
+use specsim_bench::{kernel_json, write_artifact};
 use specsim_net::{NetConfig, Network, VirtualNetwork};
 use specsim_workloads::WorkloadKind;
 
@@ -137,22 +139,7 @@ fn ns_per_cycle<I, O>(
     best
 }
 
-/// Writes the perf trajectory as a flat `name → ns/cycle` JSON object.
-fn write_bench_json(entries: &[(&str, f64)]) {
-    let mut json = String::from("{\n");
-    for (i, (name, ns)) in entries.iter().enumerate() {
-        let comma = if i + 1 == entries.len() { "" } else { "," };
-        json.push_str(&format!("  \"{name}\": {ns:.2}{comma}\n"));
-    }
-    json.push_str("}\n");
-    let path = "BENCH_kernel.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("\nwrote {path}:\n{json}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-}
-
-fn main() {
+fn main() -> ExitCode {
     let quick = std::env::var("SPECSIM_BENCH_QUICK").is_ok();
     let (net_samples, dir_samples) = if quick { (3, 2) } else { (20, 10) };
 
@@ -185,5 +172,7 @@ fn main() {
             ),
         ),
     ];
-    write_bench_json(&entries);
+    let json = kernel_json(&entries);
+    println!("\n{json}");
+    write_artifact("BENCH_kernel.json", &json)
 }

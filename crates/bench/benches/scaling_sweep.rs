@@ -11,33 +11,10 @@
 //! `SPECSIM_CYCLES` / `SPECSIM_SEEDS` as usual, and `SPECSIM_ALL_WORKLOADS=1`
 //! sweeps every Table 3 workload generator instead of OLTP only.
 
-use specsim::experiments::scaling;
-use specsim::experiments::ScalingConfig;
-use specsim_bench::{finish, start};
+use std::process::ExitCode;
 
-fn main() {
-    let cfg = if std::env::var("SPECSIM_BENCH_QUICK").is_ok() {
-        ScalingConfig::quick()
-    } else {
-        ScalingConfig::default()
-    };
-    let t = start("Node-count scaling sweep (rectangular tori)", cfg.scale);
-    println!(
-        "machines: {:?} nodes, workloads: {:?}, static + adaptive routing\n",
-        cfg.node_counts,
-        cfg.workloads.iter().map(|w| w.label()).collect::<Vec<_>>()
-    );
-    match scaling::run(&cfg) {
-        Ok(data) => {
-            println!("{}", data.render());
-            let json = data.to_json();
-            let path = "BENCH_scaling.json";
-            match std::fs::write(path, &json) {
-                Ok(()) => println!("wrote {path}"),
-                Err(e) => eprintln!("could not write {path}: {e}"),
-            }
-        }
-        Err(e) => eprintln!("protocol error during scaling sweep: {e}"),
-    }
-    finish(t);
+use specsim::experiments::{scaling, ScalingConfig};
+
+fn main() -> ExitCode {
+    specsim_bench::run_sweep("BENCH_scaling.json", ScalingConfig::quick, scaling::run)
 }

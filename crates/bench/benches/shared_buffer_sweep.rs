@@ -9,37 +9,14 @@
 //! full sweep adds static routing and a second workload and is controlled by
 //! `SPECSIM_CYCLES` / `SPECSIM_SEEDS` as usual.
 
-use specsim::experiments::shared_buffer;
-use specsim::experiments::SharedBufferConfig;
-use specsim_bench::{finish, start};
+use std::process::ExitCode;
 
-fn main() {
-    let cfg = if std::env::var("SPECSIM_BENCH_QUICK").is_ok() {
-        SharedBufferConfig::quick()
-    } else {
-        SharedBufferConfig::default()
-    };
-    let t = start(
-        "Shared-pool interconnect sweep (Section 4, Figs. 2-4: deadlock detection + recovery)",
-        cfg.scale,
-    );
-    println!(
-        "pool sizes: {:?} slots/node, routings: {:?}, workloads: {:?}\n",
-        cfg.pool_sizes,
-        cfg.routings.iter().map(|r| r.label()).collect::<Vec<_>>(),
-        cfg.workloads.iter().map(|w| w.label()).collect::<Vec<_>>()
-    );
-    match shared_buffer::run(&cfg) {
-        Ok(data) => {
-            println!("{}", data.render());
-            let json = data.to_json();
-            let path = "BENCH_shared_buffer.json";
-            match std::fs::write(path, &json) {
-                Ok(()) => println!("wrote {path}"),
-                Err(e) => eprintln!("could not write {path}: {e}"),
-            }
-        }
-        Err(e) => eprintln!("protocol error during shared-buffer sweep: {e}"),
-    }
-    finish(t);
+use specsim::experiments::{shared_buffer, SharedBufferConfig};
+
+fn main() -> ExitCode {
+    specsim_bench::run_sweep(
+        "BENCH_shared_buffer.json",
+        SharedBufferConfig::quick,
+        shared_buffer::run,
+    )
 }

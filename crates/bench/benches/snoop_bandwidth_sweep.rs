@@ -10,39 +10,14 @@
 //! seeds); the full sweep adds adaptive routing and is controlled by
 //! `SPECSIM_CYCLES` / `SPECSIM_SEEDS` as usual.
 
-use specsim::experiments::snoop_bandwidth;
-use specsim::experiments::SnoopBandwidthConfig;
-use specsim_bench::{finish, start};
+use std::process::ExitCode;
 
-fn main() {
-    let cfg = if std::env::var("SPECSIM_BENCH_QUICK").is_ok() {
-        SnoopBandwidthConfig::quick()
-    } else {
-        SnoopBandwidthConfig::default()
-    };
-    let t = start(
-        "Snooping data-network bandwidth sweep (400 MB/s -> 3.2 GB/s)",
-        cfg.scale,
-    );
-    println!(
-        "bandwidths: {:?} MB/s, routings: {:?}\n",
-        cfg.bandwidths
-            .iter()
-            .map(|b| b.megabytes_per_second)
-            .collect::<Vec<_>>(),
-        cfg.routings.iter().map(|r| r.label()).collect::<Vec<_>>()
-    );
-    match snoop_bandwidth::run(&cfg) {
-        Ok(data) => {
-            println!("{}", data.render());
-            let json = data.to_json();
-            let path = "BENCH_snoop_bandwidth.json";
-            match std::fs::write(path, &json) {
-                Ok(()) => println!("wrote {path}"),
-                Err(e) => eprintln!("could not write {path}: {e}"),
-            }
-        }
-        Err(e) => eprintln!("protocol error during snoop bandwidth sweep: {e}"),
-    }
-    finish(t);
+use specsim::experiments::{snoop_bandwidth, SnoopBandwidthConfig};
+
+fn main() -> ExitCode {
+    specsim_bench::run_sweep(
+        "BENCH_snoop_bandwidth.json",
+        SnoopBandwidthConfig::quick,
+        snoop_bandwidth::run,
+    )
 }

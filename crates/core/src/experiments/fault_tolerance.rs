@@ -40,6 +40,7 @@ use crate::experiments::runner::{
     measure_directory, measure_snooping, throughput_measurement, ExperimentScale, Measurement,
 };
 use crate::experiments::shared_buffer::Machine;
+use crate::experiments::sweep::{Cell, Column, Sweep, SweepConfig};
 use crate::metrics::RunMetrics;
 use crate::snoopsys::SnoopSystemConfig;
 
@@ -143,21 +144,55 @@ pub struct FaultToleranceRow {
     pub rollback_frac: f64,
 }
 
-/// The completed campaign.
-#[derive(Debug, Clone)]
-pub struct FaultToleranceData {
-    /// One control row per machine followed by its (kind, rate) grid.
-    pub rows: Vec<FaultToleranceRow>,
-    /// Workload generator used.
-    pub workload: WorkloadKind,
-    /// Link bandwidth used.
-    pub bandwidth: LinkBandwidth,
-    /// Machine size (nodes).
-    pub num_nodes: usize,
-    /// Simulated cycles per run.
-    pub cycles: u64,
-    /// Perturbed seeds per design point.
-    pub seeds: u64,
+/// The completed campaign: one control row per machine followed by its
+/// (kind, rate) grid.
+pub type FaultToleranceData = Sweep<FaultToleranceConfig>;
+
+impl SweepConfig for FaultToleranceConfig {
+    type Row = FaultToleranceRow;
+    const TITLE: &'static str =
+        "Fault-tolerance chaos campaign (rate x kind x machine, heavy traffic)";
+    const COLUMNS: &'static [Column<FaultToleranceRow>] = &[
+        ("machine", "machine", |r| Cell::Label(r.machine.label())),
+        ("kind", "kind", |r| Cell::Label(r.kind_label())),
+        ("rate_per_mcycle", "rate/Mcyc", |r| {
+            Cell::Int(r.rate_per_mcycle)
+        }),
+        ("throughput", "ops/kcycle", |r| {
+            Cell::Measurement(r.throughput)
+        }),
+        ("faults_injected", "injected", |r| {
+            Cell::Int(r.faults_injected)
+        }),
+        ("faults_detected", "detected", |r| {
+            Cell::Int(r.faults_detected)
+        }),
+        ("fault_recoveries", "fault-rec", |r| {
+            Cell::Int(r.fault_recoveries)
+        }),
+        ("recoveries", "recoveries", |r| Cell::Int(r.recoveries)),
+        ("mean_detection_latency_cycles", "det-latency", |r| {
+            Cell::Rounded(r.mean_detection_latency_cycles, 1)
+        }),
+        ("normal_frac", "normal", |r| Cell::Float(r.normal_frac)),
+        ("slow_start_frac", "slow-start", |r| {
+            Cell::Float(r.slow_start_frac)
+        }),
+        ("rollback_frac", "rollback", |r| {
+            Cell::Float(r.rollback_frac)
+        }),
+    ];
+
+    fn params(sweep: &FaultToleranceData) -> Vec<(&'static str, Cell)> {
+        let cfg = &sweep.config;
+        vec![
+            ("workload", Cell::Label(cfg.workload.label())),
+            ("mb_per_s", Cell::Int(cfg.bandwidth.megabytes_per_second)),
+            ("num_nodes", Cell::Int(cfg.num_nodes as u64)),
+            ("cycles", Cell::Int(cfg.scale.cycles)),
+            ("seeds", Cell::Int(cfg.scale.seeds)),
+        ]
+    }
 }
 
 /// The fault campaign for one design point: `kind` at `rate` over the run
@@ -280,13 +315,9 @@ pub fn run(cfg: &FaultToleranceConfig) -> Result<FaultToleranceData, ProtocolErr
             }
         }
     }
-    Ok(FaultToleranceData {
+    Ok(Sweep {
+        config: cfg.clone(),
         rows,
-        workload: cfg.workload,
-        bandwidth: cfg.bandwidth,
-        num_nodes: cfg.num_nodes,
-        cycles: cfg.scale.cycles,
-        seeds: cfg.scale.seeds,
     })
 }
 
@@ -295,89 +326,6 @@ impl FaultToleranceRow {
     #[must_use]
     pub fn kind_label(&self) -> &'static str {
         self.kind.map_or("none", FaultKind::label)
-    }
-}
-
-impl FaultToleranceData {
-    /// Renders the campaign as an aligned text table.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "Fault-tolerance chaos campaign ({} nodes, {} at {} MB/s, heavy traffic; \
-             {} cycles x {} seeds per point)\n",
-            self.num_nodes,
-            self.workload.label(),
-            self.bandwidth.megabytes_per_second,
-            self.cycles,
-            self.seeds
-        ));
-        out.push_str(
-            "machine    kind            rate/Mcyc  ops/kcycle        injected  detected  \
-             fault-rec  recoveries  det-latency  normal%  slow%  rollbk%\n",
-        );
-        for r in &self.rows {
-            out.push_str(&format!(
-                "{:<9}  {:<14}  {:>9}  {:<16}  {:>8}  {:>8}  {:>9}  {:>10}  {:>11.1}  \
-                 {:>7.2}  {:>5.2}  {:>7.2}\n",
-                r.machine.label(),
-                r.kind_label(),
-                r.rate_per_mcycle,
-                r.throughput.display(),
-                r.faults_injected,
-                r.faults_detected,
-                r.fault_recoveries,
-                r.recoveries,
-                r.mean_detection_latency_cycles,
-                r.normal_frac * 100.0,
-                r.slow_start_frac * 100.0,
-                r.rollback_frac * 100.0,
-            ));
-        }
-        out
-    }
-
-    /// Serialises the campaign as machine-readable JSON (the
-    /// `BENCH_fault_tolerance.json` payload).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut json = String::from("{\n");
-        json.push_str(&format!("  \"workload\": \"{}\",\n", self.workload.label()));
-        json.push_str(&format!(
-            "  \"mb_per_s\": {},\n",
-            self.bandwidth.megabytes_per_second
-        ));
-        json.push_str(&format!("  \"num_nodes\": {},\n", self.num_nodes));
-        json.push_str(&format!("  \"cycles\": {},\n", self.cycles));
-        json.push_str(&format!("  \"seeds\": {},\n", self.seeds));
-        json.push_str("  \"rows\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            let comma = if i + 1 == self.rows.len() { "" } else { "," };
-            json.push_str(&format!(
-                "    {{\"machine\": \"{}\", \"kind\": \"{}\", \"rate_per_mcycle\": {}, \
-                 \"throughput_mean\": {:.6}, \"throughput_std\": {:.6}, \
-                 \"faults_injected\": {}, \"faults_detected\": {}, \
-                 \"fault_recoveries\": {}, \"recoveries\": {}, \
-                 \"mean_detection_latency_cycles\": {:.1}, \
-                 \"normal_frac\": {:.6}, \"slow_start_frac\": {:.6}, \
-                 \"rollback_frac\": {:.6}}}{comma}\n",
-                r.machine.label(),
-                r.kind_label(),
-                r.rate_per_mcycle,
-                r.throughput.mean,
-                r.throughput.std_dev,
-                r.faults_injected,
-                r.faults_detected,
-                r.fault_recoveries,
-                r.recoveries,
-                r.mean_detection_latency_cycles,
-                r.normal_frac,
-                r.slow_start_frac,
-                r.rollback_frac,
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        json
     }
 }
 
@@ -471,7 +419,14 @@ mod tests {
         );
         let txt = data.render();
         assert!(txt.contains("corrupt") && txt.contains("none"));
-        assert!(txt.contains("normal%"));
+        // The availability cells: the control row shows a normal fraction
+        // of exactly one under the `normal` label.
+        assert!(txt.contains("normal") && txt.contains("rollback"));
+        let control_line = txt
+            .lines()
+            .find(|l| l.contains("none"))
+            .expect("control row");
+        assert!(control_line.contains("1.000000"));
         let json = data.to_json();
         assert!(json.contains("\"kind\": \"corrupt\""));
         assert!(json.contains("\"rate_per_mcycle\": 10000"));

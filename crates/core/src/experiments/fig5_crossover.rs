@@ -20,6 +20,7 @@ use crate::config::SystemConfig;
 use crate::experiments::runner::{
     measure_directory, throughput_measurement, ExperimentScale, Measurement,
 };
+use crate::experiments::sweep::{Cell, Column, Sweep, SweepConfig};
 
 /// The six-step bandwidth axis of the crossover sweep (MB/s).
 pub const CROSSOVER_BANDWIDTHS: [LinkBandwidth; 6] = [
@@ -90,17 +91,48 @@ pub struct Fig5CrossoverRow {
     pub static_link_utilization: f64,
 }
 
-/// The completed sweep.
-#[derive(Debug, Clone)]
-pub struct Fig5CrossoverData {
-    /// One row per bandwidth, in sweep order.
-    pub rows: Vec<Fig5CrossoverRow>,
-    /// Workload used.
-    pub workload: WorkloadKind,
-    /// Simulated cycles per run.
-    pub cycles: u64,
-    /// Perturbed seeds per design point.
-    pub seeds: u64,
+/// The completed sweep: one row per bandwidth, in sweep order.
+pub type Fig5CrossoverData = Sweep<Fig5CrossoverConfig>;
+
+impl SweepConfig for Fig5CrossoverConfig {
+    type Row = Fig5CrossoverRow;
+    const TITLE: &'static str =
+        "Fig. 5 crossover sweep (static vs. adaptive routing, speculative directory system)";
+    const COLUMNS: &'static [Column<Fig5CrossoverRow>] = &[
+        ("mb_per_s", "MB/s", |r| {
+            Cell::Int(r.bandwidth.megabytes_per_second)
+        }),
+        ("static", "static ops/kcycle", |r| {
+            Cell::Measurement(r.static_throughput)
+        }),
+        ("adaptive", "adaptive ops/kcycle", |r| {
+            Cell::Measurement(r.adaptive_throughput)
+        }),
+        ("adaptive_over_static", "adaptive/static", |r| {
+            Cell::Float(r.adaptive_over_static)
+        }),
+        ("adaptive_recoveries", "recoveries", |r| {
+            Cell::Int(r.adaptive_recoveries)
+        }),
+        ("static_link_utilization", "static util", |r| {
+            Cell::Float(r.static_link_utilization)
+        }),
+    ];
+
+    fn params(sweep: &Fig5CrossoverData) -> Vec<(&'static str, Cell)> {
+        let cfg = &sweep.config;
+        vec![
+            ("workload", Cell::Label(cfg.workload.label())),
+            ("cycles", Cell::Int(cfg.scale.cycles)),
+            ("seeds", Cell::Int(cfg.scale.seeds)),
+            (
+                "crossover_mb_per_s",
+                sweep
+                    .crossover_mb_per_s()
+                    .map_or(Cell::Null, |x| Cell::Rounded(x, 1)),
+            ),
+        ]
+    }
 }
 
 /// Runs the sweep: both routing policies at every bandwidth, each design
@@ -130,11 +162,9 @@ pub fn run(cfg: &Fig5CrossoverConfig) -> Result<Fig5CrossoverData, ProtocolError
                 / n,
         });
     }
-    Ok(Fig5CrossoverData {
+    Ok(Sweep {
+        config: cfg.clone(),
         rows,
-        workload: cfg.workload,
-        cycles: cfg.scale.cycles,
-        seeds: cfg.scale.seeds,
     })
 }
 
@@ -154,77 +184,6 @@ impl Fig5CrossoverData {
             }
         }
         None
-    }
-
-    /// Renders the sweep as an aligned text table plus the located
-    /// crossover.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "Fig. 5 crossover sweep ({}, speculative directory system; \
-             {} cycles x {} seeds per point)\n",
-            self.workload.label(),
-            self.cycles,
-            self.seeds
-        ));
-        out.push_str(
-            "MB/s   static ops/kcycle  adaptive ops/kcycle  adaptive/static  recoveries  static util\n",
-        );
-        for r in &self.rows {
-            out.push_str(&format!(
-                "{:>5}  {:<17}  {:<19}  {:>15.3}  {:>10}  {:>10.1}%\n",
-                r.bandwidth.megabytes_per_second,
-                r.static_throughput.display(),
-                r.adaptive_throughput.display(),
-                r.adaptive_over_static,
-                r.adaptive_recoveries,
-                r.static_link_utilization * 100.0,
-            ));
-        }
-        match self.crossover_mb_per_s() {
-            Some(x) => out.push_str(&format!(
-                "adaptive-over-static crossover located at ~{x:.0} MB/s\n"
-            )),
-            None => out.push_str("no crossover on this axis (one policy dominates)\n"),
-        }
-        out
-    }
-
-    /// Serialises the sweep as machine-readable JSON (the
-    /// `BENCH_fig5_crossover.json` payload).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut json = String::from("{\n");
-        json.push_str(&format!("  \"workload\": \"{}\",\n", self.workload.label()));
-        json.push_str(&format!("  \"cycles\": {},\n", self.cycles));
-        json.push_str(&format!("  \"seeds\": {},\n", self.seeds));
-        match self.crossover_mb_per_s() {
-            Some(x) => json.push_str(&format!("  \"crossover_mb_per_s\": {x:.1},\n")),
-            None => json.push_str("  \"crossover_mb_per_s\": null,\n"),
-        }
-        json.push_str("  \"rows\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            let comma = if i + 1 == self.rows.len() { "" } else { "," };
-            json.push_str(&format!(
-                "    {{\"mb_per_s\": {}, \
-                 \"static_mean\": {:.6}, \"static_std\": {:.6}, \
-                 \"adaptive_mean\": {:.6}, \"adaptive_std\": {:.6}, \
-                 \"adaptive_over_static\": {:.6}, \
-                 \"adaptive_recoveries\": {}, \
-                 \"static_link_utilization\": {:.6}}}{comma}\n",
-                r.bandwidth.megabytes_per_second,
-                r.static_throughput.mean,
-                r.static_throughput.std_dev,
-                r.adaptive_throughput.mean,
-                r.adaptive_throughput.std_dev,
-                r.adaptive_over_static,
-                r.adaptive_recoveries,
-                r.static_link_utilization,
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        json
     }
 }
 
@@ -263,9 +222,7 @@ mod tests {
         };
         let data = Fig5CrossoverData {
             rows: vec![row(400, 1.2), row(800, 1.1), row(1600, 0.9)],
-            workload: WorkloadKind::Oltp,
-            cycles: 0,
-            seeds: 0,
+            config: Fig5CrossoverConfig::quick(),
         };
         // Crossing between 800 (+0.1) and 1600 (-0.1): midpoint 1200.
         let x = data.crossover_mb_per_s().expect("a crossover exists");
@@ -275,7 +232,7 @@ mod tests {
             ..data
         };
         assert_eq!(none.crossover_mb_per_s(), None);
-        assert!(none.render().contains("no crossover"));
+        assert!(none.render().contains("crossover_mb_per_s: null"));
     }
 
     #[test]

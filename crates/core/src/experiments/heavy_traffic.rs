@@ -34,6 +34,7 @@ use crate::experiments::runner::{
     measure_directory, misspec_per_mcycle_measurement, throughput_measurement, ExperimentScale,
     Measurement,
 };
+use crate::experiments::sweep::{Cell, Column, Sweep, SweepConfig};
 
 /// The canonical heavy Zipfian overlay: a quarter of every node's accesses
 /// land on 128 hot shared read-write blocks under unit skew. Empirically
@@ -188,22 +189,39 @@ pub struct HeavyTrafficRow {
     pub recoveries: u64,
 }
 
-/// The completed sweep.
-#[derive(Debug, Clone)]
-pub struct HeavyTrafficData {
-    /// One row per (MSHR count, shape), MSHR counts in sweep order with the
-    /// shapes nested inside.
-    pub rows: Vec<HeavyTrafficRow>,
-    /// Workload generator used.
-    pub workload: WorkloadKind,
-    /// Link bandwidth used.
-    pub bandwidth: LinkBandwidth,
-    /// Machine size (nodes).
-    pub num_nodes: usize,
-    /// Simulated cycles per run.
-    pub cycles: u64,
-    /// Perturbed seeds per design point.
-    pub seeds: u64,
+/// The completed sweep: one row per (MSHR count, shape), MSHR counts in
+/// sweep order with the shapes nested inside.
+pub type HeavyTrafficData = Sweep<HeavyTrafficConfig>;
+
+impl SweepConfig for HeavyTrafficConfig {
+    type Row = HeavyTrafficRow;
+    const TITLE: &'static str =
+        "Heavy-traffic sweep (outstanding x skew x injection shape; adaptive routing)";
+    const COLUMNS: &'static [Column<HeavyTrafficRow>] = &[
+        ("mshr_entries", "mshr", |r| Cell::Int(r.mshr_entries as u64)),
+        ("shape", "shape", |r| Cell::Label(r.shape.label())),
+        ("throughput", "ops/kcycle", |r| {
+            Cell::Measurement(r.throughput)
+        }),
+        ("misses_per_kcycle", "misses/kcycle", |r| {
+            Cell::Measurement(r.misses_per_kcycle)
+        }),
+        ("misspec_per_mcycle", "misspec/Mcycle", |r| {
+            Cell::Measurement(r.misspec_per_mcycle)
+        }),
+        ("recoveries", "recoveries", |r| Cell::Int(r.recoveries)),
+    ];
+
+    fn params(sweep: &HeavyTrafficData) -> Vec<(&'static str, Cell)> {
+        let cfg = &sweep.config;
+        vec![
+            ("workload", Cell::Label(cfg.workload.label())),
+            ("mb_per_s", Cell::Int(cfg.bandwidth.megabytes_per_second)),
+            ("num_nodes", Cell::Int(cfg.num_nodes as u64)),
+            ("cycles", Cell::Int(cfg.scale.cycles)),
+            ("seeds", Cell::Int(cfg.scale.seeds)),
+        ]
+    }
 }
 
 fn design_point(cfg: &HeavyTrafficConfig, mshr: usize, shape: TrafficShape) -> SystemConfig {
@@ -243,85 +261,10 @@ pub fn run(cfg: &HeavyTrafficConfig) -> Result<HeavyTrafficData, ProtocolError> 
             });
         }
     }
-    Ok(HeavyTrafficData {
+    Ok(Sweep {
+        config: cfg.clone(),
         rows,
-        workload: cfg.workload,
-        bandwidth: cfg.bandwidth,
-        num_nodes: cfg.num_nodes,
-        cycles: cfg.scale.cycles,
-        seeds: cfg.scale.seeds,
     })
-}
-
-impl HeavyTrafficData {
-    /// Renders the sweep as an aligned text table.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "Heavy-traffic sweep ({} nodes, {} at {} MB/s, adaptive routing; \
-             {} cycles x {} seeds per point)\n",
-            self.num_nodes,
-            self.workload.label(),
-            self.bandwidth.megabytes_per_second,
-            self.cycles,
-            self.seeds
-        ));
-        out.push_str(
-            "mshr  shape        ops/kcycle        misses/kcycle     misspec/Mcycle    recoveries\n",
-        );
-        for r in &self.rows {
-            out.push_str(&format!(
-                "{:>4}  {:<11}  {:<16}  {:<16}  {:<16}  {:>10}\n",
-                r.mshr_entries,
-                r.shape.label(),
-                r.throughput.display(),
-                r.misses_per_kcycle.display(),
-                r.misspec_per_mcycle.display(),
-                r.recoveries,
-            ));
-        }
-        out
-    }
-
-    /// Serialises the sweep as machine-readable JSON (the
-    /// `BENCH_heavy_traffic.json` payload).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut json = String::from("{\n");
-        json.push_str(&format!("  \"workload\": \"{}\",\n", self.workload.label()));
-        json.push_str(&format!(
-            "  \"mb_per_s\": {},\n",
-            self.bandwidth.megabytes_per_second
-        ));
-        json.push_str(&format!("  \"num_nodes\": {},\n", self.num_nodes));
-        json.push_str(&format!("  \"cycles\": {},\n", self.cycles));
-        json.push_str(&format!("  \"seeds\": {},\n", self.seeds));
-        json.push_str("  \"rows\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            let comma = if i + 1 == self.rows.len() { "" } else { "," };
-            json.push_str(&format!(
-                "    {{\"mshr_entries\": {}, \"shape\": \"{}\", \
-                 \"throughput_mean\": {:.6}, \"throughput_std\": {:.6}, \
-                 \"misses_per_kcycle_mean\": {:.6}, \
-                 \"misses_per_kcycle_std\": {:.6}, \
-                 \"misspec_per_mcycle_mean\": {:.6}, \
-                 \"misspec_per_mcycle_std\": {:.6}, \
-                 \"recoveries\": {}}}{comma}\n",
-                r.mshr_entries,
-                r.shape.label(),
-                r.throughput.mean,
-                r.throughput.std_dev,
-                r.misses_per_kcycle.mean,
-                r.misses_per_kcycle.std_dev,
-                r.misspec_per_mcycle.mean,
-                r.misspec_per_mcycle.std_dev,
-                r.recoveries,
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        json
-    }
 }
 
 #[cfg(test)]

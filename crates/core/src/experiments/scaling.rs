@@ -44,6 +44,7 @@ use crate::experiments::runner::{
     assert_timing_workers, measure_directory, misspec_per_mcycle, throughput_measurement,
     ExperimentScale, Measurement,
 };
+use crate::experiments::sweep::{Cell, Column, Sweep, SweepConfig};
 
 /// The node counts the full sweep visits (8 → 1024, doubling).
 pub const FULL_NODE_COUNTS: [usize; 8] = [8, 16, 32, 64, 128, 256, 512, 1024];
@@ -244,16 +245,53 @@ pub struct ScalingRow {
     pub probe: crate::engine::EngineProbe,
 }
 
-/// The completed sweep.
-#[derive(Debug, Clone)]
-pub struct ScalingData {
-    /// One row per (node count, workload, routing policy), node counts in
-    /// sweep order, workloads nested inside, static before adaptive.
-    pub rows: Vec<ScalingRow>,
-    /// Simulated cycles per run.
-    pub cycles: u64,
-    /// Perturbed seeds per design point.
-    pub seeds: u64,
+/// The completed sweep: one row per (node count, workload, routing
+/// policy), node counts in sweep order, workloads nested inside, static
+/// before adaptive.
+pub type ScalingData = Sweep<ScalingConfig>;
+
+impl SweepConfig for ScalingConfig {
+    type Row = ScalingRow;
+    const TITLE: &'static str =
+        "Node-count scaling sweep (speculative directory, rectangular tori)";
+    const COLUMNS: &'static [Column<ScalingRow>] = &[
+        ("nodes", "nodes", |r| Cell::Int(r.num_nodes as u64)),
+        ("width", "width", |r| Cell::Int(r.width as u64)),
+        ("height", "height", |r| Cell::Int(r.height as u64)),
+        ("workload", "workload", |r| Cell::Label(r.workload.label())),
+        ("routing", "routing", |r| Cell::Label(r.routing.label())),
+        ("throughput", "ops/kcycle", |r| {
+            Cell::Measurement(r.throughput)
+        }),
+        ("misspec_per_mcycle", "misspec/Mcycle", |r| {
+            Cell::Measurement(r.misspec_per_mcycle)
+        }),
+        ("ns_per_cycle", "ns/cycle", |r| {
+            Cell::Rounded(r.ns_per_cycle, 2)
+        }),
+        ("ns_per_cycle_parallel", "ns/cycle-par", |r| {
+            Cell::Rounded(r.ns_per_cycle_parallel, 2)
+        }),
+        ("processor_polls", "polls", |r| {
+            Cell::Int(r.probe.processor_polls)
+        }),
+        ("processor_skips", "skips", |r| {
+            Cell::Int(r.probe.processor_skips)
+        }),
+        ("exchange_completion_visits", "exch-completions", |r| {
+            Cell::Int(r.probe.exchange_completion_visits)
+        }),
+        ("exchange_outbox_visits", "exch-outbox", |r| {
+            Cell::Int(r.probe.exchange_outbox_visits)
+        }),
+    ];
+
+    fn params(sweep: &ScalingData) -> Vec<(&'static str, Cell)> {
+        vec![
+            ("cycles", Cell::Int(sweep.config.scale.cycles)),
+            ("seeds", Cell::Int(sweep.config.scale.seeds)),
+        ]
+    }
 }
 
 /// Runs the sweep: every node count under every configured workload and
@@ -345,93 +383,10 @@ pub fn run(cfg: &ScalingConfig) -> Result<ScalingData, ProtocolError> {
             }
         }
     }
-    Ok(ScalingData {
+    Ok(Sweep {
+        config: cfg.clone(),
         rows,
-        cycles: cfg.scale.cycles,
-        seeds: cfg.scale.seeds,
     })
-}
-
-impl ScalingData {
-    /// Renders the sweep as an aligned text table.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "Node-count scaling sweep (speculative directory; \
-             {} cycles x {} seeds per point)\n",
-            self.cycles, self.seeds
-        ));
-        out.push_str(
-            "nodes  torus  workload   routing   ops/kcycle        misspec/Mcycle    \
-             ns/cyc-serial  ns/cyc-parallel  \
-             polls/kcyc  skips/kcyc  exch-visits/kcyc\n",
-        );
-        let kcycles = (self.cycles as f64 / 1_000.0).max(f64::MIN_POSITIVE);
-        for r in &self.rows {
-            out.push_str(&format!(
-                "{:>5}  {:>2}x{:<2}  {:<9}  {:<8}  {:<16}  {:<16}  {:>13.1}  {:>15.1}  \
-                 {:>10.1}  {:>10.1}  {:>16.1}\n",
-                r.num_nodes,
-                r.width,
-                r.height,
-                r.workload.label(),
-                r.routing.label(),
-                r.throughput.display(),
-                r.misspec_per_mcycle.display(),
-                r.ns_per_cycle,
-                r.ns_per_cycle_parallel,
-                r.probe.processor_polls as f64 / kcycles,
-                r.probe.processor_skips as f64 / kcycles,
-                (r.probe.exchange_completion_visits + r.probe.exchange_outbox_visits) as f64
-                    / kcycles,
-            ));
-        }
-        out
-    }
-
-    /// Serialises the sweep as machine-readable JSON (the
-    /// `BENCH_scaling.json` payload): run parameters plus one object per
-    /// design point.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut json = String::from("{\n");
-        json.push_str(&format!("  \"cycles\": {},\n", self.cycles));
-        json.push_str(&format!("  \"seeds\": {},\n", self.seeds));
-        json.push_str("  \"rows\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            let comma = if i + 1 == self.rows.len() { "" } else { "," };
-            json.push_str(&format!(
-                "    {{\"nodes\": {}, \"width\": {}, \"height\": {}, \
-                 \"workload\": \"{}\", \"routing\": \"{}\", \
-                 \"throughput_mean\": {:.6}, \"throughput_std\": {:.6}, \
-                 \"misspec_per_mcycle_mean\": {:.6}, \
-                 \"misspec_per_mcycle_std\": {:.6}, \
-                 \"ns_per_cycle\": {:.2}, \
-                 \"ns_per_cycle_parallel\": {:.2}, \
-                 \"processor_polls\": {}, \"processor_skips\": {}, \
-                 \"exchange_completion_visits\": {}, \
-                 \"exchange_outbox_visits\": {}}}{comma}\n",
-                r.num_nodes,
-                r.width,
-                r.height,
-                r.workload.label(),
-                r.routing.label(),
-                r.throughput.mean,
-                r.throughput.std_dev,
-                r.misspec_per_mcycle.mean,
-                r.misspec_per_mcycle.std_dev,
-                r.ns_per_cycle,
-                r.ns_per_cycle_parallel,
-                r.probe.processor_polls,
-                r.probe.processor_skips,
-                r.probe.exchange_completion_visits,
-                r.probe.exchange_outbox_visits,
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        json
-    }
 }
 
 #[cfg(test)]
@@ -527,9 +482,15 @@ mod tests {
             assert!(r.probe.exchange_completion_visits + r.probe.exchange_outbox_visits > 0);
         }
         let txt = data.render();
-        assert!(txt.contains("4x2") && txt.contains("adaptive"));
-        assert!(txt.contains("ns/cyc-serial") && txt.contains("ns/cyc-parallel"));
-        assert!(txt.contains("polls/kcyc"));
+        // The 8-node rows show their 4x2 torus as adjacent width/height cells.
+        assert!(txt
+            .lines()
+            .any(|l| l.split_whitespace().take(3).eq(["8", "4", "2"])));
+        assert!(txt.contains("adaptive"));
+        assert!(txt.contains("ns/cycle") && txt.contains("ns/cycle-par"));
+        // The probe counters are shown as raw counts under their labels.
+        assert!(txt.contains("polls") && txt.contains("skips"));
+        assert!(txt.contains(&data.rows[0].probe.processor_polls.to_string()));
         let json = data.to_json();
         assert!(json.contains("\"nodes\": 8") && json.contains("\"routing\": \"static\""));
         assert!(json.contains("\"ns_per_cycle\""));

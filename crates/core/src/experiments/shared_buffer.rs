@@ -39,6 +39,7 @@ use crate::experiments::heavy_traffic::heavy_traffic;
 use crate::experiments::runner::{
     measure_directory, measure_snooping, throughput_measurement, ExperimentScale, Measurement,
 };
+use crate::experiments::sweep::{Cell, Column, Sweep, SweepConfig};
 use crate::snoopsys::SnoopSystemConfig;
 
 /// The pool sizes the full sweep visits (slots per node; for scale, the
@@ -186,20 +187,65 @@ pub struct SharedBufferRow {
     pub recoveries: u64,
 }
 
-/// The completed sweep.
-#[derive(Debug, Clone)]
-pub struct SharedBufferData {
-    /// One row per (workload, routing, pool size), baselines first within
-    /// each (workload, routing) group.
-    pub rows: Vec<SharedBufferRow>,
-    /// Link bandwidth used.
-    pub bandwidth: LinkBandwidth,
-    /// Machine size (nodes).
-    pub num_nodes: usize,
-    /// Simulated cycles per run.
-    pub cycles: u64,
-    /// Perturbed seeds per design point.
-    pub seeds: u64,
+/// The completed sweep: one row per (workload, routing, pool size),
+/// baselines first within each (workload, routing) group.
+pub type SharedBufferData = Sweep<SharedBufferConfig>;
+
+/// The `(switch, endpoint)` slots of a split pool.
+fn split(pool: Option<PoolSlots>) -> Option<(u64, u64)> {
+    match pool {
+        Some(PoolSlots::Split { switch, endpoint }) => Some((switch as u64, endpoint as u64)),
+        _ => None,
+    }
+}
+
+impl SweepConfig for SharedBufferConfig {
+    type Row = SharedBufferRow;
+    const TITLE: &'static str =
+        "Shared-pool interconnect sweep (Section 4, Figs. 2-4: deadlock detection + recovery)";
+    const COLUMNS: &'static [Column<SharedBufferRow>] = &[
+        ("machine", "machine", |r| Cell::Label(r.machine.label())),
+        ("workload", "workload", |r| Cell::Label(r.workload.label())),
+        ("routing", "routing", |r| Cell::Label(r.routing.label())),
+        ("pool_slots", "slots/node", |r| {
+            Cell::int_or_null(r.pool.map(|p| p.total() as u64))
+        }),
+        ("pool_slots_switch", "switch", |r| {
+            Cell::int_or_null(split(r.pool).map(|s| s.0))
+        }),
+        ("pool_slots_endpoint", "endpoint", |r| {
+            Cell::int_or_null(split(r.pool).map(|s| s.1))
+        }),
+        ("throughput", "ops/kcycle", |r| {
+            Cell::Measurement(r.throughput)
+        }),
+        ("normalized", "normalized", |r| {
+            Cell::Measurement(r.normalized)
+        }),
+        ("deadlock_recoveries", "deadlocks", |r| {
+            Cell::Int(r.deadlock_recoveries)
+        }),
+        ("recoveries", "recoveries", |r| Cell::Int(r.recoveries)),
+    ];
+
+    fn params(sweep: &SharedBufferData) -> Vec<(&'static str, Cell)> {
+        let cfg = &sweep.config;
+        let vn_slots = |routing| Cell::Int(vn_baseline_slots_per_node(routing) as u64);
+        vec![
+            ("mb_per_s", Cell::Int(cfg.bandwidth.megabytes_per_second)),
+            ("num_nodes", Cell::Int(cfg.num_nodes as u64)),
+            (
+                "baseline_slots_per_node_static",
+                vn_slots(RoutingPolicy::Static),
+            ),
+            (
+                "baseline_slots_per_node_adaptive",
+                vn_slots(RoutingPolicy::Adaptive),
+            ),
+            ("cycles", Cell::Int(cfg.scale.cycles)),
+            ("seeds", Cell::Int(cfg.scale.seeds)),
+        ]
+    }
 }
 
 fn baseline_config(
@@ -344,107 +390,10 @@ pub fn run(cfg: &SharedBufferConfig) -> Result<SharedBufferData, ProtocolError> 
             }
         }
     }
-    Ok(SharedBufferData {
+    Ok(Sweep {
+        config: cfg.clone(),
         rows,
-        bandwidth: cfg.bandwidth,
-        num_nodes: cfg.num_nodes,
-        cycles: cfg.scale.cycles,
-        seeds: cfg.scale.seeds,
     })
-}
-
-impl SharedBufferData {
-    /// Renders the sweep as an aligned text table.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "Shared-pool interconnect sweep ({} nodes, {} MB/s links; {} cycles x {} seeds \
-             per point; VN baseline provisions {} slots/node static, {} adaptive)\n",
-            self.num_nodes,
-            self.bandwidth.megabytes_per_second,
-            self.cycles,
-            self.seeds,
-            vn_baseline_slots_per_node(RoutingPolicy::Static),
-            vn_baseline_slots_per_node(RoutingPolicy::Adaptive)
-        ));
-        out.push_str(
-            "machine    workload  routing   slots/node  ops/kcycle        normalized        deadlocks  recoveries\n",
-        );
-        for r in &self.rows {
-            let slots = match r.pool {
-                Some(PoolSlots::Split { switch, endpoint }) => format!("{switch}+{endpoint}"),
-                Some(PoolSlots::Unified(n)) => n.to_string(),
-                None => "VN".to_string(),
-            };
-            out.push_str(&format!(
-                "{:<9}  {:<9} {:<8}  {:>10}  {:<16}  {:<16}  {:>9}  {:>10}\n",
-                r.machine.label(),
-                r.workload.label(),
-                r.routing.label(),
-                slots,
-                r.throughput.display(),
-                r.normalized.display(),
-                r.deadlock_recoveries,
-                r.recoveries,
-            ));
-        }
-        out
-    }
-
-    /// Serialises the sweep as machine-readable JSON (the
-    /// `BENCH_shared_buffer.json` payload).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut json = String::from("{\n");
-        json.push_str(&format!(
-            "  \"mb_per_s\": {},\n",
-            self.bandwidth.megabytes_per_second
-        ));
-        json.push_str(&format!("  \"num_nodes\": {},\n", self.num_nodes));
-        json.push_str(&format!(
-            "  \"baseline_slots_per_node_static\": {},\n",
-            vn_baseline_slots_per_node(RoutingPolicy::Static)
-        ));
-        json.push_str(&format!(
-            "  \"baseline_slots_per_node_adaptive\": {},\n",
-            vn_baseline_slots_per_node(RoutingPolicy::Adaptive)
-        ));
-        json.push_str(&format!("  \"cycles\": {},\n", self.cycles));
-        json.push_str(&format!("  \"seeds\": {},\n", self.seeds));
-
-        json.push_str("  \"rows\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            let comma = if i + 1 == self.rows.len() { "" } else { "," };
-            let slots = r.pool.map_or("null".to_string(), |p| p.total().to_string());
-            let (split_switch, split_endpoint) = match r.pool {
-                Some(PoolSlots::Split { switch, endpoint }) => {
-                    (switch.to_string(), endpoint.to_string())
-                }
-                _ => ("null".to_string(), "null".to_string()),
-            };
-            json.push_str(&format!(
-                "    {{\"machine\": \"{}\", \"workload\": \"{}\", \"routing\": \"{}\", \
-                 \"pool_slots\": {slots}, \
-                 \"pool_slots_switch\": {split_switch}, \
-                 \"pool_slots_endpoint\": {split_endpoint}, \
-                 \"throughput_mean\": {:.6}, \"throughput_std\": {:.6}, \
-                 \"normalized_mean\": {:.6}, \"normalized_std\": {:.6}, \
-                 \"deadlock_recoveries\": {}, \"recoveries\": {}}}{comma}\n",
-                r.machine.label(),
-                r.workload.label(),
-                r.routing.label(),
-                r.throughput.mean,
-                r.throughput.std_dev,
-                r.normalized.mean,
-                r.normalized.std_dev,
-                r.deadlock_recoveries,
-                r.recoveries,
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        json
-    }
 }
 
 #[cfg(test)]
@@ -520,7 +469,19 @@ mod tests {
             split.normalized.mean
         );
         let txt = data.render();
-        assert!(txt.contains("VN") && txt.contains("64") && txt.contains("48+16"));
+        // The baseline row shows no pool; the split row shows its 64-slot
+        // total next to the 48 switch and 16 endpoint slots.
+        let rows: Vec<Vec<&str>> = txt
+            .lines()
+            .map(|l| l.split_whitespace().collect())
+            .collect();
+        assert!(rows.iter().any(|t| t.windows(3).any(|w| w == ["null"; 3])));
+        assert!(rows
+            .iter()
+            .any(|t| t.windows(3).any(|w| w == ["64", "null", "null"])));
+        assert!(rows
+            .iter()
+            .any(|t| t.windows(3).any(|w| w == ["64", "48", "16"])));
         let json = data.to_json();
         assert!(json.contains("\"pool_slots\": null") && json.contains("\"pool_slots\": 64"));
         assert!(json.contains("\"pool_slots_switch\": 48"));

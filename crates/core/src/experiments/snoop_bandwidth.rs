@@ -28,6 +28,7 @@ use specsim_workloads::WorkloadKind;
 use crate::experiments::runner::{
     measure_snooping, throughput_measurement, ExperimentScale, Measurement,
 };
+use crate::experiments::sweep::{Cell, Column, Sweep, SweepConfig};
 use crate::snoopsys::SnoopSystemConfig;
 
 /// The bandwidths the full sweep visits (the Table 2 range, doubling from
@@ -122,18 +123,45 @@ pub struct SnoopBandwidthRow {
     pub bus_requests: u64,
 }
 
-/// The completed sweep.
-#[derive(Debug, Clone)]
-pub struct SnoopBandwidthData {
-    /// One row per (bandwidth, routing), bandwidths in sweep order with the
-    /// routing policies nested inside.
-    pub rows: Vec<SnoopBandwidthRow>,
-    /// Simulated cycles per run.
-    pub cycles: u64,
-    /// Perturbed seeds per design point.
-    pub seeds: u64,
-    /// Workload used.
-    pub workload: WorkloadKind,
+/// The completed sweep: one row per (bus interval, bandwidth, routing),
+/// routing policies nested innermost.
+pub type SnoopBandwidthData = Sweep<SnoopBandwidthConfig>;
+
+impl SweepConfig for SnoopBandwidthConfig {
+    type Row = SnoopBandwidthRow;
+    const TITLE: &'static str =
+        "Snooping data-network bandwidth sweep (speculative snooping, 400 MB/s -> 3.2 GB/s)";
+    const COLUMNS: &'static [Column<SnoopBandwidthRow>] = &[
+        ("mb_per_s", "MB/s", |r| {
+            Cell::Int(r.bandwidth.megabytes_per_second)
+        }),
+        ("routing", "routing", |r| Cell::Label(r.routing.label())),
+        ("bus_interval", "bus-int", |r| Cell::Int(r.bus_interval)),
+        ("throughput", "ops/kcycle", |r| {
+            Cell::Measurement(r.throughput)
+        }),
+        ("miss_latency", "miss-latency", |r| {
+            Cell::Measurement(r.miss_latency)
+        }),
+        ("data_latency_cycles", "data-latency", |r| {
+            Cell::Float(r.data_latency_cycles)
+        }),
+        ("data_link_utilization", "data-util", |r| {
+            Cell::Float(r.data_link_utilization)
+        }),
+        ("bus_requests", "bus-requests", |r| {
+            Cell::Int(r.bus_requests)
+        }),
+    ];
+
+    fn params(sweep: &SnoopBandwidthData) -> Vec<(&'static str, Cell)> {
+        let cfg = &sweep.config;
+        vec![
+            ("cycles", Cell::Int(cfg.scale.cycles)),
+            ("seeds", Cell::Int(cfg.scale.seeds)),
+            ("workload", Cell::Label(cfg.workload.label())),
+        ]
+    }
 }
 
 /// Runs the sweep: every bandwidth under every configured routing policy,
@@ -174,78 +202,10 @@ pub fn run(cfg: &SnoopBandwidthConfig) -> Result<SnoopBandwidthData, ProtocolErr
             }
         }
     }
-    Ok(SnoopBandwidthData {
+    Ok(Sweep {
+        config: cfg.clone(),
         rows,
-        cycles: cfg.scale.cycles,
-        seeds: cfg.scale.seeds,
-        workload: cfg.workload,
     })
-}
-
-impl SnoopBandwidthData {
-    /// Renders the sweep as an aligned text table.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "Snooping data-network bandwidth sweep ({}, speculative snooping; \
-             {} cycles x {} seeds per point)\n",
-            self.workload.label(),
-            self.cycles,
-            self.seeds
-        ));
-        out.push_str(
-            "MB/s   routing   bus-int  ops/kcycle        miss latency (cyc)  data latency  data util\n",
-        );
-        for r in &self.rows {
-            out.push_str(&format!(
-                "{:>5}  {:<8}  {:>7}  {:<16}  {:<18}  {:>12.1}  {:>8.1}%\n",
-                r.bandwidth.megabytes_per_second,
-                r.routing.label(),
-                r.bus_interval,
-                r.throughput.display(),
-                r.miss_latency.display(),
-                r.data_latency_cycles,
-                r.data_link_utilization * 100.0,
-            ));
-        }
-        out
-    }
-
-    /// Serialises the sweep as machine-readable JSON (the
-    /// `BENCH_snoop_bandwidth.json` payload): run parameters plus one object
-    /// per design point.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut json = String::from("{\n");
-        json.push_str(&format!("  \"cycles\": {},\n", self.cycles));
-        json.push_str(&format!("  \"seeds\": {},\n", self.seeds));
-        json.push_str(&format!("  \"workload\": \"{}\",\n", self.workload.label()));
-        json.push_str("  \"rows\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            let comma = if i + 1 == self.rows.len() { "" } else { "," };
-            json.push_str(&format!(
-                "    {{\"mb_per_s\": {}, \"routing\": \"{}\", \"bus_interval\": {}, \
-                 \"throughput_mean\": {:.6}, \"throughput_std\": {:.6}, \
-                 \"miss_latency_mean\": {:.6}, \"miss_latency_std\": {:.6}, \
-                 \"data_latency_cycles\": {:.6}, \
-                 \"data_link_utilization\": {:.6}, \
-                 \"bus_requests\": {}}}{comma}\n",
-                r.bandwidth.megabytes_per_second,
-                r.routing.label(),
-                r.bus_interval,
-                r.throughput.mean,
-                r.throughput.std_dev,
-                r.miss_latency.mean,
-                r.miss_latency.std_dev,
-                r.data_latency_cycles,
-                r.data_link_utilization,
-                r.bus_requests,
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        json
-    }
 }
 
 #[cfg(test)]
