@@ -54,7 +54,7 @@ fn reorder_trial(policy: RoutingPolicy, seed: u64) -> (u64, u64) {
             .unwrap();
             sent += 1;
         }
-        net.tick(now);
+        net.tick(now, None);
         for n in 0..16 {
             while net.eject_any(NodeId::from(n)).is_some() {}
         }
@@ -62,7 +62,7 @@ fn reorder_trial(policy: RoutingPolicy, seed: u64) -> (u64, u64) {
     // Drain.
     while net.in_flight() > 0 && now < 200_000 {
         now += 1;
-        net.tick(now);
+        net.tick(now, None);
         for n in 0..16 {
             while net.eject_any(NodeId::from(n)).is_some() {}
         }

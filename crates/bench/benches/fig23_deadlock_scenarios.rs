@@ -33,7 +33,7 @@ fn endpoint_scenario(use_virtual_networks: bool) -> (bool, usize) {
     let mut now = 0;
     for _ in 0..30_000u64 {
         now += 1;
-        net.tick(now);
+        net.tick(now, None);
         // Both endpoints greedily issue requests to each other, grabbing any
         // injection space the network just freed ("the incoming queues for
         // both processors are full of requests").
@@ -120,7 +120,7 @@ fn switch_scenario(cfg: NetConfig, drain_period: u64) -> (bool, usize) {
                 let _ = net.inject(now, src, dst, VirtualNetwork::Request, MessageSize::Data, 0);
             }
         }
-        net.tick(now);
+        net.tick(now, None);
         if now % drain_period == 0 {
             for n in 0..16 {
                 let _ = net.eject_any(NodeId::from(n));

@@ -13,9 +13,8 @@
 //! * `oltp_5000_cycles` — the full directory system on a live workload.
 //!
 //! Each case is measured once with a plain wall-clock sample loop that both
-//! prints a console report and feeds `BENCH_kernel.json` (`name → ns per
-//! simulated cycle`), so successive commits leave a machine-readable perf
-//! trajectory. Set `SPECSIM_BENCH_QUICK=1` (as CI does) to cut sample counts.
+//! prints a console report and writes `BENCH_kernel.json` (`name → ns per
+//! simulated cycle`; host timing, so it is not committed). Set `SPECSIM_BENCH_QUICK=1` (as CI does) to cut sample counts.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -55,7 +54,7 @@ fn run_saturated((mut net, mut rng): (Network<u64>, DetRng)) -> usize {
                 now,
             );
         }
-        net.tick(now);
+        net.tick(now, None);
         for n in 0..16 {
             while net.eject_any(NodeId::from(n)).is_some() {}
         }
@@ -87,7 +86,7 @@ fn run_sparse((mut net, mut rng): (Network<u64>, DetRng)) -> usize {
                 );
             }
         }
-        net.tick(now);
+        net.tick(now, None);
         for n in 0..16 {
             while net.eject_any(NodeId::from(n)).is_some() {}
         }

@@ -4,8 +4,8 @@
 //! stats.
 //!
 //! Besides the console table the run writes `BENCH_snoop_bandwidth.json`
-//! next to `BENCH_kernel.json` and `BENCH_scaling.json`, giving the perf
-//! trajectory a snooping bandwidth axis. Set `SPECSIM_BENCH_QUICK=1` (as CI
+//! next to `BENCH_scaling.json`, giving the perf trajectory a snooping
+//! bandwidth axis. Set `SPECSIM_BENCH_QUICK=1` (as CI
 //! does) for a small sweep (all four bandwidth points, static routing, two
 //! seeds); the full sweep adds adaptive routing and is controlled by
 //! `SPECSIM_CYCLES` / `SPECSIM_SEEDS` as usual.

@@ -97,21 +97,6 @@ pub struct SystemConfig {
     /// from [`Self::seed`] before the run starts, so the same `(seed,
     /// fault_config)` pair always replays bit-identically.
     pub fault_config: FaultConfig,
-    /// Threads for one run's sharded network forward phase. `1` — the
-    /// default — forwards serially. Values above `1` build a worker pool
-    /// (clamped to the host's cores) over which the torus forward phase is
-    /// split into fixed switch-index shards, so the schedule digest stays
-    /// byte-identical at any thread count; the processor tick is serial
-    /// either way. The `SPECSIM_WORKERS` environment variable overrides
-    /// this field at engine construction unless
-    /// [`Self::worker_threads_pinned`] is set.
-    pub worker_threads: usize,
-    /// When set, [`Self::worker_threads`] is authoritative and the
-    /// `SPECSIM_WORKERS` environment override is ignored. Timing rows
-    /// (`ns_per_cycle`) pin their worker count so a CI job forcing the
-    /// worker pool on cannot silently switch what a labelled
-    /// serial/parallel column measures.
-    pub worker_threads_pinned: bool,
     /// Telemetry knobs (windowed time-series sampler + lifecycle event
     /// trace). Disabled by default; purely observational — the simulated
     /// schedule is byte-identical with telemetry on or off.
@@ -156,8 +141,6 @@ impl SystemConfig {
             record_trace: false,
             replay_trace: None,
             fault_config: FaultConfig::Disabled,
-            worker_threads: 1,
-            worker_threads_pinned: false,
             telemetry: TelemetryConfig::default(),
         }
     }
@@ -265,24 +248,14 @@ impl SystemConfig {
         c
     }
 
-    /// Returns a copy with a different worker-thread count for the sharded
-    /// network forward phase (`1` = serial forwarding).
+    /// Returns a clone, under the signature the frozen benchmark harness
+    /// (`perfbench/`) still calls. It exists only for that harness: the
+    /// simulator has no worker threads, so `workers` must be `1`, and
+    /// nothing in this workspace may call it.
     #[must_use]
-    pub fn with_workers(&self, worker_threads: usize) -> Self {
-        let mut c = self.clone();
-        c.worker_threads = worker_threads.max(1);
-        c
-    }
-
-    /// Returns a copy with the worker count both set and **pinned**: the
-    /// `SPECSIM_WORKERS` environment override no longer applies. Use for
-    /// runs whose identity depends on the worker count — timing rows,
-    /// serial-vs-sharded digest comparisons.
-    #[must_use]
-    pub fn with_workers_pinned(&self, worker_threads: usize) -> Self {
-        let mut c = self.with_workers(worker_threads);
-        c.worker_threads_pinned = true;
-        c
+    pub fn with_workers_pinned(&self, workers: usize) -> Self {
+        assert_eq!(workers, 1, "a simulation runs on one thread");
+        self.clone()
     }
 
     /// Returns a copy with the given telemetry knobs (see
@@ -293,25 +266,6 @@ impl SystemConfig {
         let mut c = self.clone();
         c.telemetry = telemetry;
         c
-    }
-
-    /// The worker-thread count a run should actually use: the
-    /// `SPECSIM_WORKERS` environment variable when set to a positive
-    /// integer, [`Self::worker_threads`] otherwise. The override exists so
-    /// CI can force sharded forwarding on across an unmodified test suite
-    /// (races cannot hide behind the serial default); a pinned config
-    /// ([`Self::worker_threads_pinned`]) is exempt from it.
-    #[must_use]
-    pub fn effective_worker_threads(&self) -> usize {
-        if self.worker_threads_pinned {
-            return self.worker_threads.max(1);
-        }
-        std::env::var("SPECSIM_WORKERS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(self.worker_threads)
-            .max(1)
     }
 }
 

@@ -299,9 +299,7 @@ impl ProtocolNode for DirProtocol {
             });
         }
         self.pump_outboxes(arch, now, ctx);
-        let pool = ctx.worker_pool();
-        let faults = ctx.faults();
-        arch.net.tick_faulted_with_pool(now, faults, pool);
+        arch.net.tick(now, ctx.faults());
         crate::engine::report_pooled_fabric_evidence(&arch.net, now, ctx);
     }
 
@@ -474,7 +472,6 @@ impl DirectorySystem {
         };
         let perturb_rng = seed_rng.fork();
         let fault_plan = cfg.fault_config.lower(cfg.seed, n);
-        let worker_threads = cfg.effective_worker_threads();
         let mut engine = SystemEngine::new(
             DirProtocol { cfg: cfg.clone() },
             arch,
@@ -483,7 +480,6 @@ impl DirectorySystem {
             cfg.inject_recovery_every,
             perturb_rng,
             fault_plan,
-            worker_threads,
         );
         engine.set_telemetry(cfg.telemetry);
         Self { engine }
@@ -520,9 +516,8 @@ impl DirectorySystem {
         self.engine.probe()
     }
 
-    /// The torus's forward-phase work counters (switch visits, parallel
-    /// shard accounting) — observability for the parallel-exchange tests;
-    /// never part of the schedule.
+    /// The torus's forward-phase work counters (switch visits) —
+    /// observability only, never part of the schedule.
     #[must_use]
     pub fn net_forward_probe(&self) -> specsim_net::ForwardProbe {
         self.engine.arch().net.forward_probe()

@@ -6,9 +6,9 @@
 //! [`SystemEngine`]:
 //!
 //! * **node stepping over a compact wake index** — one serial tick loop,
-//!   the only processor-tick kernel for both protocols at every worker
-//!   count, scans a per-node wake-cycle hint and visits only nodes whose
-//!   hint has come due, re-validating each against [`Processor::ready_at`].
+//!   the only processor-tick kernel for both protocols, scans a per-node
+//!   wake-cycle hint and visits only nodes whose hint has come due,
+//!   re-validating each against [`Processor::ready_at`].
 //!   A processor whose request stalls is *parked* until its own cache
 //!   controller ingests a message; one whose request the slow-start gate
 //!   holds back is parked until any cache controller ingests a message or
@@ -46,17 +46,15 @@
 //! every-node scan would report, and checks that `run_for` matches a
 //! `step()` loop.
 //!
-//! `worker_threads > 1` changes nothing above: it only builds a
-//! [`WorkerPool`] that protocols hand to their fabric tick, which then
-//! shards the network forward phase across threads with a byte-identical
-//! schedule.
+//! The engine is single-threaded: every fabric forwards serially through
+//! one [`Network::tick`].
 
 use std::collections::VecDeque;
 
 use specsim_base::{
     ActiveSet, BlockAddr, Cycle, CycleDelta, DetRng, EngineMode, FabricCounters, FaultDirector,
     FaultKind, FaultPlan, ModeTimeline, NodeId, SafetyNetConfig, SpecEvent, TelemetryConfig,
-    TelemetryRecorder, WindowCounters, WorkerPool,
+    TelemetryRecorder, WindowCounters,
 };
 use specsim_coherence::types::{CpuAccess, CpuRequest, MisSpecKind, MisSpeculation, ProtocolError};
 use specsim_net::Network;
@@ -377,10 +375,6 @@ pub struct EngineCtx<'a, A> {
     exchange: &'a mut ExchangeIndex,
     /// The engine's work counters (exchange-visit accounting).
     probe: &'a mut EngineProbe,
-    /// The worker pool, handed to protocols so their fabric tick can shard
-    /// the forward phase ([`Network::tick_faulted_with_pool`] —
-    /// byte-identical schedule). `None` at one worker.
-    pool: Option<&'a WorkerPool>,
 }
 
 impl<'a, A: Clone> EngineCtx<'a, A> {
@@ -409,8 +403,7 @@ impl<'a, A: Clone> EngineCtx<'a, A> {
     }
 
     /// The run's fault director, when a fault plan is active. Protocols pass
-    /// this into their fabric's
-    /// [`tick_faulted`](specsim_net::Network::tick_faulted) so scheduled
+    /// this into their fabric's [`Network::tick`] so scheduled
     /// faults strike the network; `None` (no plan) keeps every fabric on the
     /// bit-identical fault-free path.
     pub fn faults(&mut self) -> Option<&mut FaultDirector> {
@@ -551,15 +544,6 @@ impl<'a, A: Clone> EngineCtx<'a, A> {
     /// re-inserts it via [`EngineCtx::note_exchange_activity`].
     pub fn retire_outbox(&mut self, i: usize) {
         self.exchange.outbox.remove(i);
-    }
-
-    /// The worker pool, when this run opted into `worker_threads > 1`.
-    /// Protocols pass this into their fabric's tick so the forward phase
-    /// shards across threads with a byte-identical schedule; `None` keeps
-    /// every fabric serial.
-    #[must_use]
-    pub fn worker_pool(&self) -> Option<&'a WorkerPool> {
-        self.pool
     }
 
     /// Reports that node `i`'s cache controller ingested a message at cycle
@@ -841,10 +825,6 @@ pub struct SystemEngine<P: ProtocolNode> {
     next_timeout_scan: Cycle,
     /// The tick phase's wake index.
     wake: WakeIndex,
-    /// The worker pool for the sharded network forward phase, built only
-    /// when a run opted into `worker_threads > 1` (building one probes the
-    /// host's parallelism, which is not free).
-    pool: Option<WorkerPool>,
     /// The exchange-phase worklists (visiting a superset of the busy nodes
     /// is a no-op, so the lists are a pure scan-cost optimization).
     exchange: ExchangeIndex,
@@ -862,10 +842,8 @@ impl<P: ProtocolNode> SystemEngine<P> {
     /// state. `perturb_rng` is the protocol's perturbation stream (each
     /// system derives it from its own seed domain); `safetynet_cfg` opens
     /// the checkpoint/recovery substrate with `arch` as the initial
-    /// checkpoint. `worker_threads > 1` builds a worker pool for the sharded
-    /// network forward phase (the schedule stays byte-identical either way).
+    /// checkpoint.
     #[must_use]
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         protocol: P,
         arch: P::Arch,
@@ -874,7 +852,6 @@ impl<P: ProtocolNode> SystemEngine<P> {
         inject_recovery_every: Option<CycleDelta>,
         perturb_rng: DetRng,
         fault_plan: FaultPlan,
-        worker_threads: usize,
     ) -> Self {
         let n = P::procs(&arch).len();
         let safetynet = SafetyNet::new(safetynet_cfg, n, arch.clone(), 0);
@@ -903,7 +880,6 @@ impl<P: ProtocolNode> SystemEngine<P> {
             fault_fires_seen: 0,
             next_timeout_scan: 0,
             wake: WakeIndex::new(n),
-            pool: (worker_threads > 1).then(|| WorkerPool::new(worker_threads)),
             exchange: ExchangeIndex::new_full(n),
             timeline: ModeTimeline::new(),
             telemetry: None,
@@ -1116,7 +1092,6 @@ impl<P: ProtocolNode> SystemEngine<P> {
                 wake: &mut self.wake,
                 exchange: &mut self.exchange,
                 probe: &mut self.probe,
-                pool: self.pool.as_ref(),
             };
             self.protocol.exchange(&mut self.arch, now, &mut ctx);
         }

@@ -134,33 +134,6 @@ where
         .collect()
 }
 
-/// Guard for simulator-speed (`ns_per_cycle`) timing rows: the row must
-/// *pin* its worker count to exactly `expected_workers`, so the labelled
-/// serial/parallel columns always measure the kernel they claim to. An
-/// unpinned config is rejected even when its field happens to match,
-/// because the `SPECSIM_WORKERS` environment override could silently swap
-/// the forwarding underneath the label (e.g. in the CI job that forces
-/// sharded forwarding on across the whole test suite).
-///
-/// # Panics
-///
-/// Panics when the config is unpinned or resolves to a different worker
-/// count than the row claims.
-pub fn assert_timing_workers(cfg: &SystemConfig, expected_workers: usize) {
-    assert!(
-        cfg.worker_threads_pinned,
-        "ns_per_cycle timing rows must pin their worker count \
-         (SystemConfig::with_workers_pinned); an unpinned config lets the \
-         SPECSIM_WORKERS override swap the measured kernel"
-    );
-    let effective = cfg.effective_worker_threads();
-    assert!(
-        effective == expected_workers,
-        "ns_per_cycle timing row claims worker count {expected_workers} but \
-         the pinned configuration resolves to {effective}"
-    );
-}
-
 /// Runs the directory system once per seed (sharded across worker threads)
 /// and returns the per-run metrics in seed order.
 pub fn measure_directory(
@@ -245,29 +218,6 @@ mod tests {
     #[test]
     fn quick_scale_is_smaller_than_default() {
         assert!(ExperimentScale::quick().cycles < ExperimentScale::default().cycles);
-    }
-
-    #[test]
-    fn timing_guard_accepts_a_pinned_matching_config() {
-        let cfg = SystemConfig::default().with_workers_pinned(1);
-        assert_timing_workers(&cfg, 1);
-        let par = SystemConfig::default().with_workers_pinned(4);
-        assert_timing_workers(&par, 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "must pin their worker count")]
-    fn timing_guard_rejects_an_unpinned_config() {
-        // Even with the field at the expected value: an unpinned config is
-        // at the mercy of the SPECSIM_WORKERS override.
-        assert_timing_workers(&SystemConfig::default(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "resolves to")]
-    fn timing_guard_rejects_a_mismatched_worker_count() {
-        let cfg = SystemConfig::default().with_workers_pinned(2);
-        assert_timing_workers(&cfg, 1);
     }
 
     #[test]

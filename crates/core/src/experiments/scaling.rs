@@ -12,20 +12,15 @@
 //!   simulated cycles,
 //! * **ns per simulated cycle** — wall-clock nanoseconds the simulator
 //!   spends per simulated cycle at this machine size (an engineering metric:
-//!   it tracks how the active-set kernel scales with node count), measured
-//!   twice: with serial network forwarding (one worker) and with the
-//!   network forward phase sharded over [`PARALLEL_TIMING_WORKERS`]
-//!   workers. Both produce byte-identical schedules, so the columns are
-//!   timing the same simulation. The throughput/mis-speculation statistics
-//!   come from the perturbed-seed sharded runner; the timings come from
-//!   dedicated *unsharded* runs per design point with **pinned** worker
-//!   counts (see [`crate::experiments::runner::assert_timing_workers`]), so
-//!   the numbers reflect kernel speed rather than how many seeds happened to
-//!   overlap on idle host cores or what `SPECSIM_WORKERS` happened to be.
+//!   it tracks how the active-set kernel scales with node count). The
+//!   throughput/mis-speculation statistics come from the perturbed-seed
+//!   sharded runner; the timing comes from one dedicated run per design
+//!   point, so the number reflects kernel speed rather than how many seeds
+//!   happened to overlap on idle host cores.
 //!
 //! The `scaling_sweep` bench binary renders the table and writes the rows as
 //! machine-readable `BENCH_scaling.json`, giving the perf trajectory a
-//! node-count axis alongside `BENCH_kernel.json`.
+//! node-count axis.
 //!
 //! By default the sweep runs OLTP only; set the `SPECSIM_ALL_WORKLOADS`
 //! environment variable (to anything but `0`) to sweep every Table 3
@@ -41,19 +36,12 @@ use crate::config::SystemConfig;
 use crate::dirsys::DirectorySystem;
 use crate::experiments::heavy_traffic::heavy_traffic;
 use crate::experiments::runner::{
-    assert_timing_workers, measure_directory, misspec_per_mcycle, throughput_measurement,
-    ExperimentScale, Measurement,
+    measure_directory, misspec_per_mcycle, throughput_measurement, ExperimentScale, Measurement,
 };
 use crate::experiments::sweep::{Cell, Column, Sweep, SweepConfig};
 
 /// The node counts the full sweep visits (8 → 1024, doubling).
 pub const FULL_NODE_COUNTS: [usize; 8] = [8, 16, 32, 64, 128, 256, 512, 1024];
-
-/// Worker count pinned for the parallel `ns_per_cycle` timing run. The
-/// engine clamps the pool to the host's cores, but any value above 1
-/// builds the pool that shards the forward phase, which is what the column
-/// measures.
-pub const PARALLEL_TIMING_WORKERS: usize = 4;
 
 /// Node count at which the sweep's heavy-traffic knobs start scaling with
 /// machine size. Below this the historical fixed knobs apply verbatim
@@ -191,8 +179,7 @@ impl Default for ScalingConfig {
 
 impl ScalingConfig {
     /// A CI-sized sweep: two small machines plus one at-scale point (256
-    /// nodes, where sharded forwarding has switches to shard), few seeds,
-    /// short runs (still honouring
+    /// nodes), few seeds, short runs (still honouring
     /// `SPECSIM_ALL_WORKLOADS`).
     #[must_use]
     pub fn quick() -> Self {
@@ -228,20 +215,14 @@ pub struct ScalingRow {
     pub throughput: Measurement,
     /// Detected mis-speculations per million simulated cycles.
     pub misspec_per_mcycle: Measurement,
-    /// Wall-clock nanoseconds per simulated cycle of one dedicated
-    /// unsharded run with **serial forwarding** (worker count pinned to 1;
-    /// lower is better; comparable across machines and seed counts).
+    /// Wall-clock nanoseconds per simulated cycle of one dedicated run
+    /// (lower is better; comparable across machines and seed counts).
     pub ns_per_cycle: f64,
-    /// Wall-clock nanoseconds per simulated cycle of the same dedicated run
-    /// with the network forward phase **sharded** over
-    /// [`PARALLEL_TIMING_WORKERS`] workers (pinned). The schedule is
-    /// byte-identical to the serial run; only the forwarding differs.
-    pub ns_per_cycle_parallel: f64,
-    /// Engine work counters ([`crate::engine::EngineProbe`]) of the pinned
-    /// parallel timing run: processor polls performed, wake-index skips,
-    /// and exchange-worklist node visits. Deterministic observability for
-    /// how much per-cycle work the active-set kernel actually did at this
-    /// machine size — the denominator behind the `ns_per_cycle` columns.
+    /// Engine work counters ([`crate::engine::EngineProbe`]) of the timing
+    /// run: processor polls performed, wake-index skips, and
+    /// exchange-worklist node visits. Deterministic observability for how
+    /// much per-cycle work the active-set kernel actually did at this
+    /// machine size — the denominator behind `ns_per_cycle`.
     pub probe: crate::engine::EngineProbe,
 }
 
@@ -268,9 +249,6 @@ impl SweepConfig for ScalingConfig {
         }),
         ("ns_per_cycle", "ns/cycle", |r| {
             Cell::Rounded(r.ns_per_cycle, 2)
-        }),
-        ("ns_per_cycle_parallel", "ns/cycle-par", |r| {
-            Cell::Rounded(r.ns_per_cycle_parallel, 2)
         }),
         ("processor_polls", "polls", |r| {
             Cell::Int(r.probe.processor_polls)
@@ -340,34 +318,20 @@ pub fn run(cfg: &ScalingConfig) -> Result<ScalingData, ProtocolError> {
                 sys_cfg.traffic = scaled_heavy_traffic(n, cfg.traffic);
                 let runs = measure_directory(&sys_cfg, cfg.scale)?;
                 let rates: Vec<f64> = runs.iter().map(misspec_per_mcycle).collect();
-                // The simulator-speed metrics time dedicated runs outside
+                // The simulator-speed metric times a dedicated run outside
                 // the sharded runner: dividing the sharded wall time by total
                 // cycles would measure host parallelism (seeds overlap on
                 // idle cores), making rows incomparable across machines and
-                // seed counts. Worker counts are pinned so the serial and
-                // parallel columns measure exactly the kernel they claim,
-                // regardless of any SPECSIM_WORKERS override in the
-                // environment.
+                // seed counts.
                 let timing_seed = cfg.scale.seed_list(sys_cfg.seed)[0];
-                let serial_cfg = sys_cfg.with_seed(timing_seed).with_workers_pinned(1);
-                assert_timing_workers(&serial_cfg, 1);
-                let mut timed = DirectorySystem::new(serial_cfg);
+                let mut timed = DirectorySystem::new(sys_cfg.with_seed(timing_seed));
                 let started = Instant::now();
                 timed.run_for(cfg.scale.cycles)?;
                 let wall_ns = started.elapsed().as_nanos() as f64;
-                let parallel_cfg = sys_cfg
-                    .with_seed(timing_seed)
-                    .with_workers_pinned(PARALLEL_TIMING_WORKERS);
-                assert_timing_workers(&parallel_cfg, PARALLEL_TIMING_WORKERS);
-                let mut timed_par = DirectorySystem::new(parallel_cfg);
-                let started_par = Instant::now();
-                timed_par.run_for(cfg.scale.cycles)?;
-                let wall_ns_par = started_par.elapsed().as_nanos() as f64;
-                // Work counters of the pinned parallel run: deterministic
-                // regardless of SPECSIM_WORKERS (the probe counts scheduled
-                // work, not wall time), so the JSON stays byte-stable across
+                // Work counters of the timing run: they count scheduled
+                // work, not wall time, so the JSON stays byte-stable across
                 // hosts and reruns.
-                let probe = timed_par.engine_probe();
+                let probe = timed.engine_probe();
                 rows.push(ScalingRow {
                     num_nodes: n,
                     width,
@@ -377,7 +341,6 @@ pub fn run(cfg: &ScalingConfig) -> Result<ScalingData, ProtocolError> {
                     throughput: throughput_measurement(&runs),
                     misspec_per_mcycle: Measurement::from_samples(&rates),
                     ns_per_cycle: wall_ns / cfg.scale.cycles.max(1) as f64,
-                    ns_per_cycle_parallel: wall_ns_par / cfg.scale.cycles.max(1) as f64,
                     probe,
                 });
             }
@@ -475,9 +438,8 @@ mod tests {
                 r.num_nodes
             );
             assert!(r.ns_per_cycle > 0.0);
-            assert!(r.ns_per_cycle_parallel > 0.0);
             assert!(r.misspec_per_mcycle.mean >= 0.0);
-            // The pinned timing run did real work.
+            // The timing run did real work.
             assert!(r.probe.processor_polls > 0);
             assert!(r.probe.exchange_completion_visits + r.probe.exchange_outbox_visits > 0);
         }
@@ -487,14 +449,13 @@ mod tests {
             .lines()
             .any(|l| l.split_whitespace().take(3).eq(["8", "4", "2"])));
         assert!(txt.contains("adaptive"));
-        assert!(txt.contains("ns/cycle") && txt.contains("ns/cycle-par"));
+        assert!(txt.contains("ns/cycle"));
         // The probe counters are shown as raw counts under their labels.
         assert!(txt.contains("polls") && txt.contains("skips"));
         assert!(txt.contains(&data.rows[0].probe.processor_polls.to_string()));
         let json = data.to_json();
         assert!(json.contains("\"nodes\": 8") && json.contains("\"routing\": \"static\""));
         assert!(json.contains("\"ns_per_cycle\""));
-        assert!(json.contains("\"ns_per_cycle_parallel\""));
         assert!(json.contains("\"processor_polls\""));
         assert!(json.contains("\"exchange_outbox_visits\""));
     }

@@ -110,18 +110,6 @@ pub struct SnoopSystemConfig {
     /// a [`FaultConfig::Random`] is lowered from [`Self::seed`] so the same
     /// configuration always replays bit-identically.
     pub fault_config: FaultConfig,
-    /// Threads for the data torus's sharded forward phase. The address bus
-    /// is totally ordered and stays serial by design, but the
-    /// point-to-point data torus forwards in parallel shards exactly like
-    /// the directory torus when this is above `1`. The schedule digest
-    /// stays byte-identical at any thread count;
-    /// the `SPECSIM_WORKERS` environment variable overrides this field at
-    /// engine construction unless [`Self::worker_threads_pinned`] is set.
-    pub worker_threads: usize,
-    /// When set, [`Self::worker_threads`] is authoritative and the
-    /// `SPECSIM_WORKERS` environment override is ignored (timing rows and
-    /// serial-vs-sharded digest comparisons pin their worker count).
-    pub worker_threads_pinned: bool,
 }
 
 impl SnoopSystemConfig {
@@ -149,47 +137,17 @@ impl SnoopSystemConfig {
             traffic: TrafficConfig::default(),
             telemetry: specsim_base::TelemetryConfig::default(),
             fault_config: FaultConfig::Disabled,
-            worker_threads: 1,
-            worker_threads_pinned: false,
         }
     }
 
-    /// Returns a copy with a different worker-thread count for the data
-    /// torus's sharded forward phase (`1` = serial forwarding).
+    /// Returns a clone, under the signature the frozen benchmark harness
+    /// (`perfbench/`) still calls. It exists only for that harness: the
+    /// simulator has no worker threads, so `workers` must be `1`, and
+    /// nothing in this workspace may call it.
     #[must_use]
-    pub fn with_workers(&self, worker_threads: usize) -> Self {
-        let mut c = self.clone();
-        c.worker_threads = worker_threads.max(1);
-        c
-    }
-
-    /// Returns a copy with the worker count both set and **pinned**: the
-    /// `SPECSIM_WORKERS` environment override no longer applies. Use for
-    /// runs whose identity depends on the worker count — timing rows,
-    /// serial-vs-sharded digest comparisons.
-    #[must_use]
-    pub fn with_workers_pinned(&self, worker_threads: usize) -> Self {
-        let mut c = self.with_workers(worker_threads);
-        c.worker_threads_pinned = true;
-        c
-    }
-
-    /// The worker-thread count a run should actually use: the
-    /// `SPECSIM_WORKERS` environment variable when set to a positive
-    /// integer, [`Self::worker_threads`] otherwise (a pinned config is
-    /// exempt from the override) — the same resolution rule as
-    /// [`crate::config::SystemConfig::effective_worker_threads`].
-    #[must_use]
-    pub fn effective_worker_threads(&self) -> usize {
-        if self.worker_threads_pinned {
-            return self.worker_threads.max(1);
-        }
-        std::env::var("SPECSIM_WORKERS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(self.worker_threads)
-            .max(1)
+    pub fn with_workers_pinned(&self, workers: usize) -> Self {
+        assert_eq!(workers, 1, "a simulation runs on one thread");
+        self.clone()
     }
 
     /// Returns a copy whose data network runs at `bandwidth` (the snooping
@@ -481,9 +439,7 @@ impl ProtocolNode for SnoopProtocol {
         self.pump_controllers(arch, now, ctx);
         arch.bus.tick(now);
         self.deliver_snoops(arch, now, ctx);
-        let pool = ctx.worker_pool();
-        let faults = ctx.faults();
-        arch.data_net.tick_faulted_with_pool(now, faults, pool);
+        arch.data_net.tick(now, ctx.faults());
         // A shared-pool data torus can wedge like any Section 4 fabric.
         crate::engine::report_pooled_fabric_evidence(&arch.data_net, now, ctx);
         self.deliver_data(arch, now, ctx);
@@ -679,9 +635,6 @@ impl SnoopingSystem {
             cfg.inject_recovery_every,
             perturb_rng,
             fault_plan,
-            // Above 1 the worker pool shards the data torus's forward phase
-            // (byte-identical schedule); the ordered address bus is serial.
-            cfg.effective_worker_threads(),
         );
         engine.set_telemetry(cfg.telemetry);
         Self { engine }
@@ -718,9 +671,8 @@ impl SnoopingSystem {
         self.engine.probe()
     }
 
-    /// The data torus's forward-phase work counters (switch visits, parallel
-    /// shard accounting) — observability for the parallel-exchange tests;
-    /// never part of the schedule.
+    /// The data torus's forward-phase work counters (switch visits) —
+    /// observability only, never part of the schedule.
     #[must_use]
     pub fn data_forward_probe(&self) -> specsim_net::ForwardProbe {
         self.engine.arch().data_net.forward_probe()

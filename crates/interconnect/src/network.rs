@@ -29,28 +29,12 @@
 //! The forward kernel therefore walks cache-friendly rows instead of
 //! chasing per-switch allocations, and a packet is copied zero times
 //! between injection and ejection.
-//!
-//! # Parallel forwarding
-//!
-//! When [`Network::tick_with_pool`] (or the faulted variant) is handed a
-//! [`WorkerPool`] with more than one thread, the forward phase of a
-//! sufficiently busy, fault-free, unpooled cycle fans the active switches
-//! out over the pool. Correctness rests on a dependency DAG: two *active*
-//! neighbouring switches read and write overlapping slab rows, so they are
-//! ordered by their serial visit positions; non-adjacent switches touch
-//! disjoint rows (a hop writes only the sending switch, plus the credit
-//! column of the one downstream port that faces it). Workers execute the
-//! DAG as a wavefront; schedule-order effects (ordering tracker, stats,
-//! arrival calendar, worklist removals) are staged per switch and merged in
-//! exact serial visit order afterwards, so the schedule — and every golden
-//! digest — is byte-identical to the serial path.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering as AtomicOrdering};
+use std::collections::BTreeMap;
 
 use specsim_base::{
     ActiveSet, Cycle, CycleDelta, FaultDirector, FaultKind, MessageSize, MsgQueue, NodeId,
-    RoutingPolicy, UtilizationTracker, WorkerPool,
+    RoutingPolicy, WorkerPool,
 };
 
 use crate::config::{BufferLayout, NetConfig, PoolSlots};
@@ -60,7 +44,7 @@ use crate::packet::{Packet, PacketArena, PacketTaint, VirtualNetwork};
 use crate::pool::SlotPool;
 use crate::routing::route_candidates;
 use crate::stats::NetStats;
-use crate::switch::{InTransit, SwitchSlab, UNBOUNDED};
+use crate::switch::{InTransit, SwitchSlab};
 use crate::topology::{Direction, Torus, LINK_DIRECTIONS};
 
 /// Ports of a switch in index order (the four link directions plus Local).
@@ -71,11 +55,6 @@ const ALL_PORTS: [Direction; 5] = [
     Direction::South,
     Direction::Local,
 ];
-
-/// Fewest active switches for which the parallel forward path is engaged;
-/// below this the DAG build costs more than it saves and the serial cursor
-/// walk (byte-identical by construction) runs instead.
-const PARALLEL_FORWARD_MIN_ACTIVE: usize = 8;
 
 /// Error returned by [`Network::inject`] when the source injection queue is
 /// full; carries the payload back to the caller.
@@ -245,103 +224,13 @@ impl ArrivalCalendar {
 
 /// Forward-phase instrumentation counters, cumulative over the network's
 /// lifetime. These never feed back into the schedule (they are not part of
-/// [`NetStats`]), so serial and parallel runs of the same workload report
-/// identical simulation digests while this probe records how the work was
-/// executed.
+/// [`NetStats`]): they record how much work the forward phase did, not what
+/// it computed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ForwardProbe {
-    /// Switches visited by the forward phase (serial or parallel).
+    /// Switches visited by the forward phase.
     pub switch_visits: u64,
-    /// Cycles whose forward phase ran on the worker pool.
-    pub parallel_phases: u64,
-    /// Switch tasks executed inside parallel phases.
-    pub parallel_tasks: u64,
-    /// Sum over parallel phases of the dependency-DAG critical-path length
-    /// (the longest chain of adjacent active switches). A deterministic
-    /// imbalance measure: phases whose critical path approaches their task
-    /// count parallelize poorly regardless of worker count.
-    pub critical_path_sum: u64,
 }
-
-/// Per-task staging area for schedule-order side effects of the parallel
-/// forward phase. Workers append here during the wavefront; the merge pass
-/// drains every task in serial visit order, so the globally ordered
-/// structures (ordering tracker, stats, arrival calendar, worklists)
-/// observe exactly the serial sequence.
-#[derive(Debug, Default)]
-struct TaskEffects {
-    /// Ejected packets: `(src, dst, vnet, seq, latency)` in ejection order.
-    deliveries: Vec<(NodeId, NodeId, VirtualNetwork, u64, Cycle)>,
-    /// Link arrivals to schedule: `(arrival, switch, direction)` in order.
-    arrivals: Vec<(Cycle, u32, u8)>,
-    /// Packets moved into this node's ejection queues.
-    ejected: u32,
-    /// Link hops performed.
-    hops: u32,
-    /// Whether any packet moved (watchdog progress).
-    progress: bool,
-    /// Whether the switch drained to zero queued packets.
-    deactivate: bool,
-}
-
-/// Reusable buffers for the parallel forward phase (visit-order snapshot,
-/// dependency DAG, wavefront queue, per-task staging). Holds no simulation
-/// state between phases.
-#[derive(Debug, Default)]
-struct ParForwardScratch {
-    /// Active switches in serial visit order.
-    order: Vec<u32>,
-    /// Inverse of `order` (`u32::MAX` = not active this phase); length
-    /// `num_nodes`, reset after each phase.
-    visit_pos: Vec<u32>,
-    /// Successor task positions (padding `u32::MAX`).
-    succ: Vec<[u32; 4]>,
-    /// Longest predecessor chain ending at each task (critical-path probe).
-    depth: Vec<u32>,
-    /// Unfinished-predecessor counts, decremented by workers.
-    indeg: Vec<AtomicU32>,
-    /// Wavefront slots: slot `k` holds the `k`-th task to become runnable
-    /// (`u32::MAX` until published).
-    ready: Vec<AtomicU32>,
-    /// Per-task staged side effects.
-    stage: Vec<TaskEffects>,
-}
-
-impl Clone for ParForwardScratch {
-    fn clone(&self) -> Self {
-        // Scratch carries no state between phases; checkpoint clones of the
-        // network start with an empty scratch.
-        Self::default()
-    }
-}
-
-/// Raw-pointer view of the slab rows, arena and staging area that the
-/// parallel forward workers touch. Safety rests on the dependency DAG: a
-/// task writes only its own switch's rows (queues, round-robin and queue
-/// counters, link state, ejection queues) plus the `reserved` credit column
-/// of the downstream buffer slots that face it — slots no other
-/// concurrently-running task can reach, because tasks of adjacent active
-/// switches are ordered by the DAG and every port of a switch faces exactly
-/// one neighbour. The arena is read-only during the phase (faults, the only
-/// writers of in-fabric packets, disable the parallel path).
-struct ParShared<P> {
-    queues: *mut VecDeque<u32>,
-    reserved: *mut u32,
-    cap: *const u32,
-    rr_next: *mut u32,
-    queued: *mut u32,
-    queued_total: *mut u32,
-    busy_until: *mut Cycle,
-    in_transit: *mut VecDeque<InTransit>,
-    util: *mut UtilizationTracker,
-    arena: *const PacketArena<P>,
-    eject: *mut Vec<MsgQueue<u32>>,
-    eject_pending: *mut usize,
-    stage: *mut TaskEffects,
-    bpp: usize,
-}
-
-unsafe impl<P: Sync> Sync for ParShared<P> {}
 
 /// A 2D-torus interconnection network carrying packets with payload type `P`.
 ///
@@ -406,8 +295,6 @@ pub struct Network<P> {
     forward_rounds: u64,
     /// Forward-phase execution counters (not part of [`NetStats`]).
     forward_probe: ForwardProbe,
-    /// Parallel-phase scratch (allocations reused across cycles).
-    par_scratch: ParForwardScratch,
 }
 
 impl<P> Network<P> {
@@ -477,7 +364,6 @@ impl<P> Network<P> {
             arrival_scratch: Vec::new(),
             forward_rounds: 0,
             forward_probe: ForwardProbe::default(),
-            par_scratch: ParForwardScratch::default(),
             cfg,
         }
     }
@@ -705,54 +591,30 @@ impl<P> Network<P> {
     /// Advances the network by one cycle: first delivers link arrivals into
     /// downstream buffers, then lets every switch forward up to one packet
     /// per input port.
-    pub fn tick(&mut self, now: Cycle)
+    ///
+    /// With a fault director, its schedule is consulted at every link
+    /// transmit (drop / duplicate / delay / corrupt), switch visit (stall /
+    /// blackout window) and ejection (inbox-drop window). `None` runs the
+    /// fault-free schedule.
+    pub fn tick(&mut self, now: Cycle, mut faults: Option<&mut FaultDirector>)
     where
-        P: Clone + Send + Sync,
-    {
-        self.tick_faulted_with_pool(now, None, None);
-    }
-
-    /// [`Network::tick`] with an optional worker pool: a sufficiently busy,
-    /// fault-free, unpooled forward phase fans out over the pool's threads
-    /// (byte-identical schedule — see the module docs). `None`, a
-    /// single-threaded pool, or an idle cycle all take the serial path.
-    pub fn tick_with_pool(&mut self, now: Cycle, pool: Option<&WorkerPool>)
-    where
-        P: Clone + Send + Sync,
-    {
-        self.tick_faulted_with_pool(now, None, pool);
-    }
-
-    /// [`Network::tick`] with an optional fault director. When present, the
-    /// director's schedule is consulted at every link transmit (drop /
-    /// duplicate / delay / corrupt), switch visit (stall / blackout window)
-    /// and ejection (inbox-drop window). `None` is a strict no-op relative
-    /// to [`Network::tick`] — the schedule stays bit-identical.
-    pub fn tick_faulted(&mut self, now: Cycle, faults: Option<&mut FaultDirector>)
-    where
-        P: Clone + Send + Sync,
-    {
-        self.tick_faulted_with_pool(now, faults, None);
-    }
-
-    /// [`Network::tick_faulted`] with an optional worker pool (see
-    /// [`Network::tick_with_pool`]). Cycles with an armed fault director
-    /// always forward serially: faults mutate in-fabric packets and
-    /// cross-switch state in ways the parallel dependency analysis does not
-    /// cover, and faulted campaigns are never the performance path.
-    pub fn tick_faulted_with_pool(
-        &mut self,
-        now: Cycle,
-        mut faults: Option<&mut FaultDirector>,
-        pool: Option<&WorkerPool>,
-    ) where
-        P: Clone + Send + Sync,
+        P: Clone,
     {
         if let Some(f) = faults.as_deref_mut() {
             f.advance(now);
         }
         self.deliver_phase(now, faults.as_deref());
-        self.forward_phase(now, faults, pool);
+        self.forward_phase(now, faults);
+    }
+
+    /// `tick(now, None)` under the signature the frozen benchmark harness
+    /// (`perfbench/`) still calls. It exists only for that harness: the
+    /// pool is ignored and nothing in this workspace may call it.
+    pub fn tick_with_pool(&mut self, now: Cycle, _pool: Option<&WorkerPool>)
+    where
+        P: Clone,
+    {
+        self.tick(now, None);
     }
 
     /// The earliest cycle after `now` (the cycle just ticked) at which a
@@ -1000,39 +862,15 @@ impl<P> Network<P> {
         self.arrival_scratch = batch;
     }
 
-    fn forward_phase(
-        &mut self,
-        now: Cycle,
-        mut faults: Option<&mut FaultDirector>,
-        pool: Option<&WorkerPool>,
-    ) where
-        P: Clone + Send + Sync,
+    fn forward_phase(&mut self, now: Cycle, mut faults: Option<&mut FaultDirector>)
+    where
+        P: Clone,
     {
         // The port round-robin pointer advances once per round on every
         // switch (active or not), exactly as the exhaustive scan did.
         let start_port = (self.forward_rounds % ALL_PORTS.len() as u64) as usize;
         self.forward_rounds += 1;
         if self.active.is_empty() {
-            return;
-        }
-        // The parallel path's conflict analysis covers the fault-free,
-        // unpooled fabric only: faults mutate packets and drop reservations
-        // across switches, and shared slot pools couple switches two hops
-        // apart (a hop reads and writes both endpoints' pools). Everything
-        // else — including pooled or faulted cycles — forwards serially,
-        // which is byte-identical anyway.
-        // Gated on the pool's *physical* thread count: the sharded schedule
-        // is byte-identical to the serial scan either way (so this choice is
-        // digest-neutral), but planning shards for a pool that degraded to
-        // one thread — a single-core host — is pure overhead. Determinism
-        // tests that need the sharded path regardless of host cores hand in
-        // a `WorkerPool::with_exact_threads` pool.
-        let parallel = faults.is_none()
-            && self.pools.is_none()
-            && self.active.len() >= PARALLEL_FORWARD_MIN_ACTIVE
-            && pool.is_some_and(|p| p.threads() > 1);
-        if parallel {
-            self.forward_phase_parallel(now, start_port, pool.expect("gate checked the pool"));
             return;
         }
         let n = self.slab.num_nodes();
@@ -1350,397 +1188,6 @@ impl<P> Network<P> {
             self.active.remove(i);
         }
         self.slab.rr_next[pi] = ((decision.buffer + 1) % self.slab.buffers_per_port) as u32;
-    }
-
-    /// Parallel forward phase: snapshot the serial visit order, build the
-    /// adjacency DAG over the active switches, execute it as a wavefront on
-    /// the pool, then merge the per-task staged effects in visit order.
-    /// Byte-identical to the serial path (see the module docs).
-    fn forward_phase_parallel(&mut self, now: Cycle, start_port: usize, pool: &WorkerPool)
-    where
-        P: Clone + Send + Sync,
-    {
-        let n = self.slab.num_nodes();
-        let rotation = (now as usize) % n.max(1);
-        let mut scratch = std::mem::take(&mut self.par_scratch);
-        // Snapshot the visit order the serial cursor walk would take.
-        scratch.order.clear();
-        let mut pos = rotation;
-        while let Some(i) = self.active.next_at_or_after(pos) {
-            scratch.order.push(i as u32);
-            pos = i + 1;
-        }
-        let mut pos = 0;
-        while pos < rotation {
-            match self.active.next_at_or_after(pos) {
-                Some(i) if i < rotation => {
-                    scratch.order.push(i as u32);
-                    pos = i + 1;
-                }
-                _ => break,
-            }
-        }
-        let m = scratch.order.len();
-        self.forward_probe.switch_visits += m as u64;
-        self.forward_probe.parallel_phases += 1;
-        self.forward_probe.parallel_tasks += m as u64;
-
-        // Dependency DAG: an edge between every pair of *active* torus
-        // neighbours, directed from the earlier to the later visit
-        // position. Duplicate neighbours (2-wide rings fold opposite
-        // directions onto one switch) and self-loops (1-wide rings) carry
-        // no edge.
-        scratch.visit_pos.resize(n, u32::MAX);
-        for (t, &i) in scratch.order.iter().enumerate() {
-            scratch.visit_pos[i as usize] = t as u32;
-        }
-        scratch.succ.clear();
-        scratch.succ.resize(m, [u32::MAX; 4]);
-        scratch.depth.clear();
-        scratch.depth.resize(m, 1);
-        scratch.indeg.clear();
-        scratch.indeg.resize_with(m, || AtomicU32::new(0));
-        scratch.ready.clear();
-        scratch.ready.resize_with(m, || AtomicU32::new(u32::MAX));
-        if scratch.stage.len() < m {
-            scratch.stage.resize_with(m, TaskEffects::default);
-        }
-        let mut max_depth = 1u32;
-        for t in 0..m {
-            let i = scratch.order[t] as usize;
-            let node = NodeId::from(i);
-            let mut nbrs = [usize::MAX; 4];
-            let mut nn = 0;
-            let mut ns = 0;
-            for d in LINK_DIRECTIONS {
-                let j = self.torus.neighbor(node, d).index();
-                if j == i || nbrs[..nn].contains(&j) {
-                    continue;
-                }
-                nbrs[nn] = j;
-                nn += 1;
-                let pj = scratch.visit_pos[j];
-                if pj == u32::MAX {
-                    continue;
-                }
-                if (pj as usize) > t {
-                    scratch.succ[t][ns] = pj;
-                    ns += 1;
-                    *scratch.indeg[pj as usize].get_mut() += 1;
-                } else {
-                    // Predecessor: its depth is final (pj < t).
-                    let dp = scratch.depth[pj as usize] + 1;
-                    if dp > scratch.depth[t] {
-                        scratch.depth[t] = dp;
-                    }
-                }
-            }
-            if scratch.depth[t] > max_depth {
-                max_depth = scratch.depth[t];
-            }
-        }
-        self.forward_probe.critical_path_sum += u64::from(max_depth);
-
-        // Seed the wavefront with the dependency-free tasks, in visit order.
-        let mut seeded = 0usize;
-        for t in 0..m {
-            if *scratch.indeg[t].get_mut() == 0 {
-                *scratch.ready[seeded].get_mut() = t as u32;
-                seeded += 1;
-            }
-        }
-        let head = AtomicUsize::new(seeded);
-
-        let sh = ParShared::<P> {
-            queues: self.slab.queues.as_mut_ptr(),
-            reserved: self.slab.reserved.as_mut_ptr(),
-            cap: self.slab.cap.as_ptr(),
-            rr_next: self.slab.rr_next.as_mut_ptr(),
-            queued: self.slab.queued.as_mut_ptr(),
-            queued_total: self.slab.queued_total.as_mut_ptr(),
-            busy_until: self.slab.busy_until.as_mut_ptr(),
-            in_transit: self.slab.in_transit.as_mut_ptr(),
-            util: self.slab.util.as_mut_ptr(),
-            arena: &self.arena,
-            eject: self.eject.as_mut_ptr(),
-            eject_pending: self.eject_pending.as_mut_ptr(),
-            stage: scratch.stage.as_mut_ptr(),
-            bpp: self.slab.buffers_per_port,
-        };
-        let torus = &self.torus;
-        let layout = &self.layout;
-        let cfg = &self.cfg;
-        let routing = self.routing;
-        let order = &scratch.order;
-        let succ = &scratch.succ;
-        let indeg = &scratch.indeg;
-        let ready = &scratch.ready;
-        let head_ref = &head;
-        // Wavefront execution. Worker `slot` runs the `slot`-th task to
-        // become runnable: it spins until that slot is published, executes
-        // the switch, then retires its DAG successors (the `AcqRel`
-        // decrement chains every predecessor's slab writes before the
-        // `Release` publish / `Acquire` claim of the successor). Progress is
-        // guaranteed: while any task is unexecuted, the one with the lowest
-        // visit position among those whose predecessors have all finished
-        // has been published, so the number of published tasks always
-        // exceeds the number of executed ones — the lowest spinning slot
-        // always fills.
-        pool.run(m, |slot| {
-            let t = loop {
-                let t = ready[slot].load(AtomicOrdering::Acquire);
-                if t != u32::MAX {
-                    break t as usize;
-                }
-                std::hint::spin_loop();
-            };
-            let i = order[t] as usize;
-            // Disjointness of `stage[t]` across workers follows from slot
-            // uniqueness: each task index is published exactly once.
-            let fx = unsafe { &mut *sh.stage.add(t) };
-            forward_switch_parallel(&sh, torus, layout, cfg, routing, i, now, start_port, fx);
-            for &sp in &succ[t] {
-                if sp == u32::MAX {
-                    continue;
-                }
-                if indeg[sp as usize].fetch_sub(1, AtomicOrdering::AcqRel) == 1 {
-                    let k = head_ref.fetch_add(1, AtomicOrdering::Relaxed);
-                    ready[k].store(sp, AtomicOrdering::Release);
-                }
-            }
-        });
-
-        // Merge staged effects in serial visit order: each globally ordered
-        // structure observes exactly the sequence the serial path would have
-        // produced (the serial path finishes switch t entirely before t+1).
-        for t in 0..m {
-            let i = scratch.order[t] as usize;
-            let fx = &mut scratch.stage[t];
-            for &(src, dst, vnet, seq, latency) in &fx.deliveries {
-                self.ordering.observe_delivery(src, dst, vnet, seq);
-                self.stats.record_delivery(vnet, latency);
-            }
-            fx.deliveries.clear();
-            for &(arrival, si, di) in &fx.arrivals {
-                self.arrivals.schedule(arrival, si as usize, di as usize);
-            }
-            fx.arrivals.clear();
-            if fx.ejected > 0 {
-                self.eject_active.insert(i);
-                self.in_flight = self.in_flight.saturating_sub(fx.ejected as usize);
-                fx.ejected = 0;
-            }
-            for _ in 0..fx.hops {
-                self.stats.hops.incr();
-            }
-            fx.hops = 0;
-            if fx.progress {
-                self.watchdog.record_progress(now);
-                fx.progress = false;
-            }
-            if fx.deactivate {
-                self.active.remove(i);
-                fx.deactivate = false;
-            }
-        }
-        // Reset the inverse index for the next phase.
-        for &i in &scratch.order {
-            scratch.visit_pos[i as usize] = u32::MAX;
-        }
-        self.par_scratch = scratch;
-    }
-}
-
-/// One switch's forward work inside a parallel phase: the fault-free,
-/// unpooled specialization of `forward_switch` + `plan_port_move` +
-/// `apply_move`, operating through the raw-pointer slab view. Slab writes
-/// land in place (own rows plus the facing downstream `reserved` columns);
-/// schedule-order effects are staged into `fx` for the in-order merge.
-///
-/// Safety: see [`ParShared`] — the caller's dependency DAG guarantees no
-/// two concurrently-running tasks touch overlapping rows.
-#[allow(clippy::too_many_arguments)]
-fn forward_switch_parallel<P>(
-    sh: &ParShared<P>,
-    torus: &Torus,
-    layout: &BufferLayout,
-    cfg: &NetConfig,
-    routing: RoutingPolicy,
-    i: usize,
-    now: Cycle,
-    start_port: usize,
-    fx: &mut TaskEffects,
-) {
-    unsafe {
-        let node = NodeId::from(i);
-        let bpp = sh.bpp;
-        let adaptive = routing == RoutingPolicy::Adaptive;
-        let occupancy = |s: usize| (*sh.queues.add(s)).len() + *sh.reserved.add(s) as usize;
-        let has_space = |s: usize| {
-            let c = *sh.cap.add(s);
-            c == UNBOUNDED || ((*sh.queues.add(s)).len() as u32) + *sh.reserved.add(s) < c
-        };
-        let mut congestion: Option<[usize; 4]> = None;
-        for pk in 0..ALL_PORTS.len() {
-            let p = (start_port + pk) % ALL_PORTS.len();
-            let pi = SwitchSlab::port(i, p);
-            if *sh.queued.add(pi) == 0 {
-                continue;
-            }
-            let c = if adaptive {
-                *congestion.get_or_insert_with(|| {
-                    let mut cg = [0usize; 4];
-                    for d in LINK_DIRECTIONS {
-                        let di = d.index();
-                        let l = SwitchSlab::link(i, di);
-                        let j = torus.neighbor(node, d).index();
-                        let opp = d.opposite().index();
-                        let base = SwitchSlab::port(j, opp) * bpp;
-                        let port_occ: usize = (base..base + bpp).map(occupancy).sum();
-                        cg[di] = (*sh.in_transit.add(l)).len()
-                            + usize::from(*sh.busy_until.add(l) > now)
-                            + port_occ;
-                    }
-                    cg
-                })
-            } else {
-                [0usize; 4]
-            };
-            // Planning pass (read-only), mirroring `plan_port_move` with the
-            // pool and fault branches dissolved.
-            let incoming = ALL_PORTS[p];
-            let rr = *sh.rr_next.add(pi) as usize;
-            let mut decision: Option<MoveDecision> = None;
-            'plan: for bk in 0..bpp {
-                let b = (rr + bk) % bpp;
-                let Some(&id) = (*sh.queues.add(pi * bpp + b)).front() else {
-                    continue;
-                };
-                let pkt = (*sh.arena).get(id);
-                if pkt.dst == node {
-                    let q = layout.ejection_index(pkt.vnet);
-                    if !(&(*sh.eject.add(i)))[q].is_full() {
-                        decision = Some(MoveDecision {
-                            buffer: b,
-                            action: MoveAction::Eject { queue: q },
-                        });
-                        break 'plan;
-                    }
-                    continue;
-                }
-                let cands = route_candidates(torus, routing, node, pkt.dst, &c);
-                let current_vc = layout.vc_of_buffer(b);
-                let serialization = cfg.link_bandwidth.serialization_cycles(pkt.bytes());
-                let try_hop = |dir: Direction, use_adaptive: bool| -> Option<MoveDecision> {
-                    let di = dir.index();
-                    if *sh.busy_until.add(SwitchSlab::link(i, di)) > now {
-                        return None;
-                    }
-                    let crosses = torus.crosses_dateline(node, dir);
-                    let j = torus.neighbor(node, dir).index();
-                    let opp = dir.opposite().index();
-                    let tb = layout.next_buffer_index(
-                        pkt.vnet,
-                        current_vc,
-                        incoming,
-                        dir,
-                        crosses,
-                        use_adaptive,
-                    );
-                    let target_slot = SwitchSlab::port(j, opp) * bpp + tb;
-                    if has_space(target_slot) {
-                        Some(MoveDecision {
-                            buffer: b,
-                            action: MoveAction::Forward {
-                                dir,
-                                target_slot,
-                                serialization,
-                            },
-                        })
-                    } else {
-                        None
-                    }
-                };
-                if cands.adaptive {
-                    for &dir in &cands.directions {
-                        if let Some(mv) = try_hop(dir, true) {
-                            decision = Some(mv);
-                            break 'plan;
-                        }
-                    }
-                    let dor = torus.dimension_order_direction(node, pkt.dst);
-                    if let Some(mv) = try_hop(dor, false) {
-                        decision = Some(mv);
-                        break 'plan;
-                    }
-                } else {
-                    for &dir in &cands.directions {
-                        if dir == Direction::Local {
-                            break;
-                        }
-                        if let Some(mv) = try_hop(dir, false) {
-                            decision = Some(mv);
-                            break 'plan;
-                        }
-                    }
-                }
-            }
-            let Some(decision) = decision else {
-                continue;
-            };
-            // Apply pass, mirroring `apply_move`.
-            let s = pi * bpp + decision.buffer;
-            match decision.action {
-                MoveAction::Eject { queue } => {
-                    let id = (*sh.queues.add(s))
-                        .pop_front()
-                        .expect("planned packet vanished");
-                    let pkt = (*sh.arena).get(id);
-                    fx.deliveries.push((
-                        pkt.src,
-                        pkt.dst,
-                        pkt.vnet,
-                        pkt.seq,
-                        now.saturating_sub(pkt.injected_at),
-                    ));
-                    (&mut (*sh.eject.add(i)))[queue]
-                        .push(id)
-                        .unwrap_or_else(|_| panic!("ejection space was checked during planning"));
-                    *sh.eject_pending.add(i) += 1;
-                    fx.ejected += 1;
-                    fx.progress = true;
-                }
-                MoveAction::Forward {
-                    dir,
-                    target_slot,
-                    serialization,
-                } => {
-                    let id = (*sh.queues.add(s))
-                        .pop_front()
-                        .expect("planned packet vanished");
-                    let arrival = now + serialization + cfg.switch_latency;
-                    let l = SwitchSlab::link(i, dir.index());
-                    *sh.busy_until.add(l) = now + serialization;
-                    (*sh.util.add(l)).add_busy(serialization);
-                    (*sh.in_transit.add(l)).push_back(InTransit {
-                        arrival,
-                        target_slot: target_slot as u32,
-                        id,
-                    });
-                    fx.arrivals.push((arrival, i as u32, dir.index() as u8));
-                    *sh.reserved.add(target_slot) += 1;
-                    fx.hops += 1;
-                    fx.progress = true;
-                }
-            }
-            *sh.queued.add(pi) -= 1;
-            *sh.queued_total.add(i) -= 1;
-            if *sh.queued_total.add(i) == 0 {
-                fx.deactivate = true;
-            }
-            *sh.rr_next.add(pi) = ((decision.buffer + 1) % bpp) as u32;
-            congestion = None;
-        }
     }
 }
 

@@ -185,7 +185,7 @@ fn run_until_drained(net: &mut Net, start: Cycle, max_cycles: u64) -> (Cycle, Ve
     let mut delivered = drain_all_ejections(net);
     while net.in_flight() > 0 && now < start + max_cycles {
         now += 1;
-        net.tick(now);
+        net.tick(now, None);
         delivered.extend(drain_all_ejections(net));
     }
     (now, delivered)
@@ -227,7 +227,7 @@ fn ticking_only_at_next_event_matches_ticking_every_cycle() {
     let end = 12_000;
     for now in 1..=end {
         inject(&mut dense, now);
-        dense.tick(now);
+        dense.tick(now, None);
         seen_dense.extend(
             drain_all_ejections(&mut dense)
                 .into_iter()
@@ -239,7 +239,7 @@ fn ticking_only_at_next_event_matches_ticking_every_cycle() {
         if now == next {
             sparse.skip_idle_cycles(now - ticked_at - 1);
             inject(&mut sparse, now);
-            sparse.tick(now);
+            sparse.tick(now, None);
             seen_sparse.extend(
                 drain_all_ejections(&mut sparse)
                     .into_iter()
@@ -346,7 +346,7 @@ fn static_routing_preserves_point_to_point_order() {
                 0,
             );
         }
-        net.tick(now);
+        net.tick(now, None);
         for i in 0..16 {
             while net.eject_any(NodeId::from(i)).is_some() {}
         }
@@ -377,7 +377,7 @@ fn all_messages_are_delivered_under_heavy_random_traffic_with_vcs() {
                 injected += 1;
             }
         }
-        net.tick(now);
+        net.tick(now, None);
         // Endpoints drain their ejection queues every cycle.
         for i in 0..16 {
             while net.eject_any(NodeId::from(i)).is_some() {}
@@ -390,13 +390,11 @@ fn all_messages_are_delivered_under_heavy_random_traffic_with_vcs() {
     assert!(injected > 1000);
 }
 
-/// Runs the shared heavy-random-traffic scenario on a 16×16 torus and
-/// returns `(delivered payloads in ejection order, injected, stats
-/// snapshot)`. `pool` selects the forward-phase executor; the schedule
-/// must not depend on it.
-fn run_sharding_scenario(
-    pool: Option<&specsim_base::WorkerPool>,
-) -> (Vec<u64>, u64, crate::stats::NetStats) {
+#[test]
+fn adaptive_256_node_torus_drains_heavy_random_traffic() {
+    // Heavy random traffic on every virtual network of a 16×16 adaptive
+    // torus: every injected packet must be delivered, exactly once, and the
+    // worklist bookkeeping must stay exact at this scale.
     let mut cfg = NetConfig::conventional(256, LinkBandwidth::GB_3_2);
     cfg.routing = RoutingPolicy::Adaptive;
     let mut net: Net = Network::new(cfg);
@@ -416,47 +414,18 @@ fn run_sharding_scenario(
                 injected += 1;
             }
         }
-        net.tick_with_pool(now, pool);
+        net.tick(now, None);
         delivered.extend(drain_all_ejections(&mut net).into_iter().map(|p| p.payload));
     }
-    while net.in_flight() > 0 && now < 100_000 {
-        now += 1;
-        net.tick_with_pool(now, pool);
-        delivered.extend(drain_all_ejections(&mut net).into_iter().map(|p| p.payload));
-    }
-    assert_eq!(net.in_flight(), 0, "scenario wedged");
-    if pool.is_some_and(|p| p.threads() > 1) {
-        let probe = net.forward_probe();
-        assert!(
-            probe.parallel_phases > 0,
-            "the sharded forward phase never engaged under heavy traffic"
-        );
-        assert!(probe.parallel_tasks >= probe.parallel_phases);
-    }
-    (delivered, injected, net.stats().clone())
-}
-
-#[test]
-fn sharded_forward_phase_is_byte_identical_to_the_serial_scan() {
-    // The engagement pin for the parallel exchange: an explicitly
-    // oversubscribed pool drives the sharded wavefront executor with
-    // real concurrent threads even on a single-core host (where the
-    // engine's own clamped pools fall back to the serial scan), and the
-    // delivery sequence must match the serial reference exactly —
-    // packet for packet, stat for stat.
-    let (serial, injected, serial_stats) = run_sharding_scenario(None);
+    net.assert_worklist_invariants();
+    let (now, rest) = run_until_drained(&mut net, now, 100_000);
+    delivered.extend(rest.into_iter().map(|p| p.payload));
+    assert_eq!(net.in_flight(), 0, "256-node torus wedged at {now}");
     assert!(injected > 5_000, "scenario must generate real load");
-    let pool = specsim_base::WorkerPool::with_exact_threads(4);
-    assert_eq!(pool.threads(), 4, "explicit pool ignores the core clamp");
-    let (sharded, injected_sharded, sharded_stats) = run_sharding_scenario(Some(&pool));
-    assert_eq!(injected, injected_sharded);
-    assert_eq!(serial, sharded, "sharded forwarding reordered deliveries");
-    assert_eq!(serial_stats.delivered.get(), sharded_stats.delivered.get());
-    assert_eq!(serial_stats.hops.get(), sharded_stats.hops.get());
-    assert_eq!(
-        serial_stats.latency_sum_per_vnet,
-        sharded_stats.latency_sum_per_vnet
-    );
+    delivered.sort_unstable();
+    assert_eq!(delivered, (0..injected).collect::<Vec<_>>());
+    assert_eq!(net.stats().delivered.get(), injected);
+    assert!(net.forward_probe().switch_visits > 0);
 }
 
 #[test]
@@ -482,7 +451,7 @@ fn rectangular_torus_delivers_all_traffic_and_keeps_counters() {
                 injected += 1;
             }
         }
-        net.tick(now);
+        net.tick(now, None);
         for i in 0..32 {
             while net.eject_any(NodeId::from(i)).is_some() {}
         }
@@ -525,7 +494,7 @@ fn worst_case_buffering_never_rejects_injection() {
             net.inject(now, src, dst, VirtualNetwork::Request, MessageSize::Data, 0)
                 .unwrap();
         }
-        net.tick(now);
+        net.tick(now, None);
     }
     assert_eq!(net.stats().injection_rejects.get(), 0);
 }
@@ -554,7 +523,7 @@ fn undrained_endpoints_back_pressure_and_stall_the_fabric() {
                 0,
             );
         }
-        net.tick(now);
+        net.tick(now, None);
         if net.is_stalled(now) {
             break;
         }
@@ -586,7 +555,7 @@ fn worklist_counters_stay_consistent_under_traffic() {
             net.inject(now, src, dst, VirtualNetwork::Request, MessageSize::Data, 0)
                 .unwrap();
         }
-        net.tick(now);
+        net.tick(now, None);
         // Drain endpoints only intermittently so ejection queues back up.
         if step % 7 == 0 {
             for i in 0..16 {
@@ -715,7 +684,7 @@ fn shared_pool_network_delivers_traffic_with_exact_slot_accounting() {
                 injected += 1;
             }
         }
-        net.tick(now);
+        net.tick(now, None);
         for i in 0..16 {
             while net.eject_any(NodeId::from(i)).is_some() {}
         }
@@ -789,7 +758,7 @@ fn undrained_endpoints_deadlock_an_undersized_pool_and_drain_recovers() {
                 0,
             );
         }
-        net.tick(now);
+        net.tick(now, None);
         if net.is_stalled(now) {
             break;
         }
@@ -868,7 +837,7 @@ fn run_faulted_until_drained(
     let mut delivered = drain_all_ejections(net);
     while net.in_flight() > 0 && now < start + max_cycles {
         now += 1;
-        net.tick_faulted(now, Some(faults));
+        net.tick(now, Some(faults));
         net.assert_worklist_invariants();
         delivered.extend(drain_all_ejections(net));
     }
@@ -888,12 +857,14 @@ fn inject_one(net: &mut Net, now: Cycle, src: usize, dst: usize, payload: u64) {
 }
 
 #[test]
-fn tick_faulted_without_a_director_matches_tick() {
-    // `tick_faulted(now, None)` must be a strict no-op relative to
-    // `tick(now)`: same schedule, same deliveries, same stats.
+fn tick_with_an_idle_director_matches_tick_without_one() {
+    // A fault director with nothing scheduled must be a strict no-op
+    // relative to `tick(now, None)`: same schedule, same deliveries, same
+    // stats.
     let cfg = NetConfig::shared_pool(16, LinkBandwidth::GB_3_2, 24);
     let mut a: Net = Network::new(cfg.clone());
     let mut b: Net = Network::new(cfg);
+    let mut idle = FaultDirector::new(specsim_base::FaultPlan::default());
     let mut rng_a = DetRng::new(77);
     let mut rng_b = DetRng::new(77);
     let mut got_a = Vec::new();
@@ -913,8 +884,8 @@ fn tick_faulted_without_a_director_matches_tick() {
                 );
             }
         }
-        a.tick(now);
-        b.tick_faulted(now, None);
+        a.tick(now, None);
+        b.tick(now, Some(&mut idle));
         got_a.extend(
             drain_all_ejections(&mut a)
                 .into_iter()
@@ -1095,7 +1066,7 @@ fn split_pool_network_delivers_with_exact_accounting() {
                 injected += 1;
             }
         }
-        net.tick(now);
+        net.tick(now, None);
         for i in 0..16 {
             while net.eject_any(NodeId::from(i)).is_some() {}
         }
@@ -1127,7 +1098,7 @@ fn split_pool_endpoint_budget_gates_ejection_but_not_the_fabric() {
     let mut now = 0;
     for _ in 0..5_000 {
         now += 1;
-        net.tick(now);
+        net.tick(now, None);
         net.assert_worklist_invariants();
     }
     assert!(net.has_ejectable(NodeId(1)));
@@ -1140,7 +1111,7 @@ fn split_pool_endpoint_budget_gates_ejection_but_not_the_fabric() {
         assert!(net.eject_any(NodeId(1)).is_none(), "budget gates the rest");
         for _ in 0..5_000 {
             now += 1;
-            net.tick(now);
+            net.tick(now, None);
             net.assert_worklist_invariants();
         }
     }
@@ -1172,7 +1143,7 @@ fn mean_link_utilization_is_nonzero_under_traffic_and_bounded() {
                 0,
             );
         }
-        net.tick(now);
+        net.tick(now, None);
         for i in 0..16 {
             while net.eject_any(NodeId::from(i)).is_some() {}
         }

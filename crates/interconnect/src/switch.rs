@@ -8,8 +8,7 @@
 //! arrays indexed by dense `(switch, port, buffer)` / `(switch, link)`
 //! coordinates — the packet payloads themselves live in a
 //! [`crate::packet::PacketArena`] and the queues hold dense `u32` ids — so
-//! the hot loop reads cache-friendly rows, and the parallel forward phase
-//! can hand disjoint index ranges to worker threads.
+//! the hot loop reads cache-friendly rows.
 //!
 //! The forwarding logic that moves packets *between* switches still lives in
 //! [`crate::network`]; this module owns the layout and the local

@@ -25,9 +25,7 @@
 //!   the link serialization model,
 //! * [`telemetry`] — deterministic observability primitives: log2-bucketed
 //!   latency histograms, engine-mode timelines, cycle-windowed samplers and
-//!   speculation-lifecycle event traces (all stamped in simulated cycles),
-//! * [`workers`] — a persistent barrier-phase thread pool for the
-//!   network's deterministic sharded forward phase.
+//!   speculation-lifecycle event traces (all stamped in simulated cycles).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -42,7 +40,6 @@ pub mod rng;
 pub mod stats;
 pub mod telemetry;
 pub mod time;
-pub mod workers;
 
 pub use active::ActiveSet;
 pub use config::{
@@ -63,4 +60,17 @@ pub use telemetry::{
     ENGINE_MODE_COUNT,
 };
 pub use time::{Cycle, CycleDelta};
-pub use workers::WorkerPool;
+
+/// A placeholder under the name the frozen benchmark harness (`perfbench/`)
+/// still imports. It exists only for that harness: it holds no threads, and
+/// nothing in this workspace may use it.
+#[derive(Debug)]
+pub struct WorkerPool;
+
+impl WorkerPool {
+    /// Returns the placeholder; `_threads` is ignored and nothing is spawned.
+    #[must_use]
+    pub fn new(_threads: usize) -> Self {
+        Self
+    }
+}

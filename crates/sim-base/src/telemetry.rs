@@ -3,9 +3,8 @@
 //! event traces.
 //!
 //! Everything in this module is timestamped in *simulated cycles* — never
-//! wall clock — so its output is bit-identical across worker counts
-//! (`SPECSIM_WORKERS=4` shards the network forward phase), and across
-//! repeated runs. The recorder is disabled by default
+//! wall clock — so its output is bit-identical across repeated runs and
+//! hosts. The recorder is disabled by default
 //! ([`TelemetryConfig::default`]) and costs nothing when off; the engine's
 //! mode timeline is always on but only does one array increment per cycle
 //! plus a vector push per mode *transition* (transitions are as rare as

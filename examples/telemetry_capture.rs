@@ -8,8 +8,7 @@
 //!
 //! Writes `telemetry.jsonl` and `telemetry_trace.json` into `outdir`
 //! (default: the current directory). Every timestamp is a simulated cycle,
-//! so repeated runs — at any `SPECSIM_WORKERS` setting — produce
-//! byte-identical files.
+//! so repeated runs produce byte-identical files.
 
 use specsim::{DirectorySystem, SystemConfig, TelemetryConfig};
 use specsim_base::{FaultConfig, LinkBandwidth, ALL_FAULT_KINDS};
@@ -22,8 +21,7 @@ fn main() {
 
     // The 16-node heavy-traffic directory machine under a chaos campaign:
     // plenty of checkpoints, mis-speculations, fault detections and
-    // rollbacks for the trace to show. Workers are left unpinned so
-    // SPECSIM_WORKERS selects the kernel — the outputs must not care.
+    // rollbacks for the trace to show.
     let mut cfg =
         SystemConfig::directory_speculative(WorkloadKind::Oltp, LinkBandwidth::MB_400, 77)
             .with_nodes(16)

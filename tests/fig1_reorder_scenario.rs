@@ -45,14 +45,14 @@ fn run(policy: RoutingPolicy, seed: u64) -> (u64, u64) {
             .unwrap();
             sent += 1;
         }
-        net.tick(now);
+        net.tick(now, None);
         for n in 0..16 {
             while net.eject_any(NodeId::from(n)).is_some() {}
         }
     }
     while net.in_flight() > 0 && now < 500_000 {
         now += 1;
-        net.tick(now);
+        net.tick(now, None);
         for n in 0..16 {
             while net.eject_any(NodeId::from(n)).is_some() {}
         }

@@ -25,7 +25,7 @@ fn scenario(use_virtual_networks: bool) -> bool {
     let mut now = 0;
     for _ in 0..25_000u64 {
         now += 1;
-        net.tick(now);
+        net.tick(now, None);
         // Both endpoints greedily generate requests to each other, grabbing
         // any injection space the network just freed (Figure 2: "the incoming
         // queues for both processors are full of requests").

@@ -20,7 +20,7 @@ fn drive(mut net: Network<u64>, cycles: u64, drain_period: u64) -> bool {
                 let _ = net.inject(now, src, dst, VirtualNetwork::Request, MessageSize::Data, 0);
             }
         }
-        net.tick(now);
+        net.tick(now, None);
         if now % drain_period == 0 {
             for n in 0..16 {
                 let _ = net.eject_any(NodeId::from(n));

@@ -106,7 +106,7 @@ fn net_digest(
     for _ in 0..cycles {
         now += 1;
         inject(&mut net, now);
-        net.tick(now);
+        net.tick(now, None);
         for i in 0..net.num_nodes() {
             while let Some(p) = net.eject_any(NodeId::from(i)) {
                 packet_digest(&mut d, &p);
@@ -116,7 +116,7 @@ fn net_digest(
     let drain_limit = now + 200_000;
     while net.in_flight() > 0 && now < drain_limit {
         now += 1;
-        net.tick(now);
+        net.tick(now, None);
         for i in 0..net.num_nodes() {
             while let Some(p) = net.eject_any(NodeId::from(i)) {
                 packet_digest(&mut d, &p);
@@ -312,6 +312,10 @@ fn snooping_speculative_metrics_match_golden() {
     cfg.memory.safetynet.checkpoint_interval_requests = 200;
     let mut sys = SnoopingSystem::new(cfg);
     let m = sys.run_for(20_000).expect("no protocol errors");
+    assert!(
+        sys.data_forward_probe().switch_visits > 0,
+        "the data torus forwarded nothing in 20k cycles"
+    );
     check(
         "snoop_speculative",
         GOLDEN_SNOOP_SPECULATIVE,
@@ -416,7 +420,7 @@ fn shared_pool_network_delivery_stream_matches_golden() {
                 let _ = net.inject(now, src, dst, vnet, MessageSize::Control, now);
             }
         }
-        net.tick(now);
+        net.tick(now, None);
         if now % 8 == 0 {
             for i in 0..16 {
                 while let Some(p) = net.eject_any(NodeId::from(i)) {
@@ -460,7 +464,7 @@ fn network_shared_buffer_backpressure_matches_golden() {
                 now,
             );
         }
-        net.tick(now);
+        net.tick(now, None);
         if now % 16 == 0 {
             for i in 0..16 {
                 while let Some(p) = net.eject_any(NodeId::from(i)) {
@@ -533,99 +537,9 @@ fn dir_256_config() -> SystemConfig {
 fn directory_256_nodes_matches_golden() {
     // First golden past the old 128-node NodeSet ceiling: the spilled
     // hybrid NodeSet representation carries the sharer sets here.
-    let mut sys = DirectorySystem::new(dir_256_config().with_workers_pinned(1));
+    let mut sys = DirectorySystem::new(dir_256_config());
     let m = sys.run_for(6_000).expect("no protocol errors");
     check("dir_256_nodes", GOLDEN_DIR_256_NODES, metrics_digest(&m));
-}
-
-#[test]
-fn phase_split_engine_is_byte_identical_to_serial_at_256_nodes() {
-    // The worker count must not change the schedule: the same 256-node
-    // machine run with worker count > 1 (sharded network forwarding) must
-    // produce exactly the serial schedule digest — not merely the same
-    // aggregate counters.
-    let mut serial = DirectorySystem::new(dir_256_config().with_workers_pinned(1));
-    let ms = serial.run_for(6_000).expect("no protocol errors");
-    let mut parallel = DirectorySystem::new(dir_256_config().with_workers_pinned(4));
-    let mp = parallel.run_for(6_000).expect("no protocol errors");
-    assert_eq!(
-        metrics_digest(&ms),
-        metrics_digest(&mp),
-        "the 4-worker run diverged from the serial run"
-    );
-    check("dir_256_nodes", GOLDEN_DIR_256_NODES, metrics_digest(&mp));
-}
-
-#[test]
-fn sharded_forwarding_is_byte_identical_and_actually_parallel_at_256_nodes() {
-    // The acceptance gate for sharded network forwarding: at 256 nodes the
-    // 4-worker run must match the serial golden digest byte-for-byte,
-    // and — when the host actually has cores to shard over — the worker
-    // pool must have fanned the torus's forward phase out in parallel
-    // shards, not merely been constructed. The forward probe is
-    // observability only (it never feeds back into the schedule), so it can
-    // prove the parallel path ran without perturbing the digest. On a
-    // single-core host the pool clamps to one thread and the network
-    // rightly keeps the serial scan (sharding for no parallelism is pure
-    // overhead); the sharded executor's byte-identity is then pinned by the
-    // interconnect's own oversubscribed-pool equivalence test.
-    let mut serial = DirectorySystem::new(dir_256_config().with_workers_pinned(1));
-    let ms = serial.run_for(6_000).expect("no protocol errors");
-    assert_eq!(
-        serial.net_forward_probe().parallel_phases,
-        0,
-        "a one-worker run must never shard the forward phase"
-    );
-    let mut parallel = DirectorySystem::new(dir_256_config().with_workers_pinned(4));
-    let mp = parallel.run_for(6_000).expect("no protocol errors");
-    let probe = parallel.net_forward_probe();
-    let multi_core = std::thread::available_parallelism().map_or(1, usize::from) > 1;
-    if multi_core {
-        assert!(
-            probe.parallel_phases > 0,
-            "sharded forwarding never engaged at 256 nodes under heavy traffic"
-        );
-        assert!(
-            probe.parallel_tasks >= probe.parallel_phases,
-            "each sharded phase forwards at least one switch"
-        );
-    } else {
-        assert_eq!(
-            probe.parallel_phases, 0,
-            "a one-thread pool must not pay for shard planning"
-        );
-    }
-    assert_eq!(
-        metrics_digest(&ms),
-        metrics_digest(&mp),
-        "sharded forwarding diverged from the serial run"
-    );
-    check("dir_256_nodes", GOLDEN_DIR_256_NODES, metrics_digest(&mp));
-}
-
-#[test]
-fn snooping_parallel_data_torus_matches_the_serial_golden() {
-    // The snooping machine's worker pool: the address bus stays serial by
-    // design, but the point-to-point data torus adopts the sharded forward
-    // phase. Pinned to 4 workers — the digest must be
-    // the historical serial snooping golden byte-for-byte, whatever
-    // `SPECSIM_WORKERS` says.
-    let mut cfg = SnoopSystemConfig::new(WorkloadKind::Apache, ProtocolVariant::Speculative, 11)
-        .with_workers_pinned(4);
-    cfg.memory.l1_bytes = 16 * 1024;
-    cfg.memory.l2_bytes = 64 * 1024;
-    cfg.memory.safetynet.checkpoint_interval_requests = 200;
-    let mut sys = SnoopingSystem::new(cfg);
-    let m = sys.run_for(20_000).expect("no protocol errors");
-    assert!(
-        sys.data_forward_probe().switch_visits > 0,
-        "the data torus forwarded nothing in 20k cycles"
-    );
-    check(
-        "snoop_speculative",
-        GOLDEN_SNOOP_SPECULATIVE,
-        metrics_digest(&m),
-    );
 }
 
 #[test]
@@ -672,7 +586,7 @@ fn run_digest(m: &RunMetrics, probe: specsim::EngineProbe) -> u64 {
 #[test]
 fn directory_hot_run_with_parking_and_slow_start_matches_golden() {
     // The canonical heavy 16-node directory machine (Zipf+burst traffic,
-    // 4 MSHRs, 5k-cycle checkpoints, adaptive routing) on one worker. Hot
+    // 4 MSHRs, 5k-cycle checkpoints, adaptive routing) Hot
     // blocks make processors stall on busy MSHRs, so stall parking carries
     // real load; the run is long enough for a transaction timeout, whose
     // rollback rebuilds the wake index, and for the slow-start window that
@@ -682,7 +596,7 @@ fn directory_hot_run_with_parking_and_slow_start_matches_golden() {
     cfg.traffic = heavy_traffic();
     cfg.memory.mshr_entries = 4;
     cfg.memory.safetynet.checkpoint_interval_cycles = 5_000;
-    let mut sys = DirectorySystem::new(cfg.with_workers_pinned(1));
+    let mut sys = DirectorySystem::new(cfg);
     let m = sys.run_for(240_000).expect("no protocol errors");
     assert!(m.recoveries >= 1, "the run must cross a rollback");
     assert!(m.slow_start_frac() > 0.0, "the run must cross slow-start");
@@ -698,8 +612,7 @@ fn snooping_hot_run_with_parking_matches_golden() {
     // The same heavy traffic on the 16-node snooping machine with 4 MSHRs:
     // stalled processors park until a snoop or a data message reaches
     // their own cache controller.
-    let mut cfg = SnoopSystemConfig::new(WorkloadKind::Oltp, ProtocolVariant::Speculative, 7)
-        .with_workers_pinned(1);
+    let mut cfg = SnoopSystemConfig::new(WorkloadKind::Oltp, ProtocolVariant::Speculative, 7);
     cfg.traffic = heavy_traffic();
     cfg.memory.mshr_entries = 4;
     let mut sys = SnoopingSystem::new(cfg);
@@ -725,7 +638,7 @@ fn pooled_dir_config(slots: PoolSlots) -> SystemConfig {
     cfg.memory.safetynet.checkpoint_interval_cycles = 5_000;
     cfg.memory.mshr_entries = 4;
     cfg.traffic = heavy_traffic();
-    cfg.with_workers_pinned(1)
+    cfg
 }
 
 #[test]
@@ -765,8 +678,7 @@ fn directory_split_pool_matches_golden() {
 fn snooping_pooled_data_torus_matches_golden() {
     // One pooled buffer per port on the 400 MB/s snooping data torus.
     let mut cfg = SnoopSystemConfig::new(WorkloadKind::Oltp, ProtocolVariant::Speculative, 6000)
-        .with_data_bandwidth(LinkBandwidth::MB_400)
-        .with_workers_pinned(1);
+        .with_data_bandwidth(LinkBandwidth::MB_400);
     cfg.memory.safetynet.checkpoint_interval_cycles = 5_000;
     cfg.memory.mshr_entries = 4;
     cfg.traffic = heavy_traffic();
@@ -879,7 +791,7 @@ fn dir16_hot_config() -> SystemConfig {
     cfg.traffic = heavy_traffic();
     cfg.memory.mshr_entries = 4;
     cfg.memory.safetynet.checkpoint_interval_cycles = 5_000;
-    cfg.with_workers_pinned(1)
+    cfg
 }
 
 #[test]
@@ -983,8 +895,7 @@ fn run_for_matches_a_step_loop_on_snooping_slow_start() {
     // A 3000-cycle transaction timeout fires on slow 400 MB/s transfers,
     // so the run rolls back and re-executes under slow-start several times.
     let mut cfg = SnoopSystemConfig::new(WorkloadKind::Oltp, ProtocolVariant::Speculative, 7)
-        .with_data_bandwidth(LinkBandwidth::MB_400)
-        .with_workers_pinned(1);
+        .with_data_bandwidth(LinkBandwidth::MB_400);
     cfg.traffic = heavy_traffic();
     cfg.memory.mshr_entries = 4;
     cfg.memory.safetynet.checkpoint_interval_cycles = 1_000;
