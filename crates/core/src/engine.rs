@@ -1896,6 +1896,130 @@ mod tests {
         );
     }
 
+    /// A torus's forward-progress settings: its routing and its pools'
+    /// per-network reservation (`None` when it is not pooled).
+    type TorusSetting = (RoutingPolicy, Option<usize>);
+
+    /// Forward-progress windows short enough to expire inside a unit test,
+    /// and a reservation of two slots per virtual network.
+    fn short_windows(fp: &mut ForwardProgressConfig) {
+        fp.disable_adaptive_cycles = 2_000;
+        fp.slow_start_cycles = 2_000;
+        fp.reserved_slot_cycles = 2_000;
+        fp.reserved_slots_per_network = 2;
+    }
+
+    /// Forces the measure for `kind` on a running machine and checks the
+    /// mode it enters and the torus setting during its window; once the
+    /// window expires the mode is `Normal` and the torus is back to the
+    /// setting it had before.
+    fn assert_measure<P: ProtocolNode>(
+        engine: &mut SystemEngine<P>,
+        torus: fn(&P::Arch) -> TorusSetting,
+        (case, kind, entered, during): (&str, MisSpecKind, EngineMode, TorusSetting),
+    ) {
+        engine.run_for(1_000).expect("no protocol errors");
+        let before = torus(engine.arch());
+        engine.test_force_misspec_forward_progress(kind);
+        assert_eq!(engine.engine_mode(engine.now()), entered, "{case}");
+        assert_eq!(torus(engine.arch()), during, "{case}: torus in the window");
+        engine.run_for(3_000).expect("no protocol errors");
+        assert_eq!(
+            engine.engine_mode(engine.now()),
+            EngineMode::Normal,
+            "{case}: window expired"
+        );
+        assert_eq!(torus(engine.arch()), before, "{case}: torus after expiry");
+    }
+
+    #[test]
+    fn forward_progress_policy_table() {
+        // Section 2, feature 4: each mis-speculation kind re-executes under
+        // one measure, chosen by the machine's speculative torus.
+        use EngineMode::{AdaptiveDegraded, Normal, ReservedSlots, SlowStart};
+        use MisSpecKind::{BufferDeadlock, ForwardedRequestToInvalidCache, TransactionTimeout};
+        use RoutingPolicy::{Adaptive, Static};
+        let dir = |routing, pool: Option<usize>| {
+            let mut cfg = dir_cfg();
+            if let Some(slots) = pool {
+                cfg.buffering = specsim_net::Buffering::SharedPool {
+                    virtual_channels: true,
+                    slots: specsim_net::PoolSlots::Unified(slots),
+                };
+            }
+            cfg.routing = routing;
+            short_windows(&mut cfg.forward_progress);
+            DirectorySystem::new(cfg)
+        };
+        let dir_rows = [
+            (
+                "adaptive directory, reorder",
+                dir(Adaptive, None),
+                (
+                    ForwardedRequestToInvalidCache,
+                    AdaptiveDegraded,
+                    (Static, None),
+                ),
+            ),
+            (
+                "static directory, reorder",
+                dir(Static, None),
+                (ForwardedRequestToInvalidCache, Normal, (Static, None)),
+            ),
+            (
+                "pooled directory, buffer deadlock",
+                dir(Adaptive, Some(64)),
+                (BufferDeadlock, ReservedSlots, (Adaptive, Some(2))),
+            ),
+            (
+                "unpooled directory, buffer deadlock",
+                dir(Static, None),
+                (BufferDeadlock, SlowStart, (Static, None)),
+            ),
+            (
+                "adaptive directory, timeout",
+                dir(Adaptive, None),
+                (TransactionTimeout, SlowStart, (Adaptive, None)),
+            ),
+        ];
+        for (case, mut sys, (kind, entered, during)) in dir_rows {
+            let torus =
+                |a: &crate::dirsys::ArchState| (a.net().routing(), a.net().pool_reservation());
+            assert_measure(&mut sys.engine, torus, (case, kind, entered, during));
+        }
+        let snoop = |pool: Option<usize>| {
+            let mut cfg = snoop_cfg();
+            if let Some(slots) = pool {
+                cfg = cfg.with_pooled_data_torus(slots);
+            }
+            short_windows(&mut cfg.forward_progress);
+            SnoopingSystem::new(cfg)
+        };
+        let snoop_rows = [
+            (
+                "pooled snooping data torus, buffer deadlock",
+                snoop(Some(16)),
+                (BufferDeadlock, ReservedSlots, (Adaptive, Some(2))),
+            ),
+            (
+                "unpooled snooping data torus, buffer deadlock",
+                snoop(None),
+                (BufferDeadlock, SlowStart, (Static, None)),
+            ),
+            (
+                "snooping, writeback double race",
+                snoop(None),
+                (MisSpecKind::WritebackDoubleRace, SlowStart, (Static, None)),
+            ),
+        ];
+        for (case, mut sys, (kind, entered, during)) in snoop_rows {
+            let torus = |a: &crate::snoopsys::ArchState| {
+                (a.data_net().routing(), a.data_net().pool_reservation())
+            };
+            assert_measure(&mut sys.engine, torus, (case, kind, entered, during));
+        }
+    }
+
     #[test]
     fn staged_outbox_releases_ripe_messages_in_fifo_order() {
         let mut ob: StagedOutbox<u32> = StagedOutbox::default();

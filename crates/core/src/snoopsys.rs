@@ -735,6 +735,14 @@ impl SnoopingSystem {
 }
 
 #[cfg(test)]
+impl ArchState {
+    /// The data torus (read-only), for the forward-progress policy tests.
+    pub(crate) fn data_net(&self) -> &Network<SnoopDataMsg> {
+        &self.data_net
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
