@@ -17,12 +17,10 @@ pub struct ForwardProgressConfig {
     /// the race cannot recur during re-execution. `0` disables the mechanism.
     pub disable_adaptive_cycles: CycleDelta,
     /// Snooping system / interconnect (Sections 3.2 and 4): after a recovery,
-    /// the system enters "slow-start" mode for this many cycles. `0` disables
-    /// the mechanism.
+    /// the system enters "slow-start" mode for this many cycles, with one
+    /// coherence transaction outstanding system-wide (the paper's
+    /// suggestion). `0` disables the mechanism.
     pub slow_start_cycles: CycleDelta,
-    /// Maximum coherence transactions allowed to be outstanding system-wide
-    /// while in slow-start mode (the paper suggests one).
-    pub slow_start_max_outstanding: usize,
     /// Shared-pool interconnect (Section 4): after a buffer-deadlock
     /// recovery, every node's slot pool reserves
     /// [`Self::reserved_slots_per_network`] slots per virtual network for
@@ -40,7 +38,6 @@ impl Default for ForwardProgressConfig {
         Self {
             disable_adaptive_cycles: 200_000,
             slow_start_cycles: 200_000,
-            slow_start_max_outstanding: 1,
             reserved_slot_cycles: 200_000,
             reserved_slots_per_network: 1,
         }
@@ -76,10 +73,6 @@ pub struct SystemConfig {
     /// (Section 5.2): multiple runs with small perturbations provide the
     /// error bars.
     pub perturbation_cycles: u64,
-    /// Maximum coherence transactions outstanding system-wide in normal
-    /// operation (with `memory.mshr_entries = 1` the blocking processors
-    /// already bound this at one per node).
-    pub max_outstanding: usize,
     /// Production-traffic shaping applied to every node's synthetic
     /// generator: an optional Zipfian hot-block overlay and an optional
     /// bursty injection-rate modulation. The unshaped default is
@@ -136,7 +129,6 @@ impl SystemConfig {
             forward_progress: ForwardProgressConfig::default(),
             inject_recovery_every: None,
             perturbation_cycles: 4,
-            max_outstanding: usize::MAX,
             traffic: TrafficConfig::default(),
             record_trace: false,
             replay_trace: None,

@@ -17,20 +17,18 @@
 use std::sync::Arc;
 
 use specsim_base::{
-    ActiveSet, BlockAddr, Cycle, CycleDelta, DetRng, FaultKind, NodeId, RoutingPolicy,
+    ActiveSet, BlockAddr, Cycle, CycleDelta, DetRng, EngineMode, FaultKind, NodeId,
 };
 use specsim_coherence::dir::{
     AccessOutcome, CacheState, DirCacheController, DirMsg, DirectoryController, OutMsg,
 };
-use specsim_coherence::types::{CpuRequest, MisSpecKind, MsgClass, ProtocolError};
+use specsim_coherence::types::{CpuRequest, MsgClass, ProtocolError};
 use specsim_net::{Network, PacketTaint, VirtualNetwork};
 use specsim_safetynet::SafetyNet;
 use specsim_workloads::{Processor, Trace, WorkloadGenerator, ZipfTable};
 
-use crate::config::{ForwardProgressConfig, SystemConfig};
-use crate::engine::{
-    EngineAccess, EngineCtx, ForwardProgressMode, ProtocolNode, StagedOutbox, SystemEngine,
-};
+use crate::config::SystemConfig;
+use crate::engine::{EngineAccess, EngineCtx, ProtocolNode, StagedOutbox, SystemEngine};
 use crate::metrics::RunMetrics;
 
 /// Messages a node may ingest from the network per cycle.
@@ -265,6 +263,15 @@ impl DirProtocol {
 
 impl ProtocolNode for DirProtocol {
     type Arch = ArchState;
+    type Msg = DirMsg;
+
+    fn torus(arch: &ArchState) -> &Network<DirMsg> {
+        &arch.net
+    }
+
+    fn torus_mut(arch: &mut ArchState) -> &mut Network<DirMsg> {
+        &mut arch.net
+    }
 
     fn procs(arch: &ArchState) -> &[Processor] {
         &arch.procs
@@ -319,10 +326,6 @@ impl ProtocolNode for DirProtocol {
         })
     }
 
-    fn skip_quiescent_cycles(arch: &mut ArchState, cycles: u64) {
-        arch.net.skip_idle_cycles(cycles);
-    }
-
     fn checkpoint_due(
         &self,
         _arch: &ArchState,
@@ -350,54 +353,6 @@ impl ProtocolNode for DirProtocol {
 
     fn after_recovery_restore(&mut self, _arch: &mut ArchState) {}
 
-    fn misspec_forward_progress(
-        &mut self,
-        arch: &mut ArchState,
-        kind: MisSpecKind,
-        resume_at: Cycle,
-        fp: &ForwardProgressConfig,
-    ) -> ForwardProgressMode {
-        match kind {
-            MisSpecKind::ForwardedRequestToInvalidCache => {
-                if fp.disable_adaptive_cycles > 0 && self.cfg.routing == RoutingPolicy::Adaptive {
-                    arch.net.set_routing(RoutingPolicy::Static);
-                    ForwardProgressMode::AdaptiveRoutingDisabled {
-                        until: resume_at + fp.disable_adaptive_cycles,
-                    }
-                } else {
-                    ForwardProgressMode::Normal
-                }
-            }
-            MisSpecKind::TransactionTimeout
-            | MisSpecKind::WritebackDoubleRace
-            | MisSpecKind::TransientFault { .. } => {
-                if fp.slow_start_cycles > 0 {
-                    ForwardProgressMode::SlowStart {
-                        until: resume_at + fp.slow_start_cycles,
-                        max_outstanding: fp.slow_start_max_outstanding,
-                    }
-                } else {
-                    ForwardProgressMode::Normal
-                }
-            }
-            MisSpecKind::BufferDeadlock => {
-                crate::engine::buffer_deadlock_forward_progress(&mut arch.net, resume_at, fp)
-            }
-        }
-    }
-
-    fn on_adaptive_window_expired(&mut self, arch: &mut ArchState) {
-        arch.net.set_routing(self.cfg.routing);
-    }
-
-    fn on_reserved_window_expired(&mut self, arch: &mut ArchState) {
-        arch.net.set_pool_reservation(0);
-    }
-
-    fn normal_outstanding_limit(&self) -> usize {
-        self.cfg.max_outstanding
-    }
-
     fn collect_protocol_metrics(&self, arch: &ArchState, now: Cycle, m: &mut RunMetrics) {
         m.messages_delivered = arch.net.stats().delivered.get();
         for vn in specsim_net::ALL_VIRTUAL_NETWORKS {
@@ -406,15 +361,6 @@ impl ProtocolNode for DirProtocol {
         }
         m.link_utilization = arch.net.mean_link_utilization(now);
         m.vnet_latency = arch.net.stats().latency_hist_per_vnet.clone();
-    }
-
-    fn fabric_counters(arch: &ArchState) -> specsim_base::FabricCounters {
-        let s = arch.net.stats();
-        specsim_base::FabricCounters {
-            link_busy_cycles: s.link_busy_cycles,
-            num_links: s.num_links as u64,
-            delivered: s.delivered.get(),
-        }
     }
 }
 
@@ -499,7 +445,7 @@ impl DirectorySystem {
 
     /// The forward-progress mode currently in force.
     #[must_use]
-    pub fn forward_progress_mode(&self) -> ForwardProgressMode {
+    pub fn forward_progress_mode(&self) -> EngineMode {
         self.engine.forward_progress_mode()
     }
 
@@ -629,17 +575,9 @@ impl DirectorySystem {
 }
 
 #[cfg(test)]
-impl ArchState {
-    /// The torus (read-only), for the forward-progress policy tests.
-    pub(crate) fn net(&self) -> &Network<DirMsg> {
-        &self.net
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
-    use specsim_base::{LinkBandwidth, ProtocolVariant};
+    use specsim_base::{LinkBandwidth, ProtocolVariant, RoutingPolicy};
     use specsim_workloads::WorkloadKind;
 
     fn small_config(protocol: ProtocolVariant, routing: RoutingPolicy) -> SystemConfig {

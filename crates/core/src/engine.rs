@@ -30,11 +30,12 @@
 //!   whether a checkpoint is due (the directory system uses the cycle count,
 //!   the snooping system the totally ordered request count) and snapshots
 //!   the architectural state into SafetyNet;
-//! * **mis-speculation → SafetyNet recovery → forward-progress-mode
-//!   orchestration** — detection capture, the transaction-timeout scan, the
-//!   rollback itself, the post-recovery stall window, and the
-//!   [`ForwardProgressMode`] lifecycle (entry chosen by the protocol, expiry
-//!   handled here);
+//! * **mis-speculation → SafetyNet recovery → forward progress** —
+//!   detection capture, the transaction-timeout scan, the rollback itself,
+//!   the post-recovery stall window, and the forward-progress policy: one
+//!   engine method picks each recovery's measure from its
+//!   [`MisSpecKind`], and the engine applies it to, and lifts it from, the
+//!   protocol's speculative torus ([`ProtocolNode::torus`]);
 //! * **metrics accumulation** — the protocol-independent half of
 //!   [`RunMetrics`] (processor stats, SafetyNet stats, recovery costs).
 //!
@@ -52,8 +53,8 @@
 use std::collections::VecDeque;
 
 use specsim_base::{
-    ActiveSet, BlockAddr, Cycle, CycleDelta, DetRng, EngineMode, FabricCounters, FaultDirector,
-    FaultKind, FaultPlan, ModeTimeline, NodeId, SafetyNetConfig, SpecEvent, TelemetryConfig,
+    ActiveSet, BlockAddr, Cycle, CycleDelta, DetRng, EngineMode, FaultDirector, FaultKind,
+    FaultPlan, ModeTimeline, NodeId, RoutingPolicy, SafetyNetConfig, SpecEvent, TelemetryConfig,
     TelemetryRecorder, WindowCounters,
 };
 use specsim_coherence::types::{CpuAccess, CpuRequest, MisSpecKind, MisSpeculation, ProtocolError};
@@ -63,35 +64,6 @@ use specsim_workloads::Processor;
 
 use crate::config::ForwardProgressConfig;
 use crate::metrics::RunMetrics;
-
-/// The forward-progress mode a system is currently operating in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ForwardProgressMode {
-    /// Normal, fully speculative operation.
-    Normal,
-    /// Adaptive routing disabled until the given cycle (directory design).
-    AdaptiveRoutingDisabled {
-        /// Cycle at which adaptive routing is re-enabled.
-        until: CycleDelta,
-    },
-    /// Slow-start: outstanding transactions restricted until the given cycle
-    /// (snooping and interconnect designs).
-    SlowStart {
-        /// Cycle at which normal concurrency resumes.
-        until: CycleDelta,
-        /// Maximum transactions outstanding while in slow-start.
-        max_outstanding: usize,
-    },
-    /// Conservative re-execution after a buffer-deadlock recovery
-    /// (Section 4, shared-pool interconnect): part of each node's shared
-    /// slot pool is partitioned back into per-virtual-network reservations
-    /// until the given cycle, so the buffer-dependency cycle that deadlocked
-    /// cannot immediately re-form.
-    ReservedSlots {
-        /// Cycle at which the pool returns to fully shared slots.
-        until: CycleDelta,
-    },
-}
 
 /// Measured characterization of one design, filled in by short simulations
 /// and printed by the Table 1 bench alongside the qualitative rows.
@@ -600,36 +572,6 @@ pub(crate) fn outbox_horizon(
     horizon
 }
 
-/// The shared buffer-deadlock forward-progress measure (Section 4's "revert
-/// to conservative" recipe): partitions part of every node's pool in `net`
-/// into per-virtual-network reservations and enters
-/// [`ForwardProgressMode::ReservedSlots`]. Falls back to slow-start when the
-/// measure is disabled or inert (unpooled fabric, or a pool too small to
-/// hold any reservation), and to [`ForwardProgressMode::Normal`] when
-/// slow-start is disabled too.
-pub(crate) fn buffer_deadlock_forward_progress<P>(
-    net: &mut Network<P>,
-    resume_at: Cycle,
-    fp: &ForwardProgressConfig,
-) -> ForwardProgressMode {
-    if fp.reserved_slot_cycles > 0
-        && fp.reserved_slots_per_network > 0
-        && net.set_pool_reservation(fp.reserved_slots_per_network)
-        && net.pool_reservation() > Some(0)
-    {
-        ForwardProgressMode::ReservedSlots {
-            until: resume_at + fp.reserved_slot_cycles,
-        }
-    } else if fp.slow_start_cycles > 0 {
-        ForwardProgressMode::SlowStart {
-            until: resume_at + fp.slow_start_cycles,
-            max_outstanding: fp.slow_start_max_outstanding,
-        }
-    } else {
-        ForwardProgressMode::Normal
-    }
-}
-
 /// What a coherence protocol must provide for [`SystemEngine`] to drive it.
 ///
 /// The two implementations are the directory protocol
@@ -642,6 +584,18 @@ pub trait ProtocolNode {
     /// processors (with their workload positions), fabric contents and the
     /// staging outboxes.
     type Arch: Clone + std::fmt::Debug;
+
+    /// The message type of [`ProtocolNode::torus`].
+    type Msg;
+
+    /// The protocol's speculative torus (the directory torus, or the
+    /// snooping data torus): the fabric whose routing and slot pools the
+    /// forward-progress measures change, whose idle cycles
+    /// [`SystemEngine::run_for`] skips, and whose counters telemetry samples.
+    fn torus(arch: &Self::Arch) -> &Network<Self::Msg>;
+
+    /// Mutable access to [`ProtocolNode::torus`].
+    fn torus_mut(arch: &mut Self::Arch) -> &mut Network<Self::Msg>;
 
     /// The processors, in node order.
     fn procs(arch: &Self::Arch) -> &[Processor];
@@ -677,11 +631,6 @@ pub trait ProtocolNode {
     /// early only costs a step; answering too late would change the
     /// schedule.
     fn next_event_at(arch: &Self::Arch, now: Cycle, limit: Cycle, outbox: &ActiveSet) -> Cycle;
-
-    /// Accounts `cycles` cycles the engine fast-forwarded over, each of
-    /// which [`ProtocolNode::next_event_at`] showed to be quiescent: their
-    /// exchange would only have advanced per-cycle fabric counters.
-    fn skip_quiescent_cycles(arch: &mut Self::Arch, cycles: u64);
 
     /// Whether a checkpoint is due at `now` on this protocol's logical time
     /// base (cycles for the directory system, ordered requests for the
@@ -722,43 +671,9 @@ pub trait ProtocolNode {
     /// protocol-side bookkeeping derived from the architectural state).
     fn after_recovery_restore(&mut self, arch: &mut Self::Arch);
 
-    /// The forward-progress measure for a recovery caused by `kind`
-    /// (Section 2, feature 4). Returns [`ForwardProgressMode::Normal`] when
-    /// no measure applies (the engine then leaves the current mode alone).
-    /// The protocol applies any immediate side effect itself (e.g. switching
-    /// the torus to static routing).
-    fn misspec_forward_progress(
-        &mut self,
-        arch: &mut Self::Arch,
-        kind: MisSpecKind,
-        resume_at: Cycle,
-        fp: &ForwardProgressConfig,
-    ) -> ForwardProgressMode;
-
-    /// Called when an [`ForwardProgressMode::AdaptiveRoutingDisabled`]
-    /// window expires (the directory protocol re-enables adaptive routing).
-    fn on_adaptive_window_expired(&mut self, arch: &mut Self::Arch);
-
-    /// Called when a [`ForwardProgressMode::ReservedSlots`] window expires
-    /// (the protocol lifts the per-network slot reservations its pooled
-    /// fabric re-executed under).
-    fn on_reserved_window_expired(&mut self, arch: &mut Self::Arch);
-
-    /// The outstanding-transaction limit in normal (non-slow-start)
-    /// operation.
-    fn normal_outstanding_limit(&self) -> usize;
-
     /// Fills the protocol-specific half of the run metrics (fabric stats,
     /// ordering stats, address-network counts).
     fn collect_protocol_metrics(&self, arch: &Self::Arch, now: Cycle, m: &mut RunMetrics);
-
-    /// Cumulative counters of the protocol's primary data-carrying fabric,
-    /// differenced per window by the telemetry sampler (the directory torus
-    /// or the snooping data torus). The default reports zeros for protocols
-    /// without a fabric.
-    fn fabric_counters(_arch: &Self::Arch) -> FabricCounters {
-        FabricCounters::default()
-    }
 }
 
 /// The generic full-system simulation engine: drives a [`ProtocolNode`]
@@ -771,7 +686,18 @@ pub struct SystemEngine<P: ProtocolNode> {
     arch: P::Arch,
     safetynet: SafetyNet<P::Arch>,
     fp_cfg: ForwardProgressConfig,
-    fp_mode: ForwardProgressMode,
+    /// The forward-progress mode in force: `Normal`, or the measure of the
+    /// latest recovery, which ends at [`SystemEngine::fp_until`].
+    fp_mode: EngineMode,
+    /// The cycle the forward-progress mode ends (`Cycle::MAX` when normal).
+    fp_until: Cycle,
+    /// The routing the torus was configured with, which it runs outside
+    /// the adaptive-routing measure.
+    routing: RoutingPolicy,
+    /// Test switch: retry stalled requests every cycle instead of parking
+    /// them, the dense scan that stall parking must match.
+    #[cfg(test)]
+    dense_stall_retries: bool,
     resume_at: Cycle,
     inject_recovery_every: Option<CycleDelta>,
     next_injected_recovery: Option<Cycle>,
@@ -857,13 +783,18 @@ impl<P: ProtocolNode> SystemEngine<P> {
         let safetynet = SafetyNet::new(safetynet_cfg, n, arch.clone(), 0);
         let next_injected_recovery = inject_recovery_every.map(|i| i.max(1));
         let fault_director = (!fault_plan.is_empty()).then(|| FaultDirector::new(fault_plan));
+        let routing = P::torus(&arch).routing();
         Self {
             protocol,
             now: 0,
             arch,
             safetynet,
             fp_cfg,
-            fp_mode: ForwardProgressMode::Normal,
+            fp_mode: EngineMode::Normal,
+            fp_until: Cycle::MAX,
+            routing,
+            #[cfg(test)]
+            dense_stall_retries: false,
             resume_at: 0,
             inject_recovery_every,
             next_injected_recovery,
@@ -946,9 +877,10 @@ impl<P: ProtocolNode> SystemEngine<P> {
         self.now
     }
 
-    /// The forward-progress mode currently in force.
+    /// The forward-progress mode currently in force (`Normal`,
+    /// `AdaptiveDegraded`, `SlowStart` or `ReservedSlots`).
     #[must_use]
-    pub fn forward_progress_mode(&self) -> ForwardProgressMode {
+    pub fn forward_progress_mode(&self) -> EngineMode {
         self.fp_mode
     }
 
@@ -1032,15 +964,9 @@ impl<P: ProtocolNode> SystemEngine<P> {
         {
             return;
         }
-        let mode_until = match self.fp_mode {
-            ForwardProgressMode::Normal => Cycle::MAX,
-            ForwardProgressMode::AdaptiveRoutingDisabled { until }
-            | ForwardProgressMode::SlowStart { until, .. }
-            | ForwardProgressMode::ReservedSlots { until } => until,
-        };
         horizon = horizon
             .min(self.next_timeout_scan)
-            .min(mode_until)
+            .min(self.fp_until)
             .min(self.next_injected_recovery.unwrap_or(Cycle::MAX))
             .min(self.safetynet.next_commit_at())
             .min(self.protocol.next_checkpoint_at(&self.safetynet));
@@ -1058,7 +984,7 @@ impl<P: ProtocolNode> SystemEngine<P> {
         self.probe.processor_skips += n * cycles;
         self.probe.exchange_outbox_visits += self.exchange.outbox.len() as u64 * cycles;
         self.probe.cycles_fast_forwarded += cycles;
-        P::skip_quiescent_cycles(&mut self.arch, cycles);
+        P::torus_mut(&mut self.arch).skip_idle_cycles(cycles);
         self.now = horizon - 1;
     }
 
@@ -1134,13 +1060,9 @@ impl<P: ProtocolNode> SystemEngine<P> {
     /// mode otherwise.
     fn engine_mode(&self, now: Cycle) -> EngineMode {
         if now < self.resume_at {
-            return EngineMode::Rollback;
-        }
-        match self.fp_mode {
-            ForwardProgressMode::Normal => EngineMode::Normal,
-            ForwardProgressMode::AdaptiveRoutingDisabled { .. } => EngineMode::AdaptiveDegraded,
-            ForwardProgressMode::SlowStart { .. } => EngineMode::SlowStart,
-            ForwardProgressMode::ReservedSlots { .. } => EngineMode::ReservedSlots,
+            EngineMode::Rollback
+        } else {
+            self.fp_mode
         }
     }
 
@@ -1157,7 +1079,7 @@ impl<P: ProtocolNode> SystemEngine<P> {
         let n = procs.len();
         let ops_completed = procs.iter().map(Processor::ops_completed).sum();
         let outstanding = P::outstanding_demand(&self.arch) as u64;
-        let fabric = P::fabric_counters(&self.arch);
+        let fabric = P::torus(&self.arch).stats();
         let log_occupancy = (0..n)
             .map(|i| self.safetynet.log_occupancy(NodeId::from(i)) as u64)
             .sum();
@@ -1165,8 +1087,8 @@ impl<P: ProtocolNode> SystemEngine<P> {
             ops_completed,
             recoveries: self.metrics.recoveries + self.metrics.injected_recoveries,
             link_busy_cycles: fabric.link_busy_cycles,
-            num_links: fabric.num_links,
-            messages_delivered: fabric.delivered,
+            num_links: fabric.num_links as u64,
+            messages_delivered: fabric.delivered.get(),
             log_entries: self.safetynet.stats().entries_logged,
             outstanding,
             log_occupancy,
@@ -1177,32 +1099,89 @@ impl<P: ProtocolNode> SystemEngine<P> {
         }
     }
 
-    fn update_forward_progress(&mut self, now: Cycle) {
-        match self.fp_mode {
-            ForwardProgressMode::AdaptiveRoutingDisabled { until } if now >= until => {
-                self.protocol.on_adaptive_window_expired(&mut self.arch);
-                self.fp_mode = ForwardProgressMode::Normal;
+    /// Forward progress (Section 2, feature 4): the measure a recovery
+    /// caused by `kind` re-executes under, so the rare event behind it
+    /// cannot recur at once, and the length of its window:
+    ///
+    /// * a forwarded request that found an invalid cache (Section 3.1's
+    ///   reorder) disables adaptive routing, if the torus routes adaptively;
+    /// * a buffer deadlock (Section 4) reserves slots for every virtual
+    ///   network, if the torus's pools can hold a reservation;
+    /// * any other kind, and a buffer deadlock that cannot reserve, enters
+    ///   slow-start (Sections 3.2 and 4).
+    ///
+    /// `None` when no measure applies or its window is 0: the mode in force
+    /// then stays.
+    fn forward_progress_measure(&self, kind: MisSpecKind) -> Option<(EngineMode, CycleDelta)> {
+        let fp = &self.fp_cfg;
+        let reservable = || P::torus(&self.arch).reservation_for(fp.reserved_slots_per_network) > 0;
+        let (mode, window) = match kind {
+            MisSpecKind::ForwardedRequestToInvalidCache => {
+                if self.routing != RoutingPolicy::Adaptive {
+                    return None;
+                }
+                (EngineMode::AdaptiveDegraded, fp.disable_adaptive_cycles)
             }
-            ForwardProgressMode::SlowStart { until, .. } if now >= until => {
-                self.fp_mode = ForwardProgressMode::Normal;
-                // The limit just rose: nodes the gate held re-present their
-                // requests in this cycle's tick.
-                self.wake.wake_held(now);
+            MisSpecKind::BufferDeadlock if fp.reserved_slot_cycles > 0 && reservable() => {
+                (EngineMode::ReservedSlots, fp.reserved_slot_cycles)
             }
-            ForwardProgressMode::ReservedSlots { until } if now >= until => {
-                self.protocol.on_reserved_window_expired(&mut self.arch);
-                self.fp_mode = ForwardProgressMode::Normal;
+            _ => (EngineMode::SlowStart, fp.slow_start_cycles),
+        };
+        (window > 0).then_some((mode, window))
+    }
+
+    /// Enters the measure for a recovery caused by `kind`, its window
+    /// starting at `resume_at`, unless none applies.
+    fn enter_forward_progress(&mut self, kind: MisSpecKind, resume_at: Cycle) {
+        if let Some((mode, window)) = self.forward_progress_measure(kind) {
+            self.set_forward_progress(mode, resume_at + window);
+        }
+    }
+
+    /// Switches the forward-progress mode to `mode` until cycle `until`.
+    /// Entering a measure applies its torus setting (static routing, or the
+    /// slot reservation); returning to `Normal` lifts the setting of the
+    /// mode that ended.
+    fn set_forward_progress(&mut self, mode: EngineMode, until: Cycle) {
+        let entering = mode != EngineMode::Normal;
+        let changed = if entering { mode } else { self.fp_mode };
+        self.fp_mode = mode;
+        self.fp_until = until;
+        let torus = P::torus_mut(&mut self.arch);
+        match changed {
+            EngineMode::AdaptiveDegraded => torus.set_routing(if entering {
+                RoutingPolicy::Static
+            } else {
+                self.routing
+            }),
+            EngineMode::ReservedSlots => {
+                torus.set_pool_reservation(if entering {
+                    self.fp_cfg.reserved_slots_per_network
+                } else {
+                    0
+                });
             }
             _ => {}
         }
     }
 
+    /// Ends the forward-progress mode once its window has passed.
+    fn update_forward_progress(&mut self, now: Cycle) {
+        if now >= self.fp_until {
+            self.set_forward_progress(EngineMode::Normal, Cycle::MAX);
+            // If slow-start ended, the limit just rose: nodes the gate held
+            // re-present their requests in this cycle's tick.
+            self.wake.wake_held(now);
+        }
+    }
+
+    /// The slow-start gate's limit on coherence transactions outstanding
+    /// system-wide: one in slow-start (the paper's value), none otherwise.
     fn outstanding_limit(&self) -> usize {
-        match self.fp_mode {
-            ForwardProgressMode::SlowStart {
-                max_outstanding, ..
-            } => max_outstanding.max(1),
-            _ => self.protocol.normal_outstanding_limit(),
+        if self.fp_mode == EngineMode::SlowStart {
+            1
+        } else {
+            usize::MAX
         }
     }
 
@@ -1215,13 +1194,15 @@ impl<P: ProtocolNode> SystemEngine<P> {
     fn tick_processors(&mut self, now: Cycle) {
         let limit = self.outstanding_limit();
         // Stall parking is exact only while the outstanding-transaction gate
-        // cannot bind: under a finite limit (slow-start) a dense scan's
-        // retry of a stalled request may instead be held by the gate, which
-        // leaves the processor's stall count alone, so stalled nodes keep
-        // the every-cycle retry. Slow-start is only ever entered through a
+        // cannot bind: in slow-start a dense scan's retry of a stalled
+        // request may instead be held by the gate, which leaves the
+        // processor's stall count alone, so stalled nodes keep the
+        // every-cycle retry. Slow-start is only ever entered through a
         // recovery, which unparks every node. Requests held by the gate
-        // itself are parked under any limit (see `WakeIndex::held`).
+        // itself are parked in slow-start too (see `WakeIndex::held`).
         let may_park = limit == usize::MAX;
+        #[cfg(test)]
+        let may_park = may_park && !self.dense_stall_retries;
         // Demand census for the slow-start governor, computed lazily on the
         // first cycle a processor actually presents a request: on quiescent
         // cycles (every processor mid-think or blocked on a miss) the whole
@@ -1538,35 +1519,8 @@ impl<P: ProtocolNode> SystemEngine<P> {
         // Forward progress (Section 2, feature 4): alter the timing of the
         // re-execution so the same rare event cannot immediately recur.
         if let RecoveryCause::MisSpeculation(kind) = cause {
-            let mode = self.protocol.misspec_forward_progress(
-                &mut self.arch,
-                kind,
-                self.resume_at,
-                &self.fp_cfg,
-            );
-            if mode != ForwardProgressMode::Normal {
-                self.fp_mode = mode;
-            }
+            self.enter_forward_progress(kind, self.resume_at);
         }
-    }
-
-    /// Test support: applies the protocol's forward-progress measure for
-    /// `kind` exactly as a mis-speculation recovery would (entry side
-    /// effects included), without performing the rollback itself. Lets unit
-    /// tests drive the mode lifecycle (entry → expiry hook) deterministically.
-    #[cfg(test)]
-    pub(crate) fn test_force_misspec_forward_progress(
-        &mut self,
-        kind: MisSpecKind,
-    ) -> ForwardProgressMode {
-        let resume = self.now;
-        let mode =
-            self.protocol
-                .misspec_forward_progress(&mut self.arch, kind, resume, &self.fp_cfg);
-        if mode != ForwardProgressMode::Normal {
-            self.fp_mode = mode;
-        }
-        mode
     }
 
     /// Gathers the run metrics: the protocol-independent half here, the
@@ -1673,14 +1627,11 @@ mod tests {
         cfg.traffic = crate::experiments::heavy_traffic::heavy_traffic();
         cfg.memory.mshr_entries = 4;
         cfg.inject_recovery_every = Some(7_000);
-        // The reference: a finite outstanding limit that the demand census
-        // can never reach leaves the schedule alone but forbids parking, so
-        // every stalled processor retries every cycle, exactly as a dense
-        // every-node scan does.
-        let mut dense_cfg = cfg.clone();
-        dense_cfg.max_outstanding = usize::MAX - 1;
-        let mut sys = DirectorySystem::new(cfg);
-        let mut dense = DirectorySystem::new(dense_cfg);
+        // The reference forbids parking, so every stalled processor retries
+        // every cycle, exactly as a dense every-node scan does.
+        let mut sys = DirectorySystem::new(cfg.clone());
+        let mut dense = DirectorySystem::new(cfg);
+        dense.engine.dense_stall_retries = true;
         let n = sys.engine.wake.parked.len();
         let (mut parks, mut wakes, mut recoveries_during_park) = (0, 0, 0);
         for _ in 0..30_000 {
@@ -1766,10 +1717,7 @@ mod tests {
             let held_before = sys.engine.wake.held.clone();
             let wake_before = sys.engine.wake.wake_at.clone();
             let ingest_possible = (0..n).any(|i| sys.message_waiting_at(i));
-            let slow_start_before = matches!(
-                sys.forward_progress_mode(),
-                ForwardProgressMode::SlowStart { .. }
-            );
+            let slow_start_before = sys.forward_progress_mode() == EngineMode::SlowStart;
             let recoveries = sys.engine.metrics.recoveries + sys.engine.metrics.injected_recoveries;
             let checkpoints = sys.engine.safetynet.stats().checkpoints_taken;
             sys.engine.step().expect("no protocol errors");
@@ -1787,11 +1735,7 @@ mod tests {
                 }
                 continue;
             }
-            let expired = slow_start_before
-                && !matches!(
-                    sys.forward_progress_mode(),
-                    ForwardProgressMode::SlowStart { .. }
-                );
+            let expired = slow_start_before && sys.forward_progress_mode() != EngineMode::SlowStart;
             for i in 0..n {
                 let was_parked_on_gate =
                     held_before[i] != Cycle::MAX && wake_before[i] == Cycle::MAX;
@@ -1915,21 +1859,25 @@ mod tests {
     /// setting it had before.
     fn assert_measure<P: ProtocolNode>(
         engine: &mut SystemEngine<P>,
-        torus: fn(&P::Arch) -> TorusSetting,
         (case, kind, entered, during): (&str, MisSpecKind, EngineMode, TorusSetting),
     ) {
         engine.run_for(1_000).expect("no protocol errors");
-        let before = torus(engine.arch());
-        engine.test_force_misspec_forward_progress(kind);
-        assert_eq!(engine.engine_mode(engine.now()), entered, "{case}");
-        assert_eq!(torus(engine.arch()), during, "{case}: torus in the window");
+        let before = torus_setting(engine);
+        engine.enter_forward_progress(kind, engine.now());
+        assert_eq!(engine.forward_progress_mode(), entered, "{case}");
+        assert_eq!(torus_setting(engine), during, "{case}: torus in the window");
         engine.run_for(3_000).expect("no protocol errors");
         assert_eq!(
-            engine.engine_mode(engine.now()),
+            engine.forward_progress_mode(),
             EngineMode::Normal,
             "{case}: window expired"
         );
-        assert_eq!(torus(engine.arch()), before, "{case}: torus after expiry");
+        assert_eq!(torus_setting(engine), before, "{case}: torus after expiry");
+    }
+
+    fn torus_setting<P: ProtocolNode>(engine: &SystemEngine<P>) -> TorusSetting {
+        let torus = P::torus(engine.arch());
+        (torus.routing(), torus.pool_reservation())
     }
 
     #[test]
@@ -1983,9 +1931,7 @@ mod tests {
             ),
         ];
         for (case, mut sys, (kind, entered, during)) in dir_rows {
-            let torus =
-                |a: &crate::dirsys::ArchState| (a.net().routing(), a.net().pool_reservation());
-            assert_measure(&mut sys.engine, torus, (case, kind, entered, during));
+            assert_measure(&mut sys.engine, (case, kind, entered, during));
         }
         let snoop = |pool: Option<usize>| {
             let mut cfg = snoop_cfg();
@@ -2013,10 +1959,7 @@ mod tests {
             ),
         ];
         for (case, mut sys, (kind, entered, during)) in snoop_rows {
-            let torus = |a: &crate::snoopsys::ArchState| {
-                (a.data_net().routing(), a.data_net().pool_reservation())
-            };
-            assert_measure(&mut sys.engine, torus, (case, kind, entered, during));
+            assert_measure(&mut sys.engine, (case, kind, entered, during));
         }
     }
 

@@ -9,11 +9,11 @@
 //! 4. **guaranteed forward progress**.
 //!
 //! This module keeps the qualitative Table 1 description of the three
-//! concrete designs; the runtime machinery the framework implies — the
-//! forward-progress modes and the per-run measured characterization — lives
-//! with the shared step loop in [`crate::engine`]
-//! ([`crate::engine::ForwardProgressMode`],
-//! [`crate::engine::MeasuredCharacterization`]).
+//! concrete designs; the runtime machinery the framework implies lives with
+//! the shared step loop in [`crate::engine`]: the forward-progress policy,
+//! which [`crate::engine::SystemEngine`] applies as an
+//! [`specsim_base::EngineMode`] after each recovery, and the per-run
+//! [`crate::engine::MeasuredCharacterization`].
 
 /// The three applications of speculation for simplicity the paper develops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -17,14 +17,14 @@
 //! contributes the snooping [`ProtocolNode`] implementation.
 
 use specsim_base::{
-    ActiveSet, BlockAddr, Cycle, CycleDelta, DetRng, FaultConfig, FaultKind, LinkBandwidth,
-    MemorySystemConfig, NodeId, ProtocolVariant, RoutingPolicy,
+    ActiveSet, BlockAddr, Cycle, CycleDelta, DetRng, EngineMode, FaultConfig, FaultKind,
+    LinkBandwidth, MemorySystemConfig, NodeId, ProtocolVariant, RoutingPolicy,
 };
 use specsim_coherence::snoop::msg::SnoopDataOut;
 use specsim_coherence::snoop::{
     SnoopAccessOutcome, SnoopCacheController, SnoopDataMsg, SnoopMemoryController, SnoopRequest,
 };
-use specsim_coherence::types::{CpuRequest, MisSpecKind, ProtocolError};
+use specsim_coherence::types::{CpuRequest, ProtocolError};
 use std::sync::Arc;
 
 use specsim_net::{Buffering, NetConfig, Network, OrderedBus, PoolSlots, VirtualNetwork};
@@ -32,9 +32,7 @@ use specsim_safetynet::SafetyNet;
 use specsim_workloads::{Processor, TrafficConfig, WorkloadGenerator, WorkloadKind, ZipfTable};
 
 use crate::config::{buffering_problems, watchdog_threshold, ForwardProgressConfig};
-use crate::engine::{
-    EngineAccess, EngineCtx, ForwardProgressMode, ProtocolNode, StagedOutbox, SystemEngine,
-};
+use crate::engine::{EngineAccess, EngineCtx, ProtocolNode, StagedOutbox, SystemEngine};
 use crate::metrics::{DataClass, RunMetrics, ALL_DATA_CLASSES};
 
 /// The traffic class of a data-network message (owner transfer vs.
@@ -413,6 +411,15 @@ impl SnoopProtocol {
 
 impl ProtocolNode for SnoopProtocol {
     type Arch = ArchState;
+    type Msg = SnoopDataMsg;
+
+    fn torus(arch: &ArchState) -> &Network<SnoopDataMsg> {
+        &arch.data_net
+    }
+
+    fn torus_mut(arch: &mut ArchState) -> &mut Network<SnoopDataMsg> {
+        &mut arch.data_net
+    }
 
     fn procs(arch: &ArchState) -> &[Processor] {
         &arch.procs
@@ -470,10 +477,6 @@ impl ProtocolNode for SnoopProtocol {
         })
     }
 
-    fn skip_quiescent_cycles(arch: &mut ArchState, cycles: u64) {
-        arch.data_net.skip_idle_cycles(cycles);
-    }
-
     fn checkpoint_due(
         &self,
         arch: &ArchState,
@@ -511,49 +514,6 @@ impl ProtocolNode for SnoopProtocol {
         self.requests_at_last_checkpoint = arch.bus.granted();
     }
 
-    fn misspec_forward_progress(
-        &mut self,
-        arch: &mut ArchState,
-        kind: MisSpecKind,
-        resume_at: Cycle,
-        fp: &ForwardProgressConfig,
-    ) -> ForwardProgressMode {
-        // A buffer deadlock on a shared-pool data torus re-executes with
-        // per-network reserved slots (Section 4's conservative recipe,
-        // falling back to slow-start on unpooled fabrics).
-        if kind == MisSpecKind::BufferDeadlock {
-            return crate::engine::buffer_deadlock_forward_progress(
-                &mut arch.data_net,
-                resume_at,
-                fp,
-            );
-        }
-        // Section 3.2 / Section 4: restrict outstanding transactions after
-        // recovery; the corner case (and deadlock) need at least two
-        // concurrent transactions to recur.
-        if fp.slow_start_cycles > 0 {
-            ForwardProgressMode::SlowStart {
-                until: resume_at + fp.slow_start_cycles,
-                max_outstanding: fp.slow_start_max_outstanding,
-            }
-        } else {
-            ForwardProgressMode::Normal
-        }
-    }
-
-    fn on_adaptive_window_expired(&mut self, _arch: &mut ArchState) {
-        // The snooping design never disables adaptive routing (its address
-        // order comes from the bus, not the torus).
-    }
-
-    fn on_reserved_window_expired(&mut self, arch: &mut ArchState) {
-        arch.data_net.set_pool_reservation(0);
-    }
-
-    fn normal_outstanding_limit(&self) -> usize {
-        usize::MAX
-    }
-
     fn collect_protocol_metrics(&self, arch: &ArchState, now: Cycle, m: &mut RunMetrics) {
         m.messages_delivered = arch.data_net.stats().delivered.get();
         m.bus_requests = arch.bus.granted();
@@ -568,15 +528,6 @@ impl ProtocolNode for SnoopProtocol {
             m.data_latency_per_class[class.index()] = arch.data_net.stats().mean_latency_of(vnet);
         }
         m.vnet_latency = arch.data_net.stats().latency_hist_per_vnet.clone();
-    }
-
-    fn fabric_counters(arch: &ArchState) -> specsim_base::FabricCounters {
-        let s = arch.data_net.stats();
-        specsim_base::FabricCounters {
-            link_busy_cycles: s.link_busy_cycles,
-            num_links: s.num_links as u64,
-            delivered: s.delivered.get(),
-        }
     }
 }
 
@@ -654,7 +605,7 @@ impl SnoopingSystem {
 
     /// The forward-progress mode currently in force.
     #[must_use]
-    pub fn forward_progress_mode(&self) -> ForwardProgressMode {
+    pub fn forward_progress_mode(&self) -> EngineMode {
         self.engine.forward_progress_mode()
     }
 
@@ -735,16 +686,9 @@ impl SnoopingSystem {
 }
 
 #[cfg(test)]
-impl ArchState {
-    /// The data torus (read-only), for the forward-progress policy tests.
-    pub(crate) fn data_net(&self) -> &Network<SnoopDataMsg> {
-        &self.data_net
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
+    use specsim_coherence::types::MisSpecKind;
 
     fn small_config(protocol: ProtocolVariant) -> SnoopSystemConfig {
         let mut cfg = SnoopSystemConfig::new(WorkloadKind::Apache, protocol, 11);

@@ -438,6 +438,14 @@ impl<P> Network<P> {
         }
     }
 
+    /// The per-virtual-network reservation [`Network::set_pool_reservation`]
+    /// installs for `r`: 0 when the network is not pooled or its pools are
+    /// too small to reserve a slot for every virtual network.
+    #[must_use]
+    pub fn reservation_for(&self, r: usize) -> usize {
+        self.pools.as_ref().map_or(0, |p| p[0].reservation_for(r))
+    }
+
     /// The per-virtual-network reservation currently in force (`None` when
     /// the network is not pooled).
     #[must_use]

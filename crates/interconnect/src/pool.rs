@@ -114,7 +114,13 @@ impl SlotPool {
     /// new shared acquisitions until releases catch up (in practice the
     /// recovery drain empties the fabric before the reservation starts).
     pub fn set_reservation(&mut self, r: usize) {
-        self.reserved_per_vnet = r.min(self.total / NUM_VNETS);
+        self.reserved_per_vnet = self.reservation_for(r);
+    }
+
+    /// The reservation [`SlotPool::set_reservation`] installs for `r`.
+    #[must_use]
+    pub fn reservation_for(&self, r: usize) -> usize {
+        r.min(self.total / NUM_VNETS)
     }
 
     /// Drops every held slot (recovery drain); the reservation setting is

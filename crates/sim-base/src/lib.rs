@@ -55,9 +55,8 @@ pub use queue::MsgQueue;
 pub use rng::DetRng;
 pub use stats::{Counter, Histogram, RunningStats, UtilizationTracker};
 pub use telemetry::{
-    EngineMode, FabricCounters, Log2Histogram, ModeTimeline, ModeTransition, SpecEvent,
-    TelemetryConfig, TelemetryRecorder, WindowCounters, WindowSample, ALL_ENGINE_MODES,
-    ENGINE_MODE_COUNT,
+    EngineMode, Log2Histogram, ModeTimeline, ModeTransition, SpecEvent, TelemetryConfig,
+    TelemetryRecorder, WindowCounters, WindowSample, ALL_ENGINE_MODES, ENGINE_MODE_COUNT,
 };
 pub use time::{Cycle, CycleDelta};
 

@@ -393,18 +393,6 @@ impl TelemetryConfig {
     }
 }
 
-/// Cumulative fabric counters a protocol reports for the windowed sampler
-/// (the sampler differences successive snapshots to get per-window rates).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FabricCounters {
-    /// Total busy cycles summed over every unidirectional link.
-    pub link_busy_cycles: u64,
-    /// Number of unidirectional links (0 when the protocol has no fabric).
-    pub num_links: u64,
-    /// Messages delivered by the fabric so far.
-    pub delivered: u64,
-}
-
 /// A cumulative counter snapshot taken at a window boundary; the recorder
 /// differences successive snapshots into a [`WindowSample`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -11,7 +11,7 @@
 //! dependency cycle forms from real protocol traffic.
 
 use specsim::experiments::heavy_traffic::heavy_traffic;
-use specsim::{DirectorySystem, ForwardProgressMode, SystemConfig};
+use specsim::{DirectorySystem, EngineMode, SystemConfig};
 use specsim_base::LinkBandwidth;
 use specsim_coherence::MisSpecKind;
 use specsim_net::{Buffering, PoolSlots};
@@ -40,14 +40,11 @@ fn heavy_traffic_deadlocks_the_8_slot_pool_and_recovery_restores_coherence() {
     let mut sys = DirectorySystem::new(cfg);
 
     // Step in short chunks so the conservative re-execution window
-    // (ForwardProgressMode::ReservedSlots) is observable while it is open.
+    // (EngineMode::ReservedSlots) is observable while it is open.
     let mut saw_reserved_slots = false;
     for _ in 0..40 {
         sys.run_for(500).expect("no protocol errors");
-        if matches!(
-            sys.forward_progress_mode(),
-            ForwardProgressMode::ReservedSlots { .. }
-        ) {
+        if sys.forward_progress_mode() == EngineMode::ReservedSlots {
             saw_reserved_slots = true;
         }
     }
