@@ -1134,45 +1134,43 @@ impl<P: ProtocolNode> SystemEngine<P> {
     /// starting at `resume_at`, unless none applies.
     fn enter_forward_progress(&mut self, kind: MisSpecKind, resume_at: Cycle) {
         if let Some((mode, window)) = self.forward_progress_measure(kind) {
-            self.set_forward_progress(mode, resume_at + window);
+            self.fp_mode = mode;
+            self.fp_until = resume_at + window;
         }
-    }
-
-    /// Switches the forward-progress mode to `mode` until cycle `until`.
-    /// Entering a measure applies its torus setting (static routing, or the
-    /// slot reservation); returning to `Normal` lifts the setting of the
-    /// mode that ended.
-    fn set_forward_progress(&mut self, mode: EngineMode, until: Cycle) {
-        let entering = mode != EngineMode::Normal;
-        let changed = if entering { mode } else { self.fp_mode };
-        self.fp_mode = mode;
-        self.fp_until = until;
-        let torus = P::torus_mut(&mut self.arch);
-        match changed {
-            EngineMode::AdaptiveDegraded => torus.set_routing(if entering {
-                RoutingPolicy::Static
-            } else {
-                self.routing
-            }),
-            EngineMode::ReservedSlots => {
-                torus.set_pool_reservation(if entering {
-                    self.fp_cfg.reserved_slots_per_network
-                } else {
-                    0
-                });
-            }
-            _ => {}
-        }
+        self.sync_torus();
     }
 
     /// Ends the forward-progress mode once its window has passed.
     fn update_forward_progress(&mut self, now: Cycle) {
         if now >= self.fp_until {
-            self.set_forward_progress(EngineMode::Normal, Cycle::MAX);
+            self.fp_mode = EngineMode::Normal;
+            self.fp_until = Cycle::MAX;
+            self.sync_torus();
             // If slow-start ended, the limit just rose: nodes the gate held
             // re-present their requests in this cycle's tick.
             self.wake.wake_held(now);
         }
+    }
+
+    /// Puts the torus in the state the forward-progress mode asks for: it
+    /// routes statically exactly while the mode is `AdaptiveDegraded` (with
+    /// its configured routing otherwise), and its pools hold a reservation
+    /// exactly while the mode is `ReservedSlots`. Called on every mode
+    /// change and after every restore, so neither a measure that another
+    /// replaces nor a checkpoint taken under an earlier measure leaves a
+    /// setting behind.
+    fn sync_torus(&mut self) {
+        let routing = match self.fp_mode {
+            EngineMode::AdaptiveDegraded => RoutingPolicy::Static,
+            _ => self.routing,
+        };
+        let reservation = match self.fp_mode {
+            EngineMode::ReservedSlots => self.fp_cfg.reserved_slots_per_network,
+            _ => 0,
+        };
+        let torus = P::torus_mut(&mut self.arch);
+        torus.set_routing(routing);
+        torus.set_pool_reservation(reservation);
     }
 
     /// The slow-start gate's limit on coherence transactions outstanding
@@ -1517,9 +1515,13 @@ impl<P: ProtocolNode> SystemEngine<P> {
         self.fabric_deadlock_at = None;
         self.fault_evidence_at = None;
         // Forward progress (Section 2, feature 4): alter the timing of the
-        // re-execution so the same rare event cannot immediately recur.
-        if let RecoveryCause::MisSpeculation(kind) = cause {
-            self.enter_forward_progress(kind, self.resume_at);
+        // re-execution so the same rare event cannot immediately recur. The
+        // restored torus carries the settings of its checkpoint's mode.
+        match cause {
+            RecoveryCause::MisSpeculation(kind) => {
+                self.enter_forward_progress(kind, self.resume_at)
+            }
+            RecoveryCause::Injected => self.sync_torus(),
         }
     }
 
@@ -1880,6 +1882,21 @@ mod tests {
         (torus.routing(), torus.pool_reservation())
     }
 
+    /// The full-protocol test directory with `routing`, a unified pool of
+    /// `pool` slots per node if given, and short forward-progress windows.
+    fn dir(routing: RoutingPolicy, pool: Option<usize>) -> DirectorySystem {
+        let mut cfg = dir_cfg();
+        if let Some(slots) = pool {
+            cfg.buffering = specsim_net::Buffering::SharedPool {
+                virtual_channels: true,
+                slots: specsim_net::PoolSlots::Unified(slots),
+            };
+        }
+        cfg.routing = routing;
+        short_windows(&mut cfg.forward_progress);
+        DirectorySystem::new(cfg)
+    }
+
     #[test]
     fn forward_progress_policy_table() {
         // Section 2, feature 4: each mis-speculation kind re-executes under
@@ -1887,18 +1904,6 @@ mod tests {
         use EngineMode::{AdaptiveDegraded, Normal, ReservedSlots, SlowStart};
         use MisSpecKind::{BufferDeadlock, ForwardedRequestToInvalidCache, TransactionTimeout};
         use RoutingPolicy::{Adaptive, Static};
-        let dir = |routing, pool: Option<usize>| {
-            let mut cfg = dir_cfg();
-            if let Some(slots) = pool {
-                cfg.buffering = specsim_net::Buffering::SharedPool {
-                    virtual_channels: true,
-                    slots: specsim_net::PoolSlots::Unified(slots),
-                };
-            }
-            cfg.routing = routing;
-            short_windows(&mut cfg.forward_progress);
-            DirectorySystem::new(cfg)
-        };
         let dir_rows = [
             (
                 "adaptive directory, reorder",
@@ -1960,6 +1965,42 @@ mod tests {
         ];
         for (case, mut sys, (kind, entered, during)) in snoop_rows {
             assert_measure(&mut sys.engine, (case, kind, entered, during));
+        }
+    }
+
+    #[test]
+    fn the_torus_follows_the_mode_through_replacement_and_restore() {
+        // The torus routes statically exactly while adaptive routing is
+        // disabled, and reserves slots exactly while the mode says so.
+        use RoutingPolicy::Adaptive;
+        let cases = [
+            (
+                dir(Adaptive, Some(64)),
+                MisSpecKind::BufferDeadlock,
+                (Adaptive, Some(2)),
+            ),
+            (
+                dir(Adaptive, None),
+                MisSpecKind::ForwardedRequestToInvalidCache,
+                (RoutingPolicy::Static, None),
+            ),
+        ];
+        for (mut sys, kind, during) in cases {
+            let configured = torus_setting(&sys.engine);
+            sys.run_for(1_000).expect("no protocol errors");
+            // A rollback to a checkpoint taken before the measure began
+            // keeps the measure's setting while the mode stays in force.
+            sys.engine.enter_forward_progress(kind, sys.now());
+            let entered = sys.forward_progress_mode();
+            sys.engine
+                .perform_recovery(sys.now(), RecoveryCause::Injected);
+            assert_eq!(sys.forward_progress_mode(), entered, "{kind:?}");
+            assert_eq!(torus_setting(&sys.engine), during, "{kind:?}: restored");
+            // Slow-start replacing the measure lifts its setting.
+            sys.engine
+                .enter_forward_progress(MisSpecKind::TransactionTimeout, sys.now());
+            assert_eq!(sys.forward_progress_mode(), EngineMode::SlowStart);
+            assert_eq!(torus_setting(&sys.engine), configured, "{kind:?}: replaced");
         }
     }
 
