@@ -43,21 +43,37 @@ impl ExperimentScale {
     }
 
     /// Reads the scale from the environment (`SPECSIM_CYCLES`,
-    /// `SPECSIM_SEEDS`), falling back to the defaults.
+    /// `SPECSIM_SEEDS`), falling back to the defaults for unset variables.
+    ///
+    /// # Panics
+    ///
+    /// If a variable is set to anything but a whole number; the message
+    /// names the variable and its value.
     #[must_use]
     pub fn from_env() -> Self {
-        let mut scale = Self::default();
-        if let Ok(c) = std::env::var("SPECSIM_CYCLES") {
-            if let Ok(c) = c.parse() {
-                scale.cycles = c;
-            }
-        }
-        if let Ok(s) = std::env::var("SPECSIM_SEEDS") {
-            if let Ok(s) = s.parse() {
-                scale.seeds = s;
-            }
-        }
-        scale
+        let var = |name| std::env::var(name).ok();
+        Self::from_vars(
+            var("SPECSIM_CYCLES").as_deref(),
+            var("SPECSIM_SEEDS").as_deref(),
+        )
+        .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The pure half of [`ExperimentScale::from_env`]: the scale for the
+    /// values of `SPECSIM_CYCLES` and `SPECSIM_SEEDS` (`None` when unset),
+    /// or a message naming the variable whose value is not a whole number.
+    pub fn from_vars(cycles: Option<&str>, seeds: Option<&str>) -> Result<Self, String> {
+        let parse = |name: &str, value: Option<&str>, default: u64| match value {
+            None => Ok(default),
+            Some(v) => v
+                .parse()
+                .map_err(|_| format!("{name}={v:?} is not a whole number")),
+        };
+        let defaults = Self::default();
+        Ok(Self {
+            cycles: parse("SPECSIM_CYCLES", cycles, defaults.cycles)?,
+            seeds: parse("SPECSIM_SEEDS", seeds, defaults.seeds)?,
+        })
     }
 
     /// The seeds used for the perturbed runs.
@@ -196,6 +212,34 @@ pub fn misspec_per_mcycle_measurement(runs: &[RunMetrics]) -> Measurement {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scale_from_vars_parses_counts_and_names_a_bad_value() {
+        let defaults = ExperimentScale::default();
+        assert_eq!(ExperimentScale::from_vars(None, None), Ok(defaults));
+        assert_eq!(
+            ExperimentScale::from_vars(Some("8000"), Some("1")),
+            Ok(ExperimentScale {
+                cycles: 8_000,
+                seeds: 1
+            })
+        );
+        assert_eq!(
+            ExperimentScale::from_vars(None, Some("7")),
+            Ok(ExperimentScale {
+                seeds: 7,
+                ..defaults
+            })
+        );
+        assert_eq!(
+            ExperimentScale::from_vars(Some("8k"), None),
+            Err("SPECSIM_CYCLES=\"8k\" is not a whole number".to_string())
+        );
+        assert_eq!(
+            ExperimentScale::from_vars(Some("8000"), Some("-3")),
+            Err("SPECSIM_SEEDS=\"-3\" is not a whole number".to_string())
+        );
+    }
 
     #[test]
     fn measurement_aggregates_mean_and_stddev() {
