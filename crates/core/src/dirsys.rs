@@ -578,6 +578,7 @@ impl DirectorySystem {
 mod tests {
     use super::*;
     use specsim_base::{LinkBandwidth, ProtocolVariant, RoutingPolicy};
+    use specsim_coherence::types::MisSpecKind;
     use specsim_workloads::WorkloadKind;
 
     fn small_config(protocol: ProtocolVariant, routing: RoutingPolicy) -> SystemConfig {
@@ -650,6 +651,43 @@ mod tests {
         // Execution continued after the rollback.
         sys.run_for(10_000).expect("no protocol errors");
         assert!(sys.ops_completed() > ops_after_recovery);
+    }
+
+    #[test]
+    fn buffer_deadlock_measure_reserves_pool_slots_and_expiry_lifts_them() {
+        // Drives the Section 4 forward-progress lifecycle deterministically:
+        // entering the measure partitions every node's pool into per-network
+        // reservations; once the window expires the engine lifts them and
+        // the pool returns to fully shared slots.
+        let mut cfg =
+            SystemConfig::shared_pool_interconnect(WorkloadKind::Jbb, LinkBandwidth::GB_3_2, 64, 7);
+        cfg.memory.l1_bytes = 16 * 1024;
+        cfg.memory.l2_bytes = 64 * 1024;
+        cfg.forward_progress.reserved_slot_cycles = 2_000;
+        cfg.forward_progress.reserved_slots_per_network = 2;
+        let mut sys = DirectorySystem::new(cfg);
+        sys.run_for(1_000).expect("no protocol errors");
+        assert_eq!(sys.engine.arch().net.pool_reservation(), Some(0));
+        sys.engine
+            .enter_forward_progress(MisSpecKind::BufferDeadlock, sys.now());
+        assert_eq!(sys.forward_progress_mode(), EngineMode::ReservedSlots);
+        assert_eq!(sys.engine.arch().net.pool_reservation(), Some(2));
+        // The window expires mid-run; the engine lifts the reservation.
+        sys.run_for(3_000).expect("no protocol errors");
+        assert_eq!(sys.forward_progress_mode(), EngineMode::Normal);
+        assert_eq!(sys.engine.arch().net.pool_reservation(), Some(0));
+    }
+
+    #[test]
+    fn buffer_deadlock_measure_falls_back_to_slow_start_on_unpooled_nets() {
+        // A worst-case-buffered machine has no pool to reserve: the measure
+        // degrades to slow-start, never to a no-op.
+        let mut sys =
+            DirectorySystem::new(small_config(ProtocolVariant::Full, RoutingPolicy::Static));
+        sys.run_for(100).expect("no protocol errors");
+        sys.engine
+            .enter_forward_progress(MisSpecKind::BufferDeadlock, sys.now());
+        assert_eq!(sys.forward_progress_mode(), EngineMode::SlowStart);
     }
 
     #[test]

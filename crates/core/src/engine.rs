@@ -1132,7 +1132,7 @@ impl<P: ProtocolNode> SystemEngine<P> {
 
     /// Enters the measure for a recovery caused by `kind`, its window
     /// starting at `resume_at`, unless none applies.
-    fn enter_forward_progress(&mut self, kind: MisSpecKind, resume_at: Cycle) {
+    pub(crate) fn enter_forward_progress(&mut self, kind: MisSpecKind, resume_at: Cycle) {
         if let Some((mode, window)) = self.forward_progress_measure(kind) {
             self.fp_mode = mode;
             self.fp_until = resume_at + window;
