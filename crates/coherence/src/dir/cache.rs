@@ -220,18 +220,15 @@ impl DirCacheController {
         self.demands.len()
     }
 
-    /// Cycle at which the *oldest* outstanding demand miss (if any) was
-    /// issued; used by the system layer for the transaction-timeout
-    /// detection of Section 4.
+    /// Issue cycle and block of the *oldest* outstanding demand miss (if
+    /// any); used by the system layer for the transaction-timeout detection
+    /// of Section 4.
     #[must_use]
-    pub fn outstanding_since(&self) -> Option<Cycle> {
-        self.demands.iter().map(|d| d.issued_at).min()
-    }
-
-    /// Block of the oldest outstanding demand miss, if any.
-    #[must_use]
-    pub fn outstanding_addr(&self) -> Option<BlockAddr> {
-        self.demands.first().map(|d| d.addr)
+    pub fn oldest_demand(&self) -> Option<(Cycle, BlockAddr)> {
+        self.demands
+            .iter()
+            .min_by_key(|d| d.issued_at)
+            .map(|d| (d.issued_at, d.addr))
     }
 
     /// Number of protocol messages waiting to be injected into the network.
@@ -1282,7 +1279,7 @@ mod tests {
         assert_eq!(done.addr, BlockAddr(0x80));
         assert_eq!(done.value, 22);
         assert_eq!(c.outstanding_demands(), 1);
-        assert_eq!(c.outstanding_addr(), Some(BlockAddr(0x40)));
+        assert_eq!(c.oldest_demand(), Some((0, BlockAddr(0x40))));
         c.handle_message(
             90,
             DirMsg::Data {

@@ -202,11 +202,14 @@ impl SnoopCacheController {
         self.demands.len()
     }
 
-    /// Cycle at which the oldest outstanding demand was issued (timeout
+    /// Issue cycle and block of the oldest outstanding demand (timeout
     /// detection).
     #[must_use]
-    pub fn outstanding_since(&self) -> Option<Cycle> {
-        self.demands.iter().map(|d| d.issued_at).min()
+    pub fn oldest_demand(&self) -> Option<(Cycle, BlockAddr)> {
+        self.demands
+            .iter()
+            .min_by_key(|d| d.issued_at)
+            .map(|d| (d.issued_at, d.addr))
     }
 
     /// Removes the next address-network request to post, if any.
@@ -965,7 +968,7 @@ mod tests {
             .unwrap();
         let done = c.take_completed().unwrap();
         assert_eq!((done.addr, done.value), (b, 22));
-        assert_eq!(c.outstanding_since(), Some(0), "oldest demand still open");
+        assert_eq!(c.oldest_demand(), Some((0, A)), "oldest demand still open");
         c.handle_data(20, SnoopDataMsg::Data { addr: A, data: 11 })
             .unwrap();
         let done = c.take_completed().unwrap();

@@ -68,11 +68,6 @@ pub struct SystemConfig {
     /// If set, inject a recovery every this many cycles regardless of
     /// mis-speculations (the stress test of Figure 4).
     pub inject_recovery_every: Option<CycleDelta>,
-    /// Magnitude (in cycles) of the pseudo-random perturbation added to each
-    /// miss, following the evaluation methodology of Alameldeen et al.
-    /// (Section 5.2): multiple runs with small perturbations provide the
-    /// error bars.
-    pub perturbation_cycles: u64,
     /// Production-traffic shaping applied to every node's synthetic
     /// generator: an optional Zipfian hot-block overlay and an optional
     /// bursty injection-rate modulation. The unshaped default is
@@ -128,7 +123,6 @@ impl SystemConfig {
             seed,
             forward_progress: ForwardProgressConfig::default(),
             inject_recovery_every: None,
-            perturbation_cycles: 4,
             traffic: TrafficConfig::default(),
             record_trace: false,
             replay_trace: None,

@@ -4,26 +4,25 @@
 //! and 5 of the paper (16 nodes on a 4×4 torus; the node-count scaling sweep
 //! grows the same system to rectangular tori up to 16×8).
 //!
-//! The per-cycle machinery (processor ticking with idle-skip, checkpointing,
-//! recovery and forward-progress orchestration, metrics) is the shared
-//! [`SystemEngine`]; this module contributes the directory-protocol
-//! [`ProtocolNode`] implementation — the torus fabric, the cache/directory
-//! controllers and the virtual-network plumbing between them.
+//! The machine is the shared [`SystemEngine`] (processor ticking with
+//! idle-skip, checkpointing, recovery and forward-progress orchestration,
+//! metrics) driving [`DirProtocol`], this module's [`ProtocolNode`]
+//! implementation — the torus fabric, the cache/directory controllers and
+//! the virtual-network plumbing between them. [`DirectorySystem`] names
+//! that pairing and adds the directory-specific constructor and checks.
 //!
-//! The system is advanced one cycle at a time by [`DirectorySystem::step`];
-//! [`DirectorySystem::run_for`] runs a full experiment window and returns the
+//! The system is advanced one cycle at a time by [`SystemEngine::step`];
+//! [`SystemEngine::run_for`] runs a full experiment window and returns the
 //! collected [`RunMetrics`].
 
 use std::sync::Arc;
 
-use specsim_base::{
-    ActiveSet, BlockAddr, Cycle, CycleDelta, DetRng, EngineMode, FaultKind, NodeId,
-};
+use specsim_base::{ActiveSet, BlockAddr, Cycle, CycleDelta, DetRng, FaultKind, NodeId};
 use specsim_coherence::dir::{
     AccessOutcome, CacheState, DirCacheController, DirMsg, DirectoryController, OutMsg,
 };
-use specsim_coherence::types::{CpuRequest, MsgClass, ProtocolError};
-use specsim_net::{Network, PacketTaint, VirtualNetwork};
+use specsim_coherence::types::{CpuRequest, MsgClass};
+use specsim_net::{ForwardProbe, Network, PacketTaint, VirtualNetwork};
 use specsim_safetynet::SafetyNet;
 use specsim_workloads::{Processor, Trace, WorkloadGenerator, ZipfTable};
 
@@ -48,7 +47,7 @@ const DIRECTORY_LATENCY: CycleDelta = 16;
 /// to restore: caches, directories/memories, processors (with their workload
 /// positions), the interconnect contents and the per-node staging outboxes.
 #[derive(Debug, Clone)]
-pub(crate) struct ArchState {
+pub struct ArchState {
     net: Network<DirMsg>,
     caches: Vec<DirCacheController>,
     dirs: Vec<DirectoryController>,
@@ -70,7 +69,7 @@ fn vnet_of(class: MsgClass) -> VirtualNetwork {
 /// The directory-protocol half of the machine: everything the shared
 /// [`SystemEngine`] delegates to a [`ProtocolNode`].
 #[derive(Debug)]
-pub(crate) struct DirProtocol {
+pub struct DirProtocol {
     cfg: SystemConfig,
 }
 
@@ -234,8 +233,7 @@ impl DirProtocol {
                     Some(m) => {
                         let delay = match m.msg {
                             DirMsg::Data { .. } => {
-                                self.cfg.memory.dram_access_cycles
-                                    + ctx.perturbation(self.cfg.perturbation_cycles)
+                                self.cfg.memory.dram_access_cycles + ctx.perturbation()
                             }
                             _ => DIRECTORY_LATENCY,
                         };
@@ -307,7 +305,6 @@ impl ProtocolNode for DirProtocol {
         }
         self.pump_outboxes(arch, now, ctx);
         arch.net.tick(now, ctx.faults());
-        crate::engine::report_pooled_fabric_evidence(&arch.net, now, ctx);
     }
 
     fn drain_write_log(arch: &mut ArchState, i: usize) -> usize {
@@ -341,17 +338,9 @@ impl ProtocolNode for DirProtocol {
         safetynet.next_checkpoint_at()
     }
 
-    fn on_checkpoint_taken(&mut self, _arch: &ArchState) {}
-
-    fn timeout_addr(arch: &ArchState, i: usize) -> BlockAddr {
-        arch.caches[i].outstanding_addr().unwrap_or(BlockAddr(0))
+    fn oldest_transaction(arch: &ArchState, i: usize) -> Option<(Cycle, BlockAddr)> {
+        arch.caches[i].oldest_demand()
     }
-
-    fn transaction_outstanding_since(arch: &ArchState, i: usize) -> Option<Cycle> {
-        arch.caches[i].outstanding_since()
-    }
-
-    fn after_recovery_restore(&mut self, _arch: &mut ArchState) {}
 
     fn collect_protocol_metrics(&self, arch: &ArchState, now: Cycle, m: &mut RunMetrics) {
         m.messages_delivered = arch.net.stats().delivered.get();
@@ -364,11 +353,9 @@ impl ProtocolNode for DirProtocol {
     }
 }
 
-/// The assembled directory-protocol multiprocessor.
-#[derive(Debug)]
-pub struct DirectorySystem {
-    pub(crate) engine: SystemEngine<DirProtocol>,
-}
+/// The assembled directory-protocol multiprocessor: the shared engine
+/// driving the directory protocol.
+pub type DirectorySystem = SystemEngine<DirProtocol>;
 
 impl DirectorySystem {
     /// Builds the system described by `cfg`.
@@ -418,7 +405,7 @@ impl DirectorySystem {
         };
         let perturb_rng = seed_rng.fork();
         let fault_plan = cfg.fault_config.lower(cfg.seed, n);
-        let mut engine = SystemEngine::new(
+        let mut engine = Self::assemble(
             DirProtocol { cfg: cfg.clone() },
             arch,
             cfg.memory.safetynet.clone(),
@@ -428,65 +415,20 @@ impl DirectorySystem {
             fault_plan,
         );
         engine.set_telemetry(cfg.telemetry);
-        Self { engine }
+        engine
     }
 
     /// The configuration this system was built from.
     #[must_use]
     pub fn config(&self) -> &SystemConfig {
-        &self.engine.protocol().cfg
-    }
-
-    /// Current simulated cycle.
-    #[must_use]
-    pub fn now(&self) -> Cycle {
-        self.engine.now()
-    }
-
-    /// The forward-progress mode currently in force.
-    #[must_use]
-    pub fn forward_progress_mode(&self) -> EngineMode {
-        self.engine.forward_progress_mode()
-    }
-
-    /// Memory operations committed so far across all processors.
-    #[must_use]
-    pub fn ops_completed(&self) -> u64 {
-        self.engine.ops_completed()
-    }
-
-    /// The engine's work counters (idle-skip and exchange-worklist
-    /// observability).
-    #[must_use]
-    pub fn engine_probe(&self) -> crate::engine::EngineProbe {
-        self.engine.probe()
+        &self.protocol().cfg
     }
 
     /// The torus's forward-phase work counters (switch visits) —
     /// observability only, never part of the schedule.
     #[must_use]
-    pub fn net_forward_probe(&self) -> specsim_net::ForwardProbe {
-        self.engine.arch().net.forward_probe()
-    }
-
-    /// The always-on engine-mode timeline (availability observability).
-    #[must_use]
-    pub fn mode_timeline(&self) -> &specsim_base::ModeTimeline {
-        self.engine.mode_timeline()
-    }
-
-    /// The windowed telemetry samples as JSONL, when
-    /// [`SystemConfig::telemetry`] enabled the sampler.
-    #[must_use]
-    pub fn telemetry_jsonl(&self) -> Option<String> {
-        self.engine.telemetry_jsonl()
-    }
-
-    /// The speculation-lifecycle trace as a Chrome trace-event JSON
-    /// document (Perfetto-loadable), when telemetry is enabled.
-    #[must_use]
-    pub fn telemetry_trace(&self) -> Option<String> {
-        self.engine.telemetry_trace()
+    pub fn net_forward_probe(&self) -> ForwardProbe {
+        self.arch().net.forward_probe()
     }
 
     /// Maps a protocol message class to its virtual network (Section 3.1:
@@ -496,23 +438,6 @@ impl DirectorySystem {
         vnet_of(class)
     }
 
-    /// Runs the system for `cycles` cycles and returns the metrics collected
-    /// so far. Returns an error if a transition occurred that the fully
-    /// designed protocol considers impossible (a simulator bug).
-    pub fn run_for(&mut self, cycles: CycleDelta) -> Result<RunMetrics, ProtocolError> {
-        self.engine.run_for(cycles)
-    }
-
-    /// Advances the system by one cycle.
-    pub fn step(&mut self) -> Result<(), ProtocolError> {
-        self.engine.step()
-    }
-
-    /// Gathers the run metrics from every component.
-    pub fn collect_metrics(&mut self) -> RunMetrics {
-        self.engine.collect_metrics()
-    }
-
     /// The trace recorded so far when the system was built with
     /// [`SystemConfig::record_trace`]; `None` otherwise. Replaying the
     /// returned trace (via [`SystemConfig::replay_trace`]) reproduces each
@@ -520,7 +445,6 @@ impl DirectorySystem {
     #[must_use]
     pub fn recorded_trace(&self) -> Option<Trace> {
         let nodes: Option<Vec<_>> = self
-            .engine
             .arch()
             .procs
             .iter()
@@ -535,7 +459,7 @@ impl DirectorySystem {
     /// the first violation found.
     pub fn verify_coherence(&self) -> Result<(), String> {
         use std::collections::HashMap;
-        let arch = self.engine.arch();
+        let arch = self.arch();
         let mut owners: HashMap<BlockAddr, (NodeId, u64)> = HashMap::new();
         let mut copies: HashMap<BlockAddr, Vec<(NodeId, u64)>> = HashMap::new();
         for cache in &arch.caches {
@@ -570,14 +494,14 @@ impl DirectorySystem {
     /// next cycle's exchange, which ingests before the torus ticks.
     #[cfg(test)]
     pub(crate) fn message_waiting_at(&self, i: usize) -> bool {
-        self.engine.arch().net.next_ejectable_at_or_after(i) == Some(i)
+        self.arch().net.next_ejectable_at_or_after(i) == Some(i)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use specsim_base::{LinkBandwidth, ProtocolVariant, RoutingPolicy};
+    use specsim_base::{EngineMode, LinkBandwidth, ProtocolVariant, RoutingPolicy};
     use specsim_coherence::types::MisSpecKind;
     use specsim_workloads::WorkloadKind;
 
@@ -667,15 +591,14 @@ mod tests {
         cfg.forward_progress.reserved_slots_per_network = 2;
         let mut sys = DirectorySystem::new(cfg);
         sys.run_for(1_000).expect("no protocol errors");
-        assert_eq!(sys.engine.arch().net.pool_reservation(), Some(0));
-        sys.engine
-            .enter_forward_progress(MisSpecKind::BufferDeadlock, sys.now());
+        assert_eq!(sys.arch().net.pool_reservation(), Some(0));
+        sys.enter_forward_progress(MisSpecKind::BufferDeadlock, sys.now());
         assert_eq!(sys.forward_progress_mode(), EngineMode::ReservedSlots);
-        assert_eq!(sys.engine.arch().net.pool_reservation(), Some(2));
+        assert_eq!(sys.arch().net.pool_reservation(), Some(2));
         // The window expires mid-run; the engine lifts the reservation.
         sys.run_for(3_000).expect("no protocol errors");
         assert_eq!(sys.forward_progress_mode(), EngineMode::Normal);
-        assert_eq!(sys.engine.arch().net.pool_reservation(), Some(0));
+        assert_eq!(sys.arch().net.pool_reservation(), Some(0));
     }
 
     #[test]
@@ -685,8 +608,7 @@ mod tests {
         let mut sys =
             DirectorySystem::new(small_config(ProtocolVariant::Full, RoutingPolicy::Static));
         sys.run_for(100).expect("no protocol errors");
-        sys.engine
-            .enter_forward_progress(MisSpecKind::BufferDeadlock, sys.now());
+        sys.enter_forward_progress(MisSpecKind::BufferDeadlock, sys.now());
         assert_eq!(sys.forward_progress_mode(), EngineMode::SlowStart);
     }
 

@@ -1,9 +1,9 @@
 //! The shared per-cycle machinery of the two target machines.
 //!
-//! [`DirectorySystem`](crate::DirectorySystem) and
-//! [`SnoopingSystem`](crate::SnoopingSystem) used to be two near-copies of
-//! the same step loop. The common parts now live here, in a generic
-//! [`SystemEngine`]:
+//! The engine is the machine: [`DirectorySystem`](crate::DirectorySystem)
+//! and [`SnoopingSystem`](crate::SnoopingSystem) are aliases of
+//! [`SystemEngine`] over the two protocols, and everything they share lives
+//! here:
 //!
 //! * **node stepping over a compact wake index** — one serial tick loop,
 //!   the only processor-tick kernel for both protocols, scans a per-node
@@ -29,13 +29,18 @@
 //! * **checkpoint-interval bookkeeping** — the engine asks the protocol
 //!   whether a checkpoint is due (the directory system uses the cycle count,
 //!   the snooping system the totally ordered request count) and snapshots
-//!   the architectural state into SafetyNet;
+//!   the architectural state into SafetyNet. The snooping protocol reads
+//!   its interval's start from SafetyNet's newest checkpoint
+//!   ([`SafetyNet::latest_checkpoint`]), which after a rollback is the
+//!   restored one;
 //! * **mis-speculation → SafetyNet recovery → forward progress** —
 //!   detection capture, the transaction-timeout scan, the rollback itself,
 //!   the post-recovery stall window, and the forward-progress policy: one
 //!   engine method picks each recovery's measure from its
 //!   [`MisSpecKind`], and the engine applies it to, and lifts it from, the
-//!   protocol's speculative torus ([`ProtocolNode::torus`]);
+//!   protocol's speculative torus ([`ProtocolNode::torus`]). The same torus
+//!   supplies the buffer-deadlock evidence that classifies a timeout
+//!   ([`Network::deadlock_evidence`]);
 //! * **metrics accumulation** — the protocol-independent half of
 //!   [`RunMetrics`] (processor stats, SafetyNet stats, recovery costs).
 //!
@@ -64,6 +69,12 @@ use specsim_workloads::Processor;
 
 use crate::config::ForwardProgressConfig;
 use crate::metrics::RunMetrics;
+
+/// Magnitude (in cycles) of the pseudo-random perturbation added to each
+/// memory data response on both machines, following the evaluation
+/// methodology of Alameldeen et al. (Section 5.2): multiple runs with small
+/// perturbations provide the error bars.
+const PERTURBATION_CYCLES: u64 = 4;
 
 /// Measured characterization of one design, filled in by short simulations
 /// and printed by the Table 1 bench alongside the qualitative rows.
@@ -338,7 +349,6 @@ pub struct EngineCtx<'a, A> {
     protocol_error: &'a mut Option<ProtocolError>,
     perturb_rng: &'a mut DetRng,
     metrics: &'a mut RunMetrics,
-    fabric_deadlocked: &'a mut bool,
     faults: Option<&'a mut FaultDirector>,
     /// The tick phase's wake index; completion delivery and cache ingest
     /// lower its hints.
@@ -360,18 +370,6 @@ impl<'a, A: Clone> EngineCtx<'a, A> {
     /// considers impossible); the step loop surfaces the first one.
     pub fn note_error(&mut self, e: ProtocolError) {
         self.protocol_error.get_or_insert(e);
-    }
-
-    /// Reports evidence, valid for the current cycle, that a fabric of this
-    /// protocol is buffer-constrained or wedged (a shared-pool network with
-    /// an exhausted slot pool, or whose progress watchdog tripped). The
-    /// engine's transaction-timeout detector uses this to classify a
-    /// coincident timeout as a [`MisSpecKind::BufferDeadlock`] — triggering
-    /// the buffer-reservation forward-progress measure — instead of a plain
-    /// congestion timeout. The report covers the current cycle only;
-    /// protocols re-report each cycle the condition persists.
-    pub fn report_fabric_deadlock(&mut self) {
-        *self.fabric_deadlocked = true;
     }
 
     /// The run's fault director, when a fault plan is active. Protocols pass
@@ -404,16 +402,10 @@ impl<'a, A: Clone> EngineCtx<'a, A> {
         });
     }
 
-    /// One pseudo-random perturbation draw below `magnitude` (Section 5.2
-    /// methodology); `magnitude` is clamped to at least 1.
-    pub fn perturbation(&mut self, magnitude: u64) -> u64 {
-        self.perturb_rng.next_below(magnitude.max(1))
-    }
-
-    /// The run metrics, for protocol-specific counters incremented during
-    /// the exchange (e.g. address-network requests).
-    pub fn metrics(&mut self) -> &mut RunMetrics {
-        self.metrics
+    /// One pseudo-random perturbation draw, in `0..4` cycles (Section 5.2
+    /// methodology).
+    pub fn perturbation(&mut self) -> u64 {
+        self.perturb_rng.next_below(PERTURBATION_CYCLES)
     }
 
     /// The shared completion-delivery pass: wakes processors whose misses
@@ -535,22 +527,6 @@ impl<'a, A: Clone> EngineCtx<'a, A> {
     }
 }
 
-/// Shared per-cycle deadlock-evidence check for a protocol's pooled fabric:
-/// when `net` provisions buffers from shared slot pools and a pool is
-/// exhausted (or the progress watchdog confirms a fully wedged network),
-/// reports the evidence through [`EngineCtx::report_fabric_deadlock`] so a
-/// coincident transaction timeout is classified as a buffer deadlock. Both
-/// protocols call this from `exchange` right after ticking their torus.
-pub(crate) fn report_pooled_fabric_evidence<P, A: Clone>(
-    net: &Network<P>,
-    now: Cycle,
-    ctx: &mut EngineCtx<'_, A>,
-) {
-    if net.is_pooled() && (net.has_exhausted_pool() || net.is_stalled(now)) {
-        ctx.report_fabric_deadlock();
-    }
-}
-
 /// Shared half of both protocols' [`ProtocolNode::next_event_at`]: caps
 /// `horizon` at the first cycle the outbox pump can act on a node of the
 /// `outbox` worklist. `staged_only(i)` is the ready cycle of node `i`'s
@@ -590,8 +566,10 @@ pub trait ProtocolNode {
 
     /// The protocol's speculative torus (the directory torus, or the
     /// snooping data torus): the fabric whose routing and slot pools the
-    /// forward-progress measures change, whose idle cycles
-    /// [`SystemEngine::run_for`] skips, and whose counters telemetry samples.
+    /// forward-progress measures change, whose deadlock evidence classifies
+    /// a timeout, whose idle cycles [`SystemEngine::run_for`] skips, and
+    /// whose counters telemetry samples. [`ProtocolNode::exchange`] ticks it
+    /// exactly once per cycle.
     fn torus(arch: &Self::Arch) -> &Network<Self::Msg>;
 
     /// Mutable access to [`ProtocolNode::torus`].
@@ -633,9 +611,9 @@ pub trait ProtocolNode {
     fn next_event_at(arch: &Self::Arch, now: Cycle, limit: Cycle, outbox: &ActiveSet) -> Cycle;
 
     /// Whether a checkpoint is due at `now` on this protocol's logical time
-    /// base (cycles for the directory system, ordered requests for the
-    /// snooping system). Must be side-effect free; the engine calls
-    /// [`ProtocolNode::on_checkpoint_taken`] when one is actually taken.
+    /// base (cycles for the directory system, ordered requests since
+    /// SafetyNet's newest checkpoint for the snooping system). Must be side
+    /// effect free.
     fn checkpoint_due(
         &self,
         arch: &Self::Arch,
@@ -650,26 +628,15 @@ pub trait ProtocolNode {
     /// horizon never passes it.
     fn next_checkpoint_at(&self, safetynet: &SafetyNet<Self::Arch>) -> Cycle;
 
-    /// Called when the engine takes a checkpoint (for protocol-side interval
-    /// bookkeeping).
-    fn on_checkpoint_taken(&mut self, arch: &Self::Arch);
-
-    /// The block to blame when node `i`'s transaction times out.
-    fn timeout_addr(arch: &Self::Arch, i: usize) -> BlockAddr;
-
-    /// Cycle at which node `i`'s outstanding coherence transaction (if any)
-    /// was issued — the *requestor-side* timer of the Section 4 transaction
-    /// timeout ("the requestor of the transaction will timeout"). This
-    /// covers transactions orphaned by a rollback: the restored cache
-    /// controller still owns the transaction, but the processor that issued
-    /// it re-executes from its register checkpoint and is no longer waiting,
-    /// so the processor-side timer alone would let a wedged fabric stall the
-    /// machine forever.
-    fn transaction_outstanding_since(arch: &Self::Arch, i: usize) -> Option<Cycle>;
-
-    /// Called after a SafetyNet rollback restored `arch` (re-anchor any
-    /// protocol-side bookkeeping derived from the architectural state).
-    fn after_recovery_restore(&mut self, arch: &mut Self::Arch);
+    /// The issue cycle and block of node `i`'s oldest outstanding coherence
+    /// transaction (if any) — the *requestor-side* timer of the Section 4
+    /// transaction timeout ("the requestor of the transaction will
+    /// timeout"), and the block a timeout blames. This covers transactions
+    /// orphaned by a rollback: the restored cache controller still owns the
+    /// transaction, but the processor that issued it re-executes from its
+    /// register checkpoint and is no longer waiting, so the processor-side
+    /// timer alone would let a wedged fabric stall the machine forever.
+    fn oldest_transaction(arch: &Self::Arch, i: usize) -> Option<(Cycle, BlockAddr)>;
 
     /// Fills the protocol-specific half of the run metrics (fabric stats,
     /// ordering stats, address-network counts).
@@ -706,14 +673,11 @@ pub struct SystemEngine<P: ProtocolNode> {
     perturb_rng: DetRng,
     metrics: RunMetrics,
     probe: EngineProbe,
-    /// Set (for the current cycle) by [`EngineCtx::report_fabric_deadlock`]
-    /// when a pooled fabric reports buffer exhaustion or a confirmed wedge.
-    fabric_deadlocked: bool,
-    /// Most recent cycle at which the fabric reported deadlock evidence. A
-    /// transaction timeout is classified as a buffer deadlock when evidence
-    /// appeared anywhere within the stuck transaction's timeout window (the
-    /// exhaustion that starves a message can ebb and flow while the
-    /// transaction stays stuck).
+    /// Most recent cycle at which the torus reported deadlock evidence
+    /// ([`Network::deadlock_evidence`]). A transaction timeout is classified
+    /// as a buffer deadlock when evidence appeared anywhere within the stuck
+    /// transaction's timeout window (the exhaustion that starves a message
+    /// can ebb and flow while the transaction stays stuck).
     fabric_deadlock_at: Option<Cycle>,
     /// Transaction timers restart after a recovery (Section 4: the
     /// requestor's timer is re-armed when it re-executes): ages in the
@@ -770,7 +734,7 @@ impl<P: ProtocolNode> SystemEngine<P> {
     /// the checkpoint/recovery substrate with `arch` as the initial
     /// checkpoint.
     #[must_use]
-    pub fn new(
+    pub fn assemble(
         protocol: P,
         arch: P::Arch,
         safetynet_cfg: SafetyNetConfig,
@@ -803,7 +767,6 @@ impl<P: ProtocolNode> SystemEngine<P> {
             perturb_rng,
             metrics: RunMetrics::default(),
             probe: EngineProbe::default(),
-            fabric_deadlocked: false,
             fabric_deadlock_at: None,
             timeout_anchor: 0,
             fault_director,
@@ -886,7 +849,7 @@ impl<P: ProtocolNode> SystemEngine<P> {
 
     /// The engine's work counters (idle-skip/wake-up observability).
     #[must_use]
-    pub fn probe(&self) -> EngineProbe {
+    pub fn engine_probe(&self) -> EngineProbe {
         self.probe
     }
 
@@ -1005,7 +968,6 @@ impl<P: ProtocolNode> SystemEngine<P> {
         self.update_forward_progress(now);
         self.timeline.observe(now, self.engine_mode(now));
         self.tick_processors(now);
-        self.fabric_deadlocked = false;
         {
             let mut ctx = EngineCtx {
                 safetynet: &mut self.safetynet,
@@ -1013,7 +975,6 @@ impl<P: ProtocolNode> SystemEngine<P> {
                 protocol_error: &mut self.protocol_error,
                 perturb_rng: &mut self.perturb_rng,
                 metrics: &mut self.metrics,
-                fabric_deadlocked: &mut self.fabric_deadlocked,
                 faults: self.fault_director.as_mut(),
                 wake: &mut self.wake,
                 exchange: &mut self.exchange,
@@ -1021,7 +982,7 @@ impl<P: ProtocolNode> SystemEngine<P> {
             };
             self.protocol.exchange(&mut self.arch, now, &mut ctx);
         }
-        if self.fabric_deadlocked {
+        if P::torus(&self.arch).deadlock_evidence() {
             self.fabric_deadlock_at = Some(now);
         }
         let mut fault_fired: Option<(Cycle, FaultKind)> = None;
@@ -1319,7 +1280,6 @@ impl<P: ProtocolNode> SystemEngine<P> {
             .checkpoint_due(&self.arch, &self.safetynet, now)
             && self.safetynet.can_checkpoint()
         {
-            self.protocol.on_checkpoint_taken(&self.arch);
             // Parked nodes' skipped stall retries must be settled before the
             // snapshot (processor stats are checkpointed state): the tick at
             // `now` precedes this snapshot, so the settle covers
@@ -1354,72 +1314,74 @@ impl<P: ProtocolNode> SystemEngine<P> {
         }
     }
 
-    fn check_recovery(&mut self, now: Cycle) {
-        // Transaction timeout (Section 4): the requestor of a transaction
-        // that does not complete within three checkpoint intervals declares a
-        // deadlock mis-speculation. The processor-side timer restarts after a
-        // recovery (the processor re-executes from its register checkpoint).
-        // When the protocol's pooled fabric reported a confirmed wedge this
-        // cycle ([`EngineCtx::report_fabric_deadlock`]), the timeout is a
-        // *detected buffer deadlock* rather than congestion, and the
-        // buffer-reservation forward-progress measure applies.
-        if self.pending_misspec.is_none() && now >= self.next_timeout_scan {
-            let timeout = self.safetynet.config().transaction_timeout_cycles();
-            // A fault wedges not only the transaction whose message it ate
-            // but also transactions that queue up behind the damage (e.g. at
-            // a directory entry stuck busy); those start their timers *after*
-            // the fire, so the attribution window is one full timeout of
-            // waiting on top of one timeout of queueing behind the fault.
-            let fault_evidence = self
-                .fault_evidence_at
-                .filter(|(at, _)| now.saturating_sub(*at) <= 2 * timeout);
-            let evidence_in_window = self
-                .fabric_deadlock_at
-                .is_some_and(|at| now.saturating_sub(at) <= timeout);
-            // Classification precedence: a transient fault injected inside the
-            // stuck transaction's window explains the timeout better than a
-            // buffer wedge (the fault likely *caused* the wedge), and either
-            // beats the generic timeout.
-            let kind = if let Some((_, fk)) = fault_evidence {
-                MisSpecKind::TransientFault { kind: fk }
-            } else if evidence_in_window {
-                MisSpecKind::BufferDeadlock
-            } else {
-                MisSpecKind::TransactionTimeout
-            };
-            // Earliest cycle any wait *starting after this scan* could fire.
-            let mut next_fire = now + 1 + timeout;
-            for (i, proc) in P::procs(&self.arch).iter().enumerate() {
-                // Requestor-side timer: the processor's wait, or the cache
-                // controller's outstanding transaction (which survives a
-                // rollback even though the restored processor re-executes
-                // and no longer waits).
-                let since = match (
-                    proc.waiting_since(),
-                    P::transaction_outstanding_since(&self.arch, i),
-                ) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
-                if let Some(since) = since.map(|s| s.max(self.timeout_anchor)) {
-                    if now.saturating_sub(since) >= timeout {
-                        self.pending_misspec = Some(MisSpeculation {
-                            kind,
-                            node: NodeId::from(i),
-                            addr: P::timeout_addr(&self.arch, i),
-                            at: now,
-                        });
-                        break;
-                    }
-                    next_fire = next_fire.min(since + timeout);
+    /// Transaction timeout (Section 4): the requestor of a transaction that
+    /// does not complete within three checkpoint intervals declares a
+    /// deadlock mis-speculation, blaming its oldest transaction's block. The
+    /// processor-side timer restarts after a recovery (the processor
+    /// re-executes from its register checkpoint). When the protocol's pooled
+    /// torus showed deadlock evidence within the window
+    /// ([`Network::deadlock_evidence`]), the timeout is a *detected buffer
+    /// deadlock* rather than congestion, and the buffer-reservation
+    /// forward-progress measure applies. When no wait has timed out, the
+    /// scan sleeps until the first cycle one can.
+    fn scan_timeouts(&mut self, now: Cycle) -> Option<MisSpeculation> {
+        let timeout = self.safetynet.config().transaction_timeout_cycles();
+        // A fault wedges not only the transaction whose message it ate but
+        // also transactions that queue up behind the damage (e.g. at a
+        // directory entry stuck busy); those start their timers *after* the
+        // fire, so the attribution window is one full timeout of waiting on
+        // top of one timeout of queueing behind the fault.
+        let fault_evidence = self
+            .fault_evidence_at
+            .filter(|(at, _)| now.saturating_sub(*at) <= 2 * timeout);
+        let evidence_in_window = self
+            .fabric_deadlock_at
+            .is_some_and(|at| now.saturating_sub(at) <= timeout);
+        // Classification precedence: a transient fault injected inside the
+        // stuck transaction's window explains the timeout better than a
+        // buffer wedge (the fault likely *caused* the wedge), and either
+        // beats the generic timeout.
+        let kind = if let Some((_, fk)) = fault_evidence {
+            MisSpecKind::TransientFault { kind: fk }
+        } else if evidence_in_window {
+            MisSpecKind::BufferDeadlock
+        } else {
+            MisSpecKind::TransactionTimeout
+        };
+        // Earliest cycle any wait *starting after this scan* could fire.
+        let mut next_fire = now + 1 + timeout;
+        for (i, proc) in P::procs(&self.arch).iter().enumerate() {
+            // Requestor-side timer: the processor's wait, or the cache
+            // controller's outstanding transaction (which survives a
+            // rollback even though the restored processor re-executes and
+            // no longer waits).
+            let txn = P::oldest_transaction(&self.arch, i);
+            let since = [proc.waiting_since(), txn.map(|(at, _)| at)]
+                .into_iter()
+                .flatten()
+                .min();
+            if let Some(since) = since.map(|s| s.max(self.timeout_anchor)) {
+                if now.saturating_sub(since) >= timeout {
+                    return Some(MisSpeculation {
+                        kind,
+                        node: NodeId::from(i),
+                        addr: txn.map_or(BlockAddr(0), |(_, addr)| addr),
+                        at: now,
+                    });
                 }
+                next_fire = next_fire.min(since + timeout);
             }
-            if self.pending_misspec.is_none() {
-                // No wait fired: none can before `next_fire`, so the scan
-                // sleeps until then. Fault/deadlock evidence only influences
-                // *classification*, which is read on the firing cycle itself.
-                self.next_timeout_scan = next_fire;
-            }
+        }
+        // No wait fired: none can before `next_fire`. Fault/deadlock
+        // evidence only influences *classification*, which is read on the
+        // firing cycle itself.
+        self.next_timeout_scan = next_fire;
+        None
+    }
+
+    fn check_recovery(&mut self, now: Cycle) {
+        if self.pending_misspec.is_none() && now >= self.next_timeout_scan {
+            self.pending_misspec = self.scan_timeouts(now);
         }
         if let Some(ms) = self.pending_misspec.take() {
             self.metrics.count_misspeculation(ms.kind);
@@ -1477,7 +1439,6 @@ impl<P: ProtocolNode> SystemEngine<P> {
             let snap = proc.snapshot();
             proc.restore(now + outcome.recovery_latency_cycles, snap);
         }
-        self.protocol.after_recovery_restore(&mut self.arch);
         self.metrics.lost_work_cycles += outcome.lost_work_cycles;
         self.metrics.recovery_latency_cycles += outcome.recovery_latency_cycles;
         self.resume_at = now + outcome.recovery_latency_cycles;
@@ -1583,7 +1544,7 @@ mod tests {
     fn directory_engine_skips_idle_processors_without_losing_wakeups() {
         let mut sys = DirectorySystem::new(dir_cfg());
         let m = sys.run_for(30_000).expect("no protocol errors");
-        let probe = sys.engine.probe();
+        let probe = sys.engine_probe();
         let dense_visits = 30_000 * 16;
         // The idle-skip machinery must actually skip: most cycles every
         // processor is mid-think or blocked on a miss.
@@ -1608,7 +1569,7 @@ mod tests {
     fn snooping_engine_skips_idle_processors_without_losing_wakeups() {
         let mut sys = SnoopingSystem::new(snoop_cfg());
         let m = sys.run_for(30_000).expect("no protocol errors");
-        let probe = sys.engine.probe();
+        let probe = sys.engine_probe();
         let dense_visits = 30_000 * 16;
         assert!(probe.processor_polls + probe.processor_skips <= dense_visits);
         assert!(
@@ -1633,22 +1594,22 @@ mod tests {
         // every cycle, exactly as a dense every-node scan does.
         let mut sys = DirectorySystem::new(cfg.clone());
         let mut dense = DirectorySystem::new(cfg);
-        dense.engine.dense_stall_retries = true;
-        let n = sys.engine.wake.parked.len();
+        dense.dense_stall_retries = true;
+        let n = sys.wake.parked.len();
         let (mut parks, mut wakes, mut recoveries_during_park) = (0, 0, 0);
         for _ in 0..30_000 {
-            let parked_before = sys.engine.wake.parked.clone();
+            let parked_before = sys.wake.parked.clone();
             let waiting: Vec<bool> = (0..n).map(|i| sys.message_waiting_at(i)).collect();
-            let recoveries = sys.engine.metrics.injected_recoveries;
-            sys.engine.step().expect("no protocol errors");
-            dense.engine.step().expect("no protocol errors");
+            let recoveries = sys.metrics.injected_recoveries;
+            sys.step().expect("no protocol errors");
+            dense.step().expect("no protocol errors");
             let now = sys.now();
-            let wake = &sys.engine.wake;
-            if sys.engine.metrics.injected_recoveries > recoveries {
+            let wake = &sys.wake;
+            if sys.metrics.injected_recoveries > recoveries {
                 // A rollback unparks every node and makes all of them due at
                 // the resume cycle.
                 assert!(wake.parked.iter().all(|&p| p == Cycle::MAX));
-                assert!(wake.wake_at.iter().all(|&w| w == sys.engine.resume_at));
+                assert!(wake.wake_at.iter().all(|&w| w == sys.resume_at));
                 if parked_before.iter().any(|&p| p != Cycle::MAX) {
                     recoveries_during_park += 1;
                 }
@@ -1684,14 +1645,14 @@ mod tests {
         let (m, m_dense) = (sys.collect_metrics(), dense.collect_metrics());
         assert_eq!(format!("{m:?}"), format!("{m_dense:?}"));
         let stalls = |s: &DirectorySystem| -> u64 {
-            DirProtocol::procs(s.engine.arch())
+            DirProtocol::procs(s.arch())
                 .iter()
                 .map(|p| p.stats().stall_retries)
                 .sum()
         };
         assert!(stalls(&sys) > 0);
         assert_eq!(stalls(&sys), stalls(&dense));
-        let (p, p_dense) = (sys.engine.probe(), dense.engine.probe());
+        let (p, p_dense) = (sys.engine_probe(), dense.engine_probe());
         assert_eq!(
             (p.processor_polls, p.processor_skips),
             (p_dense.processor_polls, p_dense.processor_skips)
@@ -1713,22 +1674,22 @@ mod tests {
         cfg.forward_progress.slow_start_cycles = 20_000;
         cfg.inject_recovery_every = Some(30_000);
         let mut sys = DirectorySystem::new(cfg);
-        let n = sys.engine.wake.held.len();
+        let n = sys.wake.held.len();
         let (mut ingest_wakes, mut expiry_wakes, mut recoveries_during_hold) = (0, 0, 0);
         for _ in 0..80_000 {
-            let held_before = sys.engine.wake.held.clone();
-            let wake_before = sys.engine.wake.wake_at.clone();
+            let held_before = sys.wake.held.clone();
+            let wake_before = sys.wake.wake_at.clone();
             let ingest_possible = (0..n).any(|i| sys.message_waiting_at(i));
             let slow_start_before = sys.forward_progress_mode() == EngineMode::SlowStart;
-            let recoveries = sys.engine.metrics.recoveries + sys.engine.metrics.injected_recoveries;
-            let checkpoints = sys.engine.safetynet.stats().checkpoints_taken;
-            sys.engine.step().expect("no protocol errors");
+            let recoveries = sys.metrics.recoveries + sys.metrics.injected_recoveries;
+            let checkpoints = sys.safetynet.stats().checkpoints_taken;
+            sys.step().expect("no protocol errors");
             let now = sys.now();
-            let wake = &sys.engine.wake;
+            let wake = &sys.wake;
             // A checkpoint settles held nodes and re-bases their hold cycle
             // to `now` without re-visiting them.
-            let rebased = sys.engine.safetynet.stats().checkpoints_taken > checkpoints;
-            if sys.engine.metrics.recoveries + sys.engine.metrics.injected_recoveries > recoveries {
+            let rebased = sys.safetynet.stats().checkpoints_taken > checkpoints;
+            if sys.metrics.recoveries + sys.metrics.injected_recoveries > recoveries {
                 // A rollback releases every held node.
                 assert!(wake.held.iter().all(|&h| h == Cycle::MAX));
                 assert!(wake.held_list.is_empty());
@@ -1765,14 +1726,13 @@ mod tests {
             // retry next cycle would be held too.
             if (0..n).any(|i| wake.held[i] != Cycle::MAX && wake.wake_at[i] == Cycle::MAX) {
                 assert!(
-                    DirProtocol::outstanding_demand(sys.engine.arch())
-                        >= sys.engine.outstanding_limit(),
+                    DirProtocol::outstanding_demand(sys.arch()) >= sys.outstanding_limit(),
                     "a node stayed parked at {now} although the gate would admit it"
                 );
             }
         }
         assert!(
-            sys.engine.probe().held_parks > 0,
+            sys.engine_probe().held_parks > 0,
             "the gate never held a request"
         );
         assert!(ingest_wakes > 0, "no held node was woken by a cache ingest");
@@ -1795,7 +1755,7 @@ mod tests {
         // exactly one visit per node per cycle per sweep).
         let mut sys = DirectorySystem::new(dir_cfg());
         let m = sys.run_for(30_000).expect("no protocol errors");
-        let probe = sys.engine.probe();
+        let probe = sys.engine_probe();
         let dense_visits = 30_000 * 16;
         assert!(
             probe.exchange_completion_visits < dense_visits / 2,
@@ -1936,7 +1896,7 @@ mod tests {
             ),
         ];
         for (case, mut sys, (kind, entered, during)) in dir_rows {
-            assert_measure(&mut sys.engine, (case, kind, entered, during));
+            assert_measure(&mut sys, (case, kind, entered, during));
         }
         let snoop = |pool: Option<usize>| {
             let mut cfg = snoop_cfg();
@@ -1964,7 +1924,7 @@ mod tests {
             ),
         ];
         for (case, mut sys, (kind, entered, during)) in snoop_rows {
-            assert_measure(&mut sys.engine, (case, kind, entered, during));
+            assert_measure(&mut sys, (case, kind, entered, during));
         }
     }
 
@@ -1986,21 +1946,19 @@ mod tests {
             ),
         ];
         for (mut sys, kind, during) in cases {
-            let configured = torus_setting(&sys.engine);
+            let configured = torus_setting(&sys);
             sys.run_for(1_000).expect("no protocol errors");
             // A rollback to a checkpoint taken before the measure began
             // keeps the measure's setting while the mode stays in force.
-            sys.engine.enter_forward_progress(kind, sys.now());
+            sys.enter_forward_progress(kind, sys.now());
             let entered = sys.forward_progress_mode();
-            sys.engine
-                .perform_recovery(sys.now(), RecoveryCause::Injected);
+            sys.perform_recovery(sys.now(), RecoveryCause::Injected);
             assert_eq!(sys.forward_progress_mode(), entered, "{kind:?}");
-            assert_eq!(torus_setting(&sys.engine), during, "{kind:?}: restored");
+            assert_eq!(torus_setting(&sys), during, "{kind:?}: restored");
             // Slow-start replacing the measure lifts its setting.
-            sys.engine
-                .enter_forward_progress(MisSpecKind::TransactionTimeout, sys.now());
+            sys.enter_forward_progress(MisSpecKind::TransactionTimeout, sys.now());
             assert_eq!(sys.forward_progress_mode(), EngineMode::SlowStart);
-            assert_eq!(torus_setting(&sys.engine), configured, "{kind:?}: replaced");
+            assert_eq!(torus_setting(&sys), configured, "{kind:?}: replaced");
         }
     }
 
@@ -2173,12 +2131,31 @@ mod tests {
         // A disabled fault config must leave the engine without a director
         // and the metrics at zero (the goldens rely on this being inert).
         let sys = DirectorySystem::new(dir_cfg());
-        assert!(sys.engine.fault_director().is_none());
+        assert!(sys.fault_director().is_none());
         let mut sys = DirectorySystem::new(dir_cfg());
         let m = sys.run_for(30_000).expect("no protocol errors");
         assert_eq!(m.faults_injected, 0);
         assert_eq!(m.fault_recoveries, 0);
         assert_eq!(m.faults_detected(), 0);
+    }
+
+    #[test]
+    fn a_snooping_timeout_blames_the_oldest_demands_block() {
+        use crate::snoopsys::SnoopProtocol;
+        let mut sys = SnoopingSystem::new(snoop_cfg());
+        while (0..16).all(|i| SnoopProtocol::oldest_transaction(sys.arch(), i).is_none()) {
+            sys.step().expect("no protocol errors");
+        }
+        // Far enough ahead that every outstanding wait has timed out: the
+        // first waiting node fires, blaming its oldest demand.
+        let timeout = sys.safetynet.config().transaction_timeout_cycles();
+        let ms = sys
+            .scan_timeouts(sys.now() + timeout)
+            .expect("an outstanding demand times out");
+        let oldest = SnoopProtocol::oldest_transaction(sys.arch(), ms.node.index());
+        let (_, addr) = oldest.expect("the blamed node has a demand outstanding");
+        assert_eq!(ms.addr, addr);
+        assert_ne!(ms.addr, BlockAddr(0), "a real block, not a placeholder");
     }
 
     #[test]

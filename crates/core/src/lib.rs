@@ -14,6 +14,16 @@
 //! * [`SnoopingSystem`] — the broadcast-snooping machine of Section 3.2
 //!   (totally ordered address network, MOSI snooping protocol, SafetyNet).
 //!
+//! Both machines are one generic engine: they are the aliases
+//! `DirectorySystem = SystemEngine<DirProtocol>` and
+//! `SnoopingSystem = SystemEngine<SnoopProtocol>` of [`SystemEngine`], which
+//! owns stepping, checkpointing, recovery, forward progress and metrics.
+//! A protocol plugs in through the 13 methods of [`ProtocolNode`]: `torus`,
+//! `torus_mut`, `procs`, `procs_mut`, `outstanding_demand`, `cpu_request`,
+//! `exchange`, `drain_write_log`, `next_event_at`, `checkpoint_due`,
+//! `next_checkpoint_at`, `oldest_transaction` and
+//! `collect_protocol_metrics`.
+//!
 //! On top of the two systems, [`experiments`] implements the paper's
 //! evaluation: the recovery-rate stress test (Figure 4), the static-versus-
 //! adaptive routing comparison (Figure 5), the message-reordering statistics,

@@ -13,21 +13,24 @@
 //! (Fig. 5 evaluates 400 MB/s and 3.2 GB/s links); the bus keeps total order
 //! for addresses only — the data network is unordered and may be adaptive.
 //!
-//! The per-cycle machinery is the shared [`SystemEngine`]; this module
-//! contributes the snooping [`ProtocolNode`] implementation.
+//! The machine is the shared [`SystemEngine`] driving [`SnoopProtocol`],
+//! this module's [`ProtocolNode`] implementation; [`SnoopingSystem`] names
+//! that pairing and adds the snooping-specific constructor and checks.
 
 use specsim_base::{
-    ActiveSet, BlockAddr, Cycle, CycleDelta, DetRng, EngineMode, FaultConfig, FaultKind,
-    LinkBandwidth, MemorySystemConfig, NodeId, ProtocolVariant, RoutingPolicy,
+    ActiveSet, BlockAddr, Cycle, CycleDelta, DetRng, FaultConfig, FaultKind, LinkBandwidth,
+    MemorySystemConfig, NodeId, ProtocolVariant, RoutingPolicy,
 };
 use specsim_coherence::snoop::msg::SnoopDataOut;
 use specsim_coherence::snoop::{
     SnoopAccessOutcome, SnoopCacheController, SnoopDataMsg, SnoopMemoryController, SnoopRequest,
 };
-use specsim_coherence::types::{CpuRequest, ProtocolError};
+use specsim_coherence::types::CpuRequest;
 use std::sync::Arc;
 
-use specsim_net::{Buffering, NetConfig, Network, OrderedBus, PoolSlots, VirtualNetwork};
+use specsim_net::{
+    Buffering, ForwardProbe, NetConfig, Network, OrderedBus, PoolSlots, VirtualNetwork,
+};
 use specsim_safetynet::SafetyNet;
 use specsim_workloads::{Processor, TrafficConfig, WorkloadGenerator, WorkloadKind, ZipfTable};
 
@@ -62,6 +65,9 @@ const SNOOP_BUDGET: usize = 2;
 const DATA_INGEST_BUDGET: usize = 4;
 /// Messages a controller may inject per cycle.
 const DRAIN_BUDGET: usize = 4;
+/// Cycles from an address-network grant to every node observing the
+/// request.
+const BUS_BROADCAST_LATENCY: CycleDelta = 64;
 
 /// Configuration of a snooping-system run.
 #[derive(Debug, Clone)]
@@ -77,8 +83,6 @@ pub struct SnoopSystemConfig {
     pub seed: u64,
     /// Cycles between consecutive address-network grants (bus bandwidth).
     pub bus_arbitration_interval: CycleDelta,
-    /// Cycles from a grant to every node observing the request.
-    pub bus_broadcast_latency: CycleDelta,
     /// The point-to-point data-network fabric: a torus instance whose
     /// routing policy and buffering are the snooping system's
     /// data-network knobs. Its geometry (`num_nodes`, `torus_dims`) and link
@@ -91,9 +95,6 @@ pub struct SnoopSystemConfig {
     /// If set, inject a recovery every this many cycles (Figure 4 stress
     /// test on the snooping system).
     pub inject_recovery_every: Option<CycleDelta>,
-    /// Perturbation magnitude for data-response latencies (Section 5.2
-    /// methodology).
-    pub perturbation_cycles: u64,
     /// Production-traffic shaping applied to every node's generator
     /// (Zipfian hot blocks and/or bursty injection). The unshaped default
     /// is bit-identical to the historical generators.
@@ -127,11 +128,9 @@ impl SnoopSystemConfig {
             workload,
             seed,
             bus_arbitration_interval: 8,
-            bus_broadcast_latency: 64,
             data_net,
             forward_progress: ForwardProgressConfig::default(),
             inject_recovery_every: None,
-            perturbation_cycles: 4,
             traffic: TrafficConfig::default(),
             telemetry: specsim_base::TelemetryConfig::default(),
             fault_config: FaultConfig::Disabled,
@@ -213,7 +212,7 @@ impl SnoopSystemConfig {
 
 /// Architectural state restored by SafetyNet recovery.
 #[derive(Debug, Clone)]
-pub(crate) struct ArchState {
+pub struct ArchState {
     bus: OrderedBus<SnoopRequest>,
     data_net: Network<SnoopDataMsg>,
     caches: Vec<SnoopCacheController>,
@@ -227,9 +226,8 @@ pub(crate) struct ArchState {
 /// The snooping-protocol half of the machine: the ordered address network,
 /// the data torus, and the cache/home-memory controllers.
 #[derive(Debug)]
-pub(crate) struct SnoopProtocol {
+pub struct SnoopProtocol {
     cfg: SnoopSystemConfig,
-    requests_at_last_checkpoint: u64,
 }
 
 impl SnoopProtocol {
@@ -269,10 +267,7 @@ impl SnoopProtocol {
             // Address-network requests.
             for _ in 0..DRAIN_BUDGET {
                 match caches[i].pop_bus_request() {
-                    Some(req) => {
-                        bus.request(node, req);
-                        ctx.metrics().bus_requests += 1;
-                    }
+                    Some(req) => bus.request(node, req),
                     None => break,
                 }
             }
@@ -304,8 +299,7 @@ impl SnoopProtocol {
                 let Some(out) = memories[i].pop_data_message() else {
                     break;
                 };
-                let delay = self.cfg.memory.dram_access_cycles
-                    + ctx.perturbation(self.cfg.perturbation_cycles);
+                let delay = self.cfg.memory.dram_access_cycles + ctx.perturbation();
                 mem_outboxes[i].stage(now + delay, out);
             }
             mem_outboxes[i].pump(now, |out| {
@@ -447,8 +441,6 @@ impl ProtocolNode for SnoopProtocol {
         arch.bus.tick(now);
         self.deliver_snoops(arch, now, ctx);
         arch.data_net.tick(now, ctx.faults());
-        // A shared-pool data torus can wedge like any Section 4 fabric.
-        crate::engine::report_pooled_fabric_evidence(&arch.data_net, now, ctx);
         self.deliver_data(arch, now, ctx);
         let ArchState { procs, caches, .. } = arch;
         ctx.deliver_completions(now, procs, |i| {
@@ -480,15 +472,16 @@ impl ProtocolNode for SnoopProtocol {
     fn checkpoint_due(
         &self,
         arch: &ArchState,
-        _safetynet: &SafetyNet<ArchState>,
+        safetynet: &SafetyNet<ArchState>,
         _now: Cycle,
     ) -> bool {
         // The snooping system's checkpoints use the totally ordered address
         // network as their logical time base: one checkpoint every
-        // `checkpoint_interval_requests` ordered requests (Table 2).
-        arch.bus
-            .granted()
-            .saturating_sub(self.requests_at_last_checkpoint)
+        // `checkpoint_interval_requests` ordered requests (Table 2), counted
+        // from the newest checkpoint's grant count (after a rollback, the
+        // restored checkpoint's).
+        let at_checkpoint = safetynet.latest_checkpoint().state.bus.granted();
+        arch.bus.granted().saturating_sub(at_checkpoint)
             >= self.cfg.memory.safetynet.checkpoint_interval_requests
     }
 
@@ -498,20 +491,8 @@ impl ProtocolNode for SnoopProtocol {
         Cycle::MAX
     }
 
-    fn on_checkpoint_taken(&mut self, arch: &ArchState) {
-        self.requests_at_last_checkpoint = arch.bus.granted();
-    }
-
-    fn timeout_addr(_arch: &ArchState, _i: usize) -> BlockAddr {
-        BlockAddr(0)
-    }
-
-    fn transaction_outstanding_since(arch: &ArchState, i: usize) -> Option<Cycle> {
-        arch.caches[i].outstanding_since()
-    }
-
-    fn after_recovery_restore(&mut self, arch: &mut ArchState) {
-        self.requests_at_last_checkpoint = arch.bus.granted();
+    fn oldest_transaction(arch: &ArchState, i: usize) -> Option<(Cycle, BlockAddr)> {
+        arch.caches[i].oldest_demand()
     }
 
     fn collect_protocol_metrics(&self, arch: &ArchState, now: Cycle, m: &mut RunMetrics) {
@@ -531,11 +512,9 @@ impl ProtocolNode for SnoopProtocol {
     }
 }
 
-/// The assembled broadcast-snooping multiprocessor.
-#[derive(Debug)]
-pub struct SnoopingSystem {
-    pub(crate) engine: SystemEngine<SnoopProtocol>,
-}
+/// The assembled broadcast-snooping multiprocessor: the shared engine
+/// driving the snooping protocol.
+pub type SnoopingSystem = SystemEngine<SnoopProtocol>;
 
 impl SnoopingSystem {
     /// Builds the system described by `cfg`.
@@ -563,7 +542,7 @@ impl SnoopingSystem {
         let memories = (0..n)
             .map(|i| SnoopMemoryController::new(NodeId::from(i), n))
             .collect();
-        let bus = OrderedBus::new(n, cfg.bus_arbitration_interval, cfg.bus_broadcast_latency);
+        let bus = OrderedBus::new(n, cfg.bus_arbitration_interval, BUS_BROADCAST_LATENCY);
         let data_net = Network::new(cfg.data_net_config());
         let arch = ArchState {
             bus,
@@ -575,11 +554,8 @@ impl SnoopingSystem {
         };
         let perturb_rng = seed_rng.fork();
         let fault_plan = cfg.fault_config.lower(cfg.seed, n);
-        let mut engine = SystemEngine::new(
-            SnoopProtocol {
-                cfg: cfg.clone(),
-                requests_at_last_checkpoint: 0,
-            },
+        let mut engine = Self::assemble(
+            SnoopProtocol { cfg: cfg.clone() },
             arch,
             cfg.memory.safetynet.clone(),
             cfg.forward_progress,
@@ -588,80 +564,20 @@ impl SnoopingSystem {
             fault_plan,
         );
         engine.set_telemetry(cfg.telemetry);
-        Self { engine }
+        engine
     }
 
     /// The configuration this system was built from.
     #[must_use]
     pub fn config(&self) -> &SnoopSystemConfig {
-        &self.engine.protocol().cfg
-    }
-
-    /// Current simulated cycle.
-    #[must_use]
-    pub fn now(&self) -> Cycle {
-        self.engine.now()
-    }
-
-    /// The forward-progress mode currently in force.
-    #[must_use]
-    pub fn forward_progress_mode(&self) -> EngineMode {
-        self.engine.forward_progress_mode()
-    }
-
-    /// Memory operations committed so far across all processors.
-    #[must_use]
-    pub fn ops_completed(&self) -> u64 {
-        self.engine.ops_completed()
-    }
-
-    /// The engine's work counters (idle-skip and exchange-worklist
-    /// observability).
-    #[must_use]
-    pub fn engine_probe(&self) -> crate::engine::EngineProbe {
-        self.engine.probe()
+        &self.protocol().cfg
     }
 
     /// The data torus's forward-phase work counters (switch visits) —
     /// observability only, never part of the schedule.
     #[must_use]
-    pub fn data_forward_probe(&self) -> specsim_net::ForwardProbe {
-        self.engine.arch().data_net.forward_probe()
-    }
-
-    /// The always-on engine-mode timeline (availability observability).
-    #[must_use]
-    pub fn mode_timeline(&self) -> &specsim_base::ModeTimeline {
-        self.engine.mode_timeline()
-    }
-
-    /// The windowed telemetry samples as JSONL, when
-    /// [`SnoopSystemConfig::telemetry`] enabled the sampler.
-    #[must_use]
-    pub fn telemetry_jsonl(&self) -> Option<String> {
-        self.engine.telemetry_jsonl()
-    }
-
-    /// The speculation-lifecycle trace as a Chrome trace-event JSON
-    /// document (Perfetto-loadable), when telemetry is enabled.
-    #[must_use]
-    pub fn telemetry_trace(&self) -> Option<String> {
-        self.engine.telemetry_trace()
-    }
-
-    /// Runs the system for `cycles` cycles and returns the metrics so far.
-    pub fn run_for(&mut self, cycles: CycleDelta) -> Result<RunMetrics, ProtocolError> {
-        self.engine.run_for(cycles)
-    }
-
-    /// Advances the system by one cycle.
-    pub fn step(&mut self) -> Result<(), ProtocolError> {
-        self.engine.step()
-    }
-
-    /// Gathers the run metrics from every component.
-    pub fn collect_metrics(&mut self) -> RunMetrics {
-        self.engine.collect_metrics()
+    pub fn data_forward_probe(&self) -> ForwardProbe {
+        self.arch().data_net.forward_probe()
     }
 
     /// Checks the single-owner invariant over the stable cache state.
@@ -669,7 +585,7 @@ impl SnoopingSystem {
         use specsim_coherence::snoop::cache::SnoopCacheState;
         use std::collections::HashMap;
         let mut owners: HashMap<u64, NodeId> = HashMap::new();
-        for cache in &self.engine.arch().caches {
+        for cache in &self.arch().caches {
             for (addr, state, _) in cache.resident_lines() {
                 if matches!(state, SnoopCacheState::M | SnoopCacheState::O) {
                     if let Some(other) = owners.insert(addr.0, cache.node()) {
@@ -751,7 +667,7 @@ mod tests {
         assert_eq!(net.num_nodes, 32);
         assert_eq!(net.torus_dims, Some((16, 2)));
         let sys = SnoopingSystem::new(cfg);
-        assert_eq!(sys.engine.arch().data_net.torus().dims(), (16, 2));
+        assert_eq!(sys.arch().data_net.torus().dims(), (16, 2));
     }
 
     #[test]
@@ -771,7 +687,6 @@ mod tests {
         assert_eq!(slow.data_net_config().link_bandwidth, LinkBandwidth::MB_400);
         assert_eq!(slow.memory.link_bandwidth, LinkBandwidth::MB_400);
         assert_eq!(slow.bus_arbitration_interval, cfg.bus_arbitration_interval);
-        assert_eq!(slow.bus_broadcast_latency, cfg.bus_broadcast_latency);
     }
 
     #[test]

@@ -295,6 +295,9 @@ pub struct Network<P> {
     forward_rounds: u64,
     /// Forward-phase execution counters (not part of [`NetStats`]).
     forward_probe: ForwardProbe,
+    /// Whether the latest tick ended with buffer-deadlock evidence (see
+    /// [`Network::deadlock_evidence`]).
+    deadlock_evidence: bool,
 }
 
 impl<P> Network<P> {
@@ -364,6 +367,7 @@ impl<P> Network<P> {
             arrival_scratch: Vec::new(),
             forward_rounds: 0,
             forward_probe: ForwardProbe::default(),
+            deadlock_evidence: false,
             cfg,
         }
     }
@@ -613,6 +617,21 @@ impl<P> Network<P> {
         }
         self.deliver_phase(now, faults.as_deref());
         self.forward_phase(now, faults);
+        // Sampled here, before endpoints eject from (and so free slots of)
+        // the pools after the tick.
+        self.deadlock_evidence =
+            self.is_pooled() && (self.has_exhausted_pool() || self.is_stalled(now));
+    }
+
+    /// True when the latest [`Network::tick`] ended with evidence of a
+    /// buffer-dependency deadlock: the network provisions buffers from
+    /// shared slot pools and a pool was exhausted, or the progress watchdog
+    /// had tripped. A system's transaction-timeout detector uses it to
+    /// classify a coincident timeout as a buffer deadlock rather than plain
+    /// congestion. Always `false` for unpooled networks.
+    #[must_use]
+    pub fn deadlock_evidence(&self) -> bool {
+        self.deadlock_evidence
     }
 
     /// `tick(now, None)` under the signature the frozen benchmark harness

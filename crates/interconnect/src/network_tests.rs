@@ -386,6 +386,7 @@ fn all_messages_are_delivered_under_heavy_random_traffic_with_vcs() {
     let (now, _) = run_until_drained(&mut net, now, 200_000);
     assert_eq!(net.in_flight(), 0, "VC network wedged at {now}");
     assert!(!net.is_stalled(now));
+    assert!(!net.deadlock_evidence(), "an unpooled network has none");
     assert_eq!(net.stats().delivered.get(), injected);
     assert!(injected > 1000);
 }
@@ -764,6 +765,7 @@ fn undrained_endpoints_deadlock_an_undersized_pool_and_drain_recovers() {
         }
     }
     assert!(net.is_stalled(now), "undersized pool should wedge");
+    assert!(net.deadlock_evidence(), "the tick records the wedge");
     assert!(net.in_flight() > 0);
     // Recovery drain frees every slot; conservative re-execution reserves
     // one slot per class and the network works again.
@@ -1109,6 +1111,8 @@ fn split_pool_endpoint_budget_gates_ejection_but_not_the_fabric() {
         assert!(p.is_some(), "one message per endpoint slot");
         got.push(p.unwrap().payload);
         assert!(net.eject_any(NodeId(1)).is_none(), "budget gates the rest");
+        // The evidence is the tick's: the ejection freed the slot after it.
+        assert!(!net.has_exhausted_pool() && net.deadlock_evidence());
         for _ in 0..5_000 {
             now += 1;
             net.tick(now, None);

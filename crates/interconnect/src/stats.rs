@@ -1,6 +1,6 @@
 //! Network statistics.
 
-use specsim_base::{Counter, Cycle, Histogram, Log2Histogram};
+use specsim_base::{Counter, Cycle, Log2Histogram};
 
 use crate::packet::VirtualNetwork;
 
@@ -13,18 +13,13 @@ pub struct NetStats {
     pub delivered: Counter,
     /// Messages delivered, by virtual network.
     pub delivered_per_vnet: [Counter; 4],
-    /// Total in-fabric latency cycles, by virtual network (for per-class
-    /// mean latencies, e.g. the snooping data torus's owner-transfer vs.
-    /// writeback classes).
-    pub latency_sum_per_vnet: [u64; 4],
-    /// In-fabric latency distribution by virtual network, log2-bucketed for
-    /// p50/p95/p99 reporting (the fixed-width [`NetStats::latency`]
-    /// histogram tops out too early for congested tails).
+    /// End-to-end latency (injection to ejection-queue arrival) in cycles,
+    /// by virtual network: log2-bucketed for p50/p95/p99 reporting, with
+    /// exact sums for the means ([`NetStats::mean_latency`],
+    /// [`NetStats::mean_latency_of`]).
     pub latency_hist_per_vnet: [Log2Histogram; 4],
     /// Link-to-link hops taken (excluding injection/ejection).
     pub hops: Counter,
-    /// End-to-end latency (injection to ejection-queue arrival) in cycles.
-    pub latency: Histogram,
     /// Injection attempts rejected because the injection queue was full.
     pub injection_rejects: Counter,
     /// Total busy cycles summed over every unidirectional link.
@@ -44,10 +39,8 @@ impl NetStats {
             injected: Counter::new(),
             delivered: Counter::new(),
             delivered_per_vnet: [Counter::new(); 4],
-            latency_sum_per_vnet: [0; 4],
             latency_hist_per_vnet: Default::default(),
             hops: Counter::new(),
-            latency: Histogram::new(50, 200),
             injection_rejects: Counter::new(),
             link_busy_cycles: 0,
             num_links,
@@ -60,21 +53,14 @@ impl NetStats {
     pub(crate) fn record_delivery(&mut self, vnet: VirtualNetwork, latency: u64) {
         self.delivered.incr();
         self.delivered_per_vnet[vnet.index()].incr();
-        self.latency_sum_per_vnet[vnet.index()] += latency;
         self.latency_hist_per_vnet[vnet.index()].record(latency);
-        self.latency.record(latency);
     }
 
     /// Mean in-fabric latency of messages on one virtual network, in cycles
     /// (0 when none were delivered).
     #[must_use]
     pub fn mean_latency_of(&self, vnet: VirtualNetwork) -> f64 {
-        let n = self.delivered_per_vnet[vnet.index()].get();
-        if n == 0 {
-            0.0
-        } else {
-            self.latency_sum_per_vnet[vnet.index()] as f64 / n as f64
-        }
+        self.latency_hist_per_vnet[vnet.index()].mean()
     }
 
     /// Mean utilization across all links over `[window_start, now]`.
@@ -90,7 +76,11 @@ impl NetStats {
     /// Mean end-to-end message latency in cycles.
     #[must_use]
     pub fn mean_latency(&self) -> f64 {
-        self.latency.mean()
+        let mut all = Log2Histogram::new();
+        for hist in &self.latency_hist_per_vnet {
+            all.merge(hist);
+        }
+        all.mean()
     }
 
     /// Messages still unaccounted for (injected but not delivered).

@@ -212,6 +212,13 @@ impl<S: Clone> SafetyNet<S> {
         self.checkpoints.front().expect("at least one checkpoint")
     }
 
+    /// The newest outstanding checkpoint. After a recovery it is the
+    /// restored one: a recovery discards every newer checkpoint.
+    #[must_use]
+    pub fn latest_checkpoint(&self) -> &Checkpoint<S> {
+        self.checkpoints.back().expect("at least one checkpoint")
+    }
+
     /// Performs a recovery at cycle `now`: discards every checkpoint newer
     /// than the recovery point, clears all speculative log entries, and
     /// returns the snapshot to restore together with the cost accounting.
@@ -268,6 +275,7 @@ mod tests {
         assert!(!s.should_checkpoint(999));
         assert!(s.should_checkpoint(1_000));
         s.take_checkpoint(1_000, vec![1]);
+        assert_eq!(s.latest_checkpoint().state, vec![1]);
         assert!(!s.should_checkpoint(1_500));
         assert!(s.should_checkpoint(2_000));
         assert_eq!(s.outstanding(), 2);
@@ -309,6 +317,7 @@ mod tests {
             100 + RECOVERY_RESTORE_CYCLES
         );
         assert_eq!(s.outstanding(), 1);
+        assert_eq!(s.latest_checkpoint().id, 0, "newer checkpoints are gone");
         assert_eq!(s.stats().recovery.recoveries, 1);
         // Logging restarts from the restored point.
         assert_eq!(s.log_occupancy(NodeId(0)), 0);

@@ -53,7 +53,7 @@ pub use ids::{Address, BlockAddr, NodeId};
 pub use msgsize::{MessageSize, CONTROL_MSG_BYTES, DATA_MSG_BYTES};
 pub use queue::MsgQueue;
 pub use rng::DetRng;
-pub use stats::{Counter, Histogram, RunningStats, UtilizationTracker};
+pub use stats::{Counter, RunningStats, UtilizationTracker};
 pub use telemetry::{
     EngineMode, Log2Histogram, ModeTimeline, ModeTransition, SpecEvent, TelemetryConfig,
     TelemetryRecorder, WindowCounters, WindowSample, ALL_ENGINE_MODES, ENGINE_MODE_COUNT,

@@ -4,11 +4,11 @@
 //! Alameldeen et al.) runs each design point several times with small
 //! pseudo-random perturbations and reports means with one-standard-deviation
 //! error bars. [`RunningStats`] implements the numerically stable Welford
-//! recurrence used for those error bars. [`Counter`], [`Histogram`] and
+//! recurrence used for those error bars. [`Counter`] and
 //! [`UtilizationTracker`] are the building blocks the simulator components
-//! use to account for events, distributions (e.g. miss latencies) and busy
-//! fractions (e.g. link utilization, reported as 13–35 % for static routing
-//! in Section 5.3).
+//! use to account for events and busy fractions (e.g. link utilization,
+//! reported as 13–35 % for static routing in Section 5.3); latency
+//! distributions use [`crate::Log2Histogram`].
 
 use crate::time::Cycle;
 
@@ -171,93 +171,6 @@ impl RunningStats {
     }
 }
 
-/// A fixed-bucket histogram over `u64` samples (e.g. miss latencies).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Histogram {
-    bucket_width: u64,
-    buckets: Vec<u64>,
-    overflow: u64,
-    total: u64,
-    sum: u128,
-}
-
-impl Histogram {
-    /// Creates a histogram with `num_buckets` buckets of `bucket_width` each;
-    /// samples at or beyond `num_buckets * bucket_width` land in an overflow
-    /// bucket.
-    #[must_use]
-    pub fn new(bucket_width: u64, num_buckets: usize) -> Self {
-        assert!(bucket_width > 0, "bucket width must be positive");
-        assert!(num_buckets > 0, "need at least one bucket");
-        Self {
-            bucket_width,
-            buckets: vec![0; num_buckets],
-            overflow: 0,
-            total: 0,
-            sum: 0,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, sample: u64) {
-        let idx = (sample / self.bucket_width) as usize;
-        if idx < self.buckets.len() {
-            self.buckets[idx] += 1;
-        } else {
-            self.overflow += 1;
-        }
-        self.total += 1;
-        self.sum += u128::from(sample);
-    }
-
-    /// Number of recorded samples.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Mean of the recorded samples (0 if empty).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.total as f64
-        }
-    }
-
-    /// Count in the bucket covering `[i*width, (i+1)*width)`.
-    #[must_use]
-    pub fn bucket(&self, i: usize) -> u64 {
-        self.buckets.get(i).copied().unwrap_or(0)
-    }
-
-    /// Count of samples beyond the last bucket.
-    #[must_use]
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Smallest sample value `v` such that at least `fraction` of all samples
-    /// are `<= v`, resolved to bucket granularity (upper bucket edge).
-    /// Returns 0 for an empty histogram.
-    #[must_use]
-    pub fn percentile(&self, fraction: f64) -> u64 {
-        if self.total == 0 {
-            return 0;
-        }
-        let target = (fraction.clamp(0.0, 1.0) * self.total as f64).ceil() as u64;
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return (i as u64 + 1) * self.bucket_width;
-            }
-        }
-        u64::MAX
-    }
-}
-
 /// Tracks what fraction of cycles a resource (e.g. a link) was busy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UtilizationTracker {
@@ -355,32 +268,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_and_overflow() {
-        let mut h = Histogram::new(10, 5);
-        for v in [0, 5, 9, 10, 49, 50, 1000] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 7);
-        assert_eq!(h.bucket(0), 3);
-        assert_eq!(h.bucket(1), 1);
-        assert_eq!(h.bucket(4), 1);
-        assert_eq!(h.overflow(), 2);
-        assert!((h.mean() - (5 + 9 + 10 + 49 + 50 + 1000) as f64 / 7.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_percentile() {
-        let mut h = Histogram::new(1, 100);
-        for v in 0..100u64 {
-            h.record(v);
-        }
-        assert_eq!(h.percentile(0.5), 50);
-        assert_eq!(h.percentile(0.99), 99);
-        assert_eq!(h.percentile(1.0), 100);
-        assert_eq!(Histogram::new(1, 4).percentile(0.5), 0);
-    }
-
-    #[test]
     fn utilization_is_busy_fraction() {
         let mut u = UtilizationTracker::new();
         u.add_busy(250);
@@ -403,16 +290,6 @@ mod tests {
             let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
             prop_assert!((s.mean() - mean).abs() < 1e-6 * mean.abs().max(1.0));
             prop_assert!((s.sample_variance() - var).abs() < 1e-5 * var.abs().max(1.0));
-        }
-
-        #[test]
-        fn histogram_total_equals_bucket_sum(samples in proptest::collection::vec(0u64..10_000, 0..500)) {
-            let mut h = Histogram::new(100, 50);
-            for &s in &samples {
-                h.record(s);
-            }
-            let bucket_sum: u64 = (0..50).map(|i| h.bucket(i)).sum::<u64>() + h.overflow();
-            prop_assert_eq!(bucket_sum, samples.len() as u64);
         }
     }
 }

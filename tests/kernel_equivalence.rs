@@ -25,7 +25,10 @@
 use std::sync::Arc;
 
 use specsim::experiments::heavy_traffic::heavy_traffic;
-use specsim::{DirectorySystem, RunMetrics, SnoopSystemConfig, SnoopingSystem, SystemConfig};
+use specsim::{
+    DirectorySystem, ProtocolNode, RunMetrics, SnoopSystemConfig, SnoopingSystem, SystemConfig,
+    SystemEngine,
+};
 use specsim_base::{DetRng, LinkBandwidth, MessageSize, NodeId, ProtocolVariant, RoutingPolicy};
 use specsim_net::{
     Buffering, NetConfig, Network, Packet, PoolSlots, VirtualNetwork, ALL_VIRTUAL_NETWORKS,
@@ -702,33 +705,12 @@ trait Machine {
     fn telemetry(&self) -> (Option<String>, Option<String>);
 }
 
-impl Machine for DirectorySystem {
+impl<P: ProtocolNode> Machine for SystemEngine<P> {
     fn run_for(&mut self, cycles: u64) -> RunMetrics {
-        DirectorySystem::run_for(self, cycles).expect("no protocol errors")
+        SystemEngine::run_for(self, cycles).expect("no protocol errors")
     }
     fn step(&mut self) {
-        DirectorySystem::step(self).expect("no protocol errors");
-    }
-    fn collect(&mut self) -> RunMetrics {
-        self.collect_metrics()
-    }
-    fn probe(&self) -> specsim::EngineProbe {
-        self.engine_probe()
-    }
-    fn transitions(&self) -> Vec<specsim_base::ModeTransition> {
-        self.mode_timeline().transitions().to_vec()
-    }
-    fn telemetry(&self) -> (Option<String>, Option<String>) {
-        (self.telemetry_jsonl(), self.telemetry_trace())
-    }
-}
-
-impl Machine for SnoopingSystem {
-    fn run_for(&mut self, cycles: u64) -> RunMetrics {
-        SnoopingSystem::run_for(self, cycles).expect("no protocol errors")
-    }
-    fn step(&mut self) {
-        SnoopingSystem::step(self).expect("no protocol errors");
+        SystemEngine::step(self).expect("no protocol errors");
     }
     fn collect(&mut self) -> RunMetrics {
         self.collect_metrics()

@@ -6,13 +6,16 @@
 //! breaks it, re-execution runs under per-network reserved slots, and the
 //! memory system comes out coherent on the other side.
 //!
+//! The snooping machine's pooled data torus tells the same story at its own
+//! 8-slot design point.
+//!
 //! This is the in-vivo counterpart to the synthetic endpoint-deadlock test
 //! (`fig2_endpoint_deadlock.rs`): nothing here drives the fabric by hand; the
 //! dependency cycle forms from real protocol traffic.
 
 use specsim::experiments::heavy_traffic::heavy_traffic;
-use specsim::{DirectorySystem, EngineMode, SystemConfig};
-use specsim_base::LinkBandwidth;
+use specsim::{DirectorySystem, EngineMode, SnoopSystemConfig, SnoopingSystem, SystemConfig};
+use specsim_base::{LinkBandwidth, ProtocolVariant};
 use specsim_coherence::MisSpecKind;
 use specsim_net::{Buffering, PoolSlots};
 use specsim_workloads::WorkloadKind;
@@ -114,5 +117,46 @@ fn sixteen_slot_pool_rides_out_the_same_traffic_without_pool_deadlock() {
     assert_eq!(m.deadlock_recoveries, 0);
     if let Err(violation) = sys.verify_coherence() {
         panic!("memory system incoherent: {violation}");
+    }
+}
+
+#[test]
+fn heavy_traffic_deadlocks_the_8_slot_snooping_data_torus_and_recovery_restores_coherence() {
+    // The 8-slot pooled snooping row of the shared-buffer sweep (heavy
+    // OLTP, 4 MSHRs, 5k-cycle timeout intervals), at its third seed.
+    let mut cfg = SnoopSystemConfig::new(WorkloadKind::Oltp, ProtocolVariant::Speculative, 6003);
+    cfg.memory.link_bandwidth = LinkBandwidth::MB_400;
+    cfg.memory.safetynet.checkpoint_interval_cycles = 5_000;
+    cfg.memory.mshr_entries = 4;
+    cfg.traffic = heavy_traffic();
+    let cfg = cfg.with_pooled_data_torus(8);
+    assert!(cfg.validate().is_empty(), "{:?}", cfg.validate());
+    let mut sys = SnoopingSystem::new(cfg);
+
+    let mut saw_reserved_slots = false;
+    for _ in 0..60 {
+        sys.run_for(500).expect("no protocol errors");
+        if sys.forward_progress_mode() == EngineMode::ReservedSlots {
+            saw_reserved_slots = true;
+        }
+    }
+    let m = sys.collect_metrics();
+
+    // The data torus wedged, its evidence classified the timeout as a
+    // buffer deadlock, and a SafetyNet recovery broke it.
+    assert!(
+        m.misspeculations_of(MisSpecKind::BufferDeadlock) > 0,
+        "an 8-slot data torus under heavy traffic must hit a buffer \
+         deadlock; got misspeculations {:?}",
+        m.misspeculations
+    );
+    assert!(m.deadlock_recoveries > 0);
+    assert!(
+        saw_reserved_slots,
+        "re-execution after a buffer-deadlock recovery must run under \
+         reserved slots on the data torus"
+    );
+    if let Err(violation) = sys.verify_coherence() {
+        panic!("memory system incoherent after deadlock recovery: {violation}");
     }
 }
