@@ -206,6 +206,7 @@ const GOLDEN_SNOOP_DATA_TORUS_400: u64 = 0x084d1fa80ab27e48;
 const GOLDEN_NET_SHARED_POOL: u64 = 0x2ea57983677172d5;
 const GOLDEN_DIR_TRACE_REPLAY: u64 = 0x0ec36632238bff1a;
 const GOLDEN_DIR_256_NODES: u64 = 0x784ef0f04071c789;
+const GOLDEN_DIR_1024_NODES: u64 = 0xd2b922f780ca8eca;
 const GOLDEN_DIR16_HOT_PARKING: u64 = 0xe661884929613c41;
 const GOLDEN_SNOOP16_HOT_PARKING: u64 = 0xb780296ca9cea10a;
 const GOLDEN_DIR_POOL8_DEADLOCK: u64 = 0xc670da342e9382d5;
@@ -543,6 +544,28 @@ fn directory_256_nodes_matches_golden() {
     let mut sys = DirectorySystem::new(dir_256_config());
     let m = sys.run_for(6_000).expect("no protocol errors");
     check("dir_256_nodes", GOLDEN_DIR_256_NODES, metrics_digest(&m));
+}
+
+#[test]
+fn directory_1024_nodes_matches_golden() {
+    // The benchmark's 32×32 machine (uniform OLTP, 800 MB/s links, static
+    // routing, 4 MSHRs): nearly every queued packet waits for an output
+    // link that is still serializing, so this pins the forward kernel's
+    // schedule where link waits dominate.
+    let mut cfg =
+        SystemConfig::directory_speculative(WorkloadKind::Oltp, LinkBandwidth::MB_800, 9000);
+    cfg.memory.num_nodes = 1024;
+    cfg.memory.torus_dims = Some((32, 32));
+    cfg.routing = RoutingPolicy::Static;
+    cfg.memory.mshr_entries = 4;
+    let mut sys = DirectorySystem::new(cfg);
+    let m = sys.run_for(5_000).expect("no protocol errors");
+    assert!(m.ops_completed > 0);
+    check(
+        "dir_1024_nodes",
+        GOLDEN_DIR_1024_NODES,
+        run_digest(&m, sys.engine_probe()),
+    );
 }
 
 #[test]
