@@ -6,19 +6,32 @@
 //! The per-cycle work is driven by worklists instead of exhaustive scans:
 //!
 //! * **Forwarding** visits only switches on an [`ActiveSet`] worklist. A
-//!   switch is on the worklist iff it holds at least one queued packet
-//!   (injection, link delivery and forwarding maintain per-port and
-//!   per-switch queue counters incrementally). Fairness is unchanged: the
-//!   per-cycle rotation and the per-switch/per-port round-robin pointers
-//!   advance exactly as in the exhaustive scan, so the packet schedule — and
-//!   therefore every metric — is bit-identical.
+//!   switch is on the worklist iff it holds a queued packet that could move
+//!   this cycle (injection, link delivery and forwarding maintain per-port
+//!   and per-switch queue counters incrementally). A switch whose every
+//!   queued head is a transit packet waiting for a busy output link (its
+//!   dimension-order link under static routing, every productive link under
+//!   adaptive routing) is *parked*: it leaves the worklist and a wake entry
+//!   in the arrival calendar re-activates it when the first of those links
+//!   frees. Parking is exact. Only a switch's own moves set its links'
+//!   `busy_until`, every arrival and injection re-activates the switch it
+//!   lands at, and a visit that moves nothing changes no state, so the
+//!   visits a parked switch skips would all have moved nothing. Heads that
+//!   wait for ejection space, downstream buffer space or a pool slot keep
+//!   their switch on the worklist, since no event marks when those free.
+//!   Fairness is unchanged: the per-cycle rotation and the per-switch/per-port
+//!   round-robin pointers advance exactly as in the exhaustive scan, so the
+//!   packet schedule — and therefore every metric — is bit-identical.
 //! * **Link delivery** pops ripe arrivals from a due-cycle calendar
 //!   (`ArrivalCalendar`, a ring-buffer timing wheel whose buckets and batch
 //!   scratch space are reused, so steady-state delivery allocates nothing)
 //!   instead of polling every link every cycle. Within one link arrivals are
 //!   FIFO with non-decreasing due cycles, and arrivals on different links
 //!   land in different buffers, so delivery state is independent of the
-//!   order the calendar drains a cycle's batch in.
+//!   order the calendar drains a cycle's batch in. The same calendar holds
+//!   the parked switches' wakes, so when only parked switches remain, its
+//!   earliest entry is the fabric's next event and an engine fast-forward
+//!   skips the link-wait cycles.
 //!
 //! # Struct-of-arrays layout
 //!
@@ -90,9 +103,15 @@ enum MoveAction {
 /// floor. Rarer horizons (fault-injected delays) still spill into overflow.
 const MIN_WHEEL_BUCKETS: usize = 1024;
 
+/// The calendar direction of a parked switch's wake entry: one past the four
+/// link directions, so `deliver_phase` reads it as "re-activate the switch"
+/// rather than as a link arrival.
+const WAKE: u8 = LINK_DIRECTIONS.len() as u8;
+
 /// Due-cycle index over every in-transit link arrival: the entries for cycle
 /// `c` list the `(switch, link direction)` pairs whose front in-transit
-/// entry arrives at `c`. `deliver_phase` pops only ripe batches instead of
+/// entry arrives at `c`, plus `(switch, WAKE)` for each parked switch due to
+/// re-activate at `c`. `deliver_phase` pops only ripe batches instead of
 /// polling all `4 × num_nodes` links every cycle.
 ///
 /// The index is a **ring-buffer timing wheel**: cycle `c` lives in bucket
@@ -220,6 +239,22 @@ impl ArrivalCalendar {
         self.overflow.clear();
         self.pending = 0;
     }
+
+    /// True when `(switch, dir)` is pending at `cycle`. Test support: the
+    /// wheel holds only cycles in `[next, next + buckets)`, so one bucket
+    /// (plus the overflow) covers a cycle.
+    #[cfg(test)]
+    fn holds(&self, cycle: Cycle, switch: usize, dir: u8) -> bool {
+        let entry = (switch as u32, dir);
+        let in_wheel = cycle >= self.next
+            && cycle - self.next < self.wheel.len() as Cycle
+            && self.wheel[self.bucket_of(cycle)].contains(&entry);
+        in_wheel
+            || self
+                .overflow
+                .get(&cycle)
+                .is_some_and(|v| v.contains(&entry))
+    }
 }
 
 /// Forward-phase instrumentation counters, cumulative over the network's
@@ -230,6 +265,9 @@ impl ArrivalCalendar {
 pub struct ForwardProbe {
     /// Switches visited by the forward phase.
     pub switch_visits: u64,
+    /// Times the forward phase parked a switch off the worklist until a busy
+    /// output link frees.
+    pub switch_parks: u64,
 }
 
 /// A 2D-torus interconnection network carrying packets with payload type `P`.
@@ -280,9 +318,15 @@ pub struct Network<P> {
     /// Number of endpoint pools at full occupancy (split budgets only).
     full_endpoint_pools: usize,
     in_flight: usize,
-    /// Worklist of switches holding at least one queued packet.
+    /// Worklist of switches holding a queued packet that could move this
+    /// cycle. A switch that holds packets but is not on it is parked.
     active: ActiveSet,
-    /// Due-cycle index over in-transit link arrivals.
+    /// The cycle each parked switch wakes at (read only while it is parked;
+    /// a stale calendar wake for a switch that has since re-parked later is
+    /// ignored).
+    wake_at: Vec<Cycle>,
+    /// Due-cycle index over in-transit link arrivals and parked-switch
+    /// wakes.
     arrivals: ArrivalCalendar,
     /// Reusable batch buffer for draining the calendar (the wheel's buckets
     /// and this scratch space together make steady-state delivery
@@ -355,6 +399,7 @@ impl<P> Network<P> {
             full_endpoint_pools: 0,
             in_flight: 0,
             active: ActiveSet::new(cfg.num_nodes),
+            wake_at: vec![0; cfg.num_nodes],
             // The longest common scheduling distance is a data message's
             // serialization plus the switch pipeline; sizing the wheel to
             // cover it keeps steady-state traffic out of the overflow map
@@ -393,8 +438,24 @@ impl<P> Network<P> {
     /// Changes the routing policy at runtime. This is the forward-progress
     /// knob of Section 3.1: after a recovery the system "selectively
     /// disable\[s\] adaptive routing during re-execution".
+    ///
+    /// A change re-activates every parked switch: switching from static to
+    /// adaptive routing gives a parked head candidate links its wake did
+    /// not account for.
     pub fn set_routing(&mut self, routing: RoutingPolicy) {
-        self.routing = routing;
+        if routing != self.routing {
+            self.routing = routing;
+            self.wake_parked();
+        }
+    }
+
+    /// Puts every parked switch back on the worklist.
+    fn wake_parked(&mut self) {
+        for i in 0..self.slab.num_nodes() {
+            if self.slab.queued_total[i] > 0 {
+                self.active.insert(i);
+            }
+        }
     }
 
     /// True when every message class has its own buffers and ejection
@@ -646,12 +707,13 @@ impl<P> Network<P> {
 
     /// The earliest cycle after `now` (the cycle just ticked) at which a
     /// fault-free [`Network::tick`] or an endpoint could change this
-    /// network's state, capped at `limit`: `now + 1` while a switch holds a
-    /// queued packet, a packet waits in an ejection queue, or a pooled
-    /// fabric holds packets (its progress watchdog and pool-exhaustion
-    /// evidence are read every cycle); otherwise the earliest due link
-    /// arrival. Checks the O(1) activity conditions first, so a busy fabric
-    /// answers without touching the arrival calendar.
+    /// network's state, capped at `limit`: `now + 1` while a switch on the
+    /// worklist holds a packet that could move, a packet waits in an
+    /// ejection queue, or a pooled fabric holds packets (its progress
+    /// watchdog and pool-exhaustion evidence are read every cycle);
+    /// otherwise the earliest calendar entry, a link arrival or a parked
+    /// switch's wake. Checks the O(1) activity conditions first, so a busy
+    /// fabric answers without touching the arrival calendar.
     #[must_use]
     pub fn next_event_at(&self, now: Cycle, limit: Cycle) -> Cycle {
         let busy = !self.active.is_empty()
@@ -846,6 +908,8 @@ impl<P> Network<P> {
         self.full_pools = 0;
         self.full_endpoint_pools = 0;
         self.in_flight = 0;
+        // Emptying the queues unparks every switch; the calendar loses the
+        // wakes with the arrivals.
         self.active.clear();
         self.arrivals.clear();
         self.watchdog.reset(now);
@@ -857,6 +921,14 @@ impl<P> Network<P> {
         while self.arrivals.pop_ripe_into(now, &mut batch) {
             for &(si, di) in &batch {
                 let i = si as usize;
+                if di == WAKE {
+                    // A stale wake (the switch was re-activated and has since
+                    // re-parked until later) finds `wake_at` in the future.
+                    if self.slab.queued_total[i] > 0 && self.wake_at[i] <= now {
+                        self.active.insert(i);
+                    }
+                    continue;
+                }
                 let d = LINK_DIRECTIONS[di as usize];
                 let InTransit {
                     arrival,
@@ -968,6 +1040,54 @@ impl<P> Network<P> {
                 congestion = None;
             }
         }
+        if self.slab.queued_total[i] > 0 {
+            if let Some(wake) = self.earliest_link_free(i).filter(|&w| w > now + 1) {
+                self.active.remove(i);
+                self.wake_at[i] = wake;
+                self.arrivals.schedule(wake, i, usize::from(WAKE));
+                self.forward_probe.switch_parks += 1;
+            }
+        }
+    }
+
+    /// The earliest cycle at which a candidate output link of some queued
+    /// head at switch `i` is free: the dimension-order link under static
+    /// routing, any productive link under adaptive routing (the productive
+    /// directions include the dimension-order escape). `None` when a head is
+    /// ejecting here. No head can leave before this cycle, since a hop needs
+    /// its link free.
+    fn earliest_link_free(&self, i: usize) -> Option<Cycle> {
+        let node = NodeId::from(i);
+        let free_at = |d: Direction| self.slab.busy_until[SwitchSlab::link(i, d.index())];
+        let mut earliest = Cycle::MAX;
+        for p in 0..ALL_PORTS.len() {
+            if self.slab.queued[SwitchSlab::port(i, p)] == 0 {
+                continue;
+            }
+            for b in 0..self.slab.buffers_per_port {
+                let Some(&id) = self.slab.queues[self.slab.slot(i, p, b)].front() else {
+                    continue;
+                };
+                let dst = self.arena.get(id).dst;
+                if dst == node {
+                    return None;
+                }
+                let head = match self.routing {
+                    RoutingPolicy::Static => {
+                        free_at(self.torus.dimension_order_direction(node, dst))
+                    }
+                    RoutingPolicy::Adaptive => self
+                        .torus
+                        .productive_directions(node, dst)
+                        .iter()
+                        .map(|&d| free_at(d))
+                        .min()
+                        .expect("a transit packet has a productive direction"),
+                };
+                earliest = earliest.min(head);
+            }
+        }
+        Some(earliest)
     }
 
     /// The adaptive-routing congestion metric for each outgoing direction of
@@ -1220,9 +1340,9 @@ impl<P> Network<P> {
 
 impl<P> Network<P> {
     /// Checks the incremental worklist bookkeeping (per-port and per-switch
-    /// queued counters, active-set membership, per-node ejection counts,
-    /// arena liveness) against a full scan of the underlying queues. Test
-    /// support; O(network).
+    /// queued counters, active-set membership and parking, per-node
+    /// ejection counts, arena liveness) against a full scan of the
+    /// underlying queues. Test support; O(network).
     #[cfg(test)]
     fn assert_worklist_invariants(&self) {
         use crate::switch::PORTS_PER_SWITCH;
@@ -1242,11 +1362,24 @@ impl<P> Network<P> {
                 self.slab.queued_total[i] as usize, total,
                 "switch counter at {i}"
             );
-            assert_eq!(
-                self.active.contains(i),
-                total > 0,
-                "active-set membership at {i}"
-            );
+            if total == 0 {
+                assert!(!self.active.contains(i), "empty switch {i} is active");
+            } else if !self.active.contains(i) {
+                // Parked: a pending wake no later than the first free
+                // candidate link of any head, and no ejecting head.
+                let free = self
+                    .earliest_link_free(i)
+                    .unwrap_or_else(|| panic!("parked switch {i} holds an ejecting head"));
+                let wake = self.wake_at[i];
+                assert!(
+                    wake <= free,
+                    "switch {i} wakes at {wake}, a link frees at {free}"
+                );
+                assert!(
+                    wake >= self.arrivals.next && self.arrivals.holds(wake, i, WAKE),
+                    "parked switch {i} has no pending wake at {wake}"
+                );
+            }
         }
         for (i, queues) in self.eject.iter().enumerate() {
             let scan: usize = queues.iter().map(MsgQueue::len).sum();

@@ -1155,3 +1155,231 @@ fn mean_link_utilization_is_nonzero_under_traffic_and_bounded() {
     let u = net.mean_link_utilization(now);
     assert!(u > 0.0 && u <= 1.0, "utilization {u}");
 }
+
+/// One delivery as the parking tests compare it: the cycle, the ejecting
+/// node and the packet's identity and taint.
+type Delivery = (
+    Cycle,
+    usize,
+    NodeId,
+    NodeId,
+    VirtualNetwork,
+    u64,
+    PacketTaint,
+);
+
+/// How [`parking_is_exact`] varies the network under test.
+#[derive(Debug, Clone, Copy)]
+enum ParkingScenario {
+    Static,
+    Adaptive,
+    /// Static routing until cycle 150, adaptive afterwards.
+    StaticThenAdaptive,
+    /// Adaptive routing with `Delay` faults on random links.
+    DelayFaults,
+}
+
+/// Drives `lazy` (the parking kernel) and `eager` (the same network with
+/// every parked switch re-activated before each tick, which is the old
+/// rule: every switch holding a packet is visited every cycle) through the
+/// same random traffic until both drain, checking the worklist invariants
+/// of `lazy` every cycle. Returns each side's delivery stream.
+fn run_parking_pair(
+    scenario: ParkingScenario,
+    seed: u64,
+    drain_every: u64,
+    lazy: &mut Net,
+    eager: &mut Net,
+) -> (Vec<Delivery>, Vec<Delivery>) {
+    let mut rng = DetRng::new(seed);
+    let mut faults = match scenario {
+        ParkingScenario::DelayFaults => {
+            let events = (0..12)
+                .map(|_| FaultEvent {
+                    at: rng.next_below(400),
+                    site: FaultSite::Link {
+                        node: rng.next_below(16) as usize,
+                        dir: rng.next_below(4) as usize,
+                        vnet: None,
+                    },
+                    kind: FaultKind::Delay,
+                    param: 1 + rng.next_below(300),
+                })
+                .collect();
+            let director = FaultDirector::new(FaultPlan { events });
+            Some((director.clone(), director))
+        }
+        _ => None,
+    };
+    if matches!(scenario, ParkingScenario::StaticThenAdaptive) {
+        lazy.set_routing(RoutingPolicy::Static);
+        eager.set_routing(RoutingPolicy::Static);
+    }
+    let (mut seen_lazy, mut seen_eager) = (Vec::new(), Vec::new());
+    let mut now = 0;
+    while now < 400 || lazy.in_flight() > 0 || eager.in_flight() > 0 {
+        now += 1;
+        assert!(now < 100_000, "{scenario:?} failed to drain");
+        if now == 150 && matches!(scenario, ParkingScenario::StaticThenAdaptive) {
+            lazy.set_routing(RoutingPolicy::Adaptive);
+            eager.set_routing(RoutingPolicy::Adaptive);
+        }
+        if now < 400 && rng.next_below(3) == 0 {
+            let src = NodeId::from(rng.next_below(16) as usize);
+            let dst = NodeId::from(rng.next_below(16) as usize);
+            let vnet = crate::packet::ALL_VIRTUAL_NETWORKS[rng.next_below(4) as usize];
+            let size = if rng.next_below(2) == 0 {
+                MessageSize::Data
+            } else {
+                MessageSize::Control
+            };
+            for net in [&mut *lazy, &mut *eager] {
+                let _ = net.inject(now, src, dst, vnet, size, now);
+            }
+        }
+        eager.wake_parked();
+        match &mut faults {
+            Some((fl, fe)) => {
+                lazy.tick(now, Some(fl));
+                eager.tick(now, Some(fe));
+            }
+            None => {
+                lazy.tick(now, None);
+                eager.tick(now, None);
+            }
+        }
+        lazy.assert_worklist_invariants();
+        // Endpoints drain only every `drain_every` cycles, so heads also
+        // wait on full ejection queues.
+        if now % drain_every == 0 || now >= 400 {
+            for (net, seen) in [(&mut *lazy, &mut seen_lazy), (&mut *eager, &mut seen_eager)] {
+                for i in 0..16 {
+                    while let Some(p) = net.eject_any(NodeId::from(i)) {
+                        seen.push((now, i, p.src, p.dst, p.vnet, p.seq, p.taint));
+                    }
+                }
+            }
+        }
+    }
+    (seen_lazy, seen_eager)
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(3))]
+    #[test]
+    fn parking_is_exact(seed in 0u64..1_000_000, drain_every in 1u64..4) {
+        // Parking a switch must change nothing but how often it is
+        // visited: the same deliveries, in the same cycles, and the same
+        // statistics as visiting every switch that holds a packet.
+        for scenario in [
+            ParkingScenario::Static,
+            ParkingScenario::Adaptive,
+            ParkingScenario::StaticThenAdaptive,
+            ParkingScenario::DelayFaults,
+        ] {
+            let routing = match scenario {
+                ParkingScenario::Static => RoutingPolicy::Static,
+                _ => RoutingPolicy::Adaptive,
+            };
+            let cfg = NetConfig::new(16, LinkBandwidth::MB_400, routing, Buffering::VirtualChannels);
+            let mut lazy: Net = Network::new(cfg);
+            let mut eager = lazy.clone();
+            let (seen_lazy, seen_eager) =
+                run_parking_pair(scenario, seed, drain_every, &mut lazy, &mut eager);
+            proptest::prop_assert!(!seen_lazy.is_empty());
+            proptest::prop_assert_eq!(&seen_lazy, &seen_eager);
+            proptest::prop_assert_eq!(
+                format!("{:?}", lazy.stats()),
+                format!("{:?}", eager.stats())
+            );
+            proptest::prop_assert!(lazy.forward_probe().switch_parks > 0);
+            proptest::prop_assert!(
+                lazy.forward_probe().switch_visits < eager.forward_probe().switch_visits
+            );
+        }
+    }
+}
+
+#[test]
+fn set_routing_to_adaptive_wakes_a_head_parked_behind_its_dor_link() {
+    // Node 0 at (0,0) sends two data packets on one class: A to node 1
+    // (East only), then B to node 5 at (1,1), whose dimension-order link
+    // is East too but which may also leave North adaptively.
+    let cfg = NetConfig::new(
+        16,
+        LinkBandwidth::MB_400,
+        RoutingPolicy::Adaptive,
+        Buffering::VirtualChannels,
+    );
+    let mut net: Net = Network::new(cfg);
+    net.set_routing(RoutingPolicy::Static);
+    for (dst, payload) in [(1, 0), (5, 1)] {
+        net.inject(
+            0,
+            NodeId(0),
+            NodeId(dst),
+            VirtualNetwork::Response,
+            MessageSize::Data,
+            payload,
+        )
+        .unwrap();
+    }
+    let east = SwitchSlab::link(0, Direction::East.index());
+    let north = SwitchSlab::link(0, Direction::North.index());
+    // A leaves East; B waits behind the busy East link and parks.
+    net.tick(1, None);
+    assert!(net.slab.busy_until[east] > 3);
+    assert_eq!(net.slab.queued_total[0], 1);
+    assert!(!net.active.contains(0));
+    assert_eq!(net.forward_probe().switch_parks, 1);
+    net.tick(2, None);
+    net.assert_worklist_invariants();
+    // The North link was free all along; adaptive routing may take it, so
+    // B must leave on it in the very cycle routing turns adaptive.
+    net.set_routing(RoutingPolicy::Adaptive);
+    net.tick(3, None);
+    assert_eq!(net.slab.queued_total[0], 0, "B is still parked");
+    assert!(net.slab.busy_until[north] > 3);
+    assert_eq!(net.stats().hops.get(), 2);
+    net.assert_worklist_invariants();
+}
+
+#[test]
+fn a_32x32_static_torus_visits_at_most_two_switches_per_hop_or_ejection() {
+    // Uniform traffic on the benchmark's 32×32 static torus at 800 MB/s,
+    // half data and half control messages. Nearly every queued head waits
+    // for an output link that is still serializing; parking means each
+    // such wait costs one wake visit, not one visit per cycle. (Visiting
+    // every switch that holds a packet every cycle costs about 56 visits
+    // per hop or ejection here.)
+    let mut cfg = NetConfig::conventional(1024, LinkBandwidth::MB_800);
+    cfg.torus_dims = Some((32, 32));
+    let mut net: Net = Network::new(cfg);
+    let mut rng = DetRng::new(9000);
+    let mut now = 0;
+    for _ in 0..2_000 {
+        now += 1;
+        for _ in 0..2 {
+            let src = NodeId::from(rng.next_below(1024) as usize);
+            let dst = NodeId::from(rng.next_below(1024) as usize);
+            let vnet = crate::packet::ALL_VIRTUAL_NETWORKS[rng.next_below(4) as usize];
+            let size = if rng.next_below(2) == 0 {
+                MessageSize::Data
+            } else {
+                MessageSize::Control
+            };
+            let _ = net.inject(now, src, dst, vnet, size, now);
+        }
+        net.tick(now, None);
+        drain_all_ejections(&mut net);
+    }
+    net.assert_worklist_invariants();
+    let (now, _) = run_until_drained(&mut net, now, 100_000);
+    assert_eq!(net.in_flight(), 0, "32x32 torus wedged at {now}");
+    let moves = net.stats().hops.get() + net.stats().delivered.get();
+    let visits = net.forward_probe().switch_visits;
+    assert!(
+        visits <= 2 * moves,
+        "{visits} switch visits for {moves} hops and ejections"
+    );
+}
