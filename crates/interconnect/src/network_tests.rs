@@ -1182,15 +1182,26 @@ enum ParkingScenario {
 /// Drives `lazy` (the parking kernel) and `eager` (the same network with
 /// every parked switch re-activated before each tick, which is the old
 /// rule: every switch holding a packet is visited every cycle) through the
-/// same random traffic until both drain, checking the worklist invariants
-/// of `lazy` every cycle. Returns each side's delivery stream.
+/// same random traffic on a 4×4 torus until both drain, checking the
+/// worklist invariants of `lazy` every cycle. Returns both networks with
+/// their delivery streams, `lazy` first.
 fn run_parking_pair(
     scenario: ParkingScenario,
     seed: u64,
     drain_every: u64,
-    lazy: &mut Net,
-    eager: &mut Net,
-) -> (Vec<Delivery>, Vec<Delivery>) {
+) -> [(Net, Vec<Delivery>); 2] {
+    let routing = match scenario {
+        ParkingScenario::Static => RoutingPolicy::Static,
+        _ => RoutingPolicy::Adaptive,
+    };
+    let cfg = NetConfig::new(
+        16,
+        LinkBandwidth::MB_400,
+        routing,
+        Buffering::VirtualChannels,
+    );
+    let mut lazy: Net = Network::new(cfg);
+    let mut eager = lazy.clone();
     let mut rng = DetRng::new(seed);
     let mut faults = match scenario {
         ParkingScenario::DelayFaults => {
@@ -1233,7 +1244,7 @@ fn run_parking_pair(
             } else {
                 MessageSize::Control
             };
-            for net in [&mut *lazy, &mut *eager] {
+            for net in [&mut lazy, &mut eager] {
                 let _ = net.inject(now, src, dst, vnet, size, now);
             }
         }
@@ -1252,7 +1263,7 @@ fn run_parking_pair(
         // Endpoints drain only every `drain_every` cycles, so heads also
         // wait on full ejection queues.
         if now % drain_every == 0 || now >= 400 {
-            for (net, seen) in [(&mut *lazy, &mut seen_lazy), (&mut *eager, &mut seen_eager)] {
+            for (net, seen) in [(&mut lazy, &mut seen_lazy), (&mut eager, &mut seen_eager)] {
                 for i in 0..16 {
                     while let Some(p) = net.eject_any(NodeId::from(i)) {
                         seen.push((now, i, p.src, p.dst, p.vnet, p.seq, p.taint));
@@ -1261,7 +1272,7 @@ fn run_parking_pair(
             }
         }
     }
-    (seen_lazy, seen_eager)
+    [(lazy, seen_lazy), (eager, seen_eager)]
 }
 
 proptest::proptest! {
@@ -1277,15 +1288,8 @@ proptest::proptest! {
             ParkingScenario::StaticThenAdaptive,
             ParkingScenario::DelayFaults,
         ] {
-            let routing = match scenario {
-                ParkingScenario::Static => RoutingPolicy::Static,
-                _ => RoutingPolicy::Adaptive,
-            };
-            let cfg = NetConfig::new(16, LinkBandwidth::MB_400, routing, Buffering::VirtualChannels);
-            let mut lazy: Net = Network::new(cfg);
-            let mut eager = lazy.clone();
-            let (seen_lazy, seen_eager) =
-                run_parking_pair(scenario, seed, drain_every, &mut lazy, &mut eager);
+            let [(lazy, seen_lazy), (eager, seen_eager)] =
+                run_parking_pair(scenario, seed, drain_every);
             proptest::prop_assert!(!seen_lazy.is_empty());
             proptest::prop_assert_eq!(&seen_lazy, &seen_eager);
             proptest::prop_assert_eq!(

@@ -19,6 +19,7 @@ not wins). Exits non-zero if a build or a run fails.
 """
 
 import argparse
+import io
 import json
 import os
 import statistics
@@ -42,11 +43,8 @@ def export(repo, sha, dest):
         ["git", "archive", "--format=tar", sha],
         cwd=repo, check=True, capture_output=True,
     ).stdout
-    with tempfile.TemporaryFile() as f:
-        f.write(archive)
-        f.seek(0)
-        with tarfile.open(fileobj=f) as tar:
-            tar.extractall(dest)
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
 
 
 def run_bench(side, workload, seed, seconds):
