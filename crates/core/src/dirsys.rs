@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 
-use specsim_base::{ActiveSet, BlockAddr, Cycle, CycleDelta, DetRng, FaultKind, NodeId};
+use specsim_base::{BlockAddr, Cycle, CycleDelta, DetRng, FaultKind, NodeId};
 use specsim_coherence::dir::{
     AccessOutcome, CacheState, DirCacheController, DirMsg, DirectoryController, OutMsg,
 };
@@ -205,23 +205,13 @@ impl DirProtocol {
             ..
         } = arch;
         // Worklist walk: visit only nodes that may hold controller output or
-        // staged messages, in the same ascending order as the dense scan
-        // this replaces (the worklist holds a superset of the busy nodes,
-        // and idle visits are no-ops, so the schedule is unchanged).
+        // a ripe staged message, in the same ascending order as the dense
+        // scan this replaces (the worklist holds a superset of the nodes a
+        // visit can act on, and other visits are no-ops, so the schedule is
+        // unchanged).
         let mut cursor = 0;
         while let Some(i) = ctx.next_outbox_at_or_after(cursor) {
             cursor = i + 1;
-            // Idle-outbox retire: no controller output queued and no staged
-            // message waiting out its latency timer — the exact dense-scan
-            // skip condition, so the node leaves the worklist until the tick
-            // phase or a message ingest re-arms it.
-            if caches[i].outgoing_len() == 0
-                && dirs[i].outgoing_len() == 0
-                && outboxes[i].is_empty()
-            {
-                ctx.retire_outbox(i);
-                continue;
-            }
             for _ in 0..DRAIN_BUDGET {
                 match caches[i].pop_outgoing() {
                     Some(m) => outboxes[i].stage(now + CACHE_RESPONSE_LATENCY, m),
@@ -255,6 +245,12 @@ impl DirProtocol {
                     .expect("injection checked");
                 true
             });
+            // Drained controllers: until the tick phase or a message ingest
+            // re-lists the node, only its staged front ripening gives it
+            // work.
+            if caches[i].outgoing_len() == 0 && dirs[i].outgoing_len() == 0 {
+                ctx.settle_outbox(now, i, outboxes[i].front_ready());
+            }
         }
     }
 }
@@ -311,16 +307,8 @@ impl ProtocolNode for DirProtocol {
         arch.dirs[i].take_write_log().len()
     }
 
-    fn next_event_at(arch: &ArchState, now: Cycle, limit: Cycle, outbox: &ActiveSet) -> Cycle {
-        let horizon = arch.net.next_event_at(now, limit);
-        crate::engine::outbox_horizon(now, horizon, outbox, |i| {
-            let queued = arch.caches[i].outgoing_len() + arch.dirs[i].outgoing_len();
-            if queued == 0 {
-                arch.outboxes[i].front_ready()
-            } else {
-                None
-            }
-        })
+    fn next_event_at(arch: &ArchState, now: Cycle, limit: Cycle) -> Cycle {
+        arch.net.next_event_at(now, limit)
     }
 
     fn checkpoint_due(

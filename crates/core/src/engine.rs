@@ -5,27 +5,33 @@
 //! [`SystemEngine`] over the two protocols, and everything they share lives
 //! here:
 //!
-//! * **node stepping over a compact wake index** — one serial tick loop,
-//!   the only processor-tick kernel for both protocols, scans a per-node
-//!   wake-cycle hint and visits only nodes whose hint has come due,
-//!   re-validating each against [`Processor::ready_at`].
-//!   A processor whose request stalls is *parked* until its own cache
-//!   controller ingests a message; one whose request the slow-start gate
-//!   holds back is parked until any cache controller ingests a message or
-//!   slow-start ends. Skipped retries of both kinds are settled in bulk.
-//!   The slow-start demand census is computed lazily on the first cycle a
-//!   processor actually presents a request;
+//! * **node stepping over one timing wheel** — one serial tick loop, the
+//!   only processor-tick kernel for both protocols, keeps a per-node
+//!   wake-cycle hint and files every hint it sets or lowers in a
+//!   [`TimingWheel`]. Each tick pops the ripe wheel entries and visits only
+//!   the nodes whose hint has come due, in ascending order, re-validating
+//!   each against [`Processor::ready_at`]; the nodes it does not visit are
+//!   counted as skips in bulk, so no per-cycle work scales with the node
+//!   count. A processor whose request stalls is *parked* until its own
+//!   cache controller ingests a message; one whose request the slow-start
+//!   gate holds back is parked until any cache controller ingests a
+//!   message or slow-start ends. Skipped retries of both kinds are settled
+//!   in bulk. The slow-start demand census is computed lazily on the first
+//!   cycle a processor actually presents a request;
 //! * **quiescence fast-forward** — [`SystemEngine::run_for`] jumps the
-//!   clock over cycles in which nothing can happen: no processor is due, no
-//!   engine deadline falls, and the protocol's fabrics and controllers
-//!   report nothing before a later cycle
+//!   clock over cycles in which nothing can happen: the outbox worklist is
+//!   empty, no wheel entry and no engine deadline falls, and the protocol's
+//!   fabrics and controllers report nothing before a later cycle
 //!   ([`ProtocolNode::next_event_at`]). The skipped cycles' per-cycle
 //!   counters are accounted in bulk; [`SystemEngine::step`] still advances
 //!   exactly one cycle;
 //! * **message outbox plumbing over one-or-more fabrics** — the
 //!   [`StagedOutbox`] staging queue holds controller outputs while they wait
 //!   out their access latency, then injects them into whichever fabric the
-//!   protocol chooses (the directory torus, or the snooping data torus);
+//!   protocol chooses (the directory torus, or the snooping data torus). A
+//!   node whose controllers are drained and whose staged front is not yet
+//!   ripe leaves the outbox worklist; a wake on the same timing wheel
+//!   brings it back the cycle its front ripens;
 //! * **checkpoint-interval bookkeeping** — the engine asks the protocol
 //!   whether a checkpoint is due (the directory system uses the cycle count,
 //!   the snooping system the totally ordered request count) and snapshots
@@ -60,7 +66,7 @@ use std::collections::VecDeque;
 use specsim_base::{
     ActiveSet, BlockAddr, Cycle, CycleDelta, DetRng, EngineMode, FaultDirector, FaultKind,
     FaultPlan, ModeTimeline, NodeId, RoutingPolicy, SafetyNetConfig, SpecEvent, TelemetryConfig,
-    TelemetryRecorder, WindowCounters,
+    TelemetryRecorder, TimingWheel, WindowCounters,
 };
 use specsim_coherence::types::{CpuAccess, CpuRequest, MisSpecKind, MisSpeculation, ProtocolError};
 use specsim_net::Network;
@@ -183,13 +189,14 @@ impl<M: Copy> StagedOutbox<M> {
 
 /// Counters describing how much per-cycle work the engine did — the
 /// observable face of the idle-skip/wake-up machinery, used by the
-/// invariant tests shared by both protocols. The two processor counters are
-/// those a dense every-node scan would report (a parked node's skipped
-/// retries are settled as polls); the exchange counters count the visits
-/// the worklists made, fast-forwarded cycles included (each such cycle
-/// counts the visits its step would have made), so every counter except
-/// the last is identical whether a run used [`SystemEngine::run_for`] or a
-/// [`SystemEngine::step`] loop.
+/// invariant tests shared by both protocols. The processor poll and skip
+/// counters are those a dense every-node scan would report (a parked node's
+/// skipped retries are settled as polls); the visit counters count the
+/// visits the tick and the exchange worklists actually made. A
+/// fast-forwarded cycle makes no visit (no node is due and the outbox
+/// worklist is empty), so every counter except the last is identical
+/// whether a run used [`SystemEngine::run_for`] or a [`SystemEngine::step`]
+/// loop.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineProbe {
     /// Processor polls performed (the processor was awake and was asked for
@@ -198,14 +205,22 @@ pub struct EngineProbe {
     /// Processor visits skipped because the node's wake-up cycle had not
     /// arrived (thinking or blocked on an outstanding miss).
     pub processor_skips: u64,
+    /// Processor tick: nodes visited because their wake hint had come due
+    /// (the work the tick did). The dense equivalent is one visit per node
+    /// per cycle; the timing wheel keeps it proportional to the due nodes.
+    pub tick_visits: u64,
     /// Exchange phase: nodes visited by the completion-delivery worklist
     /// (each visit drains that node's completed accesses). The dense
     /// equivalent is one visit per node per cycle; a sparse run stays
     /// proportional to nodes that actually ingested messages.
     pub exchange_completion_visits: u64,
-    /// Exchange phase: nodes visited by the outbox-pump worklist (each visit
-    /// either pumps controller output toward a fabric or retires the node as
-    /// idle). The dense equivalent is one visit per node per cycle.
+    /// Exchange phase: nodes visited by the outbox-pump worklist. Each visit
+    /// stages controller output and injects ripe staged messages; a visit
+    /// that leaves the controllers drained retires the node when nothing is
+    /// staged, or parks it on the timing wheel until its staged front
+    /// ripens. A node stays listed only while it has controller output left
+    /// or a ripe front the fabric refused. The dense equivalent is one visit
+    /// per node per cycle.
     pub exchange_outbox_visits: u64,
     /// Times a presented request was held back by the slow-start gate (the
     /// outstanding-transaction limit) and its node parked until the demand
@@ -230,8 +245,10 @@ pub(crate) struct ExchangeIndex {
     /// Nodes whose controllers ingested a message (or were restored by a
     /// recovery) and may therefore hold completed processor accesses.
     completions: ActiveSet,
-    /// Nodes that may have controller output queued or messages staged in an
-    /// outbox waiting out a latency timer.
+    /// Nodes that may have controller output queued or a ripe staged
+    /// message. A node whose only content is staged messages still waiting
+    /// out their latency is parked on the wake index's timing wheel instead,
+    /// which re-lists it the cycle its front ripens.
     outbox: ActiveSet,
     /// Nodes whose directory or memory controller ingested a message (or
     /// was restored by a recovery) and may therefore hold memory-write log
@@ -264,23 +281,44 @@ impl ExchangeIndex {
     }
 }
 
-/// The tick phase's wake index: one compact wake-cycle hint per node, so
-/// the per-cycle processor scan reads a flat `Vec<Cycle>` instead of every
-/// processor. Every hint of an unparked node is a lower bound on the cycle
-/// at which the node can next present a request; the tick loop re-validates
-/// a due hint against [`Processor::ready_at`], so a hint that is too early
-/// costs one visit and never changes the schedule.
+/// An entry of the wake index's timing wheel, naming a node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Wake {
+    /// The node's processor wake hint comes due. Stale, and dropped, when
+    /// the hint has since been raised (the raise filed its own entry).
+    Processor(u32),
+    /// The node's parked outbox front ripens: the node rejoins the outbox
+    /// worklist.
+    Outbox(u32),
+}
+
+/// The tick phase's wake index: one compact wake-cycle hint per node, and
+/// one [`TimingWheel`] that files every hint the engine sets or lowers, so
+/// the tick visits only the nodes whose hint has come due instead of
+/// scanning all of them. Every hint of an unparked node is a lower bound on
+/// the cycle at which the node can next present a request; the tick loop
+/// re-validates a due hint against [`Processor::ready_at`], so a hint that
+/// is too early costs one visit and never changes the schedule. A hint
+/// that falls behind the wheel's cursor is filed at the cursor, which is
+/// the first cycle a dense scan would visit the node anyway. The same
+/// wheel carries the wakes of parked outboxes, so its earliest entry bounds
+/// the fast-forward horizon for both.
 #[derive(Debug)]
 pub(crate) struct WakeIndex {
     /// Per-node wake hint. `Cycle::MAX` means only an event can wake the
     /// node: completion delivery for a processor blocked on a miss, cache
     /// ingest for a parked or held one, the end of slow-start for a held
-    /// one, or a recovery.
+    /// one, or a recovery. Every finite hint has an entry on the wheel at
+    /// the hint or, when it was set behind the cursor, at the cursor.
     wake_at: Vec<Cycle>,
-    /// A lower bound on every entry of `wake_at`: recomputed by each tick
-    /// from the hints it leaves behind and lowered with them, so the
-    /// fast-forward horizon reads the earliest wake-up in O(1).
-    next_due: Cycle,
+    /// Processor and outbox wakes by due cycle. Entries superseded by a
+    /// later hint stay until drained; they only bound the fast-forward
+    /// horizon early, which costs a step, never an event.
+    wheel: TimingWheel<Wake>,
+    /// Nodes whose hint is due this tick (filled and emptied by each tick).
+    due: ActiveSet,
+    /// Reusable batch buffer for draining the wheel.
+    batch: Vec<Wake>,
     /// Per-node cycle at which the node was parked with a stalled request
     /// (`Cycle::MAX` = not parked). A stall retry's outcome depends only on
     /// the node's own cache controller, and repeating it changes nothing a
@@ -305,19 +343,32 @@ pub(crate) struct WakeIndex {
 impl WakeIndex {
     /// Every node is due on the first cycle.
     fn new(n: usize) -> Self {
-        Self {
-            wake_at: vec![0; n],
-            next_due: 0,
+        let mut index = Self {
+            wake_at: vec![Cycle::MAX; n],
+            wheel: TimingWheel::default(),
+            due: ActiveSet::new(n),
+            batch: Vec::new(),
             parked: vec![Cycle::MAX; n],
             held: vec![Cycle::MAX; n],
             held_list: Vec::new(),
+        };
+        index.reset(0);
+        index
+    }
+
+    /// Sets node `i`'s hint to `at` and files it on the wheel.
+    fn set(&mut self, i: usize, at: Cycle) {
+        self.wake_at[i] = at;
+        if at != Cycle::MAX {
+            self.wheel.schedule(at, Wake::Processor(i as u32));
         }
     }
 
     /// Lowers node `i`'s hint to `at`.
     fn lower(&mut self, i: usize, at: Cycle) {
-        self.wake_at[i] = self.wake_at[i].min(at);
-        self.next_due = self.next_due.min(at);
+        if at < self.wake_at[i] {
+            self.set(i, at);
+        }
     }
 
     /// Makes every node held by the gate due at `at`; each is settled and
@@ -330,13 +381,47 @@ impl WakeIndex {
     }
 
     /// Makes every node due at `at` and unparks them all (a recovery
-    /// restored every processor's wake cycle).
+    /// restored every processor's wake cycle). Pending outbox wakes go too:
+    /// the caller re-lists every outbox.
     fn reset(&mut self, at: Cycle) {
-        self.wake_at.fill(at);
-        self.next_due = at;
+        self.wheel.clear();
+        for i in 0..self.wake_at.len() {
+            self.set(i, at);
+        }
         self.parked.fill(Cycle::MAX);
         self.held.fill(Cycle::MAX);
         self.held_list.clear();
+    }
+
+    /// Files a wake for node `i`'s parked outbox at `ready`, the cycle its
+    /// staged front ripens.
+    fn park_outbox(&mut self, i: usize, ready: Cycle) {
+        // Drained through the current cycle, so the cursor is the next one:
+        // a front ripe now must stay on the worklist, not park.
+        debug_assert!(
+            ready >= self.wheel.cursor(),
+            "node {i}'s outbox parked with a front ripe at {ready}"
+        );
+        self.wheel.schedule(ready, Wake::Outbox(i as u32));
+    }
+
+    /// Pops every wheel entry due by `now`: a processor entry whose hint is
+    /// still due puts its node in `due`, an outbox entry puts its node back
+    /// on `outbox`.
+    fn drain(&mut self, now: Cycle, outbox: &mut ActiveSet) {
+        while self.wheel.pop_ripe_into(now, &mut self.batch) {
+            for &wake in &self.batch {
+                match wake {
+                    Wake::Processor(i) if self.wake_at[i as usize] <= now => {
+                        self.due.insert(i as usize);
+                    }
+                    Wake::Processor(_) => {}
+                    Wake::Outbox(i) => {
+                        outbox.insert(i as usize);
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -494,20 +579,33 @@ impl<'a, A: Clone> EngineCtx<'a, A> {
 
     /// The next node at or after `from` on the outbox worklist — the
     /// worklist twin of a dense `for i in from..n` outbox scan. Each call
-    /// counts as one exchange visit; the caller either pumps the node or
-    /// retires it with [`EngineCtx::retire_outbox`].
+    /// counts as one exchange visit; the caller pumps the node and, once
+    /// its controllers are drained, settles it with
+    /// [`EngineCtx::settle_outbox`].
     pub fn next_outbox_at_or_after(&mut self, from: usize) -> Option<usize> {
         let i = self.exchange.outbox.next_at_or_after(from)?;
         self.probe.exchange_outbox_visits += 1;
         Some(i)
     }
 
-    /// Removes node `i` from the outbox worklist: the caller observed the
-    /// exact dense-scan idle condition (no controller output queued, nothing
-    /// staged), so the node cannot have outbox work until something
-    /// re-inserts it via [`EngineCtx::note_exchange_activity`].
-    pub fn retire_outbox(&mut self, i: usize) {
-        self.exchange.outbox.remove(i);
+    /// Settles node `i` after an outbox visit at `now` that left its
+    /// controllers with no output queued; `front_ready` is its staged
+    /// front's ready cycle. Until something re-lists the node via
+    /// [`EngineCtx::note_exchange_activity`], a visit can act only once that
+    /// front ripens, so the node leaves the worklist: for good when nothing
+    /// is staged, or parked on the timing wheel until `front_ready`. A ripe
+    /// front that the fabric refused keeps the node listed, since no event
+    /// marks when the fabric frees space.
+    pub fn settle_outbox(&mut self, now: Cycle, i: usize, front_ready: Option<Cycle>) {
+        match front_ready {
+            Some(ready) if ready <= now => {}
+            front => {
+                self.exchange.outbox.remove(i);
+                if let Some(ready) = front {
+                    self.wake.park_outbox(i, ready);
+                }
+            }
+        }
     }
 
     /// Reports that node `i`'s cache controller ingested a message at cycle
@@ -525,27 +623,6 @@ impl<'a, A: Clone> EngineCtx<'a, A> {
         }
         self.wake.wake_held(now + 1);
     }
-}
-
-/// Shared half of both protocols' [`ProtocolNode::next_event_at`]: caps
-/// `horizon` at the first cycle the outbox pump can act on a node of the
-/// `outbox` worklist. `staged_only(i)` is the ready cycle of node `i`'s
-/// front staged message when staged messages are all the node holds, or
-/// `None` when it has controller output queued or nothing at all (the next
-/// cycle's visit then pumps or retires it).
-pub(crate) fn outbox_horizon(
-    now: Cycle,
-    mut horizon: Cycle,
-    outbox: &ActiveSet,
-    staged_only: impl Fn(usize) -> Option<Cycle>,
-) -> Cycle {
-    for i in outbox.iter_from(0) {
-        if horizon <= now + 1 {
-            break;
-        }
-        horizon = horizon.min(staged_only(i).map_or(now + 1, |r| r.max(now + 1)));
-    }
-    horizon
 }
 
 /// What a coherence protocol must provide for [`SystemEngine`] to drive it.
@@ -601,14 +678,11 @@ pub trait ProtocolNode {
 
     /// The horizon hook of [`SystemEngine::run_for`]'s fast-forward: the
     /// earliest cycle after `now` (whose step has just completed) at which
-    /// [`ProtocolNode::exchange`] could do more than visit idle nodes, capped
-    /// at `limit`. `outbox` is the engine's outbox worklist, the nodes the
-    /// next exchange visits. A node with controller output queued, or idle
-    /// but still listed, needs the next cycle; one with only staged
-    /// messages needs the cycle its front message ripens. Answering too
-    /// early only costs a step; answering too late would change the
-    /// schedule.
-    fn next_event_at(arch: &Self::Arch, now: Cycle, limit: Cycle, outbox: &ActiveSet) -> Cycle;
+    /// the protocol's fabrics could change state, capped at `limit`. The
+    /// engine asks only while its outbox worklist is empty, and bounds the
+    /// horizon by parked outboxes' wakes itself. Answering too early only
+    /// costs a step; answering too late would change the schedule.
+    fn next_event_at(arch: &Self::Arch, now: Cycle, limit: Cycle) -> Cycle;
 
     /// Whether a checkpoint is due at `now` on this protocol's logical time
     /// base (cycles for the directory system, ordered requests since
@@ -886,11 +960,12 @@ impl<P: ProtocolNode> SystemEngine<P> {
     /// (the next transaction-timeout scan, the expiry of the
     /// forward-progress mode, the next injected recovery, the next
     /// SafetyNet checkpoint or commit, the next telemetry window); the
-    /// smallest processor wake hint; and the protocol's
-    /// [`ProtocolNode::next_event_at`]. Each skipped cycle is accounted as
-    /// its step would have been: one mode-timeline cycle, a skip for every
-    /// processor, a visit for every node on the outbox worklist, and one
-    /// fabric tick's round-robin turn. Inside a recovery's stall window the
+    /// wake index's earliest wheel entry (a processor or parked-outbox
+    /// wake); and the protocol's [`ProtocolNode::next_event_at`]. No jump
+    /// starts while an exchange worklist is non-empty. Each skipped cycle is
+    /// accounted as its step would have been: one mode-timeline cycle, a
+    /// skip for every processor, and one fabric tick's round-robin turn.
+    /// Inside a recovery's stall window the
     /// step does nothing but the timeline, so the jump runs to the resume
     /// cycle. Off while a fault plan is armed (faults strike on a
     /// per-cycle schedule the horizon does not model).
@@ -918,13 +993,16 @@ impl<P: ProtocolNode> SystemEngine<P> {
             }
             return;
         }
-        // Cheapest bounds first: on a busy machine some processor is due
-        // next cycle and the check ends here in O(1).
-        let mut horizon = limit.min(self.wake.next_due);
-        if horizon <= now + 1
+        // Cheapest bounds first: on a busy machine a worklist is non-empty
+        // or some wake falls next cycle, and the check ends here in O(1).
+        if !self.exchange.outbox.is_empty()
             || !self.exchange.completions.is_empty()
             || !self.exchange.write_logs.is_empty()
         {
+            return;
+        }
+        let mut horizon = self.wake.wheel.earliest_due(limit);
+        if horizon <= now + 1 {
             return;
         }
         horizon = horizon
@@ -936,16 +1014,17 @@ impl<P: ProtocolNode> SystemEngine<P> {
         if horizon <= now + 1 {
             return;
         }
-        horizon = P::next_event_at(&self.arch, now, horizon, &self.exchange.outbox);
+        horizon = P::next_event_at(&self.arch, now, horizon);
         if horizon <= now + 1 {
             return;
         }
         let cycles = horizon - 1 - now;
         let n = self.wake.wake_at.len() as u64;
+        // The skipped steps would have visited no outbox.
+        debug_assert!(self.exchange.outbox.is_empty());
         self.timeline
             .observe_span(now + 1, self.engine_mode(now + 1), cycles);
         self.probe.processor_skips += n * cycles;
-        self.probe.exchange_outbox_visits += self.exchange.outbox.len() as u64 * cycles;
         self.probe.cycles_fast_forwarded += cycles;
         P::torus_mut(&mut self.arch).skip_idle_cycles(cycles);
         self.now = horizon - 1;
@@ -1146,10 +1225,12 @@ impl<P: ProtocolNode> SystemEngine<P> {
 
     /// The processor tick: visits, in ascending node order, every node
     /// whose wake hint has come due, with per-node state transitions and
-    /// probe counts identical to a dense every-node scan. Due hints are
-    /// re-validated against the processor's live `ready_at()`; a visit then
-    /// re-indexes the node from its post-tick wake cycle. The scan also
-    /// leaves the smallest hint behind for the fast-forward horizon.
+    /// probe counts identical to a dense every-node scan. The due nodes are
+    /// the ripe entries of the wake index's timing wheel (whose drain also
+    /// re-lists parked outboxes whose front has ripened); every other node
+    /// is counted as a skip in bulk. Due hints are re-validated against the
+    /// processor's live `ready_at()`; a visit then re-files the node's hint
+    /// from its post-tick wake cycle.
     fn tick_processors(&mut self, now: Cycle) {
         let limit = self.outstanding_limit();
         // Stall parking is exact only while the outstanding-transaction gate
@@ -1162,19 +1243,20 @@ impl<P: ProtocolNode> SystemEngine<P> {
         let may_park = limit == usize::MAX;
         #[cfg(test)]
         let may_park = may_park && !self.dense_stall_retries;
+        self.wake.drain(now, &mut self.exchange.outbox);
+        let due = self.wake.due.len() as u64;
+        self.probe.tick_visits += due;
+        // Mid-think, blocked on a miss, or parked.
+        self.probe.processor_skips += self.wake.wake_at.len() as u64 - due;
         // Demand census for the slow-start governor, computed lazily on the
         // first cycle a processor actually presents a request: on quiescent
         // cycles (every processor mid-think or blocked on a miss) the whole
         // per-cache scan is skipped.
         let mut outstanding: Option<usize> = None;
-        let mut next_due = Cycle::MAX;
-        for i in 0..self.wake.wake_at.len() {
-            if self.wake.wake_at[i] > now {
-                // Mid-think, blocked on a miss, or parked.
-                self.probe.processor_skips += 1;
-                next_due = next_due.min(self.wake.wake_at[i]);
-                continue;
-            }
+        let mut cursor = 0;
+        while let Some(i) = self.wake.due.next_at_or_after(cursor) {
+            cursor = i + 1;
+            self.wake.due.remove(i);
             // Re-visiting a parked or held node: settle the retries a dense
             // scan performed on every skipped cycle in `(parked, now)` — the
             // retry at `now` itself happens below.
@@ -1191,14 +1273,14 @@ impl<P: ProtocolNode> SystemEngine<P> {
             match P::procs(&self.arch)[i].ready_at() {
                 Some(ready) if ready <= now => {}
                 ready => {
-                    self.wake.wake_at[i] = ready.unwrap_or(Cycle::MAX);
+                    self.wake.set(i, ready.unwrap_or(Cycle::MAX));
                     self.probe.processor_skips += 1;
-                    next_due = next_due.min(self.wake.wake_at[i]);
                     continue;
                 }
             }
             let Some(req) = P::procs_mut(&mut self.arch)[i].poll(now) else {
-                next_due = next_due.min(self.wake.wake_at[i]);
+                // Nothing to present yet: a dense scan looks again next cycle.
+                self.wake.set(i, now + 1);
                 continue;
             };
             self.probe.processor_polls += 1;
@@ -1207,7 +1289,7 @@ impl<P: ProtocolNode> SystemEngine<P> {
                 // Slow-start governor: hold back new transactions, and park
                 // the node until the census can fall or the limit rise.
                 self.wake.held[i] = now;
-                self.wake.wake_at[i] = Cycle::MAX;
+                self.wake.set(i, Cycle::MAX);
                 self.wake.held_list.push(i);
                 self.probe.held_parks += 1;
                 continue;
@@ -1231,17 +1313,15 @@ impl<P: ProtocolNode> SystemEngine<P> {
                     proc.note_stall();
                     if may_park {
                         self.wake.parked[i] = now;
-                        self.wake.wake_at[i] = Cycle::MAX;
+                        self.wake.set(i, Cycle::MAX);
                         continue;
                     }
                 }
             }
             // Thinking: due when the think time elapses; blocked: woken by
             // completion delivery; still presenting a request: due next cycle.
-            self.wake.wake_at[i] = proc.ready_at().unwrap_or(Cycle::MAX);
-            next_due = next_due.min(self.wake.wake_at[i]);
+            self.wake.set(i, proc.ready_at().unwrap_or(Cycle::MAX));
         }
-        self.wake.next_due = next_due;
     }
 
     /// Accounts `skipped` stall retries of parked node `i` exactly as the
@@ -1460,7 +1540,8 @@ impl<P: ProtocolNode> SystemEngine<P> {
         // re-indexes each from its live `ready_at()`.
         self.wake.reset(self.resume_at);
         // The restored controllers and outboxes may hold completions,
-        // pending output and logged writes at any node: re-arm every list.
+        // pending output and logged writes at any node, and the reset
+        // dropped every parked outbox's wake: re-arm every list.
         self.exchange.insert_all();
         self.pending_misspec = None;
         // Transient semantics: the re-execution must not hit the same fault

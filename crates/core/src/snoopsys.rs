@@ -18,7 +18,7 @@
 //! that pairing and adds the snooping-specific constructor and checks.
 
 use specsim_base::{
-    ActiveSet, BlockAddr, Cycle, CycleDelta, DetRng, FaultConfig, FaultKind, LinkBandwidth,
+    BlockAddr, Cycle, CycleDelta, DetRng, FaultConfig, FaultKind, LinkBandwidth,
     MemorySystemConfig, NodeId, ProtocolVariant, RoutingPolicy,
 };
 use specsim_coherence::snoop::msg::SnoopDataOut;
@@ -246,24 +246,13 @@ impl SnoopProtocol {
             ..
         } = arch;
         // Worklist walk: visit only nodes that may hold controller output or
-        // staged DRAM responses, in the same ascending order as the dense
-        // scan this replaces (idle visits are no-ops, so the schedule is
-        // unchanged).
+        // a ripe staged DRAM response, in the same ascending order as the
+        // dense scan this replaces (other visits are no-ops, so the schedule
+        // is unchanged).
         let mut cursor = 0;
         while let Some(i) = ctx.next_outbox_at_or_after(cursor) {
             cursor = i + 1;
             let node = NodeId::from(i);
-            // Idle-outbox retire: no cache or memory output queued and no
-            // data response waiting out its DRAM latency — the exact
-            // dense-scan skip condition, so the node leaves the worklist
-            // until the tick phase or a delivery re-arms it.
-            if caches[i].outgoing_len() == 0
-                && memories[i].outgoing_len() == 0
-                && mem_outboxes[i].is_empty()
-            {
-                ctx.retire_outbox(i);
-                continue;
-            }
             // Address-network requests.
             for _ in 0..DRAIN_BUDGET {
                 match caches[i].pop_bus_request() {
@@ -312,6 +301,12 @@ impl SnoopProtocol {
                     .expect("injection checked");
                 true
             });
+            // Drained controllers: until the tick phase or a delivery
+            // re-lists the node, only its staged front ripening gives it
+            // work.
+            if caches[i].outgoing_len() == 0 && memories[i].outgoing_len() == 0 {
+                ctx.settle_outbox(now, i, mem_outboxes[i].front_ready());
+            }
         }
     }
 
@@ -454,19 +449,10 @@ impl ProtocolNode for SnoopProtocol {
         arch.memories[i].take_write_log().len()
     }
 
-    fn next_event_at(arch: &ArchState, now: Cycle, limit: Cycle, outbox: &ActiveSet) -> Cycle {
-        let horizon = arch
-            .data_net
+    fn next_event_at(arch: &ArchState, now: Cycle, limit: Cycle) -> Cycle {
+        arch.data_net
             .next_event_at(now, limit)
-            .min(arch.bus.next_event_at(now));
-        crate::engine::outbox_horizon(now, horizon, outbox, |i| {
-            let queued = arch.caches[i].outgoing_len() + arch.memories[i].outgoing_len();
-            if queued == 0 {
-                arch.mem_outboxes[i].front_ready()
-            } else {
-                None
-            }
-        })
+            .min(arch.bus.next_event_at(now))
     }
 
     fn checkpoint_due(

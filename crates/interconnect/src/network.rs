@@ -12,7 +12,7 @@
 //!   queued head is a transit packet waiting for a busy output link (its
 //!   dimension-order link under static routing, every productive link under
 //!   adaptive routing) is *parked*: it leaves the worklist and a wake entry
-//!   in the arrival calendar re-activates it when the first of those links
+//!   in the arrival wheel re-activates it when the first of those links
 //!   frees. Parking is exact. Only a switch's own moves set its links'
 //!   `busy_until`, every arrival and injection re-activates the switch it
 //!   lands at, and a visit that moves nothing changes no state, so the
@@ -22,16 +22,15 @@
 //!   Fairness is unchanged: the per-cycle rotation and the per-switch/per-port
 //!   round-robin pointers advance exactly as in the exhaustive scan, so the
 //!   packet schedule — and therefore every metric — is bit-identical.
-//! * **Link delivery** pops ripe arrivals from a due-cycle calendar
-//!   (`ArrivalCalendar`, a ring-buffer timing wheel whose buckets and batch
-//!   scratch space are reused, so steady-state delivery allocates nothing)
-//!   instead of polling every link every cycle. Within one link arrivals are
-//!   FIFO with non-decreasing due cycles, and arrivals on different links
-//!   land in different buffers, so delivery state is independent of the
-//!   order the calendar drains a cycle's batch in. The same calendar holds
-//!   the parked switches' wakes, so when only parked switches remain, its
-//!   earliest entry is the fabric's next event and an engine fast-forward
-//!   skips the link-wait cycles.
+//! * **Link delivery** pops ripe arrivals from a due-cycle [`TimingWheel`]
+//!   (whose buckets and batch scratch space are reused, so steady-state
+//!   delivery allocates nothing) instead of polling every link every cycle.
+//!   Within one link arrivals are FIFO with non-decreasing due cycles, and
+//!   arrivals on different links land in different buffers, so delivery
+//!   state is independent of the order the wheel drains a cycle's batch in.
+//!   The same wheel holds the parked switches' wakes, so when only parked
+//!   switches remain, its earliest entry is the fabric's next event and an
+//!   engine fast-forward skips the link-wait cycles.
 //!
 //! # Struct-of-arrays layout
 //!
@@ -43,11 +42,9 @@
 //! chasing per-switch allocations, and a packet is copied zero times
 //! between injection and ejection.
 
-use std::collections::BTreeMap;
-
 use specsim_base::{
     ActiveSet, Cycle, CycleDelta, FaultDirector, FaultKind, MessageSize, MsgQueue, NodeId,
-    RoutingPolicy, WorkerPool,
+    RoutingPolicy, TimingWheel, WorkerPool,
 };
 
 use crate::config::{BufferLayout, NetConfig, PoolSlots};
@@ -95,167 +92,15 @@ enum MoveAction {
     },
 }
 
-/// Minimum number of buckets in an [`ArrivalCalendar`]'s timing wheel
-/// (always a power of two). Each calendar is sized at construction from the network's
-/// own scheduling horizon (data-message serialization plus switch pipeline
-/// latency — see [`ArrivalCalendar::with_horizon`]) so slow links never park
-/// every steady-state arrival in the overflow map; this constant is the
-/// floor. Rarer horizons (fault-injected delays) still spill into overflow.
-const MIN_WHEEL_BUCKETS: usize = 1024;
-
-/// The calendar direction of a parked switch's wake entry: one past the four
-/// link directions, so `deliver_phase` reads it as "re-activate the switch"
-/// rather than as a link arrival.
+/// The arrival-wheel direction of a parked switch's wake entry: one past the
+/// four link directions, so `deliver_phase` reads it as "re-activate the
+/// switch" rather than as a link arrival.
 const WAKE: u8 = LINK_DIRECTIONS.len() as u8;
 
-/// Due-cycle index over every in-transit link arrival: the entries for cycle
-/// `c` list the `(switch, link direction)` pairs whose front in-transit
-/// entry arrives at `c`, plus `(switch, WAKE)` for each parked switch due to
-/// re-activate at `c`. `deliver_phase` pops only ripe batches instead of
-/// polling all `4 × num_nodes` links every cycle.
-///
-/// The index is a **ring-buffer timing wheel**: cycle `c` lives in bucket
-/// `c % buckets`, and buckets are drained in place
-/// ([`Vec::drain`] keeps their allocation), so steady-state scheduling
-/// allocates nothing — unlike the `BTreeMap<Cycle, Vec>` predecessor, which
-/// allocated one fresh `Vec` per distinct due cycle. Arrivals beyond the
-/// wheel horizon (possible only with links slower than the Table 2 range)
-/// spill into a `BTreeMap` overflow. `next` is the lowest cycle not yet
-/// drained; because `next` is monotone and an entry overflows only when its
-/// cycle is at least one full wheel lap past `next`, all overflow entries for a
-/// cycle were scheduled before all wheel entries for it — draining
-/// overflow-first preserves exact schedule order.
-#[derive(Debug, Clone)]
-struct ArrivalCalendar {
-    wheel: Vec<Vec<(u32, u8)>>,
-    overflow: BTreeMap<Cycle, Vec<(u32, u8)>>,
-    /// Lowest cycle not yet drained. Arrivals are always scheduled at or
-    /// after it (`pop_ripe_into` runs first in every tick and re-anchors it
-    /// to `now + 1` when the calendar is empty).
-    next: Cycle,
-    /// Entries currently indexed (wheel + overflow).
-    pending: usize,
-}
-
-impl Default for ArrivalCalendar {
-    fn default() -> Self {
-        Self::with_horizon(0)
-    }
-}
-
-impl ArrivalCalendar {
-    /// Builds a calendar whose wheel covers at least `horizon` cycles of
-    /// look-ahead: the bucket count is `horizon + 1` rounded up to a power
-    /// of two, floored at [`MIN_WHEEL_BUCKETS`]. Callers pass the longest
-    /// *common* scheduling distance (serialization of the largest message
-    /// plus switch latency); anything rarer overflows into the map.
-    fn with_horizon(horizon: Cycle) -> Self {
-        let buckets = (horizon as usize + 1)
-            .next_power_of_two()
-            .max(MIN_WHEEL_BUCKETS);
-        Self {
-            wheel: vec![Vec::new(); buckets],
-            overflow: BTreeMap::new(),
-            next: 0,
-            pending: 0,
-        }
-    }
-
-    fn bucket_of(&self, cycle: Cycle) -> usize {
-        (cycle as usize) & (self.wheel.len() - 1)
-    }
-
-    fn schedule(&mut self, arrival: Cycle, switch: usize, dir: usize) {
-        debug_assert!(
-            arrival >= self.next,
-            "arrival {arrival} scheduled behind the drain cursor {}",
-            self.next
-        );
-        let entry = (switch as u32, dir as u8);
-        if arrival - self.next < self.wheel.len() as Cycle {
-            let b = self.bucket_of(arrival);
-            self.wheel[b].push(entry);
-        } else {
-            self.overflow.entry(arrival).or_default().push(entry);
-        }
-        self.pending += 1;
-    }
-
-    /// Fills `out` with the earliest batch due at or before `now` (replacing
-    /// its contents, keeping its allocation) and returns `true`, or returns
-    /// `false` when nothing is ripe. Within a batch, entries come out in
-    /// schedule order.
-    fn pop_ripe_into(&mut self, now: Cycle, out: &mut Vec<(u32, u8)>) -> bool {
-        out.clear();
-        if self.pending == 0 {
-            // Re-anchor the cursor so the wheel horizon always starts at the
-            // present when traffic resumes.
-            self.next = now + 1;
-            return false;
-        }
-        while self.next <= now {
-            let cycle = self.next;
-            if let Some((&c, _)) = self.overflow.first_key_value() {
-                if c == cycle {
-                    let far = self.overflow.remove(&c).expect("key just observed");
-                    out.extend_from_slice(&far);
-                }
-            }
-            // `append` empties the bucket while keeping its allocation.
-            let b = self.bucket_of(cycle);
-            out.append(&mut self.wheel[b]);
-            self.next += 1;
-            if !out.is_empty() {
-                self.pending -= out.len();
-                return true;
-            }
-        }
-        false
-    }
-
-    /// The earliest cycle holding an indexed arrival, or `limit` when none
-    /// is due before it. The wheel holds only arrivals in
-    /// `[next, next + buckets)`, so its first non-empty bucket from `next`
-    /// is its earliest entry; the scan stops at `limit`, so its cost is
-    /// bounded by the distance the caller can skip anyway.
-    fn earliest_due(&self, limit: Cycle) -> Cycle {
-        if self.pending == 0 {
-            return limit;
-        }
-        let limit = self
-            .overflow
-            .first_key_value()
-            .map_or(limit, |(&c, _)| c.min(limit));
-        let horizon = limit.min(self.next.saturating_add(self.wheel.len() as Cycle));
-        (self.next..horizon)
-            .find(|&c| !self.wheel[self.bucket_of(c)].is_empty())
-            .unwrap_or(limit)
-    }
-
-    fn clear(&mut self) {
-        for bucket in &mut self.wheel {
-            bucket.clear();
-        }
-        self.overflow.clear();
-        self.pending = 0;
-    }
-
-    /// True when `(switch, dir)` is pending at `cycle`. Test support: the
-    /// wheel holds only cycles in `[next, next + buckets)`, so one bucket
-    /// (plus the overflow) covers a cycle.
-    #[cfg(test)]
-    fn holds(&self, cycle: Cycle, switch: usize, dir: u8) -> bool {
-        let entry = (switch as u32, dir);
-        let in_wheel = cycle >= self.next
-            && cycle - self.next < self.wheel.len() as Cycle
-            && self.wheel[self.bucket_of(cycle)].contains(&entry);
-        in_wheel
-            || self
-                .overflow
-                .get(&cycle)
-                .is_some_and(|v| v.contains(&entry))
-    }
-}
+/// An arrival-wheel entry: `(switch, link direction)` for the front
+/// in-transit message of that switch's outgoing link, or `(switch, WAKE)`
+/// for a parked switch due to re-activate.
+type ArrivalEntry = (u32, u8);
 
 /// Forward-phase instrumentation counters, cumulative over the network's
 /// lifetime. These never feed back into the schedule (they are not part of
@@ -322,16 +167,19 @@ pub struct Network<P> {
     /// cycle. A switch that holds packets but is not on it is parked.
     active: ActiveSet,
     /// The cycle each parked switch wakes at (read only while it is parked;
-    /// a stale calendar wake for a switch that has since re-parked later is
+    /// a stale wheel wake for a switch that has since re-parked later is
     /// ignored).
     wake_at: Vec<Cycle>,
     /// Due-cycle index over in-transit link arrivals and parked-switch
-    /// wakes.
-    arrivals: ArrivalCalendar,
-    /// Reusable batch buffer for draining the calendar (the wheel's buckets
+    /// wakes: the entries for cycle `c` are the links whose front in-transit
+    /// message arrives at `c` and the parked switches due to re-activate at
+    /// `c`, so `deliver_phase` pops only ripe batches instead of polling all
+    /// `4 × num_nodes` links every cycle.
+    arrivals: TimingWheel<ArrivalEntry>,
+    /// Reusable batch buffer for draining the wheel (the wheel's buckets
     /// and this scratch space together make steady-state delivery
     /// allocation-free).
-    arrival_scratch: Vec<(u32, u8)>,
+    arrival_scratch: Vec<ArrivalEntry>,
     /// Forwarding rounds executed so far. Every switch's port round-robin
     /// pointer advances by exactly one per round whether or not the switch
     /// moved anything, so the per-switch pointer of the old exhaustive scan
@@ -404,7 +252,7 @@ impl<P> Network<P> {
             // serialization plus the switch pipeline; sizing the wheel to
             // cover it keeps steady-state traffic out of the overflow map
             // even on slow (or custom slower-than-Table-2) links.
-            arrivals: ArrivalCalendar::with_horizon(
+            arrivals: TimingWheel::with_horizon(
                 cfg.link_bandwidth
                     .serialization_cycles(specsim_base::DATA_MSG_BYTES)
                     + cfg.switch_latency,
@@ -711,9 +559,9 @@ impl<P> Network<P> {
     /// worklist holds a packet that could move, a packet waits in an
     /// ejection queue, or a pooled fabric holds packets (its progress
     /// watchdog and pool-exhaustion evidence are read every cycle);
-    /// otherwise the earliest calendar entry, a link arrival or a parked
+    /// otherwise the earliest arrival-wheel entry, a link arrival or a parked
     /// switch's wake. Checks the O(1) activity conditions first, so a busy
-    /// fabric answers without touching the arrival calendar.
+    /// fabric answers without touching the arrival wheel.
     #[must_use]
     pub fn next_event_at(&self, now: Cycle, limit: Cycle) -> Cycle {
         let busy = !self.active.is_empty()
@@ -908,7 +756,7 @@ impl<P> Network<P> {
         self.full_pools = 0;
         self.full_endpoint_pools = 0;
         self.in_flight = 0;
-        // Emptying the queues unparks every switch; the calendar loses the
+        // Emptying the queues unparks every switch; the wheel loses the
         // wakes with the arrivals.
         self.active.clear();
         self.arrivals.clear();
@@ -936,8 +784,8 @@ impl<P> Network<P> {
                     id,
                 } = self.slab.in_transit[SwitchSlab::link(i, d.index())]
                     .pop_front()
-                    .expect("calendar entry without an in-transit message");
-                debug_assert!(arrival <= now, "calendar delivered an unripe arrival");
+                    .expect("arrival entry without an in-transit message");
+                debug_assert!(arrival <= now, "the wheel delivered an unripe arrival");
                 let j = self.torus.neighbor(NodeId::from(i), d).index();
                 let ts = target_slot as usize;
                 if faults.is_some_and(|f| f.switch_blacked_out(j)) {
@@ -1044,7 +892,7 @@ impl<P> Network<P> {
             if let Some(wake) = self.earliest_link_free(i).filter(|&w| w > now + 1) {
                 self.active.remove(i);
                 self.wake_at[i] = wake;
-                self.arrivals.schedule(wake, i, usize::from(WAKE));
+                self.arrivals.schedule(wake, (i as u32, WAKE));
                 self.forward_probe.switch_parks += 1;
             }
         }
@@ -1298,7 +1146,8 @@ impl<P> Network<P> {
                         target_slot: target_slot as u32,
                         id,
                     });
-                    self.arrivals.schedule(arrival, i, dir.index());
+                    self.arrivals
+                        .schedule(arrival, (i as u32, dir.index() as u8));
                     self.slab.reserved[target_slot] += 1;
                     self.stats.hops.incr();
                     self.watchdog.record_progress(now);
@@ -1320,7 +1169,8 @@ impl<P> Network<P> {
                                 target_slot: target_slot as u32,
                                 id: dup_id,
                             });
-                            self.arrivals.schedule(dup_arrival, i, dir.index());
+                            self.arrivals
+                                .schedule(dup_arrival, (i as u32, dir.index() as u8));
                             self.slab.reserved[target_slot] += 1;
                             self.in_flight += 1;
                         }
@@ -1376,7 +1226,7 @@ impl<P> Network<P> {
                     "switch {i} wakes at {wake}, a link frees at {free}"
                 );
                 assert!(
-                    wake >= self.arrivals.next && self.arrivals.holds(wake, i, WAKE),
+                    self.arrivals.holds(wake, (i as u32, WAKE)),
                     "parked switch {i} has no pending wake at {wake}"
                 );
             }

@@ -4,169 +4,6 @@ use specsim_base::{DetRng, LinkBandwidth};
 
 type Net = Network<u64>;
 
-/// Drains one batch from the calendar the way `deliver_phase` does.
-fn pop_batch(cal: &mut ArrivalCalendar, now: Cycle) -> Option<Vec<(u32, u8)>> {
-    let mut out = Vec::new();
-    cal.pop_ripe_into(now, &mut out).then_some(out)
-}
-
-#[test]
-fn calendar_drains_cycles_in_order_and_batches_in_schedule_order() {
-    let mut cal = ArrivalCalendar::default();
-    assert!(pop_batch(&mut cal, 0).is_none());
-    cal.schedule(5, 1, 0);
-    cal.schedule(3, 2, 1);
-    cal.schedule(5, 3, 2);
-    // Nothing ripe before cycle 3.
-    assert!(pop_batch(&mut cal, 2).is_none());
-    // Earliest cycle first; within a cycle, schedule order.
-    assert_eq!(pop_batch(&mut cal, 10), Some(vec![(2, 1)]));
-    assert_eq!(pop_batch(&mut cal, 10), Some(vec![(1, 0), (3, 2)]));
-    assert!(pop_batch(&mut cal, 10).is_none());
-    // Empty again: the cursor re-anchors and far-future cycles work.
-    cal.schedule(11, 4, 3);
-    assert!(pop_batch(&mut cal, 10).is_none());
-    assert_eq!(pop_batch(&mut cal, 11), Some(vec![(4, 3)]));
-}
-
-#[test]
-fn calendar_overflow_beyond_the_wheel_horizon_is_preserved_in_order() {
-    let mut cal = ArrivalCalendar::default();
-    let far = MIN_WHEEL_BUCKETS as Cycle + 500;
-    // Scheduled while `next` is 0, so `far` lands in the overflow map...
-    cal.schedule(far, 9, 1);
-    cal.schedule(2, 1, 0);
-    // ...and an in-wheel entry for the same far cycle, scheduled later
-    // (after the cursor advanced), must drain *after* the overflow one.
-    assert_eq!(pop_batch(&mut cal, 2), Some(vec![(1, 0)]));
-    cal.schedule(far, 7, 2);
-    assert!(pop_batch(&mut cal, far - 1).is_none());
-    assert_eq!(pop_batch(&mut cal, far), Some(vec![(9, 1), (7, 2)]));
-    assert!(pop_batch(&mut cal, far + MIN_WHEEL_BUCKETS as Cycle).is_none());
-}
-
-#[test]
-fn calendar_clear_discards_everything_but_keeps_working() {
-    let mut cal = ArrivalCalendar::default();
-    cal.schedule(4, 1, 0);
-    cal.schedule(MIN_WHEEL_BUCKETS as Cycle + 9, 2, 1);
-    cal.clear();
-    assert!(pop_batch(&mut cal, MIN_WHEEL_BUCKETS as Cycle * 2).is_none());
-    cal.schedule(MIN_WHEEL_BUCKETS as Cycle * 2 + 3, 5, 3);
-    assert_eq!(
-        pop_batch(&mut cal, MIN_WHEEL_BUCKETS as Cycle * 2 + 3),
-        Some(vec![(5, 3)])
-    );
-}
-
-#[test]
-fn calendar_wheel_is_sized_from_the_horizon() {
-    // The floor applies when the horizon fits the minimum wheel...
-    assert_eq!(
-        ArrivalCalendar::with_horizon(0).wheel.len(),
-        MIN_WHEEL_BUCKETS
-    );
-    assert_eq!(
-        ArrivalCalendar::with_horizon(1023).wheel.len(),
-        MIN_WHEEL_BUCKETS
-    );
-    // ...and a longer horizon rounds up to the next power of two, so the
-    // full common scheduling distance stays on the wheel.
-    assert_eq!(ArrivalCalendar::with_horizon(1024).wheel.len(), 2048);
-    assert_eq!(ArrivalCalendar::with_horizon(3000).wheel.len(), 4096);
-    let cal = ArrivalCalendar::with_horizon(3000);
-    assert!(cal.wheel.len().is_power_of_two());
-}
-
-#[test]
-fn calendar_overflow_heavy_schedule_drains_in_exact_order() {
-    // Park far more entries in the overflow map than on the wheel —
-    // every distinct due cycle beyond the horizon, interleaved with
-    // near-term wheel entries — and require the global drain order to be
-    // exactly (due cycle asc, schedule order within a cycle), overflow
-    // entries strictly before wheel entries for the same cycle.
-    let mut cal = ArrivalCalendar::default();
-    let lap = MIN_WHEEL_BUCKETS as Cycle;
-    let mut expected: BTreeMap<Cycle, Vec<(u32, u8)>> = BTreeMap::new();
-    // 64 overflow cycles, several laps deep, three entries each.
-    for k in 0..64u32 {
-        let due = lap + 17 + 3 * k as Cycle * 37 % (5 * lap);
-        for j in 0..3u8 {
-            cal.schedule(due, k as usize, j as usize);
-            expected.entry(due).or_default().push((k, j));
-        }
-    }
-    // A handful of near entries that must drain first.
-    for k in 0..8u32 {
-        let due = 2 + k as Cycle * 5;
-        cal.schedule(due, 100 + k as usize, 0);
-        expected.entry(due).or_default().push((100 + k, 0));
-    }
-    // Same-cycle mix: an overflow entry scheduled first must come out
-    // before a wheel entry scheduled for the same cycle later.
-    let mixed = lap + 17; // already in overflow from the loop above
-    let mut now = 0;
-    let mut got: Vec<(Cycle, Vec<(u32, u8)>)> = Vec::new();
-    while now < 8 * lap {
-        now += 1;
-        if now == mixed {
-            // Close enough now to land on the wheel.
-            cal.schedule(mixed, 999, 3);
-            expected.entry(mixed).or_default().push((999, 3));
-        }
-        while let Some(batch) = pop_batch(&mut cal, now) {
-            got.push((now, batch));
-        }
-    }
-    let want: Vec<(Cycle, Vec<(u32, u8)>)> = expected.into_iter().collect();
-    assert_eq!(got, want);
-}
-
-#[test]
-fn calendar_matches_a_btreemap_model_under_random_traffic() {
-    // Drive the wheel and the old BTreeMap<Cycle, Vec> representation
-    // with the same schedule/pop stream and require identical batches.
-    let mut cal = ArrivalCalendar::default();
-    let mut model: BTreeMap<Cycle, Vec<(u32, u8)>> = BTreeMap::new();
-    let mut rng = DetRng::new(71);
-    let mut now: Cycle = 0;
-    for _ in 0..3_000 {
-        now += 1 + rng.next_below(3);
-        // Drain everything ripe, comparing batch-for-batch (the model
-        // pops its earliest entry exactly like the old implementation).
-        loop {
-            let expected = match model.first_key_value() {
-                Some((&c, _)) if c <= now => model.remove(&c),
-                _ => None,
-            };
-            let got = pop_batch(&mut cal, now);
-            assert_eq!(got, expected, "divergence at cycle {now}");
-            if got.is_none() {
-                break;
-            }
-        }
-        // The earliest due cycle is the model's first key, and the limit
-        // caps it.
-        let first = model.first_key_value().map_or(Cycle::MAX, |(&c, _)| c);
-        assert_eq!(cal.earliest_due(Cycle::MAX), first);
-        assert_eq!(cal.earliest_due(now + 2), first.min(now + 2));
-        // Schedule a burst of arrivals, occasionally far enough out to
-        // exercise the overflow map.
-        for _ in 0..rng.next_below(4) {
-            let horizon = if rng.next_below(10) == 0 {
-                MIN_WHEEL_BUCKETS as Cycle + rng.next_below(400)
-            } else {
-                1 + rng.next_below(800)
-            };
-            let arrival = now + horizon;
-            let sw = rng.next_below(16) as u32;
-            let dir = rng.next_below(4) as u8;
-            cal.schedule(arrival, sw as usize, dir as usize);
-            model.entry(arrival).or_default().push((sw, dir));
-        }
-    }
-}
-
 fn drain_all_ejections(net: &mut Net) -> Vec<Packet<u64>> {
     let mut out = Vec::new();
     for i in 0..net.num_nodes() {

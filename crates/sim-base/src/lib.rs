@@ -25,7 +25,9 @@
 //!   the link serialization model,
 //! * [`telemetry`] — deterministic observability primitives: log2-bucketed
 //!   latency histograms, engine-mode timelines, cycle-windowed samplers and
-//!   speculation-lifecycle event traces (all stamped in simulated cycles).
+//!   speculation-lifecycle event traces (all stamped in simulated cycles),
+//! * [`wheel`] — the due-cycle timing wheel behind every event-driven
+//!   kernel (torus arrivals and wakes, engine processor and outbox wakes).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -40,6 +42,7 @@ pub mod rng;
 pub mod stats;
 pub mod telemetry;
 pub mod time;
+pub mod wheel;
 
 pub use active::ActiveSet;
 pub use config::{
@@ -59,6 +62,7 @@ pub use telemetry::{
     TelemetryRecorder, WindowCounters, WindowSample, ALL_ENGINE_MODES, ENGINE_MODE_COUNT,
 };
 pub use time::{Cycle, CycleDelta};
+pub use wheel::TimingWheel;
 
 /// A placeholder under the name the frozen benchmark harness (`perfbench/`)
 /// still imports. It exists only for that harness: it holds no threads, and
