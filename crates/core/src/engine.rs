@@ -82,6 +82,12 @@ use crate::metrics::RunMetrics;
 /// perturbations provide the error bars.
 const PERTURBATION_CYCLES: u64 = 4;
 
+/// Look-ahead of the wake index's timing wheel. Its farthest common entry
+/// is a parked outbox waiting out a DRAM access (200 cycles at the Table 2
+/// defaults, plus the perturbation); think times and hit latencies are far
+/// shorter. Rarer, longer waits (a recovery's resume cycle) overflow.
+const WAKE_HORIZON: Cycle = 255;
+
 /// Measured characterization of one design, filled in by short simulations
 /// and printed by the Table 1 bench alongside the qualitative rows.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -345,7 +351,7 @@ impl WakeIndex {
     fn new(n: usize) -> Self {
         let mut index = Self {
             wake_at: vec![Cycle::MAX; n],
-            wheel: TimingWheel::default(),
+            wheel: TimingWheel::with_horizon(WAKE_HORIZON),
             due: ActiveSet::new(n),
             batch: Vec::new(),
             parked: vec![Cycle::MAX; n],
@@ -965,10 +971,10 @@ impl<P: ProtocolNode> SystemEngine<P> {
     /// starts while an exchange worklist is non-empty. Each skipped cycle is
     /// accounted as its step would have been: one mode-timeline cycle, a
     /// skip for every processor, and one fabric tick's round-robin turn.
-    /// Inside a recovery's stall window the
-    /// step does nothing but the timeline, so the jump runs to the resume
-    /// cycle. Off while a fault plan is armed (faults strike on a
-    /// per-cycle schedule the horizon does not model).
+    /// Inside a recovery's stall window the step does nothing but the
+    /// timeline, so the jump runs to the resume cycle. Off while a fault
+    /// plan is armed (faults strike on a per-cycle schedule the horizon
+    /// does not model).
     fn fast_forward(&mut self, end: Cycle) {
         let now = self.now;
         if self.fault_director.is_some()

@@ -14,7 +14,7 @@ use crate::time::Cycle;
 /// Each wheel is sized at construction from its owner's scheduling horizon
 /// (see [`TimingWheel::with_horizon`]); this constant is the floor. Rarer,
 /// longer distances spill into the overflow map.
-pub const MIN_WHEEL_BUCKETS: usize = 1024;
+const MIN_WHEEL_BUCKETS: usize = 64;
 
 /// Due-cycle index over entries of type `T`: the entries for cycle `c` are
 /// popped, in the order they were scheduled, by the first drain at or after
@@ -41,16 +41,10 @@ pub struct TimingWheel<T> {
     pending: usize,
 }
 
-impl<T: Copy> Default for TimingWheel<T> {
-    fn default() -> Self {
-        Self::with_horizon(0)
-    }
-}
-
 impl<T: Copy> TimingWheel<T> {
     /// Builds a wheel that covers at least `horizon` cycles of look-ahead:
     /// the bucket count is `horizon + 1` rounded up to a power of two,
-    /// floored at [`MIN_WHEEL_BUCKETS`]. Callers pass their longest
+    /// floored at `MIN_WHEEL_BUCKETS` (64). Callers pass their longest
     /// *common* scheduling distance; anything rarer overflows into the map.
     #[must_use]
     pub fn with_horizon(horizon: Cycle) -> Self {
@@ -65,28 +59,10 @@ impl<T: Copy> TimingWheel<T> {
         }
     }
 
-    /// Number of buckets on the wheel.
-    #[must_use]
-    pub fn buckets(&self) -> usize {
-        self.wheel.len()
-    }
-
     /// The lowest cycle not yet drained.
     #[must_use]
     pub fn cursor(&self) -> Cycle {
         self.next
-    }
-
-    /// Number of entries currently indexed.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.pending
-    }
-
-    /// True when no entry is indexed.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.pending == 0
     }
 
     fn bucket_of(&self, cycle: Cycle) -> usize {
@@ -201,7 +177,7 @@ mod tests {
 
     #[test]
     fn drains_cycles_in_order_and_batches_in_schedule_order() {
-        let mut wheel = TimingWheel::default();
+        let mut wheel = TimingWheel::with_horizon(0);
         assert!(pop_batch(&mut wheel, 0).is_none());
         wheel.schedule(5, (1, 0));
         wheel.schedule(3, (2, 1));
@@ -220,7 +196,7 @@ mod tests {
 
     #[test]
     fn overflow_beyond_the_wheel_horizon_is_preserved_in_order() {
-        let mut wheel = TimingWheel::default();
+        let mut wheel = TimingWheel::with_horizon(0);
         let far = MIN_WHEEL_BUCKETS as Cycle + 500;
         // Scheduled while the cursor is 0, so `far` lands in the overflow
         // map...
@@ -241,7 +217,7 @@ mod tests {
         // horizon (overflow), one filed once it is in reach (wheel), then a
         // fourth overflow-era entry for a later cycle. The cycle drains as
         // one batch, overflow entries first in their schedule order.
-        let mut wheel = TimingWheel::default();
+        let mut wheel = TimingWheel::with_horizon(0);
         let lap = MIN_WHEEL_BUCKETS as Cycle;
         let due = lap + 40;
         wheel.schedule(due, (1, 0));
@@ -250,13 +226,13 @@ mod tests {
         assert!(pop_batch(&mut wheel, 100).is_none());
         wheel.schedule(due, (3, 0));
         assert!(wheel.holds(due, (1, 0)) && wheel.holds(due, (3, 0)));
-        assert_eq!(wheel.len(), 4);
+        assert_eq!(wheel.pending, 4);
         assert_eq!(
             pop_batch(&mut wheel, due + 1),
             Some(vec![(1, 0), (2, 0), (3, 0)])
         );
         assert_eq!(pop_batch(&mut wheel, due + 1), Some(vec![(4, 0)]));
-        assert!(wheel.is_empty());
+        assert_eq!(wheel.pending, 0);
     }
 
     #[test]
@@ -264,7 +240,7 @@ mod tests {
         // A caller that skipped several laps (a fast-forward) drains late:
         // every entry still comes out, cycle by cycle, and the cursor ends
         // just past the drain cycle.
-        let mut wheel = TimingWheel::default();
+        let mut wheel = TimingWheel::with_horizon(0);
         let lap = MIN_WHEEL_BUCKETS as Cycle;
         wheel.schedule(3, (1, 0));
         wheel.schedule(lap - 1, (2, 0));
@@ -275,7 +251,7 @@ mod tests {
             got.extend(batch);
         }
         assert_eq!(got, vec![(1, 0), (2, 0), (3, 0)]);
-        assert!(wheel.is_empty());
+        assert_eq!(wheel.pending, 0);
         assert_eq!(wheel.cursor(), now + 1);
         // The wheel keeps working from the new cursor.
         wheel.schedule(now + 2, (4, 0));
@@ -285,7 +261,7 @@ mod tests {
 
     #[test]
     fn an_entry_scheduled_behind_the_cursor_is_clamped_to_it() {
-        let mut wheel = TimingWheel::default();
+        let mut wheel = TimingWheel::with_horizon(0);
         wheel.schedule(50, (9, 0));
         assert!(pop_batch(&mut wheel, 20).is_none());
         assert_eq!(wheel.cursor(), 21);
@@ -304,7 +280,7 @@ mod tests {
         // superseded: a stale entry still bounds `earliest_due` (a caller
         // that skips up to it only loses a skippable cycle, never an
         // event), until a drain pops it.
-        let mut wheel = TimingWheel::default();
+        let mut wheel = TimingWheel::with_horizon(0);
         assert_eq!(wheel.earliest_due(77), 77);
         wheel.schedule(10, (1, 0)); // superseded by the owner
         wheel.schedule(30, (1, 0)); // the live entry
@@ -324,11 +300,11 @@ mod tests {
 
     #[test]
     fn clear_discards_everything_but_keeps_working() {
-        let mut wheel = TimingWheel::default();
+        let mut wheel = TimingWheel::with_horizon(0);
         wheel.schedule(4, (1, 0));
         wheel.schedule(MIN_WHEEL_BUCKETS as Cycle + 9, (2, 1));
         wheel.clear();
-        assert!(wheel.is_empty());
+        assert_eq!(wheel.pending, 0);
         assert!(pop_batch(&mut wheel, MIN_WHEEL_BUCKETS as Cycle * 2).is_none());
         wheel.schedule(MIN_WHEEL_BUCKETS as Cycle * 2 + 3, (5, 3));
         assert_eq!(
@@ -340,12 +316,13 @@ mod tests {
     #[test]
     fn wheel_is_sized_from_the_horizon() {
         // The floor applies when the horizon fits the minimum wheel...
-        let buckets = |h| TimingWheel::<Entry>::with_horizon(h).buckets();
+        let buckets = |h| TimingWheel::<Entry>::with_horizon(h).wheel.len();
         assert_eq!(buckets(0), MIN_WHEEL_BUCKETS);
-        assert_eq!(buckets(1023), MIN_WHEEL_BUCKETS);
+        assert_eq!(buckets(MIN_WHEEL_BUCKETS as Cycle - 1), MIN_WHEEL_BUCKETS);
         // ...and a longer horizon rounds up to the next power of two, so the
         // full common scheduling distance stays on the wheel.
-        assert_eq!(buckets(1024), 2048);
+        assert_eq!(buckets(MIN_WHEEL_BUCKETS as Cycle), 2 * MIN_WHEEL_BUCKETS);
+        assert_eq!(buckets(1023), 1024);
         assert_eq!(buckets(3000), 4096);
     }
 
@@ -356,7 +333,7 @@ mod tests {
         // near-term wheel entries — and require the global drain order to be
         // exactly (due cycle asc, schedule order within a cycle), overflow
         // entries strictly before wheel entries for the same cycle.
-        let mut wheel = TimingWheel::default();
+        let mut wheel = TimingWheel::with_horizon(0);
         let lap = MIN_WHEEL_BUCKETS as Cycle;
         let mut expected: BTreeMap<Cycle, Vec<Entry>> = BTreeMap::new();
         // 64 overflow cycles, several laps deep, three entries each.
@@ -397,7 +374,7 @@ mod tests {
     fn matches_a_btreemap_model_under_random_traffic() {
         // Drive the wheel and a plain BTreeMap<Cycle, Vec> with the same
         // schedule/pop stream and require identical batches.
-        let mut wheel = TimingWheel::default();
+        let mut wheel = TimingWheel::with_horizon(0);
         let mut model: BTreeMap<Cycle, Vec<Entry>> = BTreeMap::new();
         let mut rng = DetRng::new(71);
         let mut now: Cycle = 0;
