@@ -241,11 +241,13 @@ pub struct EngineProbe {
 /// the tick phase's wake index. A node enters a list when something happened
 /// that could give it work — its processor issued a request, a fabric
 /// delivered a message to one of its controllers, or a recovery restored
-/// it — and leaves when a visit finds it drained. Idle nodes cost zero in
-/// the per-cycle exchange and SafetyNet scans, exactly as they do in the
-/// tick phase; visiting a node with nothing to do is a no-op, so the
-/// worklists only ever hold a superset of the busy nodes and the schedule
-/// stays byte-identical to the dense scans they replace.
+/// it — and leaves when a visit finds it drained (an outbox also when it
+/// only waits for a staged message to ripen; the wake index re-lists it
+/// then). Idle nodes cost zero in the per-cycle exchange and SafetyNet
+/// scans, exactly as they do in the tick phase; visiting a node with
+/// nothing to do is a no-op, so the worklists only ever hold a superset of
+/// the nodes a visit can act on and the schedule stays byte-identical to
+/// the dense scans they replace.
 #[derive(Debug)]
 pub(crate) struct ExchangeIndex {
     /// Nodes whose controllers ingested a message (or were restored by a
