@@ -72,6 +72,13 @@ impl MemoryStore {
         std::mem::take(&mut self.write_log)
     }
 
+    /// True when writes are logged since the last
+    /// [`MemoryStore::take_write_log`] (a read-only check before a drain).
+    #[must_use]
+    pub fn has_write_log(&self) -> bool {
+        !self.write_log.is_empty()
+    }
+
     /// Applies undo entries in reverse order, restoring the memory image that
     /// existed before those writes. `entries` must be the concatenation, in
     /// program order, of logs previously taken from this store.

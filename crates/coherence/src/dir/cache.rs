@@ -259,6 +259,12 @@ impl DirCacheController {
         self.completed.pop_front()
     }
 
+    /// True when [`Self::take_completed`] would return an access.
+    #[must_use]
+    pub fn has_completed(&self) -> bool {
+        !self.completed.is_empty()
+    }
+
     /// The value currently cached for `addr`, if resident (diagnostics /
     /// invariant checks).
     #[must_use]
@@ -290,28 +296,30 @@ impl DirCacheController {
         self.outgoing.push_back(OutMsg { dst, msg });
     }
 
+    /// True when a CPU request for `addr` stalls at once, before it reads
+    /// or writes any state: the MSHR file is full, a demand for the block
+    /// is outstanding (no coalescing), or the block's writeback is in
+    /// flight, which keeps the protocol free of a request-passes-own-
+    /// writeback race orthogonal to the paper. [`Self::cpu_request`] then
+    /// returns [`AccessOutcome::Stall`] and changes nothing.
+    #[must_use]
+    pub fn stalls_at_once(&self, addr: BlockAddr) -> bool {
+        self.demands.len() >= self.mshr_entries
+            || self.demands.iter().any(|d| d.addr == addr)
+            || self.writebacks.contains_key(&addr)
+    }
+
     /// Presents a processor request. Up to `mshr_entries` demand
     /// transactions may be in flight per node (1 by default: the paper's
     /// blocking processor model).
     pub fn cpu_request(&mut self, now: Cycle, req: CpuRequest) -> AccessOutcome {
-        if self.demands.len() >= self.mshr_entries {
-            return AccessOutcome::Stall;
-        }
-        // No coalescing: a second demand to a block already in the MSHR
-        // file waits for the first to complete.
-        if self.demands.iter().any(|d| d.addr == req.addr) {
+        if self.stalls_at_once(req.addr) {
             return AccessOutcome::Stall;
         }
         // A resident owner upgrade is in flight: admitting another demand
         // could evict the upgrading line when it completes, so everything
         // that starts a transaction stalls until the upgrade finishes.
         let upgrade_in_flight = self.demands.iter().any(|d| d.resident_upgrade);
-        // A request to a block whose writeback is still in flight waits for
-        // the writeback to complete (keeps the protocol free of a
-        // request-passes-own-writeback race that is orthogonal to the paper).
-        if self.writebacks.contains_key(&req.addr) {
-            return AccessOutcome::Stall;
-        }
         let l1_hit = self.l1.lookup(req.addr).is_some();
         if let Some(line) = self.l2.lookup(req.addr) {
             match (req.access, line.state) {

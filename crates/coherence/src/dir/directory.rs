@@ -136,6 +136,12 @@ impl DirectoryController {
         self.memory.take_write_log()
     }
 
+    /// True when [`Self::take_write_log`] would return entries.
+    #[must_use]
+    pub fn has_write_log(&self) -> bool {
+        self.memory.has_write_log()
+    }
+
     /// The stable directory state recorded for a block (diagnostics).
     #[must_use]
     pub fn state_of(&self, addr: BlockAddr) -> DirState {

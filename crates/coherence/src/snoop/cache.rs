@@ -236,9 +236,37 @@ impl SnoopCacheController {
         self.outgoing_bus.len() + self.outgoing_data.len()
     }
 
+    /// True when observing `request` from `src` may change this controller:
+    /// always for its own request. A foreign one acts only on an owned copy
+    /// (any resident copy, for a write), a writeback in flight, or an
+    /// ordered store that will serve it once filled; every other foreign
+    /// snoop leaves the controller unchanged.
+    #[must_use]
+    pub fn snoop_may_change(&self, src: NodeId, request: SnoopRequest) -> bool {
+        let addr = request.addr();
+        let pending =
+            || self.writebacks.contains_key(&addr) || self.deferring_demand(addr).is_some();
+        match request {
+            _ if src == self.node => true,
+            // Memory handles writebacks.
+            SnoopRequest::PutM { .. } => false,
+            // A shared copy ignores a read: memory or the owner responds.
+            SnoopRequest::GetS { .. } => self.l2.probe(addr).map_or_else(pending, |line| {
+                matches!(line.state, SnoopCacheState::M | SnoopCacheState::O)
+            }),
+            SnoopRequest::GetM { .. } => self.l2.probe(addr).is_some() || pending(),
+        }
+    }
+
     /// Takes the oldest completed-demand notification, if one is pending.
     pub fn take_completed(&mut self) -> Option<SnoopCompletedAccess> {
         self.completed.pop_front()
+    }
+
+    /// True when [`Self::take_completed`] would return an access.
+    #[must_use]
+    pub fn has_completed(&self) -> bool {
+        !self.completed.is_empty()
     }
 
     /// The value currently cached for `addr`, if resident.
@@ -261,23 +289,27 @@ impl SnoopCacheController {
         addr.home_node(self.num_nodes)
     }
 
+    /// True when a CPU request for `addr` stalls at once, before it reads
+    /// or writes any state: the MSHR file is full, a demand for the block
+    /// is outstanding (no coalescing), or the block's writeback is in
+    /// flight. [`Self::cpu_request`] then returns [`SnoopAccessOutcome::Stall`]
+    /// and changes nothing.
+    #[must_use]
+    pub fn stalls_at_once(&self, addr: BlockAddr) -> bool {
+        self.demands.len() >= self.mshr_entries
+            || self.demands.iter().any(|d| d.addr == addr)
+            || self.writebacks.contains_key(&addr)
+    }
+
     /// Presents a processor request.
     pub fn cpu_request(&mut self, now: Cycle, req: CpuRequest) -> SnoopAccessOutcome {
-        if self.demands.len() >= self.mshr_entries {
-            return SnoopAccessOutcome::Stall;
-        }
-        // No coalescing: a second demand to a block already in the MSHR
-        // file waits for the first to complete.
-        if self.demands.iter().any(|d| d.addr == req.addr) {
+        if self.stalls_at_once(req.addr) {
             return SnoopAccessOutcome::Stall;
         }
         // A resident owner upgrade is in flight: admitting another demand
         // could evict the upgrading line when it completes, so everything
         // that starts a transaction stalls until the upgrade finishes.
         let upgrade_in_flight = self.demands.iter().any(|d| d.resident_upgrade);
-        if self.writebacks.contains_key(&req.addr) {
-            return SnoopAccessOutcome::Stall;
-        }
         let l1_hit = self.l1.lookup(req.addr).is_some();
         if let Some(line) = self.l2.lookup(req.addr) {
             match (req.access, line.state) {
@@ -538,10 +570,17 @@ impl SnoopCacheController {
         }
     }
 
-    fn maybe_defer(&mut self, addr: BlockAddr, requestor: NodeId, exclusive: bool) {
-        if let Some(demand) = self.demands.iter_mut().find(|d| {
+    /// The ordered store demand on `addr` that serves a foreign request
+    /// ordered after it once filled, if any.
+    fn deferring_demand(&self, addr: BlockAddr) -> Option<usize> {
+        self.demands.iter().position(|d| {
             d.addr == addr && d.ordered && d.access == CpuAccess::Store && !d.ownership_promised
-        }) {
+        })
+    }
+
+    fn maybe_defer(&mut self, addr: BlockAddr, requestor: NodeId, exclusive: bool) {
+        if let Some(i) = self.deferring_demand(addr) {
+            let demand = &mut self.demands[i];
             demand.deferred.push(DeferredForward {
                 requestor,
                 exclusive,

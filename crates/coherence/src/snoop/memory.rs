@@ -76,6 +76,12 @@ impl SnoopMemoryController {
         self.memory.take_write_log()
     }
 
+    /// True when [`Self::take_write_log`] would return entries.
+    #[must_use]
+    pub fn has_write_log(&self) -> bool {
+        self.memory.has_write_log()
+    }
+
     /// The cache currently recorded as owner of a block, if any.
     #[must_use]
     pub fn owner_of(&self, addr: BlockAddr) -> Option<NodeId> {
@@ -95,6 +101,20 @@ impl SnoopMemoryController {
 
     fn is_home_for(&self, addr: BlockAddr) -> bool {
         addr.home_node(self.num_nodes) == self.node
+    }
+
+    /// True when observing `request` from `src` may change this controller:
+    /// only at the block's home, and there not for a read a cache owner
+    /// serves or a write by the current owner.
+    #[must_use]
+    pub fn snoop_may_change(&self, src: NodeId, request: SnoopRequest) -> bool {
+        let addr = request.addr();
+        self.is_home_for(addr)
+            && match request {
+                SnoopRequest::GetS { .. } => self.owner_of(addr).is_none(),
+                SnoopRequest::GetM { .. } => self.owner_of(addr) != Some(src),
+                SnoopRequest::PutM { .. } => true,
+            }
     }
 
     /// Observes one request from the totally ordered address network.

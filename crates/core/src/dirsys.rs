@@ -46,11 +46,18 @@ const DIRECTORY_LATENCY: CycleDelta = 16;
 /// The architectural state of the machine — everything SafetyNet must be able
 /// to restore: caches, directories/memories, processors (with their workload
 /// positions), the interconnect contents and the per-node staging outboxes.
+///
+/// Each node's cache and directory controller sits behind an [`Arc`], so a
+/// clone (a SafetyNet checkpoint or restore) shares them and the first
+/// write after it copies only the controller written, through
+/// [`Arc::make_mut`]. Call sites that may change nothing check first, so
+/// an idle controller stays shared. The torus, processors and outboxes are
+/// copied outright.
 #[derive(Debug, Clone)]
 pub struct ArchState {
     net: Network<DirMsg>,
-    caches: Vec<DirCacheController>,
-    dirs: Vec<DirectoryController>,
+    caches: Vec<Arc<DirCacheController>>,
+    dirs: Vec<Arc<DirectoryController>>,
     procs: Vec<Processor>,
     outboxes: Vec<StagedOutbox<OutMsg>>,
 }
@@ -171,7 +178,9 @@ impl DirProtocol {
         ctx.note_exchange_activity(node_idx);
         match msg.class() {
             MsgClass::Request | MsgClass::FinalAck => {
-                if let Err(e) = arch.dirs[node_idx].handle_message(now, src, msg) {
+                if let Err(e) =
+                    Arc::make_mut(&mut arch.dirs[node_idx]).handle_message(now, src, msg)
+                {
                     ctx.note_error(e);
                 }
                 // A writeback may have written memory: the SafetyNet tick
@@ -179,7 +188,7 @@ impl DirProtocol {
                 ctx.note_memory_activity(node_idx);
             }
             MsgClass::Forwarded | MsgClass::Response => {
-                match arch.caches[node_idx].handle_message(now, msg) {
+                match Arc::make_mut(&mut arch.caches[node_idx]).handle_message(now, msg) {
                     Ok(Some(misspec)) => ctx.note_misspeculation(misspec),
                     Ok(None) => {}
                     Err(e) => ctx.note_error(e),
@@ -212,24 +221,32 @@ impl DirProtocol {
         let mut cursor = 0;
         while let Some(i) = ctx.next_outbox_at_or_after(cursor) {
             cursor = i + 1;
-            for _ in 0..DRAIN_BUDGET {
-                match caches[i].pop_outgoing() {
-                    Some(m) => outboxes[i].stage(now + CACHE_RESPONSE_LATENCY, m),
-                    None => break,
+            // A controller with nothing queued is not touched, so a
+            // checkpoint still sharing it keeps sharing it.
+            if caches[i].outgoing_len() > 0 {
+                let cache = Arc::make_mut(&mut caches[i]);
+                for _ in 0..DRAIN_BUDGET {
+                    match cache.pop_outgoing() {
+                        Some(m) => outboxes[i].stage(now + CACHE_RESPONSE_LATENCY, m),
+                        None => break,
+                    }
                 }
             }
-            for _ in 0..DRAIN_BUDGET {
-                match dirs[i].pop_outgoing() {
-                    Some(m) => {
-                        let delay = match m.msg {
-                            DirMsg::Data { .. } => {
-                                self.cfg.memory.dram_access_cycles + ctx.perturbation()
-                            }
-                            _ => DIRECTORY_LATENCY,
-                        };
-                        outboxes[i].stage(now + delay, m);
+            if dirs[i].outgoing_len() > 0 {
+                let dir = Arc::make_mut(&mut dirs[i]);
+                for _ in 0..DRAIN_BUDGET {
+                    match dir.pop_outgoing() {
+                        Some(m) => {
+                            let delay = match m.msg {
+                                DirMsg::Data { .. } => {
+                                    self.cfg.memory.dram_access_cycles + ctx.perturbation()
+                                }
+                                _ => DIRECTORY_LATENCY,
+                            };
+                            outboxes[i].stage(now + delay, m);
+                        }
+                        None => break,
                     }
-                    None => break,
                 }
             }
             // Inject ready messages in FIFO order (per-source protocol order
@@ -280,7 +297,11 @@ impl ProtocolNode for DirProtocol {
     }
 
     fn cpu_request(arch: &mut ArchState, i: usize, now: Cycle, req: CpuRequest) -> EngineAccess {
-        match arch.caches[i].cpu_request(now, req) {
+        // A stall that changes nothing leaves a shared controller shared.
+        if arch.caches[i].stalls_at_once(req.addr) {
+            return EngineAccess::Stall;
+        }
+        match Arc::make_mut(&mut arch.caches[i]).cpu_request(now, req) {
             AccessOutcome::L1Hit { latency, .. } | AccessOutcome::L2Hit { latency, .. } => {
                 EngineAccess::Hit { latency }
             }
@@ -294,9 +315,10 @@ impl ProtocolNode for DirProtocol {
         {
             let ArchState { procs, caches, .. } = arch;
             ctx.deliver_completions(now, procs, |i| {
-                caches[i]
-                    .take_completed()
-                    .map(|done| (done.addr, done.access))
+                let done = caches[i]
+                    .has_completed()
+                    .then(|| Arc::make_mut(&mut caches[i]).take_completed());
+                done.flatten().map(|done| (done.addr, done.access))
             });
         }
         self.pump_outboxes(arch, now, ctx);
@@ -304,7 +326,11 @@ impl ProtocolNode for DirProtocol {
     }
 
     fn drain_write_log(arch: &mut ArchState, i: usize) -> usize {
-        arch.dirs[i].take_write_log().len()
+        if arch.dirs[i].has_write_log() {
+            Arc::make_mut(&mut arch.dirs[i]).take_write_log().len()
+        } else {
+            0
+        }
     }
 
     fn next_event_at(arch: &ArchState, now: Cycle, limit: Cycle) -> Cycle {
@@ -345,6 +371,13 @@ impl ProtocolNode for DirProtocol {
 /// driving the directory protocol.
 pub type DirectorySystem = SystemEngine<DirProtocol>;
 
+// Checkpoints share controllers through `Arc`, not `Rc`, so the machine
+// stays `Send`.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<DirectorySystem>();
+};
+
 impl DirectorySystem {
     /// Builds the system described by `cfg`.
     #[must_use]
@@ -378,10 +411,16 @@ impl DirectorySystem {
             })
             .collect();
         let caches = (0..n)
-            .map(|i| DirCacheController::new(NodeId::from(i), cfg.protocol, &cfg.memory))
+            .map(|i| {
+                Arc::new(DirCacheController::new(
+                    NodeId::from(i),
+                    cfg.protocol,
+                    &cfg.memory,
+                ))
+            })
             .collect();
         let dirs = (0..n)
-            .map(|i| DirectoryController::new(NodeId::from(i), cfg.protocol))
+            .map(|i| Arc::new(DirectoryController::new(NodeId::from(i), cfg.protocol)))
             .collect();
         let net = Network::new(cfg.net_config());
         let arch = ArchState {
@@ -489,9 +528,10 @@ impl DirectorySystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::snapshot_probe;
     use specsim_base::{EngineMode, LinkBandwidth, ProtocolVariant, RoutingPolicy};
     use specsim_coherence::types::MisSpecKind;
-    use specsim_workloads::WorkloadKind;
+    use specsim_workloads::{BurstConfig, TrafficConfig, WorkloadKind, ZipfConfig};
 
     fn small_config(protocol: ProtocolVariant, routing: RoutingPolicy) -> SystemConfig {
         let mut cfg =
@@ -598,6 +638,97 @@ mod tests {
         sys.run_for(100).expect("no protocol errors");
         sys.enter_forward_progress(MisSpecKind::BufferDeadlock, sys.now());
         assert_eq!(sys.forward_progress_mode(), EngineMode::SlowStart);
+    }
+
+    /// `dir16-hot`'s machine: 16 nodes on a 400 MB/s adaptive torus,
+    /// Zipf-plus-burst OLTP, 4 MSHRs and a 5k-cycle checkpoint interval,
+    /// whose 15k-cycle timeout fires on slow transactions and puts the
+    /// machine in slow-start.
+    fn hot_config(seed: u64) -> SystemConfig {
+        let mut cfg =
+            SystemConfig::directory_speculative(WorkloadKind::Oltp, LinkBandwidth::MB_400, seed);
+        cfg.routing = RoutingPolicy::Adaptive;
+        cfg.traffic = TrafficConfig {
+            zipf: Some(ZipfConfig {
+                hot_blocks: 128,
+                skew: 1.0,
+                fraction: 0.25,
+            }),
+            burst: Some(BurstConfig {
+                period_cycles: 4_000,
+                duty: 0.125,
+                boost: 4.0,
+            }),
+        };
+        cfg.memory.mshr_entries = 4;
+        cfg.memory.safetynet.checkpoint_interval_cycles = 5_000;
+        cfg
+    }
+
+    #[test]
+    fn a_checkpoint_copies_only_the_controllers_written_since_the_last() {
+        let mut sys = DirectorySystem::new(hot_config(9000));
+        let n = sys.arch().caches.len();
+        let (mut checkpoints, mut caches, mut dirs, mut stalls) = (0, 0, 0, 0);
+        snapshot_probe::walk(
+            &mut sys,
+            120_000,
+            |prev, cur| {
+                checkpoints += 1;
+                caches += snapshot_probe::copied(&prev.caches, &cur.caches);
+                dirs += snapshot_probe::copied(&prev.dirs, &cur.dirs);
+            },
+            |restored, live| {
+                // Nothing runs during a restore stall: the live machine
+                // still shares every controller with the checkpoint.
+                stalls += 1;
+                assert_eq!(snapshot_probe::copied(&restored.caches, &live.caches), 0);
+                assert_eq!(snapshot_probe::copied(&restored.dirs, &live.dirs), 0);
+            },
+        );
+        assert!(stalls >= 1, "the run must restore a checkpoint");
+        assert!(checkpoints >= 20, "only {checkpoints} checkpoints");
+        // Slow-start intervals write a few nodes each: on average a
+        // checkpoint copies well under half of each kind of controller.
+        for (kind, total) in [("caches", caches), ("directories", dirs)] {
+            assert!(
+                total * 2 < checkpoints * n,
+                "{checkpoints} checkpoints copied {total} {kind}"
+            );
+        }
+    }
+
+    #[test]
+    fn repeated_restores_of_one_checkpoint_restore_the_same_controllers() {
+        let mut cfg = small_config(ProtocolVariant::Speculative, RoutingPolicy::Adaptive);
+        cfg.inject_recovery_every = Some(10_000);
+        let fresh = DirectorySystem::new(cfg.clone());
+        let mut sys = DirectorySystem::new(cfg);
+        let controllers = |a: &ArchState| format!("{:?} {:?}", a.caches, a.dirs);
+        // (checkpoint id, live controllers, checkpoint controllers) at
+        // each restore.
+        let mut restores: Vec<(u64, String, String)> = Vec::new();
+        let mut ran_on = false;
+        while restores.len() < 2 {
+            sys.step().expect("no protocol errors");
+            if sys.now() == 15_000 {
+                ran_on = controllers(sys.arch()) != restores[0].1;
+            }
+            if sys.safetynet().stats().recovery.recoveries > restores.len() as u64 {
+                let point = sys.safetynet().recovery_point();
+                restores.push((point.id, controllers(sys.arch()), controllers(&point.state)));
+            }
+        }
+        assert!(ran_on, "the machine must run on between the restores");
+        let [(first_id, first, point_then), (second_id, second, point_now)] = &restores[..] else {
+            unreachable!()
+        };
+        // Both restores went back to the initial checkpoint...
+        assert_eq!((*first_id, *second_id), (0, 0));
+        assert_eq!(*first, controllers(fresh.arch()));
+        // ...which the live machine's writes in between left untouched.
+        assert_eq!(point_then, point_now);
+        assert_eq!(first, second);
     }
 
     #[test]

@@ -916,6 +916,12 @@ impl<P: ProtocolNode> SystemEngine<P> {
         &self.arch
     }
 
+    /// The checkpoint station, whose snapshots tests inspect.
+    #[cfg(test)]
+    pub(crate) fn safetynet(&self) -> &SafetyNet<P::Arch> {
+        &self.safetynet
+    }
+
     /// Current simulated cycle.
     #[must_use]
     pub fn now(&self) -> Cycle {
@@ -1596,6 +1602,74 @@ impl<P: ProtocolNode> SystemEngine<P> {
         m.mode_cycles = self.timeline.cycle_totals();
         self.metrics = m.clone();
         m
+    }
+}
+
+/// Test support for the copy-on-write checkpoints of both machines.
+#[cfg(test)]
+pub(crate) mod snapshot_probe {
+    use std::fmt::Debug;
+    use std::sync::Arc;
+
+    use specsim_base::Cycle;
+    use specsim_safetynet::station::RECOVERY_RESTORE_CYCLES;
+
+    use super::{ProtocolNode, SystemEngine};
+
+    /// How many of `cur`'s controllers do not share their `Arc` with
+    /// `prev`'s. Each of them must really differ (by its `Debug` output):
+    /// a controller is copied only when it is written.
+    pub(crate) fn copied<T: Debug>(prev: &[Arc<T>], cur: &[Arc<T>]) -> usize {
+        let mut count = 0;
+        for (i, (a, b)) in prev.iter().zip(cur).enumerate() {
+            if !Arc::ptr_eq(a, b) {
+                assert_ne!(
+                    format!("{a:?}"),
+                    format!("{b:?}"),
+                    "controller {i} was copied but not written"
+                );
+                count += 1;
+            }
+        }
+        count
+    }
+
+    /// Steps `sys` to cycle `until`. Calls `checkpoint(prev, cur)` for each
+    /// checkpoint taken, with the newest checkpoint before it (after a
+    /// restore, the restored one), and `stalled(restored, live)` on the
+    /// last cycle of each restore stall, during which nothing runs.
+    pub(crate) fn walk<P: ProtocolNode>(
+        sys: &mut SystemEngine<P>,
+        until: Cycle,
+        mut checkpoint: impl FnMut(&P::Arch, &P::Arch),
+        mut stalled: impl FnMut(&P::Arch, &P::Arch),
+    ) {
+        let latency = sys.safetynet().config().register_checkpoint_cycles + RECOVERY_RESTORE_CYCLES;
+        let counts = |sys: &SystemEngine<P>| {
+            let stats = sys.safetynet().stats();
+            (stats.checkpoints_taken, stats.recovery.recoveries)
+        };
+        let mut prev = sys.safetynet().latest_checkpoint().state.clone();
+        let mut seen = counts(sys);
+        let mut stall_end = None;
+        while sys.now() < until {
+            sys.step().expect("no protocol errors");
+            if stall_end == Some(sys.now()) {
+                stalled(&prev, sys.arch());
+            }
+            let now_seen = counts(sys);
+            if now_seen == seen {
+                continue;
+            }
+            let cur = sys.safetynet().latest_checkpoint().state.clone();
+            if now_seen.1 == seen.1 {
+                checkpoint(&prev, &cur);
+            } else {
+                stall_end = Some(sys.now() + latency - 1);
+            }
+            prev = cur;
+            seen = now_seen;
+        }
     }
 }
 

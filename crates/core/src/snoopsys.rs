@@ -211,12 +211,19 @@ impl SnoopSystemConfig {
 }
 
 /// Architectural state restored by SafetyNet recovery.
+///
+/// Each node's cache and home-memory controller sits behind an [`Arc`], so
+/// a clone (a SafetyNet checkpoint or restore) shares them and the first
+/// write after it copies only the controller written, through
+/// [`Arc::make_mut`]. Call sites that may change nothing check first, so
+/// an idle controller stays shared. The bus, the data torus, processors
+/// and outboxes are copied outright.
 #[derive(Debug, Clone)]
 pub struct ArchState {
     bus: OrderedBus<SnoopRequest>,
     data_net: Network<SnoopDataMsg>,
-    caches: Vec<SnoopCacheController>,
-    memories: Vec<SnoopMemoryController>,
+    caches: Vec<Arc<SnoopCacheController>>,
+    memories: Vec<Arc<SnoopMemoryController>>,
     procs: Vec<Processor>,
     /// Memory-controller data responses waiting out their DRAM access
     /// latency before entering the data network.
@@ -253,43 +260,52 @@ impl SnoopProtocol {
         while let Some(i) = ctx.next_outbox_at_or_after(cursor) {
             cursor = i + 1;
             let node = NodeId::from(i);
-            // Address-network requests.
-            for _ in 0..DRAIN_BUDGET {
-                match caches[i].pop_bus_request() {
-                    Some(req) => bus.request(node, req),
-                    None => break,
+            // A controller with nothing queued is not touched, so a
+            // checkpoint still sharing it keeps sharing it.
+            if caches[i].outgoing_len() > 0 {
+                let cache = Arc::make_mut(&mut caches[i]);
+                // Address-network requests.
+                for _ in 0..DRAIN_BUDGET {
+                    match cache.pop_bus_request() {
+                        Some(req) => bus.request(node, req),
+                        None => break,
+                    }
                 }
-            }
-            // Data-network messages from caches (responses, writeback data).
-            // Back-pressure is checked *before* popping — against the head
-            // message's own traffic class, so e.g. writeback back-pressure
-            // on a bounded/pooled fabric never blocks an injectable owner
-            // transfer (the message stays queued in the controller, never
-            // dropped; the default worst-case buffering never rejects).
-            for _ in 0..DRAIN_BUDGET {
-                let Some(vnet) = caches[i]
-                    .peek_data_message()
-                    .map(|out| data_vnet_of(data_class_of(&out.msg)))
-                else {
-                    break;
-                };
-                if !data_net.can_inject(node, vnet) {
-                    break;
+                // Data-network messages from caches (responses, writeback
+                // data). Back-pressure is checked *before* popping — against
+                // the head message's own traffic class, so e.g. writeback
+                // back-pressure on a bounded/pooled fabric never blocks an
+                // injectable owner transfer (the message stays queued in the
+                // controller, never dropped; the default worst-case
+                // buffering never rejects).
+                for _ in 0..DRAIN_BUDGET {
+                    let Some(vnet) = cache
+                        .peek_data_message()
+                        .map(|out| data_vnet_of(data_class_of(&out.msg)))
+                    else {
+                        break;
+                    };
+                    if !data_net.can_inject(node, vnet) {
+                        break;
+                    }
+                    let out = cache.pop_data_message().expect("peeked message");
+                    data_net
+                        .inject(now, node, out.dst, vnet, out.msg.size(), out.msg)
+                        .expect("injection checked");
                 }
-                let out = caches[i].pop_data_message().expect("peeked message");
-                data_net
-                    .inject(now, node, out.dst, vnet, out.msg.size(), out.msg)
-                    .expect("injection checked");
             }
             // Data-network messages from memory controllers wait out the DRAM
             // access latency (plus the small pseudo-random perturbation of the
             // Section 5.2 methodology) in a staging outbox before injection.
-            for _ in 0..DRAIN_BUDGET {
-                let Some(out) = memories[i].pop_data_message() else {
-                    break;
-                };
-                let delay = self.cfg.memory.dram_access_cycles + ctx.perturbation();
-                mem_outboxes[i].stage(now + delay, out);
+            if memories[i].outgoing_len() > 0 {
+                let memory = Arc::make_mut(&mut memories[i]);
+                for _ in 0..DRAIN_BUDGET {
+                    let Some(out) = memory.pop_data_message() else {
+                        break;
+                    };
+                    let delay = self.cfg.memory.dram_access_cycles + ctx.perturbation();
+                    mem_outboxes[i].stage(now + delay, out);
+                }
             }
             mem_outboxes[i].pump(now, |out| {
                 let vnet = data_vnet_of(data_class_of(&out.msg));
@@ -334,11 +350,25 @@ impl SnoopProtocol {
                 };
                 // Both the cache and the home memory controller observe the
                 // same, totally ordered, request stream.
-                arch.memories[i].observe_snoop(now, delivery.src, delivery.payload);
-                match arch.caches[i].observe_snoop(now, delivery.src, delivery.payload) {
-                    Ok(Some(misspec)) => ctx.note_misspeculation(misspec),
-                    Ok(None) => {}
-                    Err(e) => ctx.note_error(e),
+                // Controllers a snoop leaves unchanged are not touched:
+                // every memory but the block's home, and most caches.
+                if arch.memories[i].snoop_may_change(delivery.src, delivery.payload) {
+                    Arc::make_mut(&mut arch.memories[i]).observe_snoop(
+                        now,
+                        delivery.src,
+                        delivery.payload,
+                    );
+                }
+                if arch.caches[i].snoop_may_change(delivery.src, delivery.payload) {
+                    match Arc::make_mut(&mut arch.caches[i]).observe_snoop(
+                        now,
+                        delivery.src,
+                        delivery.payload,
+                    ) {
+                        Ok(Some(misspec)) => ctx.note_misspeculation(misspec),
+                        Ok(None) => {}
+                        Err(e) => ctx.note_error(e),
+                    }
                 }
             }
             // The cache controller's state changed: a processor parked on a
@@ -379,12 +409,12 @@ impl SnoopProtocol {
                     SnoopDataMsg::WbData { .. } => {
                         // Writeback data is written to memory and logged.
                         ctx.note_memory_activity(i);
-                        arch.memories[i].handle_data(now, packet.payload)
+                        Arc::make_mut(&mut arch.memories[i]).handle_data(now, packet.payload)
                     }
                     SnoopDataMsg::Data { .. } => {
                         // As for snoops: a parked processor may now proceed.
                         ctx.note_cache_activity(now, i);
-                        arch.caches[i].handle_data(now, packet.payload)
+                        Arc::make_mut(&mut arch.caches[i]).handle_data(now, packet.payload)
                     }
                 };
                 if let Err(e) = result {
@@ -423,7 +453,11 @@ impl ProtocolNode for SnoopProtocol {
     }
 
     fn cpu_request(arch: &mut ArchState, i: usize, now: Cycle, req: CpuRequest) -> EngineAccess {
-        match arch.caches[i].cpu_request(now, req) {
+        // A stall that changes nothing leaves a shared controller shared.
+        if arch.caches[i].stalls_at_once(req.addr) {
+            return EngineAccess::Stall;
+        }
+        match Arc::make_mut(&mut arch.caches[i]).cpu_request(now, req) {
             SnoopAccessOutcome::L1Hit { latency, .. }
             | SnoopAccessOutcome::L2Hit { latency, .. } => EngineAccess::Hit { latency },
             SnoopAccessOutcome::MissIssued => EngineAccess::MissIssued,
@@ -439,14 +473,19 @@ impl ProtocolNode for SnoopProtocol {
         self.deliver_data(arch, now, ctx);
         let ArchState { procs, caches, .. } = arch;
         ctx.deliver_completions(now, procs, |i| {
-            caches[i]
-                .take_completed()
-                .map(|done| (done.addr, done.access))
+            let done = caches[i]
+                .has_completed()
+                .then(|| Arc::make_mut(&mut caches[i]).take_completed());
+            done.flatten().map(|done| (done.addr, done.access))
         });
     }
 
     fn drain_write_log(arch: &mut ArchState, i: usize) -> usize {
-        arch.memories[i].take_write_log().len()
+        if arch.memories[i].has_write_log() {
+            Arc::make_mut(&mut arch.memories[i]).take_write_log().len()
+        } else {
+            0
+        }
     }
 
     fn next_event_at(arch: &ArchState, now: Cycle, limit: Cycle) -> Cycle {
@@ -502,6 +541,13 @@ impl ProtocolNode for SnoopProtocol {
 /// driving the snooping protocol.
 pub type SnoopingSystem = SystemEngine<SnoopProtocol>;
 
+// Checkpoints share controllers through `Arc`, not `Rc`, so the machine
+// stays `Send`.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<SnoopingSystem>();
+};
+
 impl SnoopingSystem {
     /// Builds the system described by `cfg`.
     #[must_use]
@@ -523,10 +569,16 @@ impl SnoopingSystem {
             })
             .collect();
         let caches = (0..n)
-            .map(|i| SnoopCacheController::new(NodeId::from(i), cfg.protocol, &cfg.memory))
+            .map(|i| {
+                Arc::new(SnoopCacheController::new(
+                    NodeId::from(i),
+                    cfg.protocol,
+                    &cfg.memory,
+                ))
+            })
             .collect();
         let memories = (0..n)
-            .map(|i| SnoopMemoryController::new(NodeId::from(i), n))
+            .map(|i| Arc::new(SnoopMemoryController::new(NodeId::from(i), n)))
             .collect();
         let bus = OrderedBus::new(n, cfg.bus_arbitration_interval, BUS_BROADCAST_LATENCY);
         let data_net = Network::new(cfg.data_net_config());
@@ -590,7 +642,9 @@ impl SnoopingSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::snapshot_probe;
     use specsim_coherence::types::MisSpecKind;
+    use specsim_workloads::{BurstConfig, ZipfConfig};
 
     fn small_config(protocol: ProtocolVariant) -> SnoopSystemConfig {
         let mut cfg = SnoopSystemConfig::new(WorkloadKind::Apache, protocol, 11);
@@ -598,6 +652,102 @@ mod tests {
         cfg.memory.l2_bytes = 64 * 1024;
         cfg.memory.safetynet.checkpoint_interval_requests = 200;
         cfg
+    }
+
+    /// `dir16-hot`'s traffic on the snooping machine: Zipf-plus-burst OLTP,
+    /// 4 MSHRs and a 15k-cycle timeout, which fires on slow transactions
+    /// and puts the machine in slow-start. A checkpoint every 4 ordered
+    /// requests, with room for 16 outstanding, keeps each interval short.
+    fn hot_config(seed: u64) -> SnoopSystemConfig {
+        let mut cfg =
+            SnoopSystemConfig::new(WorkloadKind::Oltp, ProtocolVariant::Speculative, seed);
+        cfg.traffic = TrafficConfig {
+            zipf: Some(ZipfConfig {
+                hot_blocks: 128,
+                skew: 1.0,
+                fraction: 0.25,
+            }),
+            burst: Some(BurstConfig {
+                period_cycles: 4_000,
+                duty: 0.125,
+                boost: 4.0,
+            }),
+        };
+        cfg.memory.mshr_entries = 4;
+        cfg.memory.safetynet.checkpoint_interval_cycles = 5_000;
+        cfg.memory.safetynet.checkpoint_interval_requests = 4;
+        cfg.memory.safetynet.max_outstanding_checkpoints = 16;
+        cfg
+    }
+
+    #[test]
+    fn a_checkpoint_copies_only_the_controllers_written_since_the_last() {
+        let mut sys = SnoopingSystem::new(hot_config(9000));
+        let n = sys.arch().caches.len();
+        let (mut checkpoints, mut caches, mut memories, mut stalls) = (0, 0, 0, 0);
+        snapshot_probe::walk(
+            &mut sys,
+            150_000,
+            |prev, cur| {
+                checkpoints += 1;
+                caches += snapshot_probe::copied(&prev.caches, &cur.caches);
+                memories += snapshot_probe::copied(&prev.memories, &cur.memories);
+            },
+            |restored, live| {
+                // Nothing runs during a restore stall: the live machine
+                // still shares every controller with the checkpoint.
+                stalls += 1;
+                assert_eq!(snapshot_probe::copied(&restored.caches, &live.caches), 0);
+                assert_eq!(
+                    snapshot_probe::copied(&restored.memories, &live.memories),
+                    0
+                );
+            },
+        );
+        assert!(stalls >= 1, "the run must restore a checkpoint");
+        assert!(checkpoints >= 20, "only {checkpoints} checkpoints");
+        // A snoop touches only its requestor, its home and the caches
+        // tracking its block: on average a checkpoint copies well under
+        // half of each kind of controller.
+        for (kind, total) in [("caches", caches), ("memories", memories)] {
+            assert!(
+                total * 2 < checkpoints * n,
+                "{checkpoints} checkpoints copied {total} {kind}"
+            );
+        }
+    }
+
+    #[test]
+    fn repeated_restores_of_one_checkpoint_restore_the_same_controllers() {
+        let mut cfg = small_config(ProtocolVariant::Speculative);
+        cfg.inject_recovery_every = Some(10_000);
+        let fresh = SnoopingSystem::new(cfg.clone());
+        let mut sys = SnoopingSystem::new(cfg);
+        let controllers = |a: &ArchState| format!("{:?} {:?}", a.caches, a.memories);
+        // (checkpoint id, live controllers, checkpoint controllers) at
+        // each restore.
+        let mut restores: Vec<(u64, String, String)> = Vec::new();
+        let mut ran_on = false;
+        while restores.len() < 2 {
+            sys.step().expect("no protocol errors");
+            if sys.now() == 15_000 {
+                ran_on = controllers(sys.arch()) != restores[0].1;
+            }
+            if sys.safetynet().stats().recovery.recoveries > restores.len() as u64 {
+                let point = sys.safetynet().recovery_point();
+                restores.push((point.id, controllers(sys.arch()), controllers(&point.state)));
+            }
+        }
+        assert!(ran_on, "the machine must run on between the restores");
+        let [(first_id, first, point_then), (second_id, second, point_now)] = &restores[..] else {
+            unreachable!()
+        };
+        // Both restores went back to the initial checkpoint...
+        assert_eq!((*first_id, *second_id), (0, 0));
+        assert_eq!(*first, controllers(fresh.arch()));
+        // ...which the live machine's writes in between left untouched.
+        assert_eq!(point_then, point_now);
+        assert_eq!(first, second);
     }
 
     #[test]

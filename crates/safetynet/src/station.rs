@@ -223,14 +223,9 @@ impl<S: Clone> SafetyNet<S> {
     /// than the recovery point, clears all speculative log entries, and
     /// returns the snapshot to restore together with the cost accounting.
     pub fn recover(&mut self, now: Cycle) -> (S, RecoveryOutcome) {
-        let point = self
-            .checkpoints
-            .front()
-            .expect("at least one checkpoint")
-            .clone();
         // Everything after the recovery point is speculative and discarded.
-        self.checkpoints.clear();
-        self.checkpoints.push_back(point.clone());
+        self.checkpoints.truncate(1);
+        let point = self.checkpoints.front().expect("at least one checkpoint");
         for log in &mut self.logs {
             log.clear();
         }
@@ -242,7 +237,7 @@ impl<S: Clone> SafetyNet<S> {
             recovery_latency_cycles: self.cfg.register_checkpoint_cycles + RECOVERY_RESTORE_CYCLES,
         };
         self.stats.recovery.record(&outcome);
-        (point.state, outcome)
+        (point.state.clone(), outcome)
     }
 }
 

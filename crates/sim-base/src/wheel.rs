@@ -22,7 +22,9 @@ const MIN_WHEEL_BUCKETS: usize = 64;
 ///
 /// The index is a **ring-buffer timing wheel**: cycle `c` lives in bucket
 /// `c % buckets`, and buckets are drained in place ([`Vec::append`] keeps
-/// their allocation), so steady-state scheduling allocates nothing.
+/// their allocation), so steady-state scheduling allocates nothing. One
+/// occupancy bit per bucket lets drains and horizon queries skip runs of
+/// empty buckets a word at a time.
 /// Entries beyond the wheel horizon spill into a `BTreeMap` overflow. The
 /// cursor is the lowest cycle not yet drained; an entry scheduled behind it
 /// is clamped to it, so the next drain pops it. Because the cursor is
@@ -33,6 +35,10 @@ const MIN_WHEEL_BUCKETS: usize = 64;
 #[derive(Debug, Clone)]
 pub struct TimingWheel<T> {
     wheel: Vec<Vec<T>>,
+    /// One bit per bucket, set exactly while the bucket holds entries, so
+    /// a drain or a horizon query jumps to the next occupied bucket instead
+    /// of walking every empty cycle in between.
+    occupied: Vec<u64>,
     overflow: BTreeMap<Cycle, Vec<T>>,
     /// Lowest cycle not yet drained. A drain that finds the wheel empty
     /// re-anchors it to the cycle after the drain.
@@ -53,6 +59,7 @@ impl<T: Copy> TimingWheel<T> {
             .max(MIN_WHEEL_BUCKETS);
         Self {
             wheel: vec![Vec::new(); buckets],
+            occupied: vec![0; buckets / 64],
             overflow: BTreeMap::new(),
             next: 0,
             pending: 0,
@@ -69,6 +76,27 @@ impl<T: Copy> TimingWheel<T> {
         (cycle as usize) & (self.wheel.len() - 1)
     }
 
+    /// The earliest cycle with an occupied wheel bucket. The wheel holds
+    /// only cycles in `[cursor, cursor + buckets)`, so the first occupied
+    /// bucket in ring order from the cursor's bucket is the earliest.
+    fn first_occupied(&self) -> Option<Cycle> {
+        let start = self.bucket_of(self.next);
+        let words = self.occupied.len();
+        let (w0, bit0) = (start / 64, start % 64);
+        // The start word's bits at or after the cursor, then every other
+        // word in ring order, then the start word's bits before the cursor.
+        let bucket = std::iter::once((w0, self.occupied[w0] >> bit0 << bit0))
+            .chain((1..words).map(|k| {
+                let w = (w0 + k) % words;
+                (w, self.occupied[w])
+            }))
+            .chain(std::iter::once((w0, self.occupied[w0] & ((1 << bit0) - 1))))
+            .find(|&(_, bits)| bits != 0)
+            .map(|(w, bits)| w * 64 + bits.trailing_zeros() as usize)?;
+        let ahead = bucket.wrapping_sub(start) & (self.wheel.len() - 1);
+        Some(self.next + ahead as Cycle)
+    }
+
     /// Files `entry` under cycle `at`, or under the cursor when `at` is
     /// behind it (the entry is then popped by the next drain).
     pub fn schedule(&mut self, at: Cycle, entry: T) {
@@ -76,6 +104,7 @@ impl<T: Copy> TimingWheel<T> {
         if at - self.next < self.wheel.len() as Cycle {
             let b = self.bucket_of(at);
             self.wheel[b].push(entry);
+            self.occupied[b / 64] |= 1 << (b % 64);
         } else {
             self.overflow.entry(at).or_default().push(entry);
         }
@@ -86,6 +115,8 @@ impl<T: Copy> TimingWheel<T> {
     /// its contents, keeping its allocation) and returns `true`, or returns
     /// `false` when nothing is ripe. Within a batch, entries come out in
     /// schedule order. Once it returns `false` the cursor is `now + 1`.
+    /// Empty cycles cost nothing: the drain jumps to the earliest
+    /// occupied bucket or overflow key.
     pub fn pop_ripe_into(&mut self, now: Cycle, out: &mut Vec<T>) -> bool {
         out.clear();
         if self.pending == 0 {
@@ -94,31 +125,34 @@ impl<T: Copy> TimingWheel<T> {
             self.next = now + 1;
             return false;
         }
-        while self.next <= now {
-            let cycle = self.next;
-            if let Some((&c, _)) = self.overflow.first_key_value() {
-                if c == cycle {
-                    let far = self.overflow.remove(&c).expect("key just observed");
-                    out.extend_from_slice(&far);
-                }
-            }
-            // `append` empties the bucket while keeping its allocation.
-            let b = self.bucket_of(cycle);
-            out.append(&mut self.wheel[b]);
-            self.next += 1;
-            if !out.is_empty() {
-                self.pending -= out.len();
-                return true;
-            }
+        // Jump straight to the earliest indexed cycle: the overflow's first
+        // key or the first occupied bucket, whichever comes first.
+        let overflow_first = self.overflow.first_key_value().map(|(&c, _)| c);
+        let cycle = match (overflow_first, self.first_occupied()) {
+            (Some(a), Some(b)) => a.min(b),
+            (a, b) => a.or(b).expect("pending entries are indexed"),
+        };
+        if cycle > now {
+            self.next = self.next.max(now + 1);
+            return false;
         }
-        false
+        if overflow_first == Some(cycle) {
+            let far = self.overflow.remove(&cycle).expect("key just observed");
+            out.extend_from_slice(&far);
+        }
+        // `append` empties the bucket while keeping its allocation.
+        let b = self.bucket_of(cycle);
+        out.append(&mut self.wheel[b]);
+        self.occupied[b / 64] &= !(1 << (b % 64));
+        self.next = cycle + 1;
+        self.pending -= out.len();
+        true
     }
 
     /// The earliest cycle holding an indexed entry, or `limit` when none is
-    /// due before it. The wheel holds only cycles in
-    /// `[cursor, cursor + buckets)`, so its first non-empty bucket from the
-    /// cursor is its earliest entry; the scan stops at `limit`, so its cost
-    /// is bounded by the distance the caller can skip anyway.
+    /// due before it. The occupancy words locate the first non-empty bucket
+    /// from the cursor, so the cost follows the wheel size over 64, not the
+    /// distance to the entry.
     #[must_use]
     pub fn earliest_due(&self, limit: Cycle) -> Cycle {
         if self.pending == 0 {
@@ -128,10 +162,7 @@ impl<T: Copy> TimingWheel<T> {
             .overflow
             .first_key_value()
             .map_or(limit, |(&c, _)| c.min(limit));
-        let horizon = limit.min(self.next.saturating_add(self.wheel.len() as Cycle));
-        (self.next..horizon)
-            .find(|&c| !self.wheel[self.bucket_of(c)].is_empty())
-            .unwrap_or(limit)
+        self.first_occupied().map_or(limit, |c| c.min(limit))
     }
 
     /// Discards every entry; the cursor stays where it is.
@@ -139,6 +170,7 @@ impl<T: Copy> TimingWheel<T> {
         for bucket in &mut self.wheel {
             bucket.clear();
         }
+        self.occupied.fill(0);
         self.overflow.clear();
         self.pending = 0;
     }
@@ -166,6 +198,7 @@ impl<T: Copy> TimingWheel<T> {
 mod tests {
     use super::*;
     use crate::rng::DetRng;
+    use proptest::prelude::*;
 
     type Entry = (u32, u8);
 
@@ -368,6 +401,80 @@ mod tests {
         }
         let want: Vec<(Cycle, Vec<Entry>)> = expected.into_iter().collect();
         assert_eq!(got, want);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn random_operation_sequences_match_a_btreemap_model(
+            horizon in 0u64..300,
+            ops in proptest::collection::vec((0u64..8, 0u64..4, 0u64..1_000), 1..300),
+        ) {
+            // Drive the wheel and a BTreeMap<Cycle, Vec> model with the same
+            // schedule / drain / horizon / clear stream. The shapes cover
+            // near entries, entries anywhere on the ring (bucket
+            // wrap-around), overflow entries, entries behind the cursor,
+            // and drains that jump many laps at once.
+            let mut wheel = TimingWheel::with_horizon(horizon);
+            let lap = wheel.wheel.len() as Cycle;
+            let mut model: BTreeMap<Cycle, Vec<Entry>> = BTreeMap::new();
+            let mut now: Cycle = 0;
+            let mut cursor: Cycle = 0;
+            for (k, (op, shape, x)) in ops.into_iter().enumerate() {
+                match op {
+                    0..=3 => {
+                        let at = match shape {
+                            0 => cursor + x % 8,
+                            1 => cursor + x % lap,
+                            2 => cursor + lap + x,
+                            _ => cursor.saturating_sub(1 + x),
+                        };
+                        let entry = (k as u32, shape as u8);
+                        wheel.schedule(at, entry);
+                        // Behind the cursor is clamped to it.
+                        model.entry(at.max(cursor)).or_default().push(entry);
+                    }
+                    4 | 5 => {
+                        now += match shape {
+                            0 => x % 4,
+                            1 => x % lap,
+                            2 => lap * (1 + x % 5) + x,
+                            _ => x,
+                        };
+                        loop {
+                            let expected = match model.first_key_value() {
+                                Some((&c, _)) if c <= now => model.remove(&c),
+                                _ => None,
+                            };
+                            let got = pop_batch(&mut wheel, now);
+                            prop_assert_eq!(&got, &expected);
+                            if got.is_none() {
+                                break;
+                            }
+                        }
+                        cursor = now + 1;
+                        prop_assert_eq!(wheel.cursor(), cursor);
+                    }
+                    6 => {
+                        let first = model.first_key_value().map_or(Cycle::MAX, |(&c, _)| c);
+                        let limit = match shape {
+                            0 => Cycle::MAX,
+                            1 => cursor + x % 8,
+                            2 => cursor + x,
+                            _ => cursor.saturating_sub(x),
+                        };
+                        prop_assert_eq!(wheel.earliest_due(limit), first.min(limit));
+                    }
+                    _ => {
+                        wheel.clear();
+                        model.clear();
+                        prop_assert_eq!(wheel.cursor(), cursor);
+                    }
+                }
+                prop_assert_eq!(wheel.pending, model.values().map(Vec::len).sum::<usize>());
+            }
+        }
     }
 
     #[test]
