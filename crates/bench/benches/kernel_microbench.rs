@@ -12,9 +12,18 @@
 //!   design wins.
 //! * `oltp_5000_cycles` — the full directory system on a live workload.
 //!
+//! Two more time one SafetyNet checkpoint, `sys.arch().clone()`, of a
+//! directory machine warmed for 30k cycles:
+//!
+//! * `arch_snapshot_16` — the 4×4 machine;
+//! * `arch_snapshot_1024` — the 32×32 machine. Controllers are shared
+//!   between snapshots, so the torus and the processors dominate.
+//!
 //! Each case is measured once with a plain wall-clock sample loop that both
 //! prints a console report and writes `BENCH_kernel.json` (`name → ns per
-//! simulated cycle`; host timing, so it is not committed). Set `SPECSIM_BENCH_QUICK=1` (as CI does) to cut sample counts.
+//! simulated cycle`, or per snapshot for the snapshot cases; host timing,
+//! so it is not committed). Set `SPECSIM_BENCH_QUICK=1` (as CI does) to cut
+//! sample counts.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -28,6 +37,8 @@ use specsim_workloads::WorkloadKind;
 const SATURATED_CYCLES: u64 = 1_000;
 const SPARSE_CYCLES: u64 = 20_000;
 const DIRECTORY_CYCLES: u64 = 5_000;
+const WARM_CYCLES: u64 = 30_000;
+const SNAPSHOTS_PER_SAMPLE: usize = 8;
 
 fn saturated_setup() -> (Network<u64>, DetRng) {
     let net: Network<u64> = Network::new(NetConfig::full_buffering(
@@ -107,6 +118,40 @@ fn run_directory(mut sys: DirectorySystem) -> u64 {
         .ops_completed
 }
 
+/// A `side`×`side` directory machine (uniform OLTP, 800 MB/s static torus,
+/// 4 MSHRs) after `WARM_CYCLES` of simulation.
+fn warmed_directory(side: usize) -> DirectorySystem {
+    let mut cfg =
+        SystemConfig::directory_speculative(WorkloadKind::Oltp, LinkBandwidth::MB_800, 11);
+    cfg.memory.num_nodes = side * side;
+    cfg.memory.torus_dims = Some((side, side));
+    cfg.routing = RoutingPolicy::Static;
+    cfg.memory.mshr_entries = 4;
+    let mut sys = DirectorySystem::new(cfg);
+    sys.run_for(WARM_CYCLES).expect("no protocol errors");
+    sys
+}
+
+/// Times `samples` batches of `SNAPSHOTS_PER_SAMPLE` architectural-state
+/// clones of `sys` (the clones are dropped outside the timed region),
+/// prints a console report, and returns the best batch's nanoseconds per
+/// snapshot.
+fn ns_per_snapshot(name: &str, samples: usize, sys: &DirectorySystem) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..samples {
+        let mut kept = Vec::with_capacity(SNAPSHOTS_PER_SAMPLE);
+        let t = Instant::now();
+        for _ in 0..SNAPSHOTS_PER_SAMPLE {
+            kept.push(sys.arch().clone());
+        }
+        let elapsed = t.elapsed().as_nanos() as f64;
+        drop(kept);
+        best = best.min(elapsed / SNAPSHOTS_PER_SAMPLE as f64);
+    }
+    println!("{name}: {best:.0} ns/snapshot min (n={samples})");
+    best
+}
+
 /// Times `routine` on fresh inputs `samples` times (only the routine is
 /// timed), prints a console report, and returns the best nanoseconds per
 /// simulated cycle (minimum over samples, the standard noise-robust
@@ -145,6 +190,8 @@ fn main() -> ExitCode {
     let saturated = "network/torus_1000_cycles_random_traffic";
     let sparse = "network/torus_20000_cycles_sparse_traffic";
     let dirsys = "directory_system/oltp_5000_cycles";
+    let snapshot_16 = "directory_system/arch_snapshot_16";
+    let snapshot_1024 = "directory_system/arch_snapshot_1024";
     let entries = [
         (
             saturated,
@@ -169,6 +216,14 @@ fn main() -> ExitCode {
                 directory_setup,
                 run_directory,
             ),
+        ),
+        (
+            snapshot_16,
+            ns_per_snapshot(snapshot_16, net_samples, &warmed_directory(4)),
+        ),
+        (
+            snapshot_1024,
+            ns_per_snapshot(snapshot_1024, dir_samples, &warmed_directory(32)),
         ),
     ];
     let json = kernel_json(&entries);

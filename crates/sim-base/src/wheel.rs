@@ -76,25 +76,26 @@ impl<T: Copy> TimingWheel<T> {
         (cycle as usize) & (self.wheel.len() - 1)
     }
 
-    /// The earliest cycle with an occupied wheel bucket. The wheel holds
-    /// only cycles in `[cursor, cursor + buckets)`, so the first occupied
-    /// bucket in ring order from the cursor's bucket is the earliest.
-    fn first_occupied(&self) -> Option<Cycle> {
+    /// The earliest occupied wheel cycle in `[cursor, cursor + span)`.
+    /// The wheel holds only cycles in `[cursor, cursor + buckets)`, so
+    /// walking the occupancy words in ring order from the cursor's bucket
+    /// finds it; the walk stops after `span` buckets.
+    fn first_occupied_within(&self, span: Cycle) -> Option<Cycle> {
+        let span = span.min(self.wheel.len() as Cycle) as usize;
         let start = self.bucket_of(self.next);
-        let words = self.occupied.len();
-        let (w0, bit0) = (start / 64, start % 64);
-        // The start word's bits at or after the cursor, then every other
-        // word in ring order, then the start word's bits before the cursor.
-        let bucket = std::iter::once((w0, self.occupied[w0] >> bit0 << bit0))
-            .chain((1..words).map(|k| {
-                let w = (w0 + k) % words;
-                (w, self.occupied[w])
-            }))
-            .chain(std::iter::once((w0, self.occupied[w0] & ((1 << bit0) - 1))))
-            .find(|&(_, bits)| bits != 0)
-            .map(|(w, bits)| w * 64 + bits.trailing_zeros() as usize)?;
-        let ahead = bucket.wrapping_sub(start) & (self.wheel.len() - 1);
-        Some(self.next + ahead as Cycle)
+        let mut ahead = 0;
+        while ahead < span {
+            // Bucket counts are multiples of 64, so a word never straddles
+            // the end of the ring.
+            let b = (start + ahead) & (self.wheel.len() - 1);
+            let bits = self.occupied[b / 64] >> (b % 64);
+            if bits != 0 {
+                let found = ahead + bits.trailing_zeros() as usize;
+                return (found < span).then(|| self.next + found as Cycle);
+            }
+            ahead += 64 - b % 64;
+        }
+        None
     }
 
     /// Files `entry` under cycle `at`, or under the cursor when `at` is
@@ -125,17 +126,18 @@ impl<T: Copy> TimingWheel<T> {
             self.next = now + 1;
             return false;
         }
-        // Jump straight to the earliest indexed cycle: the overflow's first
-        // key or the first occupied bucket, whichever comes first.
-        let overflow_first = self.overflow.first_key_value().map(|(&c, _)| c);
-        let cycle = match (overflow_first, self.first_occupied()) {
-            (Some(a), Some(b)) => a.min(b),
-            (a, b) => a.or(b).expect("pending entries are indexed"),
-        };
-        if cycle > now {
+        // Jump straight to the earliest indexed cycle due by `now`: the
+        // overflow's first key or the first occupied bucket.
+        let wheel_first = self.first_occupied_within((now + 1).saturating_sub(self.next));
+        let overflow_first = self
+            .overflow
+            .first_key_value()
+            .map(|(&c, _)| c)
+            .filter(|&c| c <= now);
+        let Some(cycle) = wheel_first.into_iter().chain(overflow_first).min() else {
             self.next = self.next.max(now + 1);
             return false;
-        }
+        };
         if overflow_first == Some(cycle) {
             let far = self.overflow.remove(&cycle).expect("key just observed");
             out.extend_from_slice(&far);
@@ -151,8 +153,7 @@ impl<T: Copy> TimingWheel<T> {
 
     /// The earliest cycle holding an indexed entry, or `limit` when none is
     /// due before it. The occupancy words locate the first non-empty bucket
-    /// from the cursor, so the cost follows the wheel size over 64, not the
-    /// distance to the entry.
+    /// from the cursor, 64 buckets at a time.
     #[must_use]
     pub fn earliest_due(&self, limit: Cycle) -> Cycle {
         if self.pending == 0 {
@@ -162,7 +163,8 @@ impl<T: Copy> TimingWheel<T> {
             .overflow
             .first_key_value()
             .map_or(limit, |(&c, _)| c.min(limit));
-        self.first_occupied().map_or(limit, |c| c.min(limit))
+        self.first_occupied_within(limit.saturating_sub(self.next))
+            .unwrap_or(limit)
     }
 
     /// Discards every entry; the cursor stays where it is.
