@@ -35,10 +35,15 @@
 //! * **checkpoint-interval bookkeeping** — the engine asks the protocol
 //!   whether a checkpoint is due (the directory system uses the cycle count,
 //!   the snooping system the totally ordered request count) and snapshots
-//!   the architectural state into SafetyNet. The snooping protocol reads
-//!   its interval's start from SafetyNet's newest checkpoint
-//!   ([`SafetyNet::latest_checkpoint`]), which after a rollback is the
-//!   restored one;
+//!   the architectural state into SafetyNet. A snapshot is a plain clone
+//!   that shares each node's coherence controllers with the live machine
+//!   through an `Arc`; the first write after it copies only the
+//!   controller written, so a checkpoint costs the controllers changed
+//!   since the last one plus the fabrics, processors and outboxes, which
+//!   are copied outright. A restore shares them the same way. The snooping
+//!   protocol reads its interval's start from SafetyNet's newest
+//!   checkpoint ([`SafetyNet::latest_checkpoint`]), which after a rollback
+//!   is the restored one;
 //! * **mis-speculation → SafetyNet recovery → forward progress** —
 //!   detection capture, the transaction-timeout scan, the rollback itself,
 //!   the post-recovery stall window, and the forward-progress policy: one
@@ -643,7 +648,9 @@ pub trait ProtocolNode {
     /// The architectural state of the machine — everything SafetyNet must be
     /// able to checkpoint and restore: caches, directories/memories,
     /// processors (with their workload positions), fabric contents and the
-    /// staging outboxes.
+    /// staging outboxes. Its clone is the checkpoint and the restore, so
+    /// both machines keep their per-node controllers behind an `Arc` that
+    /// a clone shares.
     type Arch: Clone + std::fmt::Debug;
 
     /// The message type of [`ProtocolNode::torus`].
