@@ -35,9 +35,7 @@ const MIN_WHEEL_BUCKETS: usize = 64;
 #[derive(Debug, Clone)]
 pub struct TimingWheel<T> {
     wheel: Vec<Vec<T>>,
-    /// One bit per bucket, set exactly while the bucket holds entries, so
-    /// a drain or a horizon query jumps to the next occupied bucket instead
-    /// of walking every empty cycle in between.
+    /// One bit per bucket, set exactly while the bucket holds entries.
     occupied: Vec<u64>,
     overflow: BTreeMap<Cycle, Vec<T>>,
     /// Lowest cycle not yet drained. A drain that finds the wheel empty
@@ -116,8 +114,9 @@ impl<T: Copy> TimingWheel<T> {
     /// its contents, keeping its allocation) and returns `true`, or returns
     /// `false` when nothing is ripe. Within a batch, entries come out in
     /// schedule order. Once it returns `false` the cursor is `now + 1`.
-    /// Empty cycles cost nothing: the drain jumps to the earliest
-    /// occupied bucket or overflow key.
+    /// The drain jumps to the earliest occupied bucket or overflow key,
+    /// reading the occupancy bits a word at a time, instead of visiting
+    /// every empty cycle on the way.
     pub fn pop_ripe_into(&mut self, now: Cycle, out: &mut Vec<T>) -> bool {
         out.clear();
         if self.pending == 0 {
