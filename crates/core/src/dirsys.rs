@@ -672,7 +672,7 @@ mod tests {
         let (mut checkpoints, mut caches, mut dirs, mut stalls) = (0, 0, 0, 0);
         snapshot_probe::walk(
             &mut sys,
-            120_000,
+            200_000,
             |prev, cur| {
                 checkpoints += 1;
                 caches += snapshot_probe::copied(&prev.caches, &cur.caches);
