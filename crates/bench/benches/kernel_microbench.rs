@@ -1,5 +1,6 @@
 //! Microbenchmarks of the simulation kernel itself: how fast the
-//! interconnect and the full directory system simulate, per simulated cycle.
+//! interconnect and the full directory system simulate, per simulated cycle,
+//! and what the cache arrays inside every controller cost.
 //! These are engineering benchmarks for the simulator (not paper artifacts);
 //! they make regressions in simulator throughput visible.
 //!
@@ -19,18 +20,28 @@
 //! * `arch_snapshot_1024` — the 32×32 machine. Controllers are shared
 //!   between snapshots, so the torus and the processors dominate.
 //!
+//! Two time the cache array that every cache controller holds, on an
+//! L2-geometry array (16384 sets × 4 ways) holding 4096 lines from a fixed
+//! `DetRng` stream:
+//!
+//! * `cache_array_lookup` — a demand lookup, half of them to resident
+//!   blocks and half to random, mostly absent, ones;
+//! * `cache_array_copy` — one clone of the whole array, the cost a
+//!   controller copy pays for each of its arrays.
+//!
 //! Each case is measured once with a plain wall-clock sample loop that both
 //! prints a console report and writes `BENCH_kernel.json` (`name → ns per
-//! simulated cycle`, or per snapshot for the snapshot cases; host timing,
-//! so it is not committed). Set `SPECSIM_BENCH_QUICK=1` (as CI does) to cut
+//! simulated cycle`, or per snapshot, lookup or copy for the other cases;
+//! host timing, so it is not committed). Set `SPECSIM_BENCH_QUICK=1` (as CI does) to cut
 //! sample counts.
 
 use std::process::ExitCode;
 use std::time::Instant;
 
 use specsim::{DirectorySystem, SystemConfig};
-use specsim_base::{DetRng, LinkBandwidth, MessageSize, NodeId, RoutingPolicy};
+use specsim_base::{BlockAddr, DetRng, LinkBandwidth, MessageSize, NodeId, RoutingPolicy};
 use specsim_bench::{kernel_json, write_artifact};
+use specsim_coherence::{CacheArray, CacheGeometry};
 use specsim_net::{NetConfig, Network, VirtualNetwork};
 use specsim_workloads::WorkloadKind;
 
@@ -39,6 +50,8 @@ const SPARSE_CYCLES: u64 = 20_000;
 const DIRECTORY_CYCLES: u64 = 5_000;
 const WARM_CYCLES: u64 = 30_000;
 const SNAPSHOTS_PER_SAMPLE: usize = 8;
+const ARRAY_LINES: usize = 4096;
+const LOOKUPS_PER_SAMPLE: usize = 200_000;
 
 fn saturated_setup() -> (Network<u64>, DetRng) {
     let net: Network<u64> = Network::new(NetConfig::full_buffering(
@@ -132,23 +145,64 @@ fn warmed_directory(side: usize) -> DirectorySystem {
     sys
 }
 
-/// Times `samples` batches of `SNAPSHOTS_PER_SAMPLE` architectural-state
-/// clones of `sys` (the clones are dropped outside the timed region),
-/// prints a console report, and returns the best batch's nanoseconds per
-/// snapshot.
-fn ns_per_snapshot(name: &str, samples: usize, sys: &DirectorySystem) -> f64 {
+/// An L2-geometry array (Table 2: 4 MB, 4-way) holding `ARRAY_LINES`
+/// blocks drawn from a fixed stream over a 64 GB address space, and a
+/// lookup stream: each resident block once, interleaved with as many
+/// random blocks.
+fn filled_l2_array() -> (CacheArray<u8>, Vec<BlockAddr>) {
+    let mut rng = DetRng::new(17);
+    let mut array = CacheArray::new(CacheGeometry::from_capacity(4 * 1024 * 1024, 4));
+    while array.len() < ARRAY_LINES {
+        array.insert(BlockAddr(rng.next_below(1 << 30)), 0, 0);
+    }
+    let resident: Vec<BlockAddr> = array.iter().map(|line| line.addr).collect();
+    let stream = resident
+        .into_iter()
+        .flat_map(|addr| [addr, BlockAddr(rng.next_below(1 << 30))])
+        .collect();
+    (array, stream)
+}
+
+/// Times `samples` passes of `LOOKUPS_PER_SAMPLE` demand lookups cycling
+/// through `stream`, prints a console report, and returns the best pass's
+/// nanoseconds per lookup.
+fn ns_per_lookup(
+    name: &str,
+    samples: usize,
+    array: &mut CacheArray<u8>,
+    stream: &[BlockAddr],
+) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..samples {
+        let mut hits = 0usize;
+        let t = Instant::now();
+        for addr in stream.iter().cycle().take(LOOKUPS_PER_SAMPLE) {
+            hits += usize::from(array.lookup(*addr).is_some());
+        }
+        let elapsed = t.elapsed().as_nanos() as f64;
+        std::hint::black_box(hits);
+        best = best.min(elapsed / LOOKUPS_PER_SAMPLE as f64);
+    }
+    println!("{name}: {best:.2} ns/lookup min (n={samples})");
+    best
+}
+
+/// Times `samples` batches of `SNAPSHOTS_PER_SAMPLE` clones of `value` (the
+/// clones are dropped outside the timed region), prints a console report,
+/// and returns the best batch's nanoseconds per copy.
+fn ns_per_copy<T: Clone>(name: &str, samples: usize, value: &T) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..samples {
         let mut kept = Vec::with_capacity(SNAPSHOTS_PER_SAMPLE);
         let t = Instant::now();
         for _ in 0..SNAPSHOTS_PER_SAMPLE {
-            kept.push(sys.arch().clone());
+            kept.push(value.clone());
         }
         let elapsed = t.elapsed().as_nanos() as f64;
         drop(kept);
         best = best.min(elapsed / SNAPSHOTS_PER_SAMPLE as f64);
     }
-    println!("{name}: {best:.0} ns/snapshot min (n={samples})");
+    println!("{name}: {best:.0} ns/copy min (n={samples})");
     best
 }
 
@@ -192,6 +246,9 @@ fn main() -> ExitCode {
     let dirsys = "directory_system/oltp_5000_cycles";
     let snapshot_16 = "directory_system/arch_snapshot_16";
     let snapshot_1024 = "directory_system/arch_snapshot_1024";
+    let array_lookup = "coherence/cache_array_lookup";
+    let array_copy = "coherence/cache_array_copy";
+    let (mut array, stream) = filled_l2_array();
     let entries = [
         (
             saturated,
@@ -219,12 +276,17 @@ fn main() -> ExitCode {
         ),
         (
             snapshot_16,
-            ns_per_snapshot(snapshot_16, net_samples, &warmed_directory(4)),
+            ns_per_copy(snapshot_16, net_samples, warmed_directory(4).arch()),
         ),
         (
             snapshot_1024,
-            ns_per_snapshot(snapshot_1024, dir_samples, &warmed_directory(32)),
+            ns_per_copy(snapshot_1024, dir_samples, warmed_directory(32).arch()),
         ),
+        (
+            array_lookup,
+            ns_per_lookup(array_lookup, net_samples, &mut array, &stream),
+        ),
+        (array_copy, ns_per_copy(array_copy, net_samples, &array)),
     ];
     let json = kernel_json(&entries);
     println!("\n{json}");

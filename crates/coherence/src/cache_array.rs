@@ -6,8 +6,36 @@
 //! token, and LRU ordering information. Transient (in-flight) blocks do *not*
 //! live in the array — they live in the controller's MSHR / writeback buffer,
 //! as in a real design — so `S` only ever holds stable states.
+//!
+//! # Layout
+//!
+//! The resident lines live in one flat open-addressed table: a
+//! power-of-two `Vec` of slots, one line per slot, with linear probing.
+//!
+//! * **Home slot.** A line's home slot is a Fibonacci hash of its *set
+//!   index*, not of its address. All of a set's (at most `ways`) lines
+//!   therefore share one home and sit in the probe cluster that starts
+//!   there. Finding a block, counting a set's occupancy and choosing its LRU
+//!   victim are one scan of that cluster, up to its first empty slot. A hash
+//!   of the address would scatter a set over the table and make every
+//!   eviction decision a search.
+//! * **Deletion** shifts the rest of the cluster back into the hole
+//!   (backward-shift deletion), so no tombstones build up and every probe
+//!   still ends at the first empty slot.
+//! * **Load factor.** The table doubles before an insertion would fill more
+//!   than 3/4 of it, and never shrinks. The first insertion allocates 8
+//!   slots; a new array owns no table.
+//! * **Size.** A slot is an `Option<CacheLine<S>>`: 32 bytes for the
+//!   one-byte coherence states and for the L1's `()`. Once grown, the table
+//!   is between 3/8 and 3/4 full, so a resident line costs 43–85 bytes.
+//!
+//! The array owns at most one heap allocation, so cloning it (a SafetyNet
+//! checkpoint, a recovery, the first write to a controller shared with a
+//! checkpoint) is one copy of the table. Lookups and snoop probes cost
+//! O(ways) slot reads. Only [`CacheArray::iter`] pays for set order: it
+//! sorts, which only the coherence-invariant checks call.
 
-use std::collections::BTreeMap;
+use std::fmt;
 
 use specsim_base::{BlockAddr, BLOCK_SIZE_BYTES};
 
@@ -47,7 +75,7 @@ impl CacheGeometry {
 }
 
 /// One resident cache block.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheLine<S> {
     /// The block address stored in this way.
     pub addr: BlockAddr,
@@ -58,18 +86,44 @@ pub struct CacheLine<S> {
     lru: u64,
 }
 
-/// A set-associative, LRU-replacement cache array.
+/// Slots in the table the first insertion allocates.
+const MIN_SLOTS: usize = 8;
+
+/// 2^64 divided by the golden ratio: consecutive set indices land far
+/// apart in the table's high-bit hash.
+const HOME_MULTIPLIER: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The home slot of `set` in a table of `2^(64 - shift)` slots.
+fn home_slot(set: u32, shift: u32) -> usize {
+    (u64::from(set).wrapping_mul(HOME_MULTIPLIER) >> shift) as usize
+}
+
+/// What one scan of a set's probe cluster found for a block.
+enum SetScan {
+    /// The block is resident in this slot.
+    Resident(usize),
+    /// The block is absent; its set holds `occupancy` lines, the least
+    /// recently used in slot `lru`.
+    Absent {
+        occupancy: usize,
+        lru: Option<usize>,
+    },
+}
+
+/// A set-associative, LRU-replacement cache array, stored as one flat
+/// open-addressed table of resident lines (see the [module docs](self)).
 ///
-/// Sets are stored sparsely: only sets with at least one resident line own
-/// a `Vec` (keyed by set index, so iteration stays in set order). A dense
-/// `Vec<Vec<_>>` of 16 K mostly-empty sets per node made cloning the
-/// architectural state for a SafetyNet checkpoint cost O(nodes × sets) —
-/// ~100 ms per checkpoint at 256 nodes — where the sparse map costs
-/// O(resident lines).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Equality compares contents (the resident lines and the counters), not
+/// where the table happens to hold each line.
+#[derive(Clone)]
 pub struct CacheArray<S> {
     geometry: CacheGeometry,
-    sets: BTreeMap<u32, Vec<CacheLine<S>>>,
+    /// The table: empty, or a power-of-two number of slots at most 3/4
+    /// full.
+    slots: Vec<Option<CacheLine<S>>>,
+    /// `64 - log2(slots.len())`, the shift that turns a hash into a slot
+    /// (unused while the table is empty).
+    shift: u32,
     resident: usize,
     lru_clock: u64,
     hits: u64,
@@ -81,9 +135,11 @@ impl<S> CacheArray<S> {
     /// Creates an empty array with the given geometry.
     #[must_use]
     pub fn new(geometry: CacheGeometry) -> Self {
+        assert!(geometry.sets > 0, "cache must have at least one set");
         Self {
             geometry,
-            sets: BTreeMap::new(),
+            slots: Vec::new(),
+            shift: 64,
             resident: 0,
             lru_clock: 0,
             hits: 0,
@@ -102,13 +158,61 @@ impl<S> CacheArray<S> {
         addr.cache_set(self.geometry.sets) as u32
     }
 
+    fn home(&self, addr: BlockAddr) -> usize {
+        home_slot(self.set_index(addr), self.shift)
+    }
+
+    fn next_slot(&self, slot: usize) -> usize {
+        (slot + 1) & (self.slots.len() - 1)
+    }
+
+    /// The slot holding `addr`, if it is resident.
+    fn find(&self, addr: BlockAddr) -> Option<usize> {
+        if self.resident == 0 {
+            return None;
+        }
+        let mut slot = self.home(addr);
+        while let Some(line) = &self.slots[slot] {
+            if line.addr == addr {
+                return Some(slot);
+            }
+            slot = self.next_slot(slot);
+        }
+        None
+    }
+
+    /// Scans `addr`'s probe cluster once: the block's slot if it is
+    /// resident, else its set's occupancy and LRU line.
+    fn scan_set(&self, addr: BlockAddr) -> SetScan {
+        let set = self.set_index(addr);
+        let (mut occupancy, mut lru) = (0, None);
+        if self.resident == 0 {
+            return SetScan::Absent { occupancy, lru };
+        }
+        let mut oldest = u64::MAX;
+        let mut slot = self.home(addr);
+        while let Some(line) = &self.slots[slot] {
+            if line.addr == addr {
+                return SetScan::Resident(slot);
+            }
+            if self.set_index(line.addr) == set {
+                occupancy += 1;
+                // LRU stamps are unique, so the minimum does not depend on
+                // where the table holds each line.
+                if line.lru < oldest {
+                    oldest = line.lru;
+                    lru = Some(slot);
+                }
+            }
+            slot = self.next_slot(slot);
+        }
+        SetScan::Absent { occupancy, lru }
+    }
+
     /// Looks a block up without affecting LRU state or hit/miss counters.
     #[must_use]
     pub fn probe(&self, addr: BlockAddr) -> Option<&CacheLine<S>> {
-        self.sets
-            .get(&self.set_index(addr))?
-            .iter()
-            .find(|l| l.addr == addr)
+        self.slots[self.find(addr)?].as_ref()
     }
 
     /// Looks a block up, updating LRU order and hit/miss counters, and
@@ -116,15 +220,11 @@ impl<S> CacheArray<S> {
     pub fn lookup(&mut self, addr: BlockAddr) -> Option<&mut CacheLine<S>> {
         self.lru_clock += 1;
         let clock = self.lru_clock;
-        let set = self.set_index(addr);
-        let found = self
-            .sets
-            .get_mut(&set)
-            .and_then(|s| s.iter_mut().find(|l| l.addr == addr));
-        match found {
-            Some(line) => {
-                line.lru = clock;
+        match self.find(addr) {
+            Some(slot) => {
                 self.hits += 1;
+                let line = self.slots[slot].as_mut()?;
+                line.lru = clock;
                 Some(line)
             }
             None => {
@@ -138,28 +238,30 @@ impl<S> CacheArray<S> {
     /// hit/miss counters (for protocol actions that are not demand accesses,
     /// e.g. applying an invalidation).
     pub fn get_mut(&mut self, addr: BlockAddr) -> Option<&mut CacheLine<S>> {
-        let set = self.set_index(addr);
-        self.sets.get_mut(&set)?.iter_mut().find(|l| l.addr == addr)
+        let slot = self.find(addr)?;
+        self.slots[slot].as_mut()
     }
 
     /// True when inserting `addr` would require evicting a resident block.
     #[must_use]
     pub fn insertion_requires_eviction(&self, addr: BlockAddr) -> bool {
-        let occupancy = self.sets.get(&self.set_index(addr)).map_or(0, Vec::len);
-        self.probe(addr).is_none() && occupancy >= self.geometry.ways
+        match self.scan_set(addr) {
+            SetScan::Resident(_) => false,
+            SetScan::Absent { occupancy, .. } => occupancy >= self.geometry.ways,
+        }
     }
 
     /// The block that would be evicted to make room for `addr` (the LRU line
     /// of the target set), if any.
     #[must_use]
     pub fn eviction_victim(&self, addr: BlockAddr) -> Option<&CacheLine<S>> {
-        if !self.insertion_requires_eviction(addr) {
-            return None;
+        match self.scan_set(addr) {
+            SetScan::Absent {
+                occupancy,
+                lru: Some(slot),
+            } if occupancy >= self.geometry.ways => self.slots[slot].as_ref(),
+            _ => None,
         }
-        self.sets
-            .get(&self.set_index(addr))?
-            .iter()
-            .min_by_key(|l| l.lru)
     }
 
     /// Inserts (or overwrites) a block, evicting the LRU line of the set if
@@ -167,29 +269,24 @@ impl<S> CacheArray<S> {
     pub fn insert(&mut self, addr: BlockAddr, state: S, data: u64) -> Option<CacheLine<S>> {
         self.lru_clock += 1;
         let clock = self.lru_clock;
-        let ways = self.geometry.ways;
-        let set_idx = self.set_index(addr);
-        let set = self.sets.entry(set_idx).or_default();
-        if let Some(line) = set.iter_mut().find(|l| l.addr == addr) {
-            line.state = state;
-            line.data = data;
-            line.lru = clock;
-            return None;
-        }
-        let evicted = if set.len() >= ways {
-            let victim_pos = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.lru)
-                .map(|(i, _)| i)
-                .expect("non-empty set");
-            self.evictions += 1;
-            self.resident -= 1;
-            Some(set.swap_remove(victim_pos))
-        } else {
-            None
+        let evicted = match self.scan_set(addr) {
+            SetScan::Resident(slot) => {
+                let line = self.slots[slot].as_mut().expect("resident slot");
+                line.state = state;
+                line.data = data;
+                line.lru = clock;
+                return None;
+            }
+            SetScan::Absent { occupancy, lru } if occupancy >= self.geometry.ways => {
+                self.evictions += 1;
+                Some(self.vacate(lru.expect("a full set has an LRU line")))
+            }
+            SetScan::Absent { .. } => None,
         };
-        set.push(CacheLine {
+        if (self.resident + 1) * 4 > self.slots.len() * 3 {
+            self.grow();
+        }
+        self.place(CacheLine {
             addr,
             state,
             data,
@@ -202,17 +299,49 @@ impl<S> CacheArray<S> {
     /// Removes a block (invalidation or migration to the writeback buffer)
     /// and returns it.
     pub fn remove(&mut self, addr: BlockAddr) -> Option<CacheLine<S>> {
-        let set_idx = self.set_index(addr);
-        let set = self.sets.get_mut(&set_idx)?;
-        let pos = set.iter().position(|l| l.addr == addr)?;
-        let line = set.swap_remove(pos);
-        self.resident -= 1;
-        // Normalise: an emptied set leaves the map, so equality and clone
-        // cost depend only on resident lines.
-        if set.is_empty() {
-            self.sets.remove(&set_idx);
+        let slot = self.find(addr)?;
+        Some(self.vacate(slot))
+    }
+
+    /// Stores `line` in the first free slot of its probe cluster.
+    fn place(&mut self, line: CacheLine<S>) {
+        let mut slot = self.home(line.addr);
+        while self.slots[slot].is_some() {
+            slot = self.next_slot(slot);
         }
-        Some(line)
+        self.slots[slot] = Some(line);
+    }
+
+    /// Takes the line out of `hole`, then walks the rest of the cluster and
+    /// shifts back into the hole every line whose home does not lie
+    /// between the hole and the line, so every line stays reachable from
+    /// its home without crossing an empty slot.
+    fn vacate(&mut self, mut hole: usize) -> CacheLine<S> {
+        let line = self.slots[hole].take().expect("occupied slot");
+        self.resident -= 1;
+        let mask = self.slots.len() - 1;
+        let mut slot = self.next_slot(hole);
+        while let Some(next) = &self.slots[slot] {
+            let home = self.home(next.addr);
+            if slot.wrapping_sub(home) & mask >= slot.wrapping_sub(hole) & mask {
+                self.slots[hole] = self.slots[slot].take();
+                hole = slot;
+            }
+            slot = self.next_slot(slot);
+        }
+        line
+    }
+
+    /// Doubles the table (or allocates the first one) and re-places every
+    /// line.
+    fn grow(&mut self) {
+        let len = (2 * self.slots.len()).max(MIN_SLOTS);
+        let empty = std::iter::repeat_with(|| None).take(len).collect();
+        let old = std::mem::replace(&mut self.slots, empty);
+        self.shift = 64 - len.trailing_zeros();
+        for line in old.into_iter().flatten() {
+            self.place(line);
+        }
     }
 
     /// Number of resident blocks.
@@ -227,10 +356,13 @@ impl<S> CacheArray<S> {
         self.resident == 0
     }
 
-    /// Iterates every resident line, in set order (matching the dense
-    /// representation this replaced).
+    /// Iterates every resident line in set order, and in block order within
+    /// a set. This sorts the lines, so it is meant for cold paths
+    /// (coherence-invariant checks, `Debug`).
     pub fn iter(&self) -> impl Iterator<Item = &CacheLine<S>> {
-        self.sets.values().flatten()
+        let mut lines: Vec<&CacheLine<S>> = self.slots.iter().flatten().collect();
+        lines.sort_unstable_by_key(|line| (self.set_index(line.addr), line.addr));
+        lines.into_iter()
     }
 
     /// Demand hits observed by [`CacheArray::lookup`].
@@ -251,6 +383,39 @@ impl<S> CacheArray<S> {
         self.evictions
     }
 }
+
+impl<S: PartialEq> PartialEq for CacheArray<S> {
+    fn eq(&self, other: &Self) -> bool {
+        self.geometry == other.geometry
+            && self.resident == other.resident
+            && self.lru_clock == other.lru_clock
+            && (self.hits, self.misses, self.evictions)
+                == (other.hits, other.misses, other.evictions)
+            && self
+                .slots
+                .iter()
+                .flatten()
+                .all(|line| other.probe(line.addr) == Some(line))
+    }
+}
+
+impl<S: Eq> Eq for CacheArray<S> {}
+
+impl<S: fmt::Debug> fmt::Debug for CacheArray<S> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CacheArray")
+            .field("geometry", &self.geometry)
+            .field("lines", &self.iter().collect::<Vec<_>>())
+            .field("lru_clock", &self.lru_clock)
+            .field("hits", &self.hits)
+            .field("misses", &self.misses)
+            .field("evictions", &self.evictions)
+            .finish()
+    }
+}
+
+#[cfg(test)]
+mod btree_model;
 
 #[cfg(test)]
 mod tests {
@@ -335,6 +500,63 @@ mod tests {
         assert!(c.remove(BlockAddr(7)).is_none());
     }
 
+    #[test]
+    fn a_slot_is_32_bytes_for_the_protocols_line_states() {
+        use crate::dir::cache::CacheState;
+        use crate::snoop::cache::SnoopCacheState;
+        assert_eq!(std::mem::size_of::<Option<CacheLine<()>>>(), 32);
+        assert_eq!(std::mem::size_of::<Option<CacheLine<CacheState>>>(), 32);
+        assert_eq!(
+            std::mem::size_of::<Option<CacheLine<SnoopCacheState>>>(),
+            32
+        );
+    }
+
+    #[test]
+    fn the_table_grows_at_three_quarters_load() {
+        let mut c: CacheArray<()> = CacheArray::new(CacheGeometry { sets: 64, ways: 4 });
+        assert!(c.slots.is_empty());
+        for a in 0..6 {
+            c.insert(BlockAddr(a), (), 0);
+        }
+        assert_eq!(c.slots.len(), 8);
+        c.insert(BlockAddr(6), (), 0);
+        assert_eq!(c.slots.len(), 16);
+        for a in 7..256 {
+            c.insert(BlockAddr(a), (), 0);
+        }
+        assert_eq!(c.len(), 256);
+        assert_eq!(c.slots.len(), 512);
+        assert!((0..256).all(|a| c.probe(BlockAddr(a)).is_some()));
+    }
+
+    #[test]
+    fn equality_ignores_where_the_table_holds_each_line() {
+        // Two sets sharing a home slot, filled in opposite orders: the
+        // table layouts differ, the contents do not.
+        let geometry = CacheGeometry { sets: 64, ways: 4 };
+        let shift = 64 - MIN_SLOTS.trailing_zeros();
+        let (a, b) = (0..64u64)
+            .flat_map(|a| (a + 1..64).map(move |b| (a, b)))
+            .find(|&(a, b)| home_slot(a as u32, shift) == home_slot(b as u32, shift))
+            .expect("8 slots cannot separate 64 sets");
+        let mut x: CacheArray<u8> = CacheArray::new(geometry);
+        let mut y: CacheArray<u8> = CacheArray::new(geometry);
+        x.insert(BlockAddr(a), 1, 10);
+        x.insert(BlockAddr(b), 2, 20);
+        y.insert(BlockAddr(b), 2, 20);
+        y.insert(BlockAddr(a), 1, 10);
+        // Same lines, but stamped in a different order.
+        assert_ne!(x, y);
+        y.lookup(BlockAddr(a));
+        y.lookup(BlockAddr(b));
+        x.lookup(BlockAddr(a));
+        x.lookup(BlockAddr(b));
+        assert_ne!(x.slots, y.slots);
+        assert_eq!(x, y);
+        assert_eq!(format!("{x:?}"), format!("{y:?}"));
+    }
+
     proptest! {
         #[test]
         fn occupancy_never_exceeds_geometry(addrs in proptest::collection::vec(0u64..64, 0..200)) {
@@ -358,6 +580,173 @@ mod tests {
             for a in &addrs {
                 c.insert(BlockAddr(*a), 0u8, *a);
                 prop_assert!(c.probe(BlockAddr(*a)).is_some());
+            }
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Model equivalence: the flat table against the B-tree of sets it
+    // replaced. Random operation sequences must leave both with the same
+    // returned lines, evicted lines, counters, length, set-order iteration
+    // and equality.
+    // ------------------------------------------------------------------
+
+    use btree_model::BTreeCacheArray;
+
+    /// The geometries under test: direct-mapped single line, a tiny cache,
+    /// the snooping L1's shape in miniature, and a highly associative one.
+    const MODEL_GEOMETRIES: [(usize, usize); 4] = [(1, 1), (4, 2), (64, 4), (16, 16)];
+
+    /// Up to eight sets of `geometry` whose home slots collide, or sit one
+    /// slot apart, in the largest table the geometry can reach: they also
+    /// collide in every smaller table, so their clusters interleave.
+    fn colliding_sets(geometry: CacheGeometry) -> Vec<u64> {
+        let max_slots = (geometry.capacity_blocks() * 4 / 3 + 1).next_power_of_two();
+        let shift = 64 - max_slots.max(MIN_SLOTS).trailing_zeros();
+        let mut sets: Vec<u64> = (0..geometry.sets as u64).collect();
+        sets.sort_by_key(|&s| (home_slot(s as u32, shift), s));
+        let window = sets.len().min(8);
+        let start = (0..=sets.len() - window)
+            .min_by_key(|&i| {
+                home_slot(sets[i + window - 1] as u32, shift) - home_slot(sets[i] as u32, shift)
+            })
+            .expect("at least one set");
+        sets[start..start + window].to_vec()
+    }
+
+    /// The block that operand `pick` names. Half the picks address any of
+    /// three capacities' worth of blocks (set conflicts); the other half
+    /// stay within the colliding sets (home-slot conflicts).
+    fn pick_block(geometry: CacheGeometry, colliding: &[u64], pick: u64) -> BlockAddr {
+        let sets = geometry.sets as u64;
+        let tags = 3 * geometry.ways as u64;
+        if pick % 2 == 0 {
+            BlockAddr((pick / 2) % (sets * tags))
+        } else {
+            let pick = pick / 2;
+            let set = colliding[(pick % colliding.len() as u64) as usize];
+            BlockAddr(set + sets * ((pick / colliding.len() as u64) % tags))
+        }
+    }
+
+    /// Applies one operation to both arrays and checks they agree on its
+    /// result and on every observable afterwards.
+    fn step_both(
+        flat: &mut CacheArray<u8>,
+        model: &mut BTreeCacheArray<u8>,
+        op: u64,
+        addr: BlockAddr,
+        value: u64,
+    ) -> Result<(), TestCaseError> {
+        match op {
+            0 | 1 => prop_assert_eq!(
+                flat.insert(addr, value as u8, value),
+                model.insert(addr, value as u8, value)
+            ),
+            2 => prop_assert_eq!(flat.lookup(addr).copied(), model.lookup(addr).copied()),
+            3 => prop_assert_eq!(flat.probe(addr), model.probe(addr)),
+            4 => {
+                let (f, m) = (flat.get_mut(addr), model.get_mut(addr));
+                prop_assert_eq!(f.as_deref(), m.as_deref());
+                if let (Some(f), Some(m)) = (f, m) {
+                    f.data = value;
+                    m.data = value;
+                }
+            }
+            5 => prop_assert_eq!(flat.remove(addr), model.remove(addr)),
+            _ => {
+                prop_assert_eq!(
+                    flat.insertion_requires_eviction(addr),
+                    model.insertion_requires_eviction(addr)
+                );
+                prop_assert_eq!(flat.eviction_victim(addr), model.eviction_victim(addr));
+            }
+        }
+        prop_assert_eq!(
+            (flat.hits(), flat.misses(), flat.evictions()),
+            (model.hits(), model.misses(), model.evictions())
+        );
+        prop_assert_eq!(flat.len(), model.len());
+        prop_assert_eq!(flat.is_empty(), model.is_empty());
+        prop_assert!(flat.slots.iter().flatten().count() == flat.len());
+        Ok(())
+    }
+
+    /// Both arrays' lines, in the flat array's iteration order: set order,
+    /// then block order. The B-tree iterates in set order too, and within
+    /// a set in insertion order, so its lines are sorted the same way
+    /// after checking that its set order agrees.
+    fn same_contents(
+        flat: &CacheArray<u8>,
+        model: &BTreeCacheArray<u8>,
+    ) -> Result<(), TestCaseError> {
+        let sets = flat.geometry().sets;
+        let set_of = |l: &&CacheLine<u8>| l.addr.cache_set(sets);
+        let flat_lines: Vec<&CacheLine<u8>> = flat.iter().collect();
+        let mut model_lines: Vec<&CacheLine<u8>> = model.iter().collect();
+        let model_sets: Vec<usize> = model_lines.iter().map(set_of).collect();
+        prop_assert_eq!(
+            flat_lines.iter().map(set_of).collect::<Vec<_>>(),
+            model_sets
+        );
+        model_lines.sort_by_key(|l| (l.addr.cache_set(sets), l.addr));
+        prop_assert_eq!(flat_lines, model_lines);
+        Ok(())
+    }
+
+    fn check_against_model(
+        (sets, ways): (usize, usize),
+        ops: &[(u64, u64, u64)],
+    ) -> Result<(), TestCaseError> {
+        let geometry = CacheGeometry { sets, ways };
+        let colliding = colliding_sets(geometry);
+        let mut flat = CacheArray::new(geometry);
+        let mut model = BTreeCacheArray::new(geometry);
+        prop_assert_eq!(flat.geometry(), model.geometry());
+        // Copies taken halfway, then driven by the second half on both
+        // sides of each copy: a copy shares nothing with its source.
+        let mut copies: Option<(CacheArray<u8>, BTreeCacheArray<u8>)> = None;
+        for (i, &(op, pick, value)) in ops.iter().enumerate() {
+            let addr = pick_block(geometry, &colliding, pick);
+            step_both(&mut flat, &mut model, op, addr, value)?;
+            if let Some((flat_copy, model_copy)) = copies.as_mut() {
+                let mirrored = (op + 1) % 7;
+                step_both(flat_copy, model_copy, mirrored, addr, value ^ 0xff)?;
+                prop_assert_eq!(*flat_copy == flat, *model_copy == model);
+            } else if i == ops.len() / 2 {
+                prop_assert!(flat.clone() == flat);
+                copies = Some((flat.clone(), model.clone()));
+            }
+        }
+        same_contents(&flat, &model)?;
+        prop_assert_eq!(flat.clone() == flat, model.clone() == model);
+        if let Some((flat_copy, model_copy)) = copies {
+            same_contents(&flat_copy, &model_copy)?;
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn flat_table_matches_the_btree_model(
+            geometry in 0usize..MODEL_GEOMETRIES.len(),
+            ops in proptest::collection::vec((0u64..7, 0u64..4096, 0u64..256), 0..600),
+        ) {
+            check_against_model(MODEL_GEOMETRIES[geometry], &ops)?;
+        }
+    }
+
+    #[test]
+    fn every_geometry_matches_the_btree_model_on_a_long_stream() {
+        let mut rng = specsim_base::DetRng::new(4243);
+        for geometry in MODEL_GEOMETRIES {
+            let ops: Vec<(u64, u64, u64)> = (0..20_000)
+                .map(|_| (rng.next_below(7), rng.next_below(4096), rng.next_below(256)))
+                .collect();
+            if let Err(e) = check_against_model(geometry, &ops) {
+                panic!("{geometry:?}: {e}");
             }
         }
     }

@@ -10,9 +10,7 @@
 //! SafetyNet logs incrementally in hardware (Table 2: 72-byte log entries =
 //! 64-byte block pre-image + metadata).
 
-use std::collections::HashMap;
-
-use specsim_base::BlockAddr;
+use specsim_base::{BlockAddr, FastMap};
 
 /// One undo-log entry: the block and the value it held before the write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,7 +26,7 @@ pub struct WriteLogEntry {
 /// Untouched blocks read as zero, mirroring a zero-initialised machine.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MemoryStore {
-    blocks: HashMap<BlockAddr, u64>,
+    blocks: FastMap<BlockAddr, u64>,
     write_log: Vec<WriteLogEntry>,
     writes: u64,
     reads: u64,

@@ -24,10 +24,10 @@
 //! receives a Forwarded-RequestReadWrite determines this situation to be a
 //! mis-speculation and triggers a system recovery").
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use specsim_base::{
-    BlockAddr, Counter, Cycle, CycleDelta, MemorySystemConfig, NodeId, ProtocolVariant,
+    BlockAddr, Counter, Cycle, CycleDelta, FastMap, MemorySystemConfig, NodeId, ProtocolVariant,
 };
 
 use crate::cache_array::{CacheArray, CacheGeometry};
@@ -163,7 +163,7 @@ pub struct DirCacheController {
     demands: Vec<DemandMiss>,
     /// MSHR capacity.
     mshr_entries: usize,
-    writebacks: HashMap<BlockAddr, WritebackEntry>,
+    writebacks: FastMap<BlockAddr, WritebackEntry>,
     outgoing: VecDeque<OutMsg>,
     completed: VecDeque<CompletedAccess>,
     stats: CacheCtrlStats,
@@ -189,7 +189,7 @@ impl DirCacheController {
             l2_hit_cycles: config.l2_hit_cycles,
             demands: Vec::new(),
             mshr_entries: config.mshr_entries.max(1),
-            writebacks: HashMap::new(),
+            writebacks: FastMap::default(),
             outgoing: VecDeque::new(),
             completed: VecDeque::new(),
             stats: CacheCtrlStats::default(),

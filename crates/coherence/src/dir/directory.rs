@@ -22,9 +22,9 @@
 //!   Forwarded-RequestReadWrite before this Writeback-Ack — the speculation
 //!   on point-to-point ordering.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
-use specsim_base::{BlockAddr, Counter, Cycle, NodeId, ProtocolVariant};
+use specsim_base::{BlockAddr, Counter, Cycle, FastMap, NodeId, ProtocolVariant};
 
 use crate::data::{MemoryStore, WriteLogEntry};
 use crate::types::{NodeSet, ProtocolError};
@@ -93,7 +93,7 @@ pub struct DirStats {
 pub struct DirectoryController {
     node: NodeId,
     variant: ProtocolVariant,
-    entries: HashMap<BlockAddr, DirEntry>,
+    entries: FastMap<BlockAddr, DirEntry>,
     memory: MemoryStore,
     outgoing: VecDeque<OutMsg>,
     stats: DirStats,
@@ -106,7 +106,7 @@ impl DirectoryController {
         Self {
             node,
             variant,
-            entries: HashMap::new(),
+            entries: FastMap::default(),
             memory: MemoryStore::new(),
             outgoing: VecDeque::new(),
             stats: DirStats::default(),

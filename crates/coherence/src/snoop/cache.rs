@@ -8,10 +8,10 @@
 //! Writeback remains the owner until its Writeback is ordered, which is what
 //! creates the corner case of Section 3.2.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use specsim_base::{
-    BlockAddr, Counter, Cycle, CycleDelta, MemorySystemConfig, NodeId, ProtocolVariant,
+    BlockAddr, Counter, Cycle, CycleDelta, FastMap, MemorySystemConfig, NodeId, ProtocolVariant,
 };
 
 use crate::cache_array::{CacheArray, CacheGeometry};
@@ -143,7 +143,7 @@ pub struct SnoopCacheController {
     /// Outstanding demand misses (the MSHR file), bounded by `mshr_entries`.
     demands: Vec<SnoopDemand>,
     mshr_entries: usize,
-    writebacks: HashMap<BlockAddr, WritebackEntry>,
+    writebacks: FastMap<BlockAddr, WritebackEntry>,
     outgoing_bus: VecDeque<SnoopRequest>,
     outgoing_data: VecDeque<SnoopDataOut>,
     completed: VecDeque<SnoopCompletedAccess>,
@@ -170,7 +170,7 @@ impl SnoopCacheController {
             l2_hit_cycles: config.l2_hit_cycles,
             demands: Vec::new(),
             mshr_entries: config.mshr_entries.max(1),
-            writebacks: HashMap::new(),
+            writebacks: FastMap::default(),
             outgoing_bus: VecDeque::new(),
             outgoing_data: VecDeque::new(),
             completed: VecDeque::new(),

@@ -7,9 +7,9 @@
 //! requestors. Writeback data arrives on the data network after the owning
 //! cache observes its own Writeback.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
-use specsim_base::{BlockAddr, Counter, Cycle, NodeId};
+use specsim_base::{BlockAddr, Counter, Cycle, FastMap, NodeId};
 
 use crate::data::{MemoryStore, WriteLogEntry};
 use crate::types::ProtocolError;
@@ -33,7 +33,7 @@ pub struct SnoopMemoryController {
     node: NodeId,
     num_nodes: usize,
     memory: MemoryStore,
-    owner: HashMap<BlockAddr, NodeId>,
+    owner: FastMap<BlockAddr, NodeId>,
     outgoing_data: VecDeque<SnoopDataOut>,
     stats: SnoopMemoryStats,
 }
@@ -47,7 +47,7 @@ impl SnoopMemoryController {
             node,
             num_nodes,
             memory: MemoryStore::new(),
-            owner: HashMap::new(),
+            owner: FastMap::default(),
             outgoing_data: VecDeque::new(),
             stats: SnoopMemoryStats::default(),
         }

@@ -16,8 +16,9 @@
 //!   cache controller ingests a message; one whose request the slow-start
 //!   gate holds back is parked until any cache controller ingests a
 //!   message or slow-start ends. Skipped retries of both kinds are settled
-//!   in bulk. The slow-start demand census is computed lazily on the first
-//!   cycle a processor actually presents a request;
+//!   in bulk. The slow-start demand census is taken only in slow-start,
+//!   where the gate can bind, and lazily, on the first cycle a processor
+//!   actually presents a request;
 //! * **quiescence fast-forward** — [`SystemEngine::run_for`] jumps the
 //!   clock over cycles in which nothing can happen: the outbox worklist is
 //!   empty, no wheel entry and no engine deadline falls, and the protocol's
@@ -1272,7 +1273,8 @@ impl<P: ProtocolNode> SystemEngine<P> {
         // Demand census for the slow-start governor, computed lazily on the
         // first cycle a processor actually presents a request: on quiescent
         // cycles (every processor mid-think or blocked on a miss) the whole
-        // per-cache scan is skipped.
+        // per-cache scan is skipped. Outside slow-start the limit is
+        // unbounded, the gate cannot bind, and the census is never taken.
         let mut outstanding: Option<usize> = None;
         let mut cursor = 0;
         while let Some(i) = self.wake.due.next_at_or_after(cursor) {
@@ -1305,8 +1307,9 @@ impl<P: ProtocolNode> SystemEngine<P> {
                 continue;
             };
             self.probe.processor_polls += 1;
-            let outstanding = outstanding.get_or_insert_with(|| P::outstanding_demand(&self.arch));
-            if *outstanding >= limit {
+            if limit != usize::MAX
+                && *outstanding.get_or_insert_with(|| P::outstanding_demand(&self.arch)) >= limit
+            {
                 // Slow-start governor: hold back new transactions, and park
                 // the node until the census can fall or the limit rise.
                 self.wake.held[i] = now;
@@ -1328,7 +1331,9 @@ impl<P: ProtocolNode> SystemEngine<P> {
                 }
                 EngineAccess::MissIssued => {
                     proc.note_miss_issued(now);
-                    *outstanding += 1;
+                    if let Some(outstanding) = outstanding.as_mut() {
+                        *outstanding += 1;
+                    }
                 }
                 EngineAccess::Stall => {
                     proc.note_stall();

@@ -9,9 +9,7 @@
 //! later-numbered packet from the same stream has already arrived — the
 //! "fraction of messages re-ordered" statistic of Section 5.3.
 
-use std::collections::HashMap;
-
-use specsim_base::NodeId;
+use specsim_base::{FastMap, NodeId};
 
 use crate::packet::{VirtualNetwork, ALL_VIRTUAL_NETWORKS};
 
@@ -22,8 +20,8 @@ type StreamKey = (NodeId, NodeId, usize);
 /// delivery.
 #[derive(Debug, Default, Clone)]
 pub struct OrderingTracker {
-    next_seq: HashMap<StreamKey, u64>,
-    highest_delivered: HashMap<StreamKey, u64>,
+    next_seq: FastMap<StreamKey, u64>,
+    highest_delivered: FastMap<StreamKey, u64>,
     delivered_per_vnet: [u64; 4],
     reordered_per_vnet: [u64; 4],
 }

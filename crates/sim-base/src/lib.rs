@@ -11,6 +11,8 @@
 //! * [`time`] — the cycle clock and time conversion helpers,
 //! * [`ids`] — node identifiers, physical addresses and cache-block math,
 //! * [`config`] — the target-system parameters of the paper's Table 2,
+//! * [`hash`] — a fixed multiply-rotate hasher and the [`FastMap`] alias
+//!   for the hot-path maps keyed by block address or stream,
 //! * [`fault`] — seed-deterministic transient-fault schedules and the
 //!   runtime director that injects them (SafetyNet's original job was
 //!   masking exactly these faults),
@@ -35,6 +37,7 @@
 pub mod active;
 pub mod config;
 pub mod fault;
+pub mod hash;
 pub mod ids;
 pub mod msgsize;
 pub mod queue;
@@ -52,6 +55,7 @@ pub use config::{
 pub use fault::{
     FaultConfig, FaultDirector, FaultEvent, FaultKind, FaultPlan, FaultSite, ALL_FAULT_KINDS,
 };
+pub use hash::FastMap;
 pub use ids::{Address, BlockAddr, NodeId};
 pub use msgsize::{MessageSize, CONTROL_MSG_BYTES, DATA_MSG_BYTES};
 pub use queue::MsgQueue;
