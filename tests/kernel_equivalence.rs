@@ -206,12 +206,18 @@ const GOLDEN_SNOOP_DATA_TORUS_400: u64 = 0x084d1fa80ab27e48;
 const GOLDEN_NET_SHARED_POOL: u64 = 0x2ea57983677172d5;
 const GOLDEN_DIR_TRACE_REPLAY: u64 = 0x0ec36632238bff1a;
 const GOLDEN_DIR_256_NODES: u64 = 0x784ef0f04071c789;
-const GOLDEN_DIR_1024_NODES: u64 = 0xd2b922f780ca8eca;
-const GOLDEN_DIR16_HOT_PARKING: u64 = 0xe661884929613c41;
-const GOLDEN_SNOOP16_HOT_PARKING: u64 = 0xb780296ca9cea10a;
-const GOLDEN_DIR_POOL8_DEADLOCK: u64 = 0xc670da342e9382d5;
-const GOLDEN_DIR_POOL_SPLIT_12_4: u64 = 0x2ead0a5b57249d43;
-const GOLDEN_SNOOP_POOLED_DATA_TORUS_16: u64 = 0x7a55b5234861f87c;
+const GOLDEN_DIR_1024_NODES: u64 = 0x85bb95221a5c9060;
+const GOLDEN_DIR16_HOT_PARKING: u64 = 0x8df895330a857b33;
+const GOLDEN_SNOOP16_HOT_PARKING: u64 = 0x00bbbc6c727fa769;
+const GOLDEN_DIR_POOL8_DEADLOCK: u64 = 0xc94413659f087df8;
+const GOLDEN_DIR_POOL_SPLIT_12_4: u64 = 0x4dfb424c7eddb176;
+const GOLDEN_SNOOP_POOLED_DATA_TORUS_16: u64 = 0x989e28613471598c;
+const PROBE_DIR_1024_NODES: (u64, u64) = (5072435, 47565);
+const PROBE_DIR16_HOT_PARKING: (u64, u64) = (3577296, 227536);
+const PROBE_SNOOP16_HOT_PARKING: (u64, u64) = (811427, 148573);
+const PROBE_DIR_POOL8_DEADLOCK: (u64, u64) = (453172, 169244);
+const PROBE_DIR_POOL_SPLIT_12_4: (u64, u64) = (536791, 85625);
+const PROBE_SNOOP_POOLED_DATA_TORUS_16: (u64, u64) = (852373, 90043);
 
 #[test]
 fn rectangular_4x2_network_matches_golden_under_both_policies() {
@@ -566,11 +572,8 @@ fn directory_1024_nodes_matches_golden() {
     let mut sys = DirectorySystem::new(dir_1024_config());
     let m = sys.run_for(5_000).expect("no protocol errors");
     assert!(m.ops_completed > 0);
-    check(
-        "dir_1024_nodes",
-        GOLDEN_DIR_1024_NODES,
-        run_digest(&m, sys.engine_probe()),
-    );
+    check("dir_1024_nodes", GOLDEN_DIR_1024_NODES, run_digest(&m));
+    check_probe("dir_1024_nodes", PROBE_DIR_1024_NODES, sys.engine_probe());
 }
 
 #[test]
@@ -628,17 +631,31 @@ fn sharded_runner_preserves_per_seed_results_and_order() {
     check("runner_directory", GOLDEN_RUNNER_DIRECTORY, d.0);
 }
 
-/// Digest of a whole run as the processor-tick kernel sees it: every
-/// `RunMetrics` field (through its `Debug` form) plus the engine's processor
-/// poll/skip counters, which must equal what a dense every-node scan counts
-/// (a parked stall retry is one poll per skipped cycle).
-fn run_digest(m: &RunMetrics, probe: specsim::EngineProbe) -> u64 {
+/// Digest of every `RunMetrics` field, through its `Debug` form.
+fn run_digest(m: &RunMetrics) -> u64 {
     let mut d = Digest::new();
     for byte in format!("{m:?}").bytes() {
         d.u64(u64::from(byte));
     }
-    d.u64(probe.processor_polls).u64(probe.processor_skips);
     d.0
+}
+
+/// Checks the engine's processor work counters, `(processor_polls,
+/// processor_skips)`, against their pinned values. They are pinned apart
+/// from the metrics digest because they count the engine's work, not the
+/// simulated machine's behaviour.
+fn check_probe(name: &str, golden: (u64, u64), probe: specsim::EngineProbe) {
+    let actual = (probe.processor_polls, probe.processor_skips);
+    if std::env::var("SPECSIM_PRINT_GOLDENS").is_ok() {
+        println!(
+            "const PROBE_{}: (u64, u64) = ({}, {});",
+            name.to_uppercase(),
+            actual.0,
+            actual.1
+        );
+        return;
+    }
+    assert_eq!(actual, golden, "{name}: processor polls and skips");
 }
 
 #[test]
@@ -661,7 +678,12 @@ fn directory_hot_run_with_parking_and_slow_start_matches_golden() {
     check(
         "dir16_hot_parking",
         GOLDEN_DIR16_HOT_PARKING,
-        run_digest(&m, sys.engine_probe()),
+        run_digest(&m),
+    );
+    check_probe(
+        "dir16_hot_parking",
+        PROBE_DIR16_HOT_PARKING,
+        sys.engine_probe(),
     );
 }
 
@@ -679,7 +701,12 @@ fn snooping_hot_run_with_parking_matches_golden() {
     check(
         "snoop16_hot_parking",
         GOLDEN_SNOOP16_HOT_PARKING,
-        run_digest(&m, sys.engine_probe()),
+        run_digest(&m),
+    );
+    check_probe(
+        "snoop16_hot_parking",
+        PROBE_SNOOP16_HOT_PARKING,
+        sys.engine_probe(),
     );
 }
 
@@ -713,7 +740,12 @@ fn directory_8_slot_pool_across_a_buffer_deadlock_matches_golden() {
     check(
         "dir_pool8_deadlock",
         GOLDEN_DIR_POOL8_DEADLOCK,
-        run_digest(&m, sys.engine_probe()),
+        run_digest(&m),
+    );
+    check_probe(
+        "dir_pool8_deadlock",
+        PROBE_DIR_POOL8_DEADLOCK,
+        sys.engine_probe(),
     );
 }
 
@@ -728,7 +760,12 @@ fn directory_split_pool_matches_golden() {
     check(
         "dir_pool_split_12_4",
         GOLDEN_DIR_POOL_SPLIT_12_4,
-        run_digest(&m, sys.engine_probe()),
+        run_digest(&m),
+    );
+    check_probe(
+        "dir_pool_split_12_4",
+        PROBE_DIR_POOL_SPLIT_12_4,
+        sys.engine_probe(),
     );
 }
 
@@ -745,7 +782,12 @@ fn snooping_pooled_data_torus_matches_golden() {
     check(
         "snoop_pooled_data_torus_16",
         GOLDEN_SNOOP_POOLED_DATA_TORUS_16,
-        run_digest(&m, sys.engine_probe()),
+        run_digest(&m),
+    );
+    check_probe(
+        "snoop_pooled_data_torus_16",
+        PROBE_SNOOP_POOLED_DATA_TORUS_16,
+        sys.engine_probe(),
     );
 }
 
@@ -802,10 +844,6 @@ fn assert_run_for_matches_step_loop<M: Machine>(
     let m_stepped = stepped.collect();
     let (p_fast, p_stepped) = (fast.probe(), stepped.probe());
     assert_eq!(format!("{m_fast:?}"), format!("{m_stepped:?}"));
-    assert_eq!(
-        run_digest(&m_fast, p_fast),
-        run_digest(&m_stepped, p_stepped)
-    );
     assert_eq!(p_stepped.cycles_fast_forwarded, 0, "step() fast-forwarded");
     assert_eq!(
         specsim::EngineProbe {
