@@ -10,22 +10,22 @@
 //!   wake-cycle hint and files every hint it sets or lowers in a
 //!   [`TimingWheel`]. Each tick pops the ripe wheel entries and visits only
 //!   the nodes whose hint has come due, in ascending order, re-validating
-//!   each against [`Processor::ready_at`]; the nodes it does not visit are
-//!   counted as skips in bulk, so no per-cycle work scales with the node
-//!   count. A processor whose request stalls is *parked* until its own
-//!   cache controller ingests a message; one whose request the slow-start
-//!   gate holds back is parked until any cache controller ingests a
-//!   message or slow-start ends. Skipped retries of both kinds are settled
-//!   in bulk. The slow-start demand census is taken only in slow-start,
-//!   where the gate can bind, and lazily, on the first cycle a processor
-//!   actually presents a request;
+//!   each against [`Processor::ready_at`], so no per-cycle work scales
+//!   with the node count. A processor whose request stalls is *parked*
+//!   until its own cache controller ingests a message, in every mode; one
+//!   whose request the slow-start gate holds back is parked until any
+//!   cache controller ingests a message or slow-start ends. A parked node
+//!   is not visited at all, and nothing is owed for the cycles it sat out.
+//!   The slow-start demand census is taken only in slow-start, where the
+//!   gate can bind, and lazily, on the first cycle a processor actually
+//!   presents a request;
 //! * **quiescence fast-forward** — [`SystemEngine::run_for`] jumps the
 //!   clock over cycles in which nothing can happen: the outbox worklist is
 //!   empty, no wheel entry and no engine deadline falls, and the protocol's
 //!   fabrics and controllers report nothing before a later cycle
-//!   ([`ProtocolNode::next_event_at`]). The skipped cycles' per-cycle
-//!   counters are accounted in bulk; [`SystemEngine::step`] still advances
-//!   exactly one cycle;
+//!   ([`ProtocolNode::next_event_at`]). The skipped cycles' mode-timeline
+//!   entries and fabric round-robin turns are accounted in bulk;
+//!   [`SystemEngine::step`] still advances exactly one cycle;
 //! * **message outbox plumbing over one-or-more fabrics** — the
 //!   [`StagedOutbox`] staging queue holds controller outputs while they wait
 //!   out their access latency, then injects them into whichever fabric the
@@ -60,9 +60,9 @@
 //! architectural state it checkpoints, the per-node controller hooks the
 //! engine drives, and one `exchange` method that moves messages across its
 //! fabrics in protocol order. `tests/kernel_equivalence.rs` pins the
-//! schedule byte-for-byte, including the processor poll/skip counts a dense
-//! every-node scan would report, and checks that `run_for` matches a
-//! `step()` loop.
+//! schedule byte-for-byte, pins the engine's processor work counters
+//! apart from the metrics, and checks that `run_for` matches a `step()`
+//! loop.
 //!
 //! The engine is single-threaded: every fabric forwards serially through
 //! one [`Network::tick`].
@@ -201,21 +201,23 @@ impl<M: Copy> StagedOutbox<M> {
 
 /// Counters describing how much per-cycle work the engine did — the
 /// observable face of the idle-skip/wake-up machinery, used by the
-/// invariant tests shared by both protocols. The processor poll and skip
-/// counters are those a dense every-node scan would report (a parked node's
-/// skipped retries are settled as polls); the visit counters count the
-/// visits the tick and the exchange worklists actually made. A
-/// fast-forwarded cycle makes no visit (no node is due and the outbox
-/// worklist is empty), so every counter except the last is identical
-/// whether a run used [`SystemEngine::run_for`] or a [`SystemEngine::step`]
-/// loop.
+/// invariant tests shared by both protocols. Every counter counts work the
+/// engine did or left undone; none replays what a dense every-node scan
+/// would have done. A fast-forwarded cycle makes no visit (no node is due
+/// and the outbox worklist is empty), so every counter except the last is
+/// identical whether a run used [`SystemEngine::run_for`] or a
+/// [`SystemEngine::step`] loop. A rollback does not rewind them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineProbe {
-    /// Processor polls performed (the processor was awake and was asked for
-    /// a request).
+    /// Requests processors presented to the tick: visits that found the
+    /// processor ready with a request, whether the cache then took it,
+    /// stalled it, or the slow-start gate held it back. At most
+    /// `tick_visits`.
     pub processor_polls: u64,
-    /// Processor visits skipped because the node's wake-up cycle had not
-    /// arrived (thinking or blocked on an outstanding miss).
+    /// Node-cycles the tick did not visit: `n` for every cycle the tick
+    /// ran (every cycle outside a recovery's stall window, fast-forwarded
+    /// ones included), less `tick_visits`. Derived from the mode timeline
+    /// and `tick_visits` when the probe is read.
     pub processor_skips: u64,
     /// Processor tick: nodes visited because their wake hint had come due
     /// (the work the tick did). The dense equivalent is one visit per node
@@ -333,24 +335,21 @@ pub(crate) struct WakeIndex {
     due: ActiveSet,
     /// Reusable batch buffer for draining the wheel.
     batch: Vec<Wake>,
-    /// Per-node cycle at which the node was parked with a stalled request
-    /// (`Cycle::MAX` = not parked). A stall retry's outcome depends only on
-    /// the node's own cache controller, and repeating it changes nothing a
-    /// later decision reads (it re-touches the LRU stamp of a line nothing
-    /// else touches meanwhile), so instead of re-presenting it every cycle
-    /// the tick parks the node until that controller next ingests a message
-    /// ([`EngineCtx::note_cache_activity`]) and settles the skipped retries
-    /// in bulk ([`Processor::note_skipped_stalls`]) when it is re-visited.
-    parked: Vec<Cycle>,
-    /// Per-node cycle of the latest retry of a request the slow-start gate
-    /// held back (`Cycle::MAX` = not held). A held retry reads only the
-    /// gate: the system-wide demand census against the outstanding limit.
-    /// The census falls only when some cache controller ingests a message,
-    /// and the limit rises only when slow-start expires, so the node is
-    /// parked until one of those happens and its skipped retries are
-    /// settled as probe polls (a held retry changes no processor state).
-    held: Vec<Cycle>,
-    /// Nodes held since the last gate wake-up (each at most once).
+    /// Nodes parked with a stalled request. A stall retry's outcome
+    /// depends only on the node's own cache controller, and repeating it
+    /// changes nothing a later decision reads (it re-touches the LRU stamp
+    /// of a line nothing else touches meanwhile). So instead of
+    /// re-presenting it every cycle the tick parks the node until that
+    /// controller next ingests a message ([`EngineCtx::note_cache_activity`]).
+    /// In slow-start the gate may hold a retry back instead, which changes
+    /// no state either, so stalled nodes park in every mode.
+    parked: ActiveSet,
+    /// Nodes whose request the slow-start gate held back since the last
+    /// gate wake-up. A held retry reads only the gate: the system-wide
+    /// demand census against the outstanding limit. The census falls only
+    /// when some cache controller ingests a message, and the limit rises
+    /// only when slow-start expires, so each node is parked until one of
+    /// those happens.
     held_list: Vec<usize>,
 }
 
@@ -362,8 +361,7 @@ impl WakeIndex {
             wheel: TimingWheel::with_horizon(WAKE_HORIZON),
             due: ActiveSet::new(n),
             batch: Vec::new(),
-            parked: vec![Cycle::MAX; n],
-            held: vec![Cycle::MAX; n],
+            parked: ActiveSet::new(n),
             held_list: Vec::new(),
         };
         index.reset(0);
@@ -385,8 +383,8 @@ impl WakeIndex {
         }
     }
 
-    /// Makes every node held by the gate due at `at`; each is settled and
-    /// re-presents its request on that visit.
+    /// Makes every node held by the gate due at `at`; each re-presents its
+    /// request on that visit.
     fn wake_held(&mut self, at: Cycle) {
         for k in 0..self.held_list.len() {
             self.lower(self.held_list[k], at);
@@ -402,8 +400,7 @@ impl WakeIndex {
         for i in 0..self.wake_at.len() {
             self.set(i, at);
         }
-        self.parked.fill(Cycle::MAX);
-        self.held.fill(Cycle::MAX);
+        self.parked.clear();
         self.held_list.clear();
     }
 
@@ -632,7 +629,7 @@ impl<'a, A: Clone> EngineCtx<'a, A> {
     /// Protocols must call this for every message their cache controller
     /// observes.
     pub fn note_cache_activity(&mut self, now: Cycle, i: usize) {
-        if self.wake.parked[i] != Cycle::MAX {
+        if self.wake.parked.contains(i) {
             self.wake.lower(i, now + 1);
         }
         self.wake.wake_held(now + 1);
@@ -946,7 +943,13 @@ impl<P: ProtocolNode> SystemEngine<P> {
     /// The engine's work counters (idle-skip/wake-up observability).
     #[must_use]
     pub fn engine_probe(&self) -> EngineProbe {
-        self.probe
+        // The tick runs once per cycle outside a recovery's stall window.
+        let n = self.wake.wake_at.len() as u64;
+        let ticked = self.now - self.timeline.cycles_in(EngineMode::Rollback);
+        EngineProbe {
+            processor_skips: n * ticked - self.probe.tick_visits,
+            ..self.probe
+        }
     }
 
     /// Memory operations committed so far across all processors.
@@ -985,8 +988,8 @@ impl<P: ProtocolNode> SystemEngine<P> {
     /// wake index's earliest wheel entry (a processor or parked-outbox
     /// wake); and the protocol's [`ProtocolNode::next_event_at`]. No jump
     /// starts while an exchange worklist is non-empty. Each skipped cycle is
-    /// accounted as its step would have been: one mode-timeline cycle, a
-    /// skip for every processor, and one fabric tick's round-robin turn.
+    /// accounted as its step would have been: one mode-timeline cycle and
+    /// one fabric tick's round-robin turn (its tick visits no node).
     /// Inside a recovery's stall window the step does nothing but the
     /// timeline, so the jump runs to the resume cycle. Off while a fault
     /// plan is armed (faults strike on a per-cycle schedule the horizon
@@ -1041,12 +1044,10 @@ impl<P: ProtocolNode> SystemEngine<P> {
             return;
         }
         let cycles = horizon - 1 - now;
-        let n = self.wake.wake_at.len() as u64;
         // The skipped steps would have visited no outbox.
         debug_assert!(self.exchange.outbox.is_empty());
         self.timeline
             .observe_span(now + 1, self.engine_mode(now + 1), cycles);
-        self.probe.processor_skips += n * cycles;
         self.probe.cycles_fast_forwarded += cycles;
         P::torus_mut(&mut self.arch).skip_idle_cycles(cycles);
         self.now = horizon - 1;
@@ -1246,30 +1247,20 @@ impl<P: ProtocolNode> SystemEngine<P> {
     }
 
     /// The processor tick: visits, in ascending node order, every node
-    /// whose wake hint has come due, with per-node state transitions and
-    /// probe counts identical to a dense every-node scan. The due nodes are
-    /// the ripe entries of the wake index's timing wheel (whose drain also
-    /// re-lists parked outboxes whose front has ripened); every other node
-    /// is counted as a skip in bulk. Due hints are re-validated against the
-    /// processor's live `ready_at()`; a visit then re-files the node's hint
-    /// from its post-tick wake cycle.
+    /// whose wake hint has come due, with per-node state transitions
+    /// identical to a dense every-node scan. The due nodes are the ripe
+    /// entries of the wake index's timing wheel (whose drain also re-lists
+    /// parked outboxes whose front has ripened). Due hints are re-validated
+    /// against the processor's live `ready_at()`; a visit then re-files the
+    /// node's hint from its post-tick wake cycle.
     fn tick_processors(&mut self, now: Cycle) {
         let limit = self.outstanding_limit();
-        // Stall parking is exact only while the outstanding-transaction gate
-        // cannot bind: in slow-start a dense scan's retry of a stalled
-        // request may instead be held by the gate, which leaves the
-        // processor's stall count alone, so stalled nodes keep the
-        // every-cycle retry. Slow-start is only ever entered through a
-        // recovery, which unparks every node. Requests held by the gate
-        // itself are parked in slow-start too (see `WakeIndex::held`).
-        let may_park = limit == usize::MAX;
+        #[cfg(not(test))]
+        let park_stalls = true;
         #[cfg(test)]
-        let may_park = may_park && !self.dense_stall_retries;
+        let park_stalls = !self.dense_stall_retries;
         self.wake.drain(now, &mut self.exchange.outbox);
-        let due = self.wake.due.len() as u64;
-        self.probe.tick_visits += due;
-        // Mid-think, blocked on a miss, or parked.
-        self.probe.processor_skips += self.wake.wake_at.len() as u64 - due;
+        self.probe.tick_visits += self.wake.due.len() as u64;
         // Demand census for the slow-start governor, computed lazily on the
         // first cycle a processor actually presents a request: on quiescent
         // cycles (every processor mid-think or blocked on a miss) the whole
@@ -1280,24 +1271,11 @@ impl<P: ProtocolNode> SystemEngine<P> {
         while let Some(i) = self.wake.due.next_at_or_after(cursor) {
             cursor = i + 1;
             self.wake.due.remove(i);
-            // Re-visiting a parked or held node: settle the retries a dense
-            // scan performed on every skipped cycle in `(parked, now)` — the
-            // retry at `now` itself happens below.
-            if self.wake.parked[i] != Cycle::MAX {
-                let skipped = now.saturating_sub(self.wake.parked[i] + 1);
-                self.settle_stalls(i, skipped);
-                self.wake.parked[i] = Cycle::MAX;
-            }
-            if self.wake.held[i] != Cycle::MAX {
-                let skipped = now.saturating_sub(self.wake.held[i] + 1);
-                self.settle_probe(skipped);
-                self.wake.held[i] = Cycle::MAX;
-            }
+            self.wake.parked.remove(i);
             match P::procs(&self.arch)[i].ready_at() {
                 Some(ready) if ready <= now => {}
                 ready => {
                     self.wake.set(i, ready.unwrap_or(Cycle::MAX));
-                    self.probe.processor_skips += 1;
                     continue;
                 }
             }
@@ -1312,7 +1290,6 @@ impl<P: ProtocolNode> SystemEngine<P> {
             {
                 // Slow-start governor: hold back new transactions, and park
                 // the node until the census can fall or the limit rise.
-                self.wake.held[i] = now;
                 self.wake.set(i, Cycle::MAX);
                 self.wake.held_list.push(i);
                 self.probe.held_parks += 1;
@@ -1335,35 +1312,17 @@ impl<P: ProtocolNode> SystemEngine<P> {
                         *outstanding += 1;
                     }
                 }
-                EngineAccess::Stall => {
-                    proc.note_stall();
-                    if may_park {
-                        self.wake.parked[i] = now;
-                        self.wake.set(i, Cycle::MAX);
-                        continue;
-                    }
+                EngineAccess::Stall if park_stalls => {
+                    self.wake.parked.insert(i);
+                    self.wake.set(i, Cycle::MAX);
+                    continue;
                 }
+                EngineAccess::Stall => {}
             }
             // Thinking: due when the think time elapses; blocked: woken by
             // completion delivery; still presenting a request: due next cycle.
             self.wake.set(i, proc.ready_at().unwrap_or(Cycle::MAX));
         }
-    }
-
-    /// Accounts `skipped` stall retries of parked node `i` exactly as the
-    /// dense scan would have: in the processor's statistics, and in the
-    /// probe as polls rather than the skips the tick counted them as.
-    fn settle_stalls(&mut self, i: usize, skipped: u64) {
-        P::procs_mut(&mut self.arch)[i].note_skipped_stalls(skipped);
-        self.settle_probe(skipped);
-    }
-
-    /// Counts `skipped` retries of a parked node as the polls a dense scan
-    /// made, not the skips the tick counted them as. This is all a retry
-    /// held by the slow-start gate settles: it changes no processor state.
-    fn settle_probe(&mut self, skipped: u64) {
-        self.probe.processor_polls += skipped;
-        self.probe.processor_skips -= skipped;
     }
 
     fn safetynet_tick(&mut self, now: Cycle) {
@@ -1386,36 +1345,10 @@ impl<P: ProtocolNode> SystemEngine<P> {
             .checkpoint_due(&self.arch, &self.safetynet, now)
             && self.safetynet.can_checkpoint()
         {
-            // Parked nodes' skipped stall retries must be settled before the
-            // snapshot (processor stats are checkpointed state): the tick at
-            // `now` precedes this snapshot, so the settle covers
-            // `(parked, now]` and re-bases the park cycle to `now`.
-            self.settle_parked(now);
             let snapshot = self.arch.clone();
             self.safetynet.take_checkpoint(now, snapshot);
             if let Some(t) = self.telemetry.as_mut() {
                 t.record(SpecEvent::Checkpoint { at: now });
-            }
-        }
-    }
-
-    /// Brings parked and held nodes' retry accounting up to date with the
-    /// dense scan as of the end of cycle `now`'s tick phase (the dense scan
-    /// at `now` has already retried), re-basing each park cycle to `now` so
-    /// later settles do not double-count. Called before state observations
-    /// that include processor stats or probe counts: a SafetyNet snapshot,
-    /// a rollback and metrics collection.
-    fn settle_parked(&mut self, now: Cycle) {
-        for i in 0..self.wake.parked.len() {
-            let parked = self.wake.parked[i];
-            if parked != Cycle::MAX {
-                self.settle_stalls(i, now.saturating_sub(parked));
-                self.wake.parked[i] = now;
-            }
-            let held = self.wake.held[i];
-            if held != Cycle::MAX {
-                self.settle_probe(now.saturating_sub(held));
-                self.wake.held[i] = now;
             }
         }
     }
@@ -1533,10 +1466,6 @@ impl<P: ProtocolNode> SystemEngine<P> {
     }
 
     fn perform_recovery(&mut self, now: Cycle, cause: RecoveryCause) {
-        // The rollback discards the parked nodes' processor stats along with
-        // the rest of the machine, but the probe is not rolled back: settle
-        // first so its poll/skip counts stay those of the dense scan.
-        self.settle_parked(now);
         let (state, outcome) = self.safetynet.recover(now);
         self.arch = state;
         // Processors resume from their register checkpoints at the restored
@@ -1596,7 +1525,6 @@ impl<P: ProtocolNode> SystemEngine<P> {
     /// Gathers the run metrics: the protocol-independent half here, the
     /// fabric/ordering half from the protocol.
     pub fn collect_metrics(&mut self) -> RunMetrics {
-        self.settle_parked(self.now);
         let mut m = self.metrics.clone();
         m.cycles = self.now;
         m.ops_completed = self.ops_completed();
@@ -1723,16 +1651,13 @@ mod tests {
         let dense_visits = 30_000 * 16;
         // The idle-skip machinery must actually skip: most cycles every
         // processor is mid-think or blocked on a miss.
+        assert_eq!(probe.tick_visits + probe.processor_skips, dense_visits);
         assert!(
-            probe.processor_polls + probe.processor_skips <= dense_visits,
-            "more visits than a dense scan"
+            probe.tick_visits < dense_visits / 2,
+            "idle-skip is not skipping: {} visits",
+            probe.tick_visits
         );
-        assert!(
-            probe.processor_polls < dense_visits / 2,
-            "idle-skip is not skipping: {} polls",
-            probe.processor_polls
-        );
-        assert!(probe.processor_skips > 0);
+        assert!(probe.processor_polls <= probe.tick_visits);
         // ... and wake-ups must never be lost: a missed wake-up leaves a
         // processor blocked forever, which surfaces as a transaction-timeout
         // recovery (and a throughput collapse).
@@ -1746,13 +1671,13 @@ mod tests {
         let m = sys.run_for(30_000).expect("no protocol errors");
         let probe = sys.engine_probe();
         let dense_visits = 30_000 * 16;
-        assert!(probe.processor_polls + probe.processor_skips <= dense_visits);
+        assert_eq!(probe.tick_visits + probe.processor_skips, dense_visits);
         assert!(
-            probe.processor_polls < dense_visits / 2,
-            "idle-skip is not skipping: {} polls",
-            probe.processor_polls
+            probe.tick_visits < dense_visits / 2,
+            "idle-skip is not skipping: {} visits",
+            probe.tick_visits
         );
-        assert!(probe.processor_skips > 0);
+        assert!(probe.processor_polls <= probe.tick_visits);
         assert_eq!(m.recoveries, 0, "a lost wake-up would time out");
         assert!(m.ops_completed > 1_000);
     }
@@ -1770,10 +1695,10 @@ mod tests {
         let mut sys = DirectorySystem::new(cfg.clone());
         let mut dense = DirectorySystem::new(cfg);
         dense.dense_stall_retries = true;
-        let n = sys.wake.parked.len();
+        let n = sys.wake.wake_at.len();
         let (mut parks, mut wakes, mut recoveries_during_park) = (0, 0, 0);
         for _ in 0..30_000 {
-            let parked_before = sys.wake.parked.clone();
+            let parked_before: Vec<bool> = (0..n).map(|i| sys.wake.parked.contains(i)).collect();
             let waiting: Vec<bool> = (0..n).map(|i| sys.message_waiting_at(i)).collect();
             let recoveries = sys.metrics.injected_recoveries;
             sys.step().expect("no protocol errors");
@@ -1783,24 +1708,22 @@ mod tests {
             if sys.metrics.injected_recoveries > recoveries {
                 // A rollback unparks every node and makes all of them due at
                 // the resume cycle.
-                assert!(wake.parked.iter().all(|&p| p == Cycle::MAX));
+                assert!(wake.parked.is_empty());
                 assert!(wake.wake_at.iter().all(|&w| w == sys.resume_at));
-                if parked_before.iter().any(|&p| p != Cycle::MAX) {
+                if parked_before.contains(&true) {
                     recoveries_during_park += 1;
                 }
                 continue;
             }
             for i in 0..n {
-                if wake.parked[i] == now {
+                let parked = wake.parked.contains(i);
+                if parked && !parked_before[i] {
                     parks += 1;
                 }
                 // Still parked from an earlier cycle but due again: only a
                 // message ingested by this node's own controllers (or a
                 // completion it produced) can have lowered the hint.
-                if parked_before[i] != Cycle::MAX
-                    && wake.parked[i] != Cycle::MAX
-                    && wake.wake_at[i] != Cycle::MAX
-                {
+                if parked_before[i] && parked && wake.wake_at[i] != Cycle::MAX {
                     assert!(
                         waiting[i],
                         "node {i} woken at cycle {now} without an ingest"
@@ -1816,22 +1739,126 @@ mod tests {
             recoveries_during_park > 0,
             "no recovery landed during a park"
         );
-        // Stall counts, probe counts and every metric match the dense scan.
+        // Every metric matches the dense scan, which polls each stalled
+        // processor every cycle and so presents far more requests.
         let (m, m_dense) = (sys.collect_metrics(), dense.collect_metrics());
         assert_eq!(format!("{m:?}"), format!("{m_dense:?}"));
-        let stalls = |s: &DirectorySystem| -> u64 {
-            DirProtocol::procs(s.arch())
-                .iter()
-                .map(|p| p.stats().stall_retries)
-                .sum()
-        };
-        assert!(stalls(&sys) > 0);
-        assert_eq!(stalls(&sys), stalls(&dense));
         let (p, p_dense) = (sys.engine_probe(), dense.engine_probe());
-        assert_eq!(
-            (p.processor_polls, p.processor_skips),
-            (p_dense.processor_polls, p_dense.processor_skips)
-        );
+        assert!(p.processor_polls < p_dense.processor_polls);
+        assert!(p.tick_visits < p_dense.tick_visits);
+    }
+
+    #[test]
+    fn dir16_hot_matches_the_dense_scan_across_slow_start() {
+        // The `dir16-hot` machine at the benchmark's two seeds and one
+        // more: each run crosses transaction timeouts and the slow-start
+        // windows after them.
+        for seed in [9000, 4243, 7] {
+            let mut cfg = SystemConfig::directory_speculative(
+                WorkloadKind::Oltp,
+                LinkBandwidth::MB_400,
+                seed,
+            );
+            cfg.routing = RoutingPolicy::Adaptive;
+            cfg.traffic = crate::experiments::heavy_traffic::heavy_traffic();
+            cfg.memory.mshr_entries = 4;
+            cfg.memory.safetynet.checkpoint_interval_cycles = 5_000;
+            let mut dense = DirectorySystem::new(cfg.clone());
+            dense.dense_stall_retries = true;
+            let m = DirectorySystem::new(cfg).run_for(400_000);
+            let m_dense = dense.run_for(400_000);
+            let (m, m_dense) = (m.expect("no errors"), m_dense.expect("no errors"));
+            assert!(m.recoveries >= 1, "seed {seed}: no rollback");
+            assert!(m.slow_start_frac() > 0.0, "seed {seed}: no slow-start");
+            assert_eq!(format!("{m:?}"), format!("{m_dense:?}"), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn stall_parking_in_slow_start_matches_the_dense_scan() {
+        // Slow-start forced on a busy machine every 5k cycles: nodes
+        // parked on a stall stay parked into slow-start, and new stalls
+        // there park too, while the gate holds most requests back.
+        let mut cfg = dir_cfg();
+        cfg.traffic = crate::experiments::heavy_traffic::heavy_traffic();
+        cfg.memory.mshr_entries = 4;
+        cfg.forward_progress.slow_start_cycles = 2_000;
+        let mut sys = DirectorySystem::new(cfg.clone());
+        let mut dense = DirectorySystem::new(cfg);
+        dense.dense_stall_retries = true;
+        let (mut parked_cycles, mut new_parks) = (0, 0);
+        for _ in 0..12 {
+            for machine in [&mut sys, &mut dense] {
+                machine.run_for(3_000).expect("no protocol errors");
+                let now = machine.now();
+                machine.enter_forward_progress(MisSpecKind::TransactionTimeout, now);
+            }
+            for _ in 0..2_000 {
+                assert_eq!(sys.forward_progress_mode(), EngineMode::SlowStart);
+                let parked_before = sys.wake.parked.clone();
+                sys.step().expect("no protocol errors");
+                dense.step().expect("no protocol errors");
+                parked_cycles += u64::from(!sys.wake.parked.is_empty());
+                new_parks += (0..16)
+                    .filter(|&i| sys.wake.parked.contains(i) && !parked_before.contains(i))
+                    .count();
+            }
+        }
+        assert!(parked_cycles > 0, "no node was parked in slow-start");
+        assert!(new_parks > 0, "no node parked on a stall in slow-start");
+        let (m, m_dense) = (sys.collect_metrics(), dense.collect_metrics());
+        assert!(m.slow_start_frac() > 0.3);
+        assert_eq!(format!("{m:?}"), format!("{m_dense:?}"));
+    }
+
+    /// Steps `sys` for `cycles`, counting the cycles whose tick ran (those
+    /// at or after the resume cycle of the latest recovery), and checks the
+    /// probe against them after every step: the tick's visits and skips
+    /// tile `n` node-cycles per ticked cycle, every poll was a visit, and
+    /// every gate hold a poll. Returns the recoveries the run crossed.
+    fn assert_probe_tiles_the_ticked_cycles<P: ProtocolNode>(
+        sys: &mut SystemEngine<P>,
+        cycles: u64,
+    ) -> u64 {
+        let n = sys.wake.wake_at.len() as u64;
+        let mut ticked = 0;
+        let mut last = sys.engine_probe();
+        for _ in 0..cycles {
+            if sys.now() + 1 >= sys.resume_at {
+                ticked += 1;
+            }
+            sys.step().expect("no protocol errors");
+            let p = sys.engine_probe();
+            let rollback = sys.mode_timeline().cycles_in(EngineMode::Rollback);
+            assert_eq!(p.tick_visits + p.processor_skips, n * ticked);
+            assert_eq!(ticked, sys.now() - rollback);
+            assert!(p.held_parks <= p.processor_polls);
+            assert!(p.processor_polls <= p.tick_visits);
+            assert!(p.processor_skips >= last.processor_skips);
+            last = p;
+        }
+        sys.metrics.recoveries + sys.metrics.injected_recoveries
+    }
+
+    #[test]
+    fn probe_counts_the_ticks_work_across_a_rollback() {
+        let mut cfg = dir_cfg();
+        cfg.traffic = crate::experiments::heavy_traffic::heavy_traffic();
+        cfg.memory.mshr_entries = 4;
+        cfg.inject_recovery_every = Some(7_000);
+        let mut sys = DirectorySystem::new(cfg);
+        assert!(assert_probe_tiles_the_ticked_cycles(&mut sys, 20_000) >= 2);
+        assert!(sys.engine_probe().processor_skips > 0);
+        // Slow-start, where the gate holds requests back.
+        let mut cfg = snoop_cfg();
+        cfg.traffic = crate::experiments::heavy_traffic::heavy_traffic();
+        cfg.memory.mshr_entries = 4;
+        cfg.memory.safetynet.checkpoint_interval_cycles = 1_000;
+        cfg.forward_progress.slow_start_cycles = 5_000;
+        cfg = cfg.with_data_bandwidth(LinkBandwidth::MB_400);
+        let mut sys = SnoopingSystem::new(cfg);
+        assert!(assert_probe_tiles_the_ticked_cycles(&mut sys, 20_000) >= 1);
+        assert!(sys.engine_probe().held_parks > 0);
     }
 
     #[test]
@@ -1849,57 +1876,58 @@ mod tests {
         cfg.forward_progress.slow_start_cycles = 20_000;
         cfg.inject_recovery_every = Some(30_000);
         let mut sys = DirectorySystem::new(cfg);
-        let n = sys.wake.held.len();
+        // Nodes parked on the gate: held since the last gate wake-up and
+        // not due since.
+        let held = |sys: &DirectorySystem| -> Vec<usize> {
+            let wake = &sys.wake;
+            let mut held: Vec<usize> = wake
+                .held_list
+                .iter()
+                .copied()
+                .filter(|&i| wake.wake_at[i] == Cycle::MAX && !wake.parked.contains(i))
+                .collect();
+            held.dedup();
+            held
+        };
         let (mut ingest_wakes, mut expiry_wakes, mut recoveries_during_hold) = (0, 0, 0);
         for _ in 0..80_000 {
-            let held_before = sys.wake.held.clone();
-            let wake_before = sys.wake.wake_at.clone();
-            let ingest_possible = (0..n).any(|i| sys.message_waiting_at(i));
+            let held_before = held(&sys);
+            let ingest_possible = (0..16).any(|i| sys.message_waiting_at(i));
             let slow_start_before = sys.forward_progress_mode() == EngineMode::SlowStart;
             let recoveries = sys.metrics.recoveries + sys.metrics.injected_recoveries;
-            let checkpoints = sys.safetynet.stats().checkpoints_taken;
             sys.step().expect("no protocol errors");
             let now = sys.now();
-            let wake = &sys.wake;
-            // A checkpoint settles held nodes and re-bases their hold cycle
-            // to `now` without re-visiting them.
-            let rebased = sys.safetynet.stats().checkpoints_taken > checkpoints;
             if sys.metrics.recoveries + sys.metrics.injected_recoveries > recoveries {
                 // A rollback releases every held node.
-                assert!(wake.held.iter().all(|&h| h == Cycle::MAX));
-                assert!(wake.held_list.is_empty());
-                if held_before.iter().any(|&h| h != Cycle::MAX) {
+                assert!(sys.wake.held_list.is_empty());
+                if !held_before.is_empty() {
                     recoveries_during_hold += 1;
                 }
                 continue;
             }
             let expired = slow_start_before && sys.forward_progress_mode() != EngineMode::SlowStart;
-            for i in 0..n {
-                let was_parked_on_gate =
-                    held_before[i] != Cycle::MAX && wake_before[i] == Cycle::MAX;
-                if !was_parked_on_gate {
+            let held_after = held(&sys);
+            for &i in &held_before {
+                if held_after.contains(&i) {
                     continue;
                 }
-                if wake.held[i] == held_before[i] && wake.wake_at[i] != Cycle::MAX {
-                    // Lowered but not yet re-visited: only a cache ingest,
-                    // which can lower the census, wakes a node for the
-                    // next cycle.
-                    assert!(ingest_possible, "node {i} woken at {now} without an ingest");
-                    assert!(wake.wake_at[i] <= now + 1);
-                    ingest_wakes += 1;
-                } else if wake.held[i] != held_before[i] && !(rebased && wake.held[i] == now) {
-                    // Lowered and re-visited in the same cycle: only the
-                    // end of slow-start raises the limit that early.
-                    assert!(
-                        expired,
-                        "node {i} re-presented at {now} with the gate unchanged"
-                    );
+                if expired {
+                    // The limit rose at the start of this cycle: every held
+                    // node re-presented its request in this cycle's tick,
+                    // and the gate, now open, held none of them again.
+                    assert!(!sys.wake.held_list.contains(&i));
                     expiry_wakes += 1;
+                } else {
+                    // Otherwise only a cache ingest, which can lower the
+                    // census, wakes a held node, for the next cycle.
+                    assert!(ingest_possible, "node {i} woken at {now} without an ingest");
+                    assert!(sys.wake.wake_at[i] <= now + 1);
+                    ingest_wakes += 1;
                 }
             }
-            // Exactness: while a node stays parked on the gate, a dense
-            // retry next cycle would be held too.
-            if (0..n).any(|i| wake.held[i] != Cycle::MAX && wake.wake_at[i] == Cycle::MAX) {
+            // Exactness: while a node stays parked on the gate, a retry next
+            // cycle would be held too.
+            if !held_after.is_empty() {
                 assert!(
                     DirProtocol::outstanding_demand(sys.arch()) >= sys.outstanding_limit(),
                     "a node stayed parked at {now} although the gate would admit it"

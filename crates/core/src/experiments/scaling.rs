@@ -219,10 +219,11 @@ pub struct ScalingRow {
     /// (lower is better; comparable across machines and seed counts).
     pub ns_per_cycle: f64,
     /// Engine work counters ([`crate::engine::EngineProbe`]) of the timing
-    /// run: processor polls performed, wake-index skips, and
-    /// exchange-worklist node visits. Deterministic observability for how
-    /// much per-cycle work the active-set kernel actually did at this
-    /// machine size — the denominator behind `ns_per_cycle`.
+    /// run: `processor_polls`, the requests processors presented to the
+    /// tick; `processor_skips`, the node-cycles the tick did not visit;
+    /// and the exchange-worklist node visits. Deterministic observability
+    /// for how much per-cycle work the active-set kernel actually did at
+    /// this machine size — the denominator behind `ns_per_cycle`.
     pub probe: crate::engine::EngineProbe,
 }
 

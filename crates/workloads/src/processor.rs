@@ -89,8 +89,6 @@ pub struct ProcessorStats {
     pub misses: u64,
     /// Cycles spent waiting for misses (sum over in-flight entries).
     pub miss_wait_cycles: u64,
-    /// Cycles the cache controller refused the request (structural stalls).
-    pub stall_retries: u64,
 }
 
 /// Saved processor state for checkpoint/recovery.
@@ -317,21 +315,6 @@ impl Processor {
         }
     }
 
-    /// The cache controller could not accept the request this cycle.
-    pub fn note_stall(&mut self) {
-        self.stats.stall_retries += 1;
-        // Stay in Ready; the request is re-presented next cycle.
-    }
-
-    /// Accounts `cycles` stall retries in one step. The engine's tick
-    /// parks a stalled processor instead of re-presenting its request every
-    /// cycle (a stall's outcome cannot change until the node's cache
-    /// controller ingests a message), then settles the skipped retries here
-    /// so the statistics match a cycle-by-cycle retry exactly.
-    pub fn note_skipped_stalls(&mut self, cycles: u64) {
-        self.stats.stall_retries += cycles;
-    }
-
     /// An outstanding miss on `addr` completed. Completions may arrive in
     /// any order; they are matched by block address. A completion with no
     /// matching in-flight entry (possible transiently around a recovery) is
@@ -496,12 +479,14 @@ mod tests {
         let mut p = proc();
         let mut now = 0;
         let first = next_req(&mut p, &mut now);
-        p.note_stall();
+        // A stalled request is simply not accepted: the processor stays
+        // ready and re-presents the same request on its next poll.
+        assert_eq!(p.ready_at(), Some(0));
         let again = p
             .poll(now + 1)
             .expect("request must be re-presented after a stall");
         assert_eq!(first, again);
-        assert_eq!(p.stats().stall_retries, 1);
+        assert_eq!(p.ops_completed(), 0);
     }
 
     #[test]
