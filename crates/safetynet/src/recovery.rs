@@ -13,7 +13,9 @@ pub struct RecoveryOutcome {
     /// this point of the workload).
     pub checkpoint_cycle: Cycle,
     /// Speculative work discarded: cycles of execution between the recovery
-    /// point and the detection of the mis-speculation.
+    /// point and the detection of the mis-speculation. When the recovery
+    /// point was restored before, only the cycles since execution resumed
+    /// from that restore count; the earlier ones were charged then.
     pub lost_work_cycles: CycleDelta,
     /// Cycles the recovery procedure itself consumes (state restoration,
     /// register checkpoint restore, network drain) before execution resumes.

@@ -44,6 +44,10 @@ pub struct SafetyNet<S> {
     logs: Vec<NodeLog>,
     next_id: u64,
     last_checkpoint_at: Cycle,
+    /// The id of the checkpoint most recently restored and the cycle
+    /// execution resumed from it. Work before that cycle was charged by
+    /// the earlier restore.
+    last_restore: Option<(u64, Cycle)>,
     stats: SafetyNetStats,
 }
 
@@ -65,6 +69,7 @@ impl<S: Clone> SafetyNet<S> {
             logs,
             next_id: 1,
             last_checkpoint_at: now,
+            last_restore: None,
             stats: SafetyNetStats::default(),
         }
     }
@@ -222,6 +227,11 @@ impl<S: Clone> SafetyNet<S> {
     /// Performs a recovery at cycle `now`: discards every checkpoint newer
     /// than the recovery point, clears all speculative log entries, and
     /// returns the snapshot to restore together with the cost accounting.
+    ///
+    /// The lost work runs from the recovery point's cycle or, when that
+    /// checkpoint was restored before, from the cycle execution resumed
+    /// after that restore: the work before it was charged then, and the
+    /// restore's own cycles are its recovery latency.
     pub fn recover(&mut self, now: Cycle) -> (S, RecoveryOutcome) {
         // Everything after the recovery point is speculative and discarded.
         self.checkpoints.truncate(1);
@@ -229,13 +239,24 @@ impl<S: Clone> SafetyNet<S> {
         for log in &mut self.logs {
             log.clear();
         }
+        // The checkpoint interval restarts from the restored checkpoint's
+        // cycle. On the cycle clock a checkpoint is then due at once, so the
+        // directory machine takes one on the cycle it resumes: a snapshot of
+        // the state it just restored, which fills an outstanding slot and
+        // restarts the interval without recording anything new.
         self.last_checkpoint_at = point.at;
+        let work_since = match self.last_restore {
+            Some((id, resumed_at)) if id == point.id => resumed_at.max(point.at),
+            _ => point.at,
+        };
+        let latency = self.cfg.register_checkpoint_cycles + RECOVERY_RESTORE_CYCLES;
         let outcome = RecoveryOutcome {
             checkpoint_id: point.id,
             checkpoint_cycle: point.at,
-            lost_work_cycles: now.saturating_sub(point.at),
-            recovery_latency_cycles: self.cfg.register_checkpoint_cycles + RECOVERY_RESTORE_CYCLES,
+            lost_work_cycles: now.saturating_sub(work_since),
+            recovery_latency_cycles: latency,
         };
+        self.last_restore = Some((point.id, now + latency));
         self.stats.recovery.record(&outcome);
         (point.state.clone(), outcome)
     }
@@ -316,6 +337,28 @@ mod tests {
         assert_eq!(s.stats().recovery.recoveries, 1);
         // Logging restarts from the restored point.
         assert_eq!(s.log_occupancy(NodeId(0)), 0);
+    }
+
+    #[test]
+    fn a_second_restore_of_one_checkpoint_charges_only_the_work_since_the_first() {
+        let mut s = station();
+        let latency = 100 + RECOVERY_RESTORE_CYCLES;
+        let (_, first) = s.recover(2_500);
+        assert_eq!(first.lost_work_cycles, 2_500);
+        // Execution resumed from checkpoint 0 at 2_500 + latency; the
+        // second restore of it discards only the work since then.
+        let (_, second) = s.recover(4_000);
+        assert_eq!(second.checkpoint_id, 0);
+        assert_eq!(second.lost_work_cycles, 4_000 - 2_500 - latency);
+        // A checkpoint taken after the restore is charged from its own
+        // cycle, and so is the restored one once it is recovered again.
+        s.take_checkpoint(5_000, vec![5]);
+        let (_, third) = s.recover(6_000);
+        assert_eq!(third.checkpoint_id, 0);
+        assert_eq!(third.lost_work_cycles, 6_000 - 4_000 - latency);
+        let total = first.lost_work_cycles + second.lost_work_cycles + third.lost_work_cycles;
+        assert_eq!(s.stats().recovery.total_lost_work, total);
+        assert!(total + 2 * latency <= 6_000);
     }
 
     #[test]

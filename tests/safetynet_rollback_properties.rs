@@ -56,6 +56,27 @@ proptest! {
         prop_assert!(sys.verify_coherence().is_ok());
     }
 
+    /// Lost work is charged once. Injections closer together than the
+    /// validation window restore the same checkpoint again; each restore
+    /// charges only the work since execution last resumed from it. So the
+    /// discarded work fits in the run, and so does the discarded work plus
+    /// every recovery's stall but the last, which may run past the end.
+    #[test]
+    fn lost_work_never_exceeds_the_run(seed in 0u64..1000, interval in 1_500u64..12_000) {
+        let mut sys = DirectorySystem::new(cfg(seed, Some(interval)));
+        let m = sys.run_for(40_000).expect("no protocol errors");
+        let recoveries = m.recoveries + m.injected_recoveries;
+        prop_assert!(recoveries >= 3, "only {} recoveries", recoveries);
+        prop_assert!(
+            m.lost_work_cycles <= m.cycles,
+            "lost {} of {} cycles",
+            m.lost_work_cycles,
+            m.cycles
+        );
+        let latency = m.recovery_latency_cycles / recoveries;
+        prop_assert!(m.lost_work_cycles + m.recovery_latency_cycles <= m.cycles + latency);
+    }
+
     /// Determinism holds for arbitrary seeds (same seed, same result).
     #[test]
     fn determinism_over_arbitrary_seeds(seed in 0u64..1000) {
