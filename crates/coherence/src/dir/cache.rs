@@ -242,18 +242,6 @@ impl DirCacheController {
         self.outgoing.pop_front()
     }
 
-    /// Peeks the next protocol message to inject.
-    #[must_use]
-    pub fn peek_outgoing(&self) -> Option<&OutMsg> {
-        self.outgoing.front()
-    }
-
-    /// Pushes a message back after a failed injection attempt (it will be the
-    /// next message offered).
-    pub fn push_front_outgoing(&mut self, msg: OutMsg) {
-        self.outgoing.push_front(msg);
-    }
-
     /// Takes the oldest completed-demand notification, if one is pending.
     pub fn take_completed(&mut self) -> Option<CompletedAccess> {
         self.completed.pop_front()
@@ -270,12 +258,6 @@ impl DirCacheController {
     #[must_use]
     pub fn cached_value(&self, addr: BlockAddr) -> Option<(CacheState, u64)> {
         self.l2.probe(addr).map(|l| (l.state, l.data))
-    }
-
-    /// Number of blocks resident in the L2.
-    #[must_use]
-    pub fn resident_blocks(&self) -> usize {
-        self.l2.len()
     }
 
     /// Every block resident in the L2 with its state and data (used by
@@ -726,17 +708,6 @@ impl DirCacheController {
             CacheState::S => {}
         }
         true
-    }
-
-    /// Clears transient state (outstanding demand, writebacks, queued
-    /// messages) without touching the stable cache contents. Used by the
-    /// system layer during a SafetyNet recovery, after which the stable state
-    /// is restored from the checkpoint snapshot.
-    pub fn abort_transients(&mut self) {
-        self.demands.clear();
-        self.writebacks.clear();
-        self.outgoing.clear();
-        self.completed.clear();
     }
 }
 
@@ -1243,18 +1214,6 @@ mod tests {
         assert!(c
             .handle_message(0, DirMsg::GetS { addr: BlockAddr(1) })
             .is_err());
-    }
-
-    #[test]
-    fn abort_transients_clears_inflight_state() {
-        let mut c = ctrl(ProtocolVariant::Speculative);
-        c.cpu_request(0, store(0x40, 1));
-        assert!(c.has_outstanding_demand());
-        assert!(c.outgoing_len() > 0);
-        c.abort_transients();
-        assert!(!c.has_outstanding_demand());
-        assert_eq!(c.outgoing_len(), 0);
-        assert!(c.take_completed().is_none());
     }
 
     fn ctrl_mshr(variant: ProtocolVariant, mshr_entries: usize) -> DirCacheController {

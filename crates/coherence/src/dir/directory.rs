@@ -168,11 +168,6 @@ impl DirectoryController {
         self.outgoing.pop_front()
     }
 
-    /// Pushes a message back after a failed injection attempt.
-    pub fn push_front_outgoing(&mut self, msg: OutMsg) {
-        self.outgoing.push_front(msg);
-    }
-
     fn send(&mut self, dst: NodeId, msg: DirMsg) {
         self.outgoing.push_back(OutMsg { dst, msg });
     }

@@ -696,15 +696,6 @@ impl SnoopCacheController {
         true
     }
 
-    /// Clears transient state (recovery support).
-    pub fn abort_transients(&mut self) {
-        self.demands.clear();
-        self.writebacks.clear();
-        self.outgoing_bus.clear();
-        self.outgoing_data.clear();
-        self.completed.clear();
-    }
-
     fn error(&self, addr: BlockAddr, description: String) -> ProtocolError {
         ProtocolError {
             node: self.node,
@@ -964,16 +955,6 @@ mod tests {
         assert!(c
             .handle_data(0, SnoopDataMsg::WbData { addr: A, data: 3 })
             .is_err());
-    }
-
-    #[test]
-    fn abort_transients_clears_everything_in_flight() {
-        let mut c = ctrl(ProtocolVariant::Speculative);
-        c.cpu_request(0, store(A, 1));
-        assert!(c.has_outstanding_demand());
-        c.abort_transients();
-        assert!(!c.has_outstanding_demand());
-        assert_eq!(c.outgoing_len(), 0);
     }
 
     fn ctrl_mshr(variant: ProtocolVariant, mshr_entries: usize) -> SnoopCacheController {

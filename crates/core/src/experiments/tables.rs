@@ -15,7 +15,6 @@ use specsim_workloads::{WorkloadKind, ALL_WORKLOADS};
 use crate::config::SystemConfig;
 use crate::engine::MeasuredCharacterization;
 use crate::experiments::runner::{measure_directory, measure_snooping, ExperimentScale};
-use crate::experiments::snooping::SnoopingComparison;
 use crate::framework::SpeculativeDesign;
 use crate::snoopsys::SnoopSystemConfig;
 
@@ -222,21 +221,6 @@ pub fn render_table3(scale: ExperimentScale) -> Result<String, ProtocolError> {
             },
         ));
     }
-    Ok(out)
-}
-
-/// Convenience wrapper so callers can render everything the paper tabulates.
-pub fn render_all_tables(scale: ExperimentScale) -> Result<String, ProtocolError> {
-    let mut out = render_table2();
-    out.push('\n');
-    out.push_str(&render_table3(scale)?);
-    out.push('\n');
-    out.push_str(&render_table1(scale)?);
-    out.push('\n');
-    out.push_str(&format!(
-        "Snooping corner-case detection (directed): {}\n",
-        SnoopingComparison::directed_corner_case_detected()
-    ));
     Ok(out)
 }
 

@@ -182,12 +182,6 @@ impl<P: Clone> OrderedBus<P> {
         d
     }
 
-    /// Peeks the next snoop for `node` without consuming it.
-    #[must_use]
-    pub fn peek_snoop(&self, node: NodeId) -> Option<&BusDelivery<P>> {
-        self.delivery[node.index()].front()
-    }
-
     /// Bus statistics.
     #[must_use]
     pub fn stats(&self) -> &BusStats {

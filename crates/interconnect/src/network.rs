@@ -596,12 +596,6 @@ impl<P> Network<P> {
         self.in_flight
     }
 
-    /// Total messages waiting in `node`'s ejection queues.
-    #[must_use]
-    pub fn ejection_len(&self, node: NodeId) -> usize {
-        self.eject_pending[node.index()]
-    }
-
     /// True when at least one delivered packet is waiting in `node`'s
     /// ejection queues. O(1); system layers use this to skip ingest polling
     /// for idle endpoints.
