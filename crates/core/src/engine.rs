@@ -15,10 +15,9 @@
 //!   until its own cache controller ingests a message, in every mode; one
 //!   whose request the slow-start gate holds back is parked until any
 //!   cache controller ingests a message or slow-start ends. A parked node
-//!   is not visited at all, and nothing is owed for the cycles it sat out.
-//!   The slow-start demand census is taken only in slow-start, where the
-//!   gate can bind, and lazily, on the first cycle a processor actually
-//!   presents a request;
+//!   costs nothing until it is woken. The slow-start demand census is
+//!   taken only in slow-start, where the gate can bind, and lazily, on the
+//!   first cycle a processor actually presents a request;
 //! * **quiescence fast-forward** — [`SystemEngine::run_for`] jumps the
 //!   clock over cycles in which nothing can happen: the outbox worklist is
 //!   empty, no wheel entry and no engine deadline falls, and the protocol's
@@ -202,10 +201,9 @@ impl<M: Copy> StagedOutbox<M> {
 /// Counters describing how much per-cycle work the engine did — the
 /// observable face of the idle-skip/wake-up machinery, used by the
 /// invariant tests shared by both protocols. Every counter counts work the
-/// engine did or left undone; none replays what a dense every-node scan
-/// would have done. A fast-forwarded cycle makes no visit (no node is due
-/// and the outbox worklist is empty), so every counter except the last is
-/// identical whether a run used [`SystemEngine::run_for`] or a
+/// engine did or left undone. A fast-forwarded cycle makes no visit (no
+/// node is due and the outbox worklist is empty), so every counter except
+/// the last is identical whether a run used [`SystemEngine::run_for`] or a
 /// [`SystemEngine::step`] loop. A rollback does not rewind them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineProbe {
