@@ -341,7 +341,7 @@ pub(crate) struct WakeIndex {
     /// controller next ingests a message ([`EngineCtx::note_cache_activity`]).
     /// In slow-start the gate may hold a retry back instead, which changes
     /// no state either, so stalled nodes park in every mode.
-    parked: ActiveSet,
+    parked: Vec<bool>,
     /// Nodes whose request the slow-start gate held back since the last
     /// gate wake-up. A held retry reads only the gate: the system-wide
     /// demand census against the outstanding limit. The census falls only
@@ -359,7 +359,7 @@ impl WakeIndex {
             wheel: TimingWheel::with_horizon(WAKE_HORIZON),
             due: ActiveSet::new(n),
             batch: Vec::new(),
-            parked: ActiveSet::new(n),
+            parked: vec![false; n],
             held_list: Vec::new(),
         };
         index.reset(0);
@@ -398,7 +398,7 @@ impl WakeIndex {
         for i in 0..self.wake_at.len() {
             self.set(i, at);
         }
-        self.parked.clear();
+        self.parked.fill(false);
         self.held_list.clear();
     }
 
@@ -627,7 +627,7 @@ impl<'a, A: Clone> EngineCtx<'a, A> {
     /// Protocols must call this for every message their cache controller
     /// observes.
     pub fn note_cache_activity(&mut self, now: Cycle, i: usize) {
-        if self.wake.parked.contains(i) {
+        if self.wake.parked[i] {
             self.wake.lower(i, now + 1);
         }
         self.wake.wake_held(now + 1);
@@ -1269,7 +1269,7 @@ impl<P: ProtocolNode> SystemEngine<P> {
         while let Some(i) = self.wake.due.next_at_or_after(cursor) {
             cursor = i + 1;
             self.wake.due.remove(i);
-            self.wake.parked.remove(i);
+            self.wake.parked[i] = false;
             match P::procs(&self.arch)[i].ready_at() {
                 Some(ready) if ready <= now => {}
                 ready => {
@@ -1311,7 +1311,7 @@ impl<P: ProtocolNode> SystemEngine<P> {
                     }
                 }
                 EngineAccess::Stall if park_stalls => {
-                    self.wake.parked.insert(i);
+                    self.wake.parked[i] = true;
                     self.wake.set(i, Cycle::MAX);
                     continue;
                 }
@@ -1696,7 +1696,7 @@ mod tests {
         let n = sys.wake.wake_at.len();
         let (mut parks, mut wakes, mut recoveries_during_park) = (0, 0, 0);
         for _ in 0..30_000 {
-            let parked_before: Vec<bool> = (0..n).map(|i| sys.wake.parked.contains(i)).collect();
+            let parked_before = sys.wake.parked.clone();
             let waiting: Vec<bool> = (0..n).map(|i| sys.message_waiting_at(i)).collect();
             let recoveries = sys.metrics.injected_recoveries;
             sys.step().expect("no protocol errors");
@@ -1706,7 +1706,7 @@ mod tests {
             if sys.metrics.injected_recoveries > recoveries {
                 // A rollback unparks every node and makes all of them due at
                 // the resume cycle.
-                assert!(wake.parked.is_empty());
+                assert!(!wake.parked.contains(&true));
                 assert!(wake.wake_at.iter().all(|&w| w == sys.resume_at));
                 if parked_before.contains(&true) {
                     recoveries_during_park += 1;
@@ -1714,7 +1714,7 @@ mod tests {
                 continue;
             }
             for i in 0..n {
-                let parked = wake.parked.contains(i);
+                let parked = wake.parked[i];
                 if parked && !parked_before[i] {
                     parks += 1;
                 }
@@ -1796,9 +1796,9 @@ mod tests {
                 let parked_before = sys.wake.parked.clone();
                 sys.step().expect("no protocol errors");
                 dense.step().expect("no protocol errors");
-                parked_cycles += u64::from(!sys.wake.parked.is_empty());
+                parked_cycles += u64::from(sys.wake.parked.contains(&true));
                 new_parks += (0..16)
-                    .filter(|&i| sys.wake.parked.contains(i) && !parked_before.contains(i))
+                    .filter(|&i| sys.wake.parked[i] && !parked_before[i])
                     .count();
             }
         }
@@ -1882,7 +1882,7 @@ mod tests {
                 .held_list
                 .iter()
                 .copied()
-                .filter(|&i| wake.wake_at[i] == Cycle::MAX && !wake.parked.contains(i))
+                .filter(|&i| wake.wake_at[i] == Cycle::MAX && !wake.parked[i])
                 .collect();
             held.dedup();
             held
