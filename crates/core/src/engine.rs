@@ -1774,39 +1774,53 @@ mod tests {
 
     #[test]
     fn stall_parking_in_slow_start_matches_the_dense_scan() {
-        // Slow-start forced on a busy machine every 5k cycles: nodes
-        // parked on a stall stay parked into slow-start, and new stalls
-        // there park too, while the gate holds most requests back.
+        // In slow-start the gate holds every request while a demand is
+        // outstanding, so a request can only stall on its own block's
+        // writeback. A replayed trace builds that case: with one-line
+        // caches, node 0's store to block 2 evicts its dirty block 1, and
+        // its load of block 1 then waits for that writeback.
+        use specsim_workloads::{Trace, TraceEvent};
+        let event = |cycle, block, access| TraceEvent {
+            cycle,
+            addr: BlockAddr(block),
+            access,
+            store_value: 7,
+        };
+        let mut nodes = vec![Vec::new(); 16];
+        nodes[0] = vec![
+            event(10, 1, CpuAccess::Store),
+            event(11, 2, CpuAccess::Store),
+            event(12, 1, CpuAccess::Load),
+        ];
         let mut cfg = dir_cfg();
-        cfg.traffic = crate::experiments::heavy_traffic::heavy_traffic();
-        cfg.memory.mshr_entries = 4;
-        cfg.forward_progress.slow_start_cycles = 2_000;
+        cfg.memory.l1_bytes = 64;
+        cfg.memory.l1_ways = 1;
+        cfg.memory.l2_bytes = 64;
+        cfg.memory.l2_ways = 1;
+        cfg.forward_progress.slow_start_cycles = 50_000;
+        cfg.replay_trace = Some(std::sync::Arc::new(Trace { nodes }));
         let mut sys = DirectorySystem::new(cfg.clone());
         let mut dense = DirectorySystem::new(cfg);
         dense.dense_stall_retries = true;
-        let (mut parked_cycles, mut new_parks) = (0, 0);
-        for _ in 0..12 {
-            for machine in [&mut sys, &mut dense] {
-                machine.run_for(3_000).expect("no protocol errors");
-                let now = machine.now();
-                machine.enter_forward_progress(MisSpecKind::TransactionTimeout, now);
-            }
-            for _ in 0..2_000 {
-                assert_eq!(sys.forward_progress_mode(), EngineMode::SlowStart);
-                let parked_before = sys.wake.parked.clone();
-                sys.step().expect("no protocol errors");
-                dense.step().expect("no protocol errors");
-                parked_cycles += u64::from(sys.wake.parked.contains(&true));
-                new_parks += (0..16)
-                    .filter(|&i| sys.wake.parked[i] && !parked_before[i])
-                    .count();
-            }
+        let mut slow_start_parks = 0;
+        for machine in [&mut sys, &mut dense] {
+            machine.enter_forward_progress(MisSpecKind::TransactionTimeout, 0);
         }
-        assert!(parked_cycles > 0, "no node was parked in slow-start");
-        assert!(new_parks > 0, "no node parked on a stall in slow-start");
+        for _ in 0..5_000 {
+            assert_eq!(sys.forward_progress_mode(), EngineMode::SlowStart);
+            let parked_before = sys.wake.parked[0];
+            sys.step().expect("no protocol errors");
+            dense.step().expect("no protocol errors");
+            slow_start_parks += u64::from(sys.wake.parked[0] && !parked_before);
+        }
+        assert_eq!(slow_start_parks, 1, "the load of block 1 parks once");
         let (m, m_dense) = (sys.collect_metrics(), dense.collect_metrics());
-        assert!(m.slow_start_frac() > 0.3);
+        assert_eq!(m.ops_completed, 3);
         assert_eq!(format!("{m:?}"), format!("{m_dense:?}"));
+        // The parked node sat out the writeback's round trip; the dense
+        // reference presented its load on every one of those cycles.
+        let (p, p_dense) = (sys.engine_probe(), dense.engine_probe());
+        assert!(p_dense.processor_polls > p.processor_polls + 10);
     }
 
     /// Steps `sys` for `cycles`, counting the cycles whose tick ran (those
