@@ -44,10 +44,11 @@ pub struct SafetyNet<S> {
     logs: Vec<NodeLog>,
     next_id: u64,
     last_checkpoint_at: Cycle,
-    /// The id of the checkpoint most recently restored and the cycle
-    /// execution resumed from it. Work before that cycle was charged by
-    /// the earlier restore.
-    last_restore: Option<(u64, Cycle)>,
+    /// The cycle execution resumed after the latest restore (the creation
+    /// cycle before any). Every checkpoint but the restored one is taken
+    /// after it, so only a repeated restore of that checkpoint reaches
+    /// back past it, into work the earlier restore already charged.
+    resumed_at: Cycle,
     stats: SafetyNetStats,
 }
 
@@ -69,7 +70,7 @@ impl<S: Clone> SafetyNet<S> {
             logs,
             next_id: 1,
             last_checkpoint_at: now,
-            last_restore: None,
+            resumed_at: now,
             stats: SafetyNetStats::default(),
         }
     }
@@ -245,18 +246,14 @@ impl<S: Clone> SafetyNet<S> {
         // the state it just restored, which fills an outstanding slot and
         // restarts the interval without recording anything new.
         self.last_checkpoint_at = point.at;
-        let work_since = match self.last_restore {
-            Some((id, resumed_at)) if id == point.id => resumed_at.max(point.at),
-            _ => point.at,
-        };
         let latency = self.cfg.register_checkpoint_cycles + RECOVERY_RESTORE_CYCLES;
         let outcome = RecoveryOutcome {
             checkpoint_id: point.id,
             checkpoint_cycle: point.at,
-            lost_work_cycles: now.saturating_sub(work_since),
+            lost_work_cycles: now.saturating_sub(point.at.max(self.resumed_at)),
             recovery_latency_cycles: latency,
         };
-        self.last_restore = Some((point.id, now + latency));
+        self.resumed_at = now + latency;
         self.stats.recovery.record(&outcome);
         (point.state.clone(), outcome)
     }
@@ -350,8 +347,8 @@ mod tests {
         let (_, second) = s.recover(4_000);
         assert_eq!(second.checkpoint_id, 0);
         assert_eq!(second.lost_work_cycles, 4_000 - 2_500 - latency);
-        // A checkpoint taken after the restore is charged from its own
-        // cycle, and so is the restored one once it is recovered again.
+        // A checkpoint taken since does not move the recovery point: the
+        // third restore of checkpoint 0 charges from the second's resume.
         s.take_checkpoint(5_000, vec![5]);
         let (_, third) = s.recover(6_000);
         assert_eq!(third.checkpoint_id, 0);
