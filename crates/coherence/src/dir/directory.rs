@@ -26,7 +26,7 @@ use std::collections::VecDeque;
 
 use specsim_base::{BlockAddr, Counter, Cycle, FastMap, NodeId, ProtocolVariant};
 
-use crate::data::{MemoryStore, WriteLogEntry};
+use crate::data::MemoryStore;
 use crate::types::{NodeSet, ProtocolError};
 
 use super::msg::{DirMsg, OutMsg};
@@ -131,12 +131,13 @@ impl DirectoryController {
         &self.memory
     }
 
-    /// Drains the memory's undo log (fed into SafetyNet by the system layer).
-    pub fn take_write_log(&mut self) -> Vec<WriteLogEntry> {
+    /// Returns and clears the memory's count of writes since the last call
+    /// (fed into the SafetyNet log by the system layer).
+    pub fn take_write_log(&mut self) -> usize {
         self.memory.take_write_log()
     }
 
-    /// True when [`Self::take_write_log`] would return entries.
+    /// True when [`Self::take_write_log`] would return a nonzero count.
     #[must_use]
     pub fn has_write_log(&self) -> bool {
         self.memory.has_write_log()
@@ -690,7 +691,7 @@ mod tests {
                 msg: DirMsg::WbAck { addr: A }
             }]
         );
-        assert_eq!(d.memory().peek(A), 555);
+        assert_eq!(d.memory().read(A), 555);
         assert_eq!(d.state_of(A), DirState::Uncached);
         assert_eq!(d.stats().writebacks.get(), 1);
     }
@@ -763,7 +764,7 @@ mod tests {
         );
         assert_eq!(d.stats().stale_writebacks.get(), 1);
         // Memory was NOT updated with the stale data.
-        assert_eq!(d.memory().peek(A), 0);
+        assert_eq!(d.memory().read(A), 0);
         assert_eq!(
             d.state_of(A),
             DirState::Owned {
@@ -841,10 +842,8 @@ mod tests {
             .unwrap();
         d.handle_message(2, NodeId(1), DirMsg::PutM { addr: A, data: 42 })
             .unwrap();
-        let log = d.take_write_log();
-        assert_eq!(log.len(), 1);
-        assert_eq!(log[0].addr, A);
-        assert_eq!(log[0].previous, 0);
-        assert!(d.take_write_log().is_empty());
+        assert_eq!(d.memory().read(A), 42);
+        assert_eq!(d.take_write_log(), 1);
+        assert_eq!(d.take_write_log(), 0);
     }
 }

@@ -21,8 +21,8 @@
 //!   (which treats that transition as a mis-speculation);
 //! * the supporting machinery both protocols need: set-associative cache
 //!   arrays with LRU replacement, a two-level (L1/L2) hierarchy model,
-//!   miss-status registers and writeback buffers, per-home-node memory with
-//!   a write (undo) log consumed by SafetyNet, and directory state.
+//!   miss-status registers and writeback buffers, per-home-node memory that
+//!   counts the writes SafetyNet must log, and directory state.
 //!
 //! The crate is *network-agnostic*: controllers consume and produce protocol
 //! messages tagged with a [`types::MsgClass`]; the system-assembly crate maps

@@ -11,7 +11,7 @@ use std::collections::VecDeque;
 
 use specsim_base::{BlockAddr, Counter, Cycle, FastMap, NodeId};
 
-use crate::data::{MemoryStore, WriteLogEntry};
+use crate::data::MemoryStore;
 use crate::types::ProtocolError;
 
 use super::msg::{SnoopDataMsg, SnoopDataOut, SnoopRequest};
@@ -71,12 +71,13 @@ impl SnoopMemoryController {
         &self.memory
     }
 
-    /// Drains the memory's undo log (fed into SafetyNet by the system layer).
-    pub fn take_write_log(&mut self) -> Vec<WriteLogEntry> {
+    /// Returns and clears the memory's count of writes since the last call
+    /// (fed into the SafetyNet log by the system layer).
+    pub fn take_write_log(&mut self) -> usize {
         self.memory.take_write_log()
     }
 
-    /// True when [`Self::take_write_log`] would return entries.
+    /// True when [`Self::take_write_log`] would return a nonzero count.
     #[must_use]
     pub fn has_write_log(&self) -> bool {
         self.memory.has_write_log()
@@ -234,7 +235,7 @@ mod tests {
         assert_eq!(m.owner_of(A), None);
         m.handle_data(6, SnoopDataMsg::WbData { addr: A, data: 99 })
             .unwrap();
-        assert_eq!(m.memory().peek(A), 99);
+        assert_eq!(m.memory().read(A), 99);
         assert_eq!(m.stats().writebacks.get(), 1);
         // A subsequent reader gets the written-back value from memory.
         m.observe_snoop(7, NodeId(4), SnoopRequest::GetS { addr: A });

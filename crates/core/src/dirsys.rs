@@ -327,7 +327,7 @@ impl ProtocolNode for DirProtocol {
 
     fn drain_write_log(arch: &mut ArchState, i: usize) -> usize {
         if arch.dirs[i].has_write_log() {
-            Arc::make_mut(&mut arch.dirs[i]).take_write_log().len()
+            Arc::make_mut(&mut arch.dirs[i]).take_write_log()
         } else {
             0
         }

@@ -45,8 +45,10 @@
 //!   checkpoint ([`SafetyNet::latest_checkpoint`]), which after a rollback
 //!   is the restored one;
 //! * **mis-speculation → SafetyNet recovery → forward progress** —
-//!   detection capture, the transaction-timeout scan, the rollback itself,
-//!   the post-recovery stall window, and the forward-progress policy: one
+//!   detection capture, the transaction-timeout scan, the rollback itself
+//!   (the restored clone replaces the machine, and each processor re-issues
+//!   its pending requests through [`Processor::resume`]), the
+//!   post-recovery stall window, and the forward-progress policy: one
 //!   engine method picks each recovery's measure from its
 //!   [`MisSpecKind`], and the engine applies it to, and lifts it from, the
 //!   protocol's speculative torus ([`ProtocolNode::torus`]). The same torus
@@ -682,8 +684,9 @@ pub trait ProtocolNode {
     /// [`EngineCtx::deliver_completions`]).
     fn exchange(&mut self, arch: &mut Self::Arch, now: Cycle, ctx: &mut EngineCtx<'_, Self::Arch>);
 
-    /// Drains node `i`'s memory-side write/undo log and returns the number
-    /// of entries, which the engine accounts into SafetyNet. Called only for
+    /// Drains node `i`'s memory-side count of writes since the last drain
+    /// and returns it; the engine accounts that many log entries into
+    /// SafetyNet. Called only for
     /// nodes reported through [`EngineCtx::note_memory_activity`].
     fn drain_write_log(arch: &mut Self::Arch, i: usize) -> usize;
 
@@ -1466,11 +1469,10 @@ impl<P: ProtocolNode> SystemEngine<P> {
     fn perform_recovery(&mut self, now: Cycle, cause: RecoveryCause) {
         let (state, outcome) = self.safetynet.recover(now);
         self.arch = state;
-        // Processors resume from their register checkpoints at the restored
-        // workload position.
+        // The restored clone holds every processor at its checkpointed
+        // workload position; each resumes at the end of the recovery stall.
         for proc in P::procs_mut(&mut self.arch) {
-            let snap = proc.snapshot();
-            proc.restore(now + outcome.recovery_latency_cycles, snap);
+            proc.resume(now + outcome.recovery_latency_cycles);
         }
         self.metrics.lost_work_cycles += outcome.lost_work_cycles;
         self.metrics.recovery_latency_cycles += outcome.recovery_latency_cycles;

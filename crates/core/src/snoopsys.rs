@@ -482,7 +482,7 @@ impl ProtocolNode for SnoopProtocol {
 
     fn drain_write_log(arch: &mut ArchState, i: usize) -> usize {
         if arch.memories[i].has_write_log() {
-            Arc::make_mut(&mut arch.memories[i]).take_write_log().len()
+            Arc::make_mut(&mut arch.memories[i]).take_write_log()
         } else {
             0
         }

@@ -97,12 +97,6 @@ impl<P: Clone> OrderedBus<P> {
             .unwrap_or_else(|_| panic!("bus pending queues are unbounded"));
     }
 
-    /// Requests waiting for the bus at `src`.
-    #[must_use]
-    pub fn pending_len(&self, src: NodeId) -> usize {
-        self.pending[src.index()].len()
-    }
-
     /// Total requests granted so far (length of the global order).
     #[must_use]
     pub fn granted(&self) -> u64 {
@@ -186,23 +180,6 @@ impl<P: Clone> OrderedBus<P> {
     #[must_use]
     pub fn stats(&self) -> &BusStats {
         &self.stats
-    }
-
-    /// Drops every pending request, in-flight broadcast and undelivered
-    /// snoop (recovery drain). Returns the number of messages dropped.
-    pub fn drain(&mut self) -> usize {
-        let mut dropped = 0;
-        for q in &mut self.pending {
-            dropped += q.len();
-            q.clear();
-        }
-        dropped += self.in_flight.len();
-        self.in_flight.clear();
-        for q in &mut self.delivery {
-            dropped += q.len();
-            q.clear();
-        }
-        dropped
     }
 }
 
@@ -333,22 +310,6 @@ mod tests {
         }
         assert_eq!(seen_dense.len(), 20);
         assert_eq!(seen_dense, seen_sparse);
-    }
-
-    #[test]
-    fn drain_discards_everything() {
-        let mut bus: OrderedBus<u32> = OrderedBus::new(2, 2, 10);
-        bus.request(NodeId(0), 1);
-        bus.request(NodeId(1), 2);
-        bus.tick(1);
-        let dropped = bus.drain();
-        assert!(dropped >= 2);
-        assert_eq!(bus.pending_len(NodeId(0)), 0);
-        assert_eq!(bus.snoop_len(NodeId(0)), 0);
-        for now in 2..20 {
-            bus.tick(now);
-        }
-        assert_eq!(bus.snoop_len(NodeId(1)), 0);
     }
 
     #[test]

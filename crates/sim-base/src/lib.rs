@@ -8,7 +8,7 @@
 //! This crate deliberately contains **no policy**: it provides the vocabulary
 //! the rest of the workspace speaks —
 //!
-//! * [`time`] — the cycle clock and time conversion helpers,
+//! * [`time`] — the cycle types and time conversion helpers,
 //! * [`ids`] — node identifiers, physical addresses and cache-block math,
 //! * [`config`] — the target-system parameters of the paper's Table 2,
 //! * [`hash`] — a fixed multiply-rotate hasher and the [`FastMap`] alias
@@ -16,9 +16,9 @@
 //! * [`fault`] — seed-deterministic transient-fault schedules and the
 //!   runtime director that injects them (SafetyNet's original job was
 //!   masking exactly these faults),
-//! * [`rng`] — a small, deterministic, save/restorable random number
-//!   generator (checkpoint recovery rewinds generators, so RNG state must be
-//!   checkpointable),
+//! * [`rng`] — a small, deterministic random number generator (checkpoint
+//!   recovery rewinds generators by clone, so a cloned RNG must continue
+//!   the identical stream),
 //! * [`stats`] — counters, running mean/standard deviation, histograms and
 //!   utilization trackers used by the evaluation harness,
 //! * [`queue`] — bounded message queues, the port abstraction through which

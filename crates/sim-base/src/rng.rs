@@ -5,23 +5,16 @@
 //! 1. **Determinism** — a simulation run is a pure function of its seed, so
 //!    protocol races found by the experiments can be replayed exactly.
 //! 2. **Checkpointability** — SafetyNet recovery rewinds the workload
-//!    generators to the last validated checkpoint; the RNG driving a
-//!    generator must therefore expose its internal state for saving and
-//!    restoring.
+//!    generators to the last validated checkpoint, which holds a clone of
+//!    each generator; a cloned [`DetRng`] continues the identical stream.
 //!
-//! [`DetRng`] is a small xoshiro256++ generator with save/restore. It also
+//! [`DetRng`] is a small xoshiro256++ generator. It also
 //! implements [`rand::RngCore`] so that code using the `rand` ecosystem
 //! (e.g. distributions in the workload models) can drive it directly.
 
 use rand::RngCore;
 
-/// Saved state of a [`DetRng`]; returned by [`DetRng::snapshot`] and accepted
-/// by [`DetRng::restore`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RngState([u64; 4]);
-
-/// A deterministic xoshiro256++ random number generator with explicit
-/// snapshot/restore of its state.
+/// A deterministic xoshiro256++ random number generator.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DetRng {
     s: [u64; 4],
@@ -100,17 +93,6 @@ impl DetRng {
     pub fn chance(&mut self, p: f64) -> bool {
         self.next_f64() < p.clamp(0.0, 1.0)
     }
-
-    /// Captures the generator state for later [`DetRng::restore`].
-    #[must_use]
-    pub fn snapshot(&self) -> RngState {
-        RngState(self.s)
-    }
-
-    /// Restores the generator to a previously captured state.
-    pub fn restore(&mut self, state: RngState) {
-        self.s = state.0;
-    }
 }
 
 impl RngCore for DetRng {
@@ -164,13 +146,14 @@ mod tests {
 
     #[test]
     fn snapshot_restore_replays_exactly() {
+        // A checkpoint is a clone; assigning it back restores the stream.
         let mut rng = DetRng::new(7);
         for _ in 0..10 {
             rng.next_u64();
         }
-        let snap = rng.snapshot();
+        let snap = rng.clone();
         let forward: Vec<u64> = (0..100).map(|_| rng.next_u64()).collect();
-        rng.restore(snap);
+        rng = snap;
         let replay: Vec<u64> = (0..100).map(|_| rng.next_u64()).collect();
         assert_eq!(forward, replay);
     }
@@ -249,9 +232,9 @@ mod tests {
             for _ in 0..skip {
                 rng.next_u64();
             }
-            let snap = rng.snapshot();
+            let snap = rng.clone();
             let a: Vec<u64> = (0..16).map(|_| rng.next_u64()).collect();
-            rng.restore(snap);
+            rng = snap;
             let b: Vec<u64> = (0..16).map(|_| rng.next_u64()).collect();
             prop_assert_eq!(a, b);
         }

@@ -14,7 +14,6 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use specsim_base::rng::RngState;
 use specsim_base::{BlockAddr, Cycle, DetRng, NodeId};
 use specsim_coherence::types::{CpuAccess, CpuRequest};
 
@@ -43,16 +42,8 @@ pub struct GeneratedOp {
     pub req: CpuRequest,
 }
 
-/// Saved state of a generator (for SafetyNet recovery rewind).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GeneratorSnapshot {
-    rng: RngState,
-    ops_generated: u64,
-    store_counter: u64,
-    recent: VecDeque<BlockAddr>,
-}
-
-/// A deterministic, rewindable memory-reference generator for one processor.
+/// A deterministic memory-reference generator for one processor. A clone
+/// continues the identical stream, which is how a checkpoint rewinds it.
 #[derive(Debug, Clone)]
 pub struct WorkloadGenerator {
     kind: WorkloadKind,
@@ -69,7 +60,7 @@ pub struct WorkloadGenerator {
     /// when off the RNG stream is byte-identical to the unshaped generator.
     traffic: TrafficConfig,
     /// Shared inverse-CDF table for Zipfian sampling (present iff
-    /// `traffic.zipf` is). Immutable, so it is excluded from snapshots.
+    /// `traffic.zipf` is). Immutable, so checkpoint clones share it.
     zipf_table: Option<Arc<ZipfTable>>,
 }
 
@@ -238,26 +229,6 @@ impl WorkloadGenerator {
     fn migratory_addr(&mut self) -> BlockAddr {
         BlockAddr(MIGRATORY_BASE + self.rng.next_below(self.params.migratory_blocks.max(1)))
     }
-
-    /// Captures the generator state for checkpoint/recovery.
-    #[must_use]
-    pub fn snapshot(&self) -> GeneratorSnapshot {
-        GeneratorSnapshot {
-            rng: self.rng.snapshot(),
-            ops_generated: self.ops_generated,
-            store_counter: self.store_counter,
-            recent: self.recent.clone(),
-        }
-    }
-
-    /// Restores the generator to a previously captured state; the stream
-    /// replays identically from that point.
-    pub fn restore(&mut self, snap: GeneratorSnapshot) {
-        self.rng.restore(snap.rng);
-        self.ops_generated = snap.ops_generated;
-        self.store_counter = snap.store_counter;
-        self.recent = snap.recent;
-    }
 }
 
 #[cfg(test)]
@@ -366,13 +337,15 @@ mod tests {
 
     #[test]
     fn snapshot_restore_replays_the_stream() {
+        // A checkpoint is a clone; assigning it back restores it, and the
+        // restored generator continues the identical stream.
         let mut g = WorkloadGenerator::new(WorkloadKind::Slashcode, NodeId(4), 9);
         for _ in 0..100 {
             g.next_op();
         }
-        let snap = g.snapshot();
+        let snap = g.clone();
         let forward: Vec<GeneratedOp> = (0..50).map(|_| g.next_op()).collect();
-        g.restore(snap);
+        g = snap;
         let replay: Vec<GeneratedOp> = (0..50).map(|_| g.next_op()).collect();
         assert_eq!(forward, replay);
     }

@@ -11,8 +11,8 @@
 //! each workload is replaced by a parameterised synthetic generator that
 //! produces the *memory behaviour* that drives the paper's experiments:
 //! private versus shared working sets, read-mostly versus migratory sharing,
-//! write fractions and think times. See `DESIGN.md` ("Substitutions") for the
-//! rationale; the per-workload parameters live in [`kinds`].
+//! write fractions and think times. See `PAPER.md` ("What this repository
+//! models") for the rationale; the per-workload parameters live in [`kinds`].
 //!
 //! Two properties matter beyond realism:
 //!
@@ -20,8 +20,10 @@
 //!   node, seed), so experiments are reproducible and perturbation runs
 //!   (Section 5.2) are controlled.
 //! * **Rewindability** — SafetyNet recovery rolls execution back to a
-//!   checkpoint; generators and processors expose snapshot/restore so the
-//!   system can replay from the recovery point.
+//!   checkpoint, which holds a clone of every processor with its generator
+//!   or trace position. A clone continues the identical reference stream,
+//!   so recovery assigns the clone back and [`Processor::resume`]
+//!   re-issues the requests that were drawn but not completed.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -32,8 +34,8 @@ pub mod processor;
 pub mod trace;
 pub mod traffic;
 
-pub use generator::{GeneratedOp, GeneratorSnapshot, WorkloadGenerator};
+pub use generator::{GeneratedOp, WorkloadGenerator};
 pub use kinds::{WorkloadKind, WorkloadParams, ALL_WORKLOADS};
-pub use processor::{Processor, ProcessorSnapshot, ProcessorStats};
+pub use processor::{Processor, ProcessorStats};
 pub use trace::{Trace, TraceEvent, TraceReplayer};
 pub use traffic::{BurstConfig, TrafficConfig, ZipfConfig, ZipfTable};

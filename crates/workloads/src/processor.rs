@@ -30,8 +30,8 @@ use std::sync::Arc;
 use specsim_base::{BlockAddr, Cycle, CycleDelta, NodeId};
 use specsim_coherence::types::CpuRequest;
 
-use crate::generator::{GeneratorSnapshot, WorkloadGenerator};
-use crate::trace::{ReplayerSnapshot, Trace, TraceEvent, TraceReplayer};
+use crate::generator::WorkloadGenerator;
+use crate::trace::{Trace, TraceEvent, TraceReplayer};
 
 /// What the processor is doing this cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,7 +48,7 @@ enum Phase {
 }
 
 /// One outstanding miss (an MSHR entry). The request is kept so a
-/// checkpoint restore can re-issue it.
+/// recovery can re-issue it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct InFlight {
     issued_at: Cycle,
@@ -67,15 +67,6 @@ enum OpSource {
     Replay(TraceReplayer),
 }
 
-/// Saved op-source state (part of [`ProcessorSnapshot`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum OpSourceSnapshot {
-    /// Generator state.
-    Synthetic(GeneratorSnapshot),
-    /// Replay position.
-    Replay(ReplayerSnapshot),
-}
-
 /// Per-processor performance counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProcessorStats {
@@ -91,19 +82,12 @@ pub struct ProcessorStats {
     pub miss_wait_cycles: u64,
 }
 
-/// Saved processor state for checkpoint/recovery.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProcessorSnapshot {
-    phase: Phase,
-    stats: ProcessorStats,
-    source: OpSourceSnapshot,
-    in_flight: Vec<InFlight>,
-    replay: VecDeque<CpuRequest>,
-    recorder: Option<Vec<TraceEvent>>,
-}
-
 /// A processor driving one node's cache controller from a synthetic
 /// workload or a recorded trace, blocking or MSHR-style non-blocking.
+///
+/// A SafetyNet checkpoint holds a clone of the processor, op source and
+/// recording included; recovery assigns that clone back and calls
+/// [`Processor::resume`].
 #[derive(Debug, Clone)]
 pub struct Processor {
     node: NodeId,
@@ -113,11 +97,12 @@ pub struct Processor {
     phase: Phase,
     /// Outstanding misses, in issue order.
     in_flight: Vec<InFlight>,
-    /// Requests rescued from a checkpoint restore that have not been
-    /// re-issued yet; drained before fresh ops are drawn from the source.
+    /// Requests rescued by a recovery that have not been re-issued yet;
+    /// drained before fresh ops are drawn from the source.
     replay: VecDeque<CpuRequest>,
     /// When recording, the accepted-request schedule so far. Part of the
-    /// snapshot, so recovery rolls the recording back with the execution.
+    /// checkpointed clone, so recovery rolls the recording back with the
+    /// execution.
     recorder: Option<Vec<TraceEvent>>,
     stats: ProcessorStats,
 }
@@ -246,7 +231,7 @@ impl Processor {
     }
 
     fn advance_to_next_op(&mut self, now: Cycle, extra_latency: CycleDelta) {
-        // Requests rescued by a checkpoint restore re-issue first, with a
+        // Requests rescued by a recovery re-issue first, with a
         // minimal think time (their original think time was already spent).
         if let Some(req) = self.replay.pop_front() {
             self.phase = Phase::Thinking {
@@ -343,45 +328,20 @@ impl Processor {
         Some(wait)
     }
 
-    /// Captures processor state (including the op source and any recording)
-    /// for a checkpoint.
-    #[must_use]
-    pub fn snapshot(&self) -> ProcessorSnapshot {
-        ProcessorSnapshot {
-            phase: self.phase,
-            stats: self.stats,
-            source: match &self.source {
-                OpSource::Synthetic(gen) => OpSourceSnapshot::Synthetic(gen.snapshot()),
-                OpSource::Replay(r) => OpSourceSnapshot::Replay(r.snapshot()),
-            },
-            in_flight: self.in_flight.clone(),
-            replay: self.replay.clone(),
-            recorder: self.recorder.clone(),
-        }
-    }
-
-    /// Restores processor state from a checkpoint. Misses that were in
-    /// flight at checkpoint time (and any request that was about to issue)
-    /// are re-issued after recovery, oldest first; completed-but-rolled-back
-    /// work is replayed because the op source rewinds with the processor.
-    pub fn restore(&mut self, now: Cycle, snap: ProcessorSnapshot) {
-        match (&mut self.source, &snap.source) {
-            (OpSource::Synthetic(gen), OpSourceSnapshot::Synthetic(s)) => gen.restore(s.clone()),
-            (OpSource::Replay(r), OpSourceSnapshot::Replay(s)) => r.restore(*s),
-            _ => debug_assert!(false, "snapshot op-source kind mismatch"),
-        }
-        self.stats = snap.stats;
-        self.recorder = snap.recorder;
-        // Every request the checkpoint had already drawn but not completed
-        // must re-issue, in generation order: in-flight misses first, then
-        // the restored replay queue, then the op held by the phase.
-        let mut pending: VecDeque<CpuRequest> = snap.in_flight.iter().map(|f| f.req).collect();
-        pending.extend(snap.replay.iter().copied());
-        match snap.phase {
+    /// Re-anchors the processor at `now`, the cycle execution resumes after
+    /// recovery assigned it its checkpointed clone. Every request the
+    /// checkpoint had drawn but not completed re-issues, the first at
+    /// `now + 1`, in generation order: in-flight misses first, then the
+    /// replay queue, then the op held by the phase. Completed-but-rolled-back
+    /// work replays because the op source was checkpointed with the
+    /// processor.
+    pub fn resume(&mut self, now: Cycle) {
+        let mut pending: VecDeque<CpuRequest> = self.in_flight.drain(..).map(|f| f.req).collect();
+        pending.append(&mut self.replay);
+        match self.phase {
             Phase::Thinking { next, .. } | Phase::Ready { next } => pending.push_back(next),
             Phase::Blocked | Phase::Done => {}
         }
-        self.in_flight.clear();
         // Execution resumes from the register checkpoint: re-anchor the
         // think time at the recovery cycle (the precise residual think time
         // is not architecturally visible).
@@ -551,14 +511,15 @@ mod tests {
             let req = next_req(&mut p, &mut now);
             p.note_hit(now, 2, req.access == CpuAccess::Store);
         }
-        let snap = p.snapshot();
+        let snap = p.clone();
         let ops_at_snap = p.ops_completed();
         for _ in 0..5 {
             let req = next_req(&mut p, &mut now);
             p.note_hit(now, 2, req.access == CpuAccess::Store);
         }
         assert_eq!(p.ops_completed(), ops_at_snap + 5);
-        p.restore(now, snap);
+        p = snap;
+        p.resume(now);
         assert_eq!(
             p.ops_completed(),
             ops_at_snap,
@@ -575,8 +536,9 @@ mod tests {
             now += 1;
         }
         p.note_miss_issued(now);
-        let snap = p.snapshot();
-        p.restore(now + 1000, snap);
+        let snap = p.clone();
+        p = snap;
+        p.resume(now + 1000);
         assert!(!p.is_waiting());
         // The processor eventually issues again.
         let mut issued = false;
@@ -598,8 +560,9 @@ mod tests {
         let b = next_req(&mut p, &mut now);
         p.note_miss_issued(now);
         assert_eq!(p.outstanding(), 2);
-        let snap = p.snapshot();
-        p.restore(now + 100, snap);
+        let snap = p.clone();
+        p = snap;
+        p.resume(now + 100);
         assert_eq!(p.outstanding(), 0);
         // Both rolled-back misses re-present, oldest first, then the stream
         // continues from the rewound generator.
@@ -653,13 +616,14 @@ mod tests {
             let req = next_req(&mut p, &mut now);
             p.note_hit(now, 2, req.access == CpuAccess::Store);
         }
-        let snap = p.snapshot();
+        let snap = p.clone();
         for _ in 0..3 {
             let req = next_req(&mut p, &mut now);
             p.note_hit(now, 2, req.access == CpuAccess::Store);
         }
         assert_eq!(p.recorded_events().unwrap().len(), 6);
-        p.restore(now, snap);
+        p = snap;
+        p.resume(now);
         assert_eq!(
             p.recorded_events().unwrap().len(),
             3,

@@ -3,7 +3,7 @@
 //! A trace records, for every node, the schedule of memory references the
 //! machine *accepted* (cycle, block address, load/store, store value). The
 //! recorder lives inside [`crate::Processor`] and is part of its
-//! checkpoint snapshot, so SafetyNet recovery rolls the trace back together
+//! checkpointed clone, so SafetyNet recovery rolls the trace back together
 //! with the execution it describes — a recorded trace never contains
 //! squashed speculative work.
 //!
@@ -64,12 +64,6 @@ impl Trace {
     #[must_use]
     pub fn num_nodes(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// Total number of recorded events across all nodes.
-    #[must_use]
-    pub fn num_events(&self) -> usize {
-        self.nodes.iter().map(Vec::len).sum()
     }
 
     /// Serialises the trace as `specsim-trace v1` text.
@@ -144,12 +138,6 @@ impl Trace {
     }
 }
 
-/// Saved replayer position (part of the processor checkpoint).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplayerSnapshot {
-    pos: usize,
-}
-
 /// Deterministic replayer of one node's recorded schedule.
 #[derive(Debug, Clone)]
 pub struct TraceReplayer {
@@ -195,17 +183,6 @@ impl TraceReplayer {
             req: e.req(),
         })
     }
-
-    /// Captures the replay position for checkpoint/recovery.
-    #[must_use]
-    pub fn snapshot(&self) -> ReplayerSnapshot {
-        ReplayerSnapshot { pos: self.pos }
-    }
-
-    /// Restores a previously captured replay position.
-    pub fn restore(&mut self, snap: ReplayerSnapshot) {
-        self.pos = snap.pos;
-    }
 }
 
 #[cfg(test)]
@@ -245,7 +222,6 @@ mod tests {
         let parsed = Trace::from_text(&t.to_text()).unwrap();
         assert_eq!(t, parsed);
         assert_eq!(parsed.num_nodes(), 2);
-        assert_eq!(parsed.num_events(), 3);
     }
 
     #[test]
@@ -257,7 +233,7 @@ mod tests {
         assert!(Trace::from_text("specsim-trace v1 nodes=1\n0 5\n").is_err());
         // Comments and blank lines are tolerated.
         let ok = Trace::from_text("specsim-trace v1 nodes=1\n# hi\n\n0 5 7 L 0\n").unwrap();
-        assert_eq!(ok.num_events(), 1);
+        assert_eq!(ok.nodes[0].len(), 1);
     }
 
     #[test]
@@ -280,11 +256,12 @@ mod tests {
 
     #[test]
     fn replayer_snapshot_restore_rewinds() {
+        // A checkpoint is a clone; assigning it back rewinds the position.
         let t = Arc::new(sample_trace());
         let mut r = TraceReplayer::new(t, NodeId(0));
-        let snap = r.snapshot();
+        let snap = r.clone();
         let a = r.next_op_at(0).unwrap();
-        r.restore(snap);
+        r = snap;
         let b = r.next_op_at(0).unwrap();
         assert_eq!(a, b);
         assert_eq!(r.remaining(), 1);
