@@ -145,17 +145,6 @@ impl RunMetrics {
         }
     }
 
-    /// This run's performance normalized to a baseline run (baseline = 1.0).
-    #[must_use]
-    pub fn normalized_to(&self, baseline: &RunMetrics) -> f64 {
-        let b = baseline.throughput();
-        if b == 0.0 {
-            0.0
-        } else {
-            self.throughput() / b
-        }
-    }
-
     /// Total recoveries (detected plus injected).
     #[must_use]
     pub fn total_recoveries(&self) -> u64 {
@@ -380,15 +369,8 @@ mod tests {
             ops_completed: 500,
             ..RunMetrics::default()
         };
-        let slower = RunMetrics {
-            cycles: 1_000,
-            ops_completed: 400,
-            ..RunMetrics::default()
-        };
         assert!((base.throughput() - 500.0).abs() < 1e-12);
-        assert!((slower.normalized_to(&base) - 0.8).abs() < 1e-12);
         assert_eq!(RunMetrics::default().throughput(), 0.0);
-        assert_eq!(base.normalized_to(&RunMetrics::default()), 0.0);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use specsim_base::{FastMap, NodeId};
 
-use crate::packet::{VirtualNetwork, ALL_VIRTUAL_NETWORKS};
+use crate::packet::VirtualNetwork;
 
 /// Key identifying one ordered stream: (source, destination, virtual network).
 type StreamKey = (NodeId, NodeId, usize);
@@ -104,22 +104,12 @@ impl OrderingTracker {
     pub fn total_reordered(&self) -> u64 {
         self.reordered_per_vnet.iter().sum()
     }
-
-    /// Per-virtual-network `(delivered, reordered)` pairs in
-    /// [`ALL_VIRTUAL_NETWORKS`] order.
-    #[must_use]
-    pub fn per_vnet_summary(&self) -> [(VirtualNetwork, u64, u64); 4] {
-        let mut out = [(VirtualNetwork::Request, 0, 0); 4];
-        for (i, vn) in ALL_VIRTUAL_NETWORKS.into_iter().enumerate() {
-            out[i] = (vn, self.delivered(vn), self.reordered(vn));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packet::ALL_VIRTUAL_NETWORKS;
 
     const SRC: NodeId = NodeId(1);
     const DST: NodeId = NodeId(2);
@@ -178,13 +168,11 @@ mod tests {
         let mut t = OrderingTracker::new();
         let s = t.stamp(SRC, DST, VirtualNetwork::FinalAck);
         t.observe_delivery(SRC, DST, VirtualNetwork::FinalAck, s);
-        let summary = t.per_vnet_summary();
-        assert_eq!(summary.len(), 4);
-        let finalack = summary
-            .iter()
-            .find(|(vn, _, _)| *vn == VirtualNetwork::FinalAck)
-            .unwrap();
-        assert_eq!(finalack.1, 1);
+        for vn in ALL_VIRTUAL_NETWORKS {
+            let expected = u64::from(vn == VirtualNetwork::FinalAck);
+            assert_eq!(t.delivered(vn), expected);
+            assert_eq!(t.reordered(vn), 0);
+        }
         assert_eq!(t.total_delivered(), 1);
     }
 }

@@ -25,10 +25,6 @@ pub struct NodeLog {
     /// Entries belonging to each outstanding (uncommitted) checkpoint
     /// interval, oldest first. The last element is the active interval.
     per_interval: Vec<usize>,
-    /// Total entries ever recorded (statistics).
-    total_recorded: u64,
-    /// Append attempts rejected because the log was full.
-    overflows: u64,
 }
 
 impl NodeLog {
@@ -38,8 +34,6 @@ impl NodeLog {
         Self {
             capacity_entries: cfg.log_capacity_entries(),
             per_interval: vec![0],
-            total_recorded: 0,
-            overflows: 0,
         }
     }
 
@@ -61,29 +55,15 @@ impl NodeLog {
         self.occupancy() >= self.capacity_entries
     }
 
-    /// Number of times an append was rejected.
-    #[must_use]
-    pub fn overflows(&self) -> u64 {
-        self.overflows
-    }
-
-    /// Total entries recorded over the node's lifetime.
-    #[must_use]
-    pub fn total_recorded(&self) -> u64 {
-        self.total_recorded
-    }
-
     /// Appends `entries` pre-image records to the active interval.
     pub fn record(&mut self, entries: usize) -> LogOutcome {
         if self.occupancy() + entries > self.capacity_entries {
-            self.overflows += 1;
             return LogOutcome::Full;
         }
         *self
             .per_interval
             .last_mut()
             .expect("log always has an active interval") += entries;
-        self.total_recorded += entries as u64;
         LogOutcome::Recorded
     }
 
@@ -142,8 +122,6 @@ mod tests {
         assert_eq!(log.record(4), LogOutcome::Recorded);
         assert!(log.is_full());
         assert_eq!(log.record(1), LogOutcome::Full);
-        assert_eq!(log.overflows(), 1);
-        assert_eq!(log.total_recorded(), 10);
     }
 
     #[test]

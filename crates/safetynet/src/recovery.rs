@@ -40,16 +40,6 @@ impl RecoveryStats {
         self.total_lost_work += outcome.lost_work_cycles;
         self.total_recovery_latency += outcome.recovery_latency_cycles;
     }
-
-    /// Mean cost (lost work + procedure latency) per recovery in cycles.
-    #[must_use]
-    pub fn mean_cost_cycles(&self) -> f64 {
-        if self.recoveries == 0 {
-            0.0
-        } else {
-            (self.total_lost_work + self.total_recovery_latency) as f64 / self.recoveries as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -74,11 +64,5 @@ mod tests {
         assert_eq!(s.recoveries, 2);
         assert_eq!(s.total_lost_work, 2800);
         assert_eq!(s.total_recovery_latency, 200);
-        assert!((s.mean_cost_cycles() - 1500.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_stats_have_zero_mean_cost() {
-        assert_eq!(RecoveryStats::default().mean_cost_cycles(), 0.0);
     }
 }

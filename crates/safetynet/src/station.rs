@@ -192,13 +192,6 @@ impl<S: Clone> SafetyNet<S> {
         outcome
     }
 
-    /// True when `node`'s log cannot accept more entries (the node must
-    /// stall).
-    #[must_use]
-    pub fn log_is_full(&self, node: NodeId) -> bool {
-        self.logs[node.index()].is_full()
-    }
-
     /// Current occupancy of `node`'s log in entries.
     #[must_use]
     pub fn log_occupancy(&self, node: NodeId) -> usize {
@@ -386,14 +379,12 @@ mod tests {
         assert_eq!(s.log_writes(NodeId(0), 6), LogOutcome::Recorded);
         s.take_checkpoint(1_000, 1);
         assert_eq!(s.log_writes(NodeId(0), 4), LogOutcome::Recorded);
-        assert!(s.log_is_full(NodeId(0)));
         assert_eq!(s.log_writes(NodeId(0), 1), LogOutcome::Full);
         // The other node's log is independent.
         assert_eq!(s.log_writes(NodeId(1), 3), LogOutcome::Recorded);
         // Once the first interval commits, space frees up.
         s.take_checkpoint(2_000, 2);
         s.advance(10_000);
-        assert!(!s.log_is_full(NodeId(0)));
         assert_eq!(s.log_writes(NodeId(0), 5), LogOutcome::Recorded);
     }
 

@@ -257,24 +257,6 @@ impl Default for MemorySystemConfig {
 }
 
 impl MemorySystemConfig {
-    /// Number of sets in the L1 cache.
-    #[must_use]
-    pub fn l1_sets(&self) -> usize {
-        self.l1_bytes / (BLOCK_SIZE_BYTES * self.l1_ways)
-    }
-
-    /// Number of sets in the L2 cache.
-    #[must_use]
-    pub fn l2_sets(&self) -> usize {
-        self.l2_bytes / (BLOCK_SIZE_BYTES * self.l2_ways)
-    }
-
-    /// Number of cache blocks backed by the whole machine's memory.
-    #[must_use]
-    pub fn memory_blocks(&self) -> u64 {
-        self.memory_bytes / BLOCK_SIZE_BYTES as u64
-    }
-
     /// The `(width, height)` of the 2D torus: the explicit
     /// [`Self::torus_dims`] when set, otherwise the squarest factorisation of
     /// [`Self::num_nodes`]. Panics on configurations [`Self::validate`]
@@ -369,10 +351,7 @@ mod tests {
     #[test]
     fn derived_geometry_is_consistent() {
         let c = MemorySystemConfig::default();
-        assert_eq!(c.l1_sets(), 128 * 1024 / (64 * 4));
-        assert_eq!(c.l2_sets(), 4 * 1024 * 1024 / (64 * 4));
         assert_eq!(c.torus_dims(), (4, 4));
-        assert_eq!(c.memory_blocks(), 2 * 1024 * 1024 * 1024 / 64);
     }
 
     #[test]

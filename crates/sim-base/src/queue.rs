@@ -14,13 +14,11 @@ use std::collections::VecDeque;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueueFull<T>(pub T);
 
-/// A FIFO queue with an optional capacity bound and occupancy statistics.
+/// A FIFO queue with an optional capacity bound.
 #[derive(Debug, Clone)]
 pub struct MsgQueue<T> {
     items: VecDeque<T>,
     capacity: Option<usize>,
-    high_water: usize,
-    total_enqueued: u64,
 }
 
 impl<T> MsgQueue<T> {
@@ -30,8 +28,6 @@ impl<T> MsgQueue<T> {
         Self {
             items: VecDeque::with_capacity(capacity.min(1024)),
             capacity: Some(capacity),
-            high_water: 0,
-            total_enqueued: 0,
         }
     }
 
@@ -41,8 +37,6 @@ impl<T> MsgQueue<T> {
         Self {
             items: VecDeque::new(),
             capacity: None,
-            high_water: 0,
-            total_enqueued: 0,
         }
     }
 
@@ -73,23 +67,12 @@ impl<T> MsgQueue<T> {
         }
     }
 
-    /// Remaining space, or `usize::MAX` for unbounded queues.
-    #[must_use]
-    pub fn free_slots(&self) -> usize {
-        match self.capacity {
-            Some(cap) => cap.saturating_sub(self.items.len()),
-            None => usize::MAX,
-        }
-    }
-
     /// Appends a message, or returns it in [`QueueFull`] if there is no room.
     pub fn push(&mut self, item: T) -> Result<(), QueueFull<T>> {
         if self.is_full() {
             return Err(QueueFull(item));
         }
         self.items.push_back(item);
-        self.total_enqueued += 1;
-        self.high_water = self.high_water.max(self.items.len());
         Ok(())
     }
 
@@ -109,7 +92,9 @@ impl<T> MsgQueue<T> {
         self.items.iter()
     }
 
-    /// Removes every queued message (used when recovery drains the network).
+    /// Removes every queued message. Recovery never clears a queue: it
+    /// restores the checkpointed queues by clone. Only the network's drain,
+    /// which tests use, empties queues in place.
     pub fn clear(&mut self) {
         self.items.clear();
     }
@@ -117,18 +102,6 @@ impl<T> MsgQueue<T> {
     /// Retains only the messages for which the predicate returns true.
     pub fn retain(&mut self, f: impl FnMut(&T) -> bool) {
         self.items.retain(f);
-    }
-
-    /// Highest occupancy ever observed.
-    #[must_use]
-    pub fn high_water_mark(&self) -> usize {
-        self.high_water
-    }
-
-    /// Total messages ever enqueued.
-    #[must_use]
-    pub fn total_enqueued(&self) -> u64 {
-        self.total_enqueued
     }
 }
 
@@ -159,7 +132,6 @@ mod tests {
         assert!(q.push('a').is_ok());
         assert!(q.push('b').is_ok());
         assert!(q.is_full());
-        assert_eq!(q.free_slots(), 0);
         assert_eq!(q.push('c'), Err(QueueFull('c')));
         q.pop();
         assert!(q.push('c').is_ok());
@@ -173,19 +145,6 @@ mod tests {
         assert_eq!(q.peek(), Some(&1));
         assert_eq!(q.len(), 2);
         assert_eq!(q.pop(), Some(1));
-    }
-
-    #[test]
-    fn stats_track_high_water_and_total() {
-        let mut q = MsgQueue::bounded(8);
-        for i in 0..5 {
-            q.push(i).unwrap();
-        }
-        q.pop();
-        q.pop();
-        q.push(9).unwrap();
-        assert_eq!(q.high_water_mark(), 5);
-        assert_eq!(q.total_enqueued(), 6);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Cycle-level time keeping.
+//! Simulated time: cycle types and target-time conversions.
 //!
 //! The whole simulator is cycle driven: every component is ticked once per
 //! [`Cycle`]. The processor clock of the paper's target system runs at
@@ -37,70 +37,9 @@ pub const fn cycles_to_ns(cycles: CycleDelta) -> u64 {
     cycles / (PAPER_CYCLES_PER_SECOND / 1_000_000_000)
 }
 
-/// A monotonically advancing cycle clock.
-///
-/// The clock is the single source of "now" inside a simulation; components
-/// receive the current cycle as an argument when ticked and must never keep
-/// their own notion of global time.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Clock {
-    now: Cycle,
-}
-
-impl Clock {
-    /// Creates a clock at cycle zero.
-    #[must_use]
-    pub fn new() -> Self {
-        Self { now: 0 }
-    }
-
-    /// Returns the current cycle.
-    #[must_use]
-    pub fn now(&self) -> Cycle {
-        self.now
-    }
-
-    /// Advances the clock by exactly one cycle and returns the new time.
-    pub fn tick(&mut self) -> Cycle {
-        self.now += 1;
-        self.now
-    }
-
-    /// Advances the clock by `delta` cycles and returns the new time.
-    pub fn advance(&mut self, delta: CycleDelta) -> Cycle {
-        self.now += delta;
-        self.now
-    }
-
-    /// Resets the clock to a specific cycle. Used only by checkpoint/recovery
-    /// tests that need to replay from a known point; the production recovery
-    /// path never rewinds global time (recovery consumes real cycles).
-    pub fn reset_to(&mut self, cycle: Cycle) {
-        self.now = cycle;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn clock_starts_at_zero_and_ticks() {
-        let mut c = Clock::new();
-        assert_eq!(c.now(), 0);
-        assert_eq!(c.tick(), 1);
-        assert_eq!(c.tick(), 2);
-        assert_eq!(c.now(), 2);
-    }
-
-    #[test]
-    fn clock_advances_by_delta() {
-        let mut c = Clock::new();
-        c.advance(100);
-        assert_eq!(c.now(), 100);
-        c.advance(0);
-        assert_eq!(c.now(), 100);
-    }
 
     #[test]
     fn ns_conversion_roundtrips_for_multiples_of_the_clock_period() {
@@ -112,13 +51,5 @@ mod tests {
     #[test]
     fn paper_memory_latency_is_720_cycles() {
         assert_eq!(ns_to_cycles(180), 720);
-    }
-
-    #[test]
-    fn reset_to_rewinds() {
-        let mut c = Clock::new();
-        c.advance(500);
-        c.reset_to(42);
-        assert_eq!(c.now(), 42);
     }
 }
