@@ -51,7 +51,7 @@ impl ProgressWatchdog {
         in_flight > 0 && now.saturating_sub(self.last_progress) >= self.threshold
     }
 
-    /// Resets the watchdog (e.g. after a recovery drained the network).
+    /// Resets the watchdog (after the network was drained).
     pub fn reset(&mut self, now: Cycle) {
         self.last_progress = now;
     }

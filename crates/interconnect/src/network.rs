@@ -1,5 +1,5 @@
 //! The assembled torus network: injection, cycle-by-cycle switching,
-//! delivery, ordering accounting and recovery draining.
+//! delivery, ordering accounting and draining.
 //!
 //! # Active-set kernel
 //!
@@ -721,9 +721,10 @@ impl<P> Network<P> {
             .collect()
     }
 
-    /// Drops every message in the fabric and the ejection queues (recovery
-    /// drain; SafetyNet rollback discards all in-flight coherence messages).
-    /// Returns the number of messages dropped.
+    /// Drops every message in the fabric and the ejection queues and returns
+    /// the number dropped. Recovery does not drain: SafetyNet restores the
+    /// checkpointed fabric by clone. Tests use the drain to empty a wedged
+    /// network in place.
     pub fn drain(&mut self, now: Cycle) -> usize {
         let mut dropped_ids = Vec::new();
         self.slab.clear_all(&mut dropped_ids);

@@ -122,10 +122,10 @@ impl<P> Packet<P> {
 /// The switch slab's queues and link pipelines store `u32` packet ids; the
 /// packets themselves live here, in one contiguous allocation. A packet is
 /// allocated at injection, moves between queues by id (no payload copies per
-/// hop), and is taken out when the endpoint drains it (or a fault/recovery
-/// drops it). Freed slots are recycled LIFO, so id assignment is a pure
-/// function of the alloc/free history — deterministic whenever the schedule
-/// is, and never itself an input to the schedule.
+/// hop), and is taken out when the endpoint drains it (or a fault or a
+/// network drain drops it). Freed slots are recycled LIFO, so id assignment
+/// is a pure function of the alloc/free history — deterministic whenever the
+/// schedule is, and never itself an input to the schedule.
 #[derive(Debug, Clone)]
 pub struct PacketArena<P> {
     slots: Vec<Option<Packet<P>>>,
@@ -204,7 +204,7 @@ impl<P> PacketArena<P> {
         self.slots.len() - self.free.len()
     }
 
-    /// Drops every live packet and resets id assignment (recovery drain).
+    /// Drops every live packet and resets id assignment (network drain).
     pub fn clear(&mut self) {
         self.slots.clear();
         self.free.clear();

@@ -111,8 +111,7 @@ impl SlotPool {
     /// reservations never exceed the pool; pools smaller than four slots
     /// cannot reserve and stay fully shared). Messages already holding more
     /// than their new allotment are not evicted — the pool simply refuses
-    /// new shared acquisitions until releases catch up (in practice the
-    /// recovery drain empties the fabric before the reservation starts).
+    /// new shared acquisitions until releases catch up.
     pub fn set_reservation(&mut self, r: usize) {
         self.reserved_per_vnet = self.reservation_for(r);
     }
@@ -123,7 +122,7 @@ impl SlotPool {
         r.min(self.total / NUM_VNETS)
     }
 
-    /// Drops every held slot (recovery drain); the reservation setting is
+    /// Drops every held slot (network drain); the reservation setting is
     /// kept.
     pub fn clear(&mut self) {
         self.in_use = [0; NUM_VNETS];

@@ -205,7 +205,7 @@ impl SwitchSlab {
     }
 
     /// Drops every queued and in-flight message of every switch, pushing the
-    /// freed packet ids into `dropped` (recovery drain).
+    /// freed packet ids into `dropped` (network drain).
     pub fn clear_all(&mut self, dropped: &mut Vec<u32>) {
         for q in &mut self.queues {
             dropped.extend(q.drain(..));
