@@ -49,12 +49,6 @@ impl NodeLog {
         self.per_interval.iter().sum()
     }
 
-    /// True when no further entry can be recorded.
-    #[must_use]
-    pub fn is_full(&self) -> bool {
-        self.occupancy() >= self.capacity_entries
-    }
-
     /// Appends `entries` pre-image records to the active interval.
     pub fn record(&mut self, entries: usize) -> LogOutcome {
         if self.occupancy() + entries > self.capacity_entries {
@@ -120,7 +114,6 @@ mod tests {
         assert_eq!(log.capacity(), 10);
         assert_eq!(log.record(6), LogOutcome::Recorded);
         assert_eq!(log.record(4), LogOutcome::Recorded);
-        assert!(log.is_full());
         assert_eq!(log.record(1), LogOutcome::Full);
     }
 
