@@ -67,10 +67,9 @@ fn reorder_trial(policy: RoutingPolicy, seed: u64) -> (u64, u64) {
             while net.eject_any(NodeId::from(n)).is_some() {}
         }
     }
-    let ordering = net.ordering();
     (
-        ordering.delivered(VirtualNetwork::ForwardedRequest),
-        ordering.reordered(VirtualNetwork::ForwardedRequest),
+        net.stats().delivered_on(VirtualNetwork::ForwardedRequest),
+        net.ordering().reordered(VirtualNetwork::ForwardedRequest),
     )
 }
 

@@ -19,13 +19,13 @@ use specsim_net::{NetConfig, Network, VirtualNetwork};
 /// Figure 2-style scenario: requests pile up and responses cannot bypass
 /// them when every class shares one buffer pool.
 fn endpoint_scenario(use_virtual_networks: bool) -> (bool, usize) {
-    let cfg = if use_virtual_networks {
+    let mut cfg = if use_virtual_networks {
         NetConfig::conventional(16, LinkBandwidth::GB_3_2)
     } else {
         NetConfig::speculative(16, LinkBandwidth::GB_3_2, 2)
     };
+    cfg.stall_threshold = 3_000;
     let mut net: Network<u64> = Network::new(cfg);
-    net.set_stall_threshold(3_000);
     let a = NodeId(0);
     let b = NodeId(10);
     const REQ: u64 = 1;
@@ -106,9 +106,9 @@ fn endpoint_scenario(use_virtual_networks: bool) -> (bool, usize) {
 /// Figure 3-style scenario: heavy all-to-all traffic, with configurable
 /// shared buffering (or worst-case buffering) and configurable endpoint
 /// service rate (drain one message per node every `drain_period` cycles).
-fn switch_scenario(cfg: NetConfig, drain_period: u64) -> (bool, usize) {
+fn switch_scenario(mut cfg: NetConfig, drain_period: u64) -> (bool, usize) {
+    cfg.stall_threshold = 3_000;
     let mut net: Network<u64> = Network::new(cfg);
-    net.set_stall_threshold(3_000);
     let mut rng = DetRng::new(3);
     let mut now = 0;
     for _ in 0..40_000u64 {

@@ -113,7 +113,7 @@ enum SetScan {
 /// A set-associative, LRU-replacement cache array, stored as one flat
 /// open-addressed table of resident lines (see the [module docs](self)).
 ///
-/// Equality compares contents (the resident lines and the counters), not
+/// Equality compares contents (the resident lines and the LRU clock), not
 /// where the table happens to hold each line.
 #[derive(Clone)]
 pub struct CacheArray<S> {
@@ -126,9 +126,6 @@ pub struct CacheArray<S> {
     shift: u32,
     resident: usize,
     lru_clock: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
 }
 
 impl<S> CacheArray<S> {
@@ -142,9 +139,6 @@ impl<S> CacheArray<S> {
             shift: 64,
             resident: 0,
             lru_clock: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
         }
     }
 
@@ -209,34 +203,26 @@ impl<S> CacheArray<S> {
         SetScan::Absent { occupancy, lru }
     }
 
-    /// Looks a block up without affecting LRU state or hit/miss counters.
+    /// Looks a block up without affecting LRU state.
     #[must_use]
     pub fn probe(&self, addr: BlockAddr) -> Option<&CacheLine<S>> {
         self.slots[self.find(addr)?].as_ref()
     }
 
-    /// Looks a block up, updating LRU order and hit/miss counters, and
-    /// returns a mutable reference if resident.
+    /// Looks a block up, updating LRU order, and returns a mutable
+    /// reference if resident.
     pub fn lookup(&mut self, addr: BlockAddr) -> Option<&mut CacheLine<S>> {
         self.lru_clock += 1;
         let clock = self.lru_clock;
-        match self.find(addr) {
-            Some(slot) => {
-                self.hits += 1;
-                let line = self.slots[slot].as_mut()?;
-                line.lru = clock;
-                Some(line)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        let slot = self.find(addr)?;
+        let line = self.slots[slot].as_mut()?;
+        line.lru = clock;
+        Some(line)
     }
 
     /// Returns a mutable reference to a resident block without touching the
-    /// hit/miss counters (for protocol actions that are not demand accesses,
-    /// e.g. applying an invalidation).
+    /// LRU order (for protocol actions that are not demand accesses, e.g.
+    /// applying an invalidation).
     pub fn get_mut(&mut self, addr: BlockAddr) -> Option<&mut CacheLine<S>> {
         let slot = self.find(addr)?;
         self.slots[slot].as_mut()
@@ -278,7 +264,6 @@ impl<S> CacheArray<S> {
                 return None;
             }
             SetScan::Absent { occupancy, lru } if occupancy >= self.geometry.ways => {
-                self.evictions += 1;
                 Some(self.vacate(lru.expect("a full set has an LRU line")))
             }
             SetScan::Absent { .. } => None,
@@ -364,24 +349,6 @@ impl<S> CacheArray<S> {
         lines.sort_unstable_by_key(|line| (self.set_index(line.addr), line.addr));
         lines.into_iter()
     }
-
-    /// Demand hits observed by [`CacheArray::lookup`].
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Demand misses observed by [`CacheArray::lookup`].
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Evictions forced by insertions into full sets.
-    #[must_use]
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
 }
 
 impl<S: PartialEq> PartialEq for CacheArray<S> {
@@ -389,8 +356,6 @@ impl<S: PartialEq> PartialEq for CacheArray<S> {
         self.geometry == other.geometry
             && self.resident == other.resident
             && self.lru_clock == other.lru_clock
-            && (self.hits, self.misses, self.evictions)
-                == (other.hits, other.misses, other.evictions)
             && self
                 .slots
                 .iter()
@@ -407,9 +372,6 @@ impl<S: fmt::Debug> fmt::Debug for CacheArray<S> {
             .field("geometry", &self.geometry)
             .field("lines", &self.iter().collect::<Vec<_>>())
             .field("lru_clock", &self.lru_clock)
-            .field("hits", &self.hits)
-            .field("misses", &self.misses)
-            .field("evictions", &self.evictions)
             .finish()
     }
 }
@@ -445,8 +407,6 @@ mod tests {
         let line = c.lookup(BlockAddr(4)).expect("resident");
         assert_eq!(line.data, 42);
         assert_eq!(line.state, 1);
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.misses(), 1);
     }
 
     #[test]
@@ -462,7 +422,6 @@ mod tests {
         assert!(c.probe(BlockAddr(0)).is_some());
         assert!(c.probe(BlockAddr(8)).is_some());
         assert!(c.probe(BlockAddr(4)).is_none());
-        assert_eq!(c.evictions(), 1);
     }
 
     #[test]
@@ -587,8 +546,8 @@ mod tests {
     // ------------------------------------------------------------------
     // Model equivalence: the flat table against the B-tree of sets it
     // replaced. Random operation sequences must leave both with the same
-    // returned lines, evicted lines, counters, length, set-order iteration
-    // and equality.
+    // returned lines, evicted lines, length, set-order iteration and
+    // equality.
     // ------------------------------------------------------------------
 
     use btree_model::BTreeCacheArray;
@@ -662,10 +621,6 @@ mod tests {
                 prop_assert_eq!(flat.eviction_victim(addr), model.eviction_victim(addr));
             }
         }
-        prop_assert_eq!(
-            (flat.hits(), flat.misses(), flat.evictions()),
-            (model.hits(), model.misses(), model.evictions())
-        );
         prop_assert_eq!(flat.len(), model.len());
         prop_assert_eq!(flat.is_empty(), model.is_empty());
         prop_assert!(flat.slots.iter().flatten().count() == flat.len());

@@ -1,7 +1,8 @@
 //! The B-tree-of-sets cache array that the flat open-addressed
-//! [`super::CacheArray`] replaced, kept verbatim (renamed) as the reference
-//! model of the model-equivalence tests: random operation sequences must
-//! leave both with the same observable behaviour.
+//! [`super::CacheArray`] replaced, kept (renamed, and without the
+//! hit/miss/eviction counters both arrays have since dropped) as the
+//! reference model of the model-equivalence tests: random operation
+//! sequences must leave both with the same observable behaviour.
 
 use std::collections::BTreeMap;
 
@@ -23,9 +24,6 @@ pub struct BTreeCacheArray<S> {
     sets: BTreeMap<u32, Vec<CacheLine<S>>>,
     resident: usize,
     lru_clock: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
 }
 
 impl<S> BTreeCacheArray<S> {
@@ -37,9 +35,6 @@ impl<S> BTreeCacheArray<S> {
             sets: BTreeMap::new(),
             resident: 0,
             lru_clock: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
         }
     }
 
@@ -53,7 +48,7 @@ impl<S> BTreeCacheArray<S> {
         addr.cache_set(self.geometry.sets) as u32
     }
 
-    /// Looks a block up without affecting LRU state or hit/miss counters.
+    /// Looks a block up without affecting LRU state.
     #[must_use]
     pub fn probe(&self, addr: BlockAddr) -> Option<&CacheLine<S>> {
         self.sets
@@ -62,8 +57,8 @@ impl<S> BTreeCacheArray<S> {
             .find(|l| l.addr == addr)
     }
 
-    /// Looks a block up, updating LRU order and hit/miss counters, and
-    /// returns a mutable reference if resident.
+    /// Looks a block up, updating LRU order, and returns a mutable
+    /// reference if resident.
     pub fn lookup(&mut self, addr: BlockAddr) -> Option<&mut CacheLine<S>> {
         self.lru_clock += 1;
         let clock = self.lru_clock;
@@ -72,22 +67,14 @@ impl<S> BTreeCacheArray<S> {
             .sets
             .get_mut(&set)
             .and_then(|s| s.iter_mut().find(|l| l.addr == addr));
-        match found {
-            Some(line) => {
-                line.lru = clock;
-                self.hits += 1;
-                Some(line)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        let line = found?;
+        line.lru = clock;
+        Some(line)
     }
 
     /// Returns a mutable reference to a resident block without touching the
-    /// hit/miss counters (for protocol actions that are not demand accesses,
-    /// e.g. applying an invalidation).
+    /// LRU order (for protocol actions that are not demand accesses, e.g.
+    /// applying an invalidation).
     pub fn get_mut(&mut self, addr: BlockAddr) -> Option<&mut CacheLine<S>> {
         let set = self.set_index(addr);
         self.sets.get_mut(&set)?.iter_mut().find(|l| l.addr == addr)
@@ -134,7 +121,6 @@ impl<S> BTreeCacheArray<S> {
                 .min_by_key(|(_, l)| l.lru)
                 .map(|(i, _)| i)
                 .expect("non-empty set");
-            self.evictions += 1;
             self.resident -= 1;
             Some(set.swap_remove(victim_pos))
         } else {
@@ -182,23 +168,5 @@ impl<S> BTreeCacheArray<S> {
     /// representation this replaced).
     pub fn iter(&self) -> impl Iterator<Item = &CacheLine<S>> {
         self.sets.values().flatten()
-    }
-
-    /// Demand hits observed by [`BTreeCacheArray::lookup`].
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Demand misses observed by [`BTreeCacheArray::lookup`].
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Evictions forced by insertions into full sets.
-    #[must_use]
-    pub fn evictions(&self) -> u64 {
-        self.evictions
     }
 }

@@ -27,7 +27,7 @@
 use std::collections::VecDeque;
 
 use specsim_base::{
-    BlockAddr, Counter, Cycle, CycleDelta, FastMap, MemorySystemConfig, NodeId, ProtocolVariant,
+    BlockAddr, Cycle, CycleDelta, FastMap, MemorySystemConfig, NodeId, ProtocolVariant,
 };
 
 use crate::cache_array::{CacheArray, CacheGeometry};
@@ -130,25 +130,6 @@ struct WritebackEntry {
     issued_at: Cycle,
 }
 
-/// Per-controller event counters.
-#[derive(Debug, Clone, Default)]
-pub struct CacheCtrlStats {
-    /// Demand accesses that hit in the L1 tag filter.
-    pub l1_hits: Counter,
-    /// Demand accesses that hit in the L2.
-    pub l2_hits: Counter,
-    /// Demand accesses that missed and started a coherence transaction.
-    pub misses: Counter,
-    /// Writebacks (PutM) issued.
-    pub writebacks: Counter,
-    /// Forwarded requests (FwdGetS/FwdGetM) served with data.
-    pub forwards_served: Counter,
-    /// Invalidations received.
-    pub invalidations: Counter,
-    /// Mis-speculations detected by this controller.
-    pub misspeculations: Counter,
-}
-
 /// The directory-protocol cache controller for one node.
 #[derive(Debug, Clone)]
 pub struct DirCacheController {
@@ -166,7 +147,6 @@ pub struct DirCacheController {
     writebacks: FastMap<BlockAddr, WritebackEntry>,
     outgoing: VecDeque<OutMsg>,
     completed: VecDeque<CompletedAccess>,
-    stats: CacheCtrlStats,
 }
 
 impl DirCacheController {
@@ -192,7 +172,6 @@ impl DirCacheController {
             writebacks: FastMap::default(),
             outgoing: VecDeque::new(),
             completed: VecDeque::new(),
-            stats: CacheCtrlStats::default(),
         }
     }
 
@@ -200,12 +179,6 @@ impl DirCacheController {
     #[must_use]
     pub fn node(&self) -> NodeId {
         self.node
-    }
-
-    /// Event counters.
-    #[must_use]
-    pub fn stats(&self) -> &CacheCtrlStats {
-        &self.stats
     }
 
     /// True when at least one demand miss is outstanding.
@@ -308,13 +281,11 @@ impl DirCacheController {
                 (CpuAccess::Load, _) => {
                     let value = line.data;
                     if l1_hit {
-                        self.stats.l1_hits.incr();
                         return AccessOutcome::L1Hit {
                             latency: self.l1_hit_cycles,
                             value,
                         };
                     }
-                    self.stats.l2_hits.incr();
                     self.l1.insert(req.addr, (), 0);
                     return AccessOutcome::L2Hit {
                         latency: self.l2_hit_cycles,
@@ -324,13 +295,11 @@ impl DirCacheController {
                 (CpuAccess::Store, CacheState::M) => {
                     line.data = req.store_value;
                     if l1_hit {
-                        self.stats.l1_hits.incr();
                         return AccessOutcome::L1Hit {
                             latency: self.l1_hit_cycles,
                             value: req.store_value,
                         };
                     }
-                    self.stats.l2_hits.incr();
                     self.l1.insert(req.addr, (), 0);
                     return AccessOutcome::L2Hit {
                         latency: self.l2_hit_cycles,
@@ -346,7 +315,6 @@ impl DirCacheController {
                         return AccessOutcome::Stall;
                     }
                     let data = line.data;
-                    self.stats.misses.incr();
                     self.demands.push(DemandMiss {
                         addr: req.addr,
                         access: CpuAccess::Store,
@@ -368,7 +336,6 @@ impl DirCacheController {
                     // exclusive copy (data will be supplied afresh).
                     self.l2.remove(req.addr);
                     self.l1.remove(req.addr);
-                    self.stats.misses.incr();
                     self.demands.push(DemandMiss {
                         addr: req.addr,
                         access: CpuAccess::Store,
@@ -388,7 +355,6 @@ impl DirCacheController {
         if upgrade_in_flight {
             return AccessOutcome::Stall;
         }
-        self.stats.misses.incr();
         let msg = match req.access {
             CpuAccess::Load => DirMsg::GetS { addr: req.addr },
             CpuAccess::Store => DirMsg::GetM { addr: req.addr },
@@ -405,6 +371,41 @@ impl DirCacheController {
         });
         self.send(self.home(req.addr), msg);
         AccessOutcome::MissIssued
+    }
+
+    /// The reply to `msg` when handling it would queue that reply and change
+    /// nothing else: a forwarded read served by an owner already in O (or
+    /// by its in-flight writeback), or an invalidation of a block not
+    /// resident. `None` when [`Self::handle_message`] would change the
+    /// controller or report an error. Lets a caller answer without copying
+    /// a controller it shares with a checkpoint.
+    #[must_use]
+    pub fn reply_only(&self, msg: DirMsg) -> Option<OutMsg> {
+        match msg {
+            DirMsg::Inv { addr, requestor } => self.l2.probe(addr).is_none().then_some(OutMsg {
+                dst: requestor,
+                msg: DirMsg::InvAck { addr },
+            }),
+            DirMsg::FwdGetS { addr, requestor } => {
+                let data = match self.l2.probe(addr) {
+                    Some(line) if line.state == CacheState::O => line.data,
+                    Some(_) => return None,
+                    None => {
+                        let entry = self.writebacks.get(&addr)?;
+                        (entry.state == WbState::Owner).then_some(entry.data)?
+                    }
+                };
+                Some(OutMsg {
+                    dst: requestor,
+                    msg: DirMsg::Data {
+                        addr,
+                        data,
+                        acks: 0,
+                    },
+                })
+            }
+            _ => None,
+        }
     }
 
     /// Handles a protocol message delivered to this node.
@@ -505,7 +506,6 @@ impl DirCacheController {
                 CacheState::M | CacheState::O => {
                     line.state = CacheState::O;
                     let data = line.data;
-                    self.stats.forwards_served.incr();
                     self.send(
                         requestor,
                         DirMsg::Data {
@@ -525,7 +525,6 @@ impl DirCacheController {
         if let Some(entry) = self.writebacks.get(&addr) {
             if entry.state == WbState::Owner {
                 let data = entry.data;
-                self.stats.forwards_served.incr();
                 self.send(
                     requestor,
                     DirMsg::Data {
@@ -558,7 +557,6 @@ impl DirCacheController {
                     let data = line.data;
                     self.l2.remove(addr);
                     self.l1.remove(addr);
-                    self.stats.forwards_served.incr();
                     self.send(requestor, DirMsg::Data { addr, data, acks });
                     return Ok(None);
                 }
@@ -573,7 +571,6 @@ impl DirCacheController {
             if entry.state == WbState::Owner {
                 let data = entry.data;
                 entry.state = WbState::LostOwnership;
-                self.stats.forwards_served.incr();
                 self.send(requestor, DirMsg::Data { addr, data, acks });
                 return Ok(None);
             }
@@ -582,15 +579,12 @@ impl DirCacheController {
         // Writeback-Ack overtook this Forwarded-RequestReadWrite, the cache
         // already invalidated, and the data is unrecoverable at this node.
         match self.variant {
-            ProtocolVariant::Speculative => {
-                self.stats.misspeculations.incr();
-                Ok(Some(MisSpeculation {
-                    kind: MisSpecKind::ForwardedRequestToInvalidCache,
-                    node: self.node,
-                    addr,
-                    at: now,
-                }))
-            }
+            ProtocolVariant::Speculative => Ok(Some(MisSpeculation {
+                kind: MisSpecKind::ForwardedRequestToInvalidCache,
+                node: self.node,
+                addr,
+                at: now,
+            })),
             ProtocolVariant::Full => Err(self.error(
                 addr,
                 "FwdGetM at a cache without a valid copy (the full protocol prevents this race)"
@@ -604,7 +598,6 @@ impl DirCacheController {
         addr: BlockAddr,
         requestor: NodeId,
     ) -> Result<Option<MisSpeculation>, ProtocolError> {
-        self.stats.invalidations.incr();
         if let Some(line) = self.l2.probe(addr) {
             match line.state {
                 CacheState::S => {
@@ -644,7 +637,6 @@ impl DirCacheController {
             self.l1.remove(victim.addr);
             match victim.state {
                 CacheState::M | CacheState::O => {
-                    self.stats.writebacks.incr();
                     self.writebacks.insert(
                         victim.addr,
                         WritebackEntry {
@@ -688,7 +680,6 @@ impl DirCacheController {
         self.l1.remove(addr);
         match line.state {
             CacheState::M | CacheState::O => {
-                self.stats.writebacks.incr();
                 self.writebacks.insert(
                     addr,
                     WritebackEntry {
@@ -954,6 +945,7 @@ mod tests {
     fn eviction_of_a_modified_victim_issues_a_writeback() {
         let mut c = ctrl(ProtocolVariant::Full);
         // L2: 4 sets x 2 ways; blocks 0x0, 0x4, 0x8 share set 0.
+        let mut putms = Vec::new();
         for (i, addr) in [0x0u64, 0x4, 0x8].iter().enumerate() {
             c.cpu_request(i as u64 * 10, store(*addr, 100 + i as u64));
             c.pop_outgoing();
@@ -967,16 +959,20 @@ mod tests {
             )
             .unwrap();
             c.take_completed();
-            while c.pop_outgoing().is_some() {}
+            while let Some(out) = c.pop_outgoing() {
+                if let DirMsg::PutM { addr, .. } = out.msg {
+                    putms.push(addr);
+                }
+            }
         }
         // Inserting 0x8 must have evicted one of the earlier blocks with a PutM.
-        assert_eq!(c.stats().writebacks.get(), 1);
-        // A request to the evicted (write-back-in-flight) block stalls.
         let evicted = if c.cached_value(BlockAddr(0x0)).is_none() {
             0x0
         } else {
             0x4
         };
+        assert_eq!(putms, [BlockAddr(evicted)]);
+        // A request to the evicted (write-back-in-flight) block stalls.
         assert_eq!(c.cpu_request(100, load(evicted)), AccessOutcome::Stall);
         // The writeback completes on WbAck, after which the block can be
         // requested again.
@@ -1103,7 +1099,6 @@ mod tests {
         assert_eq!(misspec.kind, MisSpecKind::ForwardedRequestToInvalidCache);
         assert_eq!(misspec.node, NodeId(1));
         assert_eq!(misspec.addr, BlockAddr(0x40));
-        assert_eq!(c.stats().misspeculations.get(), 1);
     }
 
     #[test]

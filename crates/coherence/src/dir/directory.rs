@@ -24,7 +24,7 @@
 
 use std::collections::VecDeque;
 
-use specsim_base::{BlockAddr, Counter, Cycle, FastMap, NodeId, ProtocolVariant};
+use specsim_base::{BlockAddr, Cycle, FastMap, NodeId, ProtocolVariant};
 
 use crate::data::MemoryStore;
 use crate::types::{NodeSet, ProtocolError};
@@ -70,24 +70,6 @@ struct DirEntry {
     pending: VecDeque<(NodeId, DirMsg)>,
 }
 
-/// Event counters for a directory controller.
-#[derive(Debug, Clone, Default)]
-pub struct DirStats {
-    /// GetS/GetM requests processed.
-    pub requests: Counter,
-    /// Forwarded requests (FwdGetS/FwdGetM) sent to owners.
-    pub forwards: Counter,
-    /// Invalidations sent to sharers.
-    pub invalidations: Counter,
-    /// Writebacks accepted (data written to memory).
-    pub writebacks: Counter,
-    /// Writebacks that raced with an ownership transfer (acknowledged without
-    /// writing memory).
-    pub stale_writebacks: Counter,
-    /// Requests deferred because the block was busy.
-    pub deferred: Counter,
-}
-
 /// The directory + memory controller for one home node.
 #[derive(Debug, Clone)]
 pub struct DirectoryController {
@@ -96,7 +78,6 @@ pub struct DirectoryController {
     entries: FastMap<BlockAddr, DirEntry>,
     memory: MemoryStore,
     outgoing: VecDeque<OutMsg>,
-    stats: DirStats,
 }
 
 impl DirectoryController {
@@ -109,7 +90,6 @@ impl DirectoryController {
             entries: FastMap::default(),
             memory: MemoryStore::new(),
             outgoing: VecDeque::new(),
-            stats: DirStats::default(),
         }
     }
 
@@ -117,12 +97,6 @@ impl DirectoryController {
     #[must_use]
     pub fn node(&self) -> NodeId {
         self.node
-    }
-
-    /// Event counters.
-    #[must_use]
-    pub fn stats(&self) -> &DirStats {
-        &self.stats
     }
 
     /// Read-only view of this home node's memory.
@@ -191,7 +165,6 @@ impl DirectoryController {
         match msg {
             DirMsg::GetS { addr } | DirMsg::GetM { addr } => {
                 if self.is_busy(addr) {
-                    self.stats.deferred.incr();
                     self.entries
                         .entry(addr)
                         .or_default()
@@ -217,7 +190,6 @@ impl DirectoryController {
         src: NodeId,
         msg: DirMsg,
     ) -> Result<(), ProtocolError> {
-        self.stats.requests.incr();
         match msg {
             DirMsg::GetS { addr } => {
                 let state = self.state_of(addr);
@@ -270,7 +242,6 @@ impl DirectoryController {
                         if owner == src {
                             return Err(self.error(addr, "owner issued a GetS".into()));
                         }
-                        self.stats.forwards.incr();
                         self.send(
                             owner,
                             DirMsg::FwdGetS {
@@ -334,7 +305,6 @@ impl DirectoryController {
                             },
                         );
                         for sharer in others.iter() {
-                            self.stats.invalidations.incr();
                             self.send(
                                 sharer,
                                 DirMsg::Inv {
@@ -368,7 +338,6 @@ impl DirectoryController {
                                 },
                             );
                         } else {
-                            self.stats.forwards.incr();
                             self.send(
                                 owner,
                                 DirMsg::FwdGetM {
@@ -379,7 +348,6 @@ impl DirectoryController {
                             );
                         }
                         for sharer in others.iter() {
-                            self.stats.invalidations.incr();
                             self.send(
                                 sharer,
                                 DirMsg::Inv {
@@ -434,14 +402,12 @@ impl DirectoryController {
                     // Forwarded-RequestReadWrite, so the writeback data is
                     // stale and is dropped. Correct only if the forwarded
                     // request reaches the previous owner before this ack.
-                    self.stats.stale_writebacks.incr();
                     self.send(src, DirMsg::WbAck { addr });
                     return Ok(());
                 }
                 _ => {
                     // Full variant (and non-racing cases in the speculative
                     // variant): wait for the in-flight transaction to finish.
-                    self.stats.deferred.incr();
                     self.entries
                         .entry(addr)
                         .or_default()
@@ -456,7 +422,6 @@ impl DirectoryController {
             DirState::Owned { owner, sharers } if owner == src => {
                 // Normal writeback: memory takes the data; remaining sharers
                 // (if any) keep read-only copies.
-                self.stats.writebacks.incr();
                 self.memory.write(addr, data);
                 self.send(src, DirMsg::WbAck { addr });
                 let next = if sharers.is_empty() {
@@ -473,7 +438,6 @@ impl DirectoryController {
                 // variant reaches this through the pending queue). Acknowledge
                 // so the old owner can retire its writeback buffer entry, and
                 // drop the stale data.
-                self.stats.stale_writebacks.incr();
                 self.send(src, DirMsg::WbAck { addr });
                 Ok(())
             }
@@ -693,7 +657,6 @@ mod tests {
         );
         assert_eq!(d.memory().read(A), 555);
         assert_eq!(d.state_of(A), DirState::Uncached);
-        assert_eq!(d.stats().writebacks.get(), 1);
     }
 
     #[test]
@@ -709,7 +672,6 @@ mod tests {
             drain(&mut d).is_empty(),
             "deferred request must not be served yet"
         );
-        assert_eq!(d.stats().deferred.get(), 1);
         // FinalAck unblocks and the deferred GetS is served by forwarding to
         // the new owner N1.
         d.handle_message(10, NodeId(1), DirMsg::FinalAck { addr: A })
@@ -762,7 +724,6 @@ mod tests {
                 msg: DirMsg::WbAck { addr: A }
             }]
         );
-        assert_eq!(d.stats().stale_writebacks.get(), 1);
         // Memory was NOT updated with the stale data.
         assert_eq!(d.memory().read(A), 0);
         assert_eq!(
@@ -798,7 +759,8 @@ mod tests {
                 msg: DirMsg::WbAck { addr: A }
             }]
         );
-        assert_eq!(d.stats().stale_writebacks.get(), 1);
+        // The stale data is dropped: memory keeps its old value.
+        assert_eq!(d.memory().read(A), 0);
         assert!(d.is_busy(A), "the in-flight GetM transaction is unaffected");
         // The GetM transaction still completes normally afterwards.
         d.handle_message(20, NodeId(2), DirMsg::FinalAck { addr: A })

@@ -27,6 +27,6 @@ pub mod cache;
 pub mod directory;
 pub mod msg;
 
-pub use cache::{AccessOutcome, CacheCtrlStats, CacheState, CompletedAccess, DirCacheController};
-pub use directory::{DirState, DirStats, DirectoryController};
+pub use cache::{AccessOutcome, CacheState, CompletedAccess, DirCacheController};
+pub use directory::{DirState, DirectoryController};
 pub use msg::{DirMsg, OutMsg};

@@ -11,7 +11,7 @@
 use std::collections::VecDeque;
 
 use specsim_base::{
-    BlockAddr, Counter, Cycle, CycleDelta, FastMap, MemorySystemConfig, NodeId, ProtocolVariant,
+    BlockAddr, Cycle, CycleDelta, FastMap, MemorySystemConfig, NodeId, ProtocolVariant,
 };
 
 use crate::cache_array::{CacheArray, CacheGeometry};
@@ -111,25 +111,6 @@ struct WritebackEntry {
     state: WbState,
 }
 
-/// Event counters for a snooping cache controller.
-#[derive(Debug, Clone, Default)]
-pub struct SnoopCacheStats {
-    /// Demand accesses that hit in L1.
-    pub l1_hits: Counter,
-    /// Demand accesses that hit in L2.
-    pub l2_hits: Counter,
-    /// Demand accesses that missed and issued a bus request.
-    pub misses: Counter,
-    /// Writebacks issued.
-    pub writebacks: Counter,
-    /// Foreign requests served with data.
-    pub snoop_responses: Counter,
-    /// Copies invalidated by foreign RequestForReadWrite observations.
-    pub invalidations: Counter,
-    /// Mis-speculations detected (Speculative variant only).
-    pub misspeculations: Counter,
-}
-
 /// The snooping-protocol cache controller for one node.
 #[derive(Debug, Clone)]
 pub struct SnoopCacheController {
@@ -147,7 +128,6 @@ pub struct SnoopCacheController {
     outgoing_bus: VecDeque<SnoopRequest>,
     outgoing_data: VecDeque<SnoopDataOut>,
     completed: VecDeque<SnoopCompletedAccess>,
-    stats: SnoopCacheStats,
 }
 
 impl SnoopCacheController {
@@ -174,7 +154,6 @@ impl SnoopCacheController {
             outgoing_bus: VecDeque::new(),
             outgoing_data: VecDeque::new(),
             completed: VecDeque::new(),
-            stats: SnoopCacheStats::default(),
         }
     }
 
@@ -182,12 +161,6 @@ impl SnoopCacheController {
     #[must_use]
     pub fn node(&self) -> NodeId {
         self.node
-    }
-
-    /// Event counters.
-    #[must_use]
-    pub fn stats(&self) -> &SnoopCacheStats {
-        &self.stats
     }
 
     /// True when a demand miss is outstanding.
@@ -322,13 +295,11 @@ impl SnoopCacheController {
                         CpuAccess::Store => req.store_value,
                     };
                     return if l1_hit {
-                        self.stats.l1_hits.incr();
                         SnoopAccessOutcome::L1Hit {
                             latency: self.l1_hit_cycles,
                             value,
                         }
                     } else {
-                        self.stats.l2_hits.incr();
                         self.l1.insert(req.addr, (), 0);
                         SnoopAccessOutcome::L2Hit {
                             latency: self.l2_hit_cycles,
@@ -345,7 +316,6 @@ impl SnoopCacheController {
                     if !self.demands.is_empty() {
                         return SnoopAccessOutcome::Stall;
                     }
-                    self.stats.misses.incr();
                     self.demands.push(SnoopDemand {
                         addr: req.addr,
                         access: CpuAccess::Store,
@@ -368,7 +338,6 @@ impl SnoopCacheController {
                     if upgrade_in_flight {
                         return SnoopAccessOutcome::Stall;
                     }
-                    self.stats.misses.incr();
                     self.demands.push(SnoopDemand {
                         addr: req.addr,
                         access: CpuAccess::Store,
@@ -390,7 +359,6 @@ impl SnoopCacheController {
         if upgrade_in_flight {
             return SnoopAccessOutcome::Stall;
         }
-        self.stats.misses.incr();
         let msg = match req.access {
             CpuAccess::Load => SnoopRequest::GetS { addr: req.addr },
             CpuAccess::Store => SnoopRequest::GetM { addr: req.addr },
@@ -408,6 +376,33 @@ impl SnoopCacheController {
         });
         self.outgoing_bus.push_back(msg);
         SnoopAccessOutcome::MissIssued
+    }
+
+    /// The data response to `request` from `src` when observing it would
+    /// queue that response and change nothing else: a foreign read served
+    /// by an owner already in O, or by its in-flight writeback. `None`
+    /// otherwise. Lets a caller answer without copying a controller it
+    /// shares with a checkpoint.
+    #[must_use]
+    pub fn reply_only(&self, src: NodeId, request: SnoopRequest) -> Option<SnoopDataOut> {
+        let SnoopRequest::GetS { addr } = request else {
+            return None;
+        };
+        if src == self.node {
+            return None;
+        }
+        let data = match self.l2.probe(addr) {
+            Some(line) if line.state == SnoopCacheState::O => line.data,
+            Some(_) => return None,
+            None => {
+                let entry = self.writebacks.get(&addr)?;
+                (entry.state == WbState::Owner).then_some(entry.data)?
+            }
+        };
+        Some(SnoopDataOut {
+            dst: src,
+            msg: SnoopDataMsg::Data { addr, data },
+        })
     }
 
     /// Observes one request from the totally ordered address network.
@@ -520,7 +515,6 @@ impl SnoopCacheController {
                     let data = line.data;
                     self.l2.remove(addr);
                     self.l1.remove(addr);
-                    self.stats.invalidations.incr();
                     if matches!(state, SnoopCacheState::M | SnoopCacheState::O) {
                         self.respond_with_data(src, addr, data);
                     }
@@ -549,15 +543,12 @@ impl SnoopCacheController {
                                     // previous requestor will respond; ignore.
                                     Ok(None)
                                 }
-                                ProtocolVariant::Speculative => {
-                                    self.stats.misspeculations.incr();
-                                    Ok(Some(MisSpeculation {
-                                        kind: MisSpecKind::WritebackDoubleRace,
-                                        node: self.node,
-                                        addr,
-                                        at: now,
-                                    }))
-                                }
+                                ProtocolVariant::Speculative => Ok(Some(MisSpeculation {
+                                    kind: MisSpecKind::WritebackDoubleRace,
+                                    node: self.node,
+                                    addr,
+                                    at: now,
+                                })),
                             };
                         }
                     }
@@ -592,7 +583,6 @@ impl SnoopCacheController {
     }
 
     fn respond_with_data(&mut self, dst: NodeId, addr: BlockAddr, data: u64) {
-        self.stats.snoop_responses.incr();
         self.outgoing_data.push_back(SnoopDataOut {
             dst,
             msg: SnoopDataMsg::Data { addr, data },
@@ -649,7 +639,6 @@ impl SnoopCacheController {
                 self.l1.remove(victim.addr);
                 match victim.state {
                     SnoopCacheState::M | SnoopCacheState::O => {
-                        self.stats.writebacks.incr();
                         self.writebacks.insert(
                             victim.addr,
                             WritebackEntry {
@@ -681,7 +670,6 @@ impl SnoopCacheController {
         self.l1.remove(addr);
         match line.state {
             SnoopCacheState::M | SnoopCacheState::O => {
-                self.stats.writebacks.incr();
                 self.writebacks.insert(
                     addr,
                     WritebackEntry {
@@ -798,7 +786,8 @@ mod tests {
         let out = c.pop_data_message().unwrap();
         assert_eq!(out.msg, SnoopDataMsg::Data { addr: A, data: 42 });
         assert_eq!(c.cached_value(A), None);
-        assert_eq!(c.stats().invalidations.get(), 1);
+        // The invalidated copy is gone from both levels: a load misses.
+        assert_eq!(c.cpu_request(30, load(A)), SnoopAccessOutcome::MissIssued);
     }
 
     #[test]
@@ -881,7 +870,6 @@ mod tests {
                     let m = second.expect("speculative protocol must detect the race");
                     assert_eq!(m.kind, MisSpecKind::WritebackDoubleRace);
                     assert_eq!(m.node, NodeId(1));
-                    assert_eq!(c.stats().misspeculations.get(), 1);
                 }
             }
         }

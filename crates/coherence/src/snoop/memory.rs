@@ -9,23 +9,12 @@
 
 use std::collections::VecDeque;
 
-use specsim_base::{BlockAddr, Counter, Cycle, FastMap, NodeId};
+use specsim_base::{BlockAddr, Cycle, FastMap, NodeId};
 
 use crate::data::MemoryStore;
 use crate::types::ProtocolError;
 
 use super::msg::{SnoopDataMsg, SnoopDataOut, SnoopRequest};
-
-/// Event counters for a snooping memory controller.
-#[derive(Debug, Clone, Default)]
-pub struct SnoopMemoryStats {
-    /// Data responses supplied by memory.
-    pub data_supplied: Counter,
-    /// Writebacks accepted into memory.
-    pub writebacks: Counter,
-    /// Stale writeback announcements ignored (ownership had already moved).
-    pub stale_writebacks: Counter,
-}
 
 /// The home memory controller for one node of the snooping system.
 #[derive(Debug, Clone)]
@@ -35,7 +24,6 @@ pub struct SnoopMemoryController {
     memory: MemoryStore,
     owner: FastMap<BlockAddr, NodeId>,
     outgoing_data: VecDeque<SnoopDataOut>,
-    stats: SnoopMemoryStats,
 }
 
 impl SnoopMemoryController {
@@ -49,7 +37,6 @@ impl SnoopMemoryController {
             memory: MemoryStore::new(),
             owner: FastMap::default(),
             outgoing_data: VecDeque::new(),
-            stats: SnoopMemoryStats::default(),
         }
     }
 
@@ -57,12 +44,6 @@ impl SnoopMemoryController {
     #[must_use]
     pub fn node(&self) -> NodeId {
         self.node
-    }
-
-    /// Event counters.
-    #[must_use]
-    pub fn stats(&self) -> &SnoopMemoryStats {
-        &self.stats
     }
 
     /// Read-only view of this home's memory image.
@@ -106,7 +87,8 @@ impl SnoopMemoryController {
 
     /// True when observing `request` from `src` may change this controller:
     /// only at the block's home, and there not for a read a cache owner
-    /// serves or a write by the current owner.
+    /// serves, a write by the current owner or a stale writeback (one not
+    /// from the current owner).
     #[must_use]
     pub fn snoop_may_change(&self, src: NodeId, request: SnoopRequest) -> bool {
         let addr = request.addr();
@@ -114,8 +96,27 @@ impl SnoopMemoryController {
             && match request {
                 SnoopRequest::GetS { .. } => self.owner_of(addr).is_none(),
                 SnoopRequest::GetM { .. } => self.owner_of(addr) != Some(src),
-                SnoopRequest::PutM { .. } => true,
+                SnoopRequest::PutM { .. } => self.owner_of(addr) == Some(src),
             }
+    }
+
+    /// The data response to `request` from `src` when observing it would
+    /// queue that response and change nothing else: a read of a block this
+    /// home serves with no cache owner. `None` otherwise. Lets a caller
+    /// answer without copying a controller it shares with a checkpoint.
+    #[must_use]
+    pub fn reply_only(&self, src: NodeId, request: SnoopRequest) -> Option<SnoopDataOut> {
+        let addr = request.addr();
+        let serves = matches!(request, SnoopRequest::GetS { .. })
+            && self.is_home_for(addr)
+            && self.owner_of(addr).is_none();
+        serves.then(|| SnoopDataOut {
+            dst: src,
+            msg: SnoopDataMsg::Data {
+                addr,
+                data: self.memory.read(addr),
+            },
+        })
     }
 
     /// Observes one request from the totally ordered address network.
@@ -128,7 +129,6 @@ impl SnoopMemoryController {
             SnoopRequest::GetS { .. } => {
                 if self.owner_of(addr).is_none() {
                     let data = self.memory.read(addr);
-                    self.stats.data_supplied.incr();
                     self.outgoing_data.push_back(SnoopDataOut {
                         dst: src,
                         msg: SnoopDataMsg::Data { addr, data },
@@ -139,7 +139,6 @@ impl SnoopMemoryController {
             SnoopRequest::GetM { .. } => {
                 if self.owner_of(addr).is_none() {
                     let data = self.memory.read(addr);
-                    self.stats.data_supplied.incr();
                     self.outgoing_data.push_back(SnoopDataOut {
                         dst: src,
                         msg: SnoopDataMsg::Data { addr, data },
@@ -159,7 +158,6 @@ impl SnoopMemoryController {
                     _ => {
                         // Stale writeback: ownership already moved to another
                         // cache (the Section 3.2 race); ignore it.
-                        self.stats.stale_writebacks.incr();
                     }
                 }
             }
@@ -177,7 +175,6 @@ impl SnoopMemoryController {
                         description: "writeback data sent to the wrong home node".into(),
                     });
                 }
-                self.stats.writebacks.incr();
                 self.memory.write(addr, data);
                 Ok(())
             }
@@ -236,7 +233,6 @@ mod tests {
         m.handle_data(6, SnoopDataMsg::WbData { addr: A, data: 99 })
             .unwrap();
         assert_eq!(m.memory().read(A), 99);
-        assert_eq!(m.stats().writebacks.get(), 1);
         // A subsequent reader gets the written-back value from memory.
         m.observe_snoop(7, NodeId(4), SnoopRequest::GetS { addr: A });
         assert_eq!(
@@ -258,7 +254,9 @@ mod tests {
             Some(NodeId(5)),
             "node 5 must remain the owner"
         );
-        assert_eq!(m.stats().stale_writebacks.get(), 1);
+        // Ignored: no data goes out, and a stale PutM cannot change memory.
+        assert!(m.pop_data_message().is_none());
+        assert!(!m.snoop_may_change(NodeId(3), SnoopRequest::PutM { addr: A }));
     }
 
     #[test]

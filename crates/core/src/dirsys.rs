@@ -15,6 +15,7 @@
 //! [`SystemEngine::run_for`] runs a full experiment window and returns the
 //! collected [`RunMetrics`].
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use specsim_base::{BlockAddr, Cycle, CycleDelta, DetRng, FaultKind, NodeId};
@@ -51,14 +52,18 @@ const DIRECTORY_LATENCY: CycleDelta = 16;
 /// clone (a SafetyNet checkpoint or restore) shares them and the first
 /// write after it copies only the controller written, through
 /// [`Arc::make_mut`]. Call sites that may change nothing check first, so
-/// an idle controller stays shared. The torus, processors and outboxes are
-/// copied outright.
+/// an idle controller stays shared. The torus, processors, reply queues and
+/// outboxes are copied outright.
 #[derive(Debug, Clone)]
 pub struct ArchState {
     net: Network<DirMsg>,
     caches: Vec<Arc<DirCacheController>>,
     dirs: Vec<Arc<DirectoryController>>,
     procs: Vec<Processor>,
+    /// Each cache's replies to messages it answers without changing
+    /// ([`DirCacheController::reply_only`]), queued ahead of the cache's own
+    /// output so the controller stays shared.
+    cache_replies: Vec<VecDeque<OutMsg>>,
     outboxes: Vec<StagedOutbox<OutMsg>>,
 }
 
@@ -159,7 +164,8 @@ impl DirProtocol {
                 arch.dirs[node_idx].outgoing_len() < CONTROLLER_OUTPUT_LIMIT
             }
             MsgClass::Forwarded | MsgClass::Response => {
-                arch.caches[node_idx].outgoing_len() < CONTROLLER_OUTPUT_LIMIT
+                arch.caches[node_idx].outgoing_len() + arch.cache_replies[node_idx].len()
+                    < CONTROLLER_OUTPUT_LIMIT
             }
         }
     }
@@ -188,10 +194,21 @@ impl DirProtocol {
                 ctx.note_memory_activity(node_idx);
             }
             MsgClass::Forwarded | MsgClass::Response => {
-                match Arc::make_mut(&mut arch.caches[node_idx]).handle_message(now, msg) {
-                    Ok(Some(misspec)) => ctx.note_misspeculation(misspec),
-                    Ok(None) => {}
-                    Err(e) => ctx.note_error(e),
+                // A reply alone leaves the cache shared. It queues ahead of
+                // the cache's output only when that is empty, so every reply
+                // still leaves in the order the cache would have sent it.
+                let cache = &arch.caches[node_idx];
+                let reply = (cache.outgoing_len() == 0)
+                    .then(|| cache.reply_only(msg))
+                    .flatten();
+                if let Some(reply) = reply {
+                    arch.cache_replies[node_idx].push_back(reply);
+                } else {
+                    match Arc::make_mut(&mut arch.caches[node_idx]).handle_message(now, msg) {
+                        Ok(Some(misspec)) => ctx.note_misspeculation(misspec),
+                        Ok(None) => {}
+                        Err(e) => ctx.note_error(e),
+                    }
                 }
                 // The cache controller's state changed: a processor parked on
                 // a stalled request at this node may now make progress.
@@ -210,6 +227,7 @@ impl DirProtocol {
             net,
             caches,
             dirs,
+            cache_replies,
             outboxes,
             ..
         } = arch;
@@ -221,11 +239,20 @@ impl DirProtocol {
         let mut cursor = 0;
         while let Some(i) = ctx.next_outbox_at_or_after(cursor) {
             cursor = i + 1;
-            // A controller with nothing queued is not touched, so a
-            // checkpoint still sharing it keeps sharing it.
-            if caches[i].outgoing_len() > 0 {
+            // The cache's queued replies go first, then its own output,
+            // within one budget. A controller with nothing queued is not
+            // touched, so a checkpoint still sharing it keeps sharing it.
+            let mut budget = DRAIN_BUDGET;
+            while budget > 0 {
+                let Some(m) = cache_replies[i].pop_front() else {
+                    break;
+                };
+                outboxes[i].stage(now + CACHE_RESPONSE_LATENCY, m);
+                budget -= 1;
+            }
+            if budget > 0 && caches[i].outgoing_len() > 0 {
                 let cache = Arc::make_mut(&mut caches[i]);
-                for _ in 0..DRAIN_BUDGET {
+                for _ in 0..budget {
                     match cache.pop_outgoing() {
                         Some(m) => outboxes[i].stage(now + CACHE_RESPONSE_LATENCY, m),
                         None => break,
@@ -265,7 +292,10 @@ impl DirProtocol {
             // Drained controllers: until the tick phase or a message ingest
             // re-lists the node, only its staged front ripening gives it
             // work.
-            if caches[i].outgoing_len() == 0 && dirs[i].outgoing_len() == 0 {
+            if caches[i].outgoing_len() == 0
+                && cache_replies[i].is_empty()
+                && dirs[i].outgoing_len() == 0
+            {
                 ctx.settle_outbox(now, i, outboxes[i].front_ready());
             }
         }
@@ -357,9 +387,9 @@ impl ProtocolNode for DirProtocol {
     }
 
     fn collect_protocol_metrics(&self, arch: &ArchState, now: Cycle, m: &mut RunMetrics) {
-        m.messages_delivered = arch.net.stats().delivered.get();
+        m.messages_delivered = arch.net.stats().total_delivered();
         for vn in specsim_net::ALL_VIRTUAL_NETWORKS {
-            m.delivered_per_vnet[vn.index()] = arch.net.ordering().delivered(vn);
+            m.delivered_per_vnet[vn.index()] = arch.net.stats().delivered_on(vn);
             m.reordered_per_vnet[vn.index()] = arch.net.ordering().reordered(vn);
         }
         m.link_utilization = arch.net.mean_link_utilization(now);
@@ -428,6 +458,7 @@ impl DirectorySystem {
             caches,
             dirs,
             procs,
+            cache_replies: vec![VecDeque::new(); n],
             outboxes: (0..n).map(|_| StagedOutbox::default()).collect(),
         };
         let perturb_rng = seed_rng.fork();

@@ -1152,7 +1152,7 @@ impl<P: ProtocolNode> SystemEngine<P> {
             recoveries: self.metrics.recoveries + self.metrics.injected_recoveries,
             link_busy_cycles: fabric.link_busy_cycles,
             num_links: fabric.num_links as u64,
-            messages_delivered: fabric.delivered.get(),
+            messages_delivered: fabric.total_delivered(),
             log_entries: self.safetynet.stats().entries_logged,
             outstanding,
             log_occupancy,

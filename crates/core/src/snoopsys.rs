@@ -26,6 +26,7 @@ use specsim_coherence::snoop::{
     SnoopAccessOutcome, SnoopCacheController, SnoopDataMsg, SnoopMemoryController, SnoopRequest,
 };
 use specsim_coherence::types::CpuRequest;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use specsim_net::{
@@ -216,8 +217,8 @@ impl SnoopSystemConfig {
 /// a clone (a SafetyNet checkpoint or restore) shares them and the first
 /// write after it copies only the controller written, through
 /// [`Arc::make_mut`]. Call sites that may change nothing check first, so
-/// an idle controller stays shared. The bus, the data torus, processors
-/// and outboxes are copied outright.
+/// an idle controller stays shared. The bus, the data torus, processors,
+/// reply queues and outboxes are copied outright.
 #[derive(Debug, Clone)]
 pub struct ArchState {
     bus: OrderedBus<SnoopRequest>,
@@ -225,6 +226,12 @@ pub struct ArchState {
     caches: Vec<Arc<SnoopCacheController>>,
     memories: Vec<Arc<SnoopMemoryController>>,
     procs: Vec<Processor>,
+    /// Each cache's and each home memory's responses to snoops they answer
+    /// without changing ([`SnoopCacheController::reply_only`],
+    /// [`SnoopMemoryController::reply_only`]), queued ahead of the
+    /// controller's own data output so the controller stays shared.
+    cache_replies: Vec<VecDeque<SnoopDataOut>>,
+    mem_replies: Vec<VecDeque<SnoopDataOut>>,
     /// Memory-controller data responses waiting out their DRAM access
     /// latency before entering the data network.
     mem_outboxes: Vec<StagedOutbox<SnoopDataOut>>,
@@ -249,6 +256,8 @@ impl SnoopProtocol {
             data_net,
             caches,
             memories,
+            cache_replies,
+            mem_replies,
             mem_outboxes,
             ..
         } = arch;
@@ -263,43 +272,60 @@ impl SnoopProtocol {
             // A controller with nothing queued is not touched, so a
             // checkpoint still sharing it keeps sharing it.
             if caches[i].outgoing_len() > 0 {
-                let cache = Arc::make_mut(&mut caches[i]);
                 // Address-network requests.
+                let cache = Arc::make_mut(&mut caches[i]);
                 for _ in 0..DRAIN_BUDGET {
                     match cache.pop_bus_request() {
                         Some(req) => bus.request(node, req),
                         None => break,
                     }
                 }
-                // Data-network messages from caches (responses, writeback
-                // data). Back-pressure is checked *before* popping — against
-                // the head message's own traffic class, so e.g. writeback
-                // back-pressure on a bounded/pooled fabric never blocks an
-                // injectable owner transfer (the message stays queued in the
-                // controller, never dropped; the default worst-case
-                // buffering never rejects).
-                for _ in 0..DRAIN_BUDGET {
-                    let Some(vnet) = cache
-                        .peek_data_message()
-                        .map(|out| data_vnet_of(data_class_of(&out.msg)))
-                    else {
-                        break;
-                    };
-                    if !data_net.can_inject(node, vnet) {
-                        break;
-                    }
-                    let out = cache.pop_data_message().expect("peeked message");
-                    data_net
-                        .inject(now, node, out.dst, vnet, out.msg.size(), out.msg)
-                        .expect("injection checked");
+            }
+            // Data-network messages from caches (responses, writeback data):
+            // the queued replies first, then the cache's own output.
+            // Back-pressure is checked *before* popping — against the head
+            // message's own traffic class, so e.g. writeback back-pressure on
+            // a bounded/pooled fabric never blocks an injectable owner
+            // transfer (the message stays queued, never dropped; the default
+            // worst-case buffering never rejects).
+            for _ in 0..DRAIN_BUDGET {
+                let Some(vnet) = cache_replies[i]
+                    .front()
+                    .or_else(|| caches[i].peek_data_message())
+                    .map(|out| data_vnet_of(data_class_of(&out.msg)))
+                else {
+                    break;
+                };
+                if !data_net.can_inject(node, vnet) {
+                    break;
                 }
+                let out = match cache_replies[i].pop_front() {
+                    Some(out) => out,
+                    None => Arc::make_mut(&mut caches[i])
+                        .pop_data_message()
+                        .expect("peeked message"),
+                };
+                data_net
+                    .inject(now, node, out.dst, vnet, out.msg.size(), out.msg)
+                    .expect("injection checked");
             }
             // Data-network messages from memory controllers wait out the DRAM
             // access latency (plus the small pseudo-random perturbation of the
             // Section 5.2 methodology) in a staging outbox before injection.
-            if memories[i].outgoing_len() > 0 {
+            // The memory's queued replies go first, then its own output,
+            // within one budget.
+            let mut budget = DRAIN_BUDGET;
+            while budget > 0 {
+                let Some(out) = mem_replies[i].pop_front() else {
+                    break;
+                };
+                let delay = self.cfg.memory.dram_access_cycles + ctx.perturbation();
+                mem_outboxes[i].stage(now + delay, out);
+                budget -= 1;
+            }
+            if budget > 0 && memories[i].outgoing_len() > 0 {
                 let memory = Arc::make_mut(&mut memories[i]);
-                for _ in 0..DRAIN_BUDGET {
+                for _ in 0..budget {
                     let Some(out) = memory.pop_data_message() else {
                         break;
                     };
@@ -320,7 +346,11 @@ impl SnoopProtocol {
             // Drained controllers: until the tick phase or a delivery
             // re-lists the node, only its staged front ripening gives it
             // work.
-            if caches[i].outgoing_len() == 0 && memories[i].outgoing_len() == 0 {
+            if caches[i].outgoing_len() == 0
+                && memories[i].outgoing_len() == 0
+                && cache_replies[i].is_empty()
+                && mem_replies[i].is_empty()
+            {
                 ctx.settle_outbox(now, i, mem_outboxes[i].front_ready());
             }
         }
@@ -351,15 +381,29 @@ impl SnoopProtocol {
                 // Both the cache and the home memory controller observe the
                 // same, totally ordered, request stream.
                 // Controllers a snoop leaves unchanged are not touched:
-                // every memory but the block's home, and most caches.
-                if arch.memories[i].snoop_may_change(delivery.src, delivery.payload) {
+                // every memory but the block's home, and most caches. One
+                // that only answers queues its reply ahead of its output,
+                // and only when that is empty, so replies keep their order.
+                let memory = &arch.memories[i];
+                let reply = (memory.outgoing_len() == 0)
+                    .then(|| memory.reply_only(delivery.src, delivery.payload))
+                    .flatten();
+                if let Some(reply) = reply {
+                    arch.mem_replies[i].push_back(reply);
+                } else if arch.memories[i].snoop_may_change(delivery.src, delivery.payload) {
                     Arc::make_mut(&mut arch.memories[i]).observe_snoop(
                         now,
                         delivery.src,
                         delivery.payload,
                     );
                 }
-                if arch.caches[i].snoop_may_change(delivery.src, delivery.payload) {
+                let cache = &arch.caches[i];
+                let reply = (cache.outgoing_len() == 0)
+                    .then(|| cache.reply_only(delivery.src, delivery.payload))
+                    .flatten();
+                if let Some(reply) = reply {
+                    arch.cache_replies[i].push_back(reply);
+                } else if arch.caches[i].snoop_may_change(delivery.src, delivery.payload) {
                     match Arc::make_mut(&mut arch.caches[i]).observe_snoop(
                         now,
                         delivery.src,
@@ -521,16 +565,15 @@ impl ProtocolNode for SnoopProtocol {
     }
 
     fn collect_protocol_metrics(&self, arch: &ArchState, now: Cycle, m: &mut RunMetrics) {
-        m.messages_delivered = arch.data_net.stats().delivered.get();
+        m.messages_delivered = arch.data_net.stats().total_delivered();
         m.bus_requests = arch.bus.granted();
         // Per-fabric stats of the second interconnect: the data torus.
-        m.data_messages_delivered = arch.data_net.stats().delivered.get();
+        m.data_messages_delivered = m.messages_delivered;
         m.data_mean_latency_cycles = arch.data_net.stats().mean_latency();
         m.data_link_utilization = arch.data_net.mean_link_utilization(now);
         for class in ALL_DATA_CLASSES {
             let vnet = data_vnet_of(class);
-            m.data_delivered_per_class[class.index()] =
-                arch.data_net.stats().delivered_per_vnet[vnet.index()].get();
+            m.data_delivered_per_class[class.index()] = arch.data_net.stats().delivered_on(vnet);
             m.data_latency_per_class[class.index()] = arch.data_net.stats().mean_latency_of(vnet);
         }
         m.vnet_latency = arch.data_net.stats().latency_hist_per_vnet.clone();
@@ -588,6 +631,8 @@ impl SnoopingSystem {
             caches,
             memories,
             procs,
+            cache_replies: vec![VecDeque::new(); n],
+            mem_replies: vec![VecDeque::new(); n],
             mem_outboxes: (0..n).map(|_| StagedOutbox::default()).collect(),
         };
         let perturb_rng = seed_rng.fork();

@@ -11,7 +11,7 @@
 
 use std::collections::VecDeque;
 
-use specsim_base::{Counter, Cycle, CycleDelta, MsgQueue, NodeId};
+use specsim_base::{Cycle, CycleDelta, MsgQueue, NodeId};
 
 /// A snoop delivered to a node: the request payload plus its position in the
 /// global order and its issuer.
@@ -27,17 +27,6 @@ pub struct BusDelivery<P> {
     pub payload: P,
 }
 
-/// Statistics for an [`OrderedBus`].
-#[derive(Debug, Clone, Default)]
-pub struct BusStats {
-    /// Requests posted by nodes.
-    pub requested: Counter,
-    /// Requests granted and broadcast.
-    pub granted: Counter,
-    /// Snoop deliveries consumed by nodes.
-    pub consumed: Counter,
-}
-
 /// A totally ordered broadcast bus carrying payloads of type `P`.
 #[derive(Debug, Clone)]
 pub struct OrderedBus<P> {
@@ -48,9 +37,10 @@ pub struct OrderedBus<P> {
     in_flight: VecDeque<(Cycle, NodeId, u64, Cycle, P)>,
     delivery: Vec<VecDeque<BusDelivery<P>>>,
     next_grant_at: Cycle,
+    /// Position the next grant takes in the global order: the number of
+    /// requests granted so far.
     next_order: u64,
     rr: usize,
-    stats: BusStats,
 }
 
 impl<P: Clone> OrderedBus<P> {
@@ -78,7 +68,6 @@ impl<P: Clone> OrderedBus<P> {
             next_grant_at: 0,
             next_order: 0,
             rr: 0,
-            stats: BusStats::default(),
         }
     }
 
@@ -91,7 +80,6 @@ impl<P: Clone> OrderedBus<P> {
     /// Posts a request from `src`; it will be granted in some later
     /// arbitration slot.
     pub fn request(&mut self, src: NodeId, payload: P) {
-        self.stats.requested.incr();
         self.pending[src.index()]
             .push(payload)
             .unwrap_or_else(|_| panic!("bus pending queues are unbounded"));
@@ -100,7 +88,7 @@ impl<P: Clone> OrderedBus<P> {
     /// Total requests granted so far (length of the global order).
     #[must_use]
     pub fn granted(&self) -> u64 {
-        self.stats.granted.get()
+        self.next_order
     }
 
     /// Snoops waiting to be consumed by `node`.
@@ -127,7 +115,6 @@ impl<P: Clone> OrderedBus<P> {
             if let Some((src, payload)) = granted {
                 let order = self.next_order;
                 self.next_order += 1;
-                self.stats.granted.incr();
                 self.in_flight
                     .push_back((now + self.broadcast_latency, src, order, now, payload));
                 self.next_grant_at = now + self.arbitration_interval;
@@ -169,17 +156,7 @@ impl<P: Clone> OrderedBus<P> {
 
     /// Removes the next snoop for `node` (in global order).
     pub fn pop_snoop(&mut self, node: NodeId) -> Option<BusDelivery<P>> {
-        let d = self.delivery[node.index()].pop_front();
-        if d.is_some() {
-            self.stats.consumed.incr();
-        }
-        d
-    }
-
-    /// Bus statistics.
-    #[must_use]
-    pub fn stats(&self) -> &BusStats {
-        &self.stats
+        self.delivery[node.index()].pop_front()
     }
 }
 

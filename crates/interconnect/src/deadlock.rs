@@ -50,11 +50,6 @@ impl ProgressWatchdog {
     pub fn is_stalled(&self, now: Cycle, in_flight: usize) -> bool {
         in_flight > 0 && now.saturating_sub(self.last_progress) >= self.threshold
     }
-
-    /// Resets the watchdog (after the network was drained).
-    pub fn reset(&mut self, now: Cycle) {
-        self.last_progress = now;
-    }
 }
 
 #[cfg(test)]
@@ -78,15 +73,6 @@ mod tests {
         w.record_progress(160);
         assert!(!w.is_stalled(200, 3));
         assert!(w.is_stalled(260, 3));
-    }
-
-    #[test]
-    fn reset_clears_the_stall() {
-        let mut w = ProgressWatchdog::new(10);
-        w.record_progress(0);
-        assert!(w.is_stalled(20, 1));
-        w.reset(20);
-        assert!(!w.is_stalled(25, 1));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The assembled torus network: injection, cycle-by-cycle switching,
-//! delivery, ordering accounting and draining.
+//! delivery, and ordering and link-busy accounting.
 //!
 //! # Active-set kernel
 //!
@@ -479,7 +479,7 @@ impl<P> Network<P> {
         payload: P,
     ) -> Result<(), InjectError<P>> {
         if !self.can_inject(src, vnet) {
-            self.stats.injection_rejects.incr();
+            self.stats.injection_rejects += 1;
             return Err(InjectError(payload));
         }
         let seq = self.ordering.stamp(src, dst, vnet);
@@ -504,7 +504,7 @@ impl<P> Network<P> {
         self.slab.queued_total[i] += 1;
         self.pool_acquire(i, vnet);
         self.active.insert(i);
-        self.stats.injected.incr();
+        self.stats.injected += 1;
         self.in_flight += 1;
         Ok(())
     }
@@ -688,14 +688,15 @@ impl<P> Network<P> {
         &self.ordering
     }
 
-    /// Mean utilization across every unidirectional link over `[0, now]`.
+    /// Mean utilization across every unidirectional link over `[0, now]`:
+    /// [`NetStats::link_busy_cycles`] over the link-cycles elapsed.
     #[must_use]
     pub fn mean_link_utilization(&self, now: Cycle) -> f64 {
         if now == 0 {
             return 0.0;
         }
-        let busy: u64 = self.slab.util.iter().map(|u| u.busy_cycles()).sum();
-        let links = (4 * self.num_nodes()) as f64;
+        let busy = self.stats.link_busy_cycles;
+        let links = self.stats.num_links as f64;
         (busy as f64 / (links * now as f64)).clamp(0.0, 1.0)
     }
 
@@ -706,57 +707,12 @@ impl<P> Network<P> {
         self.watchdog.is_stalled(now, self.in_flight)
     }
 
-    /// Sets how many quiet cycles the progress watchdog tolerates before
-    /// reporting a stall, overriding [`NetConfig::stall_threshold`] on a live
-    /// network.
-    pub fn set_stall_threshold(&mut self, threshold: u64) {
-        self.watchdog = ProgressWatchdog::new(threshold);
-    }
-
     /// Total messages queued at each switch (diagnostic snapshot).
     #[must_use]
     pub fn occupancy_snapshot(&self) -> Vec<usize> {
         (0..self.slab.num_nodes())
             .map(|i| self.slab.node_occupancy(i))
             .collect()
-    }
-
-    /// Drops every message in the fabric and the ejection queues and returns
-    /// the number dropped. Recovery does not drain: SafetyNet restores the
-    /// checkpointed fabric by clone. Tests use the drain to empty a wedged
-    /// network in place.
-    pub fn drain(&mut self, now: Cycle) -> usize {
-        let mut dropped_ids = Vec::new();
-        self.slab.clear_all(&mut dropped_ids);
-        let mut dropped = dropped_ids.len();
-        for queues in &mut self.eject {
-            for q in queues {
-                dropped += q.len();
-                q.clear();
-            }
-        }
-        self.arena.clear();
-        self.eject_pending.fill(0);
-        self.eject_active.clear();
-        if let Some(pools) = &mut self.pools {
-            for p in pools {
-                p.clear();
-            }
-        }
-        if let Some(pools) = &mut self.endpoint_pools {
-            for p in pools {
-                p.clear();
-            }
-        }
-        self.full_pools = 0;
-        self.full_endpoint_pools = 0;
-        self.in_flight = 0;
-        // Emptying the queues unparks every switch; the wheel loses the
-        // wakes with the arrivals.
-        self.active.clear();
-        self.arrivals.clear();
-        self.watchdog.reset(now);
-        dropped
     }
 
     fn deliver_phase(&mut self, now: Cycle, faults: Option<&FaultDirector>) {
@@ -1135,7 +1091,7 @@ impl<P> Network<P> {
                     let arrival = now + serialization + self.cfg.switch_latency + delay;
                     let l = SwitchSlab::link(i, dir.index());
                     self.slab.busy_until[l] = now + serialization + delay;
-                    self.slab.util[l].add_busy(serialization);
+                    self.stats.link_busy_cycles += serialization;
                     self.slab.in_transit[l].push_back(InTransit {
                         arrival,
                         target_slot: target_slot as u32,
@@ -1144,7 +1100,7 @@ impl<P> Network<P> {
                     self.arrivals
                         .schedule(arrival, (i as u32, dir.index() as u8));
                     self.slab.reserved[target_slot] += 1;
-                    self.stats.hops.incr();
+                    self.stats.hops += 1;
                     self.watchdog.record_progress(now);
                     if duplicate {
                         // The spurious copy follows back-to-back on the same
@@ -1158,7 +1114,7 @@ impl<P> Network<P> {
                             self.pool_acquire(j, vnet);
                             let dup_arrival = arrival + serialization;
                             self.slab.busy_until[l] = now + 2 * serialization;
-                            self.slab.util[l].add_busy(serialization);
+                            self.stats.link_busy_cycles += serialization;
                             self.slab.in_transit[l].push_back(InTransit {
                                 arrival: dup_arrival,
                                 target_slot: target_slot as u32,

@@ -28,6 +28,44 @@ fn run_until_drained(net: &mut Net, start: Cycle, max_cycles: u64) -> (Cycle, Ve
     (now, delivered)
 }
 
+/// Cycles between the clones [`wedge_without_endpoints`] keeps, standing in
+/// for SafetyNet's checkpoint interval.
+const CLONE_INTERVAL: Cycle = 1_000;
+
+/// Injects random request traffic into `net` while no endpoint drains its
+/// ejection queues, until the progress watchdog reports a stall or `cycles`
+/// cycles pass. Returns the last cycle and the newest clone of `net` taken
+/// every [`CLONE_INTERVAL`] cycles before it: the checkpoint that recovery
+/// would restore.
+fn wedge_without_endpoints(net: &mut Net, seed: u64, cycles: u64) -> (Cycle, Net) {
+    let mut rng = DetRng::new(seed);
+    let mut checkpoint = net.clone();
+    let mut now = 0;
+    for _ in 0..cycles {
+        now += 1;
+        let src = NodeId::from(rng.next_below(16) as usize);
+        let dst = NodeId::from(rng.next_below(16) as usize);
+        if src != dst {
+            let _ = net.inject(
+                now,
+                src,
+                dst,
+                VirtualNetwork::Request,
+                MessageSize::Control,
+                0,
+            );
+        }
+        net.tick(now, None);
+        if net.is_stalled(now) {
+            break;
+        }
+        if now % CLONE_INTERVAL == 0 {
+            checkpoint = net.clone();
+        }
+    }
+    (now, checkpoint)
+}
+
 #[test]
 fn ticking_only_at_next_event_matches_ticking_every_cycle() {
     // Sparse data traffic on slow adaptive links: one network ticks every
@@ -92,7 +130,7 @@ fn ticking_only_at_next_event_matches_ticking_every_cycle() {
     assert_eq!(seen_dense.len(), 40);
     assert_eq!(seen_dense, seen_sparse);
     assert_eq!(dense.forward_rounds, sparse.forward_rounds);
-    assert_eq!(dense.stats().hops.get(), sparse.stats().hops.get());
+    assert_eq!(dense.stats().hops, sparse.stats().hops);
     assert_eq!(
         dense.mean_link_utilization(end),
         sparse.mean_link_utilization(end)
@@ -191,7 +229,7 @@ fn static_routing_preserves_point_to_point_order() {
     let (now, _) = run_until_drained(&mut net, now, 200_000);
     assert_eq!(net.in_flight(), 0, "not drained by {now}");
     assert_eq!(net.ordering().total_reordered(), 0);
-    assert!(net.ordering().total_delivered() > 200);
+    assert!(net.stats().total_delivered() > 200);
 }
 
 #[test]
@@ -224,7 +262,7 @@ fn all_messages_are_delivered_under_heavy_random_traffic_with_vcs() {
     assert_eq!(net.in_flight(), 0, "VC network wedged at {now}");
     assert!(!net.is_stalled(now));
     assert!(!net.deadlock_evidence(), "an unpooled network has none");
-    assert_eq!(net.stats().delivered.get(), injected);
+    assert_eq!(net.stats().total_delivered(), injected);
     assert!(injected > 1000);
 }
 
@@ -262,7 +300,7 @@ fn adaptive_256_node_torus_drains_heavy_random_traffic() {
     assert!(injected > 5_000, "scenario must generate real load");
     delivered.sort_unstable();
     assert_eq!(delivered, (0..injected).collect::<Vec<_>>());
-    assert_eq!(net.stats().delivered.get(), injected);
+    assert_eq!(net.stats().total_delivered(), injected);
     assert!(net.forward_probe().switch_visits > 0);
 }
 
@@ -297,7 +335,7 @@ fn rectangular_torus_delivers_all_traffic_and_keeps_counters() {
     }
     let (now, _) = run_until_drained(&mut net, now, 200_000);
     assert_eq!(net.in_flight(), 0, "8x4 network wedged at {now}");
-    assert_eq!(net.stats().delivered.get(), injected);
+    assert_eq!(net.stats().total_delivered(), injected);
     assert!(injected > 1000);
 }
 
@@ -334,7 +372,7 @@ fn worst_case_buffering_never_rejects_injection() {
         }
         net.tick(now, None);
     }
-    assert_eq!(net.stats().injection_rejects.get(), 0);
+    assert_eq!(net.stats().injection_rejects, 0);
 }
 
 #[test]
@@ -343,39 +381,23 @@ fn undrained_endpoints_back_pressure_and_stall_the_fabric() {
     // must eventually wedge (endpoint-induced stall), which the watchdog
     // reports. This is the failure mode that, in the full system, the
     // coherence-transaction timeout converts into a recovery.
-    let mut net: Net = Network::new(NetConfig::speculative(16, LinkBandwidth::GB_3_2, 2));
-    net.set_stall_threshold(2_000);
-    let mut rng = DetRng::new(17);
-    let mut now = 0;
-    for _ in 0..20_000 {
-        now += 1;
-        let src = NodeId::from(rng.next_below(16) as usize);
-        let dst = NodeId::from(rng.next_below(16) as usize);
-        if src != dst {
-            let _ = net.inject(
-                now,
-                src,
-                dst,
-                VirtualNetwork::Request,
-                MessageSize::Control,
-                0,
-            );
-        }
-        net.tick(now, None);
-        if net.is_stalled(now) {
-            break;
-        }
-    }
+    let mut cfg = NetConfig::speculative(16, LinkBandwidth::GB_3_2, 2);
+    cfg.stall_threshold = 2_000;
+    let mut net: Net = Network::new(cfg);
+    let (now, checkpoint) = wedge_without_endpoints(&mut net, 17, 20_000);
     assert!(
         net.is_stalled(now),
         "expected a stall with undrained endpoints"
     );
     assert!(net.in_flight() > 0);
-    // Recovery drains everything and clears the stall.
-    let dropped = net.drain(now);
-    assert!(dropped > 0);
+    // Recovery restores the clone taken before the wedge; with live
+    // endpoints the restored fabric delivers everything and is not stalled.
+    net = checkpoint;
+    let (end, delivered) = run_until_drained(&mut net, now, 100_000);
+    assert!(!delivered.is_empty());
     assert_eq!(net.in_flight(), 0);
-    assert!(!net.is_stalled(now + 1));
+    assert!(!net.is_stalled(end + 1));
+    net.assert_worklist_invariants();
 }
 
 #[test]
@@ -384,9 +406,13 @@ fn worklist_counters_stay_consistent_under_traffic() {
     cfg.routing = RoutingPolicy::Adaptive;
     let mut net: Net = Network::new(cfg);
     let mut rng = DetRng::new(23);
+    let mut checkpoint = net.clone();
     let mut now = 0;
     for step in 0..600u64 {
         now += 1;
+        if step == 300 {
+            checkpoint = net.clone();
+        }
         let src = NodeId::from(rng.next_below(16) as usize);
         let dst = NodeId::from(rng.next_below(16) as usize);
         if src != dst && net.can_inject(src, VirtualNetwork::Request) {
@@ -402,14 +428,17 @@ fn worklist_counters_stay_consistent_under_traffic() {
         }
         net.assert_worklist_invariants();
     }
-    // Recovery drain must reset every counter and the calendar.
-    net.drain(now);
+    // Recovery restores a clone taken mid-run: its counters and calendar
+    // are consistent, and with live endpoints it delivers everything.
+    net = checkpoint;
+    net.assert_worklist_invariants();
+    let (now, _) = run_until_drained(&mut net, now, 10_000);
     net.assert_worklist_invariants();
     assert_eq!(net.in_flight(), 0);
     for i in 0..16 {
         assert!(!net.has_ejectable(NodeId::from(i)));
     }
-    // The network still works after a drain.
+    // The restored network keeps working.
     net.inject(
         now,
         NodeId(0),
@@ -476,7 +505,7 @@ fn shared_buffer_injection_back_pressure_reports_rejects() {
         42,
     );
     assert_eq!(err, Err(InjectError(42)));
-    assert_eq!(net.stats().injection_rejects.get(), 1);
+    assert_eq!(net.stats().injection_rejects, 1);
 }
 
 #[test]
@@ -494,7 +523,7 @@ fn hop_count_matches_distance_for_a_single_message() {
     run_until_drained(&mut net, 0, 100_000);
     assert_eq!(net.in_flight(), 0);
     assert_eq!(
-        net.stats().hops.get(),
+        net.stats().hops,
         net.torus().distance(NodeId(0), NodeId(15)) as u64
     );
 }
@@ -530,7 +559,7 @@ fn shared_pool_network_delivers_traffic_with_exact_slot_accounting() {
     }
     let (now, _) = run_until_drained(&mut net, now, 200_000);
     assert_eq!(net.in_flight(), 0, "pooled network wedged at {now}");
-    assert_eq!(net.stats().delivered.get(), injected);
+    assert_eq!(net.stats().total_delivered(), injected);
     assert!(injected > 500);
     assert!(net.pool_occupancy_snapshot().iter().all(|&o| o == 0));
     net.assert_worklist_invariants();
@@ -567,47 +596,32 @@ fn pool_back_pressure_rejects_injection_when_slots_run_out() {
         99,
     );
     assert_eq!(err, Err(InjectError(99)));
-    assert_eq!(net.stats().injection_rejects.get(), 1);
+    assert_eq!(net.stats().injection_rejects, 1);
     // Other nodes' pools are unaffected.
     assert!(net.can_inject(NodeId(1), VirtualNetwork::Request));
     net.assert_worklist_invariants();
 }
 
 #[test]
-fn undrained_endpoints_deadlock_an_undersized_pool_and_drain_recovers() {
+fn undrained_endpoints_deadlock_an_undersized_pool_and_a_restored_clone_recovers() {
     // The tentpole failure mode: nobody drains ejection queues, delivered
     // packets pin pool slots, upstream hops back up across nodes and the
     // fabric wedges — the buffer-dependency deadlock of Figures 2–3.
-    let mut net: Net = Network::new(NetConfig::shared_pool(16, LinkBandwidth::GB_3_2, 4));
-    net.set_stall_threshold(2_000);
-    let mut rng = DetRng::new(29);
-    let mut now = 0;
-    for _ in 0..30_000 {
-        now += 1;
-        let src = NodeId::from(rng.next_below(16) as usize);
-        let dst = NodeId::from(rng.next_below(16) as usize);
-        if src != dst {
-            let _ = net.inject(
-                now,
-                src,
-                dst,
-                VirtualNetwork::Request,
-                MessageSize::Control,
-                0,
-            );
-        }
-        net.tick(now, None);
-        if net.is_stalled(now) {
-            break;
-        }
-    }
+    let mut cfg = NetConfig::shared_pool(16, LinkBandwidth::GB_3_2, 4);
+    cfg.stall_threshold = 2_000;
+    let mut net: Net = Network::new(cfg);
+    let (now, checkpoint) = wedge_without_endpoints(&mut net, 29, 30_000);
     assert!(net.is_stalled(now), "undersized pool should wedge");
     assert!(net.deadlock_evidence(), "the tick records the wedge");
     assert!(net.in_flight() > 0);
-    // Recovery drain frees every slot; conservative re-execution reserves
-    // one slot per class and the network works again.
-    let dropped = net.drain(now);
-    assert!(dropped > 0);
+    // Recovery restores the clone taken before the wedge; with live
+    // endpoints it delivers everything and frees every slot. Conservative
+    // re-execution then reserves one slot per class and the network works
+    // again.
+    net = checkpoint;
+    let (now, restored) = run_until_drained(&mut net, now, 100_000);
+    assert!(!restored.is_empty());
+    assert_eq!(net.in_flight(), 0);
     assert!(net.pool_occupancy_snapshot().iter().all(|&o| o == 0));
     assert!(net.set_pool_reservation(1));
     assert_eq!(net.pool_reservation(), Some(1));
@@ -738,7 +752,7 @@ fn tick_with_an_idle_director_matches_tick_without_one() {
     }
     assert_eq!(got_a, got_b);
     assert_eq!(a.in_flight(), b.in_flight());
-    assert_eq!(a.stats().delivered.get(), b.stats().delivered.get());
+    assert_eq!(a.stats().total_delivered(), b.stats().total_delivered());
 }
 
 #[test]
@@ -913,7 +927,7 @@ fn split_pool_network_delivers_with_exact_accounting() {
     }
     let (now, _) = run_until_drained(&mut net, now, 200_000);
     assert_eq!(net.in_flight(), 0, "split-pool network wedged at {now}");
-    assert_eq!(net.stats().delivered.get(), injected);
+    assert_eq!(net.stats().total_delivered(), injected);
     assert!(injected > 500);
     assert!(net.pool_occupancy_snapshot().iter().all(|&o| o == 0));
     assert!(net
@@ -1181,7 +1195,7 @@ fn set_routing_to_adaptive_wakes_a_head_parked_behind_its_dor_link() {
     net.tick(3, None);
     assert_eq!(net.slab.queued_total[0], 0, "B is still parked");
     assert!(net.slab.busy_until[north] > 3);
-    assert_eq!(net.stats().hops.get(), 2);
+    assert_eq!(net.stats().hops, 2);
     net.assert_worklist_invariants();
 }
 
@@ -1217,7 +1231,7 @@ fn a_32x32_static_torus_visits_at_most_two_switches_per_hop_or_ejection() {
     net.assert_worklist_invariants();
     let (now, _) = run_until_drained(&mut net, now, 100_000);
     assert_eq!(net.in_flight(), 0, "32x32 torus wedged at {now}");
-    let moves = net.stats().hops.get() + net.stats().delivered.get();
+    let moves = net.stats().hops + net.stats().total_delivered();
     let visits = net.forward_probe().switch_visits;
     assert!(
         visits <= 2 * moves,

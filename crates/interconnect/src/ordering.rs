@@ -7,7 +7,8 @@
 //! with a per-(source, destination, virtual network) sequence number at
 //! injection and, at delivery, counts how many packets arrive after a
 //! later-numbered packet from the same stream has already arrived — the
-//! "fraction of messages re-ordered" statistic of Section 5.3.
+//! numerator of the "fraction of messages re-ordered" statistic of Section
+//! 5.3, whose denominator is the delivery count in [`crate::NetStats`].
 
 use specsim_base::{FastMap, NodeId};
 
@@ -22,7 +23,6 @@ type StreamKey = (NodeId, NodeId, usize);
 pub struct OrderingTracker {
     next_seq: FastMap<StreamKey, u64>,
     highest_delivered: FastMap<StreamKey, u64>,
-    delivered_per_vnet: [u64; 4],
     reordered_per_vnet: [u64; 4],
 }
 
@@ -53,7 +53,6 @@ impl OrderingTracker {
         seq: u64,
     ) -> bool {
         let vi = vnet.index();
-        self.delivered_per_vnet[vi] += 1;
         let highest = self
             .highest_delivered
             .entry((src, dst, vi))
@@ -68,35 +67,11 @@ impl OrderingTracker {
         reordered
     }
 
-    /// Number of packets delivered on a virtual network.
-    #[must_use]
-    pub fn delivered(&self, vnet: VirtualNetwork) -> u64 {
-        self.delivered_per_vnet[vnet.index()]
-    }
-
     /// Number of packets delivered out of point-to-point order on a virtual
     /// network.
     #[must_use]
     pub fn reordered(&self, vnet: VirtualNetwork) -> u64 {
         self.reordered_per_vnet[vnet.index()]
-    }
-
-    /// Fraction of packets delivered out of order on a virtual network
-    /// (0 when nothing has been delivered).
-    #[must_use]
-    pub fn reorder_fraction(&self, vnet: VirtualNetwork) -> f64 {
-        let d = self.delivered(vnet);
-        if d == 0 {
-            0.0
-        } else {
-            self.reordered(vnet) as f64 / d as f64
-        }
-    }
-
-    /// Total packets delivered across all virtual networks.
-    #[must_use]
-    pub fn total_delivered(&self) -> u64 {
-        self.delivered_per_vnet.iter().sum()
     }
 
     /// Total packets delivered out of order across all virtual networks.
@@ -133,8 +108,6 @@ mod tests {
             assert!(!t.observe_delivery(SRC, DST, VirtualNetwork::ForwardedRequest, s));
         }
         assert_eq!(t.reordered(VirtualNetwork::ForwardedRequest), 0);
-        assert_eq!(t.delivered(VirtualNetwork::ForwardedRequest), 10);
-        assert_eq!(t.reorder_fraction(VirtualNetwork::ForwardedRequest), 0.0);
     }
 
     #[test]
@@ -146,8 +119,6 @@ mod tests {
         assert!(!t.observe_delivery(SRC, DST, VirtualNetwork::ForwardedRequest, s1));
         assert!(t.observe_delivery(SRC, DST, VirtualNetwork::ForwardedRequest, s0));
         assert_eq!(t.reordered(VirtualNetwork::ForwardedRequest), 1);
-        assert_eq!(t.delivered(VirtualNetwork::ForwardedRequest), 2);
-        assert!((t.reorder_fraction(VirtualNetwork::ForwardedRequest) - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -166,13 +137,14 @@ mod tests {
     #[test]
     fn summary_lists_all_vnets() {
         let mut t = OrderingTracker::new();
-        let s = t.stamp(SRC, DST, VirtualNetwork::FinalAck);
-        t.observe_delivery(SRC, DST, VirtualNetwork::FinalAck, s);
+        let s0 = t.stamp(SRC, DST, VirtualNetwork::FinalAck);
+        let s1 = t.stamp(SRC, DST, VirtualNetwork::FinalAck);
+        t.observe_delivery(SRC, DST, VirtualNetwork::FinalAck, s1);
+        t.observe_delivery(SRC, DST, VirtualNetwork::FinalAck, s0);
         for vn in ALL_VIRTUAL_NETWORKS {
             let expected = u64::from(vn == VirtualNetwork::FinalAck);
-            assert_eq!(t.delivered(vn), expected);
-            assert_eq!(t.reordered(vn), 0);
+            assert_eq!(t.reordered(vn), expected);
         }
-        assert_eq!(t.total_delivered(), 1);
+        assert_eq!(t.total_reordered(), 1);
     }
 }

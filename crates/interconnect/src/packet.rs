@@ -203,12 +203,6 @@ impl<P> PacketArena<P> {
     pub fn live(&self) -> usize {
         self.slots.len() - self.free.len()
     }
-
-    /// Drops every live packet and resets id assignment (network drain).
-    pub fn clear(&mut self) {
-        self.slots.clear();
-        self.free.clear();
-    }
 }
 
 #[cfg(test)]
@@ -267,8 +261,6 @@ mod tests {
         assert_eq!(arena.take(b).payload, 1);
         assert_eq!(arena.take(a).payload, 2);
         assert_eq!(arena.live(), 0);
-        arena.clear();
-        assert_eq!(arena.alloc(mk(3)), 0);
     }
 
     #[test]

@@ -121,12 +121,6 @@ impl SlotPool {
     pub fn reservation_for(&self, r: usize) -> usize {
         r.min(self.total / NUM_VNETS)
     }
-
-    /// Drops every held slot (network drain); the reservation setting is
-    /// kept.
-    pub fn clear(&mut self) {
-        self.in_use = [0; NUM_VNETS];
-    }
 }
 
 #[cfg(test)]
@@ -209,9 +203,6 @@ mod tests {
         p.release(0);
         // Class 0 back to its private slot; class 1 gets its own.
         assert!(p.can_acquire(1));
-        p.clear();
-        assert_eq!(p.occupancy(), 0);
-        assert_eq!(p.reservation(), 1, "drain keeps the reservation");
     }
 
     #[test]

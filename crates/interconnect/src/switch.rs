@@ -17,7 +17,7 @@
 
 use std::collections::VecDeque;
 
-use specsim_base::{Cycle, UtilizationTracker};
+use specsim_base::Cycle;
 
 use crate::config::BufferLayout;
 use crate::topology::Direction;
@@ -49,8 +49,8 @@ pub(crate) struct InTransit {
 /// * **buffer slots** — `(switch * 5 + port) * buffers_per_port + buffer`
 ///   for `queues`, `reserved` and `cap`;
 /// * **ports** — `switch * 5 + port` for `rr_next` and `queued`;
-/// * **links** — `switch * 4 + direction` for `busy_until`, `in_transit`
-///   and `util`;
+/// * **links** — `switch * 4 + direction` for `busy_until` and
+///   `in_transit`;
 /// * **switches** — plain node index for `queued_total`.
 ///
 /// `reserved` counts messages currently in flight on the upstream link that
@@ -69,7 +69,6 @@ pub(crate) struct SwitchSlab {
     pub queued_total: Vec<u32>,
     pub busy_until: Vec<Cycle>,
     pub in_transit: Vec<VecDeque<InTransit>>,
-    pub util: Vec<UtilizationTracker>,
 }
 
 impl SwitchSlab {
@@ -100,7 +99,6 @@ impl SwitchSlab {
             queued_total: vec![0; num_nodes],
             busy_until: vec![0; num_nodes * LINKS_PER_SWITCH],
             in_transit: vec![VecDeque::new(); num_nodes * LINKS_PER_SWITCH],
-            util: vec![UtilizationTracker::new(); num_nodes * LINKS_PER_SWITCH],
         }
     }
 
@@ -203,20 +201,6 @@ impl SwitchSlab {
             .sum();
         queued + transit
     }
-
-    /// Drops every queued and in-flight message of every switch, pushing the
-    /// freed packet ids into `dropped` (network drain).
-    pub fn clear_all(&mut self, dropped: &mut Vec<u32>) {
-        for q in &mut self.queues {
-            dropped.extend(q.drain(..));
-        }
-        self.reserved.fill(0);
-        self.queued.fill(0);
-        self.queued_total.fill(0);
-        for t in &mut self.in_transit {
-            dropped.extend(t.drain(..).map(|e| e.id));
-        }
-    }
 }
 
 #[cfg(test)]
@@ -291,7 +275,7 @@ mod tests {
     }
 
     #[test]
-    fn slab_occupancy_and_clear() {
+    fn slab_occupancy_counts_queued_and_in_transit() {
         let mut slab = SwitchSlab::new(4, &shared_layout(4));
         let s1 = slab.slot(3, 0, 0);
         let s2 = slab.slot(3, 4, 0);
@@ -304,11 +288,6 @@ mod tests {
         });
         assert_eq!(slab.node_occupancy(3), 3);
         assert_eq!(slab.node_occupancy(0), 0);
-        let mut dropped = Vec::new();
-        slab.clear_all(&mut dropped);
-        dropped.sort_unstable();
-        assert_eq!(dropped, vec![1, 2, 3]);
-        assert_eq!(slab.node_occupancy(3), 0);
     }
 
     #[test]

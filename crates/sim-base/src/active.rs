@@ -96,12 +96,6 @@ impl ActiveSet {
         true
     }
 
-    /// Deactivates every index.
-    pub fn clear(&mut self) {
-        self.words.fill(0);
-        self.count = 0;
-    }
-
     /// The smallest active index that is `>= from`, or `None` when no active
     /// index remains at or after `from`. O(words scanned), not O(range
     /// scanned): whole empty 64-index words are skipped with one load.
@@ -180,18 +174,6 @@ mod tests {
         assert!(!s.remove(3), "double remove is a no-op");
         assert_eq!(s.len(), 1);
         assert!(!s.contains(3));
-    }
-
-    #[test]
-    fn clear_empties_the_set() {
-        let mut s = ActiveSet::new(4);
-        for i in 0..4 {
-            s.insert(i);
-        }
-        assert_eq!(s.len(), 4);
-        s.clear();
-        assert!(s.is_empty());
-        assert!(!s.contains(2));
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //! * [`rng`] — a small, deterministic random number generator (checkpoint
 //!   recovery rewinds generators by clone, so a cloned RNG must continue
 //!   the identical stream),
-//! * [`stats`] — counters, running mean/standard deviation, histograms and
-//!   utilization trackers used by the evaluation harness,
+//! * [`stats`] — running mean/standard deviation for the evaluation
+//!   harness's error bars,
 //! * [`queue`] — bounded message queues, the port abstraction through which
 //!   controllers and the interconnection network exchange messages,
 //! * [`msgsize`] — the message size model (control vs. data messages) used by
@@ -60,7 +60,7 @@ pub use ids::{Address, BlockAddr, NodeId};
 pub use msgsize::{MessageSize, CONTROL_MSG_BYTES, DATA_MSG_BYTES};
 pub use queue::MsgQueue;
 pub use rng::DetRng;
-pub use stats::{Counter, RunningStats, UtilizationTracker};
+pub use stats::RunningStats;
 pub use telemetry::{
     EngineMode, Log2Histogram, ModeTimeline, ModeTransition, SpecEvent, TelemetryConfig,
     TelemetryRecorder, WindowCounters, WindowSample, ALL_ENGINE_MODES, ENGINE_MODE_COUNT,

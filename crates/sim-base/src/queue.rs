@@ -92,13 +92,6 @@ impl<T> MsgQueue<T> {
         self.items.iter()
     }
 
-    /// Removes every queued message. Recovery never clears a queue: it
-    /// restores the checkpointed queues by clone. Only the network's drain,
-    /// which tests use, empties queues in place.
-    pub fn clear(&mut self) {
-        self.items.clear();
-    }
-
     /// Retains only the messages for which the predicate returns true.
     pub fn retain(&mut self, f: impl FnMut(&T) -> bool) {
         self.items.retain(f);
@@ -148,15 +141,14 @@ mod tests {
     }
 
     #[test]
-    fn clear_and_retain() {
+    fn retain_keeps_only_matching_messages() {
         let mut q = MsgQueue::unbounded();
         for i in 0..10 {
             q.push(i).unwrap();
         }
         q.retain(|&x| x % 2 == 0);
         assert_eq!(q.len(), 5);
-        q.clear();
-        assert!(q.is_empty());
+        assert_eq!(q.iter().copied().collect::<Vec<_>>(), [0, 2, 4, 6, 8]);
     }
 
     #[test]

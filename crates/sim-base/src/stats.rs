@@ -4,51 +4,11 @@
 //! Alameldeen et al.) runs each design point several times with small
 //! pseudo-random perturbations and reports means with one-standard-deviation
 //! error bars. [`RunningStats`] implements the numerically stable Welford
-//! recurrence used for those error bars. [`Counter`] and
-//! [`UtilizationTracker`] are the building blocks the simulator components
-//! use to account for events and busy fractions (e.g. link utilization,
-//! reported as 13–35 % for static routing in Section 5.3); latency
-//! distributions use [`crate::Log2Histogram`].
-
-use crate::time::Cycle;
-
-/// A simple saturating event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a counter at zero.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one to the counter.
-    #[inline]
-    pub fn incr(&mut self) {
-        self.value = self.value.saturating_add(1);
-    }
-
-    /// Adds `n` to the counter.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.value = self.value.saturating_add(n);
-    }
-
-    /// Current count.
-    #[must_use]
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.value
-    }
-
-    /// Resets the counter to zero.
-    pub fn reset(&mut self) {
-        self.value = 0;
-    }
-}
+//! recurrence used for those error bars. Event counts are plain `u64`
+//! fields on the component that owns them (e.g. the fabric's link
+//! busy-cycle count, from which the 13–35 % static-routing link utilization
+//! of Section 5.3 is computed); latency distributions use
+//! [`crate::Log2Histogram`].
 
 /// Online mean / variance / standard deviation via Welford's algorithm.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -171,57 +131,10 @@ impl RunningStats {
     }
 }
 
-/// Tracks what fraction of cycles a resource (e.g. a link) was busy.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct UtilizationTracker {
-    busy_cycles: u64,
-}
-
-impl UtilizationTracker {
-    /// Creates a tracker with zero busy cycles.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records that the resource was busy for `cycles` cycles.
-    #[inline]
-    pub fn add_busy(&mut self, cycles: u64) {
-        self.busy_cycles = self.busy_cycles.saturating_add(cycles);
-    }
-
-    /// Total busy cycles recorded.
-    #[must_use]
-    pub fn busy_cycles(&self) -> u64 {
-        self.busy_cycles
-    }
-
-    /// Busy fraction over an observation window ending at `now` that started
-    /// at cycle `start`. Clamped to `[0, 1]`.
-    #[must_use]
-    pub fn utilization(&self, start: Cycle, now: Cycle) -> f64 {
-        if now <= start {
-            return 0.0;
-        }
-        (self.busy_cycles as f64 / (now - start) as f64).clamp(0.0, 1.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    #[test]
-    fn counter_increments_and_resets() {
-        let mut c = Counter::new();
-        c.incr();
-        c.incr();
-        c.add(5);
-        assert_eq!(c.get(), 7);
-        c.reset();
-        assert_eq!(c.get(), 0);
-    }
 
     #[test]
     fn running_stats_mean_and_stddev() {
@@ -265,17 +178,6 @@ mod tests {
         assert_eq!(a.count(), all.count());
         assert!((a.mean() - all.mean()).abs() < 1e-9);
         assert!((a.std_dev() - all.std_dev()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn utilization_is_busy_fraction() {
-        let mut u = UtilizationTracker::new();
-        u.add_busy(250);
-        assert!((u.utilization(0, 1000) - 0.25).abs() < 1e-12);
-        assert_eq!(u.utilization(0, 0), 0.0);
-        // Clamped even if accounting overshoots the window.
-        u.add_busy(10_000);
-        assert_eq!(u.utilization(0, 1000), 1.0);
     }
 
     proptest! {

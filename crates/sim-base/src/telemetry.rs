@@ -401,7 +401,7 @@ pub struct WindowCounters {
     pub ops_completed: u64,
     /// Recoveries performed so far (mis-speculation plus injected).
     pub recoveries: u64,
-    /// Fabric link-busy cycles so far.
+    /// Fabric link-busy cycles so far (`NetStats::link_busy_cycles`).
     pub link_busy_cycles: u64,
     /// Unidirectional fabric links (instantaneous).
     pub num_links: u64,
@@ -418,6 +418,12 @@ pub struct WindowCounters {
 /// One window of the time-series sampler, covering simulated cycles
 /// `(end - window, end]`. Rate fields are deltas over the window;
 /// `outstanding` and `log_occupancy` are sampled at the boundary.
+///
+/// `ops`, `delivered` and `link_utilization` difference counters that live
+/// in the checkpointed machine state, so a rollback rewinds them. A window
+/// that spans a restore differences the restored counter against its value
+/// at the window's start: it undercounts, and reads 0 while the restored
+/// counter is still below that value.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowSample {
     /// First cycle of the window.

@@ -58,7 +58,7 @@ fn run(policy: RoutingPolicy, seed: u64) -> (u64, u64) {
         }
     }
     assert_eq!(net.in_flight(), 0, "network failed to drain");
-    let delivered = net.ordering().delivered(VirtualNetwork::ForwardedRequest);
+    let delivered = net.stats().delivered_on(VirtualNetwork::ForwardedRequest);
     assert_eq!(delivered, sent, "all observed-stream messages must arrive");
     (
         delivered,

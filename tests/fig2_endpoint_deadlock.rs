@@ -13,13 +13,13 @@ const RESP: u64 = 2;
 /// if the response it generates can be injected immediately (the endpoint has
 /// no other place to put it). Returns true if the fabric stalls.
 fn scenario(use_virtual_networks: bool) -> bool {
-    let cfg = if use_virtual_networks {
+    let mut cfg = if use_virtual_networks {
         NetConfig::conventional(16, LinkBandwidth::GB_3_2)
     } else {
         NetConfig::speculative(16, LinkBandwidth::GB_3_2, 2)
     };
+    cfg.stall_threshold = 2_000;
     let mut net: Network<u64> = Network::new(cfg);
-    net.set_stall_threshold(2_000);
     let a = NodeId(0);
     let b = NodeId(10);
     let mut now = 0;

@@ -5,10 +5,12 @@
 use specsim_base::{DetRng, LinkBandwidth, MessageSize, NodeId, RoutingPolicy};
 use specsim_net::{NetConfig, Network, VirtualNetwork};
 
-/// Drives heavy all-to-all traffic with consumers that drain only rarely.
-/// Returns true if the fabric stalls (no message moves for the threshold).
-fn drive(mut net: Network<u64>, cycles: u64, drain_period: u64) -> bool {
-    net.set_stall_threshold(2_500);
+/// Drives heavy all-to-all traffic on a network built from `cfg`, with
+/// consumers that drain only rarely. Returns true if the fabric stalls (no
+/// message moves for the threshold).
+fn drive(mut cfg: NetConfig, cycles: u64, drain_period: u64) -> bool {
+    cfg.stall_threshold = 2_500;
+    let mut net: Network<u64> = Network::new(cfg);
     let mut rng = DetRng::new(99);
     let mut now = 0;
     for _ in 0..cycles {
@@ -35,22 +37,18 @@ fn drive(mut net: Network<u64>, cycles: u64, drain_period: u64) -> bool {
 
 #[test]
 fn tiny_shared_buffers_deadlock_under_cross_coupled_traffic() {
-    let net: Network<u64> = Network::new(NetConfig::speculative(16, LinkBandwidth::GB_3_2, 2));
+    let cfg = NetConfig::speculative(16, LinkBandwidth::GB_3_2, 2);
     assert!(
-        drive(net, 30_000, 64),
+        drive(cfg, 30_000, 64),
         "a two-entry shared-buffer torus with slow consumers must wedge"
     );
 }
 
 #[test]
 fn worst_case_buffering_never_deadlocks_under_the_same_load() {
-    let net: Network<u64> = Network::new(NetConfig::full_buffering(
-        16,
-        LinkBandwidth::GB_3_2,
-        RoutingPolicy::Adaptive,
-    ));
+    let cfg = NetConfig::full_buffering(16, LinkBandwidth::GB_3_2, RoutingPolicy::Adaptive);
     assert!(
-        !drive(net, 30_000, 64),
+        !drive(cfg, 30_000, 64),
         "worst-case buffering can always absorb the same traffic"
     );
 }
@@ -61,9 +59,9 @@ fn dateline_virtual_channels_keep_the_torus_moving_under_the_same_load() {
     // (dateline allocation on the torus rings) breaks the cyclic buffer
     // dependencies, so even under the same saturating load the network keeps
     // making progress — it is congested, but never deadlocked.
-    let net: Network<u64> = Network::new(NetConfig::conventional(16, LinkBandwidth::GB_3_2));
+    let cfg = NetConfig::conventional(16, LinkBandwidth::GB_3_2);
     assert!(
-        !drive(net, 30_000, 64),
+        !drive(cfg, 30_000, 64),
         "a dateline-VC torus must not deadlock under cross-coupled traffic"
     );
 }

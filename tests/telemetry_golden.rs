@@ -79,7 +79,7 @@ fn snoop_outputs() -> (String, String) {
 }
 
 /// See the module doc.
-const GOLDEN_DIR_JSONL_DIGEST: u64 = 2_699_253_261_894_583_325;
+const GOLDEN_DIR_JSONL_DIGEST: u64 = 761_327_462_988_274_008;
 const GOLDEN_DIR_TRACE_DIGEST: u64 = 1_953_312_100_789_147_611;
 
 #[test]
@@ -120,6 +120,51 @@ fn directory_telemetry_matches_the_pinned_goldens() {
         digest(&trace_1),
         GOLDEN_DIR_TRACE_DIGEST,
         "telemetry trace drifted; if intentional, re-pin (SPECSIM_PRINT_GOLDENS=1)"
+    );
+}
+
+/// The number after `"key":` in one JSONL line.
+fn field(line: &str, key: &str) -> f64 {
+    let at = line.find(&format!("\"{key}\":")).expect("key present") + key.len() + 3;
+    let tail = &line[at..];
+    tail[..tail.find([',', '}']).expect("value ends")]
+        .parse()
+        .expect("a number")
+}
+
+#[test]
+fn every_window_that_delivers_reports_busy_links() {
+    let (jsonl, _) = dir_outputs();
+    for line in jsonl.lines() {
+        if field(line, "delivered") > 0.0 {
+            assert!(field(line, "link_utilization") > 0.0, "{line}");
+        }
+    }
+}
+
+#[test]
+fn window_link_utilizations_average_to_the_run_metric() {
+    // No faults and no recovery, so no rollback restores the busy count
+    // inside a window: the equal-length windows tile the run, and their
+    // mean is the run's utilization up to the JSONL's six decimals.
+    let mut cfg = dir_cfg();
+    cfg.fault_config = FaultConfig::Disabled;
+    cfg.traffic = Default::default();
+    let mut sys = DirectorySystem::new(cfg);
+    let m = sys.run_for(CYCLES).expect("no protocol errors");
+    assert_eq!(m.recoveries + m.injected_recoveries, 0);
+    assert!(m.link_utilization > 0.0);
+    let jsonl = sys.telemetry_jsonl().expect("telemetry enabled");
+    let windows: Vec<f64> = jsonl
+        .lines()
+        .map(|line| field(line, "link_utilization"))
+        .collect();
+    assert_eq!(windows.len() as u64, CYCLES / 2_000);
+    let mean = windows.iter().sum::<f64>() / windows.len() as f64;
+    assert!(
+        (mean - m.link_utilization).abs() <= 5e-7,
+        "window mean {mean} against run metric {}",
+        m.link_utilization
     );
 }
 
