@@ -942,6 +942,45 @@ mod tests {
     }
 
     #[test]
+    fn reply_only_answers_exactly_the_messages_that_change_nothing_else() {
+        let mut c = ctrl(ProtocolVariant::Full);
+        let a = BlockAddr(0x40);
+        c.cpu_request(0, store(0x40, 5));
+        c.pop_outgoing();
+        c.handle_message(
+            1,
+            DirMsg::Data {
+                addr: a,
+                data: 0,
+                acks: 0,
+            },
+        )
+        .unwrap();
+        c.take_completed();
+        while c.pop_outgoing().is_some() {}
+        let requestor = NodeId(2);
+        let fwd = DirMsg::FwdGetS { addr: a, requestor };
+        let inv = DirMsg::Inv {
+            addr: BlockAddr(0x80),
+            requestor,
+        };
+        // The first read moves M to O; an owner in O serving another read,
+        // and the invalidation of an absent block, only reply.
+        for (msg, reply_alone) in [(fwd, false), (fwd, true), (inv, true)] {
+            let before = format!("{c:?}");
+            let reply = c.reply_only(msg);
+            c.handle_message(10, msg).unwrap();
+            let sent = c.pop_outgoing();
+            assert!(c.pop_outgoing().is_none());
+            assert_eq!(reply.is_some(), reply_alone, "{msg:?}");
+            if reply_alone {
+                assert_eq!(reply, sent);
+                assert_eq!(format!("{c:?}"), before, "{msg:?} changed the cache");
+            }
+        }
+    }
+
+    #[test]
     fn eviction_of_a_modified_victim_issues_a_writeback() {
         let mut c = ctrl(ProtocolVariant::Full);
         // L2: 4 sets x 2 ways; blocks 0x0, 0x4, 0x8 share set 0.

@@ -766,6 +766,32 @@ mod tests {
     }
 
     #[test]
+    fn reply_only_answers_exactly_the_snoops_that_change_nothing_else() {
+        let mut c = ctrl(ProtocolVariant::Full);
+        make_owner(&mut c, 42);
+        let gets = SnoopRequest::GetS { addr: A };
+        // The first foreign read moves M to O; an owner in O serving
+        // another read only replies. Own requests and writes are changes.
+        assert_eq!(c.reply_only(NodeId(1), gets), None);
+        assert_eq!(
+            c.reply_only(NodeId(2), SnoopRequest::GetM { addr: A }),
+            None
+        );
+        for reply_alone in [false, true] {
+            let before = format!("{c:?}");
+            let reply = c.reply_only(NodeId(2), gets);
+            c.observe_snoop(20, NodeId(2), gets).unwrap();
+            let sent = c.pop_data_message();
+            assert!(c.pop_data_message().is_none());
+            assert_eq!(reply.is_some(), reply_alone);
+            if reply_alone {
+                assert_eq!(reply, sent);
+                assert_eq!(format!("{c:?}"), before, "the read changed the cache");
+            }
+        }
+    }
+
+    #[test]
     fn owner_serves_foreign_gets_and_downgrades_to_owned() {
         let mut c = ctrl(ProtocolVariant::Full);
         make_owner(&mut c, 42);

@@ -260,6 +260,25 @@ mod tests {
     }
 
     #[test]
+    fn reply_only_answers_reads_that_memory_serves() {
+        let mut m = mem();
+        let gets = SnoopRequest::GetS { addr: A };
+        let reply = m.reply_only(NodeId(3), gets);
+        m.observe_snoop(0, NodeId(3), gets);
+        assert_eq!(reply, m.pop_data_message());
+        assert!(reply.is_some());
+        // Blocks homed elsewhere, writes and owned blocks are not.
+        let remote = SnoopRequest::GetS { addr: BlockAddr(1) };
+        assert_eq!(m.reply_only(NodeId(3), remote), None);
+        assert_eq!(
+            m.reply_only(NodeId(3), SnoopRequest::GetM { addr: A }),
+            None
+        );
+        m.observe_snoop(1, NodeId(3), SnoopRequest::GetM { addr: A });
+        assert_eq!(m.reply_only(NodeId(4), gets), None);
+    }
+
+    #[test]
     fn requests_for_blocks_homed_elsewhere_are_ignored() {
         let mut m = mem();
         // Block 1 is homed at node 1.

@@ -603,7 +603,7 @@ fn pool_back_pressure_rejects_injection_when_slots_run_out() {
 }
 
 #[test]
-fn undrained_endpoints_deadlock_an_undersized_pool_and_a_restored_clone_recovers() {
+fn undrained_endpoints_deadlock_an_undersized_pool_and_drain_recovers() {
     // The tentpole failure mode: nobody drains ejection queues, delivered
     // packets pin pool slots, upstream hops back up across nodes and the
     // fabric wedges — the buffer-dependency deadlock of Figures 2–3.
