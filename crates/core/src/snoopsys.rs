@@ -384,34 +384,33 @@ impl SnoopProtocol {
                 // every memory but the block's home, and most caches. One
                 // that only answers queues its reply ahead of its output,
                 // and only when that is empty, so replies keep their order.
-                let memory = &arch.memories[i];
-                let reply = (memory.outgoing_len() == 0)
-                    .then(|| memory.reply_only(delivery.src, delivery.payload))
-                    .flatten();
-                if let Some(reply) = reply {
-                    arch.mem_replies[i].push_back(reply);
-                } else if arch.memories[i].snoop_may_change(delivery.src, delivery.payload) {
-                    Arc::make_mut(&mut arch.memories[i]).observe_snoop(
-                        now,
-                        delivery.src,
-                        delivery.payload,
-                    );
+                let (src, request) = (delivery.src, delivery.payload);
+                if arch.memories[i].snoop_may_change(src, request) {
+                    let memory = &arch.memories[i];
+                    match (memory.outgoing_len() == 0)
+                        .then(|| memory.reply_only(src, request))
+                        .flatten()
+                    {
+                        Some(reply) => arch.mem_replies[i].push_back(reply),
+                        None => {
+                            Arc::make_mut(&mut arch.memories[i]).observe_snoop(now, src, request)
+                        }
+                    }
                 }
-                let cache = &arch.caches[i];
-                let reply = (cache.outgoing_len() == 0)
-                    .then(|| cache.reply_only(delivery.src, delivery.payload))
-                    .flatten();
-                if let Some(reply) = reply {
-                    arch.cache_replies[i].push_back(reply);
-                } else if arch.caches[i].snoop_may_change(delivery.src, delivery.payload) {
-                    match Arc::make_mut(&mut arch.caches[i]).observe_snoop(
-                        now,
-                        delivery.src,
-                        delivery.payload,
-                    ) {
-                        Ok(Some(misspec)) => ctx.note_misspeculation(misspec),
-                        Ok(None) => {}
-                        Err(e) => ctx.note_error(e),
+                if arch.caches[i].snoop_may_change(src, request) {
+                    let cache = &arch.caches[i];
+                    match (cache.outgoing_len() == 0)
+                        .then(|| cache.reply_only(src, request))
+                        .flatten()
+                    {
+                        Some(reply) => arch.cache_replies[i].push_back(reply),
+                        None => match Arc::make_mut(&mut arch.caches[i])
+                            .observe_snoop(now, src, request)
+                        {
+                            Ok(Some(misspec)) => ctx.note_misspeculation(misspec),
+                            Ok(None) => {}
+                            Err(e) => ctx.note_error(e),
+                        },
                     }
                 }
             }
