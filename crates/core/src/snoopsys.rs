@@ -272,8 +272,8 @@ impl SnoopProtocol {
             // A controller with nothing queued is not touched, so a
             // checkpoint still sharing it keeps sharing it.
             if caches[i].outgoing_len() > 0 {
-                // Address-network requests.
                 let cache = Arc::make_mut(&mut caches[i]);
+                // Address-network requests.
                 for _ in 0..DRAIN_BUDGET {
                     match cache.pop_bus_request() {
                         Some(req) => bus.request(node, req),
