@@ -210,6 +210,12 @@ impl DirCacheController {
         self.outgoing.len()
     }
 
+    /// The message [`Self::pop_outgoing`] would return.
+    #[must_use]
+    pub fn peek_outgoing(&self) -> Option<&OutMsg> {
+        self.outgoing.front()
+    }
+
     /// Removes the next protocol message to inject, if any.
     pub fn pop_outgoing(&mut self) -> Option<OutMsg> {
         self.outgoing.pop_front()
@@ -373,12 +379,14 @@ impl DirCacheController {
         AccessOutcome::MissIssued
     }
 
-    /// The reply to `msg` when handling it would queue that reply and change
+    /// The reply to `msg` when handling it queues that reply and changes
     /// nothing else: a forwarded read served by an owner already in O (or
     /// by its in-flight writeback), or an invalidation of a block not
-    /// resident. `None` when [`Self::handle_message`] would change the
-    /// controller or report an error. Lets a caller answer without copying
-    /// a controller it shares with a checkpoint.
+    /// resident (a stale sharer that evicted silently, or a cache whose
+    /// demand is still pending at the directory). `None` when
+    /// [`Self::handle_message`] changes the controller or reports an error.
+    /// These transitions live here alone, so a caller can answer without
+    /// copying a controller it shares with a checkpoint.
     #[must_use]
     pub fn reply_only(&self, msg: DirMsg) -> Option<OutMsg> {
         match msg {
@@ -419,11 +427,15 @@ impl DirCacheController {
         now: Cycle,
         msg: DirMsg,
     ) -> Result<Option<MisSpeculation>, ProtocolError> {
+        if let Some(reply) = self.reply_only(msg) {
+            self.outgoing.push_back(reply);
+            return Ok(None);
+        }
         match msg {
             DirMsg::Data { addr, data, acks } => self.on_data(now, addr, Some(data), acks),
             DirMsg::AckCount { addr, acks } => self.on_data(now, addr, None, acks),
             DirMsg::InvAck { addr } => self.on_inv_ack(now, addr),
-            DirMsg::FwdGetS { addr, requestor } => self.on_fwd_gets(now, addr, requestor),
+            DirMsg::FwdGetS { addr, requestor } => self.on_fwd_gets(addr, requestor),
             DirMsg::FwdGetM {
                 addr,
                 requestor,
@@ -496,35 +508,16 @@ impl DirCacheController {
 
     fn on_fwd_gets(
         &mut self,
-        _now: Cycle,
         addr: BlockAddr,
         requestor: NodeId,
     ) -> Result<Option<MisSpeculation>, ProtocolError> {
-        // Owner with the line resident: supply data, keep ownership (M -> O).
-        if let Some(line) = self.l2.get_mut(addr) {
-            match line.state {
-                CacheState::M | CacheState::O => {
-                    line.state = CacheState::O;
-                    let data = line.data;
-                    self.send(
-                        requestor,
-                        DirMsg::Data {
-                            addr,
-                            data,
-                            acks: 0,
-                        },
-                    );
-                    return Ok(None);
-                }
-                CacheState::S => {
-                    return Err(self.error(addr, "FwdGetS at a cache in state S".into()));
-                }
-            }
-        }
-        // Owner whose writeback is in flight (MI_A / OI_A): still owner.
-        if let Some(entry) = self.writebacks.get(&addr) {
-            if entry.state == WbState::Owner {
-                let data = entry.data;
+        // Owner in M: supply data, keep ownership (M -> O). An owner already
+        // in O, or with its writeback in flight, only replies, in
+        // `reply_only`.
+        match self.l2.get_mut(addr) {
+            Some(line) if line.state == CacheState::M => {
+                line.state = CacheState::O;
+                let data = line.data;
                 self.send(
                     requestor,
                     DirMsg::Data {
@@ -533,14 +526,15 @@ impl DirCacheController {
                         acks: 0,
                     },
                 );
-                return Ok(None);
+                Ok(None)
             }
+            Some(_) => Err(self.error(addr, "FwdGetS at a cache in state S".into())),
+            None => Err(self.error(
+                addr,
+                "FwdGetS at a cache without a valid copy (impossible under a blocking directory)"
+                    .into(),
+            )),
         }
-        Err(self.error(
-            addr,
-            "FwdGetS at a cache without a valid copy (impossible under a blocking directory)"
-                .into(),
-        ))
     }
 
     fn on_fwd_getm(
@@ -598,19 +592,12 @@ impl DirCacheController {
         addr: BlockAddr,
         requestor: NodeId,
     ) -> Result<Option<MisSpeculation>, ProtocolError> {
-        if let Some(line) = self.l2.probe(addr) {
-            match line.state {
-                CacheState::S => {
-                    self.l2.remove(addr);
-                    self.l1.remove(addr);
-                }
-                CacheState::M | CacheState::O => {
-                    return Err(self.error(addr, "Invalidation sent to the owner".into()));
-                }
-            }
+        // A block not resident only acknowledges, in `reply_only`.
+        if self.l2.probe(addr).map(|line| line.state) != Some(CacheState::S) {
+            return Err(self.error(addr, "Invalidation sent to the owner".into()));
         }
-        // Stale sharer (already evicted silently) or a cache whose demand for
-        // the block is still pending at the directory: acknowledge and move on.
+        self.l2.remove(addr);
+        self.l1.remove(addr);
         self.send(requestor, DirMsg::InvAck { addr });
         Ok(None)
     }

@@ -378,11 +378,11 @@ impl SnoopCacheController {
         SnoopAccessOutcome::MissIssued
     }
 
-    /// The data response to `request` from `src` when observing it would
-    /// queue that response and change nothing else: a foreign read served
-    /// by an owner already in O, or by its in-flight writeback. `None`
-    /// otherwise. Lets a caller answer without copying a controller it
-    /// shares with a checkpoint.
+    /// The data response to `request` from `src` when observing it queues
+    /// that response and changes nothing else: a foreign read served by an
+    /// owner already in O, or by its in-flight writeback. `None` otherwise.
+    /// These transitions live here alone, so a caller can answer without
+    /// copying a controller it shares with a checkpoint.
     #[must_use]
     pub fn reply_only(&self, src: NodeId, request: SnoopRequest) -> Option<SnoopDataOut> {
         let SnoopRequest::GetS { addr } = request else {
@@ -484,24 +484,26 @@ impl SnoopCacheController {
         src: NodeId,
         request: SnoopRequest,
     ) -> Result<Option<MisSpeculation>, ProtocolError> {
+        if let Some(reply) = self.reply_only(src, request) {
+            self.outgoing_data.push_back(reply);
+            return Ok(None);
+        }
         match request {
             SnoopRequest::GetS { addr } => {
-                // Resident owner: supply data, stay owner (M -> O).
+                // Resident owner in M: supply data, stay owner (M -> O). An
+                // owner already in O, or with its writeback in flight, only
+                // replies, in `reply_only`. For an S copy, memory or the
+                // owner responds.
                 if let Some(line) = self.l2.get_mut(addr) {
-                    if matches!(line.state, SnoopCacheState::M | SnoopCacheState::O) {
+                    if line.state == SnoopCacheState::M {
                         line.state = SnoopCacheState::O;
                         let data = line.data;
                         self.respond_with_data(src, addr, data);
-                        return Ok(None);
                     }
-                    return Ok(None); // S copy: memory or the owner responds.
+                    return Ok(None);
                 }
-                // Owner with the writeback in flight: still the owner.
-                if let Some(entry) = self.writebacks.get(&addr) {
-                    if entry.state == WbState::Owner {
-                        let data = entry.data;
-                        self.respond_with_data(src, addr, data);
-                    }
+                // A writeback that lost ownership: the new owner responds.
+                if self.writebacks.contains_key(&addr) {
                     return Ok(None);
                 }
                 // Owner-in-order waiting for its fill: serve after filling.

@@ -70,6 +70,12 @@ impl SnoopMemoryController {
         self.owner.get(&addr).copied()
     }
 
+    /// The message [`Self::pop_data_message`] would return.
+    #[must_use]
+    pub fn peek_data_message(&self) -> Option<&SnoopDataOut> {
+        self.outgoing_data.front()
+    }
+
     /// Removes the next data-network message to send, if any.
     pub fn pop_data_message(&mut self) -> Option<SnoopDataOut> {
         self.outgoing_data.pop_front()
@@ -100,10 +106,11 @@ impl SnoopMemoryController {
             }
     }
 
-    /// The data response to `request` from `src` when observing it would
-    /// queue that response and change nothing else: a read of a block this
-    /// home serves with no cache owner. `None` otherwise. Lets a caller
-    /// answer without copying a controller it shares with a checkpoint.
+    /// The data response to `request` from `src` when observing it queues
+    /// that response and changes nothing else: a read of a block this home
+    /// serves with no cache owner. `None` otherwise. This transition lives
+    /// here alone, so a caller can answer without copying a controller it
+    /// shares with a checkpoint.
     #[must_use]
     pub fn reply_only(&self, src: NodeId, request: SnoopRequest) -> Option<SnoopDataOut> {
         let addr = request.addr();
@@ -121,21 +128,18 @@ impl SnoopMemoryController {
 
     /// Observes one request from the totally ordered address network.
     pub fn observe_snoop(&mut self, _now: Cycle, src: NodeId, request: SnoopRequest) {
+        if let Some(reply) = self.reply_only(src, request) {
+            self.outgoing_data.push_back(reply);
+            return;
+        }
         let addr = request.addr();
         if !self.is_home_for(addr) {
             return;
         }
         match request {
-            SnoopRequest::GetS { .. } => {
-                if self.owner_of(addr).is_none() {
-                    let data = self.memory.read(addr);
-                    self.outgoing_data.push_back(SnoopDataOut {
-                        dst: src,
-                        msg: SnoopDataMsg::Data { addr, data },
-                    });
-                }
-                // A cache owner, if any, supplies data and remains the owner.
-            }
+            // With no cache owner memory only replies, in `reply_only`; a
+            // cache owner supplies data and remains the owner.
+            SnoopRequest::GetS { .. } => {}
             SnoopRequest::GetM { .. } => {
                 if self.owner_of(addr).is_none() {
                     let data = self.memory.read(addr);

@@ -15,7 +15,6 @@
 //! [`SystemEngine::run_for`] runs a full experiment window and returns the
 //! collected [`RunMetrics`].
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use specsim_base::{BlockAddr, Cycle, CycleDelta, DetRng, FaultKind, NodeId};
@@ -30,6 +29,7 @@ use specsim_workloads::{Processor, Trace, WorkloadGenerator, ZipfTable};
 use crate::config::SystemConfig;
 use crate::engine::{EngineAccess, EngineCtx, ProtocolNode, StagedOutbox, SystemEngine};
 use crate::metrics::RunMetrics;
+use crate::shared::Shared;
 
 /// Messages a node may ingest from the network per cycle.
 const INGEST_BUDGET: usize = 4;
@@ -52,18 +52,15 @@ const DIRECTORY_LATENCY: CycleDelta = 16;
 /// clone (a SafetyNet checkpoint or restore) shares them and the first
 /// write after it copies only the controller written, through
 /// [`Arc::make_mut`]. Call sites that may change nothing check first, so
-/// an idle controller stays shared. The torus, processors, reply queues and
-/// outboxes are copied outright.
+/// an idle controller stays shared; a cache that only replies queues the
+/// reply beside it (`Shared`). The torus, processors and outboxes are
+/// copied outright.
 #[derive(Debug, Clone)]
 pub struct ArchState {
     net: Network<DirMsg>,
-    caches: Vec<Arc<DirCacheController>>,
+    caches: Vec<Shared<DirCacheController>>,
     dirs: Vec<Arc<DirectoryController>>,
     procs: Vec<Processor>,
-    /// Each cache's replies to messages it answers without changing
-    /// ([`DirCacheController::reply_only`]), queued ahead of the cache's own
-    /// output so the controller stays shared.
-    cache_replies: Vec<VecDeque<OutMsg>>,
     outboxes: Vec<StagedOutbox<OutMsg>>,
 }
 
@@ -164,8 +161,7 @@ impl DirProtocol {
                 arch.dirs[node_idx].outgoing_len() < CONTROLLER_OUTPUT_LIMIT
             }
             MsgClass::Forwarded | MsgClass::Response => {
-                arch.caches[node_idx].outgoing_len() + arch.cache_replies[node_idx].len()
-                    < CONTROLLER_OUTPUT_LIMIT
+                arch.caches[node_idx].queued() < CONTROLLER_OUTPUT_LIMIT
             }
         }
     }
@@ -194,24 +190,19 @@ impl DirProtocol {
                 ctx.note_memory_activity(node_idx);
             }
             MsgClass::Forwarded | MsgClass::Response => {
-                // A reply alone leaves the cache shared. It queues ahead of
-                // the cache's output only when that is empty, so every reply
-                // still leaves in the order the cache would have sent it.
-                let cache = &arch.caches[node_idx];
-                let reply = (cache.outgoing_len() == 0)
-                    .then(|| cache.reply_only(msg))
-                    .flatten();
-                if let Some(reply) = reply {
-                    arch.cache_replies[node_idx].push_back(reply);
-                } else {
-                    match Arc::make_mut(&mut arch.caches[node_idx]).handle_message(now, msg) {
+                // A reply alone leaves the cache shared.
+                let cache = &mut arch.caches[node_idx];
+                if !cache.answer(|c| c.reply_only(msg)) {
+                    match cache.make_mut().handle_message(now, msg) {
                         Ok(Some(misspec)) => ctx.note_misspeculation(misspec),
                         Ok(None) => {}
                         Err(e) => ctx.note_error(e),
                     }
                 }
-                // The cache controller's state changed: a processor parked on
-                // a stalled request at this node may now make progress.
+                // The cache may have changed state: a processor parked on a
+                // stalled request at this node may now make progress. (A
+                // reply alone changes nothing it waits on; the wake is
+                // harmless.)
                 ctx.note_cache_activity(now, node_idx);
             }
         }
@@ -227,7 +218,6 @@ impl DirProtocol {
             net,
             caches,
             dirs,
-            cache_replies,
             outboxes,
             ..
         } = arch;
@@ -239,24 +229,12 @@ impl DirProtocol {
         let mut cursor = 0;
         while let Some(i) = ctx.next_outbox_at_or_after(cursor) {
             cursor = i + 1;
-            // The cache's queued replies go first, then its own output,
-            // within one budget. A controller with nothing queued is not
-            // touched, so a checkpoint still sharing it keeps sharing it.
-            let mut budget = DRAIN_BUDGET;
-            while budget > 0 {
-                let Some(m) = cache_replies[i].pop_front() else {
-                    break;
-                };
-                outboxes[i].stage(now + CACHE_RESPONSE_LATENCY, m);
-                budget -= 1;
-            }
-            if budget > 0 && caches[i].outgoing_len() > 0 {
-                let cache = Arc::make_mut(&mut caches[i]);
-                for _ in 0..budget {
-                    match cache.pop_outgoing() {
-                        Some(m) => outboxes[i].stage(now + CACHE_RESPONSE_LATENCY, m),
-                        None => break,
-                    }
+            // A controller with nothing queued is not touched, so a
+            // checkpoint still sharing it keeps sharing it.
+            for _ in 0..DRAIN_BUDGET {
+                match caches[i].pop() {
+                    Some(m) => outboxes[i].stage(now + CACHE_RESPONSE_LATENCY, m),
+                    None => break,
                 }
             }
             if dirs[i].outgoing_len() > 0 {
@@ -292,10 +270,7 @@ impl DirProtocol {
             // Drained controllers: until the tick phase or a message ingest
             // re-lists the node, only its staged front ripening gives it
             // work.
-            if caches[i].outgoing_len() == 0
-                && cache_replies[i].is_empty()
-                && dirs[i].outgoing_len() == 0
-            {
+            if caches[i].queued() == 0 && dirs[i].outgoing_len() == 0 {
                 ctx.settle_outbox(now, i, outboxes[i].front_ready());
             }
         }
@@ -331,7 +306,7 @@ impl ProtocolNode for DirProtocol {
         if arch.caches[i].stalls_at_once(req.addr) {
             return EngineAccess::Stall;
         }
-        match Arc::make_mut(&mut arch.caches[i]).cpu_request(now, req) {
+        match arch.caches[i].make_mut().cpu_request(now, req) {
             AccessOutcome::L1Hit { latency, .. } | AccessOutcome::L2Hit { latency, .. } => {
                 EngineAccess::Hit { latency }
             }
@@ -347,7 +322,7 @@ impl ProtocolNode for DirProtocol {
             ctx.deliver_completions(now, procs, |i| {
                 let done = caches[i]
                     .has_completed()
-                    .then(|| Arc::make_mut(&mut caches[i]).take_completed());
+                    .then(|| caches[i].make_mut().take_completed());
                 done.flatten().map(|done| (done.addr, done.access))
             });
         }
@@ -442,7 +417,7 @@ impl DirectorySystem {
             .collect();
         let caches = (0..n)
             .map(|i| {
-                Arc::new(DirCacheController::new(
+                Shared::new(DirCacheController::new(
                     NodeId::from(i),
                     cfg.protocol,
                     &cfg.memory,
@@ -458,7 +433,6 @@ impl DirectorySystem {
             caches,
             dirs,
             procs,
-            cache_replies: vec![VecDeque::new(); n],
             outboxes: (0..n).map(|_| StagedOutbox::default()).collect(),
         };
         let perturb_rng = seed_rng.fork();
@@ -706,14 +680,23 @@ mod tests {
             200_000,
             |prev, cur| {
                 checkpoints += 1;
-                caches += snapshot_probe::copied(&prev.caches, &cur.caches);
+                caches += snapshot_probe::copied(
+                    prev.caches.iter().map(Shared::arc),
+                    cur.caches.iter().map(Shared::arc),
+                );
                 dirs += snapshot_probe::copied(&prev.dirs, &cur.dirs);
             },
             |restored, live| {
                 // Nothing runs during a restore stall: the live machine
                 // still shares every controller with the checkpoint.
                 stalls += 1;
-                assert_eq!(snapshot_probe::copied(&restored.caches, &live.caches), 0);
+                assert_eq!(
+                    snapshot_probe::copied(
+                        restored.caches.iter().map(Shared::arc),
+                        live.caches.iter().map(Shared::arc),
+                    ),
+                    0
+                );
                 assert_eq!(snapshot_probe::copied(&restored.dirs, &live.dirs), 0);
             },
         );

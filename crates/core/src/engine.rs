@@ -1559,9 +1559,12 @@ pub(crate) mod snapshot_probe {
     /// How many of `cur`'s controllers do not share their `Arc` with
     /// `prev`'s. Each of them must really differ (by its `Debug` output):
     /// a controller is copied only when it is written.
-    pub(crate) fn copied<T: Debug>(prev: &[Arc<T>], cur: &[Arc<T>]) -> usize {
+    pub(crate) fn copied<'a, T: Debug + 'a>(
+        prev: impl IntoIterator<Item = &'a Arc<T>>,
+        cur: impl IntoIterator<Item = &'a Arc<T>>,
+    ) -> usize {
         let mut count = 0;
-        for (i, (a, b)) in prev.iter().zip(cur).enumerate() {
+        for (i, (a, b)) in prev.into_iter().zip(cur).enumerate() {
             if !Arc::ptr_eq(a, b) {
                 assert_ne!(
                     format!("{a:?}"),

@@ -40,6 +40,7 @@ pub mod engine;
 pub mod experiments;
 pub mod framework;
 pub mod metrics;
+mod shared;
 pub mod snoopsys;
 
 pub use config::{ForwardProgressConfig, SystemConfig};

@@ -26,7 +26,6 @@ use specsim_coherence::snoop::{
     SnoopAccessOutcome, SnoopCacheController, SnoopDataMsg, SnoopMemoryController, SnoopRequest,
 };
 use specsim_coherence::types::CpuRequest;
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use specsim_net::{
@@ -38,6 +37,7 @@ use specsim_workloads::{Processor, TrafficConfig, WorkloadGenerator, WorkloadKin
 use crate::config::{buffering_problems, watchdog_threshold, ForwardProgressConfig};
 use crate::engine::{EngineAccess, EngineCtx, ProtocolNode, StagedOutbox, SystemEngine};
 use crate::metrics::{DataClass, RunMetrics, ALL_DATA_CLASSES};
+use crate::shared::Shared;
 
 /// The traffic class of a data-network message (owner transfer vs.
 /// writeback), for per-class fabric statistics.
@@ -217,21 +217,16 @@ impl SnoopSystemConfig {
 /// a clone (a SafetyNet checkpoint or restore) shares them and the first
 /// write after it copies only the controller written, through
 /// [`Arc::make_mut`]. Call sites that may change nothing check first, so
-/// an idle controller stays shared. The bus, the data torus, processors,
-/// reply queues and outboxes are copied outright.
+/// an idle controller stays shared; one that only replies queues the reply
+/// beside it (`Shared`). The bus, the data torus, processors and outboxes
+/// are copied outright.
 #[derive(Debug, Clone)]
 pub struct ArchState {
     bus: OrderedBus<SnoopRequest>,
     data_net: Network<SnoopDataMsg>,
-    caches: Vec<Arc<SnoopCacheController>>,
-    memories: Vec<Arc<SnoopMemoryController>>,
+    caches: Vec<Shared<SnoopCacheController>>,
+    memories: Vec<Shared<SnoopMemoryController>>,
     procs: Vec<Processor>,
-    /// Each cache's and each home memory's responses to snoops they answer
-    /// without changing ([`SnoopCacheController::reply_only`],
-    /// [`SnoopMemoryController::reply_only`]), queued ahead of the
-    /// controller's own data output so the controller stays shared.
-    cache_replies: Vec<VecDeque<SnoopDataOut>>,
-    mem_replies: Vec<VecDeque<SnoopDataOut>>,
     /// Memory-controller data responses waiting out their DRAM access
     /// latency before entering the data network.
     mem_outboxes: Vec<StagedOutbox<SnoopDataOut>>,
@@ -256,8 +251,6 @@ impl SnoopProtocol {
             data_net,
             caches,
             memories,
-            cache_replies,
-            mem_replies,
             mem_outboxes,
             ..
         } = arch;
@@ -272,7 +265,7 @@ impl SnoopProtocol {
             // A controller with nothing queued is not touched, so a
             // checkpoint still sharing it keeps sharing it.
             if caches[i].outgoing_len() > 0 {
-                let cache = Arc::make_mut(&mut caches[i]);
+                let cache = caches[i].make_mut();
                 // Address-network requests.
                 for _ in 0..DRAIN_BUDGET {
                     match cache.pop_bus_request() {
@@ -281,17 +274,15 @@ impl SnoopProtocol {
                     }
                 }
             }
-            // Data-network messages from caches (responses, writeback data):
-            // the queued replies first, then the cache's own output.
+            // Data-network messages from caches (responses, writeback data).
             // Back-pressure is checked *before* popping — against the head
             // message's own traffic class, so e.g. writeback back-pressure on
             // a bounded/pooled fabric never blocks an injectable owner
             // transfer (the message stays queued, never dropped; the default
             // worst-case buffering never rejects).
             for _ in 0..DRAIN_BUDGET {
-                let Some(vnet) = cache_replies[i]
-                    .front()
-                    .or_else(|| caches[i].peek_data_message())
+                let Some(vnet) = caches[i]
+                    .peek()
                     .map(|out| data_vnet_of(data_class_of(&out.msg)))
                 else {
                     break;
@@ -299,12 +290,7 @@ impl SnoopProtocol {
                 if !data_net.can_inject(node, vnet) {
                     break;
                 }
-                let out = match cache_replies[i].pop_front() {
-                    Some(out) => out,
-                    None => Arc::make_mut(&mut caches[i])
-                        .pop_data_message()
-                        .expect("peeked message"),
-                };
+                let out = caches[i].pop().expect("peeked message");
                 data_net
                     .inject(now, node, out.dst, vnet, out.msg.size(), out.msg)
                     .expect("injection checked");
@@ -312,26 +298,12 @@ impl SnoopProtocol {
             // Data-network messages from memory controllers wait out the DRAM
             // access latency (plus the small pseudo-random perturbation of the
             // Section 5.2 methodology) in a staging outbox before injection.
-            // The memory's queued replies go first, then its own output,
-            // within one budget.
-            let mut budget = DRAIN_BUDGET;
-            while budget > 0 {
-                let Some(out) = mem_replies[i].pop_front() else {
+            for _ in 0..DRAIN_BUDGET {
+                let Some(out) = memories[i].pop() else {
                     break;
                 };
                 let delay = self.cfg.memory.dram_access_cycles + ctx.perturbation();
                 mem_outboxes[i].stage(now + delay, out);
-                budget -= 1;
-            }
-            if budget > 0 && memories[i].outgoing_len() > 0 {
-                let memory = Arc::make_mut(&mut memories[i]);
-                for _ in 0..budget {
-                    let Some(out) = memory.pop_data_message() else {
-                        break;
-                    };
-                    let delay = self.cfg.memory.dram_access_cycles + ctx.perturbation();
-                    mem_outboxes[i].stage(now + delay, out);
-                }
             }
             mem_outboxes[i].pump(now, |out| {
                 let vnet = data_vnet_of(data_class_of(&out.msg));
@@ -346,11 +318,7 @@ impl SnoopProtocol {
             // Drained controllers: until the tick phase or a delivery
             // re-lists the node, only its staged front ripening gives it
             // work.
-            if caches[i].outgoing_len() == 0
-                && memories[i].outgoing_len() == 0
-                && cache_replies[i].is_empty()
-                && mem_replies[i].is_empty()
-            {
+            if caches[i].queued() == 0 && memories[i].queued() == 0 {
                 ctx.settle_outbox(now, i, mem_outboxes[i].front_ready());
             }
         }
@@ -382,35 +350,22 @@ impl SnoopProtocol {
                 // same, totally ordered, request stream.
                 // Controllers a snoop leaves unchanged are not touched:
                 // every memory but the block's home, and most caches. One
-                // that only answers queues its reply ahead of its output,
-                // and only when that is empty, so replies keep their order.
+                // that only replies stays shared too.
                 let (src, request) = (delivery.src, delivery.payload);
-                if arch.memories[i].snoop_may_change(src, request) {
-                    let memory = &arch.memories[i];
-                    match (memory.outgoing_len() == 0)
-                        .then(|| memory.reply_only(src, request))
-                        .flatten()
-                    {
-                        Some(reply) => arch.mem_replies[i].push_back(reply),
-                        None => {
-                            Arc::make_mut(&mut arch.memories[i]).observe_snoop(now, src, request)
-                        }
-                    }
+                let memory = &mut arch.memories[i];
+                if memory.snoop_may_change(src, request)
+                    && !memory.answer(|m| m.reply_only(src, request))
+                {
+                    memory.make_mut().observe_snoop(now, src, request);
                 }
-                if arch.caches[i].snoop_may_change(src, request) {
-                    let cache = &arch.caches[i];
-                    match (cache.outgoing_len() == 0)
-                        .then(|| cache.reply_only(src, request))
-                        .flatten()
-                    {
-                        Some(reply) => arch.cache_replies[i].push_back(reply),
-                        None => match Arc::make_mut(&mut arch.caches[i])
-                            .observe_snoop(now, src, request)
-                        {
-                            Ok(Some(misspec)) => ctx.note_misspeculation(misspec),
-                            Ok(None) => {}
-                            Err(e) => ctx.note_error(e),
-                        },
+                let cache = &mut arch.caches[i];
+                if cache.snoop_may_change(src, request)
+                    && !cache.answer(|c| c.reply_only(src, request))
+                {
+                    match cache.make_mut().observe_snoop(now, src, request) {
+                        Ok(Some(misspec)) => ctx.note_misspeculation(misspec),
+                        Ok(None) => {}
+                        Err(e) => ctx.note_error(e),
                     }
                 }
             }
@@ -452,12 +407,12 @@ impl SnoopProtocol {
                     SnoopDataMsg::WbData { .. } => {
                         // Writeback data is written to memory and logged.
                         ctx.note_memory_activity(i);
-                        Arc::make_mut(&mut arch.memories[i]).handle_data(now, packet.payload)
+                        arch.memories[i].make_mut().handle_data(now, packet.payload)
                     }
                     SnoopDataMsg::Data { .. } => {
                         // As for snoops: a parked processor may now proceed.
                         ctx.note_cache_activity(now, i);
-                        Arc::make_mut(&mut arch.caches[i]).handle_data(now, packet.payload)
+                        arch.caches[i].make_mut().handle_data(now, packet.payload)
                     }
                 };
                 if let Err(e) = result {
@@ -500,7 +455,7 @@ impl ProtocolNode for SnoopProtocol {
         if arch.caches[i].stalls_at_once(req.addr) {
             return EngineAccess::Stall;
         }
-        match Arc::make_mut(&mut arch.caches[i]).cpu_request(now, req) {
+        match arch.caches[i].make_mut().cpu_request(now, req) {
             SnoopAccessOutcome::L1Hit { latency, .. }
             | SnoopAccessOutcome::L2Hit { latency, .. } => EngineAccess::Hit { latency },
             SnoopAccessOutcome::MissIssued => EngineAccess::MissIssued,
@@ -518,14 +473,14 @@ impl ProtocolNode for SnoopProtocol {
         ctx.deliver_completions(now, procs, |i| {
             let done = caches[i]
                 .has_completed()
-                .then(|| Arc::make_mut(&mut caches[i]).take_completed());
+                .then(|| caches[i].make_mut().take_completed());
             done.flatten().map(|done| (done.addr, done.access))
         });
     }
 
     fn drain_write_log(arch: &mut ArchState, i: usize) -> usize {
         if arch.memories[i].has_write_log() {
-            Arc::make_mut(&mut arch.memories[i]).take_write_log()
+            arch.memories[i].make_mut().take_write_log()
         } else {
             0
         }
@@ -612,7 +567,7 @@ impl SnoopingSystem {
             .collect();
         let caches = (0..n)
             .map(|i| {
-                Arc::new(SnoopCacheController::new(
+                Shared::new(SnoopCacheController::new(
                     NodeId::from(i),
                     cfg.protocol,
                     &cfg.memory,
@@ -620,7 +575,7 @@ impl SnoopingSystem {
             })
             .collect();
         let memories = (0..n)
-            .map(|i| Arc::new(SnoopMemoryController::new(NodeId::from(i), n)))
+            .map(|i| Shared::new(SnoopMemoryController::new(NodeId::from(i), n)))
             .collect();
         let bus = OrderedBus::new(n, cfg.bus_arbitration_interval, BUS_BROADCAST_LATENCY);
         let data_net = Network::new(cfg.data_net_config());
@@ -630,8 +585,6 @@ impl SnoopingSystem {
             caches,
             memories,
             procs,
-            cache_replies: vec![VecDeque::new(); n],
-            mem_replies: vec![VecDeque::new(); n],
             mem_outboxes: (0..n).map(|_| StagedOutbox::default()).collect(),
         };
         let perturb_rng = seed_rng.fork();
@@ -734,16 +687,31 @@ mod tests {
             150_000,
             |prev, cur| {
                 checkpoints += 1;
-                caches += snapshot_probe::copied(&prev.caches, &cur.caches);
-                memories += snapshot_probe::copied(&prev.memories, &cur.memories);
+                caches += snapshot_probe::copied(
+                    prev.caches.iter().map(Shared::arc),
+                    cur.caches.iter().map(Shared::arc),
+                );
+                memories += snapshot_probe::copied(
+                    prev.memories.iter().map(Shared::arc),
+                    cur.memories.iter().map(Shared::arc),
+                );
             },
             |restored, live| {
                 // Nothing runs during a restore stall: the live machine
                 // still shares every controller with the checkpoint.
                 stalls += 1;
-                assert_eq!(snapshot_probe::copied(&restored.caches, &live.caches), 0);
                 assert_eq!(
-                    snapshot_probe::copied(&restored.memories, &live.memories),
+                    snapshot_probe::copied(
+                        restored.caches.iter().map(Shared::arc),
+                        live.caches.iter().map(Shared::arc)
+                    ),
+                    0
+                );
+                assert_eq!(
+                    snapshot_probe::copied(
+                        restored.memories.iter().map(Shared::arc),
+                        live.memories.iter().map(Shared::arc)
+                    ),
                     0
                 );
             },
