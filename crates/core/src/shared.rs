@@ -140,3 +140,58 @@ impl<C: Outgoing> Deref for Shared<C> {
         &self.ctrl
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use specsim_base::{BlockAddr, MemorySystemConfig, NodeId, ProtocolVariant};
+    use specsim_coherence::dir::DirMsg;
+    use specsim_coherence::types::{CpuAccess, CpuRequest};
+
+    #[test]
+    fn replies_queue_behind_an_empty_output_only_and_leave_first() {
+        let cache = DirCacheController::new(
+            NodeId(0),
+            ProtocolVariant::Full,
+            &MemorySystemConfig::default(),
+        );
+        let mut c = Shared::new(cache);
+        let checkpoint = c.clone();
+        let inv = |addr| DirMsg::Inv {
+            addr: BlockAddr(addr),
+            requestor: NodeId(1),
+        };
+        // Nothing to send: popping does not copy the shared controller.
+        assert_eq!(c.pop(), None);
+        // An absent block's invalidation only replies: still shared.
+        assert!(c.answer(|c| c.reply_only(inv(0x40))));
+        assert!(Arc::ptr_eq(c.arc(), checkpoint.arc()));
+        assert_eq!(c.queued(), 1);
+        // Behind the controller's own output, the same message goes to the
+        // controller, so it leaves after that output.
+        let miss = CpuRequest {
+            addr: BlockAddr(0x80),
+            access: CpuAccess::Load,
+            store_value: 0,
+        };
+        c.make_mut().cpu_request(0, miss);
+        assert!(!c.answer(|c| c.reply_only(inv(0x100))));
+        c.make_mut().handle_message(1, inv(0x100)).unwrap();
+        assert_eq!(c.queued(), 3);
+        let sent: Vec<_> = std::iter::from_fn(|| c.pop()).map(|m| m.msg).collect();
+        assert_eq!(
+            sent,
+            [
+                DirMsg::InvAck {
+                    addr: BlockAddr(0x40)
+                },
+                DirMsg::GetS {
+                    addr: BlockAddr(0x80)
+                },
+                DirMsg::InvAck {
+                    addr: BlockAddr(0x100)
+                },
+            ]
+        );
+    }
+}
