@@ -461,14 +461,9 @@ mod tests {
 
     #[test]
     fn a_slot_is_32_bytes_for_the_protocols_line_states() {
-        use crate::dir::cache::CacheState;
-        use crate::snoop::cache::SnoopCacheState;
+        use crate::hierarchy::CacheState;
         assert_eq!(std::mem::size_of::<Option<CacheLine<()>>>(), 32);
         assert_eq!(std::mem::size_of::<Option<CacheLine<CacheState>>>(), 32);
-        assert_eq!(
-            std::mem::size_of::<Option<CacheLine<SnoopCacheState>>>(),
-            32
-        );
     }
 
     #[test]

@@ -1,20 +1,10 @@
 //! The cache controller of the directory protocol.
 //!
-//! Stable states (M, O, S) live in the L2 cache array; in-flight demand
-//! misses live in an MSHR file whose capacity comes from
-//! `MemorySystemConfig::mshr_entries` (default 1: the paper's processor
-//! model issues blocking requests, so one demand transaction per node is
-//! outstanding at a time); blocks with an in-flight Writeback live in a
-//! writeback buffer. The L1 is an inclusive tag-only filter in front of the
-//! L2 used for hit latency.
-//!
-//! With more than one MSHR, demands to distinct blocks proceed in parallel
-//! and complete out of order. Two serialization rules keep the transient
-//! state sound: a second demand to a block already in the MSHR file stalls
-//! (no coalescing), and an *owner upgrade* — which relies on the line
-//! staying resident while its GetM is in flight — is mutually exclusive
-//! with every other demand, because a completing demand's victim eviction
-//! could otherwise evict the very line the upgrade's data lives in.
+//! The node's L1, L2, MSHR file, writeback buffer and completion queue are
+//! a [`CacheHierarchy`], shared with the snooping protocol. This module
+//! keeps the directory protocol's transitions: the messages a miss, an
+//! upgrade, a victim or a forwarded request sends, and in what order. The
+//! MSHR entry's directory part counts the invalidation acks to collect.
 //!
 //! The same state machine serves both protocol variants; the only difference
 //! is how an impossible transition is classified: the Full variant treats a
@@ -25,109 +15,27 @@
 //! mis-speculation and triggers a system recovery").
 
 use std::collections::VecDeque;
+use std::ops::ControlFlow;
 
-use specsim_base::{
-    BlockAddr, Cycle, CycleDelta, FastMap, MemorySystemConfig, NodeId, ProtocolVariant,
-};
+use specsim_base::{BlockAddr, Cycle, MemorySystemConfig, NodeId, ProtocolVariant};
 
-use crate::cache_array::{CacheArray, CacheGeometry};
+use crate::hierarchy::{AccessOutcome, CacheHierarchy, CacheState, CompletedAccess, Demand, Miss};
 use crate::types::{CpuAccess, CpuRequest, MisSpecKind, MisSpeculation, ProtocolError};
 
 use super::msg::{DirMsg, OutMsg};
 
-/// Stable cache states of the MOSI protocol (Invalid = not resident).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheState {
-    /// Modified: this cache owns the only, dirty, copy.
-    M,
-    /// Owned: this cache owns a dirty copy; other caches may hold S copies.
-    O,
-    /// Shared: read-only copy; some other agent (cache or memory) owns the
-    /// block.
-    S,
+/// The directory protocol's part of an MSHR entry: the invalidation acks
+/// its demand collects.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct InvAcks {
+    /// Number of acks to collect; unknown until Data/AckCount arrives.
+    needed: Option<u32>,
+    received: u32,
 }
 
-/// Outcome of presenting a processor request to the cache controller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccessOutcome {
-    /// Satisfied by the L1 (tag filter) — fastest path.
-    L1Hit {
-        /// Access latency in cycles.
-        latency: CycleDelta,
-        /// Value read (for loads) or written (for stores).
-        value: u64,
-    },
-    /// Satisfied by the L2.
-    L2Hit {
-        /// Access latency in cycles.
-        latency: CycleDelta,
-        /// Value read (for loads) or written (for stores).
-        value: u64,
-    },
-    /// A coherence transaction was started; completion will be reported via
-    /// [`DirCacheController::take_completed`].
-    MissIssued,
-    /// The controller cannot accept the request right now (an earlier demand
-    /// miss or a conflicting writeback is still outstanding); the processor
-    /// must retry on a later cycle.
-    Stall,
-}
-
-/// A completed demand miss, reported once via
-/// [`DirCacheController::take_completed`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompletedAccess {
-    /// The block whose miss completed.
-    pub addr: BlockAddr,
-    /// Load or store.
-    pub access: CpuAccess,
-    /// Cycles from issue to completion.
-    pub latency: CycleDelta,
-    /// The value observed (loads) or installed (stores).
-    pub value: u64,
-}
-
-/// State of an in-flight demand miss (the MSHR entry).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct DemandMiss {
-    addr: BlockAddr,
-    access: CpuAccess,
-    store_value: u64,
-    issued_at: Cycle,
-    /// Block data received (from Data) or already held (owner upgrade).
-    data: Option<u64>,
-    /// Number of invalidation acks to collect; unknown until Data/AckCount
-    /// arrives.
-    acks_needed: Option<u32>,
-    acks_received: u32,
-    /// Owner upgrade (O -> M): the line stays resident while the GetM is in
-    /// flight, so no other demand may complete (and possibly evict it)
-    /// concurrently.
-    resident_upgrade: bool,
-}
-
-impl DemandMiss {
-    fn is_complete(&self) -> bool {
-        self.data.is_some() && self.acks_needed == Some(self.acks_received)
-    }
-}
-
-/// State of an in-flight writeback (victim buffer entry).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WbState {
-    /// MI_A / OI_A: writeback issued, still the architectural owner, data
-    /// retained so forwarded requests can be satisfied.
-    Owner,
-    /// II_A: ownership was surrendered to a forwarded RequestReadWrite while
-    /// the writeback was in flight; only the Writeback-Ack is awaited.
-    LostOwnership,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct WritebackEntry {
-    data: u64,
-    state: WbState,
-    issued_at: Cycle,
+/// True once a demand holds its data and every invalidation ack.
+fn is_complete(demand: &Demand<InvAcks>) -> bool {
+    demand.data.is_some() && demand.protocol.needed == Some(demand.protocol.received)
 }
 
 /// The directory-protocol cache controller for one node.
@@ -136,17 +44,8 @@ pub struct DirCacheController {
     node: NodeId,
     num_nodes: usize,
     variant: ProtocolVariant,
-    l1: CacheArray<()>,
-    l2: CacheArray<CacheState>,
-    l1_hit_cycles: CycleDelta,
-    l2_hit_cycles: CycleDelta,
-    /// MSHR file: in-flight demand misses, in issue order.
-    demands: Vec<DemandMiss>,
-    /// MSHR capacity.
-    mshr_entries: usize,
-    writebacks: FastMap<BlockAddr, WritebackEntry>,
+    cache: CacheHierarchy<InvAcks>,
     outgoing: VecDeque<OutMsg>,
-    completed: VecDeque<CompletedAccess>,
 }
 
 impl DirCacheController {
@@ -157,21 +56,8 @@ impl DirCacheController {
             node,
             num_nodes: config.num_nodes,
             variant,
-            l1: CacheArray::new(CacheGeometry::from_capacity(
-                config.l1_bytes,
-                config.l1_ways,
-            )),
-            l2: CacheArray::new(CacheGeometry::from_capacity(
-                config.l2_bytes,
-                config.l2_ways,
-            )),
-            l1_hit_cycles: config.l1_hit_cycles,
-            l2_hit_cycles: config.l2_hit_cycles,
-            demands: Vec::new(),
-            mshr_entries: config.mshr_entries.max(1),
-            writebacks: FastMap::default(),
+            cache: CacheHierarchy::new(config),
             outgoing: VecDeque::new(),
-            completed: VecDeque::new(),
         }
     }
 
@@ -181,27 +67,10 @@ impl DirCacheController {
         self.node
     }
 
-    /// True when at least one demand miss is outstanding.
+    /// The node's cache hierarchy, for its stall check and diagnostics.
     #[must_use]
-    pub fn has_outstanding_demand(&self) -> bool {
-        !self.demands.is_empty()
-    }
-
-    /// Number of demand misses outstanding (occupied MSHRs).
-    #[must_use]
-    pub fn outstanding_demands(&self) -> usize {
-        self.demands.len()
-    }
-
-    /// Issue cycle and block of the *oldest* outstanding demand miss (if
-    /// any); used by the system layer for the transaction-timeout detection
-    /// of Section 4.
-    #[must_use]
-    pub fn oldest_demand(&self) -> Option<(Cycle, BlockAddr)> {
-        self.demands
-            .iter()
-            .min_by_key(|d| d.issued_at)
-            .map(|d| (d.issued_at, d.addr))
+    pub fn hierarchy(&self) -> &CacheHierarchy<InvAcks> {
+        &self.cache
     }
 
     /// Number of protocol messages waiting to be injected into the network.
@@ -223,30 +92,7 @@ impl DirCacheController {
 
     /// Takes the oldest completed-demand notification, if one is pending.
     pub fn take_completed(&mut self) -> Option<CompletedAccess> {
-        self.completed.pop_front()
-    }
-
-    /// True when [`Self::take_completed`] would return an access.
-    #[must_use]
-    pub fn has_completed(&self) -> bool {
-        !self.completed.is_empty()
-    }
-
-    /// The value currently cached for `addr`, if resident (diagnostics /
-    /// invariant checks).
-    #[must_use]
-    pub fn cached_value(&self, addr: BlockAddr) -> Option<(CacheState, u64)> {
-        self.l2.probe(addr).map(|l| (l.state, l.data))
-    }
-
-    /// Every block resident in the L2 with its state and data (used by
-    /// system-level coherence-invariant checks).
-    #[must_use]
-    pub fn resident_lines(&self) -> Vec<(BlockAddr, CacheState, u64)> {
-        self.l2
-            .iter()
-            .map(|line| (line.addr, line.state, line.data))
-            .collect()
+        self.cache.take_completed()
     }
 
     fn home(&self, addr: BlockAddr) -> NodeId {
@@ -257,124 +103,31 @@ impl DirCacheController {
         self.outgoing.push_back(OutMsg { dst, msg });
     }
 
-    /// True when a CPU request for `addr` stalls at once, before it reads
-    /// or writes any state: the MSHR file is full, a demand for the block
-    /// is outstanding (no coalescing), or the block's writeback is in
-    /// flight, which keeps the protocol free of a request-passes-own-
-    /// writeback race orthogonal to the paper. [`Self::cpu_request`] then
-    /// returns [`AccessOutcome::Stall`] and changes nothing.
-    #[must_use]
-    pub fn stalls_at_once(&self, addr: BlockAddr) -> bool {
-        self.demands.len() >= self.mshr_entries
-            || self.demands.iter().any(|d| d.addr == addr)
-            || self.writebacks.contains_key(&addr)
-    }
-
     /// Presents a processor request. Up to `mshr_entries` demand
     /// transactions may be in flight per node (1 by default: the paper's
     /// blocking processor model).
     pub fn cpu_request(&mut self, now: Cycle, req: CpuRequest) -> AccessOutcome {
-        if self.stalls_at_once(req.addr) {
-            return AccessOutcome::Stall;
-        }
-        // A resident owner upgrade is in flight: admitting another demand
-        // could evict the upgrading line when it completes, so everything
-        // that starts a transaction stalls until the upgrade finishes.
-        let upgrade_in_flight = self.demands.iter().any(|d| d.resident_upgrade);
-        let l1_hit = self.l1.lookup(req.addr).is_some();
-        if let Some(line) = self.l2.lookup(req.addr) {
-            match (req.access, line.state) {
-                (CpuAccess::Load, _) => {
-                    let value = line.data;
-                    if l1_hit {
-                        return AccessOutcome::L1Hit {
-                            latency: self.l1_hit_cycles,
-                            value,
-                        };
-                    }
-                    self.l1.insert(req.addr, (), 0);
-                    return AccessOutcome::L2Hit {
-                        latency: self.l2_hit_cycles,
-                        value,
-                    };
-                }
-                (CpuAccess::Store, CacheState::M) => {
-                    line.data = req.store_value;
-                    if l1_hit {
-                        return AccessOutcome::L1Hit {
-                            latency: self.l1_hit_cycles,
-                            value: req.store_value,
-                        };
-                    }
-                    self.l1.insert(req.addr, (), 0);
-                    return AccessOutcome::L2Hit {
-                        latency: self.l2_hit_cycles,
-                        value: req.store_value,
-                    };
-                }
-                (CpuAccess::Store, CacheState::O) => {
-                    // Owner upgrade: keep the line (and its data); ask the
-                    // directory for exclusivity. Data arrives as AckCount.
-                    // The line must stay resident until the GetM completes,
-                    // so the upgrade runs with the MSHR file to itself.
-                    if !self.demands.is_empty() {
-                        return AccessOutcome::Stall;
-                    }
-                    let data = line.data;
-                    self.demands.push(DemandMiss {
-                        addr: req.addr,
-                        access: CpuAccess::Store,
-                        store_value: req.store_value,
-                        issued_at: now,
-                        data: Some(data),
-                        acks_needed: None,
-                        acks_received: 0,
-                        resident_upgrade: true,
-                    });
-                    self.send(self.home(req.addr), DirMsg::GetM { addr: req.addr });
-                    return AccessOutcome::MissIssued;
-                }
-                (CpuAccess::Store, CacheState::S) => {
-                    if upgrade_in_flight {
-                        return AccessOutcome::Stall;
-                    }
-                    // Upgrade from S: drop the shared copy and request an
-                    // exclusive copy (data will be supplied afresh).
-                    self.l2.remove(req.addr);
-                    self.l1.remove(req.addr);
-                    self.demands.push(DemandMiss {
-                        addr: req.addr,
-                        access: CpuAccess::Store,
-                        store_value: req.store_value,
-                        issued_at: now,
-                        data: None,
-                        acks_needed: None,
-                        acks_received: 0,
-                        resident_upgrade: false,
-                    });
-                    self.send(self.home(req.addr), DirMsg::GetM { addr: req.addr });
-                    return AccessOutcome::MissIssued;
-                }
+        let miss = match self.cache.access(req) {
+            ControlFlow::Break(outcome) => return outcome,
+            ControlFlow::Continue(miss) => miss,
+        };
+        let data = match miss {
+            Miss::Absent => None,
+            // Upgrade from S: drop the shared copy and request an exclusive
+            // copy (data will be supplied afresh).
+            Miss::Shared => {
+                self.cache.invalidate(req.addr);
+                None
             }
-        }
-        // Complete miss.
-        if upgrade_in_flight {
-            return AccessOutcome::Stall;
-        }
+            // Owner upgrade: keep the line (and its data); ask the directory
+            // for exclusivity. Data arrives as AckCount.
+            Miss::Owned(data) => Some(data),
+        };
+        self.cache.issue(now, req, miss, data, InvAcks::default());
         let msg = match req.access {
             CpuAccess::Load => DirMsg::GetS { addr: req.addr },
             CpuAccess::Store => DirMsg::GetM { addr: req.addr },
         };
-        self.demands.push(DemandMiss {
-            addr: req.addr,
-            access: req.access,
-            store_value: req.store_value,
-            issued_at: now,
-            data: None,
-            acks_needed: None,
-            acks_received: 0,
-            resident_upgrade: false,
-        });
         self.send(self.home(req.addr), msg);
         AccessOutcome::MissIssued
     }
@@ -390,20 +143,14 @@ impl DirCacheController {
     #[must_use]
     pub fn reply_only(&self, msg: DirMsg) -> Option<OutMsg> {
         match msg {
-            DirMsg::Inv { addr, requestor } => self.l2.probe(addr).is_none().then_some(OutMsg {
-                dst: requestor,
-                msg: DirMsg::InvAck { addr },
-            }),
+            DirMsg::Inv { addr, requestor } => {
+                self.cache.l2.probe(addr).is_none().then_some(OutMsg {
+                    dst: requestor,
+                    msg: DirMsg::InvAck { addr },
+                })
+            }
             DirMsg::FwdGetS { addr, requestor } => {
-                let data = match self.l2.probe(addr) {
-                    Some(line) if line.state == CacheState::O => line.data,
-                    Some(_) => return None,
-                    None => {
-                        let entry = self.writebacks.get(&addr)?;
-                        (entry.state == WbState::Owner).then_some(entry.data)?
-                    }
-                };
-                Some(OutMsg {
+                self.cache.owner_reply(addr).map(|data| OutMsg {
                     dst: requestor,
                     msg: DirMsg::Data {
                         addr,
@@ -459,7 +206,7 @@ impl DirCacheController {
     }
 
     fn demand_index(&self, addr: BlockAddr) -> Option<usize> {
-        self.demands.iter().position(|d| d.addr == addr)
+        self.cache.demands.iter().position(|d| d.addr == addr)
     }
 
     fn on_data(
@@ -472,14 +219,14 @@ impl DirCacheController {
         let Some(idx) = self.demand_index(addr) else {
             return Err(self.error(addr, "Data/AckCount with no matching demand".into()));
         };
-        let demand = &mut self.demands[idx];
+        let demand = &mut self.cache.demands[idx];
         if let Some(d) = data {
             demand.data = Some(d);
         } else if demand.data.is_none() {
             return Err(self.error(addr, "AckCount but the requestor holds no data".into()));
         }
-        demand.acks_needed = Some(acks);
-        if demand.is_complete() {
+        demand.protocol.needed = Some(acks);
+        if is_complete(demand) {
             self.complete_demand(now, idx);
         }
         Ok(None)
@@ -493,14 +240,15 @@ impl DirCacheController {
         let Some(idx) = self.demand_index(addr) else {
             return Err(self.error(addr, "InvAck with no matching demand".into()));
         };
-        let demand = &mut self.demands[idx];
-        demand.acks_received += 1;
-        if let Some(needed) = demand.acks_needed {
-            if demand.acks_received > needed {
+        let demand = &mut self.cache.demands[idx];
+        let acks = &mut demand.protocol;
+        acks.received += 1;
+        if let Some(needed) = acks.needed {
+            if acks.received > needed {
                 return Err(self.error(addr, "more InvAcks than expected".into()));
             }
         }
-        if demand.is_complete() {
+        if is_complete(demand) {
             self.complete_demand(now, idx);
         }
         Ok(None)
@@ -514,7 +262,7 @@ impl DirCacheController {
         // Owner in M: supply data, keep ownership (M -> O). An owner already
         // in O, or with its writeback in flight, only replies, in
         // `reply_only`.
-        match self.l2.get_mut(addr) {
+        match self.cache.l2.get_mut(addr) {
             Some(line) if line.state == CacheState::M => {
                 line.state = CacheState::O;
                 let data = line.data;
@@ -545,29 +293,20 @@ impl DirCacheController {
         acks: u32,
     ) -> Result<Option<MisSpeculation>, ProtocolError> {
         // Owner with the line resident: transfer data and ownership.
-        if let Some(line) = self.l2.probe(addr) {
-            match line.state {
-                CacheState::M | CacheState::O => {
-                    let data = line.data;
-                    self.l2.remove(addr);
-                    self.l1.remove(addr);
-                    self.send(requestor, DirMsg::Data { addr, data, acks });
-                    return Ok(None);
-                }
-                CacheState::S => {
-                    return Err(self.error(addr, "FwdGetM at a cache in state S".into()));
-                }
+        if let Some(line) = self.cache.l2.probe(addr) {
+            if line.state == CacheState::S {
+                return Err(self.error(addr, "FwdGetM at a cache in state S".into()));
             }
+            let data = line.data;
+            self.cache.invalidate(addr);
+            self.send(requestor, DirMsg::Data { addr, data, acks });
+            return Ok(None);
         }
         // Owner with the writeback in flight: supply data, surrender
         // ownership, and keep waiting for the Writeback-Ack (II_A).
-        if let Some(entry) = self.writebacks.get_mut(&addr) {
-            if entry.state == WbState::Owner {
-                let data = entry.data;
-                entry.state = WbState::LostOwnership;
-                self.send(requestor, DirMsg::Data { addr, data, acks });
-                return Ok(None);
-            }
+        if let Some(data) = self.cache.surrender_writeback(addr) {
+            self.send(requestor, DirMsg::Data { addr, data, acks });
+            return Ok(None);
         }
         // No valid copy. This is exactly the transition of Section 3.1: the
         // Writeback-Ack overtook this Forwarded-RequestReadWrite, the cache
@@ -593,97 +332,47 @@ impl DirCacheController {
         requestor: NodeId,
     ) -> Result<Option<MisSpeculation>, ProtocolError> {
         // A block not resident only acknowledges, in `reply_only`.
-        if self.l2.probe(addr).map(|line| line.state) != Some(CacheState::S) {
+        if self.cache.l2.probe(addr).map(|line| line.state) != Some(CacheState::S) {
             return Err(self.error(addr, "Invalidation sent to the owner".into()));
         }
-        self.l2.remove(addr);
-        self.l1.remove(addr);
+        self.cache.invalidate(addr);
         self.send(requestor, DirMsg::InvAck { addr });
         Ok(None)
     }
 
     fn on_wb_ack(&mut self, addr: BlockAddr) -> Result<Option<MisSpeculation>, ProtocolError> {
-        match self.writebacks.remove(&addr) {
+        match self.cache.writebacks.remove(&addr) {
             Some(_) => Ok(None),
             None => Err(self.error(addr, "Writeback-Ack with no writeback in flight".into())),
         }
     }
 
     fn complete_demand(&mut self, now: Cycle, idx: usize) {
-        let demand = self.demands.remove(idx);
-        let value = match demand.access {
-            CpuAccess::Load => demand.data.expect("load completed without data"),
-            CpuAccess::Store => demand.store_value,
-        };
-        let new_state = match demand.access {
-            CpuAccess::Load => CacheState::S,
-            CpuAccess::Store => CacheState::M,
-        };
-        // Install the block, evicting a victim if the set is full.
-        if let Some(victim) = self.l2.insert(demand.addr, new_state, value) {
-            self.l1.remove(victim.addr);
-            match victim.state {
-                CacheState::M | CacheState::O => {
-                    self.writebacks.insert(
-                        victim.addr,
-                        WritebackEntry {
-                            data: victim.data,
-                            state: WbState::Owner,
-                            issued_at: now,
-                        },
-                    );
-                    self.send(
-                        self.home(victim.addr),
-                        DirMsg::PutM {
-                            addr: victim.addr,
-                            data: victim.data,
-                        },
-                    );
-                }
-                CacheState::S => {} // silent drop
-            }
+        let (demand, state, value) = self.cache.retire(now, idx);
+        // Install the block; an owned victim's writeback goes out first.
+        if let Some(victim) = self.cache.install(demand.addr, state, value) {
+            self.send_writeback(victim.addr, victim.data);
         }
-        self.l1.insert(demand.addr, (), 0);
         // Close the transaction at the directory.
         self.send(
             self.home(demand.addr),
             DirMsg::FinalAck { addr: demand.addr },
         );
-        self.completed.push_back(CompletedAccess {
-            addr: demand.addr,
-            access: demand.access,
-            latency: now.saturating_sub(demand.issued_at),
-            value,
-        });
+    }
+
+    fn send_writeback(&mut self, addr: BlockAddr, data: u64) {
+        self.send(self.home(addr), DirMsg::PutM { addr, data });
     }
 
     /// Forces the eviction of a resident block (used by tests and by the
     /// workload model's capacity-pressure path). Owned blocks start a
     /// writeback; shared blocks are dropped silently, as in the protocol.
-    pub fn force_evict(&mut self, now: Cycle, addr: BlockAddr) -> bool {
-        let Some(line) = self.l2.remove(addr) else {
+    pub fn force_evict(&mut self, addr: BlockAddr) -> bool {
+        let Some(line) = self.cache.evict(addr) else {
             return false;
         };
-        self.l1.remove(addr);
-        match line.state {
-            CacheState::M | CacheState::O => {
-                self.writebacks.insert(
-                    addr,
-                    WritebackEntry {
-                        data: line.data,
-                        state: WbState::Owner,
-                        issued_at: now,
-                    },
-                );
-                self.send(
-                    self.home(addr),
-                    DirMsg::PutM {
-                        addr,
-                        data: line.data,
-                    },
-                );
-            }
-            CacheState::S => {}
+        if line.state.is_owner() {
+            self.send_writeback(addr, line.data);
         }
         true
     }
@@ -736,7 +425,7 @@ mod tests {
             }
         );
         assert_eq!(out.dst, BlockAddr(0x40).home_node(16));
-        assert!(c.has_outstanding_demand());
+        assert!(c.hierarchy().outstanding_demands() > 0);
         // Another request stalls while the miss is outstanding.
         assert_eq!(c.cpu_request(11, load(0x80)), AccessOutcome::Stall);
 
@@ -752,7 +441,7 @@ mod tests {
         let done = c.take_completed().unwrap();
         assert_eq!(done.value, 1234);
         assert_eq!(done.latency, 90);
-        assert!(!c.has_outstanding_demand());
+        assert_eq!(c.hierarchy().outstanding_demands(), 0);
         // A FinalAck closes the transaction at the home directory.
         let fa = c.pop_outgoing().unwrap();
         assert_eq!(
@@ -811,7 +500,10 @@ mod tests {
         .unwrap();
         let done = c.take_completed().unwrap();
         assert_eq!(done.value, 77);
-        assert_eq!(c.cached_value(BlockAddr(0x100)), Some((CacheState::M, 77)));
+        assert_eq!(
+            c.hierarchy().cached_value(BlockAddr(0x100)),
+            Some((CacheState::M, 77))
+        );
     }
 
     #[test]
@@ -859,7 +551,10 @@ mod tests {
             }
             other => panic!("expected store hit, got {other:?}"),
         }
-        assert_eq!(c.cached_value(BlockAddr(0x40)), Some((CacheState::M, 2)));
+        assert_eq!(
+            c.hierarchy().cached_value(BlockAddr(0x40)),
+            Some((CacheState::M, 2))
+        );
     }
 
     #[test]
@@ -899,7 +594,10 @@ mod tests {
                 acks: 0
             }
         );
-        assert_eq!(c.cached_value(BlockAddr(0x40)), Some((CacheState::O, 42)));
+        assert_eq!(
+            c.hierarchy().cached_value(BlockAddr(0x40)),
+            Some((CacheState::O, 42))
+        );
         // Now upgrade back to M: the controller issues GetM and can complete
         // from an AckCount alone because it already holds the data.
         assert_eq!(
@@ -925,7 +623,10 @@ mod tests {
         .unwrap();
         let done = c.take_completed().unwrap();
         assert_eq!(done.value, 43);
-        assert_eq!(c.cached_value(BlockAddr(0x40)), Some((CacheState::M, 43)));
+        assert_eq!(
+            c.hierarchy().cached_value(BlockAddr(0x40)),
+            Some((CacheState::M, 43))
+        );
     }
 
     #[test]
@@ -992,7 +693,7 @@ mod tests {
             }
         }
         // Inserting 0x8 must have evicted one of the earlier blocks with a PutM.
-        let evicted = if c.cached_value(BlockAddr(0x0)).is_none() {
+        let evicted = if c.hierarchy().cached_value(BlockAddr(0x0)).is_none() {
             0x0
         } else {
             0x4
@@ -1028,7 +729,7 @@ mod tests {
         .unwrap();
         c.take_completed();
         while c.pop_outgoing().is_some() {}
-        assert!(c.force_evict(10, BlockAddr(0x40)));
+        assert!(c.force_evict(BlockAddr(0x40)));
         let putm = c.pop_outgoing().unwrap();
         assert_eq!(
             putm.msg,
@@ -1100,7 +801,7 @@ mod tests {
         .unwrap();
         c.take_completed();
         while c.pop_outgoing().is_some() {}
-        c.force_evict(10, BlockAddr(0x40));
+        c.force_evict(BlockAddr(0x40));
         while c.pop_outgoing().is_some() {}
         // The adaptively routed network delivers the WbAck *before* the
         // FwdGetM (point-to-point order violated).
@@ -1143,7 +844,7 @@ mod tests {
         .unwrap();
         c.take_completed();
         while c.pop_outgoing().is_some() {}
-        c.force_evict(10, BlockAddr(0x40));
+        c.force_evict(BlockAddr(0x40));
         while c.pop_outgoing().is_some() {}
         c.handle_message(
             20,
@@ -1198,7 +899,7 @@ mod tests {
                 addr: BlockAddr(0x40)
             }
         );
-        assert_eq!(c.cached_value(BlockAddr(0x40)), None);
+        assert_eq!(c.hierarchy().cached_value(BlockAddr(0x40)), None);
         // A stale invalidation (block not resident) is still acknowledged.
         c.handle_message(
             20,
@@ -1250,7 +951,7 @@ mod tests {
         let mut c = ctrl_mshr(ProtocolVariant::Full, 2);
         assert_eq!(c.cpu_request(0, load(0x40)), AccessOutcome::MissIssued);
         assert_eq!(c.cpu_request(1, load(0x80)), AccessOutcome::MissIssued);
-        assert_eq!(c.outstanding_demands(), 2);
+        assert_eq!(c.hierarchy().outstanding_demands(), 2);
         // A third miss exceeds the two MSHRs and stalls.
         assert_eq!(c.cpu_request(2, load(0xc0)), AccessOutcome::Stall);
         // The younger miss's data arrives first; only it completes.
@@ -1266,8 +967,8 @@ mod tests {
         let done = c.take_completed().unwrap();
         assert_eq!(done.addr, BlockAddr(0x80));
         assert_eq!(done.value, 22);
-        assert_eq!(c.outstanding_demands(), 1);
-        assert_eq!(c.oldest_demand(), Some((0, BlockAddr(0x40))));
+        assert_eq!(c.hierarchy().outstanding_demands(), 1);
+        assert_eq!(c.hierarchy().oldest_demand(), Some((0, BlockAddr(0x40))));
         c.handle_message(
             90,
             DirMsg::Data {
@@ -1280,7 +981,7 @@ mod tests {
         let done = c.take_completed().unwrap();
         assert_eq!(done.addr, BlockAddr(0x40));
         assert_eq!(done.value, 11);
-        assert!(!c.has_outstanding_demand());
+        assert_eq!(c.hierarchy().outstanding_demands(), 0);
     }
 
     #[test]
@@ -1290,7 +991,7 @@ mod tests {
         // No coalescing: a second demand to the same block waits for the
         // first rather than occupying another MSHR.
         assert_eq!(c.cpu_request(1, store(0x40, 5)), AccessOutcome::Stall);
-        assert_eq!(c.outstanding_demands(), 1);
+        assert_eq!(c.hierarchy().outstanding_demands(), 1);
     }
 
     #[test]
@@ -1320,7 +1021,10 @@ mod tests {
         )
         .unwrap();
         while c.pop_outgoing().is_some() {}
-        assert_eq!(c.cached_value(BlockAddr(0x40)), Some((CacheState::O, 3)));
+        assert_eq!(
+            c.hierarchy().cached_value(BlockAddr(0x40)),
+            Some((CacheState::O, 3))
+        );
         // A plain miss is outstanding: the O->M upgrade must wait for the
         // MSHR file to drain before it may issue.
         assert_eq!(c.cpu_request(10, load(0x80)), AccessOutcome::MissIssued);
@@ -1351,7 +1055,10 @@ mod tests {
         .unwrap();
         let done = c.take_completed().unwrap();
         assert_eq!(done.value, 9);
-        assert_eq!(c.cached_value(BlockAddr(0x40)), Some((CacheState::M, 9)));
+        assert_eq!(
+            c.hierarchy().cached_value(BlockAddr(0x40)),
+            Some((CacheState::M, 9))
+        );
         assert_eq!(c.cpu_request(50, load(0xc0)), AccessOutcome::MissIssued);
     }
 }

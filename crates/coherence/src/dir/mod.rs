@@ -8,6 +8,11 @@
 //! ([`msg::DirMsg::Data`], [`msg::DirMsg::AckCount`], [`msg::DirMsg::InvAck`])
 //! and the FinalAck class ([`msg::DirMsg::FinalAck`]).
 //!
+//! The cache controller holds the node's [`crate::hierarchy::CacheHierarchy`],
+//! shared with the snooping protocol; it keeps the directory protocol's own
+//! transitions and the invalidation acks each demand collects. The
+//! directory and its sharer lists are this protocol's alone.
+//!
 //! Two protocol variants share the same cache-side finite state machine:
 //!
 //! * **Full** — the directory defers a Writeback that races with an in-flight
@@ -27,6 +32,6 @@ pub mod cache;
 pub mod directory;
 pub mod msg;
 
-pub use cache::{AccessOutcome, CacheState, CompletedAccess, DirCacheController};
+pub use cache::{DirCacheController, InvAcks};
 pub use directory::{DirState, DirectoryController};
 pub use msg::{DirMsg, OutMsg};

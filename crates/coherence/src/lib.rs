@@ -19,10 +19,16 @@
 //!   ordered address network, again in a Full variant (which specifies the
 //!   rare double-race on an in-flight writeback) and a Speculative variant
 //!   (which treats that transition as a mis-speculation);
-//! * the supporting machinery both protocols need: set-associative cache
-//!   arrays with LRU replacement, a two-level (L1/L2) hierarchy model,
-//!   miss-status registers and writeback buffers, per-home-node memory that
-//!   counts the writes SafetyNet must log, and directory state.
+//! * one cache hierarchy both protocols' cache controllers hold
+//!   ([`hierarchy::CacheHierarchy`]): set-associative cache arrays with LRU
+//!   replacement in two levels (an L1 tag filter in front of the L2),
+//!   miss-status registers, a writeback buffer and a completion queue, with
+//!   the admission and stall rules, the hit path, fills with their victims,
+//!   invalidation and eviction. Each controller keeps only its protocol's
+//!   transitions: which messages a miss, an upgrade, a victim or a snoop
+//!   sends, and in what order;
+//! * per-home-node memory that counts the writes SafetyNet must log, and
+//!   directory state.
 //!
 //! The crate is *network-agnostic*: controllers consume and produce protocol
 //! messages tagged with a [`types::MsgClass`]; the system-assembly crate maps
@@ -34,11 +40,13 @@
 pub mod cache_array;
 pub mod data;
 pub mod dir;
+pub mod hierarchy;
 pub mod snoop;
 pub mod types;
 
 pub use cache_array::{CacheArray, CacheGeometry};
 pub use data::MemoryStore;
+pub use hierarchy::{AccessOutcome, CacheHierarchy, CacheState, CompletedAccess};
 pub use types::{
     CpuAccess, CpuRequest, MisSpecKind, MisSpeculation, MsgClass, NodeSet, ProtocolError,
 };

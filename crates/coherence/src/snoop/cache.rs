@@ -1,5 +1,11 @@
 //! The cache controller of the broadcast snooping protocol.
 //!
+//! The node's L1, L2, MSHR file, writeback buffer and completion queue are
+//! a [`CacheHierarchy`], shared with the directory protocol. This module
+//! keeps the snooping protocol's transitions: the requests a miss, an
+//! upgrade or a victim posts on the address network, and the data a snoop
+//! sends, in order.
+//!
 //! Ownership in a snooping system is defined by the total order of the
 //! address network: from the moment a cache's RequestForReadWrite is ordered,
 //! that cache is the owner and must supply data to later-ordered requests —
@@ -9,62 +15,14 @@
 //! creates the corner case of Section 3.2.
 
 use std::collections::VecDeque;
+use std::ops::ControlFlow;
 
-use specsim_base::{
-    BlockAddr, Cycle, CycleDelta, FastMap, MemorySystemConfig, NodeId, ProtocolVariant,
-};
+use specsim_base::{BlockAddr, Cycle, MemorySystemConfig, NodeId, ProtocolVariant};
 
-use crate::cache_array::{CacheArray, CacheGeometry};
+use crate::hierarchy::{AccessOutcome, CacheHierarchy, CacheState, CompletedAccess, WbState};
 use crate::types::{CpuAccess, CpuRequest, MisSpecKind, MisSpeculation, ProtocolError};
 
 use super::msg::{SnoopDataMsg, SnoopDataOut, SnoopRequest};
-
-/// Stable cache states (Invalid = not resident).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SnoopCacheState {
-    /// Modified (sole dirty copy).
-    M,
-    /// Owned (dirty copy, other sharers may exist).
-    O,
-    /// Shared (read-only copy).
-    S,
-}
-
-/// Outcome of presenting a processor request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SnoopAccessOutcome {
-    /// Satisfied by the L1 tag filter.
-    L1Hit {
-        /// Access latency in cycles.
-        latency: CycleDelta,
-        /// Value read or written.
-        value: u64,
-    },
-    /// Satisfied by the L2.
-    L2Hit {
-        /// Access latency in cycles.
-        latency: CycleDelta,
-        /// Value read or written.
-        value: u64,
-    },
-    /// A bus transaction was started.
-    MissIssued,
-    /// The controller cannot accept the request this cycle.
-    Stall,
-}
-
-/// A completed demand miss.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SnoopCompletedAccess {
-    /// The block whose miss completed.
-    pub addr: BlockAddr,
-    /// Load or store.
-    pub access: CpuAccess,
-    /// Cycles from issue to completion.
-    pub latency: CycleDelta,
-    /// The value observed (loads) or installed (stores).
-    pub value: u64,
-}
 
 /// A foreign request that was ordered after this cache became owner but
 /// before its data arrived; it must be served when the fill completes.
@@ -74,41 +32,17 @@ struct DeferredForward {
     exclusive: bool,
 }
 
-#[derive(Debug, Clone)]
-struct SnoopDemand {
-    addr: BlockAddr,
-    access: CpuAccess,
-    store_value: u64,
-    issued_at: Cycle,
+/// The snooping protocol's part of an MSHR entry: where its demand stands
+/// in the address network's total order.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct BusOrder {
     /// Own request observed on the address network.
     ordered: bool,
-    /// Data received (or already held, for an owner upgrade).
-    data: Option<u64>,
     /// Requests ordered after ours that we must serve after filling.
     deferred: Vec<DeferredForward>,
     /// Set once a deferred RequestForReadWrite has promised ownership away;
     /// later requests are the next owner's responsibility.
     ownership_promised: bool,
-    /// True for an owner (M/O) upgrade that fills from its own resident
-    /// copy when its request is ordered. Such an upgrade runs with the MSHR
-    /// file to itself: a concurrent install could evict the upgrading line
-    /// out from under it.
-    resident_upgrade: bool,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WbState {
-    /// Writeback issued, own PutM not yet observed; still the owner.
-    Owner,
-    /// Ownership surrendered to a foreign RequestForReadWrite observed while
-    /// the Writeback was in flight (the first half of the corner case).
-    LostOwnership,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct WritebackEntry {
-    data: u64,
-    state: WbState,
 }
 
 /// The snooping-protocol cache controller for one node.
@@ -117,17 +51,9 @@ pub struct SnoopCacheController {
     node: NodeId,
     num_nodes: usize,
     variant: ProtocolVariant,
-    l1: CacheArray<()>,
-    l2: CacheArray<SnoopCacheState>,
-    l1_hit_cycles: CycleDelta,
-    l2_hit_cycles: CycleDelta,
-    /// Outstanding demand misses (the MSHR file), bounded by `mshr_entries`.
-    demands: Vec<SnoopDemand>,
-    mshr_entries: usize,
-    writebacks: FastMap<BlockAddr, WritebackEntry>,
+    cache: CacheHierarchy<BusOrder>,
     outgoing_bus: VecDeque<SnoopRequest>,
     outgoing_data: VecDeque<SnoopDataOut>,
-    completed: VecDeque<SnoopCompletedAccess>,
 }
 
 impl SnoopCacheController {
@@ -138,22 +64,9 @@ impl SnoopCacheController {
             node,
             num_nodes: config.num_nodes,
             variant,
-            l1: CacheArray::new(CacheGeometry::from_capacity(
-                config.l1_bytes,
-                config.l1_ways,
-            )),
-            l2: CacheArray::new(CacheGeometry::from_capacity(
-                config.l2_bytes,
-                config.l2_ways,
-            )),
-            l1_hit_cycles: config.l1_hit_cycles,
-            l2_hit_cycles: config.l2_hit_cycles,
-            demands: Vec::new(),
-            mshr_entries: config.mshr_entries.max(1),
-            writebacks: FastMap::default(),
+            cache: CacheHierarchy::new(config),
             outgoing_bus: VecDeque::new(),
             outgoing_data: VecDeque::new(),
-            completed: VecDeque::new(),
         }
     }
 
@@ -163,26 +76,10 @@ impl SnoopCacheController {
         self.node
     }
 
-    /// True when a demand miss is outstanding.
+    /// The node's cache hierarchy, for its stall check and diagnostics.
     #[must_use]
-    pub fn has_outstanding_demand(&self) -> bool {
-        !self.demands.is_empty()
-    }
-
-    /// Number of outstanding demand misses (occupied MSHRs).
-    #[must_use]
-    pub fn outstanding_demands(&self) -> usize {
-        self.demands.len()
-    }
-
-    /// Issue cycle and block of the oldest outstanding demand (timeout
-    /// detection).
-    #[must_use]
-    pub fn oldest_demand(&self) -> Option<(Cycle, BlockAddr)> {
-        self.demands
-            .iter()
-            .min_by_key(|d| d.issued_at)
-            .map(|d| (d.issued_at, d.addr))
+    pub fn hierarchy(&self) -> &CacheHierarchy<BusOrder> {
+        &self.cache
     }
 
     /// Removes the next address-network request to post, if any.
@@ -218,164 +115,47 @@ impl SnoopCacheController {
     pub fn snoop_may_change(&self, src: NodeId, request: SnoopRequest) -> bool {
         let addr = request.addr();
         let pending =
-            || self.writebacks.contains_key(&addr) || self.deferring_demand(addr).is_some();
+            || self.cache.writebacks.contains_key(&addr) || self.deferring_demand(addr).is_some();
         match request {
             _ if src == self.node => true,
             // Memory handles writebacks.
             SnoopRequest::PutM { .. } => false,
             // A shared copy ignores a read: memory or the owner responds.
-            SnoopRequest::GetS { .. } => self.l2.probe(addr).map_or_else(pending, |line| {
-                matches!(line.state, SnoopCacheState::M | SnoopCacheState::O)
-            }),
-            SnoopRequest::GetM { .. } => self.l2.probe(addr).is_some() || pending(),
+            SnoopRequest::GetS { .. } => self
+                .cache
+                .l2
+                .probe(addr)
+                .map_or_else(pending, |line| line.state.is_owner()),
+            SnoopRequest::GetM { .. } => self.cache.l2.probe(addr).is_some() || pending(),
         }
     }
 
     /// Takes the oldest completed-demand notification, if one is pending.
-    pub fn take_completed(&mut self) -> Option<SnoopCompletedAccess> {
-        self.completed.pop_front()
-    }
-
-    /// True when [`Self::take_completed`] would return an access.
-    #[must_use]
-    pub fn has_completed(&self) -> bool {
-        !self.completed.is_empty()
-    }
-
-    /// The value currently cached for `addr`, if resident.
-    #[must_use]
-    pub fn cached_value(&self, addr: BlockAddr) -> Option<(SnoopCacheState, u64)> {
-        self.l2.probe(addr).map(|l| (l.state, l.data))
-    }
-
-    /// Every block resident in the L2 with its state and data (used by
-    /// system-level coherence-invariant checks).
-    #[must_use]
-    pub fn resident_lines(&self) -> Vec<(BlockAddr, SnoopCacheState, u64)> {
-        self.l2
-            .iter()
-            .map(|line| (line.addr, line.state, line.data))
-            .collect()
+    pub fn take_completed(&mut self) -> Option<CompletedAccess> {
+        self.cache.take_completed()
     }
 
     fn home(&self, addr: BlockAddr) -> NodeId {
         addr.home_node(self.num_nodes)
     }
 
-    /// True when a CPU request for `addr` stalls at once, before it reads
-    /// or writes any state: the MSHR file is full, a demand for the block
-    /// is outstanding (no coalescing), or the block's writeback is in
-    /// flight. [`Self::cpu_request`] then returns [`SnoopAccessOutcome::Stall`]
-    /// and changes nothing.
-    #[must_use]
-    pub fn stalls_at_once(&self, addr: BlockAddr) -> bool {
-        self.demands.len() >= self.mshr_entries
-            || self.demands.iter().any(|d| d.addr == addr)
-            || self.writebacks.contains_key(&addr)
-    }
-
     /// Presents a processor request.
-    pub fn cpu_request(&mut self, now: Cycle, req: CpuRequest) -> SnoopAccessOutcome {
-        if self.stalls_at_once(req.addr) {
-            return SnoopAccessOutcome::Stall;
-        }
-        // A resident owner upgrade is in flight: admitting another demand
-        // could evict the upgrading line when it completes, so everything
-        // that starts a transaction stalls until the upgrade finishes.
-        let upgrade_in_flight = self.demands.iter().any(|d| d.resident_upgrade);
-        let l1_hit = self.l1.lookup(req.addr).is_some();
-        if let Some(line) = self.l2.lookup(req.addr) {
-            match (req.access, line.state) {
-                (CpuAccess::Load, _) | (CpuAccess::Store, SnoopCacheState::M) => {
-                    if req.access == CpuAccess::Store {
-                        line.data = req.store_value;
-                    }
-                    let value = match req.access {
-                        CpuAccess::Load => line.data,
-                        CpuAccess::Store => req.store_value,
-                    };
-                    return if l1_hit {
-                        SnoopAccessOutcome::L1Hit {
-                            latency: self.l1_hit_cycles,
-                            value,
-                        }
-                    } else {
-                        self.l1.insert(req.addr, (), 0);
-                        SnoopAccessOutcome::L2Hit {
-                            latency: self.l2_hit_cycles,
-                            value,
-                        }
-                    };
-                }
-                (CpuAccess::Store, SnoopCacheState::O) => {
-                    // Owner upgrade: request exclusivity on the bus and fill
-                    // from our own copy when the request is ordered (unless an
-                    // earlier-ordered foreign request takes the line first).
-                    // The line must stay resident until then, so the upgrade
-                    // runs with the MSHR file to itself.
-                    if !self.demands.is_empty() {
-                        return SnoopAccessOutcome::Stall;
-                    }
-                    self.demands.push(SnoopDemand {
-                        addr: req.addr,
-                        access: CpuAccess::Store,
-                        store_value: req.store_value,
-                        issued_at: now,
-                        ordered: false,
-                        data: None,
-                        deferred: Vec::new(),
-                        ownership_promised: false,
-                        resident_upgrade: true,
-                    });
-                    self.outgoing_bus
-                        .push_back(SnoopRequest::GetM { addr: req.addr });
-                    return SnoopAccessOutcome::MissIssued;
-                }
-                (CpuAccess::Store, SnoopCacheState::S) => {
-                    // Upgrade from S: the fill will come from the owner or
-                    // memory; our read-only copy can be dropped at any time,
-                    // so this behaves like a plain miss.
-                    if upgrade_in_flight {
-                        return SnoopAccessOutcome::Stall;
-                    }
-                    self.demands.push(SnoopDemand {
-                        addr: req.addr,
-                        access: CpuAccess::Store,
-                        store_value: req.store_value,
-                        issued_at: now,
-                        ordered: false,
-                        data: None,
-                        deferred: Vec::new(),
-                        ownership_promised: false,
-                        resident_upgrade: false,
-                    });
-                    self.outgoing_bus
-                        .push_back(SnoopRequest::GetM { addr: req.addr });
-                    return SnoopAccessOutcome::MissIssued;
-                }
-            }
-        }
-        // Complete miss.
-        if upgrade_in_flight {
-            return SnoopAccessOutcome::Stall;
-        }
-        let msg = match req.access {
+    pub fn cpu_request(&mut self, now: Cycle, req: CpuRequest) -> AccessOutcome {
+        let miss = match self.cache.access(req) {
+            ControlFlow::Break(outcome) => return outcome,
+            ControlFlow::Continue(miss) => miss,
+        };
+        // An owner upgrade fills from its own copy when its request is
+        // ordered, unless an earlier-ordered foreign request takes the line
+        // first. An upgrade from S keeps its read-only copy, which may be
+        // dropped at any time, so it behaves like a plain miss: the fill
+        // comes from the owner or memory.
+        self.cache.issue(now, req, miss, None, BusOrder::default());
+        self.outgoing_bus.push_back(match req.access {
             CpuAccess::Load => SnoopRequest::GetS { addr: req.addr },
             CpuAccess::Store => SnoopRequest::GetM { addr: req.addr },
-        };
-        self.demands.push(SnoopDemand {
-            addr: req.addr,
-            access: req.access,
-            store_value: req.store_value,
-            issued_at: now,
-            ordered: false,
-            data: None,
-            deferred: Vec::new(),
-            ownership_promised: false,
-            resident_upgrade: false,
         });
-        self.outgoing_bus.push_back(msg);
-        SnoopAccessOutcome::MissIssued
+        AccessOutcome::MissIssued
     }
 
     /// The data response to `request` from `src` when observing it queues
@@ -391,15 +171,7 @@ impl SnoopCacheController {
         if src == self.node {
             return None;
         }
-        let data = match self.l2.probe(addr) {
-            Some(line) if line.state == SnoopCacheState::O => line.data,
-            Some(_) => return None,
-            None => {
-                let entry = self.writebacks.get(&addr)?;
-                (entry.state == WbState::Owner).then_some(entry.data)?
-            }
-        };
-        Some(SnoopDataOut {
+        self.cache.owner_reply(addr).map(|data| SnoopDataOut {
             dst: src,
             msg: SnoopDataMsg::Data { addr, data },
         })
@@ -428,19 +200,20 @@ impl SnoopCacheController {
         match request {
             SnoopRequest::GetS { addr } | SnoopRequest::GetM { addr } => {
                 let Some(idx) = self
+                    .cache
                     .demands
                     .iter()
-                    .position(|d| d.addr == addr && !d.ordered)
+                    .position(|d| d.addr == addr && !d.protocol.ordered)
                 else {
                     return Err(self.error(addr, "observed own request with no demand".into()));
                 };
                 let own_fill = matches!(request, SnoopRequest::GetM { .. })
-                    .then(|| self.l2.probe(addr))
+                    .then(|| self.cache.l2.probe(addr))
                     .flatten()
-                    .filter(|line| matches!(line.state, SnoopCacheState::M | SnoopCacheState::O))
+                    .filter(|line| line.state.is_owner())
                     .map(|line| line.data);
-                let demand = &mut self.demands[idx];
-                demand.ordered = true;
+                let demand = &mut self.cache.demands[idx];
+                demand.protocol.ordered = true;
                 // An owner upgrading (line still resident in M or O when the
                 // GetM is ordered) fills from its own copy; nobody else will
                 // send data because the memory controller sees a cache owner.
@@ -453,7 +226,7 @@ impl SnoopCacheController {
                 Ok(None)
             }
             SnoopRequest::PutM { addr } => {
-                let Some(entry) = self.writebacks.remove(&addr) else {
+                let Some(entry) = self.cache.writebacks.remove(&addr) else {
                     return Err(self.error(addr, "observed own PutM with no writeback".into()));
                 };
                 match entry.state {
@@ -494,16 +267,16 @@ impl SnoopCacheController {
                 // owner already in O, or with its writeback in flight, only
                 // replies, in `reply_only`. For an S copy, memory or the
                 // owner responds.
-                if let Some(line) = self.l2.get_mut(addr) {
-                    if line.state == SnoopCacheState::M {
-                        line.state = SnoopCacheState::O;
+                if let Some(line) = self.cache.l2.get_mut(addr) {
+                    if line.state == CacheState::M {
+                        line.state = CacheState::O;
                         let data = line.data;
                         self.respond_with_data(src, addr, data);
                     }
                     return Ok(None);
                 }
                 // A writeback that lost ownership: the new owner responds.
-                if self.writebacks.contains_key(&addr) {
+                if self.cache.writebacks.contains_key(&addr) {
                     return Ok(None);
                 }
                 // Owner-in-order waiting for its fill: serve after filling.
@@ -512,48 +285,37 @@ impl SnoopCacheController {
             }
             SnoopRequest::GetM { addr } => {
                 // Resident copies are invalidated; the owner also supplies data.
-                if let Some(line) = self.l2.probe(addr) {
-                    let state = line.state;
-                    let data = line.data;
-                    self.l2.remove(addr);
-                    self.l1.remove(addr);
-                    if matches!(state, SnoopCacheState::M | SnoopCacheState::O) {
-                        self.respond_with_data(src, addr, data);
+                if let Some(line) = self.cache.invalidate(addr) {
+                    if line.state.is_owner() {
+                        self.respond_with_data(src, addr, line.data);
                     }
                     return Ok(None);
                 }
-                // Owner with a writeback in flight.
-                if let Some(entry) = self.writebacks.get_mut(&addr) {
-                    match entry.state {
-                        WbState::Owner => {
-                            // First foreign RequestForReadWrite: supply data and
-                            // surrender ownership; keep waiting for our PutM to
-                            // be ordered (it will then be dropped as stale).
-                            let data = entry.data;
-                            entry.state = WbState::LostOwnership;
-                            self.respond_with_data(src, addr, data);
-                            return Ok(None);
+                // Owner with a writeback in flight, at the first foreign
+                // RequestForReadWrite: supply data and surrender ownership;
+                // keep waiting for our PutM to be ordered (it will then be
+                // dropped as stale).
+                if let Some(data) = self.cache.surrender_writeback(addr) {
+                    self.respond_with_data(src, addr, data);
+                    return Ok(None);
+                }
+                if self.cache.writebacks.contains_key(&addr) {
+                    // Second foreign RequestForReadWrite while our Writeback
+                    // is still unordered: the corner case of Section 3.2.
+                    return match self.variant {
+                        ProtocolVariant::Full => {
+                            // The fully designed protocol specifies the
+                            // transition: we are no longer the owner, the
+                            // previous requestor will respond; ignore.
+                            Ok(None)
                         }
-                        WbState::LostOwnership => {
-                            // Second foreign RequestForReadWrite while our
-                            // Writeback is still unordered: the corner case of
-                            // Section 3.2.
-                            return match self.variant {
-                                ProtocolVariant::Full => {
-                                    // The fully designed protocol specifies the
-                                    // transition: we are no longer the owner, the
-                                    // previous requestor will respond; ignore.
-                                    Ok(None)
-                                }
-                                ProtocolVariant::Speculative => Ok(Some(MisSpeculation {
-                                    kind: MisSpecKind::WritebackDoubleRace,
-                                    node: self.node,
-                                    addr,
-                                    at: now,
-                                })),
-                            };
-                        }
-                    }
+                        ProtocolVariant::Speculative => Ok(Some(MisSpeculation {
+                            kind: MisSpecKind::WritebackDoubleRace,
+                            node: self.node,
+                            addr,
+                            at: now,
+                        })),
+                    };
                 }
                 // Owner-in-order waiting for its fill: serve after filling.
                 self.maybe_defer(addr, src, true);
@@ -566,20 +328,23 @@ impl SnoopCacheController {
     /// The ordered store demand on `addr` that serves a foreign request
     /// ordered after it once filled, if any.
     fn deferring_demand(&self, addr: BlockAddr) -> Option<usize> {
-        self.demands.iter().position(|d| {
-            d.addr == addr && d.ordered && d.access == CpuAccess::Store && !d.ownership_promised
+        self.cache.demands.iter().position(|d| {
+            d.addr == addr
+                && d.protocol.ordered
+                && d.access == CpuAccess::Store
+                && !d.protocol.ownership_promised
         })
     }
 
     fn maybe_defer(&mut self, addr: BlockAddr, requestor: NodeId, exclusive: bool) {
         if let Some(i) = self.deferring_demand(addr) {
-            let demand = &mut self.demands[i];
-            demand.deferred.push(DeferredForward {
+            let order = &mut self.cache.demands[i].protocol;
+            order.deferred.push(DeferredForward {
                 requestor,
                 exclusive,
             });
             if exclusive {
-                demand.ownership_promised = true;
+                order.ownership_promised = true;
             }
         }
     }
@@ -596,6 +361,7 @@ impl SnoopCacheController {
         match msg {
             SnoopDataMsg::Data { addr, data } => {
                 let Some(idx) = self
+                    .cache
                     .demands
                     .iter()
                     .position(|d| d.addr == addr && d.data.is_none())
@@ -604,9 +370,9 @@ impl SnoopCacheController {
                     // responded); harmless.
                     return Ok(());
                 };
-                let demand = &mut self.demands[idx];
+                let demand = &mut self.cache.demands[idx];
                 demand.data = Some(data);
-                if demand.ordered {
+                if demand.protocol.ordered {
                     self.complete_demand(now, idx);
                 }
                 Ok(())
@@ -619,69 +385,34 @@ impl SnoopCacheController {
     }
 
     fn complete_demand(&mut self, now: Cycle, idx: usize) {
-        let demand = self.demands.remove(idx);
-        let fill_value = demand.data.expect("completing without data");
-        let (state, value) = match demand.access {
-            CpuAccess::Load => (SnoopCacheState::S, fill_value),
-            CpuAccess::Store => (SnoopCacheState::M, demand.store_value),
-        };
+        let (demand, state, value) = self.cache.retire(now, idx);
         // Serve requests that were ordered after ours before installing the
         // final state.
         let mut final_state = Some(state);
-        for fwd in &demand.deferred {
+        for fwd in &demand.protocol.deferred {
             self.respond_with_data(fwd.requestor, demand.addr, value);
             final_state = if fwd.exclusive {
                 None // ownership handed over
             } else {
-                Some(SnoopCacheState::O)
+                Some(CacheState::O)
             };
         }
         if let Some(state) = final_state {
-            if let Some(victim) = self.l2.insert(demand.addr, state, value) {
-                self.l1.remove(victim.addr);
-                match victim.state {
-                    SnoopCacheState::M | SnoopCacheState::O => {
-                        self.writebacks.insert(
-                            victim.addr,
-                            WritebackEntry {
-                                data: victim.data,
-                                state: WbState::Owner,
-                            },
-                        );
-                        self.outgoing_bus
-                            .push_back(SnoopRequest::PutM { addr: victim.addr });
-                    }
-                    SnoopCacheState::S => {}
-                }
+            if let Some(victim) = self.cache.install(demand.addr, state, value) {
+                self.outgoing_bus
+                    .push_back(SnoopRequest::PutM { addr: victim.addr });
             }
-            self.l1.insert(demand.addr, (), 0);
         }
-        self.completed.push_back(SnoopCompletedAccess {
-            addr: demand.addr,
-            access: demand.access,
-            latency: now.saturating_sub(demand.issued_at),
-            value,
-        });
     }
 
     /// Forces the eviction of a resident block (tests / capacity pressure).
-    pub fn force_evict(&mut self, _now: Cycle, addr: BlockAddr) -> bool {
-        let Some(line) = self.l2.remove(addr) else {
+    /// Owned blocks start a writeback; shared blocks are dropped silently.
+    pub fn force_evict(&mut self, addr: BlockAddr) -> bool {
+        let Some(line) = self.cache.evict(addr) else {
             return false;
         };
-        self.l1.remove(addr);
-        match line.state {
-            SnoopCacheState::M | SnoopCacheState::O => {
-                self.writebacks.insert(
-                    addr,
-                    WritebackEntry {
-                        data: line.data,
-                        state: WbState::Owner,
-                    },
-                );
-                self.outgoing_bus.push_back(SnoopRequest::PutM { addr });
-            }
-            SnoopCacheState::S => {}
+        if line.state.is_owner() {
+            self.outgoing_bus.push_back(SnoopRequest::PutM { addr });
         }
         true
     }
@@ -733,10 +464,7 @@ mod tests {
 
     /// Drives a controller to own block A in state M with the given value.
     fn make_owner(c: &mut SnoopCacheController, value: u64) {
-        assert_eq!(
-            c.cpu_request(0, store(A, value)),
-            SnoopAccessOutcome::MissIssued
-        );
+        assert_eq!(c.cpu_request(0, store(A, value)), AccessOutcome::MissIssued);
         assert_eq!(c.pop_bus_request(), Some(SnoopRequest::GetM { addr: A }));
         // Own GetM observed; memory will supply data.
         c.observe_snoop(5, NodeId(1), SnoopRequest::GetM { addr: A })
@@ -745,13 +473,13 @@ mod tests {
             .unwrap();
         let done = c.take_completed().unwrap();
         assert_eq!(done.value, value);
-        assert_eq!(c.cached_value(A), Some((SnoopCacheState::M, value)));
+        assert_eq!(c.hierarchy().cached_value(A), Some((CacheState::M, value)));
     }
 
     #[test]
     fn load_miss_completes_after_order_and_data() {
         let mut c = ctrl(ProtocolVariant::Full);
-        assert_eq!(c.cpu_request(0, load(A)), SnoopAccessOutcome::MissIssued);
+        assert_eq!(c.cpu_request(0, load(A)), AccessOutcome::MissIssued);
         assert_eq!(c.pop_bus_request(), Some(SnoopRequest::GetS { addr: A }));
         // Data cannot complete the miss before the request is ordered...
         // (in this model data only ever arrives afterwards, but the ordering
@@ -764,7 +492,7 @@ mod tests {
         let done = c.take_completed().unwrap();
         assert_eq!(done.value, 77);
         assert_eq!(done.latency, 9);
-        assert_eq!(c.cached_value(A), Some((SnoopCacheState::S, 77)));
+        assert_eq!(c.hierarchy().cached_value(A), Some((CacheState::S, 77)));
     }
 
     #[test]
@@ -802,7 +530,7 @@ mod tests {
         let out = c.pop_data_message().unwrap();
         assert_eq!(out.dst, NodeId(2));
         assert_eq!(out.msg, SnoopDataMsg::Data { addr: A, data: 42 });
-        assert_eq!(c.cached_value(A), Some((SnoopCacheState::O, 42)));
+        assert_eq!(c.hierarchy().cached_value(A), Some((CacheState::O, 42)));
     }
 
     #[test]
@@ -813,9 +541,9 @@ mod tests {
             .unwrap();
         let out = c.pop_data_message().unwrap();
         assert_eq!(out.msg, SnoopDataMsg::Data { addr: A, data: 42 });
-        assert_eq!(c.cached_value(A), None);
+        assert_eq!(c.hierarchy().cached_value(A), None);
         // The invalidated copy is gone from both levels: a load misses.
-        assert_eq!(c.cpu_request(30, load(A)), SnoopAccessOutcome::MissIssued);
+        assert_eq!(c.cpu_request(30, load(A)), AccessOutcome::MissIssued);
     }
 
     #[test]
@@ -830,7 +558,7 @@ mod tests {
         c.take_completed();
         c.observe_snoop(10, NodeId(3), SnoopRequest::GetM { addr: A })
             .unwrap();
-        assert_eq!(c.cached_value(A), None);
+        assert_eq!(c.hierarchy().cached_value(A), None);
         assert!(
             c.pop_data_message().is_none(),
             "an S copy never supplies data"
@@ -841,10 +569,10 @@ mod tests {
     fn writeback_sends_data_to_home_when_own_putm_is_observed() {
         let mut c = ctrl(ProtocolVariant::Full);
         make_owner(&mut c, 7);
-        assert!(c.force_evict(20, A));
+        assert!(c.force_evict(A));
         assert_eq!(c.pop_bus_request(), Some(SnoopRequest::PutM { addr: A }));
         // A request to the block stalls while the writeback is pending.
-        assert_eq!(c.cpu_request(25, load(A)), SnoopAccessOutcome::Stall);
+        assert_eq!(c.cpu_request(25, load(A)), AccessOutcome::Stall);
         c.observe_snoop(30, NodeId(1), SnoopRequest::PutM { addr: A })
             .unwrap();
         let wb = c.pop_data_message().unwrap();
@@ -858,7 +586,7 @@ mod tests {
     fn inflight_writeback_serves_one_foreign_getm_and_drops_its_putm() {
         let mut c = ctrl(ProtocolVariant::Full);
         make_owner(&mut c, 9);
-        c.force_evict(20, A);
+        c.force_evict(A);
         c.pop_bus_request();
         c.observe_snoop(25, NodeId(2), SnoopRequest::GetM { addr: A })
             .unwrap();
@@ -881,7 +609,7 @@ mod tests {
         for variant in [ProtocolVariant::Full, ProtocolVariant::Speculative] {
             let mut c = ctrl(variant);
             make_owner(&mut c, 9);
-            c.force_evict(20, A);
+            c.force_evict(A);
             c.pop_bus_request();
             c.observe_snoop(25, NodeId(2), SnoopRequest::GetM { addr: A })
                 .unwrap();
@@ -912,16 +640,13 @@ mod tests {
             .unwrap();
         c.pop_data_message();
         // Upgrade back to M.
-        assert_eq!(
-            c.cpu_request(30, store(A, 11)),
-            SnoopAccessOutcome::MissIssued
-        );
+        assert_eq!(c.cpu_request(30, store(A, 11)), AccessOutcome::MissIssued);
         assert_eq!(c.pop_bus_request(), Some(SnoopRequest::GetM { addr: A }));
         c.observe_snoop(35, NodeId(1), SnoopRequest::GetM { addr: A })
             .unwrap();
         let done = c.take_completed().expect("upgrade fills from its own data");
         assert_eq!(done.value, 11);
-        assert_eq!(c.cached_value(A), Some((SnoopCacheState::M, 11)));
+        assert_eq!(c.hierarchy().cached_value(A), Some((CacheState::M, 11)));
     }
 
     #[test]
@@ -958,7 +683,7 @@ mod tests {
         // Node 4 is NOT served by us.
         assert!(c.pop_data_message().is_none());
         // Ownership was handed to node 3, so the block is no longer resident.
-        assert_eq!(c.cached_value(A), None);
+        assert_eq!(c.hierarchy().cached_value(A), None);
     }
 
     #[test]
@@ -985,16 +710,16 @@ mod tests {
     fn parallel_misses_complete_out_of_order_by_address() {
         let b = BlockAddr(0x80);
         let mut c = ctrl_mshr(ProtocolVariant::Full, 2);
-        assert_eq!(c.cpu_request(0, load(A)), SnoopAccessOutcome::MissIssued);
-        assert_eq!(c.cpu_request(1, load(b)), SnoopAccessOutcome::MissIssued);
-        assert_eq!(c.outstanding_demands(), 2);
+        assert_eq!(c.cpu_request(0, load(A)), AccessOutcome::MissIssued);
+        assert_eq!(c.cpu_request(1, load(b)), AccessOutcome::MissIssued);
+        assert_eq!(c.hierarchy().outstanding_demands(), 2);
         // A third miss exceeds the two MSHRs; a duplicate of an in-flight
         // block stalls even though an MSHR is notionally free at that point.
         assert_eq!(
             c.cpu_request(2, load(BlockAddr(0xc0))),
-            SnoopAccessOutcome::Stall
+            AccessOutcome::Stall
         );
-        assert_eq!(c.cpu_request(2, store(A, 1)), SnoopAccessOutcome::Stall);
+        assert_eq!(c.cpu_request(2, store(A, 1)), AccessOutcome::Stall);
         // Both requests get ordered; the younger one's data arrives first.
         c.observe_snoop(5, NodeId(1), SnoopRequest::GetS { addr: A })
             .unwrap();
@@ -1004,14 +729,18 @@ mod tests {
             .unwrap();
         let done = c.take_completed().unwrap();
         assert_eq!((done.addr, done.value), (b, 22));
-        assert_eq!(c.oldest_demand(), Some((0, A)), "oldest demand still open");
+        assert_eq!(
+            c.hierarchy().oldest_demand(),
+            Some((0, A)),
+            "oldest demand still open"
+        );
         c.handle_data(20, SnoopDataMsg::Data { addr: A, data: 11 })
             .unwrap();
         let done = c.take_completed().unwrap();
         assert_eq!((done.addr, done.value), (A, 11));
-        assert!(!c.has_outstanding_demand());
-        assert_eq!(c.cached_value(A), Some((SnoopCacheState::S, 11)));
-        assert_eq!(c.cached_value(b), Some((SnoopCacheState::S, 22)));
+        assert_eq!(c.hierarchy().outstanding_demands(), 0);
+        assert_eq!(c.hierarchy().cached_value(A), Some((CacheState::S, 11)));
+        assert_eq!(c.hierarchy().cached_value(b), Some((CacheState::S, 22)));
     }
 
     #[test]
@@ -1024,8 +753,8 @@ mod tests {
             .unwrap();
         c.pop_data_message();
         // With a plain miss outstanding, the O->M upgrade must wait.
-        assert_eq!(c.cpu_request(30, load(b)), SnoopAccessOutcome::MissIssued);
-        assert_eq!(c.cpu_request(31, store(A, 11)), SnoopAccessOutcome::Stall);
+        assert_eq!(c.cpu_request(30, load(b)), AccessOutcome::MissIssued);
+        assert_eq!(c.cpu_request(31, store(A, 11)), AccessOutcome::Stall);
         c.observe_snoop(32, NodeId(1), SnoopRequest::GetS { addr: b })
             .unwrap();
         c.handle_data(33, SnoopDataMsg::Data { addr: b, data: 0 })
@@ -1033,23 +762,20 @@ mod tests {
         c.take_completed();
         // Once the file drains the upgrade issues, and while it is
         // outstanding every new demand stalls.
-        assert_eq!(
-            c.cpu_request(40, store(A, 11)),
-            SnoopAccessOutcome::MissIssued
-        );
+        assert_eq!(c.cpu_request(40, store(A, 11)), AccessOutcome::MissIssued);
         assert_eq!(
             c.cpu_request(41, load(BlockAddr(0xc0))),
-            SnoopAccessOutcome::Stall
+            AccessOutcome::Stall
         );
         c.pop_bus_request();
         c.observe_snoop(45, NodeId(1), SnoopRequest::GetM { addr: A })
             .unwrap();
         let done = c.take_completed().expect("upgrade fills from its own data");
         assert_eq!(done.value, 11);
-        assert_eq!(c.cached_value(A), Some((SnoopCacheState::M, 11)));
+        assert_eq!(c.hierarchy().cached_value(A), Some((CacheState::M, 11)));
         assert_eq!(
             c.cpu_request(50, load(BlockAddr(0xc0))),
-            SnoopAccessOutcome::MissIssued
+            AccessOutcome::MissIssued
         );
     }
 }

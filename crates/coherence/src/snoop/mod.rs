@@ -6,6 +6,11 @@
 //! observes the same request sequence in the same order, and ownership is
 //! defined by that order.
 //!
+//! The cache controller holds the node's [`crate::hierarchy::CacheHierarchy`],
+//! shared with the directory protocol; it keeps the snooping protocol's own
+//! transitions and each demand's place in the address network's order. The
+//! home memory controller is this protocol's alone.
+//!
 //! The corner case of Section 3.2 (the one the designers "did not initially
 //! consider"): a cache that owns a block issues a Writeback and, **before
 //! observing its own Writeback on the address network**, observes a foreign
@@ -20,6 +25,6 @@ pub mod cache;
 pub mod memory;
 pub mod msg;
 
-pub use cache::{SnoopAccessOutcome, SnoopCacheController, SnoopCompletedAccess};
+pub use cache::{BusOrder, SnoopCacheController};
 pub use memory::SnoopMemoryController;
 pub use msg::{SnoopDataMsg, SnoopRequest};

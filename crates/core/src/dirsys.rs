@@ -17,17 +17,16 @@
 
 use std::sync::Arc;
 
-use specsim_base::{BlockAddr, Cycle, CycleDelta, DetRng, FaultKind, NodeId};
-use specsim_coherence::dir::{
-    AccessOutcome, CacheState, DirCacheController, DirMsg, DirectoryController, OutMsg,
-};
+use specsim_base::{BlockAddr, Cycle, CycleDelta, DetRng, NodeId};
+use specsim_coherence::dir::{DirCacheController, DirMsg, DirectoryController, OutMsg};
 use specsim_coherence::types::{CpuRequest, MsgClass};
-use specsim_net::{ForwardProbe, Network, PacketTaint, VirtualNetwork};
+use specsim_coherence::AccessOutcome;
+use specsim_net::{ForwardProbe, Network, VirtualNetwork};
 use specsim_safetynet::SafetyNet;
 use specsim_workloads::{Processor, Trace, WorkloadGenerator, ZipfTable};
 
 use crate::config::SystemConfig;
-use crate::engine::{EngineAccess, EngineCtx, ProtocolNode, StagedOutbox, SystemEngine};
+use crate::engine::{EngineCtx, ProtocolNode, StagedOutbox, SystemEngine};
 use crate::metrics::RunMetrics;
 use crate::shared::Shared;
 
@@ -142,11 +141,7 @@ impl DirProtocol {
                 // evidence, and discarded — the protocol never sees it. The
                 // dropped message then surfaces through the requestor's
                 // transaction timeout, which the evidence classifies.
-                if packet.taint.is_detectable() {
-                    let kind = match packet.taint {
-                        PacketTaint::Duplicate => FaultKind::Duplicate,
-                        _ => FaultKind::Corrupt,
-                    };
+                if let Some(kind) = packet.taint.fault_kind() {
                     ctx.report_fault_evidence(now, node, packet.payload.addr(), kind);
                     continue;
                 }
@@ -298,21 +293,18 @@ impl ProtocolNode for DirProtocol {
     }
 
     fn outstanding_demand(arch: &ArchState) -> usize {
-        arch.caches.iter().map(|c| c.outstanding_demands()).sum()
+        arch.caches
+            .iter()
+            .map(|c| c.hierarchy().outstanding_demands())
+            .sum()
     }
 
-    fn cpu_request(arch: &mut ArchState, i: usize, now: Cycle, req: CpuRequest) -> EngineAccess {
+    fn cpu_request(arch: &mut ArchState, i: usize, now: Cycle, req: CpuRequest) -> AccessOutcome {
         // A stall that changes nothing leaves a shared controller shared.
-        if arch.caches[i].stalls_at_once(req.addr) {
-            return EngineAccess::Stall;
+        if arch.caches[i].hierarchy().stalls_at_once(req.addr) {
+            return AccessOutcome::Stall;
         }
-        match arch.caches[i].make_mut().cpu_request(now, req) {
-            AccessOutcome::L1Hit { latency, .. } | AccessOutcome::L2Hit { latency, .. } => {
-                EngineAccess::Hit { latency }
-            }
-            AccessOutcome::MissIssued => EngineAccess::MissIssued,
-            AccessOutcome::Stall => EngineAccess::Stall,
-        }
+        arch.caches[i].make_mut().cpu_request(now, req)
     }
 
     fn exchange(&mut self, arch: &mut ArchState, now: Cycle, ctx: &mut EngineCtx<'_, ArchState>) {
@@ -321,6 +313,7 @@ impl ProtocolNode for DirProtocol {
             let ArchState { procs, caches, .. } = arch;
             ctx.deliver_completions(now, procs, |i| {
                 let done = caches[i]
+                    .hierarchy()
                     .has_completed()
                     .then(|| caches[i].make_mut().take_completed());
                 done.flatten().map(|done| (done.addr, done.access))
@@ -358,7 +351,7 @@ impl ProtocolNode for DirProtocol {
     }
 
     fn oldest_transaction(arch: &ArchState, i: usize) -> Option<(Cycle, BlockAddr)> {
-        arch.caches[i].oldest_demand()
+        arch.caches[i].hierarchy().oldest_demand()
     }
 
     fn collect_protocol_metrics(&self, arch: &ArchState, now: Cycle, m: &mut RunMetrics) {
@@ -463,13 +456,6 @@ impl DirectorySystem {
         self.arch().net.forward_probe()
     }
 
-    /// Maps a protocol message class to its virtual network (Section 3.1:
-    /// one virtual network per message class).
-    #[must_use]
-    pub fn vnet_of(class: MsgClass) -> VirtualNetwork {
-        vnet_of(class)
-    }
-
     /// The trace recorded so far when the system was built with
     /// [`SystemConfig::record_trace`]; `None` otherwise. Replaying the
     /// returned trace (via [`SystemConfig::replay_trace`]) reproduces each
@@ -495,9 +481,9 @@ impl DirectorySystem {
         let mut owners: HashMap<BlockAddr, (NodeId, u64)> = HashMap::new();
         let mut copies: HashMap<BlockAddr, Vec<(NodeId, u64)>> = HashMap::new();
         for cache in &arch.caches {
-            for (addr, state, data) in cache.resident_lines() {
+            for (addr, state, data) in cache.hierarchy().resident_lines() {
                 copies.entry(addr).or_default().push((cache.node(), data));
-                if matches!(state, CacheState::M | CacheState::O) {
+                if state.is_owner() {
                     if let Some((other, _)) = owners.insert(addr, (cache.node(), data)) {
                         return Err(format!(
                             "block {addr} has two owners: {other} and {}",

@@ -76,6 +76,7 @@ use specsim_base::{
     TelemetryRecorder, TimingWheel, WindowCounters,
 };
 use specsim_coherence::types::{CpuAccess, CpuRequest, MisSpecKind, MisSpeculation, ProtocolError};
+use specsim_coherence::AccessOutcome;
 use specsim_net::Network;
 use specsim_safetynet::{LogOutcome, SafetyNet};
 use specsim_workloads::Processor;
@@ -127,21 +128,6 @@ impl MeasuredCharacterization {
 enum RecoveryCause {
     MisSpeculation(MisSpecKind),
     Injected,
-}
-
-/// The outcome of presenting a CPU request to a node's cache hierarchy,
-/// reduced to what the engine needs to advance the processor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineAccess {
-    /// The access hit in a cache and completes after `latency` cycles.
-    Hit {
-        /// Hit latency charged to the processor.
-        latency: CycleDelta,
-    },
-    /// The access missed; a coherence transaction was started.
-    MissIssued,
-    /// The controller could not accept the request this cycle.
-    Stall,
 }
 
 /// A staging queue for controller outputs waiting out an access latency
@@ -675,8 +661,10 @@ pub trait ProtocolNode {
     /// (the slow-start governor's demand census).
     fn outstanding_demand(arch: &Self::Arch) -> usize;
 
-    /// Presents a CPU request to node `i`'s cache hierarchy.
-    fn cpu_request(arch: &mut Self::Arch, i: usize, now: Cycle, req: CpuRequest) -> EngineAccess;
+    /// Presents a CPU request to node `i`'s cache controller and returns
+    /// the controller's outcome: an L1 or L2 hit with its latency, a miss
+    /// that started a coherence transaction, or a stall.
+    fn cpu_request(arch: &mut Self::Arch, i: usize, now: Cycle, req: CpuRequest) -> AccessOutcome;
 
     /// One cycle of protocol-specific message movement, in protocol order:
     /// controller-to-fabric pumping, fabric ticks, fabric-to-controller
@@ -1304,21 +1292,21 @@ impl<P: ProtocolNode> SystemEngine<P> {
             self.exchange.outbox.insert(i);
             let proc = &mut P::procs_mut(&mut self.arch)[i];
             match outcome {
-                EngineAccess::Hit { latency } => {
+                AccessOutcome::L1Hit { latency, .. } | AccessOutcome::L2Hit { latency, .. } => {
                     proc.note_hit(now, latency, req.access == CpuAccess::Store);
                 }
-                EngineAccess::MissIssued => {
+                AccessOutcome::MissIssued => {
                     proc.note_miss_issued(now);
                     if let Some(outstanding) = outstanding.as_mut() {
                         *outstanding += 1;
                     }
                 }
-                EngineAccess::Stall if park_stalls => {
+                AccessOutcome::Stall if park_stalls => {
                     self.wake.parked[i] = true;
                     self.wake.set(i, Cycle::MAX);
                     continue;
                 }
-                EngineAccess::Stall => {}
+                AccessOutcome::Stall => {}
             }
             // Thinking: due when the think time elapses; blocked: woken by
             // completion delivery; still presenting a request: due next cycle.

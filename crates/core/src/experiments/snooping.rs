@@ -129,7 +129,7 @@ impl SnoopingComparison {
         cache.take_completed();
         // Start a writeback, then observe two foreign RequestForReadWrites
         // before the writeback is ordered.
-        cache.force_evict(3, addr);
+        cache.force_evict(addr);
         cache.pop_bus_request();
         let first = cache
             .observe_snoop(4, NodeId(2), SnoopRequest::GetM { addr })

@@ -46,8 +46,7 @@ pub mod snoopsys;
 pub use config::{ForwardProgressConfig, SystemConfig};
 pub use dirsys::DirectorySystem;
 pub use engine::{
-    EngineAccess, EngineCtx, EngineProbe, MeasuredCharacterization, ProtocolNode, StagedOutbox,
-    SystemEngine,
+    EngineCtx, EngineProbe, MeasuredCharacterization, ProtocolNode, StagedOutbox, SystemEngine,
 };
 pub use framework::SpeculativeDesign;
 pub use metrics::{DataClass, RunMetrics, ALL_DATA_CLASSES};

@@ -18,14 +18,15 @@
 //! that pairing and adds the snooping-specific constructor and checks.
 
 use specsim_base::{
-    BlockAddr, Cycle, CycleDelta, DetRng, FaultConfig, FaultKind, LinkBandwidth,
-    MemorySystemConfig, NodeId, ProtocolVariant, RoutingPolicy,
+    BlockAddr, Cycle, CycleDelta, DetRng, FaultConfig, LinkBandwidth, MemorySystemConfig, NodeId,
+    ProtocolVariant, RoutingPolicy,
 };
 use specsim_coherence::snoop::msg::SnoopDataOut;
 use specsim_coherence::snoop::{
-    SnoopAccessOutcome, SnoopCacheController, SnoopDataMsg, SnoopMemoryController, SnoopRequest,
+    SnoopCacheController, SnoopDataMsg, SnoopMemoryController, SnoopRequest,
 };
 use specsim_coherence::types::CpuRequest;
+use specsim_coherence::AccessOutcome;
 use std::sync::Arc;
 
 use specsim_net::{
@@ -35,7 +36,7 @@ use specsim_safetynet::SafetyNet;
 use specsim_workloads::{Processor, TrafficConfig, WorkloadGenerator, WorkloadKind, ZipfTable};
 
 use crate::config::{buffering_problems, watchdog_threshold, ForwardProgressConfig};
-use crate::engine::{EngineAccess, EngineCtx, ProtocolNode, StagedOutbox, SystemEngine};
+use crate::engine::{EngineCtx, ProtocolNode, StagedOutbox, SystemEngine};
 use crate::metrics::{DataClass, RunMetrics, ALL_DATA_CLASSES};
 use crate::shared::Shared;
 
@@ -395,11 +396,7 @@ impl SnoopProtocol {
                 // message is caught here, reported as fault evidence, and
                 // discarded; the starved transaction then times out and the
                 // evidence classifies the recovery.
-                if packet.taint.is_detectable() {
-                    let kind = match packet.taint {
-                        specsim_net::PacketTaint::Duplicate => FaultKind::Duplicate,
-                        _ => FaultKind::Corrupt,
-                    };
+                if let Some(kind) = packet.taint.fault_kind() {
                     ctx.report_fault_evidence(now, node, packet.payload.addr(), kind);
                     continue;
                 }
@@ -447,20 +444,18 @@ impl ProtocolNode for SnoopProtocol {
     }
 
     fn outstanding_demand(arch: &ArchState) -> usize {
-        arch.caches.iter().map(|c| c.outstanding_demands()).sum()
+        arch.caches
+            .iter()
+            .map(|c| c.hierarchy().outstanding_demands())
+            .sum()
     }
 
-    fn cpu_request(arch: &mut ArchState, i: usize, now: Cycle, req: CpuRequest) -> EngineAccess {
+    fn cpu_request(arch: &mut ArchState, i: usize, now: Cycle, req: CpuRequest) -> AccessOutcome {
         // A stall that changes nothing leaves a shared controller shared.
-        if arch.caches[i].stalls_at_once(req.addr) {
-            return EngineAccess::Stall;
+        if arch.caches[i].hierarchy().stalls_at_once(req.addr) {
+            return AccessOutcome::Stall;
         }
-        match arch.caches[i].make_mut().cpu_request(now, req) {
-            SnoopAccessOutcome::L1Hit { latency, .. }
-            | SnoopAccessOutcome::L2Hit { latency, .. } => EngineAccess::Hit { latency },
-            SnoopAccessOutcome::MissIssued => EngineAccess::MissIssued,
-            SnoopAccessOutcome::Stall => EngineAccess::Stall,
-        }
+        arch.caches[i].make_mut().cpu_request(now, req)
     }
 
     fn exchange(&mut self, arch: &mut ArchState, now: Cycle, ctx: &mut EngineCtx<'_, ArchState>) {
@@ -472,6 +467,7 @@ impl ProtocolNode for SnoopProtocol {
         let ArchState { procs, caches, .. } = arch;
         ctx.deliver_completions(now, procs, |i| {
             let done = caches[i]
+                .hierarchy()
                 .has_completed()
                 .then(|| caches[i].make_mut().take_completed());
             done.flatten().map(|done| (done.addr, done.access))
@@ -515,7 +511,7 @@ impl ProtocolNode for SnoopProtocol {
     }
 
     fn oldest_transaction(arch: &ArchState, i: usize) -> Option<(Cycle, BlockAddr)> {
-        arch.caches[i].oldest_demand()
+        arch.caches[i].hierarchy().oldest_demand()
     }
 
     fn collect_protocol_metrics(&self, arch: &ArchState, now: Cycle, m: &mut RunMetrics) {
@@ -617,12 +613,11 @@ impl SnoopingSystem {
 
     /// Checks the single-owner invariant over the stable cache state.
     pub fn verify_coherence(&self) -> Result<(), String> {
-        use specsim_coherence::snoop::cache::SnoopCacheState;
         use std::collections::HashMap;
         let mut owners: HashMap<u64, NodeId> = HashMap::new();
         for cache in &self.arch().caches {
-            for (addr, state, _) in cache.resident_lines() {
-                if matches!(state, SnoopCacheState::M | SnoopCacheState::O) {
+            for (addr, state, _) in cache.hierarchy().resident_lines() {
+                if state.is_owner() {
                     if let Some(other) = owners.insert(addr.0, cache.node()) {
                         return Err(format!(
                             "block {addr} has two owners: {other} and {}",

@@ -781,7 +781,7 @@ fn corrupt_fault_taints_the_delivered_packet() {
     let (_, delivered) = run_faulted_until_drained(&mut net, &mut faults, 0, 10_000);
     assert_eq!(delivered.len(), 1, "corruption does not lose the message");
     assert_eq!(delivered[0].taint, PacketTaint::Corrupt);
-    assert!(delivered[0].taint.is_detectable());
+    assert_eq!(delivered[0].taint.fault_kind(), Some(FaultKind::Corrupt));
     assert_eq!(faults.fires(), 1);
 }
 

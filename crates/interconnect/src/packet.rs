@@ -7,7 +7,7 @@
 //! node's incoming queue can never fill up with requests alone, because
 //! buffer space is reserved per class.
 
-use specsim_base::{Cycle, MessageSize, NodeId};
+use specsim_base::{Cycle, FaultKind, MessageSize, NodeId};
 
 /// The four virtual networks (message classes) of the directory protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -78,10 +78,15 @@ pub enum PacketTaint {
 }
 
 impl PacketTaint {
-    /// True when the endpoint's integrity checks will reject this packet.
+    /// The fault the endpoint's integrity checks report for this packet,
+    /// or `None` for a clean one, which they accept.
     #[must_use]
-    pub fn is_detectable(self) -> bool {
-        self != PacketTaint::Clean
+    pub fn fault_kind(self) -> Option<FaultKind> {
+        match self {
+            PacketTaint::Clean => None,
+            PacketTaint::Corrupt => Some(FaultKind::Corrupt),
+            PacketTaint::Duplicate => Some(FaultKind::Duplicate),
+        }
     }
 }
 
@@ -232,9 +237,12 @@ mod tests {
             payload: (),
         };
         assert_eq!(p.bytes(), 72);
-        assert!(!p.taint.is_detectable());
-        assert!(PacketTaint::Corrupt.is_detectable());
-        assert!(PacketTaint::Duplicate.is_detectable());
+        assert_eq!(p.taint.fault_kind(), None);
+        assert_eq!(PacketTaint::Corrupt.fault_kind(), Some(FaultKind::Corrupt));
+        assert_eq!(
+            PacketTaint::Duplicate.fault_kind(),
+            Some(FaultKind::Duplicate)
+        );
     }
 
     #[test]

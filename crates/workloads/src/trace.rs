@@ -165,12 +165,6 @@ impl TraceReplayer {
             .map_or(&[], Vec::as_slice)
     }
 
-    /// Number of events not yet replayed.
-    #[must_use]
-    pub fn remaining(&self) -> usize {
-        self.events().len().saturating_sub(self.pos)
-    }
-
     /// Produces the next recorded reference as a generator-shaped op whose
     /// think time makes it ready exactly at its recorded cycle (or next
     /// cycle, if the recorded cycle is already past — e.g. after a
@@ -264,6 +258,11 @@ mod tests {
         r = snap;
         let b = r.next_op_at(0).unwrap();
         assert_eq!(a, b);
-        assert_eq!(r.remaining(), 1);
+        // The rewound replayer goes on with the trace's second event, then
+        // ends.
+        let second = r.next_op_at(0).unwrap();
+        assert_eq!(second.req.addr, BlockAddr(2 << 32));
+        assert_eq!(second.req.access, CpuAccess::Store);
+        assert!(r.next_op_at(0).is_none());
     }
 }

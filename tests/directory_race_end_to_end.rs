@@ -102,7 +102,7 @@ impl TestBench {
             },
         );
         self.run_to_quiescence();
-        assert!(self.cache(P1).cached_value(BLOCK).is_some());
+        assert!(self.cache(P1).hierarchy().cached_value(BLOCK).is_some());
     }
 }
 
@@ -114,7 +114,7 @@ fn set_up_race(variant: ProtocolVariant) -> (TestBench, Vec<OutMsg>) {
     let mut bench = TestBench::new(variant);
     bench.make_p1_owner(77);
     // P1 starts a writeback (PutM now queued at P1).
-    assert!(bench.cache(P1).force_evict(10, BLOCK));
+    assert!(bench.cache(P1).force_evict(BLOCK));
     let p1_putm = bench.cache(P1).pop_outgoing().expect("PutM queued");
     assert!(matches!(p1_putm.msg, DirMsg::PutM { .. }));
     // P2 issues a GetM which reaches the directory first.
@@ -166,10 +166,11 @@ fn speculative_variant_survives_the_race_when_ordering_holds() {
     // P2 ends up owning the block with P1's data handed over, then stores.
     let (_, value) = bench
         .cache(P2)
+        .hierarchy()
         .cached_value(BLOCK)
         .expect("P2 owns the block");
     assert_eq!(value, 88);
-    assert!(bench.cache(P1).cached_value(BLOCK).is_none());
+    assert!(bench.cache(P1).hierarchy().cached_value(BLOCK).is_none());
 }
 
 #[test]
@@ -201,6 +202,7 @@ fn full_variant_defers_the_writeback_so_no_reordering_window_exists() {
     bench.run_to_quiescence();
     let (_, value) = bench
         .cache(P2)
+        .hierarchy()
         .cached_value(BLOCK)
         .expect("P2 owns the block");
     assert_eq!(value, 88);
@@ -215,6 +217,6 @@ fn full_variant_defers_the_writeback_so_no_reordering_window_exists() {
                 store_value: 0
             }
         ),
-        specsim_coherence::dir::AccessOutcome::MissIssued
+        specsim_coherence::AccessOutcome::MissIssued
     ));
 }
