@@ -19,7 +19,9 @@ use std::ops::ControlFlow;
 
 use specsim_base::{BlockAddr, Cycle, MemorySystemConfig, NodeId, ProtocolVariant};
 
-use crate::hierarchy::{AccessOutcome, CacheHierarchy, CacheState, CompletedAccess, Demand, Miss};
+use crate::hierarchy::{
+    AccessOutcome, CacheController, CacheHierarchy, CacheState, CompletedAccess, Demand, Miss,
+};
 use crate::types::{CpuAccess, CpuRequest, MisSpecKind, MisSpeculation, ProtocolError};
 
 use super::msg::{DirMsg, OutMsg};
@@ -61,18 +63,6 @@ impl DirCacheController {
         }
     }
 
-    /// The node this controller belongs to.
-    #[must_use]
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
-    /// The node's cache hierarchy, for its stall check and diagnostics.
-    #[must_use]
-    pub fn hierarchy(&self) -> &CacheHierarchy<InvAcks> {
-        &self.cache
-    }
-
     /// Number of protocol messages waiting to be injected into the network.
     #[must_use]
     pub fn outgoing_len(&self) -> usize {
@@ -90,46 +80,12 @@ impl DirCacheController {
         self.outgoing.pop_front()
     }
 
-    /// Takes the oldest completed-demand notification, if one is pending.
-    pub fn take_completed(&mut self) -> Option<CompletedAccess> {
-        self.cache.take_completed()
-    }
-
     fn home(&self, addr: BlockAddr) -> NodeId {
         addr.home_node(self.num_nodes)
     }
 
     fn send(&mut self, dst: NodeId, msg: DirMsg) {
         self.outgoing.push_back(OutMsg { dst, msg });
-    }
-
-    /// Presents a processor request. Up to `mshr_entries` demand
-    /// transactions may be in flight per node (1 by default: the paper's
-    /// blocking processor model).
-    pub fn cpu_request(&mut self, now: Cycle, req: CpuRequest) -> AccessOutcome {
-        let miss = match self.cache.access(req) {
-            ControlFlow::Break(outcome) => return outcome,
-            ControlFlow::Continue(miss) => miss,
-        };
-        let data = match miss {
-            Miss::Absent => None,
-            // Upgrade from S: drop the shared copy and request an exclusive
-            // copy (data will be supplied afresh).
-            Miss::Shared => {
-                self.cache.invalidate(req.addr);
-                None
-            }
-            // Owner upgrade: keep the line (and its data); ask the directory
-            // for exclusivity. Data arrives as AckCount.
-            Miss::Owned(data) => Some(data),
-        };
-        self.cache.issue(now, req, miss, data, InvAcks::default());
-        let msg = match req.access {
-            CpuAccess::Load => DirMsg::GetS { addr: req.addr },
-            CpuAccess::Store => DirMsg::GetM { addr: req.addr },
-        };
-        self.send(self.home(req.addr), msg);
-        AccessOutcome::MissIssued
     }
 
     /// The reply to `msg` when handling it queues that reply and changes
@@ -375,6 +331,51 @@ impl DirCacheController {
             self.send_writeback(addr, line.data);
         }
         true
+    }
+}
+
+impl CacheController for DirCacheController {
+    type Mshr = InvAcks;
+
+    fn node(&self) -> NodeId {
+        self.node
+    }
+
+    fn hierarchy(&self) -> &CacheHierarchy<InvAcks> {
+        &self.cache
+    }
+
+    /// Presents a processor request. Up to `mshr_entries` demand
+    /// transactions may be in flight per node (1 by default: the paper's
+    /// blocking processor model).
+    fn cpu_request(&mut self, now: Cycle, req: CpuRequest) -> AccessOutcome {
+        let miss = match self.cache.access(req) {
+            ControlFlow::Break(outcome) => return outcome,
+            ControlFlow::Continue(miss) => miss,
+        };
+        let data = match miss {
+            Miss::Absent => None,
+            // Upgrade from S: drop the shared copy and request an exclusive
+            // copy (data will be supplied afresh).
+            Miss::Shared => {
+                self.cache.invalidate(req.addr);
+                None
+            }
+            // Owner upgrade: keep the line (and its data); ask the directory
+            // for exclusivity. Data arrives as AckCount.
+            Miss::Owned(data) => Some(data),
+        };
+        self.cache.issue(now, req, miss, data, InvAcks::default());
+        let msg = match req.access {
+            CpuAccess::Load => DirMsg::GetS { addr: req.addr },
+            CpuAccess::Store => DirMsg::GetM { addr: req.addr },
+        };
+        self.send(self.home(req.addr), msg);
+        AccessOutcome::MissIssued
+    }
+
+    fn take_completed(&mut self) -> Option<CompletedAccess> {
+        self.cache.take_completed()
     }
 }
 

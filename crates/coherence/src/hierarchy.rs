@@ -27,7 +27,7 @@
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
 
-use specsim_base::{BlockAddr, Cycle, CycleDelta, FastMap, MemorySystemConfig};
+use specsim_base::{BlockAddr, Cycle, CycleDelta, FastMap, MemorySystemConfig, NodeId};
 
 use crate::cache_array::{CacheArray, CacheGeometry, CacheLine};
 use crate::types::{CpuAccess, CpuRequest};
@@ -91,6 +91,27 @@ pub struct CompletedAccess {
     pub latency: CycleDelta,
     /// The value observed (loads) or installed (stores).
     pub value: u64,
+}
+
+/// What the system layer asks of a node's cache controller, whatever its
+/// protocol: its node, its hierarchy, a processor request and a completed
+/// miss.
+pub trait CacheController {
+    /// The protocol's own part of each MSHR entry.
+    type Mshr;
+
+    /// The node this controller belongs to.
+    fn node(&self) -> NodeId;
+
+    /// The node's cache hierarchy, for its stall check and diagnostics.
+    fn hierarchy(&self) -> &CacheHierarchy<Self::Mshr>;
+
+    /// Presents a processor request: a hit, a miss that started a
+    /// coherence transaction, or a stall.
+    fn cpu_request(&mut self, now: Cycle, req: CpuRequest) -> AccessOutcome;
+
+    /// Takes the oldest completed-demand notification, if one is pending.
+    fn take_completed(&mut self) -> Option<CompletedAccess>;
 }
 
 /// An in-flight demand miss (an MSHR entry). `P` is the protocol's own
@@ -431,18 +452,13 @@ mod tests {
     }
 
     /// A cache controller driven through one demand at a time.
-    trait Controller {
-        fn request(&mut self, now: Cycle, req: CpuRequest) -> AccessOutcome;
+    trait Controller: CacheController {
         /// Delivers what the protocol needs to fill the outstanding load
         /// of `addr` with `data`, and drains the controller's output.
         fn fill(&mut self, now: Cycle, addr: BlockAddr, data: u64);
-        fn take_completed(&mut self) -> Option<CompletedAccess>;
     }
 
     impl Controller for DirCacheController {
-        fn request(&mut self, now: Cycle, req: CpuRequest) -> AccessOutcome {
-            self.cpu_request(now, req)
-        }
         fn fill(&mut self, now: Cycle, addr: BlockAddr, data: u64) {
             self.handle_message(
                 now,
@@ -455,15 +471,9 @@ mod tests {
             .unwrap();
             while self.pop_outgoing().is_some() {}
         }
-        fn take_completed(&mut self) -> Option<CompletedAccess> {
-            DirCacheController::take_completed(self)
-        }
     }
 
     impl Controller for SnoopCacheController {
-        fn request(&mut self, now: Cycle, req: CpuRequest) -> AccessOutcome {
-            self.cpu_request(now, req)
-        }
         fn fill(&mut self, now: Cycle, addr: BlockAddr, data: u64) {
             let own = self.node();
             self.observe_snoop(now, own, SnoopRequest::GetS { addr })
@@ -472,26 +482,23 @@ mod tests {
                 .unwrap();
             while self.pop_bus_request().is_some() {}
         }
-        fn take_completed(&mut self) -> Option<CompletedAccess> {
-            SnoopCacheController::take_completed(self)
-        }
     }
 
     /// The hit path both controllers share: a completed miss hits in the
     /// L1; once L1 conflict misses push the block out of the L1 while the
     /// L2 keeps it, the next access hits in the L2 and refills the L1.
-    fn hits_in_l1_then_in_l2_after_l1_conflicts(c: &mut impl Controller) {
+    fn hits_in_l1_then_in_l2_after_l1_conflicts<C: Controller>(c: &mut C) {
         let cfg = config();
         let mut now = 0;
-        let mut miss = |c: &mut dyn Controller, addr: u64, data: u64| {
+        let mut miss = |c: &mut C, addr: u64, data: u64| {
             now += 10;
-            assert_eq!(c.request(now, load(addr)), AccessOutcome::MissIssued);
+            assert_eq!(c.cpu_request(now, load(addr)), AccessOutcome::MissIssued);
             c.fill(now + 5, BlockAddr(addr), data);
             assert_eq!(c.take_completed().map(|d| d.value), Some(data));
         };
         miss(c, 0x0, 11);
         assert_eq!(
-            c.request(100, load(0x0)),
+            c.cpu_request(100, load(0x0)),
             AccessOutcome::L1Hit {
                 latency: cfg.l1_hit_cycles,
                 value: 11
@@ -501,14 +508,14 @@ mod tests {
         miss(c, 0x2, 22);
         miss(c, 0x6, 66);
         assert_eq!(
-            c.request(200, load(0x0)),
+            c.cpu_request(200, load(0x0)),
             AccessOutcome::L2Hit {
                 latency: cfg.l2_hit_cycles,
                 value: 11
             }
         );
         assert_eq!(
-            c.request(201, load(0x0)),
+            c.cpu_request(201, load(0x0)),
             AccessOutcome::L1Hit {
                 latency: cfg.l1_hit_cycles,
                 value: 11

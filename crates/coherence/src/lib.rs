@@ -46,7 +46,7 @@ pub mod types;
 
 pub use cache_array::{CacheArray, CacheGeometry};
 pub use data::MemoryStore;
-pub use hierarchy::{AccessOutcome, CacheHierarchy, CacheState, CompletedAccess};
+pub use hierarchy::{AccessOutcome, CacheController, CacheHierarchy, CacheState, CompletedAccess};
 pub use types::{
     CpuAccess, CpuRequest, MisSpecKind, MisSpeculation, MsgClass, NodeSet, ProtocolError,
 };

@@ -19,7 +19,9 @@ use std::ops::ControlFlow;
 
 use specsim_base::{BlockAddr, Cycle, MemorySystemConfig, NodeId, ProtocolVariant};
 
-use crate::hierarchy::{AccessOutcome, CacheHierarchy, CacheState, CompletedAccess, WbState};
+use crate::hierarchy::{
+    AccessOutcome, CacheController, CacheHierarchy, CacheState, CompletedAccess, WbState,
+};
 use crate::types::{CpuAccess, CpuRequest, MisSpecKind, MisSpeculation, ProtocolError};
 
 use super::msg::{SnoopDataMsg, SnoopDataOut, SnoopRequest};
@@ -70,18 +72,6 @@ impl SnoopCacheController {
         }
     }
 
-    /// The node this controller belongs to.
-    #[must_use]
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
-    /// The node's cache hierarchy, for its stall check and diagnostics.
-    #[must_use]
-    pub fn hierarchy(&self) -> &CacheHierarchy<BusOrder> {
-        &self.cache
-    }
-
     /// Removes the next address-network request to post, if any.
     pub fn pop_bus_request(&mut self) -> Option<SnoopRequest> {
         self.outgoing_bus.pop_front()
@@ -130,32 +120,8 @@ impl SnoopCacheController {
         }
     }
 
-    /// Takes the oldest completed-demand notification, if one is pending.
-    pub fn take_completed(&mut self) -> Option<CompletedAccess> {
-        self.cache.take_completed()
-    }
-
     fn home(&self, addr: BlockAddr) -> NodeId {
         addr.home_node(self.num_nodes)
-    }
-
-    /// Presents a processor request.
-    pub fn cpu_request(&mut self, now: Cycle, req: CpuRequest) -> AccessOutcome {
-        let miss = match self.cache.access(req) {
-            ControlFlow::Break(outcome) => return outcome,
-            ControlFlow::Continue(miss) => miss,
-        };
-        // An owner upgrade fills from its own copy when its request is
-        // ordered, unless an earlier-ordered foreign request takes the line
-        // first. An upgrade from S keeps its read-only copy, which may be
-        // dropped at any time, so it behaves like a plain miss: the fill
-        // comes from the owner or memory.
-        self.cache.issue(now, req, miss, None, BusOrder::default());
-        self.outgoing_bus.push_back(match req.access {
-            CpuAccess::Load => SnoopRequest::GetS { addr: req.addr },
-            CpuAccess::Store => SnoopRequest::GetM { addr: req.addr },
-        });
-        AccessOutcome::MissIssued
     }
 
     /// The data response to `request` from `src` when observing it queues
@@ -423,6 +389,41 @@ impl SnoopCacheController {
             addr,
             description,
         }
+    }
+}
+
+impl CacheController for SnoopCacheController {
+    type Mshr = BusOrder;
+
+    fn node(&self) -> NodeId {
+        self.node
+    }
+
+    fn hierarchy(&self) -> &CacheHierarchy<BusOrder> {
+        &self.cache
+    }
+
+    /// Presents a processor request.
+    fn cpu_request(&mut self, now: Cycle, req: CpuRequest) -> AccessOutcome {
+        let miss = match self.cache.access(req) {
+            ControlFlow::Break(outcome) => return outcome,
+            ControlFlow::Continue(miss) => miss,
+        };
+        // An owner upgrade fills from its own copy when its request is
+        // ordered, unless an earlier-ordered foreign request takes the line
+        // first. An upgrade from S keeps its read-only copy, which may be
+        // dropped at any time, so it behaves like a plain miss: the fill
+        // comes from the owner or memory.
+        self.cache.issue(now, req, miss, None, BusOrder::default());
+        self.outgoing_bus.push_back(match req.access {
+            CpuAccess::Load => SnoopRequest::GetS { addr: req.addr },
+            CpuAccess::Store => SnoopRequest::GetM { addr: req.addr },
+        });
+        AccessOutcome::MissIssued
+    }
+
+    fn take_completed(&mut self) -> Option<CompletedAccess> {
+        self.cache.take_completed()
     }
 }
 

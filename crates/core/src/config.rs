@@ -183,22 +183,29 @@ impl SystemConfig {
         }
     }
 
-    /// Sanity-checks the configuration: the memory-system geometry plus the
-    /// interconnect buffer design. Returns human-readable problems (empty
-    /// when consistent).
+    /// Sanity-checks the configuration: the memory-system geometry,
+    /// traffic shaping, the interconnect buffer design and the fault
+    /// campaign. Returns human-readable problems (empty when consistent).
     #[must_use]
     pub fn validate(&self) -> Vec<String> {
-        let mut problems = self.memory.validate();
-        if let Err(e) = self.traffic.validate() {
-            problems.push(e);
+        self.spec().problems(self.buffering)
+    }
+
+    /// The part of this configuration both machines share.
+    pub(crate) fn spec(&self) -> MachineSpec<'_> {
+        MachineSpec {
+            memory: &self.memory,
+            protocol: self.protocol,
+            workload: self.workload,
+            seed: self.seed,
+            traffic: self.traffic,
+            forward_progress: self.forward_progress,
+            inject_recovery_every: self.inject_recovery_every,
+            fault_config: &self.fault_config,
+            telemetry: self.telemetry,
+            replay_trace: self.replay_trace.as_ref(),
+            record_trace: self.record_trace,
         }
-        problems.extend(buffering_problems(self.buffering, &self.forward_progress));
-        if let FaultConfig::Random { kinds, .. } = &self.fault_config {
-            if kinds.is_empty() {
-                problems.push("a random fault campaign needs at least one fault kind".to_string());
-            }
-        }
-        problems
     }
 
     /// The derived interconnect configuration.
@@ -255,29 +262,59 @@ impl SystemConfig {
     }
 }
 
-/// Problems with a fabric's buffer design under the machine's
-/// forward-progress measures (empty when consistent). Both machines'
-/// `validate` report these for the fabric they pool.
-pub(crate) fn buffering_problems(buffering: Buffering, fp: &ForwardProgressConfig) -> Vec<String> {
-    let mut problems = Vec::new();
-    let Some(slots) = buffering.pool_slots() else {
-        return problems;
-    };
-    match slots {
-        PoolSlots::Unified(0) => problems.push("a shared pool needs at least one slot".to_string()),
-        PoolSlots::Split { switch, endpoint } if switch == 0 || endpoint == 0 => {
-            problems.push("a pool split needs at least one slot on each side".to_string());
+/// The configuration both machines share, lent by each machine's own
+/// configuration: what the engine builds every node's processor and cache
+/// controller from, runs the machine under, and validates once for both.
+pub(crate) struct MachineSpec<'a> {
+    pub(crate) memory: &'a MemorySystemConfig,
+    pub(crate) protocol: ProtocolVariant,
+    pub(crate) workload: WorkloadKind,
+    pub(crate) seed: u64,
+    pub(crate) traffic: TrafficConfig,
+    pub(crate) forward_progress: ForwardProgressConfig,
+    pub(crate) inject_recovery_every: Option<CycleDelta>,
+    pub(crate) fault_config: &'a FaultConfig,
+    pub(crate) telemetry: TelemetryConfig,
+    /// The trace the processors replay instead of their generators.
+    pub(crate) replay_trace: Option<&'a Arc<Trace>>,
+    /// Whether the processors record the operations they accept.
+    pub(crate) record_trace: bool,
+}
+
+impl MachineSpec<'_> {
+    /// The problems both machines' `validate` report, given the buffer
+    /// design of the fabric they speculate on (empty when consistent).
+    pub(crate) fn problems(&self, buffering: Buffering) -> Vec<String> {
+        let mut problems = self.memory.validate();
+        if let Err(e) = self.traffic.validate() {
+            problems.push(e);
         }
-        _ => {}
+        if let Some(slots) = buffering.pool_slots() {
+            match slots {
+                PoolSlots::Unified(0) => {
+                    problems.push("a shared pool needs at least one slot".to_string());
+                }
+                PoolSlots::Split { switch, endpoint } if switch == 0 || endpoint == 0 => {
+                    problems.push("a pool split needs at least one slot on each side".to_string());
+                }
+                _ => {}
+            }
+            let total = slots.total();
+            let fp = &self.forward_progress;
+            if fp.reserved_slot_cycles > 0 && fp.reserved_slots_per_network > 0 && total < 4 {
+                problems.push(format!(
+                    "a {total}-slot pool cannot hold one reserved slot per virtual \
+                     network; the post-deadlock reservation would be inert"
+                ));
+            }
+        }
+        if let FaultConfig::Random { kinds, .. } = self.fault_config {
+            if kinds.is_empty() {
+                problems.push("a random fault campaign needs at least one fault kind".to_string());
+            }
+        }
+        problems
     }
-    let total = slots.total();
-    if fp.reserved_slot_cycles > 0 && fp.reserved_slots_per_network > 0 && total < 4 {
-        problems.push(format!(
-            "a {total}-slot pool cannot hold one reserved slot per virtual \
-             network; the post-deadlock reservation would be inert"
-        ));
-    }
-    problems
 }
 
 /// The progress-watchdog threshold a machine gives `net`. A pooled

@@ -4,12 +4,13 @@
 //! and 5 of the paper (16 nodes on a 4×4 torus; the node-count scaling sweep
 //! grows the same system to rectangular tori up to 16×8).
 //!
-//! The machine is the shared [`SystemEngine`] (processor ticking with
-//! idle-skip, checkpointing, recovery and forward-progress orchestration,
-//! metrics) driving [`DirProtocol`], this module's [`ProtocolNode`]
-//! implementation — the torus fabric, the cache/directory controllers and
-//! the virtual-network plumbing between them. [`DirectorySystem`] names
-//! that pairing and adds the directory-specific constructor and checks.
+//! The machine is the shared [`SystemEngine`] (each node's processor and
+//! cache controller, the torus, processor ticking with idle-skip,
+//! checkpointing, recovery and forward-progress orchestration, metrics)
+//! driving [`DirProtocol`], this module's [`ProtocolNode`] implementation —
+//! the directory controllers and the virtual-network plumbing between the
+//! controllers and the torus. [`DirectorySystem`] names that pairing and
+//! adds the directory-specific constructor and checks.
 //!
 //! The system is advanced one cycle at a time by [`SystemEngine::step`];
 //! [`SystemEngine::run_for`] runs a full experiment window and returns the
@@ -17,18 +18,16 @@
 
 use std::sync::Arc;
 
-use specsim_base::{BlockAddr, Cycle, CycleDelta, DetRng, NodeId};
+use specsim_base::{Cycle, CycleDelta, NodeId};
 use specsim_coherence::dir::{DirCacheController, DirMsg, DirectoryController, OutMsg};
-use specsim_coherence::types::{CpuRequest, MsgClass};
-use specsim_coherence::AccessOutcome;
+use specsim_coherence::types::MsgClass;
 use specsim_net::{ForwardProbe, Network, VirtualNetwork};
 use specsim_safetynet::SafetyNet;
-use specsim_workloads::{Processor, Trace, WorkloadGenerator, ZipfTable};
+use specsim_workloads::Trace;
 
 use crate::config::SystemConfig;
-use crate::engine::{EngineCtx, ProtocolNode, StagedOutbox, SystemEngine};
+use crate::engine::{ArchState, EngineCtx, ProtocolNode, StagedOutbox, SystemEngine};
 use crate::metrics::RunMetrics;
-use crate::shared::Shared;
 
 /// Messages a node may ingest from the network per cycle.
 const INGEST_BUDGET: usize = 4;
@@ -43,25 +42,22 @@ const CACHE_RESPONSE_LATENCY: CycleDelta = 4;
 /// Latency charged on directory responses that do not access DRAM.
 const DIRECTORY_LATENCY: CycleDelta = 16;
 
-/// The architectural state of the machine — everything SafetyNet must be able
-/// to restore: caches, directories/memories, processors (with their workload
-/// positions), the interconnect contents and the per-node staging outboxes.
+/// The directory protocol's own part of the checkpointed state: each
+/// node's directory controller and its staging outbox, which holds both
+/// controllers' output while it waits out its access latency.
 ///
-/// Each node's cache and directory controller sits behind an [`Arc`], so a
-/// clone (a SafetyNet checkpoint or restore) shares them and the first
-/// write after it copies only the controller written, through
-/// [`Arc::make_mut`]. Call sites that may change nothing check first, so
-/// an idle controller stays shared; a cache that only replies queues the
-/// reply beside it (`Shared`). The torus, processors and outboxes are
+/// Each directory sits behind an [`Arc`], so a clone (a SafetyNet
+/// checkpoint or restore) shares it and the first write after it copies
+/// only the directory written, through [`Arc::make_mut`]. The outboxes are
 /// copied outright.
 #[derive(Debug, Clone)]
-pub struct ArchState {
-    net: Network<DirMsg>,
-    caches: Vec<Shared<DirCacheController>>,
+pub struct DirArch {
     dirs: Vec<Arc<DirectoryController>>,
-    procs: Vec<Processor>,
     outboxes: Vec<StagedOutbox<OutMsg>>,
 }
+
+/// The directory machine's checkpointed state.
+type Machine = ArchState<DirProtocol>;
 
 /// Maps a protocol message class to its virtual network (Section 3.1:
 /// one virtual network per message class).
@@ -82,14 +78,9 @@ pub struct DirProtocol {
 }
 
 impl DirProtocol {
-    fn ingest_messages(
-        &mut self,
-        arch: &mut ArchState,
-        now: Cycle,
-        ctx: &mut EngineCtx<'_, ArchState>,
-    ) {
+    fn ingest_messages(&mut self, arch: &mut Machine, now: Cycle, ctx: &mut EngineCtx<'_, Self>) {
         let n = arch.procs.len();
-        let vc_mode = arch.net.has_virtual_networks();
+        let vc_mode = arch.torus.has_virtual_networks();
         // In virtual-channel mode the endpoint has one ejection queue per
         // class; responses are served first, which is exactly how virtual
         // networks break the request-response endpoint dependency. With
@@ -107,7 +98,7 @@ impl DirProtocol {
         // The cursor re-queries after each node because ingest itself drains
         // queues (nodes can only leave the worklist, never join, mid-walk).
         let mut cursor = 0;
-        while let Some(node_idx) = arch.net.next_ejectable_at_or_after(cursor) {
+        while let Some(node_idx) = arch.torus.next_ejectable_at_or_after(cursor) {
             cursor = node_idx + 1;
             if node_idx >= n {
                 break;
@@ -118,18 +109,18 @@ impl DirProtocol {
                 let packet = if vc_mode {
                     let mut found = None;
                     for vn in PRIORITY {
-                        if let Some(p) = arch.net.peek_from(node, vn) {
+                        if let Some(p) = arch.torus.peek_from(node, vn) {
                             if Self::can_ingest(arch, node_idx, p.payload.class()) {
                                 found = Some(vn);
                                 break;
                             }
                         }
                     }
-                    found.and_then(|vn| arch.net.eject_from(node, vn))
+                    found.and_then(|vn| arch.torus.eject_from(node, vn))
                 } else {
-                    match arch.net.peek_any(node) {
+                    match arch.torus.peek_any(node) {
                         Some(p) if Self::can_ingest(arch, node_idx, p.payload.class()) => {
-                            arch.net.eject_any(node)
+                            arch.torus.eject_any(node)
                         }
                         _ => None,
                     }
@@ -150,10 +141,10 @@ impl DirProtocol {
         }
     }
 
-    fn can_ingest(arch: &ArchState, node_idx: usize, class: MsgClass) -> bool {
+    fn can_ingest(arch: &Machine, node_idx: usize, class: MsgClass) -> bool {
         match class {
             MsgClass::Request | MsgClass::FinalAck => {
-                arch.dirs[node_idx].outgoing_len() < CONTROLLER_OUTPUT_LIMIT
+                arch.proto.dirs[node_idx].outgoing_len() < CONTROLLER_OUTPUT_LIMIT
             }
             MsgClass::Forwarded | MsgClass::Response => {
                 arch.caches[node_idx].queued() < CONTROLLER_OUTPUT_LIMIT
@@ -162,8 +153,8 @@ impl DirProtocol {
     }
 
     fn dispatch(
-        arch: &mut ArchState,
-        ctx: &mut EngineCtx<'_, ArchState>,
+        arch: &mut Machine,
+        ctx: &mut EngineCtx<'_, Self>,
         now: Cycle,
         node_idx: usize,
         src: NodeId,
@@ -176,7 +167,7 @@ impl DirProtocol {
         match msg.class() {
             MsgClass::Request | MsgClass::FinalAck => {
                 if let Err(e) =
-                    Arc::make_mut(&mut arch.dirs[node_idx]).handle_message(now, src, msg)
+                    Arc::make_mut(&mut arch.proto.dirs[node_idx]).handle_message(now, src, msg)
                 {
                     ctx.note_error(e);
                 }
@@ -203,17 +194,11 @@ impl DirProtocol {
         }
     }
 
-    fn pump_outboxes(
-        &mut self,
-        arch: &mut ArchState,
-        now: Cycle,
-        ctx: &mut EngineCtx<'_, ArchState>,
-    ) {
+    fn pump_outboxes(&mut self, arch: &mut Machine, now: Cycle, ctx: &mut EngineCtx<'_, Self>) {
         let ArchState {
-            net,
+            torus,
             caches,
-            dirs,
-            outboxes,
+            proto: DirArch { dirs, outboxes },
             ..
         } = arch;
         // Worklist walk: visit only nodes that may hold controller output or
@@ -255,10 +240,11 @@ impl DirProtocol {
             let node = NodeId::from(i);
             outboxes[i].pump(now, |m| {
                 let vnet = vnet_of(m.msg.class());
-                if !net.can_inject(node, vnet) {
+                if !torus.can_inject(node, vnet) {
                     return false;
                 }
-                net.inject(now, node, m.dst, vnet, m.msg.size(), m.msg)
+                torus
+                    .inject(now, node, m.dst, vnet, m.msg.size(), m.msg)
                     .expect("injection checked");
                 true
             });
@@ -273,57 +259,18 @@ impl DirProtocol {
 }
 
 impl ProtocolNode for DirProtocol {
-    type Arch = ArchState;
+    type Arch = DirArch;
     type Msg = DirMsg;
+    type Cache = DirCacheController;
 
-    fn torus(arch: &ArchState) -> &Network<DirMsg> {
-        &arch.net
-    }
-
-    fn torus_mut(arch: &mut ArchState) -> &mut Network<DirMsg> {
-        &mut arch.net
-    }
-
-    fn procs(arch: &ArchState) -> &[Processor] {
-        &arch.procs
-    }
-
-    fn procs_mut(arch: &mut ArchState) -> &mut [Processor] {
-        &mut arch.procs
-    }
-
-    fn outstanding_demand(arch: &ArchState) -> usize {
-        arch.caches
-            .iter()
-            .map(|c| c.hierarchy().outstanding_demands())
-            .sum()
-    }
-
-    fn cpu_request(arch: &mut ArchState, i: usize, now: Cycle, req: CpuRequest) -> AccessOutcome {
-        // A stall that changes nothing leaves a shared controller shared.
-        if arch.caches[i].hierarchy().stalls_at_once(req.addr) {
-            return AccessOutcome::Stall;
-        }
-        arch.caches[i].make_mut().cpu_request(now, req)
-    }
-
-    fn exchange(&mut self, arch: &mut ArchState, now: Cycle, ctx: &mut EngineCtx<'_, ArchState>) {
+    fn exchange(&mut self, arch: &mut Machine, now: Cycle, ctx: &mut EngineCtx<'_, Self>) {
         self.ingest_messages(arch, now, ctx);
-        {
-            let ArchState { procs, caches, .. } = arch;
-            ctx.deliver_completions(now, procs, |i| {
-                let done = caches[i]
-                    .hierarchy()
-                    .has_completed()
-                    .then(|| caches[i].make_mut().take_completed());
-                done.flatten().map(|done| (done.addr, done.access))
-            });
-        }
+        ctx.deliver_completions(now, arch);
         self.pump_outboxes(arch, now, ctx);
-        arch.net.tick(now, ctx.faults());
+        arch.torus.tick(now, ctx.faults());
     }
 
-    fn drain_write_log(arch: &mut ArchState, i: usize) -> usize {
+    fn drain_write_log(arch: &mut DirArch, i: usize) -> usize {
         if arch.dirs[i].has_write_log() {
             Arc::make_mut(&mut arch.dirs[i]).take_write_log()
         } else {
@@ -331,37 +278,30 @@ impl ProtocolNode for DirProtocol {
         }
     }
 
-    fn next_event_at(arch: &ArchState, now: Cycle, limit: Cycle) -> Cycle {
-        arch.net.next_event_at(now, limit)
+    fn next_event_at(_arch: &DirArch, _now: Cycle) -> Cycle {
+        // Only the torus carries the directory machine's messages.
+        Cycle::MAX
     }
 
-    fn checkpoint_due(
-        &self,
-        _arch: &ArchState,
-        safetynet: &SafetyNet<ArchState>,
-        now: Cycle,
-    ) -> bool {
+    fn checkpoint_due(&self, _arch: &DirArch, safetynet: &SafetyNet<Machine>, now: Cycle) -> bool {
         // The directory system checkpoints on the cycle clock (Table 2:
         // every 100 000 cycles).
         safetynet.should_checkpoint(now)
     }
 
-    fn next_checkpoint_at(&self, safetynet: &SafetyNet<ArchState>) -> Cycle {
+    fn next_checkpoint_at(&self, safetynet: &SafetyNet<Machine>) -> Cycle {
         safetynet.next_checkpoint_at()
     }
 
-    fn oldest_transaction(arch: &ArchState, i: usize) -> Option<(Cycle, BlockAddr)> {
-        arch.caches[i].hierarchy().oldest_demand()
-    }
-
-    fn collect_protocol_metrics(&self, arch: &ArchState, now: Cycle, m: &mut RunMetrics) {
-        m.messages_delivered = arch.net.stats().total_delivered();
+    fn collect_protocol_metrics(&self, arch: &Machine, now: Cycle, m: &mut RunMetrics) {
+        let net = &arch.torus;
+        m.messages_delivered = net.stats().total_delivered();
         for vn in specsim_net::ALL_VIRTUAL_NETWORKS {
-            m.delivered_per_vnet[vn.index()] = arch.net.stats().delivered_on(vn);
-            m.reordered_per_vnet[vn.index()] = arch.net.ordering().reordered(vn);
+            m.delivered_per_vnet[vn.index()] = net.stats().delivered_on(vn);
+            m.reordered_per_vnet[vn.index()] = net.ordering().reordered(vn);
         }
-        m.link_utilization = arch.net.mean_link_utilization(now);
-        m.vnet_latency = arch.net.stats().latency_hist_per_vnet.clone();
+        m.link_utilization = net.mean_link_utilization(now);
+        m.vnet_latency = net.stats().latency_hist_per_vnet.clone();
     }
 }
 
@@ -381,66 +321,20 @@ impl DirectorySystem {
     #[must_use]
     pub fn new(cfg: SystemConfig) -> Self {
         let n = cfg.memory.num_nodes;
-        let mut seed_rng = DetRng::new(cfg.seed);
-        // One Zipf hot-block table shared by every node's generator (the
-        // whole point of a hot set is that nodes contend on it).
-        let zipf_table = cfg.traffic.zipf.map(|z| Arc::new(ZipfTable::new(z)));
-        let procs = (0..n)
-            .map(|i| {
-                let node = NodeId::from(i);
-                let mut proc = match &cfg.replay_trace {
-                    Some(trace) => Processor::from_trace(node, Arc::clone(trace), 0),
-                    None => {
-                        let gen = WorkloadGenerator::shaped(
-                            cfg.workload,
-                            node,
-                            cfg.seed,
-                            cfg.traffic,
-                            zipf_table.clone(),
-                        );
-                        Processor::new(node, gen, 0)
-                    }
-                }
-                .with_max_outstanding(cfg.memory.mshr_entries);
-                if cfg.record_trace {
-                    proc.enable_recording();
-                }
-                proc
-            })
-            .collect();
-        let caches = (0..n)
-            .map(|i| {
-                Shared::new(DirCacheController::new(
-                    NodeId::from(i),
-                    cfg.protocol,
-                    &cfg.memory,
-                ))
-            })
-            .collect();
-        let dirs = (0..n)
-            .map(|i| Arc::new(DirectoryController::new(NodeId::from(i), cfg.protocol)))
-            .collect();
-        let net = Network::new(cfg.net_config());
-        let arch = ArchState {
-            net,
-            caches,
-            dirs,
-            procs,
+        let arch = DirArch {
+            dirs: (0..n)
+                .map(|i| Arc::new(DirectoryController::new(NodeId::from(i), cfg.protocol)))
+                .collect(),
             outboxes: (0..n).map(|_| StagedOutbox::default()).collect(),
         };
-        let perturb_rng = seed_rng.fork();
-        let fault_plan = cfg.fault_config.lower(cfg.seed, n);
-        let mut engine = Self::assemble(
+        Self::assemble(
             DirProtocol { cfg: cfg.clone() },
+            &cfg.spec(),
+            cfg.seed,
+            DirCacheController::new,
+            Network::new(cfg.net_config()),
             arch,
-            cfg.memory.safetynet.clone(),
-            cfg.forward_progress,
-            cfg.inject_recovery_every,
-            perturb_rng,
-            fault_plan,
-        );
-        engine.set_telemetry(cfg.telemetry);
-        engine
+        )
     }
 
     /// The configuration this system was built from.
@@ -453,7 +347,7 @@ impl DirectorySystem {
     /// observability only, never part of the schedule.
     #[must_use]
     pub fn net_forward_probe(&self) -> ForwardProbe {
-        self.arch().net.forward_probe()
+        self.arch().torus.forward_probe()
     }
 
     /// The trace recorded so far when the system was built with
@@ -476,35 +370,7 @@ impl DirectorySystem {
     /// a block holds the same value as the owner. Returns a description of
     /// the first violation found.
     pub fn verify_coherence(&self) -> Result<(), String> {
-        use std::collections::HashMap;
-        let arch = self.arch();
-        let mut owners: HashMap<BlockAddr, (NodeId, u64)> = HashMap::new();
-        let mut copies: HashMap<BlockAddr, Vec<(NodeId, u64)>> = HashMap::new();
-        for cache in &arch.caches {
-            for (addr, state, data) in cache.hierarchy().resident_lines() {
-                copies.entry(addr).or_default().push((cache.node(), data));
-                if state.is_owner() {
-                    if let Some((other, _)) = owners.insert(addr, (cache.node(), data)) {
-                        return Err(format!(
-                            "block {addr} has two owners: {other} and {}",
-                            cache.node()
-                        ));
-                    }
-                }
-            }
-        }
-        for (addr, holders) in &copies {
-            if let Some((_, owner_value)) = owners.get(addr) {
-                for (node, value) in holders {
-                    if value != owner_value {
-                        return Err(format!(
-                            "block {addr} at {node} has value {value:#x} but the owner holds {owner_value:#x}"
-                        ));
-                    }
-                }
-            }
-        }
-        Ok(())
+        self.arch().check_caches(true)
     }
 
     /// Whether a delivered message is waiting in node `i`'s ejection
@@ -512,7 +378,7 @@ impl DirectorySystem {
     /// next cycle's exchange, which ingests before the torus ticks.
     #[cfg(test)]
     pub(crate) fn message_waiting_at(&self, i: usize) -> bool {
-        self.arch().net.next_ejectable_at_or_after(i) == Some(i)
+        self.arch().torus.next_ejectable_at_or_after(i) == Some(i)
     }
 }
 
@@ -520,6 +386,7 @@ impl DirectorySystem {
 mod tests {
     use super::*;
     use crate::engine::snapshot_probe;
+    use crate::shared::Shared;
     use specsim_base::{EngineMode, LinkBandwidth, ProtocolVariant, RoutingPolicy};
     use specsim_coherence::types::MisSpecKind;
     use specsim_workloads::{BurstConfig, TrafficConfig, WorkloadKind, ZipfConfig};
@@ -610,14 +477,14 @@ mod tests {
         cfg.forward_progress.reserved_slots_per_network = 2;
         let mut sys = DirectorySystem::new(cfg);
         sys.run_for(1_000).expect("no protocol errors");
-        assert_eq!(sys.arch().net.pool_reservation(), Some(0));
+        assert_eq!(sys.arch().torus.pool_reservation(), Some(0));
         sys.enter_forward_progress(MisSpecKind::BufferDeadlock, sys.now());
         assert_eq!(sys.forward_progress_mode(), EngineMode::ReservedSlots);
-        assert_eq!(sys.arch().net.pool_reservation(), Some(2));
+        assert_eq!(sys.arch().torus.pool_reservation(), Some(2));
         // The window expires mid-run; the engine lifts the reservation.
         sys.run_for(3_000).expect("no protocol errors");
         assert_eq!(sys.forward_progress_mode(), EngineMode::Normal);
-        assert_eq!(sys.arch().net.pool_reservation(), Some(0));
+        assert_eq!(sys.arch().torus.pool_reservation(), Some(0));
     }
 
     #[test]
@@ -670,7 +537,7 @@ mod tests {
                     prev.caches.iter().map(Shared::arc),
                     cur.caches.iter().map(Shared::arc),
                 );
-                dirs += snapshot_probe::copied(&prev.dirs, &cur.dirs);
+                dirs += snapshot_probe::copied(&prev.proto.dirs, &cur.proto.dirs);
             },
             |restored, live| {
                 // Nothing runs during a restore stall: the live machine
@@ -683,7 +550,10 @@ mod tests {
                     ),
                     0
                 );
-                assert_eq!(snapshot_probe::copied(&restored.dirs, &live.dirs), 0);
+                assert_eq!(
+                    snapshot_probe::copied(&restored.proto.dirs, &live.proto.dirs),
+                    0
+                );
             },
         );
         assert!(stalls >= 1, "the run must restore a checkpoint");
@@ -704,7 +574,7 @@ mod tests {
         cfg.inject_recovery_every = Some(10_000);
         let fresh = DirectorySystem::new(cfg.clone());
         let mut sys = DirectorySystem::new(cfg);
-        let controllers = |a: &ArchState| format!("{:?} {:?}", a.caches, a.dirs);
+        let controllers = |a: &Machine| format!("{:?} {:?}", a.caches, a.proto.dirs);
         // (checkpoint id, live controllers, checkpoint controllers) at
         // each restore.
         let mut restores: Vec<(u64, String, String)> = Vec::new();

@@ -35,7 +35,7 @@
 //! * **checkpoint-interval bookkeeping** — the engine asks the protocol
 //!   whether a checkpoint is due (the directory system uses the cycle count,
 //!   the snooping system the totally ordered request count) and snapshots
-//!   the architectural state into SafetyNet. A snapshot is a plain clone
+//!   the [`ArchState`] into SafetyNet. A snapshot is a plain clone
 //!   that shares each node's coherence controllers with the live machine
 //!   through an `Arc`; the first write after it copies only the
 //!   controller written, so a checkpoint costs the controllers changed
@@ -51,15 +51,21 @@
 //!   post-recovery stall window, and the forward-progress policy: one
 //!   engine method picks each recovery's measure from its
 //!   [`MisSpecKind`], and the engine applies it to, and lifts it from, the
-//!   protocol's speculative torus ([`ProtocolNode::torus`]). The same torus
+//!   speculative torus the engine owns. The same torus
 //!   supplies the buffer-deadlock evidence that classifies a timeout
 //!   ([`Network::deadlock_evidence`]);
+//! * **the node itself** — the engine owns each node's processor and cache
+//!   controller ([`ArchState`]), builds them from the configuration, and
+//!   presents processor requests, takes the slow-start demand census,
+//!   reads each node's oldest transaction for the timeout scan, delivers
+//!   completions and checks the single-owner invariant itself;
 //! * **metrics accumulation** — the protocol-independent half of
 //!   [`RunMetrics`] (processor stats, SafetyNet stats, recovery costs).
 //!
-//! Each protocol reduces to a [`ProtocolNode`] implementation: the
-//! architectural state it checkpoints, the per-node controller hooks the
-//! engine drives, and one `exchange` method that moves messages across its
+//! Each protocol reduces to a [`ProtocolNode`] implementation: its own part
+//! of the checkpointed state ([`ProtocolNode::Arch`]: directories, or the
+//! address bus and home memories), its write-log, horizon, checkpoint and
+//! metrics hooks, and one `exchange` method that moves messages across its
 //! fabrics in protocol order. `tests/kernel_equivalence.rs` pins the
 //! schedule byte-for-byte, pins the engine's processor work counters
 //! apart from the metrics, and checks that `run_for` matches a `step()`
@@ -68,21 +74,24 @@
 //! The engine is single-threaded: every fabric forwards serially through
 //! one [`Network::tick`].
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
+use std::fmt::Debug;
+use std::sync::Arc;
 
 use specsim_base::{
     ActiveSet, BlockAddr, Cycle, CycleDelta, DetRng, EngineMode, FaultDirector, FaultKind,
-    FaultPlan, ModeTimeline, NodeId, RoutingPolicy, SafetyNetConfig, SpecEvent, TelemetryConfig,
+    MemorySystemConfig, ModeTimeline, NodeId, ProtocolVariant, RoutingPolicy, SpecEvent,
     TelemetryRecorder, TimingWheel, WindowCounters,
 };
-use specsim_coherence::types::{CpuAccess, CpuRequest, MisSpecKind, MisSpeculation, ProtocolError};
-use specsim_coherence::AccessOutcome;
+use specsim_coherence::types::{CpuAccess, MisSpecKind, MisSpeculation, ProtocolError};
+use specsim_coherence::{AccessOutcome, CacheController, CacheState};
 use specsim_net::Network;
 use specsim_safetynet::{LogOutcome, SafetyNet};
-use specsim_workloads::Processor;
+use specsim_workloads::{Processor, WorkloadGenerator, ZipfTable};
 
-use crate::config::ForwardProgressConfig;
+use crate::config::{ForwardProgressConfig, MachineSpec};
 use crate::metrics::RunMetrics;
+use crate::shared::{Outgoing, Shared};
 
 /// Magnitude (in cycles) of the pseudo-random perturbation added to each
 /// memory data response on both machines, following the evaluation
@@ -184,6 +193,103 @@ impl<M: Copy> StagedOutbox<M> {
             self.queue.pop_front();
         }
     }
+}
+
+/// The state SafetyNet checkpoints and restores, in the same four parts on
+/// both machines (Table 2: each node is a processor, two cache levels, a
+/// slice of memory and a network interface): each node's processor, with
+/// its workload position, and cache controller; the speculative torus; and
+/// the protocol's own part ([`ProtocolNode::Arch`]).
+///
+/// Its clone is the checkpoint and the restore. Each cache controller sits
+/// behind an `Arc` that a clone shares, and the first write after it
+/// copies only the controller written. Call sites that may change nothing
+/// check first, so an idle controller stays shared; a cache that only
+/// replies queues the reply beside it. The processors and the torus are
+/// copied outright.
+#[derive(Debug)]
+pub struct ArchState<P: ProtocolNode> {
+    /// The processors, in node order.
+    pub(crate) procs: Vec<Processor>,
+    /// The cache controllers, in node order.
+    pub(crate) caches: Vec<Shared<P::Cache>>,
+    /// The speculative torus (the directory torus, or the snooping data
+    /// torus): the fabric whose routing and slot pools the
+    /// forward-progress measures change, whose deadlock evidence classifies
+    /// a timeout, whose idle cycles [`SystemEngine::run_for`] skips, and
+    /// whose counters telemetry samples. [`ProtocolNode::exchange`] ticks it
+    /// exactly once per cycle.
+    pub(crate) torus: Network<P::Msg>,
+    /// The protocol's own part.
+    pub(crate) proto: P::Arch,
+}
+
+impl<P: ProtocolNode> Clone for ArchState<P> {
+    fn clone(&self) -> Self {
+        Self {
+            procs: self.procs.clone(),
+            caches: self.caches.clone(),
+            torus: self.torus.clone(),
+            proto: self.proto.clone(),
+        }
+    }
+}
+
+impl<P: ProtocolNode> ArchState<P> {
+    /// Coherence transactions outstanding system-wide: the slow-start
+    /// governor's demand census.
+    pub(crate) fn outstanding_demand(&self) -> usize {
+        self.caches
+            .iter()
+            .map(|c| c.hierarchy().outstanding_demands())
+            .sum()
+    }
+
+    /// Checks the coherence invariants over every cache's resident lines
+    /// (see [`check_lines`]).
+    pub(crate) fn check_caches(&self, compare_values: bool) -> Result<(), String> {
+        let lines = self.caches.iter().flat_map(|cache| {
+            let node = cache.node();
+            let lines = cache.hierarchy().resident_lines();
+            lines
+                .into_iter()
+                .map(move |(addr, state, value)| (node, addr, state, value))
+        });
+        check_lines(lines, compare_values)
+    }
+}
+
+/// Checks the coherence invariants over resident cache lines, given as
+/// `(node, block, state, value)`: at most one owner (M or O) per block,
+/// and, with `compare_values`, every copy of an owned block holding the
+/// owner's value. Returns a description of the first violation found.
+pub(crate) fn check_lines(
+    lines: impl IntoIterator<Item = (NodeId, BlockAddr, CacheState, u64)>,
+    compare_values: bool,
+) -> Result<(), String> {
+    let mut owners: HashMap<BlockAddr, (NodeId, u64)> = HashMap::new();
+    let mut copies = Vec::new();
+    for (node, addr, state, value) in lines {
+        if state.is_owner() {
+            if let Some((other, _)) = owners.insert(addr, (node, value)) {
+                return Err(format!("block {addr} has two owners: {other} and {node}"));
+            }
+        }
+        copies.push((node, addr, value));
+    }
+    if !compare_values {
+        return Ok(());
+    }
+    for (node, addr, value) in copies {
+        if let Some(&(_, owner_value)) = owners.get(&addr) {
+            if value != owner_value {
+                return Err(format!(
+                    "block {addr} at {node} has value {value:#x} but the owner holds {owner_value:#x}"
+                ));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Counters describing how much per-cycle work the engine did — the
@@ -425,8 +531,8 @@ impl WakeIndex {
 /// The engine-side context handed to [`ProtocolNode::exchange`]: the shared
 /// state a protocol's per-cycle message movement may touch.
 #[derive(Debug)]
-pub struct EngineCtx<'a, A> {
-    safetynet: &'a mut SafetyNet<A>,
+pub struct EngineCtx<'a, P: ProtocolNode> {
+    safetynet: &'a mut SafetyNet<ArchState<P>>,
     pending_misspec: &'a mut Option<MisSpeculation>,
     protocol_error: &'a mut Option<ProtocolError>,
     perturb_rng: &'a mut DetRng,
@@ -441,7 +547,7 @@ pub struct EngineCtx<'a, A> {
     probe: &'a mut EngineProbe,
 }
 
-impl<'a, A: Clone> EngineCtx<'a, A> {
+impl<P: ProtocolNode> EngineCtx<'_, P> {
     /// Records a detected mis-speculation (the first one per cycle wins;
     /// recovery handles it at the end of the cycle).
     pub fn note_misspeculation(&mut self, ms: MisSpeculation) {
@@ -492,39 +598,38 @@ impl<'a, A: Clone> EngineCtx<'a, A> {
 
     /// The shared completion-delivery pass: wakes processors whose misses
     /// completed and accounts the SafetyNet log entry a completed store
-    /// costs. `take_completed(i)` drains one of node `i`'s completed
-    /// accesses at a time (a non-blocking node may complete several misses
+    /// costs. Each of node `i`'s completed accesses is taken from its cache
+    /// controller in turn (a non-blocking node may complete several misses
     /// in one cycle), identified by block address so the processor retires
-    /// the matching MSHR even when fills return out of order. After a
-    /// recovery the restored cache controller may complete a transaction
-    /// whose requesting instruction was rolled back (the processor
-    /// re-executes from the register checkpoint); such completions update
-    /// the cache but wake nobody. A node with a completion has its tick
-    /// wake hint lowered to the processor's live wake cycle, so the tick
-    /// visits it no later than a dense scan would.
+    /// the matching MSHR even when fills return out of order. A controller
+    /// with nothing completed is not copied. After a recovery the restored
+    /// cache controller may complete a transaction whose requesting
+    /// instruction was rolled back (the processor re-executes from the
+    /// register checkpoint); such completions update the cache but wake
+    /// nobody. A node with a completion has its tick wake hint lowered to
+    /// the processor's live wake cycle, so the tick visits it no later than
+    /// a dense scan would.
     ///
     /// Visits only the nodes on the completions worklist, in the same
     /// ascending order as the dense scan it replaces: a node enters the list
     /// when a controller ingests a message ([`EngineCtx::note_exchange_activity`])
     /// and every visit drains it completely, so skipped nodes are exactly
-    /// those for which `take_completed` would have returned `None`
-    /// immediately.
-    pub fn deliver_completions(
-        &mut self,
-        now: Cycle,
-        procs: &mut [Processor],
-        mut take_completed: impl FnMut(usize) -> Option<(BlockAddr, CpuAccess)>,
-    ) {
+    /// those with no completed access.
+    pub fn deliver_completions(&mut self, now: Cycle, arch: &mut ArchState<P>) {
         let mut cursor = 0;
         while let Some(i) = self.exchange.completions.next_at_or_after(cursor) {
             cursor = i + 1;
             self.probe.exchange_completion_visits += 1;
-            let proc = &mut procs[i];
+            let proc = &mut arch.procs[i];
+            let cache = &mut arch.caches[i];
             let mut woken = false;
-            while let Some((addr, access)) = take_completed(i) {
+            while cache.hierarchy().has_completed() {
+                let Some(done) = cache.make_mut().take_completed() else {
+                    break;
+                };
                 woken = true;
-                if let Some(wait) = proc.note_miss_completed(now, addr, access == CpuAccess::Store)
-                {
+                let store = done.access == CpuAccess::Store;
+                if let Some(wait) = proc.note_miss_completed(now, done.addr, store) {
                     // Per-miss wait into the latency histogram. Recorded at
                     // delivery time, so completions later undone by a
                     // rollback stay counted — the histogram observes the
@@ -534,9 +639,7 @@ impl<'a, A: Clone> EngineCtx<'a, A> {
                 }
                 // A completed store modifies cached state that SafetyNet must
                 // be able to undo: account one log entry at this node.
-                if access == CpuAccess::Store
-                    && self.safetynet.log_writes(NodeId::from(i), 1) == LogOutcome::Full
-                {
+                if store && self.safetynet.log_writes(NodeId::from(i), 1) == LogOutcome::Full {
                     self.safetynet.note_log_stall();
                 }
             }
@@ -626,51 +729,29 @@ impl<'a, A: Clone> EngineCtx<'a, A> {
 ///
 /// The two implementations are the directory protocol
 /// (`crates/core/src/dirsys.rs`) and the broadcast-snooping protocol
-/// (`crates/core/src/snoopsys.rs`); everything else about the per-cycle
-/// loop is shared engine code.
-pub trait ProtocolNode {
-    /// The architectural state of the machine — everything SafetyNet must be
-    /// able to checkpoint and restore: caches, directories/memories,
-    /// processors (with their workload positions), fabric contents and the
-    /// staging outboxes. Its clone is the checkpoint and the restore, so
-    /// both machines keep their per-node controllers behind an `Arc` that
-    /// a clone shares.
-    type Arch: Clone + std::fmt::Debug;
+/// (`crates/core/src/snoopsys.rs`). The engine owns each node's processor
+/// and cache controller and the speculative torus ([`ArchState`]), and
+/// reads them itself; a protocol supplies its own part of the state, moves
+/// its messages, and answers the four questions only it can.
+pub trait ProtocolNode: Sized {
+    /// The protocol's own part of the checkpointed state: the directories
+    /// and their staged outboxes, or the ordered address bus, the home
+    /// memories and theirs. Its clone is part of every checkpoint and
+    /// restore, so per-node controllers sit behind an `Arc` a clone shares.
+    type Arch: Clone + Debug;
 
-    /// The message type of [`ProtocolNode::torus`].
-    type Msg;
+    /// The message type of the speculative torus.
+    type Msg: Clone + Debug;
 
-    /// The protocol's speculative torus (the directory torus, or the
-    /// snooping data torus): the fabric whose routing and slot pools the
-    /// forward-progress measures change, whose deadlock evidence classifies
-    /// a timeout, whose idle cycles [`SystemEngine::run_for`] skips, and
-    /// whose counters telemetry samples. [`ProtocolNode::exchange`] ticks it
-    /// exactly once per cycle.
-    fn torus(arch: &Self::Arch) -> &Network<Self::Msg>;
-
-    /// Mutable access to [`ProtocolNode::torus`].
-    fn torus_mut(arch: &mut Self::Arch) -> &mut Network<Self::Msg>;
-
-    /// The processors, in node order.
-    fn procs(arch: &Self::Arch) -> &[Processor];
-
-    /// Mutable access to the processors, in node order.
-    fn procs_mut(arch: &mut Self::Arch) -> &mut [Processor];
-
-    /// Number of coherence transactions currently outstanding system-wide
-    /// (the slow-start governor's demand census).
-    fn outstanding_demand(arch: &Self::Arch) -> usize;
-
-    /// Presents a CPU request to node `i`'s cache controller and returns
-    /// the controller's outcome: an L1 or L2 hit with its latency, a miss
-    /// that started a coherence transaction, or a stall.
-    fn cpu_request(arch: &mut Self::Arch, i: usize, now: Cycle, req: CpuRequest) -> AccessOutcome;
+    /// The cache controller of every node.
+    type Cache: CacheController + Outgoing;
 
     /// One cycle of protocol-specific message movement, in protocol order:
     /// controller-to-fabric pumping, fabric ticks, fabric-to-controller
     /// ingest and completion delivery (via
-    /// [`EngineCtx::deliver_completions`]).
-    fn exchange(&mut self, arch: &mut Self::Arch, now: Cycle, ctx: &mut EngineCtx<'_, Self::Arch>);
+    /// [`EngineCtx::deliver_completions`]). Ticks the speculative torus
+    /// exactly once.
+    fn exchange(&mut self, arch: &mut ArchState<Self>, now: Cycle, ctx: &mut EngineCtx<'_, Self>);
 
     /// Drains node `i`'s memory-side count of writes since the last drain
     /// and returns it; the engine accounts that many log entries into
@@ -680,11 +761,12 @@ pub trait ProtocolNode {
 
     /// The horizon hook of [`SystemEngine::run_for`]'s fast-forward: the
     /// earliest cycle after `now` (whose step has just completed) at which
-    /// the protocol's fabrics could change state, capped at `limit`. The
-    /// engine asks only while its outbox worklist is empty, and bounds the
-    /// horizon by parked outboxes' wakes itself. Answering too early only
-    /// costs a step; answering too late would change the schedule.
-    fn next_event_at(arch: &Self::Arch, now: Cycle, limit: Cycle) -> Cycle;
+    /// the protocol's own part could change state (`Cycle::MAX` when only
+    /// the torus can). The engine asks only while its outbox worklist is
+    /// empty, and bounds the horizon by the torus and by parked outboxes'
+    /// wakes itself. Answering too early only costs a step; answering too
+    /// late would change the schedule.
+    fn next_event_at(arch: &Self::Arch, now: Cycle) -> Cycle;
 
     /// Whether a checkpoint is due at `now` on this protocol's logical time
     /// base (cycles for the directory system, ordered requests since
@@ -693,7 +775,7 @@ pub trait ProtocolNode {
     fn checkpoint_due(
         &self,
         arch: &Self::Arch,
-        safetynet: &SafetyNet<Self::Arch>,
+        safetynet: &SafetyNet<ArchState<Self>>,
         now: Cycle,
     ) -> bool;
 
@@ -702,32 +784,25 @@ pub trait ProtocolNode {
     /// (`Cycle::MAX` when it follows another time base, whose events
     /// [`ProtocolNode::next_event_at`] already bounds). The fast-forward
     /// horizon never passes it.
-    fn next_checkpoint_at(&self, safetynet: &SafetyNet<Self::Arch>) -> Cycle;
-
-    /// The issue cycle and block of node `i`'s oldest outstanding coherence
-    /// transaction (if any) — the *requestor-side* timer of the Section 4
-    /// transaction timeout ("the requestor of the transaction will
-    /// timeout"), and the block a timeout blames. This covers transactions
-    /// orphaned by a rollback: the restored cache controller still owns the
-    /// transaction, but the processor that issued it re-executes from its
-    /// register checkpoint and is no longer waiting, so the processor-side
-    /// timer alone would let a wedged fabric stall the machine forever.
-    fn oldest_transaction(arch: &Self::Arch, i: usize) -> Option<(Cycle, BlockAddr)>;
+    fn next_checkpoint_at(&self, safetynet: &SafetyNet<ArchState<Self>>) -> Cycle;
 
     /// Fills the protocol-specific half of the run metrics (fabric stats,
     /// ordering stats, address-network counts).
-    fn collect_protocol_metrics(&self, arch: &Self::Arch, now: Cycle, m: &mut RunMetrics);
+    fn collect_protocol_metrics(&self, arch: &ArchState<Self>, now: Cycle, m: &mut RunMetrics);
 }
 
-/// The generic full-system simulation engine: drives a [`ProtocolNode`]
-/// cycle-by-cycle with the shared stepping, checkpointing, recovery and
-/// metrics machinery described in the module docs.
+/// The generic full-system simulation engine: owns the machine's
+/// [`ArchState`] (each node's processor and cache controller, the
+/// speculative torus and the protocol's own part) and drives a
+/// [`ProtocolNode`] cycle-by-cycle with the shared stepping,
+/// checkpointing, recovery and metrics machinery described in the module
+/// docs.
 #[derive(Debug)]
 pub struct SystemEngine<P: ProtocolNode> {
     protocol: P,
     now: Cycle,
-    arch: P::Arch,
-    safetynet: SafetyNet<P::Arch>,
+    arch: ArchState<P>,
+    safetynet: SafetyNet<ArchState<P>>,
     fp_cfg: ForwardProgressConfig,
     /// The forward-progress mode in force: `Normal`, or the measure of the
     /// latest recovery, which ends at [`SystemEngine::fp_until`].
@@ -799,37 +874,70 @@ pub struct SystemEngine<P: ProtocolNode> {
     /// as recoveries). Feeds the mode-cycle totals in [`RunMetrics`].
     timeline: ModeTimeline,
     /// The gated telemetry recorder (windowed sampler + lifecycle event
-    /// trace), present only when a [`TelemetryConfig`] enabled it.
+    /// trace), present only when a [`specsim_base::TelemetryConfig`] enabled
+    /// it.
     telemetry: Option<TelemetryRecorder>,
 }
 
 impl<P: ProtocolNode> SystemEngine<P> {
-    /// Assembles an engine around `protocol` and its initial architectural
-    /// state. `perturb_rng` is the protocol's perturbation stream (each
-    /// system derives it from its own seed domain); `safetynet_cfg` opens
-    /// the checkpoint/recovery substrate with `arch` as the initial
-    /// checkpoint.
-    #[must_use]
-    pub fn assemble(
+    /// Builds a machine around `protocol`: each node's processor and cache
+    /// controller (made by `new_cache`) from `spec`, with `torus` and the
+    /// protocol's own part `proto`, which become SafetyNet's initial
+    /// checkpoint. `perturb_seed` seeds the machine's perturbation stream.
+    pub(crate) fn assemble(
         protocol: P,
-        arch: P::Arch,
-        safetynet_cfg: SafetyNetConfig,
-        fp_cfg: ForwardProgressConfig,
-        inject_recovery_every: Option<CycleDelta>,
-        perturb_rng: DetRng,
-        fault_plan: FaultPlan,
+        spec: &MachineSpec<'_>,
+        perturb_seed: u64,
+        new_cache: fn(NodeId, ProtocolVariant, &MemorySystemConfig) -> P::Cache,
+        torus: Network<P::Msg>,
+        proto: P::Arch,
     ) -> Self {
-        let n = P::procs(&arch).len();
-        let safetynet = SafetyNet::new(safetynet_cfg, n, arch.clone(), 0);
-        let next_injected_recovery = inject_recovery_every.map(|i| i.max(1));
-        let fault_director = (!fault_plan.is_empty()).then(|| FaultDirector::new(fault_plan));
-        let routing = P::torus(&arch).routing();
+        let n = spec.memory.num_nodes;
+        // One Zipf hot-block table shared by every node's generator (the
+        // whole point of a hot set is that nodes contend on it).
+        let zipf_table = spec.traffic.zipf.map(|z| Arc::new(ZipfTable::new(z)));
+        let procs = (0..n)
+            .map(|i| {
+                let node = NodeId::from(i);
+                let mut proc = match spec.replay_trace {
+                    Some(trace) => Processor::from_trace(node, Arc::clone(trace), 0),
+                    None => {
+                        let gen = WorkloadGenerator::shaped(
+                            spec.workload,
+                            node,
+                            spec.seed,
+                            spec.traffic,
+                            zipf_table.clone(),
+                        );
+                        Processor::new(node, gen, 0)
+                    }
+                }
+                .with_max_outstanding(spec.memory.mshr_entries);
+                if spec.record_trace {
+                    proc.enable_recording();
+                }
+                proc
+            })
+            .collect();
+        let caches = (0..n)
+            .map(|i| Shared::new(new_cache(NodeId::from(i), spec.protocol, spec.memory)))
+            .collect();
+        let arch = ArchState {
+            procs,
+            caches,
+            torus,
+            proto,
+        };
+        let safetynet = SafetyNet::new(spec.memory.safetynet.clone(), n, arch.clone(), 0);
+        let inject_recovery_every = spec.inject_recovery_every;
+        let fault_plan = spec.fault_config.lower(spec.seed, n);
+        let routing = arch.torus.routing();
         Self {
             protocol,
             now: 0,
             arch,
             safetynet,
-            fp_cfg,
+            fp_cfg: spec.forward_progress,
             fp_mode: EngineMode::Normal,
             fp_until: Cycle::MAX,
             routing,
@@ -837,31 +945,23 @@ impl<P: ProtocolNode> SystemEngine<P> {
             dense_stall_retries: false,
             resume_at: 0,
             inject_recovery_every,
-            next_injected_recovery,
+            next_injected_recovery: inject_recovery_every.map(|i| i.max(1)),
             pending_misspec: None,
             protocol_error: None,
-            perturb_rng,
+            perturb_rng: DetRng::new(perturb_seed).fork(),
             metrics: RunMetrics::default(),
             probe: EngineProbe::default(),
             fabric_deadlock_at: None,
             timeout_anchor: 0,
-            fault_director,
+            fault_director: (!fault_plan.is_empty()).then(|| FaultDirector::new(fault_plan)),
             fault_evidence_at: None,
             fault_fires_seen: 0,
             next_timeout_scan: 0,
             wake: WakeIndex::new(n),
             exchange: ExchangeIndex::new_full(n),
             timeline: ModeTimeline::new(),
-            telemetry: None,
+            telemetry: TelemetryRecorder::new(spec.telemetry),
         }
-    }
-
-    /// Installs (or, with a disabled config, removes) the telemetry
-    /// recorder. Intended to be called before the first step; installing
-    /// mid-run starts a fresh recording. Telemetry is purely observational:
-    /// the simulated schedule is byte-identical with it on or off.
-    pub fn set_telemetry(&mut self, cfg: TelemetryConfig) {
-        self.telemetry = TelemetryRecorder::new(cfg);
     }
 
     /// The telemetry recorder, when one was enabled.
@@ -891,13 +991,6 @@ impl<P: ProtocolNode> SystemEngine<P> {
             .map(|t| t.chrome_trace(&self.timeline, self.now))
     }
 
-    /// The fault injector, when a fault plan is active (observability for
-    /// chaos-campaign experiments and tests).
-    #[must_use]
-    pub fn fault_director(&self) -> Option<&FaultDirector> {
-        self.fault_director.as_ref()
-    }
-
     /// The protocol implementation (for its configuration accessors).
     #[must_use]
     pub fn protocol(&self) -> &P {
@@ -906,13 +999,13 @@ impl<P: ProtocolNode> SystemEngine<P> {
 
     /// The architectural state (read-only; used by invariant checkers).
     #[must_use]
-    pub fn arch(&self) -> &P::Arch {
+    pub fn arch(&self) -> &ArchState<P> {
         &self.arch
     }
 
     /// The checkpoint station, whose snapshots tests inspect.
     #[cfg(test)]
-    pub(crate) fn safetynet(&self) -> &SafetyNet<P::Arch> {
+    pub(crate) fn safetynet(&self) -> &SafetyNet<ArchState<P>> {
         &self.safetynet
     }
 
@@ -944,10 +1037,7 @@ impl<P: ProtocolNode> SystemEngine<P> {
     /// Memory operations committed so far across all processors.
     #[must_use]
     pub fn ops_completed(&self) -> u64 {
-        P::procs(&self.arch)
-            .iter()
-            .map(Processor::ops_completed)
-            .sum()
+        self.arch.procs.iter().map(Processor::ops_completed).sum()
     }
 
     /// Runs the system for `cycles` cycles and returns the metrics collected
@@ -1028,7 +1118,11 @@ impl<P: ProtocolNode> SystemEngine<P> {
         if horizon <= now + 1 {
             return;
         }
-        horizon = P::next_event_at(&self.arch, now, horizon);
+        horizon = self
+            .arch
+            .torus
+            .next_event_at(now, horizon)
+            .min(P::next_event_at(&self.arch.proto, now));
         if horizon <= now + 1 {
             return;
         }
@@ -1038,7 +1132,7 @@ impl<P: ProtocolNode> SystemEngine<P> {
         self.timeline
             .observe_span(now + 1, self.engine_mode(now + 1), cycles);
         self.probe.cycles_fast_forwarded += cycles;
-        P::torus_mut(&mut self.arch).skip_idle_cycles(cycles);
+        self.arch.torus.skip_idle_cycles(cycles);
         self.now = horizon - 1;
     }
 
@@ -1073,7 +1167,7 @@ impl<P: ProtocolNode> SystemEngine<P> {
             };
             self.protocol.exchange(&mut self.arch, now, &mut ctx);
         }
-        if P::torus(&self.arch).deadlock_evidence() {
+        if self.arch.torus.deadlock_evidence() {
             self.fabric_deadlock_at = Some(now);
         }
         let mut fault_fired: Option<(Cycle, FaultKind)> = None;
@@ -1127,11 +1221,10 @@ impl<P: ProtocolNode> SystemEngine<P> {
         if !self.telemetry.as_ref().is_some_and(|t| t.window_due(now)) {
             return;
         }
-        let procs = P::procs(&self.arch);
-        let n = procs.len();
-        let ops_completed = procs.iter().map(Processor::ops_completed).sum();
-        let outstanding = P::outstanding_demand(&self.arch) as u64;
-        let fabric = P::torus(&self.arch).stats();
+        let n = self.arch.procs.len();
+        let ops_completed = self.ops_completed();
+        let outstanding = self.arch.outstanding_demand() as u64;
+        let fabric = self.arch.torus.stats();
         let log_occupancy = (0..n)
             .map(|i| self.safetynet.log_occupancy(NodeId::from(i)) as u64)
             .sum();
@@ -1166,7 +1259,8 @@ impl<P: ProtocolNode> SystemEngine<P> {
     /// then stays.
     fn forward_progress_measure(&self, kind: MisSpecKind) -> Option<(EngineMode, CycleDelta)> {
         let fp = &self.fp_cfg;
-        let reservable = || P::torus(&self.arch).reservation_for(fp.reserved_slots_per_network) > 0;
+        let torus = &self.arch.torus;
+        let reservable = || torus.reservation_for(fp.reserved_slots_per_network) > 0;
         let (mode, window) = match kind {
             MisSpecKind::ForwardedRequestToInvalidCache => {
                 if self.routing != RoutingPolicy::Adaptive {
@@ -1220,7 +1314,7 @@ impl<P: ProtocolNode> SystemEngine<P> {
             EngineMode::ReservedSlots => self.fp_cfg.reserved_slots_per_network,
             _ => 0,
         };
-        let torus = P::torus_mut(&mut self.arch);
+        let torus = &mut self.arch.torus;
         torus.set_routing(routing);
         torus.set_pool_reservation(reservation);
     }
@@ -1261,21 +1355,21 @@ impl<P: ProtocolNode> SystemEngine<P> {
             cursor = i + 1;
             self.wake.due.remove(i);
             self.wake.parked[i] = false;
-            match P::procs(&self.arch)[i].ready_at() {
+            match self.arch.procs[i].ready_at() {
                 Some(ready) if ready <= now => {}
                 ready => {
                     self.wake.set(i, ready.unwrap_or(Cycle::MAX));
                     continue;
                 }
             }
-            let Some(req) = P::procs_mut(&mut self.arch)[i].poll(now) else {
+            let Some(req) = self.arch.procs[i].poll(now) else {
                 // Nothing to present yet: a dense scan looks again next cycle.
                 self.wake.set(i, now + 1);
                 continue;
             };
             self.probe.processor_polls += 1;
             if limit != usize::MAX
-                && *outstanding.get_or_insert_with(|| P::outstanding_demand(&self.arch)) >= limit
+                && *outstanding.get_or_insert_with(|| self.arch.outstanding_demand()) >= limit
             {
                 // Slow-start governor: hold back new transactions, and park
                 // the node until the census can fall or the limit rise.
@@ -1284,13 +1378,19 @@ impl<P: ProtocolNode> SystemEngine<P> {
                 self.probe.held_parks += 1;
                 continue;
             }
-            let outcome = P::cpu_request(&mut self.arch, i, now, req);
+            let cache = &mut self.arch.caches[i];
+            // A stall that changes nothing leaves a shared controller shared.
+            let outcome = if cache.hierarchy().stalls_at_once(req.addr) {
+                AccessOutcome::Stall
+            } else {
+                cache.make_mut().cpu_request(now, req)
+            };
             // The request may have enqueued protocol output at this node's
             // controllers (a miss's coherence request, an eviction's
             // writeback): the exchange phase must pump it. Idle insertions
             // retire on their first visit.
             self.exchange.outbox.insert(i);
-            let proc = &mut P::procs_mut(&mut self.arch)[i];
+            let proc = &mut self.arch.procs[i];
             match outcome {
                 AccessOutcome::L1Hit { latency, .. } | AccessOutcome::L2Hit { latency, .. } => {
                     proc.note_hit(now, latency, req.access == CpuAccess::Store);
@@ -1321,7 +1421,7 @@ impl<P: ProtocolNode> SystemEngine<P> {
         while let Some(i) = self.exchange.write_logs.next_at_or_after(cursor) {
             cursor = i + 1;
             self.exchange.write_logs.remove(i);
-            let entries = P::drain_write_log(&mut self.arch, i);
+            let entries = P::drain_write_log(&mut self.arch.proto, i);
             if entries > 0
                 && self.safetynet.log_writes(NodeId::from(i), entries) == LogOutcome::Full
             {
@@ -1331,7 +1431,7 @@ impl<P: ProtocolNode> SystemEngine<P> {
         self.safetynet.advance(now);
         if self
             .protocol
-            .checkpoint_due(&self.arch, &self.safetynet, now)
+            .checkpoint_due(&self.arch.proto, &self.safetynet, now)
             && self.safetynet.can_checkpoint()
         {
             let snapshot = self.arch.clone();
@@ -1378,12 +1478,15 @@ impl<P: ProtocolNode> SystemEngine<P> {
         };
         // Earliest cycle any wait *starting after this scan* could fire.
         let mut next_fire = now + 1 + timeout;
-        for (i, proc) in P::procs(&self.arch).iter().enumerate() {
-            // Requestor-side timer: the processor's wait, or the cache
-            // controller's outstanding transaction (which survives a
-            // rollback even though the restored processor re-executes and
-            // no longer waits).
-            let txn = P::oldest_transaction(&self.arch, i);
+        for (i, (proc, cache)) in self.arch.procs.iter().zip(&self.arch.caches).enumerate() {
+            // Requestor-side timer (Section 4: "the requestor of the
+            // transaction will timeout"): the processor's wait, or the cache
+            // controller's oldest outstanding transaction, which survives a
+            // rollback even though the restored processor re-executes from
+            // its register checkpoint and no longer waits, so the
+            // processor-side timer alone would let a wedged fabric stall the
+            // machine forever. A timeout blames the transaction's block.
+            let txn = cache.hierarchy().oldest_demand();
             let since = [proc.waiting_since(), txn.map(|(at, _)| at)]
                 .into_iter()
                 .flatten()
@@ -1459,7 +1562,7 @@ impl<P: ProtocolNode> SystemEngine<P> {
         self.arch = state;
         // The restored clone holds every processor at its checkpointed
         // workload position; each resumes at the end of the recovery stall.
-        for proc in P::procs_mut(&mut self.arch) {
+        for proc in &mut self.arch.procs {
             proc.resume(now + outcome.recovery_latency_cycles);
         }
         self.metrics.lost_work_cycles += outcome.lost_work_cycles;
@@ -1516,7 +1619,7 @@ impl<P: ProtocolNode> SystemEngine<P> {
         let mut m = self.metrics.clone();
         m.cycles = self.now;
         m.ops_completed = self.ops_completed();
-        let procs = P::procs(&self.arch);
+        let procs = &self.arch.procs;
         m.loads = procs.iter().map(|p| p.stats().loads).sum();
         m.stores = procs.iter().map(|p| p.stats().stores).sum();
         m.misses = procs.iter().map(|p| p.stats().misses).sum();
@@ -1542,7 +1645,7 @@ pub(crate) mod snapshot_probe {
     use specsim_base::Cycle;
     use specsim_safetynet::station::RECOVERY_RESTORE_CYCLES;
 
-    use super::{ProtocolNode, SystemEngine};
+    use super::{ArchState, ProtocolNode, SystemEngine};
 
     /// How many of `cur`'s controllers do not share their `Arc` with
     /// `prev`'s. Each of them must really differ (by its `Debug` output):
@@ -1572,8 +1675,8 @@ pub(crate) mod snapshot_probe {
     pub(crate) fn walk<P: ProtocolNode>(
         sys: &mut SystemEngine<P>,
         until: Cycle,
-        mut checkpoint: impl FnMut(&P::Arch, &P::Arch),
-        mut stalled: impl FnMut(&P::Arch, &P::Arch),
+        mut checkpoint: impl FnMut(&ArchState<P>, &ArchState<P>),
+        mut stalled: impl FnMut(&ArchState<P>, &ArchState<P>),
     ) {
         let latency = sys.safetynet().config().register_checkpoint_cycles + RECOVERY_RESTORE_CYCLES;
         let counts = |sys: &SystemEngine<P>| {
@@ -1608,10 +1711,11 @@ pub(crate) mod snapshot_probe {
 mod tests {
     use super::*;
     use crate::config::SystemConfig;
-    use crate::dirsys::{DirProtocol, DirectorySystem};
+    use crate::dirsys::DirectorySystem;
     use crate::snoopsys::{SnoopSystemConfig, SnoopingSystem};
     use specsim_base::{
-        FaultConfig, FaultEvent, FaultSite, LinkBandwidth, ProtocolVariant, RoutingPolicy,
+        FaultConfig, FaultEvent, FaultPlan, FaultSite, LinkBandwidth, ProtocolVariant,
+        RoutingPolicy,
     };
     use specsim_workloads::WorkloadKind;
 
@@ -1934,7 +2038,7 @@ mod tests {
             // cycle would be held too.
             if !held_after.is_empty() {
                 assert!(
-                    DirProtocol::outstanding_demand(sys.arch()) >= sys.outstanding_limit(),
+                    sys.arch().outstanding_demand() >= sys.outstanding_limit(),
                     "a node stayed parked at {now} although the gate would admit it"
                 );
             }
@@ -2046,7 +2150,7 @@ mod tests {
     }
 
     fn torus_setting<P: ProtocolNode>(engine: &SystemEngine<P>) -> TorusSetting {
-        let torus = P::torus(engine.arch());
+        let torus = &engine.arch().torus;
         (torus.routing(), torus.pool_reservation())
     }
 
@@ -2339,7 +2443,7 @@ mod tests {
         // A disabled fault config must leave the engine without a director
         // and the metrics at zero (the goldens rely on this being inert).
         let sys = DirectorySystem::new(dir_cfg());
-        assert!(sys.fault_director().is_none());
+        assert!(sys.fault_director.is_none());
         let mut sys = DirectorySystem::new(dir_cfg());
         let m = sys.run_for(30_000).expect("no protocol errors");
         assert_eq!(m.faults_injected, 0);
@@ -2348,10 +2452,56 @@ mod tests {
     }
 
     #[test]
+    fn the_coherence_check_finds_two_owners_and_stale_sharers() {
+        use CacheState::{M, O, S};
+        let line = |node: u16, block, state, value| (NodeId(node), BlockAddr(block), state, value);
+        // Both machines' checks: `true` compares sharer values (directory),
+        // `false` checks owners only (snooping).
+        let clean = [line(0, 1, O, 7), line(1, 1, S, 7), line(2, 2, M, 9)];
+        for compare_values in [true, false] {
+            assert_eq!(check_lines(clean, compare_values), Ok(()));
+            let two_owners = [line(0, 1, M, 7), line(3, 1, O, 7)];
+            let err = check_lines(two_owners, compare_values).unwrap_err();
+            assert!(err.contains("N0") && err.contains("N3"), "{err}");
+        }
+        let stale_sharer = [line(0, 1, O, 7), line(1, 1, S, 8)];
+        let err = check_lines(stale_sharer, true).unwrap_err();
+        assert!(err.contains("N1"), "{err}");
+    }
+
+    #[test]
+    fn verify_coherence_reads_every_cache() {
+        // A copy of an owning cache at a second node is a second owner of
+        // each block it owns.
+        fn duplicate_an_owner<P: ProtocolNode>(sys: &mut SystemEngine<P>) {
+            let caches = &mut sys.arch.caches;
+            let owns = |c: &Shared<P::Cache>| {
+                let lines = c.hierarchy().resident_lines();
+                lines.iter().any(|(_, state, _)| state.is_owner())
+            };
+            let owner = caches.iter().position(owns).expect("an owned block");
+            let copy = caches[owner].clone();
+            let next = (owner + 1) % caches.len();
+            caches[next] = copy;
+        }
+        let mut dir = DirectorySystem::new(dir_cfg());
+        dir.run_for(10_000).expect("no protocol errors");
+        dir.verify_coherence().expect("coherent");
+        duplicate_an_owner(&mut dir);
+        assert!(dir.verify_coherence().is_err());
+        let mut snoop = SnoopingSystem::new(snoop_cfg());
+        snoop.run_for(10_000).expect("no protocol errors");
+        snoop.verify_coherence().expect("coherent");
+        duplicate_an_owner(&mut snoop);
+        assert!(snoop.verify_coherence().is_err());
+    }
+
+    #[test]
     fn a_snooping_timeout_blames_the_oldest_demands_block() {
-        use crate::snoopsys::SnoopProtocol;
         let mut sys = SnoopingSystem::new(snoop_cfg());
-        while (0..16).all(|i| SnoopProtocol::oldest_transaction(sys.arch(), i).is_none()) {
+        let oldest =
+            |sys: &SnoopingSystem, i: usize| sys.arch().caches[i].hierarchy().oldest_demand();
+        while (0..16).all(|i| oldest(&sys, i).is_none()) {
             sys.step().expect("no protocol errors");
         }
         // Far enough ahead that every outstanding wait has timed out: the
@@ -2360,8 +2510,8 @@ mod tests {
         let ms = sys
             .scan_timeouts(sys.now() + timeout)
             .expect("an outstanding demand times out");
-        let oldest = SnoopProtocol::oldest_transaction(sys.arch(), ms.node.index());
-        let (_, addr) = oldest.expect("the blamed node has a demand outstanding");
+        let blamed = oldest(&sys, ms.node.index());
+        let (_, addr) = blamed.expect("the blamed node has a demand outstanding");
         assert_eq!(ms.addr, addr);
         assert_ne!(ms.addr, BlockAddr(0), "a real block, not a placeholder");
     }

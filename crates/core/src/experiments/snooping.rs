@@ -17,6 +17,7 @@ use specsim_base::{BlockAddr, MemorySystemConfig, NodeId, ProtocolVariant};
 use specsim_coherence::snoop::msg::SnoopDataMsg;
 use specsim_coherence::snoop::{SnoopCacheController, SnoopRequest};
 use specsim_coherence::types::{CpuAccess, CpuRequest, MisSpecKind, ProtocolError};
+use specsim_coherence::CacheController;
 use specsim_workloads::{WorkloadKind, ALL_WORKLOADS};
 
 use crate::experiments::runner::{

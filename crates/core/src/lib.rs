@@ -17,12 +17,12 @@
 //! Both machines are one generic engine: they are the aliases
 //! `DirectorySystem = SystemEngine<DirProtocol>` and
 //! `SnoopingSystem = SystemEngine<SnoopProtocol>` of [`SystemEngine`], which
-//! owns stepping, checkpointing, recovery, forward progress and metrics.
-//! A protocol plugs in through the 13 methods of [`ProtocolNode`]: `torus`,
-//! `torus_mut`, `procs`, `procs_mut`, `outstanding_demand`, `cpu_request`,
-//! `exchange`, `drain_write_log`, `next_event_at`, `checkpoint_due`,
-//! `next_checkpoint_at`, `oldest_transaction` and
-//! `collect_protocol_metrics`.
+//! owns stepping, checkpointing, recovery, forward progress and metrics,
+//! and the state SafetyNet checkpoints ([`ArchState`]): each node's
+//! processor and cache controller, the speculative torus and the
+//! protocol's own part. A protocol plugs in through the 6 methods of
+//! [`ProtocolNode`]: `exchange`, `drain_write_log`, `next_event_at`,
+//! `checkpoint_due`, `next_checkpoint_at` and `collect_protocol_metrics`.
 //!
 //! On top of the two systems, [`experiments`] implements the paper's
 //! evaluation: the recovery-rate stress test (Figure 4), the static-versus-
@@ -46,7 +46,8 @@ pub mod snoopsys;
 pub use config::{ForwardProgressConfig, SystemConfig};
 pub use dirsys::DirectorySystem;
 pub use engine::{
-    EngineCtx, EngineProbe, MeasuredCharacterization, ProtocolNode, StagedOutbox, SystemEngine,
+    ArchState, EngineCtx, EngineProbe, MeasuredCharacterization, ProtocolNode, StagedOutbox,
+    SystemEngine,
 };
 pub use framework::SpeculativeDesign;
 pub use metrics::{DataClass, RunMetrics, ALL_DATA_CLASSES};

@@ -12,7 +12,7 @@ use specsim_coherence::snoop::{SnoopCacheController, SnoopMemoryController};
 
 /// The output queue of a controller that can answer a message without
 /// changing: the queue its replies would join.
-pub(crate) trait Outgoing: Clone {
+pub trait Outgoing: Clone + Debug {
     /// One outgoing message.
     type Out: Clone + Debug;
     /// Messages the controller has queued to send, on every path.
@@ -147,6 +147,7 @@ mod tests {
     use specsim_base::{BlockAddr, MemorySystemConfig, NodeId, ProtocolVariant};
     use specsim_coherence::dir::DirMsg;
     use specsim_coherence::types::{CpuAccess, CpuRequest};
+    use specsim_coherence::CacheController;
 
     #[test]
     fn replies_queue_behind_an_empty_output_only_and_leave_first() {

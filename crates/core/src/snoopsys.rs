@@ -13,30 +13,30 @@
 //! (Fig. 5 evaluates 400 MB/s and 3.2 GB/s links); the bus keeps total order
 //! for addresses only — the data network is unordered and may be adaptive.
 //!
-//! The machine is the shared [`SystemEngine`] driving [`SnoopProtocol`],
-//! this module's [`ProtocolNode`] implementation; [`SnoopingSystem`] names
-//! that pairing and adds the snooping-specific constructor and checks.
+//! The machine is the shared [`SystemEngine`], which owns each node's
+//! processor and cache controller and the data torus, driving
+//! [`SnoopProtocol`], this module's [`ProtocolNode`] implementation: the
+//! address bus, the home memories and the plumbing between them and the
+//! controllers. [`SnoopingSystem`] names that pairing and adds the
+//! snooping-specific constructor and checks.
 
 use specsim_base::{
-    BlockAddr, Cycle, CycleDelta, DetRng, FaultConfig, LinkBandwidth, MemorySystemConfig, NodeId,
-    ProtocolVariant, RoutingPolicy,
+    Cycle, CycleDelta, FaultConfig, LinkBandwidth, MemorySystemConfig, NodeId, ProtocolVariant,
+    RoutingPolicy,
 };
 use specsim_coherence::snoop::msg::SnoopDataOut;
 use specsim_coherence::snoop::{
     SnoopCacheController, SnoopDataMsg, SnoopMemoryController, SnoopRequest,
 };
-use specsim_coherence::types::CpuRequest;
-use specsim_coherence::AccessOutcome;
-use std::sync::Arc;
 
 use specsim_net::{
     Buffering, ForwardProbe, NetConfig, Network, OrderedBus, PoolSlots, VirtualNetwork,
 };
 use specsim_safetynet::SafetyNet;
-use specsim_workloads::{Processor, TrafficConfig, WorkloadGenerator, WorkloadKind, ZipfTable};
+use specsim_workloads::{TrafficConfig, WorkloadKind};
 
-use crate::config::{buffering_problems, watchdog_threshold, ForwardProgressConfig};
-use crate::engine::{EngineCtx, ProtocolNode, StagedOutbox, SystemEngine};
+use crate::config::{watchdog_threshold, ForwardProgressConfig, MachineSpec};
+use crate::engine::{ArchState, EngineCtx, ProtocolNode, StagedOutbox, SystemEngine};
 use crate::metrics::{DataClass, RunMetrics, ALL_DATA_CLASSES};
 use crate::shared::Shared;
 
@@ -195,43 +195,53 @@ impl SnoopSystemConfig {
     }
 
     /// Sanity-checks the configuration: memory-system geometry, traffic
-    /// shaping, and the data torus's buffer design. Returns human-readable
-    /// problems (empty when consistent), mirroring
-    /// [`crate::config::SystemConfig::validate`].
+    /// shaping, the data torus's buffer design and the fault campaign, with
+    /// the checks of [`crate::config::SystemConfig::validate`]. Returns
+    /// human-readable problems (empty when consistent).
     #[must_use]
     pub fn validate(&self) -> Vec<String> {
-        let mut problems = self.memory.validate();
-        if let Err(e) = self.traffic.validate() {
-            problems.push(e);
+        self.spec().problems(self.data_net.buffering)
+    }
+
+    /// The part of this configuration both machines share. The snooping
+    /// machine neither records nor replays traces.
+    fn spec(&self) -> MachineSpec<'_> {
+        MachineSpec {
+            memory: &self.memory,
+            protocol: self.protocol,
+            workload: self.workload,
+            seed: self.seed,
+            traffic: self.traffic,
+            forward_progress: self.forward_progress,
+            inject_recovery_every: self.inject_recovery_every,
+            fault_config: &self.fault_config,
+            telemetry: self.telemetry,
+            replay_trace: None,
+            record_trace: false,
         }
-        problems.extend(buffering_problems(
-            self.data_net.buffering,
-            &self.forward_progress,
-        ));
-        problems
     }
 }
 
-/// Architectural state restored by SafetyNet recovery.
+/// The snooping protocol's own part of the checkpointed state: the
+/// ordered address bus, each node's home-memory controller and its
+/// staging outbox.
 ///
-/// Each node's cache and home-memory controller sits behind an [`Arc`], so
-/// a clone (a SafetyNet checkpoint or restore) shares them and the first
-/// write after it copies only the controller written, through
-/// [`Arc::make_mut`]. Call sites that may change nothing check first, so
-/// an idle controller stays shared; one that only replies queues the reply
-/// beside it (`Shared`). The bus, the data torus, processors and outboxes
-/// are copied outright.
+/// Each home memory sits behind an `Arc`, so a clone (a SafetyNet
+/// checkpoint or restore) shares it and the first write after it copies
+/// only the memory written. Call sites that may change nothing check
+/// first, so an idle memory stays shared; one that only replies queues the
+/// reply beside it (`Shared`). The bus and outboxes are copied outright.
 #[derive(Debug, Clone)]
-pub struct ArchState {
+pub struct SnoopArch {
     bus: OrderedBus<SnoopRequest>,
-    data_net: Network<SnoopDataMsg>,
-    caches: Vec<Shared<SnoopCacheController>>,
     memories: Vec<Shared<SnoopMemoryController>>,
-    procs: Vec<Processor>,
     /// Memory-controller data responses waiting out their DRAM access
     /// latency before entering the data network.
     mem_outboxes: Vec<StagedOutbox<SnoopDataOut>>,
 }
+
+/// The snooping machine's checkpointed state.
+type Machine = ArchState<SnoopProtocol>;
 
 /// The snooping-protocol half of the machine: the ordered address network,
 /// the data torus, and the cache/home-memory controllers.
@@ -241,18 +251,16 @@ pub struct SnoopProtocol {
 }
 
 impl SnoopProtocol {
-    fn pump_controllers(
-        &mut self,
-        arch: &mut ArchState,
-        now: Cycle,
-        ctx: &mut EngineCtx<'_, ArchState>,
-    ) {
+    fn pump_controllers(&mut self, arch: &mut Machine, now: Cycle, ctx: &mut EngineCtx<'_, Self>) {
         let ArchState {
-            bus,
-            data_net,
+            torus: data_net,
             caches,
-            memories,
-            mem_outboxes,
+            proto:
+                SnoopArch {
+                    bus,
+                    memories,
+                    mem_outboxes,
+                },
             ..
         } = arch;
         // Worklist walk: visit only nodes that may hold controller output or
@@ -325,16 +333,16 @@ impl SnoopProtocol {
         }
     }
 
-    fn deliver_snoops(
-        &mut self,
-        arch: &mut ArchState,
-        now: Cycle,
-        ctx: &mut EngineCtx<'_, ArchState>,
-    ) {
-        for i in 0..arch.procs.len() {
+    fn deliver_snoops(&mut self, arch: &mut Machine, now: Cycle, ctx: &mut EngineCtx<'_, Self>) {
+        let ArchState {
+            caches,
+            proto: SnoopArch { bus, memories, .. },
+            ..
+        } = arch;
+        for i in 0..caches.len() {
             let node = NodeId::from(i);
             // Idle-inbox skip: no snoop broadcast is waiting at this node.
-            if arch.bus.snoop_len(node) == 0 {
+            if bus.snoop_len(node) == 0 {
                 continue;
             }
             // Observing a snoop can enqueue controller output (an owner or
@@ -344,7 +352,7 @@ impl SnoopProtocol {
             ctx.note_exchange_activity(i);
             ctx.note_memory_activity(i);
             for _ in 0..SNOOP_BUDGET {
-                let Some(delivery) = arch.bus.pop_snoop(node) else {
+                let Some(delivery) = bus.pop_snoop(node) else {
                     break;
                 };
                 // Both the cache and the home memory controller observe the
@@ -353,13 +361,13 @@ impl SnoopProtocol {
                 // every memory but the block's home, and most caches. One
                 // that only replies stays shared too.
                 let (src, request) = (delivery.src, delivery.payload);
-                let memory = &mut arch.memories[i];
+                let memory = &mut memories[i];
                 if memory.snoop_may_change(src, request)
                     && !memory.answer(|m| m.reply_only(src, request))
                 {
                     memory.make_mut().observe_snoop(now, src, request);
                 }
-                let cache = &mut arch.caches[i];
+                let cache = &mut caches[i];
                 if cache.snoop_may_change(src, request)
                     && !cache.answer(|c| c.reply_only(src, request))
                 {
@@ -376,20 +384,15 @@ impl SnoopProtocol {
         }
     }
 
-    fn deliver_data(
-        &mut self,
-        arch: &mut ArchState,
-        now: Cycle,
-        ctx: &mut EngineCtx<'_, ArchState>,
-    ) {
+    fn deliver_data(&mut self, arch: &mut Machine, now: Cycle, ctx: &mut EngineCtx<'_, Self>) {
         // Worklist walk: same ascending visit order as a dense scan with an
         // idle-inbox skip, but proportional to nodes with pending data.
         let mut cursor = 0;
-        while let Some(i) = arch.data_net.next_ejectable_at_or_after(cursor) {
+        while let Some(i) = arch.torus.next_ejectable_at_or_after(cursor) {
             cursor = i + 1;
             let node = NodeId::from(i);
             for _ in 0..DATA_INGEST_BUDGET {
-                let Some(packet) = arch.data_net.eject_any(node) else {
+                let Some(packet) = arch.torus.eject_any(node) else {
                     break;
                 };
                 // Checksum model (Section 2): a detectably-damaged data
@@ -404,7 +407,9 @@ impl SnoopProtocol {
                     SnoopDataMsg::WbData { .. } => {
                         // Writeback data is written to memory and logged.
                         ctx.note_memory_activity(i);
-                        arch.memories[i].make_mut().handle_data(now, packet.payload)
+                        arch.proto.memories[i]
+                            .make_mut()
+                            .handle_data(now, packet.payload)
                     }
                     SnoopDataMsg::Data { .. } => {
                         // As for snoops: a parked processor may now proceed.
@@ -424,57 +429,20 @@ impl SnoopProtocol {
 }
 
 impl ProtocolNode for SnoopProtocol {
-    type Arch = ArchState;
+    type Arch = SnoopArch;
     type Msg = SnoopDataMsg;
+    type Cache = SnoopCacheController;
 
-    fn torus(arch: &ArchState) -> &Network<SnoopDataMsg> {
-        &arch.data_net
-    }
-
-    fn torus_mut(arch: &mut ArchState) -> &mut Network<SnoopDataMsg> {
-        &mut arch.data_net
-    }
-
-    fn procs(arch: &ArchState) -> &[Processor] {
-        &arch.procs
-    }
-
-    fn procs_mut(arch: &mut ArchState) -> &mut [Processor] {
-        &mut arch.procs
-    }
-
-    fn outstanding_demand(arch: &ArchState) -> usize {
-        arch.caches
-            .iter()
-            .map(|c| c.hierarchy().outstanding_demands())
-            .sum()
-    }
-
-    fn cpu_request(arch: &mut ArchState, i: usize, now: Cycle, req: CpuRequest) -> AccessOutcome {
-        // A stall that changes nothing leaves a shared controller shared.
-        if arch.caches[i].hierarchy().stalls_at_once(req.addr) {
-            return AccessOutcome::Stall;
-        }
-        arch.caches[i].make_mut().cpu_request(now, req)
-    }
-
-    fn exchange(&mut self, arch: &mut ArchState, now: Cycle, ctx: &mut EngineCtx<'_, ArchState>) {
+    fn exchange(&mut self, arch: &mut Machine, now: Cycle, ctx: &mut EngineCtx<'_, Self>) {
         self.pump_controllers(arch, now, ctx);
-        arch.bus.tick(now);
+        arch.proto.bus.tick(now);
         self.deliver_snoops(arch, now, ctx);
-        arch.data_net.tick(now, ctx.faults());
+        arch.torus.tick(now, ctx.faults());
         self.deliver_data(arch, now, ctx);
-        let ArchState { procs, caches, .. } = arch;
-        ctx.deliver_completions(now, procs, |i| {
-            let done = caches[i]
-                .hierarchy()
-                .has_completed()
-                .then(|| caches[i].make_mut().take_completed());
-            done.flatten().map(|done| (done.addr, done.access))
-        });
+        ctx.deliver_completions(now, arch);
     }
 
-    fn drain_write_log(arch: &mut ArchState, i: usize) -> usize {
+    fn drain_write_log(arch: &mut SnoopArch, i: usize) -> usize {
         if arch.memories[i].has_write_log() {
             arch.memories[i].make_mut().take_write_log()
         } else {
@@ -482,16 +450,14 @@ impl ProtocolNode for SnoopProtocol {
         }
     }
 
-    fn next_event_at(arch: &ArchState, now: Cycle, limit: Cycle) -> Cycle {
-        arch.data_net
-            .next_event_at(now, limit)
-            .min(arch.bus.next_event_at(now))
+    fn next_event_at(arch: &SnoopArch, now: Cycle) -> Cycle {
+        arch.bus.next_event_at(now)
     }
 
     fn checkpoint_due(
         &self,
-        arch: &ArchState,
-        safetynet: &SafetyNet<ArchState>,
+        arch: &SnoopArch,
+        safetynet: &SafetyNet<Machine>,
         _now: Cycle,
     ) -> bool {
         // The snooping system's checkpoints use the totally ordered address
@@ -499,34 +465,31 @@ impl ProtocolNode for SnoopProtocol {
         // `checkpoint_interval_requests` ordered requests (Table 2), counted
         // from the newest checkpoint's grant count (after a rollback, the
         // restored checkpoint's).
-        let at_checkpoint = safetynet.latest_checkpoint().state.bus.granted();
+        let at_checkpoint = safetynet.latest_checkpoint().state.proto.bus.granted();
         arch.bus.granted().saturating_sub(at_checkpoint)
             >= self.cfg.memory.safetynet.checkpoint_interval_requests
     }
 
-    fn next_checkpoint_at(&self, _safetynet: &SafetyNet<ArchState>) -> Cycle {
+    fn next_checkpoint_at(&self, _safetynet: &SafetyNet<Machine>) -> Cycle {
         // Only a bus grant advances the request count, and grants are bus
         // events the fast-forward horizon already stops at.
         Cycle::MAX
     }
 
-    fn oldest_transaction(arch: &ArchState, i: usize) -> Option<(Cycle, BlockAddr)> {
-        arch.caches[i].hierarchy().oldest_demand()
-    }
-
-    fn collect_protocol_metrics(&self, arch: &ArchState, now: Cycle, m: &mut RunMetrics) {
-        m.messages_delivered = arch.data_net.stats().total_delivered();
-        m.bus_requests = arch.bus.granted();
+    fn collect_protocol_metrics(&self, arch: &Machine, now: Cycle, m: &mut RunMetrics) {
+        let data_net = &arch.torus;
+        m.messages_delivered = data_net.stats().total_delivered();
+        m.bus_requests = arch.proto.bus.granted();
         // Per-fabric stats of the second interconnect: the data torus.
         m.data_messages_delivered = m.messages_delivered;
-        m.data_mean_latency_cycles = arch.data_net.stats().mean_latency();
-        m.data_link_utilization = arch.data_net.mean_link_utilization(now);
+        m.data_mean_latency_cycles = data_net.stats().mean_latency();
+        m.data_link_utilization = data_net.mean_link_utilization(now);
         for class in ALL_DATA_CLASSES {
             let vnet = data_vnet_of(class);
-            m.data_delivered_per_class[class.index()] = arch.data_net.stats().delivered_on(vnet);
-            m.data_latency_per_class[class.index()] = arch.data_net.stats().mean_latency_of(vnet);
+            m.data_delivered_per_class[class.index()] = data_net.stats().delivered_on(vnet);
+            m.data_latency_per_class[class.index()] = data_net.stats().mean_latency_of(vnet);
         }
-        m.vnet_latency = arch.data_net.stats().latency_hist_per_vnet.clone();
+        m.vnet_latency = data_net.stats().latency_hist_per_vnet.clone();
     }
 }
 
@@ -546,56 +509,21 @@ impl SnoopingSystem {
     #[must_use]
     pub fn new(cfg: SnoopSystemConfig) -> Self {
         let n = cfg.memory.num_nodes;
-        let mut seed_rng = DetRng::new(cfg.seed ^ 0x534e_4f4f_5053); // "SNOOPS"
-        let zipf_table = cfg.traffic.zipf.map(|z| Arc::new(ZipfTable::new(z)));
-        let procs = (0..n)
-            .map(|i| {
-                let node = NodeId::from(i);
-                let gen = WorkloadGenerator::shaped(
-                    cfg.workload,
-                    node,
-                    cfg.seed,
-                    cfg.traffic,
-                    zipf_table.clone(),
-                );
-                Processor::new(node, gen, 0).with_max_outstanding(cfg.memory.mshr_entries)
-            })
-            .collect();
-        let caches = (0..n)
-            .map(|i| {
-                Shared::new(SnoopCacheController::new(
-                    NodeId::from(i),
-                    cfg.protocol,
-                    &cfg.memory,
-                ))
-            })
-            .collect();
-        let memories = (0..n)
-            .map(|i| Shared::new(SnoopMemoryController::new(NodeId::from(i), n)))
-            .collect();
-        let bus = OrderedBus::new(n, cfg.bus_arbitration_interval, BUS_BROADCAST_LATENCY);
-        let data_net = Network::new(cfg.data_net_config());
-        let arch = ArchState {
-            bus,
-            data_net,
-            caches,
-            memories,
-            procs,
+        let arch = SnoopArch {
+            bus: OrderedBus::new(n, cfg.bus_arbitration_interval, BUS_BROADCAST_LATENCY),
+            memories: (0..n)
+                .map(|i| Shared::new(SnoopMemoryController::new(NodeId::from(i), n)))
+                .collect(),
             mem_outboxes: (0..n).map(|_| StagedOutbox::default()).collect(),
         };
-        let perturb_rng = seed_rng.fork();
-        let fault_plan = cfg.fault_config.lower(cfg.seed, n);
-        let mut engine = Self::assemble(
+        Self::assemble(
             SnoopProtocol { cfg: cfg.clone() },
+            &cfg.spec(),
+            cfg.seed ^ 0x534e_4f4f_5053, // "SNOOPS"
+            SnoopCacheController::new,
+            Network::new(cfg.data_net_config()),
             arch,
-            cfg.memory.safetynet.clone(),
-            cfg.forward_progress,
-            cfg.inject_recovery_every,
-            perturb_rng,
-            fault_plan,
-        );
-        engine.set_telemetry(cfg.telemetry);
-        engine
+        )
     }
 
     /// The configuration this system was built from.
@@ -608,26 +536,12 @@ impl SnoopingSystem {
     /// observability only, never part of the schedule.
     #[must_use]
     pub fn data_forward_probe(&self) -> ForwardProbe {
-        self.arch().data_net.forward_probe()
+        self.arch().torus.forward_probe()
     }
 
     /// Checks the single-owner invariant over the stable cache state.
     pub fn verify_coherence(&self) -> Result<(), String> {
-        use std::collections::HashMap;
-        let mut owners: HashMap<u64, NodeId> = HashMap::new();
-        for cache in &self.arch().caches {
-            for (addr, state, _) in cache.hierarchy().resident_lines() {
-                if state.is_owner() {
-                    if let Some(other) = owners.insert(addr.0, cache.node()) {
-                        return Err(format!(
-                            "block {addr} has two owners: {other} and {}",
-                            cache.node()
-                        ));
-                    }
-                }
-            }
-        }
-        Ok(())
+        self.arch().check_caches(false)
     }
 }
 
@@ -687,8 +601,8 @@ mod tests {
                     cur.caches.iter().map(Shared::arc),
                 );
                 memories += snapshot_probe::copied(
-                    prev.memories.iter().map(Shared::arc),
-                    cur.memories.iter().map(Shared::arc),
+                    prev.proto.memories.iter().map(Shared::arc),
+                    cur.proto.memories.iter().map(Shared::arc),
                 );
             },
             |restored, live| {
@@ -704,8 +618,8 @@ mod tests {
                 );
                 assert_eq!(
                     snapshot_probe::copied(
-                        restored.memories.iter().map(Shared::arc),
-                        live.memories.iter().map(Shared::arc)
+                        restored.proto.memories.iter().map(Shared::arc),
+                        live.proto.memories.iter().map(Shared::arc)
                     ),
                     0
                 );
@@ -730,7 +644,7 @@ mod tests {
         cfg.inject_recovery_every = Some(10_000);
         let fresh = SnoopingSystem::new(cfg.clone());
         let mut sys = SnoopingSystem::new(cfg);
-        let controllers = |a: &ArchState| format!("{:?} {:?}", a.caches, a.memories);
+        let controllers = |a: &Machine| format!("{:?} {:?}", a.caches, a.proto.memories);
         // (checkpoint id, live controllers, checkpoint controllers) at
         // each restore.
         let mut restores: Vec<(u64, String, String)> = Vec::new();
@@ -800,6 +714,21 @@ mod tests {
     }
 
     #[test]
+    fn validate_rejects_a_random_fault_campaign_without_kinds() {
+        let mut cfg = small_config(ProtocolVariant::Speculative);
+        assert!(cfg.validate().is_empty());
+        cfg.fault_config = FaultConfig::Random {
+            rate_per_mcycle: 100,
+            kinds: vec![],
+            horizon_cycles: 1_000_000,
+        };
+        assert_eq!(
+            cfg.validate(),
+            ["a random fault campaign needs at least one fault kind"]
+        );
+    }
+
+    #[test]
     fn data_net_geometry_always_follows_the_memory_config() {
         let mut cfg = small_config(ProtocolVariant::Full);
         cfg.memory.num_nodes = 32;
@@ -810,7 +739,7 @@ mod tests {
         assert_eq!(net.num_nodes, 32);
         assert_eq!(net.torus_dims, Some((16, 2)));
         let sys = SnoopingSystem::new(cfg);
-        assert_eq!(sys.arch().data_net.torus().dims(), (16, 2));
+        assert_eq!(sys.arch().torus.torus().dims(), (16, 2));
     }
 
     #[test]

@@ -37,12 +37,6 @@ impl NodeLog {
         }
     }
 
-    /// Total capacity in entries.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity_entries
-    }
-
     /// Entries currently held (across all outstanding intervals).
     #[must_use]
     pub fn occupancy(&self) -> usize {
@@ -82,12 +76,6 @@ impl NodeLog {
     pub fn clear(&mut self) {
         self.per_interval = vec![0];
     }
-
-    /// Number of outstanding intervals currently tracked.
-    #[must_use]
-    pub fn intervals(&self) -> usize {
-        self.per_interval.len()
-    }
 }
 
 #[cfg(test)]
@@ -100,8 +88,11 @@ mod tests {
 
     #[test]
     fn capacity_matches_table_2() {
-        let log = NodeLog::new(&cfg());
-        assert_eq!(log.capacity(), 512 * 1024 / 72);
+        let mut log = NodeLog::new(&cfg());
+        let capacity = 512 * 1024 / 72;
+        assert_eq!(log.record(capacity), LogOutcome::Recorded);
+        assert_eq!(log.record(1), LogOutcome::Full);
+        assert_eq!(log.occupancy(), capacity);
     }
 
     #[test]
@@ -111,10 +102,10 @@ mod tests {
             log_entry_bytes: 72,
             ..cfg()
         });
-        assert_eq!(log.capacity(), 10);
         assert_eq!(log.record(6), LogOutcome::Recorded);
         assert_eq!(log.record(4), LogOutcome::Recorded);
         assert_eq!(log.record(1), LogOutcome::Full);
+        assert_eq!(log.occupancy(), 10);
     }
 
     #[test]
@@ -128,10 +119,12 @@ mod tests {
         log.start_interval();
         log.record(3);
         assert_eq!(log.occupancy(), 8);
-        assert_eq!(log.intervals(), 2);
+        // The log is 10 entries: a full one takes no more until the oldest
+        // interval commits.
+        assert_eq!(log.record(3), LogOutcome::Full);
         log.commit_oldest();
         assert_eq!(log.occupancy(), 3);
-        assert_eq!(log.intervals(), 1);
+        assert_eq!(log.record(3), LogOutcome::Recorded);
         // Committing when only the active interval remains empties it.
         log.commit_oldest();
         assert_eq!(log.occupancy(), 0);
@@ -145,6 +138,9 @@ mod tests {
         log.record(50);
         log.clear();
         assert_eq!(log.occupancy(), 0);
-        assert_eq!(log.intervals(), 1);
+        // One interval is left: committing it frees what it logs next.
+        log.record(10);
+        log.commit_oldest();
+        assert_eq!(log.occupancy(), 0);
     }
 }

@@ -12,6 +12,7 @@
 use specsim_base::{BlockAddr, MemorySystemConfig, NodeId, ProtocolVariant};
 use specsim_coherence::dir::{DirCacheController, DirMsg, DirectoryController, OutMsg};
 use specsim_coherence::types::{CpuAccess, CpuRequest, MisSpecKind, MsgClass};
+use specsim_coherence::CacheController;
 
 const HOME: NodeId = NodeId(0);
 const P1: NodeId = NodeId(1);
