@@ -295,13 +295,11 @@ impl ProtocolNode for DirProtocol {
 
     fn collect_protocol_metrics(&self, arch: &Machine, now: Cycle, m: &mut RunMetrics) {
         let net = &arch.torus;
-        m.messages_delivered = net.stats().total_delivered();
         for vn in specsim_net::ALL_VIRTUAL_NETWORKS {
             m.delivered_per_vnet[vn.index()] = net.stats().delivered_on(vn);
             m.reordered_per_vnet[vn.index()] = net.ordering().reordered(vn);
         }
         m.link_utilization = net.mean_link_utilization(now);
-        m.vnet_latency = net.stats().latency_hist_per_vnet.clone();
     }
 }
 

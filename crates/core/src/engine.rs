@@ -1624,6 +1624,9 @@ impl<P: ProtocolNode> SystemEngine<P> {
         m.stores = procs.iter().map(|p| p.stats().stores).sum();
         m.misses = procs.iter().map(|p| p.stats().misses).sum();
         m.miss_wait_cycles = procs.iter().map(|p| p.stats().miss_wait_cycles).sum();
+        let torus = self.arch.torus.stats();
+        m.messages_delivered = torus.total_delivered();
+        m.vnet_latency = torus.latency_hist_per_vnet.clone();
         self.protocol
             .collect_protocol_metrics(&self.arch, self.now, &mut m);
         m.checkpoints = self.safetynet.stats().checkpoints_taken;

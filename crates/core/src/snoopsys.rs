@@ -478,7 +478,6 @@ impl ProtocolNode for SnoopProtocol {
 
     fn collect_protocol_metrics(&self, arch: &Machine, now: Cycle, m: &mut RunMetrics) {
         let data_net = &arch.torus;
-        m.messages_delivered = data_net.stats().total_delivered();
         m.bus_requests = arch.proto.bus.granted();
         // Per-fabric stats of the second interconnect: the data torus.
         m.data_messages_delivered = m.messages_delivered;
@@ -489,7 +488,6 @@ impl ProtocolNode for SnoopProtocol {
             m.data_delivered_per_class[class.index()] = data_net.stats().delivered_on(vnet);
             m.data_latency_per_class[class.index()] = data_net.stats().mean_latency_of(vnet);
         }
-        m.vnet_latency = data_net.stats().latency_hist_per_vnet.clone();
     }
 }
 
