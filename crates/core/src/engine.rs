@@ -20,9 +20,9 @@
 //!   first cycle a processor actually presents a request;
 //! * **quiescence fast-forward** — [`SystemEngine::run_for`] jumps the
 //!   clock over cycles in which nothing can happen: the outbox worklist is
-//!   empty, no wheel entry and no engine deadline falls, and the protocol's
-//!   fabrics and controllers report nothing before a later cycle
-//!   ([`ProtocolNode::next_event_at`]). The skipped cycles' mode-timeline
+//!   empty, no wheel entry and no engine deadline falls, and neither the
+//!   torus nor the protocol's own part ([`ProtocolNode::next_event_at`])
+//!   reports anything before a later cycle. The skipped cycles' mode-timeline
 //!   entries and fabric round-robin turns are accounted in bulk;
 //!   [`SystemEngine::step`] still advances exactly one cycle;
 //! * **message outbox plumbing over one-or-more fabrics** — the
@@ -275,10 +275,9 @@ pub(crate) fn check_lines(
                 return Err(format!("block {addr} has two owners: {other} and {node}"));
             }
         }
-        copies.push((node, addr, value));
-    }
-    if !compare_values {
-        return Ok(());
+        if compare_values {
+            copies.push((node, addr, value));
+        }
     }
     for (node, addr, value) in copies {
         if let Some(&(_, owner_value)) = owners.get(&addr) {
@@ -1065,7 +1064,8 @@ impl<P: ProtocolNode> SystemEngine<P> {
     /// forward-progress mode, the next injected recovery, the next
     /// SafetyNet checkpoint or commit, the next telemetry window); the
     /// wake index's earliest wheel entry (a processor or parked-outbox
-    /// wake); and the protocol's [`ProtocolNode::next_event_at`]. No jump
+    /// wake); the torus's next event; and the protocol's
+    /// [`ProtocolNode::next_event_at`] for its own part. No jump
     /// starts while an exchange worklist is non-empty. Each skipped cycle is
     /// accounted as its step would have been: one mode-timeline cycle and
     /// one fabric tick's round-robin turn (its tick visits no node).

@@ -243,8 +243,10 @@ pub struct SnoopArch {
 /// The snooping machine's checkpointed state.
 type Machine = ArchState<SnoopProtocol>;
 
-/// The snooping-protocol half of the machine: the ordered address network,
-/// the data torus, and the cache/home-memory controllers.
+/// The snooping-protocol half of the machine: everything the shared
+/// [`SystemEngine`] delegates to a [`ProtocolNode`]. It moves messages
+/// between the ordered address network, the data torus and the
+/// cache/home-memory controllers.
 #[derive(Debug)]
 pub struct SnoopProtocol {
     cfg: SnoopSystemConfig,
