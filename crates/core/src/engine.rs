@@ -267,12 +267,16 @@ pub(crate) fn check_lines(
     lines: impl IntoIterator<Item = (NodeId, BlockAddr, CacheState, u64)>,
     compare_values: bool,
 ) -> Result<(), String> {
-    let mut owners: HashMap<BlockAddr, (NodeId, u64)> = HashMap::new();
+    let mut owners = HashMap::new();
+    let mut owner_values = HashMap::new();
     let mut copies = Vec::new();
     for (node, addr, state, value) in lines {
         if state.is_owner() {
-            if let Some((other, _)) = owners.insert(addr, (node, value)) {
+            if let Some(other) = owners.insert(addr, node) {
                 return Err(format!("block {addr} has two owners: {other} and {node}"));
+            }
+            if compare_values {
+                owner_values.insert(addr, value);
             }
         }
         if compare_values {
@@ -280,7 +284,7 @@ pub(crate) fn check_lines(
         }
     }
     for (node, addr, value) in copies {
-        if let Some(&(_, owner_value)) = owners.get(&addr) {
+        if let Some(&owner_value) = owner_values.get(&addr) {
             if value != owner_value {
                 return Err(format!(
                     "block {addr} at {node} has value {value:#x} but the owner holds {owner_value:#x}"
