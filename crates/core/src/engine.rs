@@ -224,6 +224,8 @@ pub struct ArchState<P: ProtocolNode> {
     pub(crate) proto: P::Arch,
 }
 
+// Written out because a derive would demand `P: Clone`; a checkpoint
+// clones the state, never the protocol.
 impl<P: ProtocolNode> Clone for ArchState<P> {
     fn clone(&self) -> Self {
         Self {
@@ -267,6 +269,8 @@ pub(crate) fn check_lines(
     lines: impl IntoIterator<Item = (NodeId, BlockAddr, CacheState, u64)>,
     compare_values: bool,
 ) -> Result<(), String> {
+    // Values are kept only when compared: the owner map is the check's
+    // largest allocation, and the snooping check needs no values.
     let mut owners = HashMap::new();
     let mut owner_values = HashMap::new();
     let mut copies = Vec::new();
