@@ -242,14 +242,12 @@ impl<P> CacheHierarchy<P> {
         self.l2.probe(addr).map(|l| (l.state, l.data))
     }
 
-    /// Every block resident in the L2 with its state and data (used by
-    /// system-level coherence-invariant checks).
-    #[must_use]
-    pub fn resident_lines(&self) -> Vec<(BlockAddr, CacheState, u64)> {
+    /// Every block resident in the L2 with its state and data, in array
+    /// order (used by system-level coherence-invariant checks).
+    pub fn resident_lines(&self) -> impl Iterator<Item = (BlockAddr, CacheState, u64)> + '_ {
         self.l2
             .iter()
             .map(|line| (line.addr, line.state, line.data))
-            .collect()
     }
 
     /// Takes the oldest completed-demand notification, if one is pending.

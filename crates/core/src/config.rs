@@ -1,10 +1,15 @@
-//! Full-system configuration.
+//! Full-system configuration: one [`SystemConfig`] describes a run on
+//! either machine. The two differ only in the interconnect the protocol
+//! speculates on (Table 2): the directory machine's torus is the snooping
+//! machine's data network, described by the same routing and buffering
+//! fields, and the snooping machine adds the ordered address bus, whose
+//! grant interval is the one field only it reads.
 
 use std::sync::Arc;
 
 use specsim_base::{
     CycleDelta, FaultConfig, LinkBandwidth, MemorySystemConfig, ProtocolVariant, RoutingPolicy,
-    SafetyNetConfig, TelemetryConfig,
+    TelemetryConfig,
 };
 use specsim_net::{Buffering, NetConfig, PoolSlots};
 use specsim_workloads::{Trace, TrafficConfig, WorkloadKind};
@@ -44,20 +49,29 @@ impl Default for ForwardProgressConfig {
     }
 }
 
-/// Configuration of one full-system simulation run.
+/// Configuration of one full-system simulation run, on either machine
+/// (Table 2 describes both in one parameter table). The directory machine
+/// runs its protocol over the torus [`Self::net_config`] describes; the
+/// snooping machine runs the same torus as its point-to-point data network
+/// beside the ordered address bus, which alone reads
+/// [`Self::bus_arbitration_interval`] and checkpoints every
+/// `memory.safetynet.checkpoint_interval_requests` ordered requests.
 #[derive(Debug, Clone)]
 pub struct SystemConfig {
     /// Memory-system parameters (Table 2 defaults).
     pub memory: MemorySystemConfig,
     /// Which coherence-protocol variant to run (Full or Speculative).
     pub protocol: ProtocolVariant,
-    /// Interconnect routing policy.
+    /// Routing policy of the torus (the snooping machine's data network).
     pub routing: RoutingPolicy,
-    /// Interconnect buffer design: the deadlock-free virtual channels or
+    /// Buffer design of the torus: the deadlock-free virtual channels or
     /// worst-case buffering, or one of Section 4's speculative designs
     /// (shared buffers, a shared slot pool), in which deadlock becomes
     /// possible and is detected by transaction timeout.
     pub buffering: Buffering,
+    /// Snooping machine only: cycles between consecutive address-network
+    /// grants (the ordered bus's bandwidth).
+    pub bus_arbitration_interval: CycleDelta,
     /// Workload to run.
     pub workload: WorkloadKind,
     /// Top-level seed; every generator, perturbation and arbitration draw is
@@ -74,15 +88,17 @@ pub struct SystemConfig {
     /// bit-identical to the historical generators.
     pub traffic: TrafficConfig,
     /// Record every accepted memory operation into a replayable trace
-    /// (retrieve it with `DirectorySystem::recorded_trace`).
+    /// (retrieve it with `SystemEngine::recorded_trace`).
     pub record_trace: bool,
     /// Drive the processors from a recorded trace instead of the synthetic
     /// generators (deterministic replay; `workload` and `traffic` are
     /// ignored for op generation).
     pub replay_trace: Option<Arc<Trace>>,
     /// Transient-fault injection schedule for chaos campaigns (disabled by
-    /// default). A [`FaultConfig::Random`] is lowered to an explicit plan
-    /// from [`Self::seed`] before the run starts, so the same `(seed,
+    /// default), applied to the torus (the snooping machine's address bus
+    /// stays ideal — it is the protocol's logical time base). A
+    /// [`FaultConfig::Random`] is lowered to an explicit plan from
+    /// [`Self::seed`] before the run starts, so the same `(seed,
     /// fault_config)` pair always replays bit-identically.
     pub fault_config: FaultConfig,
     /// Telemetry knobs (windowed time-series sampler + lifecycle event
@@ -90,6 +106,10 @@ pub struct SystemConfig {
     /// schedule is byte-identical with telemetry on or off.
     pub telemetry: TelemetryConfig,
 }
+
+/// The name the frozen benchmark harness (`perfbench/`) still uses for the
+/// snooping machine's configuration. Nothing in this workspace may use it.
+pub type SnoopSystemConfig = SystemConfig;
 
 impl Default for SystemConfig {
     /// The paper's primary evaluated machine: the speculative directory
@@ -101,24 +121,18 @@ impl Default for SystemConfig {
 }
 
 impl SystemConfig {
-    /// The paper's baseline directory-protocol system: 16 nodes, adaptive
-    /// routing isolated from deadlock concerns by full buffering
-    /// (footnote 1), speculative reliance on point-to-point ordering. The
-    /// other presets are this machine with one design choice changed.
+    /// The Table 2 machine running `workload` under `protocol`: Table 2
+    /// memory parameters, a worst-case-buffered torus with static routing,
+    /// and an address-bus grant every 8 cycles. This is the snooping
+    /// machine's default; the directory presets below derive from it.
     #[must_use]
-    pub fn directory_speculative(
-        workload: WorkloadKind,
-        bandwidth: LinkBandwidth,
-        seed: u64,
-    ) -> Self {
+    pub fn new(workload: WorkloadKind, protocol: ProtocolVariant, seed: u64) -> Self {
         Self {
-            memory: MemorySystemConfig {
-                link_bandwidth: bandwidth,
-                ..MemorySystemConfig::default()
-            },
-            protocol: ProtocolVariant::Speculative,
-            routing: RoutingPolicy::Adaptive,
+            memory: MemorySystemConfig::default(),
+            protocol,
+            routing: RoutingPolicy::Static,
             buffering: Buffering::Unbounded,
+            bus_arbitration_interval: 8,
             workload,
             seed,
             forward_progress: ForwardProgressConfig::default(),
@@ -129,6 +143,23 @@ impl SystemConfig {
             fault_config: FaultConfig::Disabled,
             telemetry: TelemetryConfig::default(),
         }
+    }
+
+    /// The paper's baseline directory-protocol system: 16 nodes, adaptive
+    /// routing isolated from deadlock concerns by full buffering
+    /// (footnote 1), speculative reliance on point-to-point ordering. The
+    /// other directory presets are this machine with one design choice
+    /// changed.
+    #[must_use]
+    pub fn directory_speculative(
+        workload: WorkloadKind,
+        bandwidth: LinkBandwidth,
+        seed: u64,
+    ) -> Self {
+        let mut cfg = Self::new(workload, ProtocolVariant::Speculative, seed);
+        cfg.memory.link_bandwidth = bandwidth;
+        cfg.routing = RoutingPolicy::Adaptive;
+        cfg
     }
 
     /// The non-speculative reference system: full protocol, static
@@ -183,32 +214,79 @@ impl SystemConfig {
         }
     }
 
+    /// Returns a copy whose torus runs at `bandwidth`. On the snooping
+    /// machine this is the data network's half of the paper's 400 MB/s →
+    /// 3.2 GB/s link-bandwidth axis: the address bus has its own timing.
+    #[must_use]
+    pub fn with_data_bandwidth(&self, bandwidth: LinkBandwidth) -> Self {
+        let mut c = self.clone();
+        c.memory.link_bandwidth = bandwidth;
+        c
+    }
+
+    /// Returns a copy whose torus runs the Section 4 shared-pool
+    /// speculation without virtual channels: adaptive routing, one
+    /// individually unbounded buffer per port, each node bounded by one pool
+    /// of `total_slots` slots shared by every traffic class. On the
+    /// snooping machine that pools owner transfers and writebacks.
+    /// Buffer-dependency deadlock becomes possible; the engine's detection
+    /// (progress watchdog + transaction timeout) and reserved-slot recovery
+    /// handle it, so this knob is all a sweep needs to turn.
+    #[must_use]
+    pub fn with_pooled_data_torus(&self, total_slots: usize) -> Self {
+        let mut c = self.clone();
+        c.routing = RoutingPolicy::Adaptive;
+        c.buffering = Buffering::SharedPool {
+            virtual_channels: false,
+            slots: PoolSlots::Unified(total_slots),
+        };
+        c
+    }
+
     /// Sanity-checks the configuration: the memory-system geometry,
-    /// traffic shaping, the interconnect buffer design and the fault
-    /// campaign. Returns human-readable problems (empty when consistent).
+    /// traffic shaping, the torus's buffer design and the fault campaign.
+    /// Returns human-readable problems (empty when consistent).
     #[must_use]
     pub fn validate(&self) -> Vec<String> {
-        self.spec().problems(self.buffering)
-    }
-
-    /// The part of this configuration both machines share.
-    pub(crate) fn spec(&self) -> MachineSpec<'_> {
-        MachineSpec {
-            memory: &self.memory,
-            protocol: self.protocol,
-            workload: self.workload,
-            seed: self.seed,
-            traffic: self.traffic,
-            forward_progress: self.forward_progress,
-            inject_recovery_every: self.inject_recovery_every,
-            fault_config: &self.fault_config,
-            telemetry: self.telemetry,
-            replay_trace: self.replay_trace.as_ref(),
-            record_trace: self.record_trace,
+        let mut problems = self.memory.validate();
+        if let Err(e) = self.traffic.validate() {
+            problems.push(e);
         }
+        if let Some(slots) = self.buffering.pool_slots() {
+            match slots {
+                PoolSlots::Unified(0) => {
+                    problems.push("a shared pool needs at least one slot".to_string());
+                }
+                PoolSlots::Split { switch, endpoint } if switch == 0 || endpoint == 0 => {
+                    problems.push("a pool split needs at least one slot on each side".to_string());
+                }
+                _ => {}
+            }
+            let total = slots.total();
+            let fp = &self.forward_progress;
+            if fp.reserved_slot_cycles > 0 && fp.reserved_slots_per_network > 0 && total < 4 {
+                problems.push(format!(
+                    "a {total}-slot pool cannot hold one reserved slot per virtual \
+                     network; the post-deadlock reservation would be inert"
+                ));
+            }
+        }
+        if let FaultConfig::Random { kinds, .. } = &self.fault_config {
+            if kinds.is_empty() {
+                problems.push("a random fault campaign needs at least one fault kind".to_string());
+            }
+        }
+        problems
     }
 
-    /// The derived interconnect configuration.
+    /// The torus the machine instantiates (the snooping machine's data
+    /// network): geometry and link timing from [`Self::memory`], routing and
+    /// buffer design from [`Self::routing`] and [`Self::buffering`]. A
+    /// pooled fabric's progress watchdog must *confirm* a wedge before the
+    /// three-checkpoint-interval transaction timeout fires, so the engine
+    /// can classify the timeout as a detected deadlock: it gets at most one
+    /// checkpoint interval of silence. Other fabrics keep the default
+    /// threshold.
     #[must_use]
     pub fn net_config(&self) -> NetConfig {
         let mut cfg = NetConfig::new(
@@ -219,8 +297,18 @@ impl SystemConfig {
         );
         cfg.torus_dims = self.memory.torus_dims;
         cfg.switch_latency = self.memory.switch_latency_cycles;
-        cfg.stall_threshold = watchdog_threshold(&cfg, &self.memory.safetynet);
+        if self.buffering.pool_slots().is_some() {
+            let interval = self.memory.safetynet.checkpoint_interval_cycles.max(1);
+            cfg.stall_threshold = cfg.stall_threshold.min(interval);
+        }
         cfg
+    }
+
+    /// [`Self::net_config`], under the name the frozen benchmark harness
+    /// (`perfbench/`) still calls. Nothing in this workspace may call it.
+    #[must_use]
+    pub fn data_net_config(&self) -> NetConfig {
+        self.net_config()
     }
 
     /// Returns a copy scaled to `num_nodes` nodes (squarest-torus dims are
@@ -259,75 +347,6 @@ impl SystemConfig {
         let mut c = self.clone();
         c.telemetry = telemetry;
         c
-    }
-}
-
-/// The configuration both machines share, lent by each machine's own
-/// configuration: what the engine builds every node's processor and cache
-/// controller from, runs the machine under, and validates once for both.
-pub(crate) struct MachineSpec<'a> {
-    pub(crate) memory: &'a MemorySystemConfig,
-    pub(crate) protocol: ProtocolVariant,
-    pub(crate) workload: WorkloadKind,
-    pub(crate) seed: u64,
-    pub(crate) traffic: TrafficConfig,
-    pub(crate) forward_progress: ForwardProgressConfig,
-    pub(crate) inject_recovery_every: Option<CycleDelta>,
-    pub(crate) fault_config: &'a FaultConfig,
-    pub(crate) telemetry: TelemetryConfig,
-    /// The trace the processors replay instead of their generators.
-    pub(crate) replay_trace: Option<&'a Arc<Trace>>,
-    /// Whether the processors record the operations they accept.
-    pub(crate) record_trace: bool,
-}
-
-impl MachineSpec<'_> {
-    /// The problems both machines' `validate` report, given the buffer
-    /// design of the fabric they speculate on (empty when consistent).
-    pub(crate) fn problems(&self, buffering: Buffering) -> Vec<String> {
-        let mut problems = self.memory.validate();
-        if let Err(e) = self.traffic.validate() {
-            problems.push(e);
-        }
-        if let Some(slots) = buffering.pool_slots() {
-            match slots {
-                PoolSlots::Unified(0) => {
-                    problems.push("a shared pool needs at least one slot".to_string());
-                }
-                PoolSlots::Split { switch, endpoint } if switch == 0 || endpoint == 0 => {
-                    problems.push("a pool split needs at least one slot on each side".to_string());
-                }
-                _ => {}
-            }
-            let total = slots.total();
-            let fp = &self.forward_progress;
-            if fp.reserved_slot_cycles > 0 && fp.reserved_slots_per_network > 0 && total < 4 {
-                problems.push(format!(
-                    "a {total}-slot pool cannot hold one reserved slot per virtual \
-                     network; the post-deadlock reservation would be inert"
-                ));
-            }
-        }
-        if let FaultConfig::Random { kinds, .. } = self.fault_config {
-            if kinds.is_empty() {
-                problems.push("a random fault campaign needs at least one fault kind".to_string());
-            }
-        }
-        problems
-    }
-}
-
-/// The progress-watchdog threshold a machine gives `net`. A pooled
-/// fabric's watchdog must be able to *confirm* a wedge before the
-/// three-checkpoint-interval transaction timeout fires, so the engine can
-/// classify the timeout as a detected deadlock: it gets at most one
-/// checkpoint interval of silence. Other fabrics keep their own threshold.
-pub(crate) fn watchdog_threshold(net: &NetConfig, safetynet: &SafetyNetConfig) -> u64 {
-    match net.buffering.pool_slots() {
-        Some(_) => net
-            .stall_threshold
-            .min(safetynet.checkpoint_interval_cycles.max(1)),
-        None => net.stall_threshold,
     }
 }
 
@@ -398,6 +417,21 @@ mod tests {
         let mut expected = NetConfig::shared_pool(16, bw, 24);
         expected.stall_threshold = 2_000;
         assert_eq!(pooled.net_config(), expected);
+        // The snooping machine's default data torus, and its pooled variant.
+        let base = SystemConfig::new(w, ProtocolVariant::Speculative, 1).with_data_bandwidth(bw);
+        assert_eq!(
+            base.net_config(),
+            NetConfig::full_buffering(16, bw, RoutingPolicy::Static)
+        );
+        let mut pooled_data = base.with_pooled_data_torus(16);
+        pooled_data.memory.safetynet.checkpoint_interval_cycles = 2_000;
+        let unified = Buffering::SharedPool {
+            virtual_channels: false,
+            slots: PoolSlots::Unified(16),
+        };
+        let mut expected = NetConfig::new(16, bw, RoutingPolicy::Adaptive, unified);
+        expected.stall_threshold = 2_000;
+        assert_eq!(pooled_data.net_config(), expected);
     }
 
     #[test]

@@ -21,9 +21,8 @@ use std::sync::Arc;
 use specsim_base::{Cycle, CycleDelta, NodeId};
 use specsim_coherence::dir::{DirCacheController, DirMsg, DirectoryController, OutMsg};
 use specsim_coherence::types::MsgClass;
-use specsim_net::{ForwardProbe, Network, VirtualNetwork};
+use specsim_net::{ForwardProbe, VirtualNetwork};
 use specsim_safetynet::SafetyNet;
-use specsim_workloads::Trace;
 
 use crate::config::SystemConfig;
 use crate::engine::{ArchState, EngineCtx, ProtocolNode, StagedOutbox, SystemEngine};
@@ -73,9 +72,7 @@ fn vnet_of(class: MsgClass) -> VirtualNetwork {
 /// The directory-protocol half of the machine: everything the shared
 /// [`SystemEngine`] delegates to a [`ProtocolNode`].
 #[derive(Debug)]
-pub struct DirProtocol {
-    cfg: SystemConfig,
-}
+pub struct DirProtocol;
 
 impl DirProtocol {
     fn ingest_messages(&mut self, arch: &mut Machine, now: Cycle, ctx: &mut EngineCtx<'_, Self>) {
@@ -223,9 +220,7 @@ impl DirProtocol {
                     match dir.pop_outgoing() {
                         Some(m) => {
                             let delay = match m.msg {
-                                DirMsg::Data { .. } => {
-                                    self.cfg.memory.dram_access_cycles + ctx.perturbation()
-                                }
+                                DirMsg::Data { .. } => ctx.dram_response_latency(),
                                 _ => DIRECTORY_LATENCY,
                             };
                             outboxes[i].stage(now + delay, m);
@@ -325,20 +320,7 @@ impl DirectorySystem {
                 .collect(),
             outboxes: (0..n).map(|_| StagedOutbox::default()).collect(),
         };
-        Self::assemble(
-            DirProtocol { cfg: cfg.clone() },
-            &cfg.spec(),
-            cfg.seed,
-            DirCacheController::new,
-            Network::new(cfg.net_config()),
-            arch,
-        )
-    }
-
-    /// The configuration this system was built from.
-    #[must_use]
-    pub fn config(&self) -> &SystemConfig {
-        &self.protocol().cfg
+        Self::assemble(DirProtocol, &cfg, cfg.seed, DirCacheController::new, arch)
     }
 
     /// The torus's forward-phase work counters (switch visits) —
@@ -346,21 +328,6 @@ impl DirectorySystem {
     #[must_use]
     pub fn net_forward_probe(&self) -> ForwardProbe {
         self.arch().torus.forward_probe()
-    }
-
-    /// The trace recorded so far when the system was built with
-    /// [`SystemConfig::record_trace`]; `None` otherwise. Replaying the
-    /// returned trace (via [`SystemConfig::replay_trace`]) reproduces each
-    /// node's accepted-operation schedule exactly.
-    #[must_use]
-    pub fn recorded_trace(&self) -> Option<Trace> {
-        let nodes: Option<Vec<_>> = self
-            .arch()
-            .procs
-            .iter()
-            .map(|p| p.recorded_events().map(<[_]>::to_vec))
-            .collect();
-        nodes.map(|nodes| Trace { nodes })
     }
 
     /// Checks the fundamental coherence invariants over the current stable

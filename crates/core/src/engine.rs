@@ -87,9 +87,9 @@ use specsim_coherence::types::{CpuAccess, MisSpecKind, MisSpeculation, ProtocolE
 use specsim_coherence::{AccessOutcome, CacheController, CacheState};
 use specsim_net::Network;
 use specsim_safetynet::{LogOutcome, SafetyNet};
-use specsim_workloads::{Processor, WorkloadGenerator, ZipfTable};
+use specsim_workloads::{Processor, Trace, WorkloadGenerator, ZipfTable};
 
-use crate::config::{ForwardProgressConfig, MachineSpec};
+use crate::config::{ForwardProgressConfig, SystemConfig};
 use crate::metrics::RunMetrics;
 use crate::shared::{Outgoing, Shared};
 
@@ -252,9 +252,9 @@ impl<P: ProtocolNode> ArchState<P> {
     pub(crate) fn check_caches(&self, compare_values: bool) -> Result<(), String> {
         let lines = self.caches.iter().flat_map(|cache| {
             let node = cache.node();
-            let lines = cache.hierarchy().resident_lines();
-            lines
-                .into_iter()
+            cache
+                .hierarchy()
+                .resident_lines()
                 .map(move |(addr, state, value)| (node, addr, state, value))
         });
         check_lines(lines, compare_values)
@@ -543,6 +543,7 @@ pub struct EngineCtx<'a, P: ProtocolNode> {
     pending_misspec: &'a mut Option<MisSpeculation>,
     protocol_error: &'a mut Option<ProtocolError>,
     perturb_rng: &'a mut DetRng,
+    dram_access_cycles: CycleDelta,
     metrics: &'a mut RunMetrics,
     faults: Option<&'a mut FaultDirector>,
     /// The tick phase's wake index; completion delivery and cache ingest
@@ -597,10 +598,11 @@ impl<P: ProtocolNode> EngineCtx<'_, P> {
         });
     }
 
-    /// One pseudo-random perturbation draw, in `0..4` cycles (Section 5.2
+    /// The latency of one memory data response: the DRAM access time plus
+    /// one pseudo-random perturbation draw, in `0..4` cycles (Section 5.2
     /// methodology).
-    pub fn perturbation(&mut self) -> u64 {
-        self.perturb_rng.next_below(PERTURBATION_CYCLES)
+    pub fn dram_response_latency(&mut self) -> CycleDelta {
+        self.dram_access_cycles + self.perturb_rng.next_below(PERTURBATION_CYCLES)
     }
 
     /// The shared completion-delivery pass: wakes processors whose misses
@@ -829,6 +831,8 @@ pub struct SystemEngine<P: ProtocolNode> {
     pending_misspec: Option<MisSpeculation>,
     protocol_error: Option<ProtocolError>,
     perturb_rng: DetRng,
+    /// DRAM access time of a memory data response, before perturbation.
+    dram_access_cycles: CycleDelta,
     metrics: RunMetrics,
     probe: EngineProbe,
     /// Most recent cycle at which the torus reported deadlock evidence
@@ -887,67 +891,66 @@ pub struct SystemEngine<P: ProtocolNode> {
 }
 
 impl<P: ProtocolNode> SystemEngine<P> {
-    /// Builds a machine around `protocol`: each node's processor and cache
-    /// controller (made by `new_cache`) from `spec`, with `torus` and the
-    /// protocol's own part `proto`, which become SafetyNet's initial
-    /// checkpoint. `perturb_seed` seeds the machine's perturbation stream.
+    /// Builds the machine `cfg` describes around `protocol`: each node's
+    /// processor and cache controller (made by `new_cache`), the torus of
+    /// [`SystemConfig::net_config`] and the protocol's own part `proto`,
+    /// which become SafetyNet's initial checkpoint. `perturb_seed` seeds
+    /// the machine's perturbation stream.
     pub(crate) fn assemble(
         protocol: P,
-        spec: &MachineSpec<'_>,
+        cfg: &SystemConfig,
         perturb_seed: u64,
         new_cache: fn(NodeId, ProtocolVariant, &MemorySystemConfig) -> P::Cache,
-        torus: Network<P::Msg>,
         proto: P::Arch,
     ) -> Self {
-        let n = spec.memory.num_nodes;
+        let n = cfg.memory.num_nodes;
         // One Zipf hot-block table shared by every node's generator (the
         // whole point of a hot set is that nodes contend on it).
-        let zipf_table = spec.traffic.zipf.map(|z| Arc::new(ZipfTable::new(z)));
+        let zipf_table = cfg.traffic.zipf.map(|z| Arc::new(ZipfTable::new(z)));
         let procs = (0..n)
             .map(|i| {
                 let node = NodeId::from(i);
-                let mut proc = match spec.replay_trace {
+                let mut proc = match &cfg.replay_trace {
                     Some(trace) => Processor::from_trace(node, Arc::clone(trace), 0),
                     None => {
                         let gen = WorkloadGenerator::shaped(
-                            spec.workload,
+                            cfg.workload,
                             node,
-                            spec.seed,
-                            spec.traffic,
+                            cfg.seed,
+                            cfg.traffic,
                             zipf_table.clone(),
                         );
                         Processor::new(node, gen, 0)
                     }
                 }
-                .with_max_outstanding(spec.memory.mshr_entries);
-                if spec.record_trace {
+                .with_max_outstanding(cfg.memory.mshr_entries);
+                if cfg.record_trace {
                     proc.enable_recording();
                 }
                 proc
             })
             .collect();
         let caches = (0..n)
-            .map(|i| Shared::new(new_cache(NodeId::from(i), spec.protocol, spec.memory)))
+            .map(|i| Shared::new(new_cache(NodeId::from(i), cfg.protocol, &cfg.memory)))
             .collect();
         let arch = ArchState {
             procs,
             caches,
-            torus,
+            torus: Network::new(cfg.net_config()),
             proto,
         };
-        let safetynet = SafetyNet::new(spec.memory.safetynet.clone(), n, arch.clone(), 0);
-        let inject_recovery_every = spec.inject_recovery_every;
-        let fault_plan = spec.fault_config.lower(spec.seed, n);
-        let routing = arch.torus.routing();
+        let safetynet = SafetyNet::new(cfg.memory.safetynet.clone(), n, arch.clone(), 0);
+        let inject_recovery_every = cfg.inject_recovery_every;
+        let fault_plan = cfg.fault_config.lower(cfg.seed, n);
         Self {
             protocol,
             now: 0,
             arch,
             safetynet,
-            fp_cfg: spec.forward_progress,
+            fp_cfg: cfg.forward_progress,
             fp_mode: EngineMode::Normal,
             fp_until: Cycle::MAX,
-            routing,
+            routing: cfg.routing,
             #[cfg(test)]
             dense_stall_retries: false,
             resume_at: 0,
@@ -956,6 +959,7 @@ impl<P: ProtocolNode> SystemEngine<P> {
             pending_misspec: None,
             protocol_error: None,
             perturb_rng: DetRng::new(perturb_seed).fork(),
+            dram_access_cycles: cfg.memory.dram_access_cycles,
             metrics: RunMetrics::default(),
             probe: EngineProbe::default(),
             fabric_deadlock_at: None,
@@ -967,7 +971,7 @@ impl<P: ProtocolNode> SystemEngine<P> {
             wake: WakeIndex::new(n),
             exchange: ExchangeIndex::new_full(n),
             timeline: ModeTimeline::new(),
-            telemetry: TelemetryRecorder::new(spec.telemetry),
+            telemetry: TelemetryRecorder::new(cfg.telemetry),
         }
     }
 
@@ -998,16 +1002,25 @@ impl<P: ProtocolNode> SystemEngine<P> {
             .map(|t| t.chrome_trace(&self.timeline, self.now))
     }
 
-    /// The protocol implementation (for its configuration accessors).
-    #[must_use]
-    pub fn protocol(&self) -> &P {
-        &self.protocol
-    }
-
     /// The architectural state (read-only; used by invariant checkers).
     #[must_use]
     pub fn arch(&self) -> &ArchState<P> {
         &self.arch
+    }
+
+    /// The trace recorded so far when the system was built with
+    /// [`SystemConfig::record_trace`]; `None` otherwise. Replaying the
+    /// returned trace (via [`SystemConfig::replay_trace`]) reproduces each
+    /// node's accepted-operation schedule exactly.
+    #[must_use]
+    pub fn recorded_trace(&self) -> Option<Trace> {
+        let nodes: Option<Vec<_>> = self
+            .arch
+            .procs
+            .iter()
+            .map(|p| p.recorded_events().map(<[_]>::to_vec))
+            .collect();
+        nodes.map(|nodes| Trace { nodes })
     }
 
     /// The checkpoint station, whose snapshots tests inspect.
@@ -1167,6 +1180,7 @@ impl<P: ProtocolNode> SystemEngine<P> {
                 pending_misspec: &mut self.pending_misspec,
                 protocol_error: &mut self.protocol_error,
                 perturb_rng: &mut self.perturb_rng,
+                dram_access_cycles: self.dram_access_cycles,
                 metrics: &mut self.metrics,
                 faults: self.fault_director.as_mut(),
                 wake: &mut self.wake,
@@ -1723,7 +1737,7 @@ mod tests {
     use super::*;
     use crate::config::SystemConfig;
     use crate::dirsys::DirectorySystem;
-    use crate::snoopsys::{SnoopSystemConfig, SnoopingSystem};
+    use crate::snoopsys::SnoopingSystem;
     use specsim_base::{
         FaultConfig, FaultEvent, FaultPlan, FaultSite, LinkBandwidth, ProtocolVariant,
         RoutingPolicy,
@@ -1741,8 +1755,8 @@ mod tests {
         cfg
     }
 
-    fn snoop_cfg() -> SnoopSystemConfig {
-        let mut cfg = SnoopSystemConfig::new(WorkloadKind::Apache, ProtocolVariant::Full, 11);
+    fn snoop_cfg() -> SystemConfig {
+        let mut cfg = SystemConfig::new(WorkloadKind::Apache, ProtocolVariant::Full, 11);
         cfg.memory.l1_bytes = 16 * 1024;
         cfg.memory.l2_bytes = 64 * 1024;
         cfg.memory.safetynet.checkpoint_interval_requests = 200;
@@ -2487,8 +2501,9 @@ mod tests {
         fn duplicate_an_owner<P: ProtocolNode>(sys: &mut SystemEngine<P>) {
             let caches = &mut sys.arch.caches;
             let owns = |c: &Shared<P::Cache>| {
-                let lines = c.hierarchy().resident_lines();
-                lines.iter().any(|(_, state, _)| state.is_owner())
+                c.hierarchy()
+                    .resident_lines()
+                    .any(|(_, state, _)| state.is_owner())
             };
             let owner = caches.iter().position(owns).expect("an owned block");
             let copy = caches[owner].clone();

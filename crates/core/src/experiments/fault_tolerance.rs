@@ -42,7 +42,6 @@ use crate::experiments::runner::{
 use crate::experiments::shared_buffer::Machine;
 use crate::experiments::sweep::{Cell, Column, Sweep, SweepConfig};
 use crate::metrics::RunMetrics;
-use crate::snoopsys::SnoopSystemConfig;
 
 /// What to sweep and how long/often to run each design point.
 #[derive(Debug, Clone, PartialEq)]
@@ -223,12 +222,8 @@ fn dir_config(cfg: &FaultToleranceConfig, kind: Option<FaultKind>, rate: u64) ->
     sys
 }
 
-fn snoop_config(
-    cfg: &FaultToleranceConfig,
-    kind: Option<FaultKind>,
-    rate: u64,
-) -> SnoopSystemConfig {
-    let mut sys = SnoopSystemConfig::new(cfg.workload, ProtocolVariant::Speculative, 7000);
+fn snoop_config(cfg: &FaultToleranceConfig, kind: Option<FaultKind>, rate: u64) -> SystemConfig {
+    let mut sys = SystemConfig::new(cfg.workload, ProtocolVariant::Speculative, 7000);
     sys.memory.num_nodes = cfg.num_nodes;
     sys.memory.link_bandwidth = cfg.bandwidth;
     sys.memory.mshr_entries = cfg.mshr_entries;

@@ -7,7 +7,7 @@ use specsim_coherence::types::ProtocolError;
 use crate::config::SystemConfig;
 use crate::dirsys::DirectorySystem;
 use crate::metrics::RunMetrics;
-use crate::snoopsys::{SnoopSystemConfig, SnoopingSystem};
+use crate::snoopsys::SnoopingSystem;
 
 /// How long and how many times to run each design point.
 ///
@@ -168,14 +168,12 @@ pub fn measure_directory(
 /// Runs the snooping system once per seed (sharded across worker threads)
 /// and returns the per-run metrics in seed order.
 pub fn measure_snooping(
-    cfg: &SnoopSystemConfig,
+    cfg: &SystemConfig,
     scale: ExperimentScale,
 ) -> Result<Vec<RunMetrics>, ProtocolError> {
     let seeds = scale.seed_list(cfg.seed);
     run_seeds_sharded(&seeds, |seed| {
-        let mut run_cfg = cfg.clone();
-        run_cfg.seed = seed;
-        let mut sys = SnoopingSystem::new(run_cfg);
+        let mut sys = SnoopingSystem::new(cfg.with_seed(seed));
         sys.run_for(scale.cycles)
     })
     .into_iter()

@@ -40,7 +40,6 @@ use crate::experiments::runner::{
     measure_directory, measure_snooping, throughput_measurement, ExperimentScale, Measurement,
 };
 use crate::experiments::sweep::{Cell, Column, Sweep, SweepConfig};
-use crate::snoopsys::SnoopSystemConfig;
 
 /// The pool sizes the full sweep visits (slots per node; for scale, the
 /// virtual-network baseline provisions 224 slots per node with static
@@ -282,8 +281,8 @@ fn pooled_config(
     sys
 }
 
-fn snoop_baseline_config(cfg: &SharedBufferConfig, workload: WorkloadKind) -> SnoopSystemConfig {
-    let mut sys = SnoopSystemConfig::new(workload, ProtocolVariant::Speculative, 6000);
+fn snoop_baseline_config(cfg: &SharedBufferConfig, workload: WorkloadKind) -> SystemConfig {
+    let mut sys = SystemConfig::new(workload, ProtocolVariant::Speculative, 6000);
     sys.memory.num_nodes = cfg.num_nodes;
     sys.memory.link_bandwidth = cfg.bandwidth;
     sys.memory.safetynet.checkpoint_interval_cycles = 5_000;
@@ -371,7 +370,7 @@ pub fn run(cfg: &SharedBufferConfig) -> Result<SharedBufferData, ProtocolError> 
             rows.push(row_from_runs(
                 Machine::Snooping,
                 workload,
-                base_cfg.data_net.routing,
+                base_cfg.routing,
                 None,
                 &base_runs,
                 baseline,
@@ -382,7 +381,7 @@ pub fn run(cfg: &SharedBufferConfig) -> Result<SharedBufferData, ProtocolError> 
                 rows.push(row_from_runs(
                     Machine::Snooping,
                     workload,
-                    pooled.data_net.routing,
+                    pooled.routing,
                     Some(PoolSlots::Unified(slots)),
                     &runs,
                     baseline,
@@ -510,11 +509,8 @@ mod tests {
         // runnable snooping configuration, not just wired plumbing.
         let pooled = snoop_baseline_config(&cfg, WorkloadKind::Oltp).with_pooled_data_torus(16);
         assert_eq!(pooled.validate(), Vec::<String>::new());
-        assert_eq!(
-            pooled.data_net.buffering.pool_slots(),
-            Some(PoolSlots::Unified(16))
-        );
-        assert_eq!(pooled.data_net.routing, RoutingPolicy::Adaptive);
+        assert_eq!(pooled.buffering.pool_slots(), Some(PoolSlots::Unified(16)));
+        assert_eq!(pooled.routing, RoutingPolicy::Adaptive);
         // A degenerate pool is rejected.
         let empty = snoop_baseline_config(&cfg, WorkloadKind::Oltp).with_pooled_data_torus(0);
         assert!(!empty.validate().is_empty());

@@ -3,7 +3,7 @@
 //! The paper's Fig. 5 studies link bandwidth (400 MB/s vs. 3.2 GB/s) on the
 //! directory machine; Table 2's snooping machine has the same link-bandwidth
 //! range on its *data* network, but the paper never sweeps it. With the data
-//! network modelled as a real torus ([`crate::SnoopSystemConfig::data_net`])
+//! network modelled as a real torus ([`crate::SystemConfig::net_config`])
 //! the axis opens on the snooping side too: this experiment runs the
 //! snooping system across data-network link bandwidths spanning
 //! 400 MB/s → 3.2 GB/s (under both routing policies, since the data network
@@ -25,11 +25,11 @@ use specsim_base::{CycleDelta, LinkBandwidth, ProtocolVariant, RoutingPolicy};
 use specsim_coherence::types::ProtocolError;
 use specsim_workloads::WorkloadKind;
 
+use crate::config::SystemConfig;
 use crate::experiments::runner::{
     measure_snooping, throughput_measurement, ExperimentScale, Measurement,
 };
 use crate::experiments::sweep::{Cell, Column, Sweep, SweepConfig};
-use crate::snoopsys::SnoopSystemConfig;
 
 /// The bandwidths the full sweep visits (the Table 2 range, doubling from
 /// 400 MB/s to 3.2 GB/s).
@@ -173,9 +173,9 @@ pub fn run(cfg: &SnoopBandwidthConfig) -> Result<SnoopBandwidthData, ProtocolErr
         for &bandwidth in &cfg.bandwidths {
             for &routing in &cfg.routings {
                 let mut sys_cfg =
-                    SnoopSystemConfig::new(cfg.workload, ProtocolVariant::Speculative, 4000)
+                    SystemConfig::new(cfg.workload, ProtocolVariant::Speculative, 4000)
                         .with_data_bandwidth(bandwidth);
-                sys_cfg.data_net.routing = routing;
+                sys_cfg.routing = routing;
                 sys_cfg.bus_arbitration_interval = bus_interval;
                 sys_cfg.memory.safetynet.checkpoint_interval_requests = 500;
                 let runs = measure_snooping(&sys_cfg, cfg.scale)?;

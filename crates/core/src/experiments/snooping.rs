@@ -20,10 +20,10 @@ use specsim_coherence::types::{CpuAccess, CpuRequest, MisSpecKind, ProtocolError
 use specsim_coherence::CacheController;
 use specsim_workloads::{WorkloadKind, ALL_WORKLOADS};
 
+use crate::config::SystemConfig;
 use crate::experiments::runner::{
     measure_snooping, throughput_measurement, ExperimentScale, Measurement,
 };
-use crate::snoopsys::SnoopSystemConfig;
 
 /// One workload's comparison of the full and speculative snooping protocols.
 #[derive(Debug, Clone)]
@@ -68,7 +68,7 @@ impl SnoopingComparison {
     ) -> Result<Self, ProtocolError> {
         let mut rows = Vec::new();
         for &workload in workloads {
-            let mut full_cfg = SnoopSystemConfig::new(workload, ProtocolVariant::Full, 5000);
+            let mut full_cfg = SystemConfig::new(workload, ProtocolVariant::Full, 5000);
             full_cfg.memory.safetynet.checkpoint_interval_requests = 500;
             let mut spec_cfg = full_cfg.clone();
             spec_cfg.protocol = ProtocolVariant::Speculative;

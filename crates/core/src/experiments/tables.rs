@@ -16,7 +16,6 @@ use crate::config::SystemConfig;
 use crate::engine::MeasuredCharacterization;
 use crate::experiments::runner::{measure_directory, measure_snooping, ExperimentScale};
 use crate::framework::SpeculativeDesign;
-use crate::snoopsys::SnoopSystemConfig;
 
 /// Measures the characterization numbers for Table 1's three designs.
 pub fn measure_table1(
@@ -48,7 +47,7 @@ pub fn measure_table1(
     ));
 
     // Design 2: speculative snooping protocol.
-    let mut snoop_cfg = SnoopSystemConfig::new(workload, ProtocolVariant::Speculative, 7200);
+    let mut snoop_cfg = SystemConfig::new(workload, ProtocolVariant::Speculative, 7200);
     snoop_cfg.memory.safetynet.checkpoint_interval_requests = 500;
     let snoop_runs = measure_snooping(&snoop_cfg, scale)?;
     out.push((

@@ -14,6 +14,12 @@
 //! * [`SnoopingSystem`] — the broadcast-snooping machine of Section 3.2
 //!   (totally ordered address network, MOSI snooping protocol, SafetyNet).
 //!
+//! One [`SystemConfig`] describes a run on either machine, as Table 2
+//! describes both in one parameter table: [`SystemConfig::new`] is the
+//! Table 2 machine (the snooping default), the directory presets derive
+//! from it, and its `routing` and `buffering` fields describe the torus on
+//! either machine (the snooping machine's data network).
+//!
 //! Both machines are one generic engine: they are the aliases
 //! `DirectorySystem = SystemEngine<DirProtocol>` and
 //! `SnoopingSystem = SystemEngine<SnoopProtocol>` of [`SystemEngine`], which
@@ -43,7 +49,7 @@ pub mod metrics;
 mod shared;
 pub mod snoopsys;
 
-pub use config::{ForwardProgressConfig, SystemConfig};
+pub use config::{ForwardProgressConfig, SnoopSystemConfig, SystemConfig};
 pub use dirsys::DirectorySystem;
 pub use engine::{
     ArchState, EngineCtx, EngineProbe, MeasuredCharacterization, ProtocolNode, StagedOutbox,
@@ -51,7 +57,7 @@ pub use engine::{
 };
 pub use framework::SpeculativeDesign;
 pub use metrics::{DataClass, RunMetrics, ALL_DATA_CLASSES};
-pub use snoopsys::{SnoopSystemConfig, SnoopingSystem};
+pub use snoopsys::SnoopingSystem;
 pub use specsim_base::{
     EngineMode, Log2Histogram, ModeTimeline, SpecEvent, TelemetryConfig, WindowSample,
 };

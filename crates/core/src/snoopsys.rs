@@ -7,11 +7,16 @@
 //! requests and is the protocol's logical time base, and a separate
 //! point-to-point **data network** — a full [`specsim_net::Network`] torus
 //! instance carrying owner→requestor and memory→requestor block transfers as
-//! routed, size-accounted packets. The data torus is configured through
-//! [`SnoopSystemConfig::data_net`] (link bandwidth, torus dims, routing
-//! policy), which opens the snooping side of the paper's bandwidth axis
-//! (Fig. 5 evaluates 400 MB/s and 3.2 GB/s links); the bus keeps total order
-//! for addresses only — the data network is unordered and may be adaptive.
+//! routed, size-accounted packets. Both machines are configured by one
+//! [`SystemConfig`]: the data torus is the torus of
+//! [`SystemConfig::net_config`] (link bandwidth and torus dims from the
+//! memory parameters, the `routing` and `buffering` fields as on the
+//! directory machine), which opens the snooping side of the paper's
+//! bandwidth axis (Fig. 5 evaluates 400 MB/s and 3.2 GB/s links); the bus
+//! keeps total order for addresses only — the data network is unordered and
+//! may be adaptive. [`SystemConfig::new`] is the snooping machine's Table 2
+//! default, and [`SystemConfig::bus_arbitration_interval`] the one field
+//! only this machine reads.
 //!
 //! The machine is the shared [`SystemEngine`], which owns each node's
 //! processor and cache controller and the data torus, driving
@@ -20,22 +25,16 @@
 //! controllers. [`SnoopingSystem`] names that pairing and adds the
 //! snooping-specific constructor and checks.
 
-use specsim_base::{
-    Cycle, CycleDelta, FaultConfig, LinkBandwidth, MemorySystemConfig, NodeId, ProtocolVariant,
-    RoutingPolicy,
-};
+use specsim_base::{Cycle, CycleDelta, NodeId};
 use specsim_coherence::snoop::msg::SnoopDataOut;
 use specsim_coherence::snoop::{
     SnoopCacheController, SnoopDataMsg, SnoopMemoryController, SnoopRequest,
 };
 
-use specsim_net::{
-    Buffering, ForwardProbe, NetConfig, Network, OrderedBus, PoolSlots, VirtualNetwork,
-};
+use specsim_net::{ForwardProbe, OrderedBus, VirtualNetwork};
 use specsim_safetynet::SafetyNet;
-use specsim_workloads::{TrafficConfig, WorkloadKind};
 
-use crate::config::{watchdog_threshold, ForwardProgressConfig, MachineSpec};
+use crate::config::SystemConfig;
 use crate::engine::{ArchState, EngineCtx, ProtocolNode, StagedOutbox, SystemEngine};
 use crate::metrics::{DataClass, RunMetrics, ALL_DATA_CLASSES};
 use crate::shared::Shared;
@@ -71,157 +70,6 @@ const DRAIN_BUDGET: usize = 4;
 /// request.
 const BUS_BROADCAST_LATENCY: CycleDelta = 64;
 
-/// Configuration of a snooping-system run.
-#[derive(Debug, Clone)]
-pub struct SnoopSystemConfig {
-    /// Memory-system parameters (Table 2 defaults).
-    pub memory: MemorySystemConfig,
-    /// Full (handles the corner case) or Speculative (detects it and
-    /// recovers).
-    pub protocol: ProtocolVariant,
-    /// Workload to run.
-    pub workload: WorkloadKind,
-    /// Top-level seed.
-    pub seed: u64,
-    /// Cycles between consecutive address-network grants (bus bandwidth).
-    pub bus_arbitration_interval: CycleDelta,
-    /// The point-to-point data-network fabric: a torus instance whose
-    /// routing policy and buffering are the snooping system's
-    /// data-network knobs. Its geometry (`num_nodes`, `torus_dims`) and link
-    /// timing (`link_bandwidth`, `switch_latency`) are always taken from
-    /// [`Self::memory`] (see [`Self::data_net_config`]); the default is a
-    /// worst-case-buffered static torus.
-    pub data_net: NetConfig,
-    /// Forward-progress measures (slow-start) after recoveries.
-    pub forward_progress: ForwardProgressConfig,
-    /// If set, inject a recovery every this many cycles (Figure 4 stress
-    /// test on the snooping system).
-    pub inject_recovery_every: Option<CycleDelta>,
-    /// Production-traffic shaping applied to every node's generator
-    /// (Zipfian hot blocks and/or bursty injection). The unshaped default
-    /// is bit-identical to the historical generators.
-    pub traffic: TrafficConfig,
-    /// Optional windowed telemetry sampling and speculation-lifecycle event
-    /// tracing. Disabled by default; purely observational — the simulated
-    /// schedule is byte-identical with it on or off.
-    pub telemetry: specsim_base::TelemetryConfig,
-    /// Transient-fault injection schedule for chaos campaigns, applied to
-    /// the point-to-point **data torus** only (the ordered address bus stays
-    /// ideal — it is the protocol's logical time base). Disabled by default;
-    /// a [`FaultConfig::Random`] is lowered from [`Self::seed`] so the same
-    /// configuration always replays bit-identically.
-    pub fault_config: FaultConfig,
-}
-
-impl SnoopSystemConfig {
-    /// A default snooping system running `workload` with the given protocol
-    /// variant.
-    #[must_use]
-    pub fn new(workload: WorkloadKind, protocol: ProtocolVariant, seed: u64) -> Self {
-        let memory = MemorySystemConfig::default();
-        let data_net = NetConfig::full_buffering(
-            memory.num_nodes,
-            memory.link_bandwidth,
-            RoutingPolicy::Static,
-        );
-        Self {
-            memory,
-            protocol,
-            workload,
-            seed,
-            bus_arbitration_interval: 8,
-            data_net,
-            forward_progress: ForwardProgressConfig::default(),
-            inject_recovery_every: None,
-            traffic: TrafficConfig::default(),
-            telemetry: specsim_base::TelemetryConfig::default(),
-            fault_config: FaultConfig::Disabled,
-        }
-    }
-
-    /// Returns a clone, under the signature the frozen benchmark harness
-    /// (`perfbench/`) still calls. It exists only for that harness: the
-    /// simulator has no worker threads, so `workers` must be `1`, and
-    /// nothing in this workspace may call it.
-    #[must_use]
-    pub fn with_workers_pinned(&self, workers: usize) -> Self {
-        assert_eq!(workers, 1, "a simulation runs on one thread");
-        self.clone()
-    }
-
-    /// Returns a copy whose data network runs at `bandwidth` (the snooping
-    /// half of the paper's 400 MB/s → 3.2 GB/s link-bandwidth axis). The
-    /// address bus has its own timing, so `memory.link_bandwidth` reaches
-    /// the data torus only.
-    #[must_use]
-    pub fn with_data_bandwidth(&self, bandwidth: LinkBandwidth) -> Self {
-        let mut c = self.clone();
-        c.memory.link_bandwidth = bandwidth;
-        c
-    }
-
-    /// The data-network configuration actually instantiated: a copy of
-    /// [`Self::data_net`] with the machine geometry (`num_nodes`,
-    /// `torus_dims`) and link timing (`link_bandwidth`, `switch_latency`)
-    /// taken from [`Self::memory`], so the two can never disagree, and the
-    /// watchdog threshold fitted to the checkpoint interval.
-    #[must_use]
-    pub fn data_net_config(&self) -> NetConfig {
-        let mut net = self.data_net.clone();
-        net.num_nodes = self.memory.num_nodes;
-        net.torus_dims = self.memory.torus_dims;
-        net.link_bandwidth = self.memory.link_bandwidth;
-        net.switch_latency = self.memory.switch_latency_cycles;
-        net.stall_threshold = watchdog_threshold(&net, &self.memory.safetynet);
-        net
-    }
-
-    /// Returns a copy whose data torus runs the Section 4 shared-pool
-    /// speculation: adaptive routing, one individually unbounded buffer per
-    /// port, each node bounded by one pool of `total_slots` slots shared by
-    /// owner transfers and writebacks. Buffer-dependency deadlock becomes
-    /// possible; detection (progress watchdog + transaction timeout) and
-    /// reserved-slot recovery are already wired into the snooping
-    /// [`ProtocolNode`], so this knob is all a sweep needs to turn.
-    #[must_use]
-    pub fn with_pooled_data_torus(&self, total_slots: usize) -> Self {
-        let mut c = self.clone();
-        c.data_net.routing = RoutingPolicy::Adaptive;
-        c.data_net.buffering = Buffering::SharedPool {
-            virtual_channels: false,
-            slots: PoolSlots::Unified(total_slots),
-        };
-        c
-    }
-
-    /// Sanity-checks the configuration: memory-system geometry, traffic
-    /// shaping, the data torus's buffer design and the fault campaign, with
-    /// the checks of [`crate::config::SystemConfig::validate`]. Returns
-    /// human-readable problems (empty when consistent).
-    #[must_use]
-    pub fn validate(&self) -> Vec<String> {
-        self.spec().problems(self.data_net.buffering)
-    }
-
-    /// The part of this configuration both machines share. The snooping
-    /// machine neither records nor replays traces.
-    fn spec(&self) -> MachineSpec<'_> {
-        MachineSpec {
-            memory: &self.memory,
-            protocol: self.protocol,
-            workload: self.workload,
-            seed: self.seed,
-            traffic: self.traffic,
-            forward_progress: self.forward_progress,
-            inject_recovery_every: self.inject_recovery_every,
-            fault_config: &self.fault_config,
-            telemetry: self.telemetry,
-            replay_trace: None,
-            record_trace: false,
-        }
-    }
-}
-
 /// The snooping protocol's own part of the checkpointed state: the
 /// ordered address bus, each node's home-memory controller and its
 /// staging outbox.
@@ -248,9 +96,7 @@ type Machine = ArchState<SnoopProtocol>;
 /// between the ordered address network, the data torus and the
 /// cache/home-memory controllers.
 #[derive(Debug)]
-pub struct SnoopProtocol {
-    cfg: SnoopSystemConfig,
-}
+pub struct SnoopProtocol;
 
 impl SnoopProtocol {
     fn pump_controllers(&mut self, arch: &mut Machine, now: Cycle, ctx: &mut EngineCtx<'_, Self>) {
@@ -313,8 +159,7 @@ impl SnoopProtocol {
                 let Some(out) = memories[i].pop() else {
                     break;
                 };
-                let delay = self.cfg.memory.dram_access_cycles + ctx.perturbation();
-                mem_outboxes[i].stage(now + delay, out);
+                mem_outboxes[i].stage(now + ctx.dram_response_latency(), out);
             }
             mem_outboxes[i].pump(now, |out| {
                 let vnet = data_vnet_of(data_class_of(&out.msg));
@@ -469,7 +314,7 @@ impl ProtocolNode for SnoopProtocol {
         // restored checkpoint's).
         let at_checkpoint = safetynet.latest_checkpoint().state.proto.bus.granted();
         arch.bus.granted().saturating_sub(at_checkpoint)
-            >= self.cfg.memory.safetynet.checkpoint_interval_requests
+            >= safetynet.config().checkpoint_interval_requests
     }
 
     fn next_checkpoint_at(&self, _safetynet: &SafetyNet<Machine>) -> Cycle {
@@ -507,7 +352,7 @@ const _: () = {
 impl SnoopingSystem {
     /// Builds the system described by `cfg`.
     #[must_use]
-    pub fn new(cfg: SnoopSystemConfig) -> Self {
+    pub fn new(cfg: SystemConfig) -> Self {
         let n = cfg.memory.num_nodes;
         let arch = SnoopArch {
             bus: OrderedBus::new(n, cfg.bus_arbitration_interval, BUS_BROADCAST_LATENCY),
@@ -517,19 +362,12 @@ impl SnoopingSystem {
             mem_outboxes: (0..n).map(|_| StagedOutbox::default()).collect(),
         };
         Self::assemble(
-            SnoopProtocol { cfg: cfg.clone() },
-            &cfg.spec(),
+            SnoopProtocol,
+            &cfg,
             cfg.seed ^ 0x534e_4f4f_5053, // "SNOOPS"
             SnoopCacheController::new,
-            Network::new(cfg.data_net_config()),
             arch,
         )
-    }
-
-    /// The configuration this system was built from.
-    #[must_use]
-    pub fn config(&self) -> &SnoopSystemConfig {
-        &self.protocol().cfg
     }
 
     /// The data torus's forward-phase work counters (switch visits) —
@@ -549,11 +387,12 @@ impl SnoopingSystem {
 mod tests {
     use super::*;
     use crate::engine::snapshot_probe;
+    use specsim_base::{FaultConfig, LinkBandwidth, ProtocolVariant, RoutingPolicy};
     use specsim_coherence::types::MisSpecKind;
-    use specsim_workloads::{BurstConfig, ZipfConfig};
+    use specsim_workloads::{BurstConfig, TrafficConfig, WorkloadKind, ZipfConfig};
 
-    fn small_config(protocol: ProtocolVariant) -> SnoopSystemConfig {
-        let mut cfg = SnoopSystemConfig::new(WorkloadKind::Apache, protocol, 11);
+    fn small_config(protocol: ProtocolVariant) -> SystemConfig {
+        let mut cfg = SystemConfig::new(WorkloadKind::Apache, protocol, 11);
         cfg.memory.l1_bytes = 16 * 1024;
         cfg.memory.l2_bytes = 64 * 1024;
         cfg.memory.safetynet.checkpoint_interval_requests = 200;
@@ -564,9 +403,8 @@ mod tests {
     /// 4 MSHRs and a 15k-cycle timeout, which fires on slow transactions
     /// and puts the machine in slow-start. A checkpoint every 4 ordered
     /// requests, with room for 16 outstanding, keeps each interval short.
-    fn hot_config(seed: u64) -> SnoopSystemConfig {
-        let mut cfg =
-            SnoopSystemConfig::new(WorkloadKind::Oltp, ProtocolVariant::Speculative, seed);
+    fn hot_config(seed: u64) -> SystemConfig {
+        let mut cfg = SystemConfig::new(WorkloadKind::Oltp, ProtocolVariant::Speculative, seed);
         cfg.traffic = TrafficConfig {
             zipf: Some(ZipfConfig {
                 hot_blocks: 128,
@@ -733,9 +571,8 @@ mod tests {
         let mut cfg = small_config(ProtocolVariant::Full);
         cfg.memory.num_nodes = 32;
         cfg.memory.torus_dims = Some((16, 2));
-        // Even though `data_net` was built for the 16-node default, the
-        // instantiated fabric follows the memory geometry.
-        let net = cfg.data_net_config();
+        // The instantiated fabric follows the memory geometry.
+        let net = cfg.net_config();
         assert_eq!(net.num_nodes, 32);
         assert_eq!(net.torus_dims, Some((16, 2)));
         let sys = SnoopingSystem::new(cfg);
@@ -747,7 +584,7 @@ mod tests {
         let mut cfg = small_config(ProtocolVariant::Full);
         cfg.memory.link_bandwidth = LinkBandwidth::MB_800;
         cfg.memory.switch_latency_cycles = 12;
-        let net = cfg.data_net_config();
+        let net = cfg.net_config();
         assert_eq!(net.link_bandwidth, LinkBandwidth::MB_800);
         assert_eq!(net.switch_latency, 12);
     }
@@ -756,7 +593,7 @@ mod tests {
     fn with_data_bandwidth_changes_only_the_data_fabric() {
         let cfg = small_config(ProtocolVariant::Full);
         let slow = cfg.with_data_bandwidth(LinkBandwidth::MB_400);
-        assert_eq!(slow.data_net_config().link_bandwidth, LinkBandwidth::MB_400);
+        assert_eq!(slow.net_config().link_bandwidth, LinkBandwidth::MB_400);
         assert_eq!(slow.memory.link_bandwidth, LinkBandwidth::MB_400);
         assert_eq!(slow.bus_arbitration_interval, cfg.bus_arbitration_interval);
     }
@@ -767,12 +604,12 @@ mod tests {
         // transaction timeout fires, whatever order the knobs are set in.
         let mut cfg = small_config(ProtocolVariant::Speculative).with_pooled_data_torus(16);
         cfg.memory.safetynet.checkpoint_interval_cycles = 2_000;
-        assert_eq!(cfg.data_net_config().stall_threshold, 2_000);
+        assert_eq!(cfg.net_config().stall_threshold, 2_000);
         // The unpooled data torus keeps the default threshold.
         let mut plain = small_config(ProtocolVariant::Speculative);
         plain.memory.safetynet.checkpoint_interval_cycles = 2_000;
         assert_eq!(
-            plain.data_net_config().stall_threshold,
+            plain.net_config().stall_threshold,
             specsim_net::config::DEFAULT_STALL_THRESHOLD
         );
     }
@@ -805,7 +642,7 @@ mod tests {
         // The data network is unordered, so adaptive routing is legal on it
         // (only the address bus carries the total order).
         let mut cfg = small_config(ProtocolVariant::Speculative);
-        cfg.data_net.routing = RoutingPolicy::Adaptive;
+        cfg.routing = RoutingPolicy::Adaptive;
         let mut sys = SnoopingSystem::new(cfg);
         let m = sys.run_for(30_000).expect("no protocol errors");
         assert!(m.ops_completed > 1_000);

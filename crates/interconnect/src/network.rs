@@ -51,7 +51,7 @@ use crate::config::{BufferLayout, NetConfig, PoolSlots};
 use crate::deadlock::ProgressWatchdog;
 use crate::ordering::OrderingTracker;
 use crate::packet::{Packet, PacketArena, PacketTaint, VirtualNetwork};
-use crate::pool::SlotPool;
+use crate::pool::{NodePools, SlotPool};
 use crate::routing::route_candidates;
 use crate::stats::NetStats;
 use crate::switch::{InTransit, SwitchSlab};
@@ -144,7 +144,7 @@ pub struct Network<P> {
     stats: NetStats,
     watchdog: ProgressWatchdog,
     /// Per-node shared slot pools ([`crate::Buffering::SharedPool`] only;
-    /// `None` otherwise). A node's pool covers its switch input-port
+    /// unpooled otherwise). A node's pool covers its switch input-port
     /// buffers (including the injection port) and its ejection queues: a slot
     /// is taken at injection or when a hop reserves downstream space, moves
     /// with the packet from node to node, and is freed when the endpoint
@@ -152,16 +152,11 @@ pub struct Network<P> {
     /// ([`crate::PoolSlots::Split`]), these pools cover only the switch side
     /// (input-port buffers and in-transit link reservations) and
     /// [`Network::endpoint_pools`] covers the ejection queues.
-    pools: Option<Vec<SlotPool>>,
-    /// Per-node endpoint slot pools, present only under a split budget: an
+    pools: NodePools,
+    /// Per-node endpoint slot pools, pooled only under a split budget: an
     /// ejecting packet trades its switch slot for an endpoint slot, so
     /// ejection back-pressure and switch congestion stop sharing one budget.
-    endpoint_pools: Option<Vec<SlotPool>>,
-    /// Number of pools currently at full occupancy (incremental mirror;
-    /// feeds the O(1) deadlock-evidence check [`Network::has_exhausted_pool`]).
-    full_pools: usize,
-    /// Number of endpoint pools at full occupancy (split budgets only).
-    full_endpoint_pools: usize,
+    endpoint_pools: NodePools,
     in_flight: usize,
     /// Worklist of switches holding a queued packet that could move this
     /// cycle. A switch that holds packets but is not on it is parked.
@@ -209,10 +204,9 @@ impl<P> Network<P> {
             None => Torus::new(cfg.num_nodes),
         };
         let layout = cfg.layout();
-        let pools_of = |slots: usize| Some(vec![SlotPool::new(slots); cfg.num_nodes]);
-        let (pools, endpoint_pools) = match cfg.buffering.pool_slots() {
-            Some(PoolSlots::Unified(slots)) => (pools_of(slots), None),
-            Some(PoolSlots::Split { switch, endpoint }) => (pools_of(switch), pools_of(endpoint)),
+        let (switch_slots, endpoint_slots) = match cfg.buffering.pool_slots() {
+            Some(PoolSlots::Unified(slots)) => (Some(slots), None),
+            Some(PoolSlots::Split { switch, endpoint }) => (Some(switch), Some(endpoint)),
             None => (None, None),
         };
         let slab = SwitchSlab::new(cfg.num_nodes, &layout);
@@ -241,10 +235,8 @@ impl<P> Network<P> {
             ordering: OrderingTracker::new(),
             stats: NetStats::new(num_links),
             watchdog: ProgressWatchdog::new(cfg.stall_threshold),
-            pools,
-            endpoint_pools,
-            full_pools: 0,
-            full_endpoint_pools: 0,
+            pools: NodePools::new(switch_slots, cfg.num_nodes),
+            endpoint_pools: NodePools::new(endpoint_slots, cfg.num_nodes),
             in_flight: 0,
             active: ActiveSet::new(cfg.num_nodes),
             wake_at: vec![0; cfg.num_nodes],
@@ -319,14 +311,14 @@ impl<P> Network<P> {
     /// possible).
     #[must_use]
     pub fn is_pooled(&self) -> bool {
-        self.pools.is_some()
+        self.pools.is_pooled()
     }
 
     /// True when this network splits its slot budget between switch-side
     /// and endpoint-side pools ([`crate::PoolSlots::Split`]).
     #[must_use]
     pub fn is_pool_split(&self) -> bool {
-        self.endpoint_pools.is_some()
+        self.endpoint_pools.is_pooled()
     }
 
     /// Installs a per-virtual-network reservation of `r` slots in every
@@ -335,20 +327,12 @@ impl<P> Network<P> {
     /// Under a split budget the reservation applies to both sides.
     /// Returns `false` (and does nothing) when the network is not pooled.
     pub fn set_pool_reservation(&mut self, r: usize) -> bool {
-        match &mut self.pools {
-            Some(pools) => {
-                for p in pools {
-                    p.set_reservation(r);
-                }
-                if let Some(pools) = &mut self.endpoint_pools {
-                    for p in pools {
-                        p.set_reservation(r);
-                    }
-                }
-                true
-            }
-            None => false,
+        if !self.pools.is_pooled() {
+            return false;
         }
+        self.pools.set_reservation(r);
+        self.endpoint_pools.set_reservation(r);
+        true
     }
 
     /// The per-virtual-network reservation [`Network::set_pool_reservation`]
@@ -356,95 +340,37 @@ impl<P> Network<P> {
     /// too small to reserve a slot for every virtual network.
     #[must_use]
     pub fn reservation_for(&self, r: usize) -> usize {
-        self.pools.as_ref().map_or(0, |p| p[0].reservation_for(r))
+        self.pools.first().map_or(0, |p| p.reservation_for(r))
     }
 
     /// The per-virtual-network reservation currently in force (`None` when
     /// the network is not pooled).
     #[must_use]
     pub fn pool_reservation(&self) -> Option<usize> {
-        self.pools.as_ref().map(|p| p[0].reservation())
+        self.pools.first().map(SlotPool::reservation)
     }
 
     /// Per-node pool occupancy (held slots) of the switch-side pools, for
     /// diagnostics and tests. Empty when the network is not pooled.
     #[must_use]
     pub fn pool_occupancy_snapshot(&self) -> Vec<usize> {
-        self.pools
-            .as_ref()
-            .map(|pools| pools.iter().map(SlotPool::occupancy).collect())
-            .unwrap_or_default()
+        self.pools.occupancy()
     }
 
     /// Per-node endpoint pool occupancy under a split budget. Empty when
     /// the budget is unified (or the network is unpooled).
     #[must_use]
     pub fn endpoint_pool_occupancy_snapshot(&self) -> Vec<usize> {
-        self.endpoint_pools
-            .as_ref()
-            .map(|pools| pools.iter().map(SlotPool::occupancy).collect())
-            .unwrap_or_default()
-    }
-
-    fn pool_can(&self, node: usize, vnet: VirtualNetwork) -> bool {
-        self.pools
-            .as_ref()
-            .map_or(true, |p| p[node].can_acquire(vnet.index()))
-    }
-
-    fn pool_acquire(&mut self, node: usize, vnet: VirtualNetwork) {
-        if let Some(pools) = &mut self.pools {
-            pools[node].acquire(vnet.index());
-            if pools[node].occupancy() == pools[node].total() {
-                self.full_pools += 1;
-            }
-        }
-    }
-
-    fn pool_release(&mut self, node: usize, vnet: VirtualNetwork) {
-        if let Some(pools) = &mut self.pools {
-            if pools[node].occupancy() == pools[node].total() {
-                self.full_pools -= 1;
-            }
-            pools[node].release(vnet.index());
-        }
-    }
-
-    /// True when an ejection at `node` can take the slot it needs: under a
-    /// split budget an ejecting packet trades its switch slot for an
-    /// endpoint slot, so the endpoint pool must have room; under a unified
-    /// budget the packet keeps the slot it already holds.
-    fn endpoint_can(&self, node: usize, vnet: VirtualNetwork) -> bool {
-        self.endpoint_pools
-            .as_ref()
-            .map_or(true, |p| p[node].can_acquire(vnet.index()))
-    }
-
-    fn endpoint_acquire(&mut self, node: usize, vnet: VirtualNetwork) {
-        if let Some(pools) = &mut self.endpoint_pools {
-            pools[node].acquire(vnet.index());
-            if pools[node].occupancy() == pools[node].total() {
-                self.full_endpoint_pools += 1;
-            }
-        }
-    }
-
-    fn endpoint_release(&mut self, node: usize, vnet: VirtualNetwork) {
-        if let Some(pools) = &mut self.endpoint_pools {
-            if pools[node].occupancy() == pools[node].total() {
-                self.full_endpoint_pools -= 1;
-            }
-            pools[node].release(vnet.index());
-        }
+        self.endpoint_pools.occupancy()
     }
 
     /// Frees the slot held by a packet leaving an ejection queue: the
     /// endpoint pool under a split budget, the unified pool otherwise.
     fn release_ejected_slot(&mut self, node: usize, vnet: VirtualNetwork) {
-        if self.endpoint_pools.is_some() {
-            self.endpoint_release(node, vnet);
+        if self.endpoint_pools.is_pooled() {
+            self.endpoint_pools.release(node, vnet);
         } else {
-            self.pool_release(node, vnet);
+            self.pools.release(node, vnet);
         }
     }
 
@@ -454,7 +380,7 @@ impl<P> Network<P> {
     /// rather than plain latency. Always `false` for unpooled networks.
     #[must_use]
     pub fn has_exhausted_pool(&self) -> bool {
-        self.full_pools > 0 || self.full_endpoint_pools > 0
+        self.pools.any_full() || self.endpoint_pools.any_full()
     }
 
     /// True when a packet of class `vnet` can be injected at `src` this
@@ -463,7 +389,7 @@ impl<P> Network<P> {
     pub fn can_inject(&self, src: NodeId, vnet: VirtualNetwork) -> bool {
         let b = self.layout.injection_buffer_index(vnet);
         let s = self.slab.slot(src.index(), Direction::Local.index(), b);
-        self.slab.has_space(s) && self.pool_can(src.index(), vnet)
+        self.slab.has_space(s) && self.pools.can_acquire(src.index(), vnet)
     }
 
     /// Injects a packet. On success the packet is stamped with a sequence
@@ -502,7 +428,7 @@ impl<P> Network<P> {
             .unwrap_or_else(|()| panic!("injection space was checked"));
         self.slab.queued[SwitchSlab::port(i, Direction::Local.index())] += 1;
         self.slab.queued_total[i] += 1;
-        self.pool_acquire(i, vnet);
+        self.pools.acquire(i, vnet);
         self.active.insert(i);
         self.stats.injected += 1;
         self.in_flight += 1;
@@ -566,7 +492,7 @@ impl<P> Network<P> {
     pub fn next_event_at(&self, now: Cycle, limit: Cycle) -> Cycle {
         let busy = !self.active.is_empty()
             || !self.eject_active.is_empty()
-            || (self.pools.is_some() && (self.in_flight > 0 || self.has_exhausted_pool()));
+            || (self.pools.is_pooled() && (self.in_flight > 0 || self.has_exhausted_pool()));
         if busy {
             return limit.min(now + 1);
         }
@@ -745,7 +671,7 @@ impl<P> Network<P> {
                     // message simply ceases to exist.
                     self.slab.release_reservation(ts);
                     let vnet = self.arena.take(id).vnet;
-                    self.pool_release(j, vnet);
+                    self.pools.release(j, vnet);
                     self.in_flight = self.in_flight.saturating_sub(1);
                     self.watchdog.record_progress(now);
                     continue;
@@ -933,7 +859,7 @@ impl<P> Network<P> {
             // slot away); under a unified budget it keeps the slot it holds.
             if pkt.dst == node {
                 let q = self.layout.ejection_index(pkt.vnet);
-                if !self.eject[i][q].is_full() && self.endpoint_can(i, pkt.vnet) {
+                if !self.eject[i][q].is_full() && self.endpoint_pools.can_acquire(i, pkt.vnet) {
                     return Some(MoveDecision {
                         buffer: b,
                         action: MoveAction::Eject { queue: q },
@@ -962,7 +888,7 @@ impl<P> Network<P> {
                     use_adaptive,
                 );
                 let target_slot = self.slab.slot(j, opp, tb);
-                if self.slab.has_space(target_slot) && self.pool_can(j, pkt.vnet) {
+                if self.slab.has_space(target_slot) && self.pools.can_acquire(j, pkt.vnet) {
                     Some(MoveDecision {
                         buffer: b,
                         action: MoveAction::Forward {
@@ -1026,7 +952,7 @@ impl<P> Network<P> {
                     // before it reaches the endpoint. Its slot is freed from
                     // the switch pool (it never takes an endpoint slot).
                     let vnet = self.arena.take(id).vnet;
-                    self.pool_release(i, vnet);
+                    self.pools.release(i, vnet);
                     self.in_flight = self.in_flight.saturating_sub(1);
                     self.watchdog.record_progress(now);
                 } else {
@@ -1034,11 +960,11 @@ impl<P> Network<P> {
                         let pkt = self.arena.get(id);
                         (pkt.src, pkt.dst, pkt.vnet, pkt.seq, pkt.injected_at)
                     };
-                    if self.endpoint_pools.is_some() {
+                    if self.endpoint_pools.is_pooled() {
                         // Split budget: trade the switch slot for the
                         // endpoint slot the planning pass checked.
-                        self.pool_release(i, vnet);
-                        self.endpoint_acquire(i, vnet);
+                        self.pools.release(i, vnet);
+                        self.endpoint_pools.acquire(i, vnet);
                     }
                     let latency = now.saturating_sub(injected_at);
                     self.ordering.observe_delivery(src, dst, vnet, seq);
@@ -1069,7 +995,7 @@ impl<P> Network<P> {
                     // The message vanishes on the link: free this node's
                     // slot and never touch the downstream side.
                     self.arena.take(id);
-                    self.pool_release(i, vnet);
+                    self.pools.release(i, vnet);
                     self.in_flight = self.in_flight.saturating_sub(1);
                     self.watchdog.record_progress(now);
                 } else {
@@ -1086,8 +1012,8 @@ impl<P> Network<P> {
                     // the planning pass checked. A delay fault holds the link
                     // (and everything serialized behind it) for the extra
                     // cycles, so per-link arrivals stay in FIFO order.
-                    self.pool_release(i, vnet);
-                    self.pool_acquire(j, vnet);
+                    self.pools.release(i, vnet);
+                    self.pools.acquire(j, vnet);
                     let arrival = now + serialization + self.cfg.switch_latency + delay;
                     let l = SwitchSlab::link(i, dir.index());
                     self.slab.busy_until[l] = now + serialization + delay;
@@ -1107,11 +1033,11 @@ impl<P> Network<P> {
                         // link and consumes real downstream resources — if
                         // the buffer and pool can cover a second packet; an
                         // exhausted target quietly absorbs the fault.
-                        if self.slab.has_space(target_slot) && self.pool_can(j, vnet) {
+                        if self.slab.has_space(target_slot) && self.pools.can_acquire(j, vnet) {
                             let mut d = self.arena.get(id).clone();
                             d.taint = PacketTaint::Duplicate;
                             let dup_id = self.arena.alloc(d);
-                            self.pool_acquire(j, vnet);
+                            self.pools.acquire(j, vnet);
                             let dup_arrival = arrival + serialization;
                             self.slab.busy_until[l] = now + 2 * serialization;
                             self.stats.link_busy_cycles += serialization;
@@ -1213,7 +1139,9 @@ impl<P> Network<P> {
     #[cfg(test)]
     fn assert_pool_invariants(&self) {
         use crate::switch::PORTS_PER_SWITCH;
-        let Some(pools) = &self.pools else { return };
+        if !self.pools.is_pooled() {
+            return;
+        }
         let n = self.slab.num_nodes();
         let mut switch_side = vec![[0usize; 4]; n];
         let mut eject_side = vec![[0usize; 4]; n];
@@ -1241,7 +1169,7 @@ impl<P> Network<P> {
                 }
             }
         }
-        let expected_switch: Vec<[usize; 4]> = if self.endpoint_pools.is_some() {
+        let expected_switch: Vec<[usize; 4]> = if self.endpoint_pools.is_pooled() {
             switch_side
         } else {
             // Unified budget: one pool covers both sides.
@@ -1251,36 +1179,8 @@ impl<P> Network<P> {
                 .map(|(s, e)| std::array::from_fn(|v| s[v] + e[v]))
                 .collect()
         };
-        for (i, pool) in pools.iter().enumerate() {
-            for (v, &count) in expected_switch[i].iter().enumerate() {
-                assert_eq!(
-                    pool.in_use(v),
-                    count,
-                    "pool slot count at node {i}, class {v}"
-                );
-            }
-        }
-        let full_scan = pools.iter().filter(|p| p.occupancy() == p.total()).count();
-        assert_eq!(self.full_pools, full_scan, "full-pool counter");
-        if let Some(endpoint) = &self.endpoint_pools {
-            for (i, pool) in endpoint.iter().enumerate() {
-                for (v, &count) in eject_side[i].iter().enumerate() {
-                    assert_eq!(
-                        pool.in_use(v),
-                        count,
-                        "endpoint pool slot count at node {i}, class {v}"
-                    );
-                }
-            }
-            let full_scan = endpoint
-                .iter()
-                .filter(|p| p.occupancy() == p.total())
-                .count();
-            assert_eq!(
-                self.full_endpoint_pools, full_scan,
-                "full-endpoint-pool counter"
-            );
-        }
+        self.pools.assert_holds(&expected_switch, "switch");
+        self.endpoint_pools.assert_holds(&eject_side, "endpoint");
     }
 }
 

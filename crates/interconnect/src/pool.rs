@@ -14,6 +14,8 @@
 //! recipe — so re-execution cannot immediately re-create the same cycle;
 //! the reservation is lifted once the window expires.
 
+use crate::packet::VirtualNetwork;
+
 /// Number of virtual networks (message classes) the pool accounts for.
 const NUM_VNETS: usize = 4;
 
@@ -120,6 +122,106 @@ impl SlotPool {
     #[must_use]
     pub fn reservation_for(&self, r: usize) -> usize {
         r.min(self.total / NUM_VNETS)
+    }
+}
+
+/// One side of a network's slot budget (the switch side, or the endpoint
+/// side of a split budget): every node's [`SlotPool`], or none when that
+/// side is not pooled, in which case it never refuses a slot. It counts the
+/// pools at full occupancy as they fill and drain, so exhaustion evidence
+/// is an O(1) read.
+#[derive(Debug, Clone)]
+pub(crate) struct NodePools {
+    pools: Vec<SlotPool>,
+    full: usize,
+}
+
+impl NodePools {
+    /// `num_nodes` pools of `slots` slots each; `None` pools nothing.
+    pub(crate) fn new(slots: Option<usize>, num_nodes: usize) -> Self {
+        Self {
+            pools: slots.map_or_else(Vec::new, |s| vec![SlotPool::new(s); num_nodes]),
+            full: 0,
+        }
+    }
+
+    /// True when this side holds pools.
+    pub(crate) fn is_pooled(&self) -> bool {
+        !self.pools.is_empty()
+    }
+
+    /// True when `node` may take a slot for `vnet` (always, when unpooled).
+    pub(crate) fn can_acquire(&self, node: usize, vnet: VirtualNetwork) -> bool {
+        self.pools.is_empty() || self.pools[node].can_acquire(vnet.index())
+    }
+
+    /// Takes a slot for `vnet` at `node` (nothing, when unpooled).
+    pub(crate) fn acquire(&mut self, node: usize, vnet: VirtualNetwork) {
+        if self.pools.is_empty() {
+            return;
+        }
+        let pool = &mut self.pools[node];
+        pool.acquire(vnet.index());
+        if pool.occupancy() == pool.total() {
+            self.full += 1;
+        }
+    }
+
+    /// Returns `vnet`'s slot at `node` (nothing, when unpooled).
+    pub(crate) fn release(&mut self, node: usize, vnet: VirtualNetwork) {
+        if self.pools.is_empty() {
+            return;
+        }
+        let pool = &mut self.pools[node];
+        if pool.occupancy() == pool.total() {
+            self.full -= 1;
+        }
+        pool.release(vnet.index());
+    }
+
+    /// True when at least one node's pool is at full occupancy.
+    pub(crate) fn any_full(&self) -> bool {
+        self.full > 0
+    }
+
+    /// Installs a reservation of `r` slots per network in every pool.
+    pub(crate) fn set_reservation(&mut self, r: usize) {
+        for pool in &mut self.pools {
+            pool.set_reservation(r);
+        }
+    }
+
+    /// Node 0's pool, which is sized like every other (`None` when
+    /// unpooled).
+    pub(crate) fn first(&self) -> Option<&SlotPool> {
+        self.pools.first()
+    }
+
+    /// Held slots per node (empty when unpooled).
+    pub(crate) fn occupancy(&self) -> Vec<usize> {
+        self.pools.iter().map(SlotPool::occupancy).collect()
+    }
+
+    /// Asserts that every node's pool holds `expected[node][class]` slots
+    /// per class and that the full-pool count matches a scan. `side` names
+    /// this side in the failure message.
+    #[cfg(test)]
+    pub(crate) fn assert_holds(&self, expected: &[[usize; NUM_VNETS]], side: &str) {
+        for (i, (pool, counts)) in self.pools.iter().zip(expected).enumerate() {
+            for (v, &count) in counts.iter().enumerate() {
+                assert_eq!(
+                    pool.in_use(v),
+                    count,
+                    "{side} pool slot count at node {i}, class {v}"
+                );
+            }
+        }
+        let full_scan = self
+            .pools
+            .iter()
+            .filter(|p| p.occupancy() == p.total())
+            .count();
+        assert_eq!(self.full, full_scan, "{side} full-pool counter");
     }
 }
 

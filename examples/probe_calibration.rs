@@ -3,7 +3,7 @@
 //! simulator's operating points (and to size test thresholds); not part of
 //! the paper's evaluation.
 
-use specsim::{DirectorySystem, SnoopSystemConfig, SnoopingSystem, SystemConfig};
+use specsim::{DirectorySystem, SnoopingSystem, SystemConfig};
 use specsim_base::{LinkBandwidth, ProtocolVariant, RoutingPolicy};
 use specsim_workloads::WorkloadKind;
 
@@ -33,7 +33,7 @@ fn main() {
         );
     }
     for (label, l2) in [("64KB L2", 64 * 1024usize), ("256KB L2", 256 * 1024)] {
-        let mut cfg = SnoopSystemConfig::new(WorkloadKind::Apache, ProtocolVariant::Full, 11);
+        let mut cfg = SystemConfig::new(WorkloadKind::Apache, ProtocolVariant::Full, 11);
         cfg.memory.l1_bytes = 16 * 1024;
         cfg.memory.l2_bytes = l2;
         cfg.memory.safetynet.checkpoint_interval_requests = 200;

@@ -13,7 +13,7 @@
 //! reproduces the run exactly, byte for byte.
 
 use specsim::experiments::heavy_traffic::heavy_traffic;
-use specsim::{DirectorySystem, RunMetrics, SnoopSystemConfig, SnoopingSystem, SystemConfig};
+use specsim::{DirectorySystem, RunMetrics, SnoopingSystem, SystemConfig};
 use specsim_base::{
     FaultConfig, FaultEvent, FaultKind, FaultPlan, FaultSite, LinkBandwidth, ProtocolVariant,
     ALL_FAULT_KINDS,
@@ -160,8 +160,7 @@ fn random_campaigns_on_both_machines_recover_every_detected_fault() {
         dir_detected += m.faults_detected();
         sys.verify_coherence().unwrap();
 
-        let mut cfg =
-            SnoopSystemConfig::new(WorkloadKind::Oltp, ProtocolVariant::Speculative, seed);
+        let mut cfg = SystemConfig::new(WorkloadKind::Oltp, ProtocolVariant::Speculative, seed);
         cfg.memory.num_nodes = 8;
         cfg.memory.safetynet.checkpoint_interval_cycles = 5_000;
         cfg.fault_config = campaign.clone();

@@ -3,7 +3,7 @@
 //! behaviour, forward progress under speculation).
 
 use specsim::experiments::ExperimentScale;
-use specsim::{DirectorySystem, SnoopSystemConfig, SnoopingSystem, SystemConfig};
+use specsim::{DirectorySystem, SnoopingSystem, SystemConfig};
 use specsim_base::{LinkBandwidth, ProtocolVariant, RoutingPolicy};
 use specsim_coherence::MisSpecKind;
 use specsim_workloads::{WorkloadKind, ALL_WORKLOADS};
@@ -97,7 +97,7 @@ fn injected_recoveries_do_not_break_coherence_or_forward_progress() {
 #[test]
 fn snooping_system_runs_all_workloads_without_corner_case_recoveries() {
     for workload in ALL_WORKLOADS {
-        let mut cfg = SnoopSystemConfig::new(workload, ProtocolVariant::Speculative, 13);
+        let mut cfg = SystemConfig::new(workload, ProtocolVariant::Speculative, 13);
         cfg.memory.l1_bytes = 32 * 1024;
         cfg.memory.l2_bytes = 256 * 1024;
         cfg.memory.safetynet.checkpoint_interval_requests = 300;
@@ -127,7 +127,7 @@ fn snooping_data_network_bandwidth_separates_miss_latency_end_to_end() {
     // improve throughput relative to 3.2 GB/s links, across workloads.
     for workload in [WorkloadKind::Oltp, WorkloadKind::Jbb] {
         let run = |bw: LinkBandwidth| {
-            let mut cfg = SnoopSystemConfig::new(workload, ProtocolVariant::Speculative, 17)
+            let mut cfg = SystemConfig::new(workload, ProtocolVariant::Speculative, 17)
                 .with_data_bandwidth(bw);
             cfg.memory.l1_bytes = 32 * 1024;
             cfg.memory.l2_bytes = 256 * 1024;
@@ -238,7 +238,7 @@ fn snooping_data_torus_reports_per_class_stats() {
     // tagged as distinct data-network classes with separate delivered/latency
     // accounting, and the class totals add up to the fabric total.
     // The small L2 forces dirty evictions, so both classes carry traffic.
-    let mut cfg = SnoopSystemConfig::new(WorkloadKind::Oltp, ProtocolVariant::Full, 17);
+    let mut cfg = SystemConfig::new(WorkloadKind::Oltp, ProtocolVariant::Full, 17);
     cfg.memory.l1_bytes = 8 * 1024;
     cfg.memory.l2_bytes = 16 * 1024;
     cfg.memory.safetynet.checkpoint_interval_requests = 300;

@@ -26,8 +26,7 @@ use std::sync::Arc;
 
 use specsim::experiments::heavy_traffic::heavy_traffic;
 use specsim::{
-    DirectorySystem, ProtocolNode, RunMetrics, SnoopSystemConfig, SnoopingSystem, SystemConfig,
-    SystemEngine,
+    DirectorySystem, ProtocolNode, RunMetrics, SnoopingSystem, SystemConfig, SystemEngine,
 };
 use specsim_base::{DetRng, LinkBandwidth, MessageSize, NodeId, ProtocolVariant, RoutingPolicy};
 use specsim_net::{
@@ -330,7 +329,7 @@ fn directory_speculative_adaptive_with_recoveries_matches_golden() {
 
 #[test]
 fn snooping_speculative_metrics_match_golden() {
-    let mut cfg = SnoopSystemConfig::new(WorkloadKind::Apache, ProtocolVariant::Speculative, 11);
+    let mut cfg = SystemConfig::new(WorkloadKind::Apache, ProtocolVariant::Speculative, 11);
     cfg.memory.l1_bytes = 16 * 1024;
     cfg.memory.l2_bytes = 64 * 1024;
     cfg.memory.safetynet.checkpoint_interval_requests = 200;
@@ -354,9 +353,9 @@ fn snooping_with_slow_adaptive_data_torus_matches_golden() {
     // digest with the per-fabric data-network stats so a schedule change in
     // the data torus (routing, serialization, per-fabric accounting) cannot
     // slip through.
-    let mut cfg = SnoopSystemConfig::new(WorkloadKind::Apache, ProtocolVariant::Speculative, 11)
+    let mut cfg = SystemConfig::new(WorkloadKind::Apache, ProtocolVariant::Speculative, 11)
         .with_data_bandwidth(LinkBandwidth::MB_400);
-    cfg.data_net.routing = RoutingPolicy::Adaptive;
+    cfg.routing = RoutingPolicy::Adaptive;
     cfg.memory.l1_bytes = 16 * 1024;
     cfg.memory.l2_bytes = 64 * 1024;
     cfg.memory.safetynet.checkpoint_interval_requests = 200;
@@ -545,6 +544,32 @@ fn recorded_trace_replays_bit_identically() {
     );
 }
 
+#[test]
+fn snooping_recorded_trace_replays_bit_identically() {
+    // The same record → text → replay round trip on the 16-node snooping
+    // machine under heavy traffic with 4 MSHRs.
+    let mut cfg = SystemConfig::new(WorkloadKind::Oltp, ProtocolVariant::Speculative, 7);
+    cfg.traffic = heavy_traffic();
+    cfg.memory.mshr_entries = 4;
+    cfg.record_trace = true;
+    let mut recorder = SnoopingSystem::new(cfg.clone());
+    let recorded = recorder.run_for(40_000).expect("no protocol errors");
+    assert!(recorded.ops_completed > 1_000);
+    let trace = recorder.recorded_trace().expect("recording was enabled");
+
+    let parsed = Trace::from_text(&trace.to_text()).expect("the v1 text format round-trips");
+    cfg.record_trace = false;
+    cfg.replay_trace = Some(Arc::new(parsed));
+    let mut replayer = SnoopingSystem::new(cfg);
+    let replayed = replayer.run_for(40_000).expect("no protocol errors");
+
+    assert_eq!(
+        metrics_digest(&recorded),
+        metrics_digest(&replayed),
+        "replaying a recorded snooping trace diverged from the generator-driven run"
+    );
+}
+
 /// The 256-node machine the at-scale goldens run: a 16×16 speculative torus
 /// with non-blocking processors under the canonical heavy traffic shape, so
 /// the wake index, the eject worklists and the timeout-scan memoization
@@ -707,7 +732,7 @@ fn snooping_hot_run_with_parking_matches_golden() {
     // The same heavy traffic on the 16-node snooping machine with 4 MSHRs:
     // stalled processors park until a snoop or a data message reaches
     // their own cache controller.
-    let mut cfg = SnoopSystemConfig::new(WorkloadKind::Oltp, ProtocolVariant::Speculative, 7);
+    let mut cfg = SystemConfig::new(WorkloadKind::Oltp, ProtocolVariant::Speculative, 7);
     cfg.traffic = heavy_traffic();
     cfg.memory.mshr_entries = 4;
     let mut sys = SnoopingSystem::new(cfg);
@@ -787,7 +812,7 @@ fn directory_split_pool_matches_golden() {
 #[test]
 fn snooping_pooled_data_torus_matches_golden() {
     // One pooled buffer per port on the 400 MB/s snooping data torus.
-    let mut cfg = SnoopSystemConfig::new(WorkloadKind::Oltp, ProtocolVariant::Speculative, 6000)
+    let mut cfg = SystemConfig::new(WorkloadKind::Oltp, ProtocolVariant::Speculative, 6000)
         .with_data_bandwidth(LinkBandwidth::MB_400);
     cfg.memory.safetynet.checkpoint_interval_cycles = 5_000;
     cfg.memory.mshr_entries = 4;
@@ -984,7 +1009,7 @@ fn run_for_matches_a_step_loop_with_telemetry_on() {
 fn run_for_matches_a_step_loop_on_snooping_slow_start() {
     // A 3000-cycle transaction timeout fires on slow 400 MB/s transfers,
     // so the run rolls back and re-executes under slow-start several times.
-    let mut cfg = SnoopSystemConfig::new(WorkloadKind::Oltp, ProtocolVariant::Speculative, 7)
+    let mut cfg = SystemConfig::new(WorkloadKind::Oltp, ProtocolVariant::Speculative, 7)
         .with_data_bandwidth(LinkBandwidth::MB_400);
     cfg.traffic = heavy_traffic();
     cfg.memory.mshr_entries = 4;

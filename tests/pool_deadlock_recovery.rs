@@ -14,7 +14,7 @@
 //! dependency cycle forms from real protocol traffic.
 
 use specsim::experiments::heavy_traffic::heavy_traffic;
-use specsim::{DirectorySystem, EngineMode, SnoopSystemConfig, SnoopingSystem, SystemConfig};
+use specsim::{DirectorySystem, EngineMode, SnoopingSystem, SystemConfig};
 use specsim_base::{LinkBandwidth, ProtocolVariant};
 use specsim_coherence::MisSpecKind;
 use specsim_net::{Buffering, PoolSlots};
@@ -124,7 +124,7 @@ fn sixteen_slot_pool_rides_out_the_same_traffic_without_pool_deadlock() {
 fn heavy_traffic_deadlocks_the_8_slot_snooping_data_torus_and_recovery_restores_coherence() {
     // The 8-slot pooled snooping row of the shared-buffer sweep (heavy
     // OLTP, 4 MSHRs, 5k-cycle timeout intervals), at its third seed.
-    let mut cfg = SnoopSystemConfig::new(WorkloadKind::Oltp, ProtocolVariant::Speculative, 6003);
+    let mut cfg = SystemConfig::new(WorkloadKind::Oltp, ProtocolVariant::Speculative, 6003);
     cfg.memory.link_bandwidth = LinkBandwidth::MB_400;
     cfg.memory.safetynet.checkpoint_interval_cycles = 5_000;
     cfg.memory.mshr_entries = 4;

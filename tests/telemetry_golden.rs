@@ -9,7 +9,7 @@
 //! pinned constants after an intentional change.
 
 use specsim::experiments::heavy_traffic::heavy_traffic;
-use specsim::{DirectorySystem, SnoopSystemConfig, SnoopingSystem, SystemConfig, TelemetryConfig};
+use specsim::{DirectorySystem, SnoopingSystem, SystemConfig, TelemetryConfig};
 use specsim_base::{FaultConfig, LinkBandwidth, ProtocolVariant, ALL_FAULT_KINDS};
 use specsim_workloads::WorkloadKind;
 
@@ -46,11 +46,11 @@ fn dir_cfg() -> SystemConfig {
     cfg
 }
 
-fn snoop_cfg() -> SnoopSystemConfig {
+fn snoop_cfg() -> SystemConfig {
     // The same chaos campaign the fault-recovery suite runs on the snooping
     // machine: plain OLTP shape (the heavy overlay at 400 MB/s starves this
     // machine into a saturation scenario rather than a lifecycle-rich one).
-    let mut cfg = SnoopSystemConfig::new(WorkloadKind::Oltp, ProtocolVariant::Speculative, 77);
+    let mut cfg = SystemConfig::new(WorkloadKind::Oltp, ProtocolVariant::Speculative, 77);
     cfg.memory.num_nodes = 16;
     cfg.memory.mshr_entries = 4;
     cfg.memory.safetynet.checkpoint_interval_cycles = 5_000;
