@@ -1,5 +1,6 @@
 //! Microbenchmarks of the simulation kernel itself: how fast the
-//! interconnect and the full directory system simulate, per simulated cycle,
+//! interconnect and the full directory and snooping systems simulate, per
+//! simulated cycle,
 //! and what the cache arrays inside every controller cost.
 //! These are engineering benchmarks for the simulator (not paper artifacts);
 //! they make regressions in simulator throughput visible.
@@ -11,7 +12,10 @@
 //! * `torus_20000_cycles_sparse_traffic` — one injection per 100 cycles; the
 //!   worklist kernel skips the idle switches, which is where the active-set
 //!   design wins.
-//! * `oltp_5000_cycles` — the full directory system on a live workload.
+//! * `oltp_5000_cycles` — the full directory system on a live workload,
+//!   and the same case on the snooping machine at its Table 2 defaults,
+//!   where snoop delivery (the ordered bus and the holder index) joins
+//!   the kernel.
 //!
 //! Two more time one SafetyNet checkpoint, `sys.arch().clone()`, of a
 //! directory machine warmed for 30k cycles:
@@ -38,8 +42,10 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use specsim::{DirectorySystem, SystemConfig};
-use specsim_base::{BlockAddr, DetRng, LinkBandwidth, MessageSize, NodeId, RoutingPolicy};
+use specsim::{DirectorySystem, SnoopingSystem, SystemConfig};
+use specsim_base::{
+    BlockAddr, DetRng, LinkBandwidth, MessageSize, NodeId, ProtocolVariant, RoutingPolicy,
+};
 use specsim_bench::{kernel_json, write_artifact};
 use specsim_coherence::{CacheArray, CacheGeometry};
 use specsim_net::{NetConfig, Network, VirtualNetwork};
@@ -47,7 +53,7 @@ use specsim_workloads::WorkloadKind;
 
 const SATURATED_CYCLES: u64 = 1_000;
 const SPARSE_CYCLES: u64 = 20_000;
-const DIRECTORY_CYCLES: u64 = 5_000;
+const SYSTEM_CYCLES: u64 = 5_000;
 const WARM_CYCLES: u64 = 30_000;
 const SNAPSHOTS_PER_SAMPLE: usize = 8;
 const ARRAY_LINES: usize = 4096;
@@ -126,7 +132,21 @@ fn directory_setup() -> DirectorySystem {
 }
 
 fn run_directory(mut sys: DirectorySystem) -> u64 {
-    sys.run_for(DIRECTORY_CYCLES)
+    sys.run_for(SYSTEM_CYCLES)
+        .expect("no protocol errors")
+        .ops_completed
+}
+
+fn snooping_setup() -> SnoopingSystem {
+    SnoopingSystem::new(SystemConfig::new(
+        WorkloadKind::Oltp,
+        ProtocolVariant::Speculative,
+        11,
+    ))
+}
+
+fn run_snooping(mut sys: SnoopingSystem) -> u64 {
+    sys.run_for(SYSTEM_CYCLES)
         .expect("no protocol errors")
         .ops_completed
 }
@@ -244,6 +264,7 @@ fn main() -> ExitCode {
     let saturated = "network/torus_1000_cycles_random_traffic";
     let sparse = "network/torus_20000_cycles_sparse_traffic";
     let dirsys = "directory_system/oltp_5000_cycles";
+    let snoopsys = "snooping_system/oltp_5000_cycles";
     let snapshot_16 = "directory_system/arch_snapshot_16";
     let snapshot_1024 = "directory_system/arch_snapshot_1024";
     let array_lookup = "coherence/cache_array_lookup";
@@ -269,9 +290,19 @@ fn main() -> ExitCode {
             ns_per_cycle(
                 dirsys,
                 dir_samples,
-                DIRECTORY_CYCLES,
+                SYSTEM_CYCLES,
                 directory_setup,
                 run_directory,
+            ),
+        ),
+        (
+            snoopsys,
+            ns_per_cycle(
+                snoopsys,
+                dir_samples,
+                SYSTEM_CYCLES,
+                snooping_setup,
+                run_snooping,
             ),
         ),
         (

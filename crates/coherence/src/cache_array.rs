@@ -33,24 +33,43 @@
 //! checkpoint, a recovery, the first write to a controller shared with a
 //! checkpoint) is one copy of the table. Lookups and snoop probes cost
 //! O(ways) slot reads. Only [`CacheArray::iter`] pays for set order: it
-//! sorts, which only the coherence-invariant checks call.
+//! walks every set's home slot, which only the coherence-invariant checks
+//! and `Debug` call.
 
 use std::fmt;
 
 use specsim_base::{BlockAddr, BLOCK_SIZE_BYTES};
 
-/// Geometry (sets × ways) of a cache array.
+/// Geometry (sets × ways) of a cache array. The set count is a power of
+/// two, so a block's set is the low bits of its address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheGeometry {
-    /// Number of sets.
-    pub sets: usize,
-    /// Associativity.
-    pub ways: usize,
+    sets: usize,
+    ways: usize,
 }
 
 impl CacheGeometry {
+    /// A geometry of `sets` sets of `ways` ways each.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `sets` is a power of two and `ways` is positive.
+    #[must_use]
+    pub fn new(sets: usize, ways: usize) -> Self {
+        assert!(ways > 0, "associativity must be positive");
+        assert!(
+            sets.is_power_of_two(),
+            "set count {sets} must be a power of two"
+        );
+        Self { sets, ways }
+    }
+
     /// Builds a geometry from a capacity in bytes and an associativity,
     /// assuming the global 64-byte block size.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the capacity is a whole, power-of-two number of sets.
     #[must_use]
     pub fn from_capacity(capacity_bytes: usize, ways: usize) -> Self {
         assert!(ways > 0, "associativity must be positive");
@@ -61,16 +80,31 @@ impl CacheGeometry {
             0,
             "capacity must be divisible by ways × block size"
         );
-        Self {
-            sets: blocks / ways,
-            ways,
-        }
+        Self::new(blocks / ways, ways)
+    }
+
+    /// Number of sets.
+    #[must_use]
+    pub fn sets(&self) -> usize {
+        self.sets
+    }
+
+    /// Associativity.
+    #[must_use]
+    pub fn ways(&self) -> usize {
+        self.ways
     }
 
     /// Total number of blocks the cache can hold.
     #[must_use]
     pub fn capacity_blocks(&self) -> usize {
         self.sets * self.ways
+    }
+
+    /// The set `addr` maps to: its low `log2(sets)` bits.
+    #[must_use]
+    pub fn set_of(&self, addr: BlockAddr) -> usize {
+        (addr.0 & (self.sets as u64 - 1)) as usize
     }
 }
 
@@ -132,7 +166,6 @@ impl<S> CacheArray<S> {
     /// Creates an empty array with the given geometry.
     #[must_use]
     pub fn new(geometry: CacheGeometry) -> Self {
-        assert!(geometry.sets > 0, "cache must have at least one set");
         Self {
             geometry,
             slots: Vec::new(),
@@ -149,7 +182,7 @@ impl<S> CacheArray<S> {
     }
 
     fn set_index(&self, addr: BlockAddr) -> u32 {
-        addr.cache_set(self.geometry.sets) as u32
+        self.geometry.set_of(addr) as u32
     }
 
     fn home(&self, addr: BlockAddr) -> usize {
@@ -342,12 +375,38 @@ impl<S> CacheArray<S> {
     }
 
     /// Iterates every resident line in set order, and in block order within
-    /// a set. This sorts the lines, so it is meant for cold paths
-    /// (coherence-invariant checks, `Debug`).
+    /// a set. It walks the sets in turn, so it costs O(sets) plus a scan of
+    /// each set's probe cluster per line, and allocates nothing; it is
+    /// meant for cold paths (coherence-invariant checks, `Debug`).
     pub fn iter(&self) -> impl Iterator<Item = &CacheLine<S>> {
-        let mut lines: Vec<&CacheLine<S>> = self.slots.iter().flatten().collect();
-        lines.sort_unstable_by_key(|line| (self.set_index(line.addr), line.addr));
-        lines.into_iter()
+        let sets = if self.resident == 0 {
+            0
+        } else {
+            self.geometry.sets as u32
+        };
+        (0..sets).flat_map(move |set| self.set_lines(set))
+    }
+
+    /// `set`'s resident lines in block order. Each step rescans the set's
+    /// probe cluster for the least block above the last one yielded: a set
+    /// holds at most `ways` lines.
+    fn set_lines(&self, set: u32) -> impl Iterator<Item = &CacheLine<S>> {
+        let mut last = None;
+        std::iter::from_fn(move || {
+            let mut next: Option<&CacheLine<S>> = None;
+            let mut slot = home_slot(set, self.shift);
+            while let Some(line) = &self.slots[slot] {
+                if self.set_index(line.addr) == set
+                    && last.map_or(true, |last| line.addr > last)
+                    && next.map_or(true, |next| line.addr < next.addr)
+                {
+                    next = Some(line);
+                }
+                slot = self.next_slot(slot);
+            }
+            last = next.map(|line| line.addr);
+            next
+        })
     }
 }
 
@@ -386,17 +445,45 @@ mod tests {
 
     fn small() -> CacheArray<u8> {
         // 4 sets x 2 ways.
-        CacheArray::new(CacheGeometry { sets: 4, ways: 2 })
+        CacheArray::new(CacheGeometry::new(4, 2))
     }
 
     #[test]
     fn geometry_from_capacity_matches_table_2() {
         let l1 = CacheGeometry::from_capacity(128 * 1024, 4);
-        assert_eq!(l1.sets, 512);
+        assert_eq!(l1.sets(), 512);
         assert_eq!(l1.capacity_blocks(), 2048);
         let l2 = CacheGeometry::from_capacity(4 * 1024 * 1024, 4);
-        assert_eq!(l2.sets, 16384);
+        assert_eq!(l2.sets(), 16384);
         assert_eq!(l2.capacity_blocks(), 65536);
+    }
+
+    #[test]
+    #[should_panic(expected = "set count 48 must be a power of two")]
+    fn a_set_count_that_is_not_a_power_of_two_is_rejected() {
+        let _ = CacheGeometry::from_capacity(48 * 4 * 64, 4);
+    }
+
+    #[test]
+    fn a_block_maps_to_its_low_address_bits() {
+        let geometry = CacheGeometry::new(512, 4);
+        for addr in [0, 1, 511, 512, 513, 0x1234_5678_9abc, u64::MAX] {
+            assert_eq!(
+                geometry.set_of(BlockAddr(addr)),
+                BlockAddr(addr).cache_set(512)
+            );
+        }
+    }
+
+    #[test]
+    fn iteration_walks_sets_in_order_and_blocks_in_order_within_a_set() {
+        let mut c: CacheArray<()> = CacheArray::new(CacheGeometry::new(4, 4));
+        assert_eq!(c.iter().count(), 0);
+        for a in [13, 2, 9, 4, 1, 6, 0, 5] {
+            c.insert(BlockAddr(a), (), 0);
+        }
+        let order: Vec<u64> = c.iter().map(|line| line.addr.0).collect();
+        assert_eq!(order, [0, 4, 1, 5, 9, 13, 2, 6]);
     }
 
     #[test]
@@ -468,7 +555,7 @@ mod tests {
 
     #[test]
     fn the_table_grows_at_three_quarters_load() {
-        let mut c: CacheArray<()> = CacheArray::new(CacheGeometry { sets: 64, ways: 4 });
+        let mut c: CacheArray<()> = CacheArray::new(CacheGeometry::new(64, 4));
         assert!(c.slots.is_empty());
         for a in 0..6 {
             c.insert(BlockAddr(a), (), 0);
@@ -488,7 +575,7 @@ mod tests {
     fn equality_ignores_where_the_table_holds_each_line() {
         // Two sets sharing a home slot, filled in opposite orders: the
         // table layouts differ, the contents do not.
-        let geometry = CacheGeometry { sets: 64, ways: 4 };
+        let geometry = CacheGeometry::new(64, 4);
         let shift = 64 - MIN_SLOTS.trailing_zeros();
         let (a, b) = (0..64u64)
             .flat_map(|a| (a + 1..64).map(move |b| (a, b)))
@@ -557,7 +644,7 @@ mod tests {
     fn colliding_sets(geometry: CacheGeometry) -> Vec<u64> {
         let max_slots = (geometry.capacity_blocks() * 4 / 3 + 1).next_power_of_two();
         let shift = 64 - max_slots.max(MIN_SLOTS).trailing_zeros();
-        let mut sets: Vec<u64> = (0..geometry.sets as u64).collect();
+        let mut sets: Vec<u64> = (0..geometry.sets() as u64).collect();
         sets.sort_by_key(|&s| (home_slot(s as u32, shift), s));
         let window = sets.len().min(8);
         let start = (0..=sets.len() - window)
@@ -572,8 +659,8 @@ mod tests {
     /// three capacities' worth of blocks (set conflicts); the other half
     /// stay within the colliding sets (home-slot conflicts).
     fn pick_block(geometry: CacheGeometry, colliding: &[u64], pick: u64) -> BlockAddr {
-        let sets = geometry.sets as u64;
-        let tags = 3 * geometry.ways as u64;
+        let sets = geometry.sets() as u64;
+        let tags = 3 * geometry.ways() as u64;
         if pick % 2 == 0 {
             BlockAddr((pick / 2) % (sets * tags))
         } else {
@@ -630,7 +717,7 @@ mod tests {
         flat: &CacheArray<u8>,
         model: &BTreeCacheArray<u8>,
     ) -> Result<(), TestCaseError> {
-        let sets = flat.geometry().sets;
+        let sets = flat.geometry().sets();
         let set_of = |l: &&CacheLine<u8>| l.addr.cache_set(sets);
         let flat_lines: Vec<&CacheLine<u8>> = flat.iter().collect();
         let mut model_lines: Vec<&CacheLine<u8>> = model.iter().collect();
@@ -648,7 +735,7 @@ mod tests {
         (sets, ways): (usize, usize),
         ops: &[(u64, u64, u64)],
     ) -> Result<(), TestCaseError> {
-        let geometry = CacheGeometry { sets, ways };
+        let geometry = CacheGeometry::new(sets, ways);
         let colliding = colliding_sets(geometry);
         let mut flat = CacheArray::new(geometry);
         let mut model = BTreeCacheArray::new(geometry);

@@ -45,7 +45,7 @@ impl<S> BTreeCacheArray<S> {
     }
 
     fn set_index(&self, addr: BlockAddr) -> u32 {
-        addr.cache_set(self.geometry.sets) as u32
+        self.geometry.set_of(addr) as u32
     }
 
     /// Looks a block up without affecting LRU state.

@@ -66,7 +66,14 @@
 //! of the checkpointed state ([`ProtocolNode::Arch`]: directories, or the
 //! address bus and home memories), its write-log, horizon, checkpoint and
 //! metrics hooks, and one `exchange` method that moves messages across its
-//! fabrics in protocol order. `tests/kernel_equivalence.rs` pins the
+//! fabrics in protocol order. The exchange reports activity only at the
+//! nodes whose controllers a message may change
+//! ([`EngineCtx::note_exchange_activity`] and its siblings), so it too
+//! costs what can change, not the node count: the snooping protocol takes
+//! each cycle's broadcasts once from the bus's one delivery queue and
+//! visits only each broadcast's requester, its block's home and the nodes
+//! its *holder index* lists as having requested the block (see
+//! `crates/core/src/snoopsys.rs`). `tests/kernel_equivalence.rs` pins the
 //! schedule byte-for-byte, pins the engine's processor work counters
 //! apart from the metrics, and checks that `run_for` matches a `step()`
 //! loop.
@@ -681,7 +688,7 @@ impl<P: ProtocolNode> EngineCtx<'_, P> {
     /// message, which may have written memory and logged the old values.
     /// The SafetyNet tick drains the write logs of exactly these nodes (in
     /// ascending order, like the dense scan it replaces). Protocols must
-    /// call this for every message those controllers observe.
+    /// call this for every message that may change those controllers.
     pub fn note_memory_activity(&mut self, i: usize) {
         self.exchange.write_logs.insert(i);
     }
@@ -724,8 +731,8 @@ impl<P: ProtocolNode> EngineCtx<'_, P> {
     /// re-visited at `now + 1`, the first cycle a dense scan could observe
     /// the ingest's effect. The same ingest may lower the slow-start demand
     /// census, so every node the gate holds is re-visited at `now + 1` too.
-    /// Protocols must call this for every message their cache controller
-    /// observes.
+    /// Protocols must call this for every message that may change their
+    /// cache controller.
     pub fn note_cache_activity(&mut self, now: Cycle, i: usize) {
         if self.wake.parked[i] {
             self.wake.lower(i, now + 1);

@@ -24,8 +24,20 @@
 //! address bus, the home memories and the plumbing between them and the
 //! controllers. [`SnoopingSystem`] names that pairing and adds the
 //! snooping-specific constructor and checks.
+//!
+//! **Snoop delivery costs the nodes a snoop can change.** The bus keeps
+//! one delivery queue: every node observes each broadcast at the same
+//! cycle and takes the same `SNOOP_BUDGET` broadcasts a cycle, so one
+//! queue stands for all of them. Each cycle the protocol takes that
+//! batch once and hands it, node by node in ascending order, to the
+//! requester of each broadcast, the home of its block, and the nodes the
+//! *holder index* lists for its block: every node that has put a request
+//! for the block on the bus ([`SnoopProtocol`] says why no other cache
+//! can change). A visited node joins the engine's worklists only for the
+//! controllers the batch may change. Debug builds check every skipped
+//! node against both controllers' `snoop_may_change`.
 
-use specsim_base::{Cycle, CycleDelta, NodeId};
+use specsim_base::{ActiveSet, BlockAddr, Cycle, CycleDelta, FastMap, NodeId};
 use specsim_coherence::snoop::msg::SnoopDataOut;
 use specsim_coherence::snoop::{
     SnoopCacheController, SnoopDataMsg, SnoopMemoryController, SnoopRequest,
@@ -91,14 +103,87 @@ pub struct SnoopArch {
 /// The snooping machine's checkpointed state.
 type Machine = ArchState<SnoopProtocol>;
 
+/// For each block some node has put a request for on the address bus,
+/// the set of those nodes, as a bitmap of `words` 64-bit words. Only the
+/// words holding a node are stored, each under its own key: the block's
+/// address times `words`, plus the word's index. The key wraps, so two
+/// words could share a key only for addresses beyond any machine's
+/// memory, and even then they would merge into a superset of each set,
+/// which still names every node a snoop can change.
+#[derive(Debug)]
+struct HolderIndex {
+    words: usize,
+    bits: FastMap<u64, u64>,
+}
+
+impl HolderIndex {
+    fn new(num_nodes: usize) -> Self {
+        Self {
+            words: num_nodes.div_ceil(64),
+            bits: FastMap::default(),
+        }
+    }
+
+    /// The key of word `w` of `addr`'s bitmap.
+    fn key(&self, addr: BlockAddr, w: usize) -> u64 {
+        addr.0
+            .wrapping_mul(self.words as u64)
+            .wrapping_add(w as u64)
+    }
+
+    /// Records that `node` put a request for `addr` on the bus.
+    fn insert(&mut self, addr: BlockAddr, node: NodeId) {
+        let key = self.key(addr, node.index() / 64);
+        *self.bits.entry(key).or_default() |= 1 << (node.index() % 64);
+    }
+
+    /// Adds `addr`'s holders to `set`.
+    fn add_holders(&self, addr: BlockAddr, set: &mut ActiveSet) {
+        for w in 0..self.words {
+            let Some(&word) = self.bits.get(&self.key(addr, w)) else {
+                continue;
+            };
+            let mut bits = word;
+            while bits != 0 {
+                set.insert(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+    }
+}
+
 /// The snooping-protocol half of the machine: everything the shared
 /// [`SystemEngine`] delegates to a [`ProtocolNode`]. It moves messages
 /// between the ordered address network, the data torus and the
 /// cache/home-memory controllers.
+///
+/// It also keeps the *holder index*, which lets a broadcast skip the nodes
+/// it cannot change. A foreign snoop changes a cache only if the cache
+/// holds the block in L2, has a writeback of it in flight, or has an
+/// ordered demand for it, and each of these follows the node's own bus
+/// request for the block. So a broadcast visits its requester, the block's
+/// home memory and the nodes that have requested the block. The index
+/// only gains entries, so it covers the holders of every checkpoint taken
+/// before; it lives here, outside the checkpointed [`SnoopArch`], and a
+/// restore leaves it valid without a rebuild.
 #[derive(Debug)]
-pub struct SnoopProtocol;
+pub struct SnoopProtocol {
+    holders: HolderIndex,
+    /// The cycle's broadcasts, as `(requester, request)` (reused).
+    batch: Vec<(NodeId, SnoopRequest)>,
+    /// The nodes the batch visits (empty between cycles).
+    visit: ActiveSet,
+}
 
 impl SnoopProtocol {
+    fn new(num_nodes: usize) -> Self {
+        Self {
+            holders: HolderIndex::new(num_nodes),
+            batch: Vec::with_capacity(SNOOP_BUDGET),
+            visit: ActiveSet::new(num_nodes),
+        }
+    }
+
     fn pump_controllers(&mut self, arch: &mut Machine, now: Cycle, ctx: &mut EngineCtx<'_, Self>) {
         let ArchState {
             torus: data_net,
@@ -125,10 +210,11 @@ impl SnoopProtocol {
                 let cache = caches[i].make_mut();
                 // Address-network requests.
                 for _ in 0..DRAIN_BUDGET {
-                    match cache.pop_bus_request() {
-                        Some(req) => bus.request(node, req),
-                        None => break,
-                    }
+                    let Some(req) = cache.pop_bus_request() else {
+                        break;
+                    };
+                    self.holders.insert(req.addr(), node);
+                    bus.request(node, req);
                 }
             }
             // Data-network messages from caches (responses, writeback data).
@@ -186,48 +272,80 @@ impl SnoopProtocol {
             proto: SnoopArch { bus, memories, .. },
             ..
         } = arch;
-        for i in 0..caches.len() {
-            let node = NodeId::from(i);
-            // Idle-inbox skip: no snoop broadcast is waiting at this node.
-            if bus.snoop_len(node) == 0 {
-                continue;
+        // Every node takes the same `SNOOP_BUDGET` broadcasts a cycle, so
+        // the cycle's batch is taken once, for all of them.
+        self.batch.clear();
+        while self.batch.len() < SNOOP_BUDGET {
+            let Some(delivery) = bus.pop_snoop() else {
+                break;
+            };
+            self.batch.push((delivery.src, delivery.payload));
+        }
+        if self.batch.is_empty() {
+            return;
+        }
+        let n = caches.len();
+        for &(src, request) in &self.batch {
+            let addr = request.addr();
+            self.visit.insert(src.index());
+            self.visit.insert(addr.home_node(n).index());
+            self.holders.add_holders(addr, &mut self.visit);
+        }
+        #[cfg(debug_assertions)]
+        for i in (0..n).filter(|&i| !self.visit.contains(i)) {
+            for &(src, request) in &self.batch {
+                assert!(
+                    !memories[i].snoop_may_change(src, request)
+                        && !caches[i].snoop_may_change(src, request),
+                    "cycle {now}: node {i} was skipped but {request:?} from {src} may change it"
+                );
             }
-            // Observing a snoop can enqueue controller output (an owner or
-            // home-memory data response) and can complete the node's own
-            // ordered request: arm the exchange worklists. The home memory
-            // observes it too, which may write memory.
-            ctx.note_exchange_activity(i);
-            ctx.note_memory_activity(i);
-            for _ in 0..SNOOP_BUDGET {
-                let Some(delivery) = bus.pop_snoop(node) else {
-                    break;
-                };
+        }
+        // Node-major in ascending order, each node observing the whole
+        // batch, so the first mis-speculation or error of a cycle is the
+        // same one a visit of every node would find.
+        let mut cursor = 0;
+        while let Some(i) = self.visit.next_at_or_after(cursor) {
+            cursor = i + 1;
+            self.visit.remove(i);
+            let (mut memory_changed, mut cache_changed) = (false, false);
+            for &(src, request) in &self.batch {
                 // Both the cache and the home memory controller observe the
-                // same, totally ordered, request stream.
-                // Controllers a snoop leaves unchanged are not touched:
-                // every memory but the block's home, and most caches. One
-                // that only replies stays shared too.
-                let (src, request) = (delivery.src, delivery.payload);
+                // same, totally ordered, request stream. Controllers a snoop
+                // leaves unchanged are not touched; one that only replies
+                // stays shared too.
                 let memory = &mut memories[i];
-                if memory.snoop_may_change(src, request)
-                    && !memory.answer(|m| m.reply_only(src, request))
-                {
-                    memory.make_mut().observe_snoop(now, src, request);
+                if memory.snoop_may_change(src, request) {
+                    memory_changed = true;
+                    if !memory.answer(|m| m.reply_only(src, request)) {
+                        memory.make_mut().observe_snoop(now, src, request);
+                    }
                 }
                 let cache = &mut caches[i];
-                if cache.snoop_may_change(src, request)
-                    && !cache.answer(|c| c.reply_only(src, request))
-                {
-                    match cache.make_mut().observe_snoop(now, src, request) {
-                        Ok(Some(misspec)) => ctx.note_misspeculation(misspec),
-                        Ok(None) => {}
-                        Err(e) => ctx.note_error(e),
+                if cache.snoop_may_change(src, request) {
+                    cache_changed = true;
+                    if !cache.answer(|c| c.reply_only(src, request)) {
+                        match cache.make_mut().observe_snoop(now, src, request) {
+                            Ok(Some(misspec)) => ctx.note_misspeculation(misspec),
+                            Ok(None) => {}
+                            Err(e) => ctx.note_error(e),
+                        }
                     }
                 }
             }
-            // The cache controller's state changed: a processor parked on a
-            // stalled request at this node may now make progress.
-            ctx.note_cache_activity(now, i);
+            // A controller the batch may have changed may have queued
+            // output, and the cache may have completed the node's own
+            // ordered request, so a processor parked on it may now make
+            // progress; the memory may have been written.
+            if memory_changed || cache_changed {
+                ctx.note_exchange_activity(i);
+            }
+            if memory_changed {
+                ctx.note_memory_activity(i);
+            }
+            if cache_changed {
+                ctx.note_cache_activity(now, i);
+            }
         }
     }
 
@@ -362,7 +480,7 @@ impl SnoopingSystem {
             mem_outboxes: (0..n).map(|_| StagedOutbox::default()).collect(),
         };
         Self::assemble(
-            SnoopProtocol,
+            SnoopProtocol::new(n),
             &cfg,
             cfg.seed ^ 0x534e_4f4f_5053, // "SNOOPS"
             SnoopCacheController::new,
@@ -422,6 +540,23 @@ mod tests {
         cfg.memory.safetynet.checkpoint_interval_requests = 4;
         cfg.memory.safetynet.max_outstanding_checkpoints = 16;
         cfg
+    }
+
+    #[test]
+    fn the_holder_index_keeps_each_blocks_requesters_across_words() {
+        let mut index = HolderIndex::new(130);
+        let (a, b) = (BlockAddr(7), BlockAddr(8));
+        for node in [129, 3, 70, 3] {
+            index.insert(a, NodeId(node));
+        }
+        index.insert(b, NodeId(64));
+        let mut set = ActiveSet::new(130);
+        index.add_holders(a, &mut set);
+        assert_eq!(set.iter_from(0).collect::<Vec<_>>(), [3, 70, 129]);
+        set.insert(0);
+        index.add_holders(b, &mut set);
+        index.add_holders(BlockAddr(9), &mut set);
+        assert_eq!(set.iter_from(0).collect::<Vec<_>>(), [0, 3, 64, 70, 129]);
     }
 
     #[test]

@@ -4,18 +4,23 @@
 //! network that delivers every coherence request to every node (including the
 //! requester) in a single global order. This module models such a network:
 //! nodes post requests, an arbiter grants one request per arbitration slot in
-//! round-robin order, and the granted request is broadcast to all nodes with
-//! a fixed latency. The data responses of the snooping system travel on an
+//! round-robin order, and the granted request reaches every node with a
+//! fixed latency. The data responses of the snooping system travel on an
 //! ordinary point-to-point network ([`crate::Network`]); only the address
 //! traffic needs total order.
+//!
+//! Every node observes every broadcast at the same cycle and takes the same
+//! number of them per cycle, so the nodes' inboxes would always be
+//! identical: the bus keeps one delivery queue, and the caller hands each
+//! broadcast it pops to every node (or to the nodes it can change).
 
 use std::collections::VecDeque;
 
 use specsim_base::{Cycle, CycleDelta, MsgQueue, NodeId};
 
-/// A snoop delivered to a node: the request payload plus its position in the
-/// global order and its issuer.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A broadcast delivered to the nodes: the request payload plus its
+/// position in the global order and its issuer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BusDelivery<P> {
     /// The node that issued the request.
     pub src: NodeId,
@@ -33,9 +38,14 @@ pub struct OrderedBus<P> {
     num_nodes: usize,
     arbitration_interval: CycleDelta,
     broadcast_latency: CycleDelta,
+    /// Each node's requests awaiting a grant.
     pending: Vec<MsgQueue<P>>,
+    /// Requests in `pending`, over all nodes.
+    pending_count: usize,
     in_flight: VecDeque<(Cycle, NodeId, u64, Cycle, P)>,
-    delivery: Vec<VecDeque<BusDelivery<P>>>,
+    /// Broadcasts whose latency has elapsed and that the nodes have yet to
+    /// observe, in grant order.
+    delivered: VecDeque<BusDelivery<P>>,
     next_grant_at: Cycle,
     /// Position the next grant takes in the global order: the number of
     /// requests granted so far.
@@ -43,7 +53,7 @@ pub struct OrderedBus<P> {
     rr: usize,
 }
 
-impl<P: Clone> OrderedBus<P> {
+impl<P> OrderedBus<P> {
     /// Creates a bus for `num_nodes` nodes. One request is granted every
     /// `arbitration_interval` cycles (the bus bandwidth limit) and a granted
     /// request is observed by every node `broadcast_latency` cycles later.
@@ -63,8 +73,9 @@ impl<P: Clone> OrderedBus<P> {
             arbitration_interval,
             broadcast_latency,
             pending: (0..num_nodes).map(|_| MsgQueue::unbounded()).collect(),
+            pending_count: 0,
             in_flight: VecDeque::new(),
-            delivery: (0..num_nodes).map(|_| VecDeque::new()).collect(),
+            delivered: VecDeque::new(),
             next_grant_at: 0,
             next_order: 0,
             rr: 0,
@@ -83,6 +94,7 @@ impl<P: Clone> OrderedBus<P> {
         self.pending[src.index()]
             .push(payload)
             .unwrap_or_else(|_| panic!("bus pending queues are unbounded"));
+        self.pending_count += 1;
     }
 
     /// Total requests granted so far (length of the global order).
@@ -91,10 +103,10 @@ impl<P: Clone> OrderedBus<P> {
         self.next_order
     }
 
-    /// Snoops waiting to be consumed by `node`.
+    /// Broadcasts delivered and not yet popped.
     #[must_use]
-    pub fn snoop_len(&self, node: NodeId) -> usize {
-        self.delivery[node.index()].len()
+    pub fn snoop_len(&self) -> usize {
+        self.delivered.len()
     }
 
     /// Advances the bus by one cycle: grants at most one pending request when
@@ -102,50 +114,50 @@ impl<P: Clone> OrderedBus<P> {
     /// has elapsed.
     pub fn tick(&mut self, now: Cycle) {
         // Arbitration.
-        if now >= self.next_grant_at {
-            let mut granted = None;
-            for k in 0..self.num_nodes {
+        if now >= self.next_grant_at && self.pending_count > 0 {
+            let granted = (0..self.num_nodes).find_map(|k| {
                 let i = (self.rr + k) % self.num_nodes;
-                if let Some(payload) = self.pending[i].pop() {
-                    granted = Some((NodeId::from(i), payload));
-                    self.rr = (i + 1) % self.num_nodes;
-                    break;
-                }
-            }
-            if let Some((src, payload)) = granted {
-                let order = self.next_order;
-                self.next_order += 1;
-                self.in_flight
-                    .push_back((now + self.broadcast_latency, src, order, now, payload));
-                self.next_grant_at = now + self.arbitration_interval;
-            }
+                self.pending[i].pop().map(|payload| (i, payload))
+            });
+            let (i, payload) = granted.expect("a pending request");
+            self.pending_count -= 1;
+            self.rr = (i + 1) % self.num_nodes;
+            let order = self.next_order;
+            self.next_order += 1;
+            self.in_flight.push_back((
+                now + self.broadcast_latency,
+                NodeId::from(i),
+                order,
+                now,
+                payload,
+            ));
+            self.next_grant_at = now + self.arbitration_interval;
         }
-        // Delivery: broadcasts whose latency has elapsed reach every node in
-        // grant order.
+        // Delivery: broadcasts whose latency has elapsed join the delivery
+        // queue in grant order.
         while matches!(self.in_flight.front(), Some(&(at, ..)) if at <= now) {
             let (_, src, order, granted_at, payload) = self.in_flight.pop_front().unwrap();
-            for node in 0..self.num_nodes {
-                self.delivery[node].push_back(BusDelivery {
-                    src,
-                    order,
-                    granted_at,
-                    payload: payload.clone(),
-                });
-            }
+            self.delivered.push_back(BusDelivery {
+                src,
+                order,
+                granted_at,
+                payload,
+            });
         }
     }
 
     /// The earliest cycle after `now` (the cycle just ticked) at which
     /// [`OrderedBus::tick`] or a node could change the bus's state:
-    /// `now + 1` while a snoop waits in a delivery queue, otherwise the
+    /// `now + 1` while a broadcast waits to be popped, otherwise the
     /// earlier of the next grant (when a request is pending) and the front
     /// broadcast's delivery cycle. `Cycle::MAX` when the bus is empty.
+    /// Constant time.
     #[must_use]
     pub fn next_event_at(&self, now: Cycle) -> Cycle {
-        if self.delivery.iter().any(|q| !q.is_empty()) {
+        if !self.delivered.is_empty() {
             return now + 1;
         }
-        let grant = if self.pending.iter().any(|q| !q.is_empty()) {
+        let grant = if self.pending_count > 0 {
             self.next_grant_at
         } else {
             Cycle::MAX
@@ -154,9 +166,9 @@ impl<P: Clone> OrderedBus<P> {
         grant.min(broadcast).max(now + 1)
     }
 
-    /// Removes the next snoop for `node` (in global order).
-    pub fn pop_snoop(&mut self, node: NodeId) -> Option<BusDelivery<P>> {
-        self.delivery[node.index()].pop_front()
+    /// Removes the next delivered broadcast (in global order).
+    pub fn pop_snoop(&mut self) -> Option<BusDelivery<P>> {
+        self.delivered.pop_front()
     }
 }
 
@@ -164,49 +176,62 @@ impl<P: Clone> OrderedBus<P> {
 mod tests {
     use super::*;
 
+    /// Ticks `bus` through `cycles` and returns every broadcast popped, as
+    /// `(cycle popped, delivery)`.
+    fn drain<P>(
+        bus: &mut OrderedBus<P>,
+        cycles: std::ops::RangeInclusive<Cycle>,
+    ) -> Vec<(Cycle, BusDelivery<P>)> {
+        let mut seen = Vec::new();
+        for now in cycles {
+            bus.tick(now);
+            while let Some(d) = bus.pop_snoop() {
+                seen.push((now, d));
+            }
+        }
+        seen
+    }
+
     #[test]
     fn all_nodes_observe_the_same_total_order() {
+        // The nodes read one delivery queue, so they share its order; what
+        // is left to check is that order: racing requests are granted in
+        // round-robin order with consecutive positions.
         let mut bus: OrderedBus<u32> = OrderedBus::new(4, 5, 20);
         // Several nodes race to post requests.
         bus.request(NodeId(2), 200);
         bus.request(NodeId(0), 100);
         bus.request(NodeId(3), 300);
         bus.request(NodeId(0), 101);
-        let mut now = 0;
-        while bus.granted() < 4 || bus.snoop_len(NodeId(0)) < 4 {
-            now += 1;
-            bus.tick(now);
-            assert!(now < 1000, "bus made no progress");
-        }
-        let orders: Vec<Vec<(u64, u32)>> = (0..4)
-            .map(|n| {
-                let mut v = Vec::new();
-                while let Some(d) = bus.pop_snoop(NodeId::from(n)) {
-                    v.push((d.order, d.payload));
-                }
-                v
-            })
+        let seen = drain(&mut bus, 1..=100);
+        let order: Vec<(u64, NodeId, u32)> = seen
+            .iter()
+            .map(|(_, d)| (d.order, d.src, d.payload))
             .collect();
-        for n in 1..4 {
-            assert_eq!(orders[n], orders[0], "node {n} saw a different order");
-        }
-        assert_eq!(orders[0].len(), 4);
-        // Orders are consecutive from zero.
-        for (i, (order, _)) in orders[0].iter().enumerate() {
-            assert_eq!(*order, i as u64);
-        }
+        // Orders are consecutive from zero, and the arbiter walks the nodes
+        // from its round-robin pointer: 0, then 2, 3 and back to 0.
+        assert_eq!(
+            order,
+            [
+                (0, NodeId(0), 100),
+                (1, NodeId(2), 200),
+                (2, NodeId(3), 300),
+                (3, NodeId(0), 101)
+            ]
+        );
+        assert_eq!(bus.granted(), 4);
     }
 
     #[test]
     fn requester_also_observes_its_own_request() {
+        // A broadcast reaches every node, the requester included, and names
+        // the requester.
         let mut bus: OrderedBus<&'static str> = OrderedBus::new(2, 1, 3);
         bus.request(NodeId(1), "writeback");
-        for now in 1..10 {
-            bus.tick(now);
-        }
-        let seen = bus.pop_snoop(NodeId(1)).unwrap();
-        assert_eq!(seen.payload, "writeback");
-        assert_eq!(seen.src, NodeId(1));
+        let seen = drain(&mut bus, 1..=9);
+        assert_eq!(seen.len(), 1);
+        assert_eq!(seen[0].1.payload, "writeback");
+        assert_eq!(seen[0].1.src, NodeId(1));
     }
 
     #[test]
@@ -215,12 +240,12 @@ mod tests {
         for i in 0..5 {
             bus.request(NodeId(0), i);
         }
-        for now in 1..=25 {
-            bus.tick(now);
-        }
-        // With a 10-cycle arbitration interval only ~3 grants fit in 25 cycles.
-        assert!(bus.granted() <= 3, "granted {}", bus.granted());
-        assert!(bus.granted() >= 2);
+        let seen = drain(&mut bus, 1..=25);
+        // With a 10-cycle arbitration interval only 3 grants fit in 25
+        // cycles, at cycles 1, 11 and 21.
+        assert_eq!(bus.granted(), 3);
+        let grants: Vec<Cycle> = seen.iter().map(|(_, d)| d.granted_at).collect();
+        assert_eq!(grants, [1, 11, 21]);
     }
 
     #[test]
@@ -232,18 +257,12 @@ mod tests {
             bus.request(NodeId(0), i);
         }
         bus.request(NodeId(3), 999);
-        let mut now = 0;
-        let mut first_999 = None;
-        while first_999.is_none() && now < 100 {
-            now += 1;
-            bus.tick(now);
-            while let Some(d) = bus.pop_snoop(NodeId(1)) {
-                if d.payload == 999 {
-                    first_999 = Some(d.order);
-                }
-            }
-        }
-        let order = first_999.expect("node 3's request was starved");
+        let seen = drain(&mut bus, 1..=100);
+        let order = seen
+            .iter()
+            .find(|(_, d)| d.payload == 999)
+            .map(|(_, d)| d.order)
+            .expect("node 3's request was starved");
         assert!(
             order < 4,
             "round robin should grant node 3 quickly, order {order}"
@@ -268,7 +287,7 @@ mod tests {
         for now in 1..=1_000 {
             post(&mut dense, now);
             dense.tick(now);
-            while let Some(d) = dense.pop_snoop(NodeId(2)) {
+            while let Some(d) = dense.pop_snoop() {
                 seen_dense.push((now, d));
             }
             // The sparse bus ticks only at its events and at posts.
@@ -278,7 +297,7 @@ mod tests {
             if now == next {
                 post(&mut sparse, now);
                 sparse.tick(now);
-                while let Some(d) = sparse.pop_snoop(NodeId(2)) {
+                while let Some(d) = sparse.pop_snoop() {
                     seen_sparse.push((now, d));
                 }
                 next = sparse.next_event_at(now);
@@ -290,17 +309,41 @@ mod tests {
     }
 
     #[test]
+    fn next_event_at_follows_pending_grants_in_flight_and_delivered() {
+        let mut bus: OrderedBus<u32> = OrderedBus::new(16, 8, 64);
+        assert_eq!(bus.next_event_at(0), Cycle::MAX);
+        bus.request(NodeId(15), 1);
+        bus.request(NodeId(15), 2);
+        // Two requests pending: the first slot is free now.
+        assert_eq!(bus.next_event_at(0), 1);
+        bus.tick(1);
+        // One pending (the next slot at 9), one in flight (lands at 65).
+        assert_eq!(bus.next_event_at(1), 9);
+        bus.tick(9);
+        // None pending: only the broadcast landing at 65 is left.
+        assert_eq!(bus.next_event_at(9), 65);
+        bus.tick(65);
+        // Delivered and not yet popped.
+        assert_eq!(bus.next_event_at(65), 66);
+        assert_eq!(bus.pop_snoop().map(|d| d.payload), Some(1));
+        assert_eq!(bus.next_event_at(65), 73);
+        bus.tick(73);
+        assert_eq!(bus.pop_snoop().map(|d| d.payload), Some(2));
+        assert_eq!(bus.next_event_at(73), Cycle::MAX);
+    }
+
+    #[test]
     fn broadcast_latency_is_respected() {
         let mut bus: OrderedBus<u32> = OrderedBus::new(2, 1, 50);
         bus.request(NodeId(0), 7);
         bus.tick(1); // granted at cycle 1
         for now in 2..51 {
             bus.tick(now);
-            assert_eq!(bus.snoop_len(NodeId(1)), 0, "delivered too early at {now}");
+            assert_eq!(bus.snoop_len(), 0, "delivered too early at {now}");
         }
         bus.tick(51);
-        assert_eq!(bus.snoop_len(NodeId(1)), 1);
-        let d = bus.pop_snoop(NodeId(1)).unwrap();
+        assert_eq!(bus.snoop_len(), 1);
+        let d = bus.pop_snoop().unwrap();
         assert_eq!(d.granted_at, 1);
     }
 }

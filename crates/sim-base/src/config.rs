@@ -306,11 +306,21 @@ impl MemorySystemConfig {
                 self.num_nodes
             ));
         }
-        if self.l1_bytes % (BLOCK_SIZE_BYTES * self.l1_ways) != 0 {
-            problems.push("L1 size must be a multiple of block size × associativity".to_string());
-        }
-        if self.l2_bytes % (BLOCK_SIZE_BYTES * self.l2_ways) != 0 {
-            problems.push("L2 size must be a multiple of block size × associativity".to_string());
+        for (level, bytes, ways) in [
+            ("L1", self.l1_bytes, self.l1_ways),
+            ("L2", self.l2_bytes, self.l2_ways),
+        ] {
+            let set_bytes = BLOCK_SIZE_BYTES * ways;
+            if bytes % set_bytes != 0 {
+                problems.push(format!(
+                    "{level} size must be a multiple of block size × associativity"
+                ));
+            } else if !(bytes / set_bytes).is_power_of_two() {
+                problems.push(format!(
+                    "{level} set count {} must be a power of two",
+                    bytes / set_bytes
+                ));
+            }
         }
         if self.l2_bytes < self.l1_bytes {
             problems.push("L2 must be at least as large as L1 (inclusive hierarchy)".to_string());
@@ -364,6 +374,21 @@ mod tests {
         c.num_nodes = 16;
         c.l2_bytes = 64 * 1024; // smaller than L1
         assert!(!c.validate().is_empty());
+    }
+
+    #[test]
+    fn validation_rejects_a_set_count_that_is_not_a_power_of_two() {
+        // 96 KB of 4-way 64-byte lines is 384 sets.
+        let c = MemorySystemConfig {
+            l1_bytes: 96 * 1024,
+            ..MemorySystemConfig::default()
+        };
+        assert_eq!(c.validate(), ["L1 set count 384 must be a power of two"]);
+        let c = MemorySystemConfig {
+            l2_bytes: 3 * 1024 * 1024,
+            ..MemorySystemConfig::default()
+        };
+        assert_eq!(c.validate(), ["L2 set count 12288 must be a power of two"]);
     }
 
     #[test]

@@ -225,12 +225,17 @@ const GOLDEN_SNOOP16_HOT_PARKING: u64 = 0x00bbbc6c727fa769;
 const GOLDEN_DIR_POOL8_DEADLOCK: u64 = 0xc94413659f087df8;
 const GOLDEN_DIR_POOL_SPLIT_12_4: u64 = 0x4dfb424c7eddb176;
 const GOLDEN_SNOOP_POOLED_DATA_TORUS_16: u64 = 0x989e28613471598c;
+// Captured before broadcasts skipped the nodes they cannot change.
+const GOLDEN_SNOOP_128_NODES: u64 = 0xdd2afcec0407b0d8;
 const PROBE_DIR_1024_NODES: (u64, u64) = (3973, 5115093);
 const PROBE_DIR16_HOT_PARKING: (u64, u64) = (4810, 3799983);
-const PROBE_SNOOP16_HOT_PARKING: (u64, u64) = (24352, 935641);
+// The two snooping probes were re-pinned when a broadcast stopped waking
+// the processors of nodes whose cache it cannot change (polls 24352 ->
+// 6211 and 5143 -> 1983); the metrics digests did not move.
+const PROBE_SNOOP16_HOT_PARKING: (u64, u64) = (6211, 953782);
 const PROBE_DIR_POOL8_DEADLOCK: (u64, u64) = (1616, 620774);
 const PROBE_DIR_POOL_SPLIT_12_4: (u64, u64) = (1041, 621349);
-const PROBE_SNOOP_POOLED_DATA_TORUS_16: (u64, u64) = (5143, 937251);
+const PROBE_SNOOP_POOLED_DATA_TORUS_16: (u64, u64) = (1983, 940411);
 
 #[test]
 fn rectangular_4x2_network_matches_golden_under_both_policies() {
@@ -748,6 +753,27 @@ fn snooping_hot_run_with_parking_matches_golden() {
         PROBE_SNOOP16_HOT_PARKING,
         sys.engine_probe(),
     );
+}
+
+/// A 128-node snooping machine (uniform OLTP, small caches, 4 MSHRs):
+/// wider than one 64-bit word of nodes, so every per-node set on the
+/// snooping path spans several words.
+fn snoop_128_config() -> SystemConfig {
+    let mut cfg = SystemConfig::new(WorkloadKind::Oltp, ProtocolVariant::Speculative, 128);
+    cfg.memory.num_nodes = 128;
+    cfg.memory.l1_bytes = 16 * 1024;
+    cfg.memory.l2_bytes = 64 * 1024;
+    cfg.memory.mshr_entries = 4;
+    cfg
+}
+
+#[test]
+fn snooping_128_nodes_matches_golden() {
+    let mut sys = SnoopingSystem::new(snoop_128_config());
+    let m = sys.run_for(20_000).expect("no protocol errors");
+    assert!(m.ops_completed > 0);
+    sys.verify_coherence().expect("coherent");
+    check("snoop_128_nodes", GOLDEN_SNOOP_128_NODES, run_digest(&m));
 }
 
 /// The directory shared-pool machine of the shared-buffer sweep and
