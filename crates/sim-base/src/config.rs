@@ -311,7 +311,9 @@ impl MemorySystemConfig {
             ("L2", self.l2_bytes, self.l2_ways),
         ] {
             let set_bytes = BLOCK_SIZE_BYTES * ways;
-            if bytes % set_bytes != 0 {
+            if ways == 0 {
+                problems.push(format!("{level} associativity must be positive"));
+            } else if bytes % set_bytes != 0 {
                 problems.push(format!(
                     "{level} size must be a multiple of block size × associativity"
                 ));
@@ -389,6 +391,12 @@ mod tests {
             ..MemorySystemConfig::default()
         };
         assert_eq!(c.validate(), ["L2 set count 12288 must be a power of two"]);
+        // Zero ways is reported, not a division by zero.
+        let c = MemorySystemConfig {
+            l1_ways: 0,
+            ..MemorySystemConfig::default()
+        };
+        assert_eq!(c.validate(), ["L1 associativity must be positive"]);
     }
 
     #[test]
