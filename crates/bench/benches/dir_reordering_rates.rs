@@ -2,18 +2,13 @@
 //! network message reordering rates, ordering recoveries and link
 //! utilizations across the 400 MB/s – 3.2 GB/s bandwidth sweep.
 
-use specsim::experiments::{ExperimentScale, ReorderData};
-use specsim_bench::{finish, start};
+use std::process::ExitCode;
 
-fn main() {
-    let scale = ExperimentScale::from_env();
-    let t = start(
+use specsim::experiments::{reorder, ReorderConfig};
+
+fn main() -> ExitCode {
+    specsim_bench::run_figure(
         "Section 5.3 — Speculatively simplified directory protocol: reordering rates",
-        scale,
-    );
-    match ReorderData::run(scale) {
-        Ok(data) => print!("{}", data.render()),
-        Err(e) => eprintln!("protocol error during reordering runs: {e}"),
-    }
-    finish(t);
+        |scale| reorder::run(&ReorderConfig { scale }).map(|sweep| sweep.render()),
+    )
 }

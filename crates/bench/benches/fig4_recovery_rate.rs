@@ -1,15 +1,13 @@
 //! Regenerates Figure 4: normalized performance versus mis-speculation
 //! (recovery) rate, for all five workloads.
 
-use specsim::experiments::{ExperimentScale, Fig4Data};
-use specsim_bench::{finish, start};
+use std::process::ExitCode;
 
-fn main() {
-    let scale = ExperimentScale::from_env();
-    let t = start("Figure 4 — Performance vs. Mis-speculation Rate", scale);
-    match Fig4Data::run(scale) {
-        Ok(data) => print!("{}", data.render()),
-        Err(e) => eprintln!("protocol error during Figure 4 runs: {e}"),
-    }
-    finish(t);
+use specsim::experiments::{fig4, Fig4Config};
+
+fn main() -> ExitCode {
+    specsim_bench::run_figure(
+        "Figure 4 — Performance vs. Mis-speculation Rate",
+        |scale| fig4::run(&Fig4Config { scale }).map(|sweep| sweep.render()),
+    )
 }

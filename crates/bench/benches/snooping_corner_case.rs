@@ -3,18 +3,13 @@
 //! performance mirrors the fully designed protocol; a directed scenario
 //! confirms the detection mechanism works.
 
-use specsim::experiments::{ExperimentScale, SnoopingComparison};
-use specsim_bench::{finish, start};
+use std::process::ExitCode;
 
-fn main() {
-    let scale = ExperimentScale::from_env();
-    let t = start(
+use specsim::experiments::{snooping, SnoopingConfig};
+
+fn main() -> ExitCode {
+    specsim_bench::run_figure(
         "Section 5.3 — Speculatively simplified snooping protocol",
-        scale,
-    );
-    match SnoopingComparison::run(scale) {
-        Ok(cmp) => print!("{}", cmp.render()),
-        Err(e) => eprintln!("protocol error during snooping runs: {e}"),
-    }
-    finish(t);
+        |scale| snooping::run(&SnoopingConfig { scale }).map(|sweep| sweep.render()),
+    )
 }

@@ -2,18 +2,13 @@
 //! speculative designs, augmented with measured exposure / mis-speculation /
 //! recovery statistics.
 
-use specsim::experiments::{render_table1, ExperimentScale};
-use specsim_bench::{finish, start};
+use std::process::ExitCode;
 
-fn main() {
-    let scale = ExperimentScale::from_env();
-    let t = start(
+use specsim::experiments::render_table1;
+
+fn main() -> ExitCode {
+    specsim_bench::run_figure(
         "Table 1 — Framework characterization of the three designs",
-        scale,
-    );
-    match render_table1(scale) {
-        Ok(table) => print!("{table}"),
-        Err(e) => eprintln!("protocol error during Table 1 runs: {e}"),
-    }
-    finish(t);
+        render_table1,
+    )
 }

@@ -1,15 +1,10 @@
 //! Regenerates Table 3: the workload suite — the synthetic stand-ins'
 //! parameters plus measured traffic characteristics from short runs.
 
-use specsim::experiments::{render_table3, ExperimentScale};
-use specsim_bench::{finish, start};
+use std::process::ExitCode;
 
-fn main() {
-    let scale = ExperimentScale::from_env();
-    let t = start("Table 3 — Workloads", scale);
-    match render_table3(scale) {
-        Ok(table) => print!("{table}"),
-        Err(e) => eprintln!("protocol error during Table 3 runs: {e}"),
-    }
-    finish(t);
+use specsim::experiments::render_table3;
+
+fn main() -> ExitCode {
+    specsim_bench::run_figure("Table 3 — Workloads", render_table3)
 }

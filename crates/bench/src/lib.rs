@@ -39,6 +39,30 @@ pub fn finish(started: Instant) {
     println!("\n[done in {:.1} s]\n", started.elapsed().as_secs_f64());
 }
 
+/// Reproduces one paper figure or table at the environment's scale
+/// ([`ExperimentScale::from_env`]): prints the header, the text `run`
+/// returns and the footer. A failed run prints its error and exits with
+/// failure.
+pub fn run_figure<E: Display>(
+    artifact: &str,
+    run: impl FnOnce(ExperimentScale) -> Result<String, E>,
+) -> ExitCode {
+    let scale = ExperimentScale::from_env();
+    let started = start(artifact, scale);
+    let code = match run(scale) {
+        Ok(text) => {
+            print!("{text}");
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("protocol error: {e}");
+            ExitCode::FAILURE
+        }
+    };
+    finish(started);
+    code
+}
+
 /// Runs one `BENCH_*.json` sweep end to end. With `SPECSIM_BENCH_QUICK` set
 /// it runs the CI-sized `quick()` config, otherwise `C::default()`; it
 /// prints the config, runs it, prints the table and writes the artifact to
@@ -114,6 +138,14 @@ mod tests {
     fn header_and_footer_do_not_panic() {
         let t = start("smoke", ExperimentScale::quick());
         finish(t);
+    }
+
+    #[test]
+    fn a_failed_figure_exits_with_failure() {
+        let ok = |_| -> Result<String, &str> { Ok("table\n".to_string()) };
+        assert_eq!(run_figure("smoke", ok), ExitCode::SUCCESS);
+        let failed = |_| -> Result<String, &str> { Err("injected protocol error") };
+        assert_eq!(run_figure("smoke", failed), ExitCode::FAILURE);
     }
 
     #[test]

@@ -468,10 +468,7 @@ mod tests {
     fn a_block_maps_to_its_low_address_bits() {
         let geometry = CacheGeometry::new(512, 4);
         for addr in [0, 1, 511, 512, 513, 0x1234_5678_9abc, u64::MAX] {
-            assert_eq!(
-                geometry.set_of(BlockAddr(addr)),
-                BlockAddr(addr).cache_set(512)
-            );
+            assert_eq!(geometry.set_of(BlockAddr(addr)), (addr % 512) as usize);
         }
     }
 
@@ -606,8 +603,8 @@ mod tests {
                 c.insert(BlockAddr(a), 0u8, a);
                 prop_assert!(c.len() <= c.geometry().capacity_blocks());
                 // Every set individually respects associativity.
-                for s in 0..4u64 {
-                    let in_set = c.iter().filter(|l| l.addr.cache_set(4) == s as usize).count();
+                for s in 0..4 {
+                    let in_set = c.iter().filter(|l| c.geometry().set_of(l.addr) == s).count();
                     prop_assert!(in_set <= 2);
                 }
             }
@@ -717,8 +714,8 @@ mod tests {
         flat: &CacheArray<u8>,
         model: &BTreeCacheArray<u8>,
     ) -> Result<(), TestCaseError> {
-        let sets = flat.geometry().sets();
-        let set_of = |l: &&CacheLine<u8>| l.addr.cache_set(sets);
+        let geometry = flat.geometry();
+        let set_of = |l: &&CacheLine<u8>| geometry.set_of(l.addr);
         let flat_lines: Vec<&CacheLine<u8>> = flat.iter().collect();
         let mut model_lines: Vec<&CacheLine<u8>> = model.iter().collect();
         let model_sets: Vec<usize> = model_lines.iter().map(set_of).collect();
@@ -726,7 +723,7 @@ mod tests {
             flat_lines.iter().map(set_of).collect::<Vec<_>>(),
             model_sets
         );
-        model_lines.sort_by_key(|l| (l.addr.cache_set(sets), l.addr));
+        model_lines.sort_by_key(|l| (geometry.set_of(l.addr), l.addr));
         prop_assert_eq!(flat_lines, model_lines);
         Ok(())
     }

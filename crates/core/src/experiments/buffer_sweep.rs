@@ -14,12 +14,29 @@ use specsim_workloads::WorkloadKind;
 
 use crate::config::SystemConfig;
 use crate::experiments::runner::{
-    measure_directory, throughput_measurement, ExperimentScale, Measurement,
+    measure_directory, measurement_of, throughput_measurement, ExperimentScale, Measurement,
 };
+use crate::experiments::sweep::{Cell, Column, Sweep, SweepConfig};
 
 /// The buffer sizes swept (the paper discusses 16 and 8; 64/32 confirm the
 /// plateau and 4/2 extend the sweep below the paper's smallest point).
 pub const BUFFER_SIZES: [usize; 6] = [64, 32, 16, 8, 4, 2];
+
+/// Link bandwidth of the sweep: the low-bandwidth operating point (the one
+/// Figure 5 uses). With 400 MB/s links the network actually queues, so
+/// buffer capacity is the binding resource it is in the paper. At 3.2 GB/s
+/// the synthetic workloads never stress the buffers and every size looks
+/// identical.
+pub const BANDWIDTH: LinkBandwidth = LinkBandwidth::MB_400;
+
+/// Which workload to sweep and how long/often to run each design point.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BufferSweepConfig {
+    /// Workload of every design point.
+    pub workload: WorkloadKind,
+    /// Cycles and perturbed seeds per design point.
+    pub scale: ExperimentScale,
+}
 
 /// One row of the sweep.
 #[derive(Debug, Clone)]
@@ -34,97 +51,67 @@ pub struct BufferSweepRow {
     pub deadlock_recoveries: u64,
 }
 
-/// The buffer-size sweep data set.
-#[derive(Debug, Clone)]
-pub struct BufferSweep {
-    /// Workload the sweep was run on.
-    pub workload: WorkloadKind,
-    /// One row per buffer size, preceded by the worst-case baseline.
-    pub rows: Vec<BufferSweepRow>,
-    /// Scale used.
-    pub scale: ExperimentScale,
+impl SweepConfig for BufferSweepConfig {
+    type Row = BufferSweepRow;
+    const TITLE: &'static str =
+        "Simplified interconnect buffer sweep (no virtual channels/networks; adaptive routing)";
+    const COLUMNS: &'static [Column<BufferSweepRow>] = &[
+        ("buffers_per_port", "buffers/port", |r| {
+            r.buffers_per_port
+                .map_or(Cell::Label("worst-case"), |s| Cell::Int(s as u64))
+        }),
+        ("normalized", "normalized-perf", |r| {
+            Cell::Measurement(r.normalized_performance)
+        }),
+        ("deadlock_recoveries", "deadlock recoveries", |r| {
+            Cell::Int(r.deadlock_recoveries)
+        }),
+    ];
+
+    fn params(sweep: &Sweep<Self>) -> Vec<(&'static str, Cell)> {
+        let cfg = &sweep.config;
+        vec![
+            ("workload", Cell::Label(cfg.workload.label())),
+            ("mb_per_s", Cell::Int(BANDWIDTH.megabytes_per_second)),
+            ("cycles", Cell::Int(cfg.scale.cycles)),
+            ("seeds", Cell::Int(cfg.scale.seeds)),
+        ]
+    }
 }
 
-impl BufferSweep {
-    /// Runs the sweep for one workload.
-    pub fn run(workload: WorkloadKind, scale: ExperimentScale) -> Result<Self, ProtocolError> {
-        Self::run_sizes(workload, &BUFFER_SIZES, scale)
-    }
-
-    /// Runs the sweep for a chosen set of buffer sizes.
-    pub fn run_sizes(
-        workload: WorkloadKind,
-        sizes: &[usize],
-        scale: ExperimentScale,
-    ) -> Result<Self, ProtocolError> {
-        // The sweep runs at the low-bandwidth operating point (the same one
-        // Figure 5 uses): with 400 MB/s links the network actually queues, so
-        // buffer capacity is the binding resource it is in the paper. At
-        // 3.2 GB/s the synthetic workloads never stress the buffers and every
-        // size looks identical.
-        let bandwidth = LinkBandwidth::MB_400;
-        // Baseline: worst-case buffering (deadlock structurally impossible
-        // without virtual channels).
-        let mut base_cfg = SystemConfig::directory_speculative(workload, bandwidth, 4000);
-        base_cfg.memory.safetynet.checkpoint_interval_cycles = 5_000;
-        let base_runs = measure_directory(&base_cfg, scale)?;
-        let baseline = throughput_measurement(&base_runs);
-        let denom = baseline.mean.max(f64::MIN_POSITIVE);
-        let mut rows = vec![BufferSweepRow {
-            buffers_per_port: None,
-            normalized_performance: Measurement::from_samples(
-                &base_runs
-                    .iter()
-                    .map(|r| r.throughput() / denom)
-                    .collect::<Vec<_>>(),
-            ),
-            deadlock_recoveries: 0,
-        }];
-        for &size in sizes {
-            let mut cfg = SystemConfig::simplified_interconnect(workload, bandwidth, size, 4000);
-            cfg.memory.safetynet.checkpoint_interval_cycles = 5_000;
-            let runs = measure_directory(&cfg, scale)?;
-            let normalized: Vec<f64> = runs.iter().map(|r| r.throughput() / denom).collect();
-            let deadlocks = runs
+/// Runs the sweep: the worst-case-buffering baseline, then every buffer
+/// size normalized to it.
+pub fn run(cfg: &BufferSweepConfig) -> Result<Sweep<BufferSweepConfig>, ProtocolError> {
+    // Baseline: worst-case buffering (deadlock structurally impossible
+    // without virtual channels).
+    let mut base_cfg = SystemConfig::directory_speculative(cfg.workload, BANDWIDTH, 4000);
+    base_cfg.memory.safetynet.checkpoint_interval_cycles = 5_000;
+    let base_runs = measure_directory(&base_cfg, cfg.scale)?;
+    let denom = throughput_measurement(&base_runs)
+        .mean
+        .max(f64::MIN_POSITIVE);
+    let mut rows = vec![BufferSweepRow {
+        buffers_per_port: None,
+        normalized_performance: measurement_of(&base_runs, |r| r.throughput() / denom),
+        deadlock_recoveries: 0,
+    }];
+    for size in BUFFER_SIZES {
+        let mut sys = SystemConfig::simplified_interconnect(cfg.workload, BANDWIDTH, size, 4000);
+        sys.memory.safetynet.checkpoint_interval_cycles = 5_000;
+        let runs = measure_directory(&sys, cfg.scale)?;
+        rows.push(BufferSweepRow {
+            buffers_per_port: Some(size),
+            normalized_performance: measurement_of(&runs, |r| r.throughput() / denom),
+            deadlock_recoveries: runs
                 .iter()
                 .map(|r| r.misspeculations_of(MisSpecKind::TransactionTimeout))
-                .sum();
-            rows.push(BufferSweepRow {
-                buffers_per_port: Some(size),
-                normalized_performance: Measurement::from_samples(&normalized),
-                deadlock_recoveries: deadlocks,
-            });
-        }
-        Ok(Self {
-            workload,
-            rows,
-            scale,
-        })
+                .sum(),
+        });
     }
-
-    /// Renders the sweep as a text table.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "Simplified interconnect buffer sweep ({}; no virtual channels/networks; adaptive routing)\n",
-            self.workload.label()
-        ));
-        out.push_str("buffers/port   normalized-perf     deadlock recoveries\n");
-        for r in &self.rows {
-            let label = match r.buffers_per_port {
-                Some(s) => s.to_string(),
-                None => "worst-case".to_string(),
-            };
-            out.push_str(&format!(
-                "{:<13} {:<19} {:>19}\n",
-                label,
-                r.normalized_performance.display(),
-                r.deadlock_recoveries,
-            ));
-        }
-        out
-    }
+    Ok(Sweep {
+        config: cfg.clone(),
+        rows,
+    })
 }
 
 #[cfg(test)]
@@ -133,18 +120,18 @@ mod tests {
 
     #[test]
     fn buffer_sweep_quick_run_shows_plateau_at_large_buffers() {
-        let sweep = BufferSweep::run_sizes(
-            WorkloadKind::Jbb,
-            &[32],
-            ExperimentScale {
+        let sweep = run(&BufferSweepConfig {
+            workload: WorkloadKind::Jbb,
+            scale: ExperimentScale {
                 cycles: 20_000,
                 seeds: 1,
             },
-        )
+        })
         .expect("no protocol errors");
-        assert_eq!(sweep.rows.len(), 2);
+        assert_eq!(sweep.rows.len(), BUFFER_SIZES.len() + 1);
         // Ample shared buffering performs close to worst-case buffering.
-        let r32 = &sweep.rows[1];
+        let r32 = &sweep.rows[2];
+        assert_eq!(r32.buffers_per_port, Some(32));
         assert!(
             r32.normalized_performance.mean > 0.7,
             "32-entry buffers should be near the baseline, got {}",

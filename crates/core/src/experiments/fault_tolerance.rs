@@ -30,18 +30,21 @@
 //! The `fault_tolerance_sweep` bench renders the table and writes
 //! `BENCH_fault_tolerance.json`.
 
-use specsim_base::{FaultConfig, FaultKind, LinkBandwidth, ProtocolVariant, ALL_FAULT_KINDS};
+use specsim_base::{FaultConfig, FaultKind, ALL_FAULT_KINDS};
 use specsim_coherence::types::ProtocolError;
-use specsim_workloads::WorkloadKind;
 
 use crate::config::SystemConfig;
-use crate::experiments::heavy_traffic::heavy_traffic;
+use crate::experiments::heavy_traffic::{heavy_machine, Machine, BANDWIDTH, NUM_NODES, WORKLOAD};
 use crate::experiments::runner::{
     measure_directory, measure_snooping, throughput_measurement, ExperimentScale, Measurement,
 };
-use crate::experiments::shared_buffer::Machine;
 use crate::experiments::sweep::{Cell, Column, Sweep, SweepConfig};
 use crate::metrics::RunMetrics;
+
+/// The machines every campaign runs, quick or full: the directory machine
+/// faults its coherence torus, the snooping machine its point-to-point data
+/// torus.
+pub const MACHINES: [Machine; 2] = [Machine::Directory, Machine::Snooping];
 
 /// What to sweep and how long/often to run each design point.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,36 +54,18 @@ pub struct FaultToleranceConfig {
     pub rates_per_mcycle: Vec<u64>,
     /// Fault kinds to campaign with, one design point per kind.
     pub kinds: Vec<FaultKind>,
-    /// Machines to run (the directory machine faults its coherence torus,
-    /// the snooping machine its point-to-point data torus).
-    pub machines: Vec<Machine>,
-    /// Workload generator at every design point.
-    pub workload: WorkloadKind,
-    /// Link bandwidth (the paper's low operating point, where the fabric —
-    /// and hence a fault's blast radius — binds).
-    pub bandwidth: LinkBandwidth,
-    /// Machine size (the paper's machine is 16 nodes).
-    pub num_nodes: usize,
-    /// MSHR entries per node (non-blocking processors keep transactions in
-    /// flight for the faults to hit).
-    pub mshr_entries: usize,
     /// Cycles and perturbed seeds per design point.
     pub scale: ExperimentScale,
 }
 
 impl Default for FaultToleranceConfig {
     /// The full campaign: three nonzero rates up to 10⁴ events/Mcycle ×
-    /// all seven fault kinds × both machines, at the environment-controlled
-    /// scale.
+    /// all seven fault kinds × both [`MACHINES`], at the
+    /// environment-controlled scale.
     fn default() -> Self {
         Self {
             rates_per_mcycle: vec![100, 1_000, 10_000],
             kinds: ALL_FAULT_KINDS.to_vec(),
-            machines: vec![Machine::Directory, Machine::Snooping],
-            workload: WorkloadKind::Oltp,
-            bandwidth: LinkBandwidth::MB_400,
-            num_nodes: 16,
-            mshr_entries: 4,
             scale: ExperimentScale::from_env(),
         }
     }
@@ -90,17 +75,12 @@ impl FaultToleranceConfig {
     /// A CI-sized campaign: two nonzero rates (a sparse one that degrades
     /// throughput and a storm that collapses it), a detection-path-covering
     /// kind subset (timeout-caught drop, ingest-caught corrupt, windowed
-    /// switch stall), both machines, few seeds, short runs.
+    /// switch stall), few seeds, short runs.
     #[must_use]
     pub fn quick() -> Self {
         Self {
             rates_per_mcycle: vec![200, 10_000],
             kinds: vec![FaultKind::Drop, FaultKind::Corrupt, FaultKind::SwitchStall],
-            machines: vec![Machine::Directory, Machine::Snooping],
-            workload: WorkloadKind::Oltp,
-            bandwidth: LinkBandwidth::MB_400,
-            num_nodes: 16,
-            mshr_entries: 4,
             scale: ExperimentScale {
                 cycles: 60_000,
                 seeds: 2,
@@ -185,9 +165,9 @@ impl SweepConfig for FaultToleranceConfig {
     fn params(sweep: &FaultToleranceData) -> Vec<(&'static str, Cell)> {
         let cfg = &sweep.config;
         vec![
-            ("workload", Cell::Label(cfg.workload.label())),
-            ("mb_per_s", Cell::Int(cfg.bandwidth.megabytes_per_second)),
-            ("num_nodes", Cell::Int(cfg.num_nodes as u64)),
+            ("workload", Cell::Label(WORKLOAD.label())),
+            ("mb_per_s", Cell::Int(BANDWIDTH.megabytes_per_second)),
+            ("num_nodes", Cell::Int(NUM_NODES as u64)),
             ("cycles", Cell::Int(cfg.scale.cycles)),
             ("seeds", Cell::Int(cfg.scale.seeds)),
         ]
@@ -207,29 +187,18 @@ fn campaign(cfg: &FaultToleranceConfig, kind: Option<FaultKind>, rate: u64) -> F
     }
 }
 
-fn dir_config(cfg: &FaultToleranceConfig, kind: Option<FaultKind>, rate: u64) -> SystemConfig {
-    let mut sys = SystemConfig::directory_speculative(cfg.workload, cfg.bandwidth, 7000)
-        .with_nodes(cfg.num_nodes);
-    sys.routing = specsim_base::RoutingPolicy::Adaptive;
-    sys.memory.mshr_entries = cfg.mshr_entries;
-    sys.memory.safetynet.checkpoint_interval_cycles = 5_000;
+/// The heavy-traffic operating point of `machine` under one campaign.
+fn campaign_config(
+    cfg: &FaultToleranceConfig,
+    machine: Machine,
+    kind: Option<FaultKind>,
+    rate: u64,
+) -> SystemConfig {
+    let mut sys = heavy_machine(machine, WORKLOAD, 7000);
     // Post-recovery slow start scaled to the checkpoint cadence rather than
     // the congestion-tuned default, so high fault rates measure repeated
     // recovery cost instead of one recovery followed by a throttled tail.
     sys.forward_progress.slow_start_cycles = 20_000;
-    sys.traffic = heavy_traffic();
-    sys.fault_config = campaign(cfg, kind, rate);
-    sys
-}
-
-fn snoop_config(cfg: &FaultToleranceConfig, kind: Option<FaultKind>, rate: u64) -> SystemConfig {
-    let mut sys = SystemConfig::new(cfg.workload, ProtocolVariant::Speculative, 7000);
-    sys.memory.num_nodes = cfg.num_nodes;
-    sys.memory.link_bandwidth = cfg.bandwidth;
-    sys.memory.mshr_entries = cfg.mshr_entries;
-    sys.memory.safetynet.checkpoint_interval_cycles = 5_000;
-    sys.forward_progress.slow_start_cycles = 20_000;
-    sys.traffic = heavy_traffic();
     sys.fault_config = campaign(cfg, kind, rate);
     sys
 }
@@ -285,9 +254,10 @@ fn measure(
     kind: Option<FaultKind>,
     rate: u64,
 ) -> Result<FaultToleranceRow, ProtocolError> {
+    let sys = campaign_config(cfg, machine, kind, rate);
     let runs = match machine {
-        Machine::Directory => measure_directory(&dir_config(cfg, kind, rate), cfg.scale)?,
-        Machine::Snooping => measure_snooping(&snoop_config(cfg, kind, rate), cfg.scale)?,
+        Machine::Directory => measure_directory(&sys, cfg.scale)?,
+        Machine::Snooping => measure_snooping(&sys, cfg.scale)?,
     };
     Ok(row_from_runs(machine, kind, rate, &runs))
 }
@@ -299,7 +269,7 @@ fn measure(
 /// configuration.
 pub fn run(cfg: &FaultToleranceConfig) -> Result<FaultToleranceData, ProtocolError> {
     let mut rows = Vec::new();
-    for &machine in &cfg.machines {
+    for machine in MACHINES {
         rows.push(measure(cfg, machine, None, 0)?);
         for &kind in &cfg.kinds {
             for &rate in &cfg.rates_per_mcycle {
@@ -332,12 +302,11 @@ mod tests {
     fn default_campaign_covers_every_kind_and_both_machines() {
         let cfg = FaultToleranceConfig::default();
         assert_eq!(cfg.kinds.len(), ALL_FAULT_KINDS.len());
-        assert_eq!(cfg.machines.len(), 2);
+        assert_eq!(MACHINES, [Machine::Directory, Machine::Snooping]);
         assert!(cfg.rates_per_mcycle.contains(&10_000));
-        // Quick mode keeps both machines and both detection paths
-        // (timeout-caught drop, ingest-caught corrupt).
+        // Quick mode keeps both detection paths (timeout-caught drop,
+        // ingest-caught corrupt).
         let quick = FaultToleranceConfig::quick();
-        assert_eq!(quick.machines.len(), 2);
         assert!(quick.kinds.contains(&FaultKind::Drop));
         assert!(quick.kinds.contains(&FaultKind::Corrupt));
     }
@@ -349,12 +318,11 @@ mod tests {
         assert!(campaign(&cfg, Some(FaultKind::Drop), 0).is_disabled());
         assert!(!campaign(&cfg, Some(FaultKind::Drop), 1_000).is_disabled());
         // Both machines' configs validate under the campaign.
-        assert!(dir_config(&cfg, Some(FaultKind::Drop), 1_000)
-            .validate()
-            .is_empty());
-        assert!(snoop_config(&cfg, Some(FaultKind::Drop), 1_000)
-            .validate()
-            .is_empty());
+        for machine in MACHINES {
+            assert!(campaign_config(&cfg, machine, Some(FaultKind::Drop), 1_000)
+                .validate()
+                .is_empty());
+        }
     }
 
     #[test]
@@ -362,29 +330,29 @@ mod tests {
         let cfg = FaultToleranceConfig {
             rates_per_mcycle: vec![10_000],
             kinds: vec![FaultKind::Corrupt],
-            machines: vec![Machine::Directory],
-            workload: WorkloadKind::Oltp,
-            bandwidth: LinkBandwidth::MB_400,
-            num_nodes: 16,
-            mshr_entries: 4,
             scale: ExperimentScale {
                 cycles: 20_000,
                 seeds: 1,
             },
         };
         let data = run(&cfg).expect("no protocol errors");
-        assert_eq!(data.rows.len(), 2);
-        let control = &data.rows[0];
-        assert_eq!(control.rate_per_mcycle, 0);
-        assert_eq!(control.faults_injected, 0);
-        assert_eq!(control.fault_recoveries, 0);
-        let faulted = &data.rows[1];
-        assert!(faulted.faults_injected > 0, "the campaign never fired");
-        assert!(
-            faulted.fault_recoveries > 0,
-            "injected corruption must be detected and recovered"
-        );
-        assert_eq!(faulted.faults_detected, faulted.fault_recoveries);
+        // A control row and a corrupt row per machine.
+        assert_eq!(data.rows.len(), 4);
+        for pair in data.rows.chunks(2) {
+            let (control, faulted) = (&pair[0], &pair[1]);
+            assert_eq!(control.machine, faulted.machine);
+            assert_eq!(control.fault_recoveries, 0);
+            assert_eq!(control.rate_per_mcycle, 0);
+            assert_eq!(control.faults_injected, 0);
+            assert!(faulted.faults_injected > 0, "the campaign never fired");
+            assert!(
+                faulted.fault_recoveries > 0,
+                "injected corruption must be detected and recovered"
+            );
+            assert_eq!(faulted.faults_detected, faulted.fault_recoveries);
+        }
+        // The directory machine's pair.
+        let (control, faulted) = (&data.rows[0], &data.rows[1]);
         // A 10^4/Mcycle storm means a fault roughly every hundred cycles:
         // the machine spends the run detecting and restoring, so committed
         // throughput collapses below the fault-free control.

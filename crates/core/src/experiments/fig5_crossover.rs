@@ -10,7 +10,9 @@
 //! advantage (normalized throughput ratio adaptive/static) decays to 1.0.
 //!
 //! The `fig5_crossover_sweep` bench renders the series and writes
-//! `BENCH_fig5_crossover.json`.
+//! `BENCH_fig5_crossover.json`. Figure 5 itself is the 400 MB/s point of
+//! this sweep, run once per workload by the `fig5_adaptive_vs_static`
+//! bench.
 
 use specsim_base::{LinkBandwidth, RoutingPolicy};
 use specsim_coherence::types::ProtocolError;
@@ -18,7 +20,7 @@ use specsim_workloads::WorkloadKind;
 
 use crate::config::SystemConfig;
 use crate::experiments::runner::{
-    measure_directory, throughput_measurement, ExperimentScale, Measurement,
+    measure_directory, run_mean, throughput_measurement, ExperimentScale, Measurement,
 };
 use crate::experiments::sweep::{Cell, Column, Sweep, SweepConfig};
 
@@ -150,7 +152,6 @@ pub fn run(cfg: &Fig5CrossoverConfig) -> Result<Fig5CrossoverData, ProtocolError
         let adaptive_runs = measure_directory(&adaptive_cfg, cfg.scale)?;
         let static_throughput = throughput_measurement(&static_runs);
         let adaptive_throughput = throughput_measurement(&adaptive_runs);
-        let n = static_runs.len().max(1) as f64;
         rows.push(Fig5CrossoverRow {
             bandwidth,
             adaptive_over_static: adaptive_throughput.mean
@@ -158,8 +159,7 @@ pub fn run(cfg: &Fig5CrossoverConfig) -> Result<Fig5CrossoverData, ProtocolError
             static_throughput,
             adaptive_throughput,
             adaptive_recoveries: adaptive_runs.iter().map(|r| r.recoveries).sum(),
-            static_link_utilization: static_runs.iter().map(|r| r.link_utilization).sum::<f64>()
-                / n,
+            static_link_utilization: run_mean(&static_runs, |r| r.link_utilization),
         });
     }
     Ok(Sweep {
@@ -249,7 +249,8 @@ mod tests {
         assert_eq!(data.rows.len(), 2);
         for r in &data.rows {
             assert!(r.static_throughput.mean > 0.0);
-            assert!(r.adaptive_over_static > 0.0);
+            assert!(r.adaptive_over_static > 0.3, "{}", r.adaptive_over_static);
+            assert!((0.0..=1.0).contains(&r.static_link_utilization));
         }
         // Throughput must not degrade as links get faster.
         assert!(data.rows[1].static_throughput.mean >= data.rows[0].static_throughput.mean);

@@ -25,16 +25,78 @@
 //! congestion timeouts) through the same SafetyNet recovery the paper
 //! measures, in vivo.
 
-use specsim_base::LinkBandwidth;
+use specsim_base::{LinkBandwidth, ProtocolVariant, RoutingPolicy};
 use specsim_coherence::types::ProtocolError;
 use specsim_workloads::{BurstConfig, TrafficConfig, WorkloadKind, ZipfConfig};
 
 use crate::config::SystemConfig;
 use crate::experiments::runner::{
-    measure_directory, misspec_per_mcycle_measurement, throughput_measurement, ExperimentScale,
+    measure_directory, measurement_of, misspec_per_mcycle, throughput_measurement, ExperimentScale,
     Measurement,
 };
 use crate::experiments::sweep::{Cell, Column, Sweep, SweepConfig};
+
+/// Workload of the heavy-traffic sweep and of the fault-tolerance campaign.
+pub const WORKLOAD: WorkloadKind = WorkloadKind::Oltp;
+
+/// Link bandwidth of the heavy-traffic operating point: the paper's low
+/// end, where buffer capacity and contention (and hence the
+/// mis-speculation machinery) bind, and where the fabric decides a fault's
+/// blast radius.
+pub const BANDWIDTH: LinkBandwidth = LinkBandwidth::MB_400;
+
+/// Machine size of the heavy-traffic operating point: the paper's 16-node
+/// machine. Under heavy traffic it pressures undersized pools on its own,
+/// so the shared-pool deadlock threshold lands at the 8→16-slot boundary.
+pub const NUM_NODES: usize = 16;
+
+/// MSHR entries per node at the heavy-traffic operating point:
+/// non-blocking processors keep enough transactions in flight to fill small
+/// pools and for injected faults to hit. One entry is the blocking miss
+/// stream that never pressured an 8-slot pool.
+pub const MSHR_ENTRIES: usize = 4;
+
+/// Which machine a design point runs on: the directory system over its
+/// coherence torus, or the snooping system, whose torus is the
+/// point-to-point data network beside the ordered address bus (the bus
+/// buffers nothing, so only the torus can be pooled, faulted or wedged).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Machine {
+    /// Directory protocol over the coherence torus.
+    Directory,
+    /// Snooping protocol; the torus is its data network.
+    Snooping,
+}
+
+impl Machine {
+    /// Short label used in tables and JSON.
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        match self {
+            Self::Directory => "directory",
+            Self::Snooping => "snooping",
+        }
+    }
+}
+
+/// The heavy-traffic operating point on `machine`: the speculative protocol
+/// on [`NUM_NODES`] nodes at [`BANDWIDTH`], [`MSHR_ENTRIES`] MSHRs per node,
+/// [`heavy_traffic`] shaping and a 5 000-cycle checkpoint interval. The
+/// directory machine routes adaptively; the snooping machine's data network
+/// keeps Table 2's static routing.
+#[must_use]
+pub fn heavy_machine(machine: Machine, workload: WorkloadKind, seed: u64) -> SystemConfig {
+    let mut sys =
+        SystemConfig::new(workload, ProtocolVariant::Speculative, seed).with_nodes(NUM_NODES);
+    if machine == Machine::Directory {
+        sys.routing = RoutingPolicy::Adaptive;
+    }
+    sys.memory.link_bandwidth = BANDWIDTH;
+    sys.memory.mshr_entries = MSHR_ENTRIES;
+    sys.memory.safetynet.checkpoint_interval_cycles = 5_000;
+    sys.traffic = heavy_traffic();
+    sys
+}
 
 /// The canonical heavy Zipfian overlay: a quarter of every node's accesses
 /// land on 128 hot shared read-write blocks under unit skew. Empirically
@@ -126,13 +188,6 @@ pub struct HeavyTrafficConfig {
     pub mshr_entries: Vec<usize>,
     /// Injection shapes to visit.
     pub shapes: Vec<TrafficShape>,
-    /// Workload generator at every design point.
-    pub workload: WorkloadKind,
-    /// Link bandwidth. The default is the paper's low operating point,
-    /// where contention (and hence the mis-speculation machinery) binds.
-    pub bandwidth: LinkBandwidth,
-    /// Machine size (the paper's machine is 16 nodes).
-    pub num_nodes: usize,
     /// Cycles and perturbed seeds per design point.
     pub scale: ExperimentScale,
 }
@@ -144,9 +199,6 @@ impl Default for HeavyTrafficConfig {
         Self {
             mshr_entries: vec![1, 2, 4, 8],
             shapes: ALL_SHAPES.to_vec(),
-            workload: WorkloadKind::Oltp,
-            bandwidth: LinkBandwidth::MB_400,
-            num_nodes: 16,
             scale: ExperimentScale::from_env(),
         }
     }
@@ -160,9 +212,6 @@ impl HeavyTrafficConfig {
         Self {
             mshr_entries: vec![1, 4],
             shapes: vec![TrafficShape::Uniform, TrafficShape::ZipfianBursty],
-            workload: WorkloadKind::Oltp,
-            bandwidth: LinkBandwidth::MB_400,
-            num_nodes: 16,
             scale: ExperimentScale {
                 cycles: 20_000,
                 seeds: 2,
@@ -215,21 +264,18 @@ impl SweepConfig for HeavyTrafficConfig {
     fn params(sweep: &HeavyTrafficData) -> Vec<(&'static str, Cell)> {
         let cfg = &sweep.config;
         vec![
-            ("workload", Cell::Label(cfg.workload.label())),
-            ("mb_per_s", Cell::Int(cfg.bandwidth.megabytes_per_second)),
-            ("num_nodes", Cell::Int(cfg.num_nodes as u64)),
+            ("workload", Cell::Label(WORKLOAD.label())),
+            ("mb_per_s", Cell::Int(BANDWIDTH.megabytes_per_second)),
+            ("num_nodes", Cell::Int(NUM_NODES as u64)),
             ("cycles", Cell::Int(cfg.scale.cycles)),
             ("seeds", Cell::Int(cfg.scale.seeds)),
         ]
     }
 }
 
-fn design_point(cfg: &HeavyTrafficConfig, mshr: usize, shape: TrafficShape) -> SystemConfig {
-    let mut sys = SystemConfig::directory_speculative(cfg.workload, cfg.bandwidth, 9000)
-        .with_nodes(cfg.num_nodes);
-    sys.routing = specsim_base::RoutingPolicy::Adaptive;
+fn design_point(mshr: usize, shape: TrafficShape) -> SystemConfig {
+    let mut sys = heavy_machine(Machine::Directory, WORKLOAD, 9000);
     sys.memory.mshr_entries = mshr;
-    sys.memory.safetynet.checkpoint_interval_cycles = 5_000;
     sys.traffic = shape.traffic();
     sys
 }
@@ -240,23 +286,19 @@ pub fn run(cfg: &HeavyTrafficConfig) -> Result<HeavyTrafficData, ProtocolError> 
     let mut rows = Vec::with_capacity(cfg.mshr_entries.len() * cfg.shapes.len());
     for &mshr in &cfg.mshr_entries {
         for &shape in &cfg.shapes {
-            let runs = measure_directory(&design_point(cfg, mshr, shape), cfg.scale)?;
-            let miss_rates: Vec<f64> = runs
-                .iter()
-                .map(|r| {
+            let runs = measure_directory(&design_point(mshr, shape), cfg.scale)?;
+            rows.push(HeavyTrafficRow {
+                mshr_entries: mshr,
+                shape,
+                throughput: throughput_measurement(&runs),
+                misses_per_kcycle: measurement_of(&runs, |r| {
                     if r.cycles == 0 {
                         0.0
                     } else {
                         r.misses as f64 * 1e3 / r.cycles as f64
                     }
-                })
-                .collect();
-            rows.push(HeavyTrafficRow {
-                mshr_entries: mshr,
-                shape,
-                throughput: throughput_measurement(&runs),
-                misses_per_kcycle: Measurement::from_samples(&miss_rates),
-                misspec_per_mcycle: misspec_per_mcycle_measurement(&runs),
+                }),
+                misspec_per_mcycle: measurement_of(&runs, misspec_per_mcycle),
                 recoveries: runs.iter().map(|r| r.recoveries).sum(),
             });
         }
@@ -292,11 +334,22 @@ mod tests {
         let cfg = HeavyTrafficConfig::default();
         assert!(cfg.mshr_entries.contains(&1) && cfg.mshr_entries.iter().any(|&m| m > 1));
         assert_eq!(cfg.shapes, ALL_SHAPES.to_vec());
-        assert_eq!(cfg.num_nodes, 16);
         // Quick mode keeps the blocking baseline and the heaviest corner.
         let quick = HeavyTrafficConfig::quick();
         assert!(quick.mshr_entries.contains(&1));
         assert!(quick.shapes.contains(&TrafficShape::ZipfianBursty));
+        // Both machines' heavy operating points validate; only the
+        // directory machine routes adaptively.
+        for (machine, routing) in [
+            (Machine::Directory, RoutingPolicy::Adaptive),
+            (Machine::Snooping, RoutingPolicy::Static),
+        ] {
+            let sys = heavy_machine(machine, WORKLOAD, 1);
+            assert!(sys.validate().is_empty());
+            assert_eq!(sys.routing, routing);
+            assert_eq!(sys.memory.num_nodes, NUM_NODES);
+            assert_eq!(sys.traffic, heavy_traffic());
+        }
     }
 
     #[test]
@@ -304,9 +357,6 @@ mod tests {
         let cfg = HeavyTrafficConfig {
             mshr_entries: vec![1, 4],
             shapes: vec![TrafficShape::Uniform],
-            workload: WorkloadKind::Oltp,
-            bandwidth: LinkBandwidth::GB_3_2,
-            num_nodes: 16,
             scale: ExperimentScale {
                 cycles: 15_000,
                 seeds: 1,

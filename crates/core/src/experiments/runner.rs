@@ -180,11 +180,23 @@ pub fn measure_snooping(
     .collect()
 }
 
+/// Mean ± std of `f` over the runs, sampled in run order.
+#[must_use]
+pub fn measurement_of(runs: &[RunMetrics], f: impl Fn(&RunMetrics) -> f64) -> Measurement {
+    let samples: Vec<f64> = runs.iter().map(f).collect();
+    Measurement::from_samples(&samples)
+}
+
+/// The mean of `f` over the runs, summed in run order (0 for no runs).
+#[must_use]
+pub fn run_mean(runs: &[RunMetrics], f: impl Fn(&RunMetrics) -> f64) -> f64 {
+    runs.iter().map(f).sum::<f64>() / runs.len().max(1) as f64
+}
+
 /// Convenience: the throughput measurement over a set of per-run metrics.
 #[must_use]
 pub fn throughput_measurement(runs: &[RunMetrics]) -> Measurement {
-    let samples: Vec<f64> = runs.iter().map(RunMetrics::throughput).collect();
-    Measurement::from_samples(&samples)
+    measurement_of(runs, RunMetrics::throughput)
 }
 
 /// Detected mis-speculations (all kinds) per million simulated cycles in
@@ -199,12 +211,19 @@ pub fn misspec_per_mcycle(m: &RunMetrics) -> f64 {
     }
 }
 
-/// Convenience: the mis-speculation-rate measurement (per million cycles)
-/// over a set of per-run metrics.
+/// Mean cycles one recovery cost (lost work plus recovery latency) over
+/// all recoveries of the runs, 0 when none happened.
 #[must_use]
-pub fn misspec_per_mcycle_measurement(runs: &[RunMetrics]) -> Measurement {
-    let samples: Vec<f64> = runs.iter().map(misspec_per_mcycle).collect();
-    Measurement::from_samples(&samples)
+pub fn mean_recovery_cost(runs: &[RunMetrics]) -> f64 {
+    let recoveries: u64 = runs.iter().map(RunMetrics::total_recoveries).sum();
+    if recoveries == 0 {
+        0.0
+    } else {
+        runs.iter()
+            .map(|r| r.lost_work_cycles + r.recovery_latency_cycles)
+            .sum::<u64>() as f64
+            / recoveries as f64
+    }
 }
 
 #[cfg(test)]

@@ -34,14 +34,22 @@ use specsim_workloads::{TrafficConfig, WorkloadKind, ZipfConfig, ALL_WORKLOADS};
 
 use crate::config::SystemConfig;
 use crate::dirsys::DirectorySystem;
-use crate::experiments::heavy_traffic::heavy_traffic;
+use crate::experiments::heavy_traffic::{heavy_traffic, MSHR_ENTRIES};
 use crate::experiments::runner::{
-    measure_directory, misspec_per_mcycle, throughput_measurement, ExperimentScale, Measurement,
+    measure_directory, measurement_of, misspec_per_mcycle, throughput_measurement, ExperimentScale,
+    Measurement,
 };
 use crate::experiments::sweep::{Cell, Column, Sweep, SweepConfig};
 
 /// The node counts the full sweep visits (8 → 1024, doubling).
 pub const FULL_NODE_COUNTS: [usize; 8] = [8, 16, 32, 64, 128, 256, 512, 1024];
+
+/// Link bandwidth of every machine in the sweep: the 800 MB/s operating
+/// point. Under production-shaped traffic the small machines still scale
+/// while the large ones hit the saturation wall, where transactions starve
+/// past the timeout and the mis-speculation column goes nonzero (at
+/// 3.2 GB/s nothing interesting happens; at 400 MB/s even 8 nodes starve).
+pub const BANDWIDTH: LinkBandwidth = LinkBandwidth::MB_800;
 
 /// Node count at which the sweep's heavy-traffic knobs start scaling with
 /// machine size. Below this the historical fixed knobs apply verbatim
@@ -143,23 +151,6 @@ pub struct ScalingConfig {
     pub workloads: Vec<WorkloadKind>,
     /// Cycles and perturbed seeds per design point.
     pub scale: ExperimentScale,
-    /// Link bandwidth of every machine in the sweep. The default is the
-    /// 800 MB/s operating point: under production-shaped traffic the small
-    /// machines still scale while the large ones hit the saturation wall,
-    /// where transactions starve past the timeout and the mis-speculation
-    /// column goes nonzero (at 3.2 GB/s nothing interesting happens; at
-    /// 400 MB/s even 8 nodes starve).
-    pub bandwidth: LinkBandwidth,
-    /// MSHR entries per node. The default (4) runs the sweep with
-    /// non-blocking processors so the contention — and hence the
-    /// mis-speculation column — is real; set 1 for the historical blocking
-    /// miss stream.
-    pub mshr_entries: usize,
-    /// Generator traffic shaping. The default is the canonical heavy shape
-    /// ([`heavy_traffic`]: Zipfian hot blocks + bursty injection), under
-    /// which the speculation machinery actually fires in vivo at the
-    /// saturated machine sizes.
-    pub traffic: TrafficConfig,
 }
 
 impl Default for ScalingConfig {
@@ -170,9 +161,6 @@ impl Default for ScalingConfig {
             node_counts: FULL_NODE_COUNTS.to_vec(),
             workloads: workloads_from_env(),
             scale: ExperimentScale::from_env(),
-            bandwidth: LinkBandwidth::MB_800,
-            mshr_entries: 4,
-            traffic: heavy_traffic(),
         }
     }
 }
@@ -190,9 +178,6 @@ impl ScalingConfig {
                 cycles: 20_000,
                 seeds: 2,
             },
-            bandwidth: LinkBandwidth::MB_800,
-            mshr_entries: 4,
-            traffic: heavy_traffic(),
         }
     }
 }
@@ -285,8 +270,11 @@ pub fn run(cfg: &ScalingConfig) -> Result<ScalingData, ProtocolError> {
         for &workload in &cfg.workloads {
             for routing in [RoutingPolicy::Static, RoutingPolicy::Adaptive] {
                 let mut sys_cfg =
-                    SystemConfig::directory_speculative(workload, cfg.bandwidth, 1).with_nodes(n);
+                    SystemConfig::directory_speculative(workload, BANDWIDTH, 1).with_nodes(n);
                 sys_cfg.routing = routing;
+                // The heavy-traffic knobs (non-blocking processors, Zipfian
+                // hot blocks, bursty injection) make the contention, and so
+                // the mis-speculation column, real at the saturated sizes.
                 // At and above the scaling floor the heavy knobs grow with
                 // the machine (see `scaled_heavy_traffic`,
                 // `scaled_mshr_entries` and `scaled_checkpoint_interval`).
@@ -295,7 +283,7 @@ pub fn run(cfg: &ScalingConfig) -> Result<ScalingData, ProtocolError> {
                 // slow-but-live hot-block transactions get misdeclared
                 // deadlocked, and the resulting recovery's slow-start
                 // flatlined every ≥256-node row to ops/kcycle ≈ 0.
-                sys_cfg.memory.mshr_entries = scaled_mshr_entries(n, cfg.mshr_entries);
+                sys_cfg.memory.mshr_entries = scaled_mshr_entries(n, MSHR_ENTRIES);
                 sys_cfg.memory.safetynet.checkpoint_interval_cycles =
                     scaled_checkpoint_interval(n, 5_000);
                 if n >= KNOB_SCALING_FLOOR {
@@ -316,9 +304,8 @@ pub fn run(cfg: &ScalingConfig) -> Result<ScalingData, ProtocolError> {
                         .checkpoint_interval_cycles
                         .max(cfg.scale.cycles / 3 + 1);
                 }
-                sys_cfg.traffic = scaled_heavy_traffic(n, cfg.traffic);
+                sys_cfg.traffic = scaled_heavy_traffic(n, heavy_traffic());
                 let runs = measure_directory(&sys_cfg, cfg.scale)?;
-                let rates: Vec<f64> = runs.iter().map(misspec_per_mcycle).collect();
                 // The simulator-speed metric times a dedicated run outside
                 // the sharded runner: dividing the sharded wall time by total
                 // cycles would measure host parallelism (seeds overlap on
@@ -340,7 +327,7 @@ pub fn run(cfg: &ScalingConfig) -> Result<ScalingData, ProtocolError> {
                     workload,
                     routing,
                     throughput: throughput_measurement(&runs),
-                    misspec_per_mcycle: Measurement::from_samples(&rates),
+                    misspec_per_mcycle: measurement_of(&runs, misspec_per_mcycle),
                     ns_per_cycle: wall_ns / cfg.scale.cycles.max(1) as f64,
                     probe,
                 });
@@ -388,7 +375,6 @@ mod tests {
                 cycles: 3_000,
                 seeds: 1,
             },
-            ..ScalingConfig::default()
         };
         let data = run(&cfg).expect("no protocol errors");
         assert_eq!(data.rows.len(), 4); // 1 size x 2 workloads x 2 policies
@@ -409,7 +395,6 @@ mod tests {
                 cycles: 4_000,
                 seeds: 2,
             },
-            ..ScalingConfig::default()
         };
         let data = run(&cfg).expect("no protocol errors");
         assert_eq!(data.rows.len(), 4);

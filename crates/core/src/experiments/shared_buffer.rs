@@ -29,22 +29,24 @@
 //! The `shared_buffer_sweep` bench renders the table and writes
 //! `BENCH_shared_buffer.json`.
 
-use specsim_base::{LinkBandwidth, ProtocolVariant, RoutingPolicy};
+use specsim_base::RoutingPolicy;
 use specsim_coherence::types::{MisSpecKind, ProtocolError};
 use specsim_net::{Buffering, PoolSlots};
-use specsim_workloads::{TrafficConfig, WorkloadKind};
+use specsim_workloads::WorkloadKind;
 
 use crate::config::SystemConfig;
-use crate::experiments::heavy_traffic::heavy_traffic;
+use crate::experiments::heavy_traffic::{heavy_machine, Machine, BANDWIDTH, NUM_NODES};
 use crate::experiments::runner::{
-    measure_directory, measure_snooping, throughput_measurement, ExperimentScale, Measurement,
+    measure_directory, measure_snooping, measurement_of, throughput_measurement, ExperimentScale,
+    Measurement,
 };
 use crate::experiments::sweep::{Cell, Column, Sweep, SweepConfig};
 
-/// The pool sizes the full sweep visits (slots per node; for scale, the
+/// The pool sizes every sweep visits, quick or full: the pool-size axis is
+/// the point of the artifact (slots per node; for scale, the
 /// virtual-network baseline provisions 224 slots per node with static
 /// routing and 320 with adaptive — see [`vn_baseline_slots_per_node`]).
-pub const FULL_POOL_SIZES: [usize; 6] = [128, 64, 32, 16, 8, 4];
+pub const POOL_SIZES: [usize; 6] = [128, 64, 32, 16, 8, 4];
 
 /// Per-node slot budget of the conservatively-sized virtual-network
 /// baseline this sweep compares against: the depths of every buffer of
@@ -58,52 +60,13 @@ pub fn vn_baseline_slots_per_node(routing: RoutingPolicy) -> usize {
         .expect("virtual-channel buffers have fixed depths")
 }
 
-/// Which machine a sweep row ran on: the directory system pools its single
-/// coherence fabric; the snooping system pools its point-to-point data
-/// torus (the address bus cannot deadlock — it buffers nothing).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Machine {
-    /// Directory protocol, pooled coherence torus.
-    Directory,
-    /// Snooping protocol, pooled data torus.
-    Snooping,
-}
-
-impl Machine {
-    /// Short label used in tables and JSON.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            Self::Directory => "directory",
-            Self::Snooping => "snooping",
-        }
-    }
-}
-
 /// What to sweep and how long/often to run each design point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SharedBufferConfig {
-    /// Per-node pool sizes to visit.
-    pub pool_sizes: Vec<usize>,
     /// Routing policies to visit (the speculative design prefers adaptive).
     pub routings: Vec<RoutingPolicy>,
     /// Workloads to run at every design point.
     pub workloads: Vec<WorkloadKind>,
-    /// Link bandwidth (the paper's buffer discussion is at the low end).
-    pub bandwidth: LinkBandwidth,
-    /// Machine size. Under production-shaped traffic (non-blocking
-    /// processors, Zipfian hot blocks, bursty injection) the paper's
-    /// 16-node machine pressures undersized pools on its own, so the sweep
-    /// runs at the paper's size and the deadlock threshold lands at the
-    /// 8→16-slot boundary.
-    pub num_nodes: usize,
-    /// MSHR entries per node (non-blocking processors keep enough
-    /// transactions in flight to fill small pools; 1 reverts to the
-    /// blocking miss stream that never pressured an 8-slot pool).
-    pub mshr_entries: usize,
-    /// Generator traffic shaping (default: the canonical heavy shape,
-    /// [`heavy_traffic`]).
-    pub traffic: TrafficConfig,
     /// Data-torus pool sizes for the pooled **snooping** rows; empty skips
     /// the snooping machine entirely.
     pub snoop_pool_sizes: Vec<usize>,
@@ -118,18 +81,13 @@ pub struct SharedBufferConfig {
 }
 
 impl Default for SharedBufferConfig {
-    /// The full sweep: six pool sizes × both routing policies × two
+    /// The full sweep: the six [`POOL_SIZES`] × both routing policies × two
     /// workloads on the heavy-traffic 16-node machine, plus pooled-snooping
     /// rows, at the environment-controlled scale.
     fn default() -> Self {
         Self {
-            pool_sizes: FULL_POOL_SIZES.to_vec(),
             routings: vec![RoutingPolicy::Static, RoutingPolicy::Adaptive],
             workloads: vec![WorkloadKind::Oltp, WorkloadKind::Jbb],
-            bandwidth: LinkBandwidth::MB_400,
-            num_nodes: 16,
-            mshr_entries: 4,
-            traffic: heavy_traffic(),
             snoop_pool_sizes: vec![32, 16, 8],
             pool_splits: vec![(24, 8), (12, 4)],
             scale: ExperimentScale::from_env(),
@@ -138,19 +96,14 @@ impl Default for SharedBufferConfig {
 }
 
 impl SharedBufferConfig {
-    /// A CI-sized sweep: the pool-size axis is the point of the artifact, so
-    /// every size is kept, but one routing policy, one workload, few seeds,
-    /// short runs. One pooled-snooping size keeps that machine covered.
+    /// A CI-sized sweep: every pool size (the axis is the point of the
+    /// artifact), but one routing policy, one workload, few seeds, short
+    /// runs. One pooled-snooping size keeps that machine covered.
     #[must_use]
     pub fn quick() -> Self {
         Self {
-            pool_sizes: FULL_POOL_SIZES.to_vec(),
             routings: vec![RoutingPolicy::Adaptive],
             workloads: vec![WorkloadKind::Oltp],
-            bandwidth: LinkBandwidth::MB_400,
-            num_nodes: 16,
-            mshr_entries: 4,
-            traffic: heavy_traffic(),
             snoop_pool_sizes: vec![16],
             pool_splits: vec![(12, 4)],
             scale: ExperimentScale {
@@ -231,8 +184,8 @@ impl SweepConfig for SharedBufferConfig {
         let cfg = &sweep.config;
         let vn_slots = |routing| Cell::Int(vn_baseline_slots_per_node(routing) as u64);
         vec![
-            ("mb_per_s", Cell::Int(cfg.bandwidth.megabytes_per_second)),
-            ("num_nodes", Cell::Int(cfg.num_nodes as u64)),
+            ("mb_per_s", Cell::Int(BANDWIDTH.megabytes_per_second)),
+            ("num_nodes", Cell::Int(NUM_NODES as u64)),
             (
                 "baseline_slots_per_node_static",
                 vn_slots(RoutingPolicy::Static),
@@ -247,47 +200,15 @@ impl SweepConfig for SharedBufferConfig {
     }
 }
 
-fn baseline_config(
-    cfg: &SharedBufferConfig,
+/// The directory machine with `buffering` on its torus.
+fn directory_config(
     workload: WorkloadKind,
     routing: RoutingPolicy,
+    buffering: Buffering,
 ) -> SystemConfig {
-    let mut sys = SystemConfig::directory_speculative(workload, cfg.bandwidth, 6000);
-    sys.buffering = Buffering::VirtualChannels;
+    let mut sys = heavy_machine(Machine::Directory, workload, 6000);
     sys.routing = routing;
-    sys.memory.num_nodes = cfg.num_nodes;
-    sys.memory.safetynet.checkpoint_interval_cycles = 5_000;
-    sys.memory.mshr_entries = cfg.mshr_entries;
-    sys.traffic = cfg.traffic;
-    sys
-}
-
-fn pooled_config(
-    cfg: &SharedBufferConfig,
-    workload: WorkloadKind,
-    routing: RoutingPolicy,
-    slots: PoolSlots,
-) -> SystemConfig {
-    let mut sys = SystemConfig::directory_speculative(workload, cfg.bandwidth, 6000);
-    sys.buffering = Buffering::SharedPool {
-        virtual_channels: true,
-        slots,
-    };
-    sys.routing = routing;
-    sys.memory.num_nodes = cfg.num_nodes;
-    sys.memory.safetynet.checkpoint_interval_cycles = 5_000;
-    sys.memory.mshr_entries = cfg.mshr_entries;
-    sys.traffic = cfg.traffic;
-    sys
-}
-
-fn snoop_baseline_config(cfg: &SharedBufferConfig, workload: WorkloadKind) -> SystemConfig {
-    let mut sys = SystemConfig::new(workload, ProtocolVariant::Speculative, 6000);
-    sys.memory.num_nodes = cfg.num_nodes;
-    sys.memory.link_bandwidth = cfg.bandwidth;
-    sys.memory.safetynet.checkpoint_interval_cycles = 5_000;
-    sys.memory.mshr_entries = cfg.mshr_entries;
-    sys.traffic = cfg.traffic;
+    sys.buffering = buffering;
     sys
 }
 
@@ -301,19 +222,13 @@ fn row_from_runs(
     baseline_mean: f64,
 ) -> SharedBufferRow {
     let denom = baseline_mean.max(f64::MIN_POSITIVE);
-    let normalized = Measurement::from_samples(
-        &runs
-            .iter()
-            .map(|r| r.throughput() / denom)
-            .collect::<Vec<_>>(),
-    );
     SharedBufferRow {
         machine,
         workload,
         routing,
         pool,
         throughput: throughput_measurement(runs),
-        normalized,
+        normalized: measurement_of(runs, |r| r.throughput() / denom),
         deadlock_recoveries: if pool.is_some() {
             runs.iter()
                 .map(|r| r.misspeculations_of(MisSpecKind::BufferDeadlock))
@@ -334,7 +249,7 @@ pub fn run(cfg: &SharedBufferConfig) -> Result<SharedBufferData, ProtocolError> 
     let mut rows = Vec::new();
     for &workload in &cfg.workloads {
         for &routing in &cfg.routings {
-            let base_cfg = baseline_config(cfg, workload, routing);
+            let base_cfg = directory_config(workload, routing, Buffering::VirtualChannels);
             let base_runs = measure_directory(&base_cfg, cfg.scale)?;
             let baseline = throughput_measurement(&base_runs).mean;
             rows.push(row_from_runs(
@@ -345,14 +260,18 @@ pub fn run(cfg: &SharedBufferConfig) -> Result<SharedBufferData, ProtocolError> 
                 &base_runs,
                 baseline,
             ));
-            let unified = cfg.pool_sizes.iter().map(|&n| PoolSlots::Unified(n));
+            let unified = POOL_SIZES.iter().map(|&n| PoolSlots::Unified(n));
             let splits = cfg
                 .pool_splits
                 .iter()
                 .map(|&(switch, endpoint)| PoolSlots::Split { switch, endpoint });
             for slots in unified.chain(splits) {
+                let pooled = Buffering::SharedPool {
+                    virtual_channels: true,
+                    slots,
+                };
                 let runs =
-                    measure_directory(&pooled_config(cfg, workload, routing, slots), cfg.scale)?;
+                    measure_directory(&directory_config(workload, routing, pooled), cfg.scale)?;
                 rows.push(row_from_runs(
                     Machine::Directory,
                     workload,
@@ -364,7 +283,7 @@ pub fn run(cfg: &SharedBufferConfig) -> Result<SharedBufferData, ProtocolError> 
             }
         }
         if !cfg.snoop_pool_sizes.is_empty() {
-            let base_cfg = snoop_baseline_config(cfg, workload);
+            let base_cfg = heavy_machine(Machine::Snooping, workload, 6000);
             let base_runs = measure_snooping(&base_cfg, cfg.scale)?;
             let baseline = throughput_measurement(&base_runs).mean;
             rows.push(row_from_runs(
@@ -401,60 +320,54 @@ mod tests {
 
     #[test]
     fn full_sweep_covers_the_dropoff_range() {
-        let cfg = SharedBufferConfig::default();
-        assert!(cfg.pool_sizes.contains(&16) && cfg.pool_sizes.contains(&8));
-        // Quick mode keeps every pool size (the artifact's axis).
-        assert_eq!(
-            SharedBufferConfig::quick().pool_sizes.len(),
-            FULL_POOL_SIZES.len()
-        );
+        assert!(POOL_SIZES.contains(&16) && POOL_SIZES.contains(&8));
         // The VN budgets the sweep normalizes against: 4 link ports x
         // (4 networks x VCs) x depth 4, a local port at injection depth 8,
         // and 4 ejection queues of depth 8.
         assert_eq!(vn_baseline_slots_per_node(RoutingPolicy::Static), 224);
         assert_eq!(vn_baseline_slots_per_node(RoutingPolicy::Adaptive), 320);
-        assert!(
-            vn_baseline_slots_per_node(RoutingPolicy::Static) > *FULL_POOL_SIZES.first().unwrap()
-        );
+        assert!(vn_baseline_slots_per_node(RoutingPolicy::Static) > POOL_SIZES[0]);
     }
 
     #[test]
     fn tiny_sweep_shows_pool_plateau_near_the_vn_baseline() {
         let cfg = SharedBufferConfig {
-            pool_sizes: vec![64],
             routings: vec![RoutingPolicy::Adaptive],
             workloads: vec![WorkloadKind::Oltp],
-            bandwidth: LinkBandwidth::MB_400,
-            num_nodes: 16,
-            // The historical blocking miss stream: the plateau claim is
-            // about pool economics, not about heavy-traffic pressure.
-            mshr_entries: 1,
-            traffic: TrafficConfig::default(),
             snoop_pool_sizes: vec![],
             pool_splits: vec![(48, 16)],
+            // Long enough for the heavy machine to commit work after its
+            // first congestion recovery: at 20k cycles the baseline commits
+            // nothing, and normalizing to it says nothing.
             scale: ExperimentScale {
-                cycles: 20_000,
+                cycles: 60_000,
                 seeds: 1,
             },
         };
         let data = run(&cfg).expect("no protocol errors");
-        assert_eq!(data.rows.len(), 3);
+        // The baseline, every pool size, then the split.
+        assert_eq!(data.rows.len(), POOL_SIZES.len() + 2);
         let base = &data.rows[0];
-        let pooled = &data.rows[1];
         assert_eq!(base.machine, Machine::Directory);
         assert_eq!(base.pool, None);
         assert!((base.normalized.mean - 1.0).abs() < 1e-9);
+        let pooled = &data.rows[2];
         assert_eq!(pooled.pool, Some(PoolSlots::Unified(64)));
-        // A pool at a quarter of the baseline budget stays close to (or
+        // A pool at a fifth of the baseline budget stays close to (or
         // above) it — the Section 4 claim at the plateau.
         assert!(
             pooled.normalized.mean > 0.8,
             "64-slot pool fell to {} of the VN baseline",
             pooled.normalized.mean
         );
-        assert_eq!(pooled.deadlock_recoveries, 0);
+        // The 8->16-slot threshold: the undersized pools wedge, the rest
+        // never do.
+        for (row, &slots) in data.rows[1..].iter().zip(&POOL_SIZES) {
+            assert_eq!(row.pool, Some(PoolSlots::Unified(slots)));
+            assert_eq!(row.deadlock_recoveries > 0, slots <= 8, "{slots} slots");
+        }
         // The split row: same 64-slot budget, walled 48 fabric / 16 endpoint.
-        let split = &data.rows[2];
+        let split = &data.rows[POOL_SIZES.len() + 1];
         assert_eq!(
             split.pool,
             Some(PoolSlots::Split {
@@ -490,14 +403,10 @@ mod tests {
 
     #[test]
     fn pooled_snooping_config_validates_and_runs() {
+        // No routing policy: the directory machine is skipped.
         let cfg = SharedBufferConfig {
-            pool_sizes: vec![],
             routings: vec![],
             workloads: vec![WorkloadKind::Oltp],
-            bandwidth: LinkBandwidth::GB_3_2,
-            num_nodes: 16,
-            mshr_entries: 2,
-            traffic: heavy_traffic(),
             snoop_pool_sizes: vec![16],
             pool_splits: vec![],
             scale: ExperimentScale {
@@ -505,15 +414,15 @@ mod tests {
                 seeds: 1,
             },
         };
-        // The PR-5 carry-over: the pooled data torus must be a valid,
-        // runnable snooping configuration, not just wired plumbing.
-        let pooled = snoop_baseline_config(&cfg, WorkloadKind::Oltp).with_pooled_data_torus(16);
+        // The pooled data torus must be a valid, runnable snooping
+        // configuration, not just wired plumbing.
+        let base = heavy_machine(Machine::Snooping, WorkloadKind::Oltp, 6000);
+        let pooled = base.with_pooled_data_torus(16);
         assert_eq!(pooled.validate(), Vec::<String>::new());
         assert_eq!(pooled.buffering.pool_slots(), Some(PoolSlots::Unified(16)));
         assert_eq!(pooled.routing, RoutingPolicy::Adaptive);
         // A degenerate pool is rejected.
-        let empty = snoop_baseline_config(&cfg, WorkloadKind::Oltp).with_pooled_data_torus(0);
-        assert!(!empty.validate().is_empty());
+        assert!(!base.with_pooled_data_torus(0).validate().is_empty());
 
         let data = run(&cfg).expect("no protocol errors");
         assert_eq!(data.rows.len(), 2); // snoop baseline + one pooled size

@@ -27,13 +27,16 @@ use specsim_workloads::WorkloadKind;
 
 use crate::config::SystemConfig;
 use crate::experiments::runner::{
-    measure_snooping, throughput_measurement, ExperimentScale, Measurement,
+    measure_snooping, measurement_of, run_mean, throughput_measurement, ExperimentScale,
+    Measurement,
 };
 use crate::experiments::sweep::{Cell, Column, Sweep, SweepConfig};
+use crate::metrics::RunMetrics;
 
-/// The bandwidths the full sweep visits (the Table 2 range, doubling from
-/// 400 MB/s to 3.2 GB/s).
-pub const FULL_BANDWIDTHS: [LinkBandwidth; 4] = [
+/// The bandwidths every sweep visits, quick or full: the Table 2 range,
+/// doubling from 400 MB/s to 3.2 GB/s (the axis is the point of the
+/// artifact).
+pub const BANDWIDTHS: [LinkBandwidth; 4] = [
     LinkBandwidth::MB_400,
     LinkBandwidth::MB_800,
     LinkBandwidth::GB_1_6,
@@ -41,55 +44,45 @@ pub const FULL_BANDWIDTHS: [LinkBandwidth; 4] = [
 ];
 
 /// The Table 2 machine's address-network arbitration interval (cycles
-/// between consecutive bus grants).
-pub const DEFAULT_BUS_INTERVAL: CycleDelta = 8;
+/// between consecutive bus grants). The sweep runs only this one: a larger
+/// interval exposes the address-network bottleneck the paper's snooping
+/// machines hit at scale — the bus serializes every coherence request
+/// regardless of how fast the data torus gets — which is a different
+/// experiment from the data-network axis.
+pub const BUS_INTERVAL: CycleDelta = 8;
 
-/// What to sweep: which bandwidths and routing policies, and how long/often
-/// to run each design point.
+/// Workload of every design point.
+pub const WORKLOAD: WorkloadKind = WorkloadKind::Oltp;
+
+/// What to sweep: which routing policies, and how long/often to run each
+/// design point.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnoopBandwidthConfig {
-    /// Data-network link bandwidths to visit.
-    pub bandwidths: Vec<LinkBandwidth>,
     /// Data-network routing policies to visit (the data network is
     /// unordered, so adaptive routing is legal on it).
     pub routings: Vec<RoutingPolicy>,
-    /// Address-network arbitration intervals to visit (cycles between
-    /// consecutive bus grants). The default sweeps only the Table 2 machine
-    /// (8 cycles); adding larger intervals exposes the address-network
-    /// bottleneck the paper's snooping machines hit at scale — the bus
-    /// serializes every coherence request regardless of how fast the data
-    /// torus gets.
-    pub bus_intervals: Vec<CycleDelta>,
-    /// Workload to run at every design point.
-    pub workload: WorkloadKind,
     /// Cycles and perturbed seeds per design point.
     pub scale: ExperimentScale,
 }
 
 impl Default for SnoopBandwidthConfig {
-    /// The full sweep: four bandwidths × both routing policies at the
+    /// The full sweep: the four [`BANDWIDTHS`] × both routing policies at the
     /// environment-controlled scale (`SPECSIM_CYCLES` / `SPECSIM_SEEDS`).
     fn default() -> Self {
         Self {
-            bandwidths: FULL_BANDWIDTHS.to_vec(),
             routings: vec![RoutingPolicy::Static, RoutingPolicy::Adaptive],
-            bus_intervals: vec![DEFAULT_BUS_INTERVAL],
-            workload: WorkloadKind::Oltp,
             scale: ExperimentScale::from_env(),
         }
     }
 }
 
 impl SnoopBandwidthConfig {
-    /// A CI-sized sweep: all four bandwidth points (the axis is the point of
-    /// the artifact) but static routing only, few seeds, short runs.
+    /// A CI-sized sweep: every bandwidth point but static routing only, few
+    /// seeds, short runs.
     #[must_use]
     pub fn quick() -> Self {
         Self {
-            bandwidths: FULL_BANDWIDTHS.to_vec(),
             routings: vec![RoutingPolicy::Static],
-            bus_intervals: vec![DEFAULT_BUS_INTERVAL],
-            workload: WorkloadKind::Oltp,
             scale: ExperimentScale {
                 cycles: 20_000,
                 seeds: 2,
@@ -98,17 +91,13 @@ impl SnoopBandwidthConfig {
     }
 }
 
-/// One design point of the sweep: a data-network bandwidth × routing policy
-/// × bus arbitration interval.
+/// One design point of the sweep: a data-network bandwidth × routing policy.
 #[derive(Debug, Clone)]
 pub struct SnoopBandwidthRow {
     /// Data-network link bandwidth of this design point.
     pub bandwidth: LinkBandwidth,
     /// Data-network routing policy of this design point.
     pub routing: RoutingPolicy,
-    /// Address-network arbitration interval (cycles/grant) of this design
-    /// point.
-    pub bus_interval: CycleDelta,
     /// Committed operations per kilo-cycle, over the perturbed seeds.
     pub throughput: Measurement,
     /// Mean demand-miss latency in cycles, over the perturbed seeds.
@@ -123,8 +112,8 @@ pub struct SnoopBandwidthRow {
     pub bus_requests: u64,
 }
 
-/// The completed sweep: one row per (bus interval, bandwidth, routing),
-/// routing policies nested innermost.
+/// The completed sweep: one row per (bandwidth, routing), routing policies
+/// nested inside.
 pub type SnoopBandwidthData = Sweep<SnoopBandwidthConfig>;
 
 impl SweepConfig for SnoopBandwidthConfig {
@@ -136,7 +125,7 @@ impl SweepConfig for SnoopBandwidthConfig {
             Cell::Int(r.bandwidth.megabytes_per_second)
         }),
         ("routing", "routing", |r| Cell::Label(r.routing.label())),
-        ("bus_interval", "bus-int", |r| Cell::Int(r.bus_interval)),
+        ("bus_interval", "bus-int", |_| Cell::Int(BUS_INTERVAL)),
         ("throughput", "ops/kcycle", |r| {
             Cell::Measurement(r.throughput)
         }),
@@ -159,47 +148,38 @@ impl SweepConfig for SnoopBandwidthConfig {
         vec![
             ("cycles", Cell::Int(cfg.scale.cycles)),
             ("seeds", Cell::Int(cfg.scale.seeds)),
-            ("workload", Cell::Label(cfg.workload.label())),
+            ("workload", Cell::Label(WORKLOAD.label())),
         ]
     }
+}
+
+/// The Table 2 snooping machine with its data network at `bandwidth` under
+/// `routing`.
+fn design_point(bandwidth: LinkBandwidth, routing: RoutingPolicy) -> SystemConfig {
+    let mut sys = SystemConfig::new(WORKLOAD, ProtocolVariant::Speculative, 4000)
+        .with_data_bandwidth(bandwidth);
+    sys.routing = routing;
+    sys.bus_arbitration_interval = BUS_INTERVAL;
+    sys.memory.safetynet.checkpoint_interval_requests = 500;
+    sys
 }
 
 /// Runs the sweep: every bandwidth under every configured routing policy,
 /// each design point through the perturbed-seed sharded runner.
 pub fn run(cfg: &SnoopBandwidthConfig) -> Result<SnoopBandwidthData, ProtocolError> {
-    let mut rows =
-        Vec::with_capacity(cfg.bandwidths.len() * cfg.routings.len() * cfg.bus_intervals.len());
-    for &bus_interval in &cfg.bus_intervals {
-        for &bandwidth in &cfg.bandwidths {
-            for &routing in &cfg.routings {
-                let mut sys_cfg =
-                    SystemConfig::new(cfg.workload, ProtocolVariant::Speculative, 4000)
-                        .with_data_bandwidth(bandwidth);
-                sys_cfg.routing = routing;
-                sys_cfg.bus_arbitration_interval = bus_interval;
-                sys_cfg.memory.safetynet.checkpoint_interval_requests = 500;
-                let runs = measure_snooping(&sys_cfg, cfg.scale)?;
-                let miss_latencies: Vec<f64> = runs.iter().map(|r| r.mean_miss_latency()).collect();
-                let n = runs.len().max(1) as f64;
-                rows.push(SnoopBandwidthRow {
-                    bandwidth,
-                    routing,
-                    bus_interval,
-                    throughput: throughput_measurement(&runs),
-                    miss_latency: Measurement::from_samples(&miss_latencies),
-                    data_latency_cycles: runs
-                        .iter()
-                        .map(|r| r.data_mean_latency_cycles)
-                        .sum::<f64>()
-                        / n,
-                    data_link_utilization: runs
-                        .iter()
-                        .map(|r| r.data_link_utilization)
-                        .sum::<f64>()
-                        / n,
-                    bus_requests: runs.iter().map(|r| r.bus_requests).sum(),
-                });
-            }
+    let mut rows = Vec::with_capacity(BANDWIDTHS.len() * cfg.routings.len());
+    for bandwidth in BANDWIDTHS {
+        for &routing in &cfg.routings {
+            let runs = measure_snooping(&design_point(bandwidth, routing), cfg.scale)?;
+            rows.push(SnoopBandwidthRow {
+                bandwidth,
+                routing,
+                throughput: throughput_measurement(&runs),
+                miss_latency: measurement_of(&runs, RunMetrics::mean_miss_latency),
+                data_latency_cycles: run_mean(&runs, |r| r.data_mean_latency_cycles),
+                data_link_utilization: run_mean(&runs, |r| r.data_link_utilization),
+                bus_requests: runs.iter().map(|r| r.bus_requests).sum(),
+            });
         }
     }
     Ok(Sweep {
@@ -214,64 +194,49 @@ mod tests {
 
     #[test]
     fn full_sweep_spans_the_table_2_bandwidth_range() {
-        let cfg = SnoopBandwidthConfig::default();
-        assert!(cfg.bandwidths.len() >= 4);
-        assert_eq!(cfg.bandwidths.first(), Some(&LinkBandwidth::MB_400));
-        assert_eq!(cfg.bandwidths.last(), Some(&LinkBandwidth::GB_3_2));
-        // Quick mode keeps every bandwidth point (the artifact's axis).
-        assert_eq!(SnoopBandwidthConfig::quick().bandwidths.len(), 4);
+        assert_eq!(BANDWIDTHS.len(), 4);
+        assert_eq!(BANDWIDTHS.first(), Some(&LinkBandwidth::MB_400));
+        assert_eq!(BANDWIDTHS.last(), Some(&LinkBandwidth::GB_3_2));
     }
 
     #[test]
     fn bus_arbitration_axis_exposes_the_address_network_bottleneck() {
-        // Satellite of the shared-buffer PR: a slow bus (one grant per 64
-        // cycles) throttles ordered requests no matter how fast the data
-        // torus is — throughput must not improve and the bus must order
-        // clearly fewer requests per cycle than the Table 2 machine.
-        let cfg = SnoopBandwidthConfig {
-            bandwidths: vec![LinkBandwidth::GB_3_2],
-            routings: vec![RoutingPolicy::Static],
-            bus_intervals: vec![DEFAULT_BUS_INTERVAL, 64],
-            workload: WorkloadKind::Oltp,
-            scale: ExperimentScale {
-                cycles: 15_000,
-                seeds: 1,
-            },
+        // A slow bus (one grant per 64 cycles) throttles ordered requests no
+        // matter how fast the data torus is: throughput must not improve and
+        // the bus must order clearly fewer requests per cycle than the
+        // Table 2 machine.
+        let scale = ExperimentScale {
+            cycles: 15_000,
+            seeds: 1,
         };
-        let data = run(&cfg).expect("no protocol errors");
-        assert_eq!(data.rows.len(), 2);
-        let fast_bus = &data.rows[0];
-        let slow_bus = &data.rows[1];
-        assert_eq!(fast_bus.bus_interval, 8);
-        assert_eq!(slow_bus.bus_interval, 64);
+        let fast_cfg = design_point(LinkBandwidth::GB_3_2, RoutingPolicy::Static);
+        let mut slow_cfg = fast_cfg.clone();
+        slow_cfg.bus_arbitration_interval = 64;
+        let fast_bus = &measure_snooping(&fast_cfg, scale).expect("no protocol errors")[0];
+        let slow_bus = &measure_snooping(&slow_cfg, scale).expect("no protocol errors")[0];
         assert!(
             slow_bus.bus_requests < fast_bus.bus_requests,
             "a 64-cycle bus must order fewer requests ({} vs {})",
             slow_bus.bus_requests,
             fast_bus.bus_requests
         );
-        assert!(slow_bus.throughput.mean <= fast_bus.throughput.mean);
-        assert!(slow_bus.miss_latency.mean > fast_bus.miss_latency.mean);
-        let json = data.to_json();
-        assert!(json.contains("\"bus_interval\": 8") && json.contains("\"bus_interval\": 64"));
+        assert!(slow_bus.throughput() <= fast_bus.throughput());
+        assert!(slow_bus.mean_miss_latency() > fast_bus.mean_miss_latency());
     }
 
     #[test]
     fn tiny_sweep_separates_the_bandwidth_endpoints() {
         let cfg = SnoopBandwidthConfig {
-            bandwidths: vec![LinkBandwidth::MB_400, LinkBandwidth::GB_3_2],
             routings: vec![RoutingPolicy::Static],
-            bus_intervals: vec![DEFAULT_BUS_INTERVAL],
-            workload: WorkloadKind::Oltp,
             scale: ExperimentScale {
                 cycles: 15_000,
                 seeds: 1,
             },
         };
         let data = run(&cfg).expect("no protocol errors");
-        assert_eq!(data.rows.len(), 2);
+        assert_eq!(data.rows.len(), BANDWIDTHS.len());
         let slow = &data.rows[0];
-        let fast = &data.rows[1];
+        let fast = &data.rows[BANDWIDTHS.len() - 1];
         assert_eq!(slow.bandwidth, LinkBandwidth::MB_400);
         assert_eq!(fast.bandwidth, LinkBandwidth::GB_3_2);
         // The low-bandwidth machine must show clearly higher miss latency
@@ -289,5 +254,6 @@ mod tests {
         let json = data.to_json();
         assert!(json.contains("\"mb_per_s\": 400") && json.contains("\"mb_per_s\": 3200"));
         assert!(json.contains("\"miss_latency_mean\""));
+        assert!(json.contains("\"bus_interval\": 8"));
     }
 }

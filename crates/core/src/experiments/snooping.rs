@@ -22,8 +22,16 @@ use specsim_workloads::{WorkloadKind, ALL_WORKLOADS};
 
 use crate::config::SystemConfig;
 use crate::experiments::runner::{
-    measure_snooping, throughput_measurement, ExperimentScale, Measurement,
+    measure_snooping, measurement_of, throughput_measurement, ExperimentScale, Measurement,
 };
+use crate::experiments::sweep::{Cell, Column, Sweep, SweepConfig};
+
+/// How long and how often to run each design point.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SnoopingConfig {
+    /// Cycles and perturbed seeds per design point.
+    pub scale: ExperimentScale,
+}
 
 /// One workload's comparison of the full and speculative snooping protocols.
 #[derive(Debug, Clone)]
@@ -42,133 +50,115 @@ pub struct SnoopingRow {
     pub stores: u64,
 }
 
-/// The full snooping comparison.
-#[derive(Debug, Clone)]
-pub struct SnoopingComparison {
-    /// One row per workload.
-    pub rows: Vec<SnoopingRow>,
-    /// Whether the directed corner-case scenario was detected by the
-    /// speculative controller (sanity check that detection exists even
-    /// though the workloads never trigger it).
-    pub directed_case_detected: bool,
-    /// Scale used.
-    pub scale: ExperimentScale,
+impl SweepConfig for SnoopingConfig {
+    type Row = SnoopingRow;
+    const TITLE: &'static str =
+        "Speculatively simplified snooping protocol vs. fully designed protocol";
+    const COLUMNS: &'static [Column<SnoopingRow>] = &[
+        ("workload", "workload", |r| Cell::Label(r.workload.label())),
+        ("speculative_over_full", "speculative/full", |r| {
+            Cell::Measurement(r.speculative_normalized)
+        }),
+        ("corner_case_recoveries", "corner-case recoveries", |r| {
+            Cell::Int(r.corner_case_recoveries)
+        }),
+        ("bus_requests", "bus requests", |r| {
+            Cell::Int(r.bus_requests)
+        }),
+        ("stores", "stores", |r| Cell::Int(r.stores)),
+    ];
+
+    /// The header also reports the directed corner-case check: the
+    /// workloads never reach the corner case, so the check shows that
+    /// detection would fire if they did.
+    fn params(sweep: &Sweep<Self>) -> Vec<(&'static str, Cell)> {
+        let directed = if directed_corner_case_detected() {
+            "detected"
+        } else {
+            "NOT DETECTED"
+        };
+        vec![
+            ("cycles", Cell::Int(sweep.config.scale.cycles)),
+            ("seeds", Cell::Int(sweep.config.scale.seeds)),
+            ("directed_corner_case", Cell::Label(directed)),
+        ]
+    }
 }
 
-impl SnoopingComparison {
-    /// Runs the comparison over all five workloads.
-    pub fn run(scale: ExperimentScale) -> Result<Self, ProtocolError> {
-        Self::run_for_workloads(&ALL_WORKLOADS, scale)
-    }
+/// Runs both protocol variants on every workload.
+pub fn run(cfg: &SnoopingConfig) -> Result<Sweep<SnoopingConfig>, ProtocolError> {
+    let mut rows = Vec::new();
+    for workload in ALL_WORKLOADS {
+        let mut full_cfg = SystemConfig::new(workload, ProtocolVariant::Full, 5000);
+        full_cfg.memory.safetynet.checkpoint_interval_requests = 500;
+        let mut spec_cfg = full_cfg.clone();
+        spec_cfg.protocol = ProtocolVariant::Speculative;
 
-    /// Runs the comparison for a chosen set of workloads.
-    pub fn run_for_workloads(
-        workloads: &[WorkloadKind],
-        scale: ExperimentScale,
-    ) -> Result<Self, ProtocolError> {
-        let mut rows = Vec::new();
-        for &workload in workloads {
-            let mut full_cfg = SystemConfig::new(workload, ProtocolVariant::Full, 5000);
-            full_cfg.memory.safetynet.checkpoint_interval_requests = 500;
-            let mut spec_cfg = full_cfg.clone();
-            spec_cfg.protocol = ProtocolVariant::Speculative;
-
-            let full_runs = measure_snooping(&full_cfg, scale)?;
-            let spec_runs = measure_snooping(&spec_cfg, scale)?;
-            let full = throughput_measurement(&full_runs);
-            let denom = full.mean.max(f64::MIN_POSITIVE);
-            let normalized: Vec<f64> = spec_runs.iter().map(|r| r.throughput() / denom).collect();
-            rows.push(SnoopingRow {
-                workload,
-                speculative_normalized: Measurement::from_samples(&normalized),
-                corner_case_recoveries: spec_runs
-                    .iter()
-                    .map(|r| r.misspeculations_of(MisSpecKind::WritebackDoubleRace))
-                    .sum(),
-                bus_requests: spec_runs.iter().map(|r| r.bus_requests).sum(),
-                stores: spec_runs.iter().map(|r| r.stores).sum(),
-            });
-        }
-        Ok(Self {
-            rows,
-            directed_case_detected: Self::directed_corner_case_detected(),
-            scale,
-        })
+        let full_runs = measure_snooping(&full_cfg, cfg.scale)?;
+        let spec_runs = measure_snooping(&spec_cfg, cfg.scale)?;
+        let denom = throughput_measurement(&full_runs)
+            .mean
+            .max(f64::MIN_POSITIVE);
+        rows.push(SnoopingRow {
+            workload,
+            speculative_normalized: measurement_of(&spec_runs, |r| r.throughput() / denom),
+            corner_case_recoveries: spec_runs
+                .iter()
+                .map(|r| r.misspeculations_of(MisSpecKind::WritebackDoubleRace))
+                .sum(),
+            bus_requests: spec_runs.iter().map(|r| r.bus_requests).sum(),
+            stores: spec_runs.iter().map(|r| r.stores).sum(),
+        });
     }
+    Ok(Sweep {
+        config: cfg.clone(),
+        rows,
+    })
+}
 
-    /// Drives a lone speculative cache controller through the exact corner
-    /// case of Section 3.2 and reports whether it detects the
-    /// mis-speculation. This is the "detection works" half of the argument;
-    /// the workload runs provide the "it never happens in practice" half.
-    #[must_use]
-    pub fn directed_corner_case_detected() -> bool {
-        let cfg = MemorySystemConfig {
-            l1_bytes: 4 * 64,
-            l1_ways: 2,
-            l2_bytes: 8 * 64,
-            l2_ways: 2,
-            ..MemorySystemConfig::default()
-        };
-        let mut cache = SnoopCacheController::new(NodeId(1), ProtocolVariant::Speculative, &cfg);
-        let addr = BlockAddr(0x40);
-        // Become the owner of the block.
-        cache.cpu_request(
-            0,
-            CpuRequest {
-                addr,
-                access: CpuAccess::Store,
-                store_value: 7,
-            },
-        );
-        cache.pop_bus_request();
-        cache
-            .observe_snoop(1, NodeId(1), SnoopRequest::GetM { addr })
-            .expect("own request");
-        cache
-            .handle_data(2, SnoopDataMsg::Data { addr, data: 0 })
-            .expect("fill");
-        cache.take_completed();
-        // Start a writeback, then observe two foreign RequestForReadWrites
-        // before the writeback is ordered.
-        cache.force_evict(addr);
-        cache.pop_bus_request();
-        let first = cache
-            .observe_snoop(4, NodeId(2), SnoopRequest::GetM { addr })
-            .expect("first foreign GetM");
-        let second = cache
-            .observe_snoop(5, NodeId(3), SnoopRequest::GetM { addr })
-            .expect("second foreign GetM");
-        first.is_none() && second.is_some_and(|m| m.kind == MisSpecKind::WritebackDoubleRace)
-    }
-
-    /// Renders the comparison as a text table.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str("Speculatively simplified snooping protocol vs. fully designed protocol\n");
-        out.push_str(&format!(
-            "directed corner-case detection check: {}\n",
-            if self.directed_case_detected {
-                "DETECTED (as designed)"
-            } else {
-                "NOT DETECTED (bug!)"
-            }
-        ));
-        out.push_str(
-            "workload  speculative/full    corner-case recoveries  bus requests  stores\n",
-        );
-        for r in &self.rows {
-            out.push_str(&format!(
-                "{:<9} {:<19} {:>22}  {:>12}  {:>6}\n",
-                r.workload.label(),
-                r.speculative_normalized.display(),
-                r.corner_case_recoveries,
-                r.bus_requests,
-                r.stores,
-            ));
-        }
-        out
-    }
+/// Drives a lone speculative cache controller through the exact corner
+/// case of Section 3.2 and reports whether it detects the
+/// mis-speculation. This is the "detection works" half of the argument;
+/// the workload runs provide the "it never happens in practice" half.
+#[must_use]
+pub fn directed_corner_case_detected() -> bool {
+    let cfg = MemorySystemConfig {
+        l1_bytes: 4 * 64,
+        l1_ways: 2,
+        l2_bytes: 8 * 64,
+        l2_ways: 2,
+        ..MemorySystemConfig::default()
+    };
+    let mut cache = SnoopCacheController::new(NodeId(1), ProtocolVariant::Speculative, &cfg);
+    let addr = BlockAddr(0x40);
+    // Become the owner of the block.
+    cache.cpu_request(
+        0,
+        CpuRequest {
+            addr,
+            access: CpuAccess::Store,
+            store_value: 7,
+        },
+    );
+    cache.pop_bus_request();
+    cache
+        .observe_snoop(1, NodeId(1), SnoopRequest::GetM { addr })
+        .expect("own request");
+    cache
+        .handle_data(2, SnoopDataMsg::Data { addr, data: 0 })
+        .expect("fill");
+    cache.take_completed();
+    // Start a writeback, then observe two foreign RequestForReadWrites
+    // before the writeback is ordered.
+    cache.force_evict(addr);
+    cache.pop_bus_request();
+    let first = cache
+        .observe_snoop(4, NodeId(2), SnoopRequest::GetM { addr })
+        .expect("first foreign GetM");
+    let second = cache
+        .observe_snoop(5, NodeId(3), SnoopRequest::GetM { addr })
+        .expect("second foreign GetM");
+    first.is_none() && second.is_some_and(|m| m.kind == MisSpecKind::WritebackDoubleRace)
 }
 
 #[cfg(test)]
@@ -177,23 +167,29 @@ mod tests {
 
     #[test]
     fn directed_corner_case_is_detected() {
-        assert!(SnoopingComparison::directed_corner_case_detected());
+        assert!(directed_corner_case_detected());
     }
 
     #[test]
     fn snooping_comparison_quick_run_shows_no_corner_case_recoveries() {
-        let cmp = SnoopingComparison::run_for_workloads(
-            &[WorkloadKind::Apache],
-            ExperimentScale {
-                cycles: 20_000,
+        let cmp = run(&SnoopingConfig {
+            scale: ExperimentScale {
+                cycles: 10_000,
                 seeds: 1,
             },
-        )
+        })
         .expect("no protocol errors");
-        assert_eq!(cmp.rows.len(), 1);
-        let row = &cmp.rows[0];
-        assert_eq!(row.corner_case_recoveries, 0);
-        assert!(row.speculative_normalized.mean > 0.8 && row.speculative_normalized.mean < 1.2);
-        assert!(cmp.render().contains("snooping"));
+        assert_eq!(cmp.rows.len(), ALL_WORKLOADS.len());
+        for row in &cmp.rows {
+            assert_eq!(row.corner_case_recoveries, 0);
+            assert!(
+                row.speculative_normalized.mean > 0.8 && row.speculative_normalized.mean < 1.2,
+                "{}: {}",
+                row.workload.label(),
+                row.speculative_normalized.mean
+            );
+        }
+        let txt = cmp.render();
+        assert!(txt.contains("snooping") && txt.contains("directed_corner_case: detected"));
     }
 }

@@ -1,4 +1,4 @@
-//! The one table type behind every `BENCH_*.json` sweep.
+//! The one table type behind every paper figure and `BENCH_*.json` sweep.
 //!
 //! A sweep declares its header params and its columns once, on its config
 //! type ([`SweepConfig`]); [`Sweep::render`] and [`Sweep::to_json`] derive

@@ -7,15 +7,27 @@
 //! * **Table 3** — the workload suite and the synthetic generators standing
 //!   in for it, with measured traffic characteristics.
 
-use specsim_base::{LinkBandwidth, MemorySystemConfig, ProtocolVariant};
+use specsim_base::time::{cycles_to_ns, ns_to_cycles};
+use specsim_base::{CycleDelta, LinkBandwidth, MemorySystemConfig, ProtocolVariant};
 use specsim_coherence::types::{MisSpecKind, ProtocolError};
 use specsim_net::VirtualNetwork;
 use specsim_workloads::{WorkloadKind, ALL_WORKLOADS};
 
 use crate::config::SystemConfig;
 use crate::engine::MeasuredCharacterization;
-use crate::experiments::runner::{measure_directory, measure_snooping, ExperimentScale};
+use crate::experiments::runner::{
+    mean_recovery_cost, measure_directory, measure_snooping, ExperimentScale,
+};
 use crate::framework::SpeculativeDesign;
+
+/// Table 2's total memory: 2 GB. Only Table 2 reports it: the simulator
+/// models no memory capacity.
+pub const MEMORY_BYTES: u64 = 2 * 1024 * 1024 * 1024;
+
+/// Table 2's uncontended two-hop miss-from-memory latency: 180 ns, 720
+/// cycles at 4 GHz. Only Table 2 reports it: a simulated miss takes the
+/// home node's DRAM access plus whatever the fabric adds.
+pub const MEMORY_LATENCY_CYCLES: CycleDelta = ns_to_cycles(180);
 
 /// Measures the characterization numbers for Table 1's three designs.
 pub fn measure_table1(
@@ -42,7 +54,7 @@ pub fn measure_table1(
             exposure_events: exposure,
             misspeculations: misspecs,
             recoveries: dir_runs.iter().map(|r| r.recoveries).sum(),
-            mean_recovery_cost_cycles: mean_cost(&dir_runs),
+            mean_recovery_cost_cycles: mean_recovery_cost(&dir_runs),
         },
     ));
 
@@ -59,7 +71,7 @@ pub fn measure_table1(
                 .map(|r| r.misspeculations_of(MisSpecKind::WritebackDoubleRace))
                 .sum(),
             recoveries: snoop_runs.iter().map(|r| r.recoveries).sum(),
-            mean_recovery_cost_cycles: mean_cost(&snoop_runs),
+            mean_recovery_cost_cycles: mean_recovery_cost(&snoop_runs),
         },
     ));
 
@@ -77,22 +89,10 @@ pub fn measure_table1(
                 .map(|r| r.misspeculations_of(MisSpecKind::TransactionTimeout))
                 .sum(),
             recoveries: net_runs.iter().map(|r| r.recoveries).sum(),
-            mean_recovery_cost_cycles: mean_cost(&net_runs),
+            mean_recovery_cost_cycles: mean_recovery_cost(&net_runs),
         },
     ));
     Ok(out)
-}
-
-fn mean_cost(runs: &[crate::metrics::RunMetrics]) -> f64 {
-    let recoveries: u64 = runs.iter().map(|r| r.total_recoveries()).sum();
-    if recoveries == 0 {
-        0.0
-    } else {
-        runs.iter()
-            .map(|r| r.lost_work_cycles + r.recovery_latency_cycles)
-            .sum::<u64>() as f64
-            / recoveries as f64
-    }
 }
 
 /// Renders Table 1 (framework characterization), combining the paper's
@@ -150,12 +150,12 @@ pub fn render_table2() -> String {
     ));
     out.push_str(&format!(
         "Memory                          {} GB, {} byte blocks\n",
-        c.memory_bytes / (1024 * 1024 * 1024),
+        MEMORY_BYTES / (1024 * 1024 * 1024),
         specsim_base::BLOCK_SIZE_BYTES
     ));
     out.push_str(&format!(
         "Miss From Memory                {} ns (uncontended, 2-hop)\n",
-        specsim_base::time::cycles_to_ns(c.memory_latency_cycles)
+        cycles_to_ns(MEMORY_LATENCY_CYCLES)
     ));
     out.push_str("Interconnection Networks        link bandwidth = 400MB/sec to 3.2 GB/sec\n");
     out.push_str(&format!(

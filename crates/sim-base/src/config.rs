@@ -8,7 +8,7 @@
 //! (3000 requests for the snooping system) and a 100-cycle register
 //! checkpointing latency.
 
-use crate::time::{ns_to_cycles, CycleDelta};
+use crate::time::CycleDelta;
 
 /// Coherence block (cache line) size in bytes — Table 2: "64 byte blocks".
 pub const BLOCK_SIZE_BYTES: usize = 64;
@@ -212,11 +212,6 @@ pub struct MemorySystemConfig {
     pub l2_ways: usize,
     /// L2 hit latency in cycles.
     pub l2_hit_cycles: CycleDelta,
-    /// Total memory in bytes. Table 2: 2 GB.
-    pub memory_bytes: u64,
-    /// Uncontended two-hop miss-from-memory latency in cycles.
-    /// Table 2: 180 ns = 720 cycles at 4 GHz.
-    pub memory_latency_cycles: CycleDelta,
     /// DRAM access latency charged at the home node's memory controller
     /// (part of the 180 ns end-to-end budget).
     pub dram_access_cycles: CycleDelta,
@@ -245,8 +240,6 @@ impl Default for MemorySystemConfig {
             l2_bytes: 4 * 1024 * 1024,
             l2_ways: 4,
             l2_hit_cycles: 12,
-            memory_bytes: 2 * 1024 * 1024 * 1024,
-            memory_latency_cycles: ns_to_cycles(180),
             dram_access_cycles: 200,
             link_bandwidth: LinkBandwidth::GB_3_2,
             switch_latency_cycles: 8,
@@ -349,8 +342,6 @@ mod tests {
         assert_eq!(c.l1_ways, 4);
         assert_eq!(c.l2_bytes, 4 * 1024 * 1024);
         assert_eq!(c.l2_ways, 4);
-        assert_eq!(c.memory_bytes, 2 * 1024 * 1024 * 1024);
-        assert_eq!(c.memory_latency_cycles, 720); // 180 ns at 4 GHz
         assert_eq!(c.safetynet.log_buffer_bytes, 512 * 1024);
         assert_eq!(c.safetynet.log_entry_bytes, 72);
         assert_eq!(c.safetynet.checkpoint_interval_cycles, 100_000);

@@ -72,13 +72,6 @@ impl BlockAddr {
         assert!(num_nodes > 0, "system must have at least one node");
         NodeId::from((self.0 % num_nodes as u64) as usize)
     }
-
-    /// The cache set this block maps to for a cache with `num_sets` sets.
-    #[must_use]
-    pub fn cache_set(self, num_sets: usize) -> usize {
-        assert!(num_sets > 0, "cache must have at least one set");
-        (self.0 % num_sets as u64) as usize
-    }
 }
 
 impl std::fmt::Display for BlockAddr {
@@ -138,11 +131,6 @@ mod tests {
         fn home_node_is_always_in_range(block in 0u64..1u64 << 34, nodes in 1usize..128) {
             let home = BlockAddr(block).home_node(nodes);
             prop_assert!(home.index() < nodes);
-        }
-
-        #[test]
-        fn cache_set_is_always_in_range(block in 0u64..1u64 << 34, sets in 1usize..1 << 16) {
-            prop_assert!(BlockAddr(block).cache_set(sets) < sets);
         }
     }
 }

@@ -16,8 +16,9 @@ fn main() {
     // SafetyNet underneath.
     let mut cfg =
         SystemConfig::directory_speculative(WorkloadKind::Oltp, LinkBandwidth::MB_400, 42);
-    // Scale the checkpoint interval with the (short) demo run; see
-    // EXPERIMENTS.md for the reasoning.
+    // Scale the checkpoint interval with the (short) demo run: at Table 2's
+    // 100k cycles the recovery point would trail most of the run, and a
+    // recovery would discard nearly all of it.
     cfg.memory.safetynet.checkpoint_interval_cycles = 10_000;
 
     let scale = ExperimentScale::from_env();

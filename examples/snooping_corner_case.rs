@@ -12,14 +12,13 @@
 //! cargo run --release --example snooping_corner_case
 //! ```
 
-use specsim::experiments::{ExperimentScale, SnoopingComparison};
-use specsim_workloads::{WorkloadKind, ALL_WORKLOADS};
+use specsim::experiments::{snooping, ExperimentScale, SnoopingConfig};
 
 fn main() {
     let scale = ExperimentScale::from_env();
 
     println!("Directed corner case (one cache controller):");
-    if SnoopingComparison::directed_corner_case_detected() {
+    if snooping::directed_corner_case_detected() {
         println!(
             "  speculative variant detected the writeback double race -> would trigger recovery"
         );
@@ -28,9 +27,7 @@ fn main() {
     }
     println!();
 
-    let workloads: Vec<WorkloadKind> = ALL_WORKLOADS.to_vec();
-    let cmp =
-        SnoopingComparison::run_for_workloads(&workloads, scale).expect("snooping runs completed");
+    let cmp = snooping::run(&SnoopingConfig { scale }).expect("snooping runs completed");
     print!("{}", cmp.render());
     println!();
     println!("Every workload runs to completion with zero corner-case recoveries, so the");

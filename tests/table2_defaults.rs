@@ -3,6 +3,7 @@
 //! reports exactly those values.
 
 use specsim::experiments::render_table2;
+use specsim::experiments::tables::{MEMORY_BYTES, MEMORY_LATENCY_CYCLES};
 use specsim_base::{LinkBandwidth, MemorySystemConfig};
 
 #[test]
@@ -13,12 +14,9 @@ fn default_memory_system_matches_table_2() {
     assert_eq!(c.l1_ways, 4);
     assert_eq!(c.l2_bytes, 4 * 1024 * 1024);
     assert_eq!(c.l2_ways, 4);
-    assert_eq!(c.memory_bytes, 2 * 1024 * 1024 * 1024);
+    assert_eq!(MEMORY_BYTES, 2 * 1024 * 1024 * 1024);
     assert_eq!(specsim_base::BLOCK_SIZE_BYTES, 64);
-    assert_eq!(
-        specsim_base::time::cycles_to_ns(c.memory_latency_cycles),
-        180
-    );
+    assert_eq!(specsim_base::time::cycles_to_ns(MEMORY_LATENCY_CYCLES), 180);
     assert_eq!(c.safetynet.log_buffer_bytes, 512 * 1024);
     assert_eq!(c.safetynet.log_entry_bytes, 72);
     assert_eq!(c.safetynet.checkpoint_interval_cycles, 100_000);

@@ -7,6 +7,7 @@
 //! member crates directly) so that a broken or renamed re-export fails this
 //! test rather than only downstream users.
 
+use specsim_suite::specsim::experiments::tables::{MEMORY_BYTES, MEMORY_LATENCY_CYCLES};
 use specsim_suite::specsim::{DirectorySystem, SystemConfig};
 use specsim_suite::specsim_base::time::cycles_to_ns;
 use specsim_suite::specsim_base::{
@@ -30,9 +31,9 @@ fn default_system_config_matches_table_2_through_the_umbrella() {
     assert_eq!(m.l1_ways, 4, "4-way L1");
     assert_eq!(m.l2_bytes, 4 * 1024 * 1024, "4 MB L2");
     assert_eq!(m.l2_ways, 4, "4-way L2");
-    assert_eq!(m.memory_bytes, 2 * 1024 * 1024 * 1024, "2 GB memory");
+    assert_eq!(MEMORY_BYTES, 2 * 1024 * 1024 * 1024, "2 GB memory");
     assert_eq!(
-        cycles_to_ns(m.memory_latency_cycles),
+        cycles_to_ns(MEMORY_LATENCY_CYCLES),
         180,
         "180 ns two-hop miss-from-memory latency"
     );
