@@ -14,7 +14,7 @@ use specsim_workloads::WorkloadKind;
 
 use crate::config::SystemConfig;
 use crate::experiments::runner::{
-    measure_directory, measurement_of, throughput_measurement, ExperimentScale, Measurement,
+    measure_directory, measurement_of, ratio, throughput_measurement, ExperimentScale, Measurement,
 };
 use crate::experiments::sweep::{Cell, Column, Sweep, SweepConfig};
 
@@ -87,12 +87,10 @@ pub fn run(cfg: &BufferSweepConfig) -> Result<Sweep<BufferSweepConfig>, Protocol
     let mut base_cfg = SystemConfig::directory_speculative(cfg.workload, BANDWIDTH, 4000);
     base_cfg.memory.safetynet.checkpoint_interval_cycles = 5_000;
     let base_runs = measure_directory(&base_cfg, cfg.scale)?;
-    let denom = throughput_measurement(&base_runs)
-        .mean
-        .max(f64::MIN_POSITIVE);
+    let baseline = throughput_measurement(&base_runs).mean;
     let mut rows = vec![BufferSweepRow {
         buffers_per_port: None,
-        normalized_performance: measurement_of(&base_runs, |r| r.throughput() / denom),
+        normalized_performance: measurement_of(&base_runs, |r| ratio(r.throughput(), baseline)),
         deadlock_recoveries: 0,
     }];
     for size in BUFFER_SIZES {
@@ -101,7 +99,7 @@ pub fn run(cfg: &BufferSweepConfig) -> Result<Sweep<BufferSweepConfig>, Protocol
         let runs = measure_directory(&sys, cfg.scale)?;
         rows.push(BufferSweepRow {
             buffers_per_port: Some(size),
-            normalized_performance: measurement_of(&runs, |r| r.throughput() / denom),
+            normalized_performance: measurement_of(&runs, |r| ratio(r.throughput(), baseline)),
             deadlock_recoveries: runs
                 .iter()
                 .map(|r| r.misspeculations_of(MisSpecKind::TransactionTimeout))

@@ -36,7 +36,8 @@ use specsim_coherence::types::ProtocolError;
 use crate::config::SystemConfig;
 use crate::experiments::heavy_traffic::{heavy_machine, Machine, BANDWIDTH, NUM_NODES, WORKLOAD};
 use crate::experiments::runner::{
-    measure_directory, measure_snooping, throughput_measurement, ExperimentScale, Measurement,
+    measure_directory, measure_snooping, ratio, throughput_measurement, ExperimentScale,
+    Measurement,
 };
 use crate::experiments::sweep::{Cell, Column, Sweep, SweepConfig};
 use crate::metrics::RunMetrics;
@@ -187,18 +188,27 @@ fn campaign(cfg: &FaultToleranceConfig, kind: Option<FaultKind>, rate: u64) -> F
     }
 }
 
-/// The heavy-traffic operating point of `machine` under one campaign.
+/// The campaign's machine before any fault: the heavy-traffic operating
+/// point of `machine` ([`heavy_machine`]) at `seed`, with post-recovery
+/// slow start scaled to the checkpoint cadence rather than the
+/// congestion-tuned default, so high fault rates measure repeated recovery
+/// cost instead of one recovery followed by a throttled tail.
+#[must_use]
+pub fn campaign_machine(machine: Machine, seed: u64) -> SystemConfig {
+    let mut sys = heavy_machine(machine, WORKLOAD, seed);
+    sys.forward_progress.slow_start_cycles = 20_000;
+    sys
+}
+
+/// The heavy-traffic operating point of `machine` under one campaign, at
+/// base seed 7000.
 fn campaign_config(
     cfg: &FaultToleranceConfig,
     machine: Machine,
     kind: Option<FaultKind>,
     rate: u64,
 ) -> SystemConfig {
-    let mut sys = heavy_machine(machine, WORKLOAD, 7000);
-    // Post-recovery slow start scaled to the checkpoint cadence rather than
-    // the congestion-tuned default, so high fault rates measure repeated
-    // recovery cost instead of one recovery followed by a throttled tail.
-    sys.forward_progress.slow_start_cycles = 20_000;
+    let mut sys = campaign_machine(machine, 7000);
     sys.fault_config = campaign(cfg, kind, rate);
     sys
 }
@@ -222,11 +232,7 @@ fn row_from_runs(
     }
     let total_cycles: u64 = mode_cycles.iter().sum();
     let frac = |mode: specsim_base::EngineMode| {
-        if total_cycles == 0 {
-            0.0
-        } else {
-            mode_cycles[mode.index()] as f64 / total_cycles as f64
-        }
+        ratio(mode_cycles[mode.index()] as f64, total_cycles as f64)
     };
     FaultToleranceRow {
         machine,
@@ -237,11 +243,7 @@ fn row_from_runs(
         faults_detected: runs.iter().map(RunMetrics::faults_detected).sum(),
         fault_recoveries,
         recoveries: runs.iter().map(|r| r.recoveries).sum(),
-        mean_detection_latency_cycles: if fault_recoveries == 0 {
-            0.0
-        } else {
-            latency as f64 / fault_recoveries as f64
-        },
+        mean_detection_latency_cycles: ratio(latency as f64, fault_recoveries as f64),
         normal_frac: frac(specsim_base::EngineMode::Normal),
         slow_start_frac: frac(specsim_base::EngineMode::SlowStart),
         rollback_frac: frac(specsim_base::EngineMode::Rollback),

@@ -28,8 +28,8 @@ use specsim_workloads::{WorkloadKind, ALL_WORKLOADS};
 
 use crate::config::SystemConfig;
 use crate::experiments::runner::{
-    mean_recovery_cost, measure_directory, run_mean, throughput_measurement, ExperimentScale,
-    Measurement,
+    mean_recovery_cost, measure_directory, measurement_of, ratio, run_mean, throughput_measurement,
+    ExperimentScale, Measurement,
 };
 use crate::experiments::sweep::{Cell, Column, Sweep, SweepConfig};
 
@@ -131,20 +131,12 @@ pub fn run(cfg: &Fig4Config) -> Result<Sweep<Fig4Config>, ProtocolError> {
                 cfg.inject_recovery_every = Some(per.max(1));
             }
             let runs = measure_directory(&cfg, scale)?;
-            let samples: Vec<f64> = runs
-                .iter()
-                .map(|r| {
-                    if baseline.mean == 0.0 {
-                        0.0
-                    } else {
-                        r.throughput() / baseline.mean
-                    }
-                })
-                .collect();
             rows.push(Fig4Row {
                 workload,
                 rate_per_second: rate,
-                normalized_performance: Measurement::from_samples(&samples),
+                normalized_performance: measurement_of(&runs, |r| {
+                    ratio(r.throughput(), baseline.mean)
+                }),
                 recoveries_per_run: run_mean(&runs, |r| r.total_recoveries() as f64),
                 mean_recovery_cost_cycles: mean_recovery_cost(&runs),
             });

@@ -20,7 +20,7 @@ use specsim_workloads::WorkloadKind;
 
 use crate::config::SystemConfig;
 use crate::experiments::runner::{
-    measure_directory, run_mean, throughput_measurement, ExperimentScale, Measurement,
+    measure_directory, ratio, run_mean, throughput_measurement, ExperimentScale, Measurement,
 };
 use crate::experiments::sweep::{Cell, Column, Sweep, SweepConfig};
 
@@ -154,8 +154,7 @@ pub fn run(cfg: &Fig5CrossoverConfig) -> Result<Fig5CrossoverData, ProtocolError
         let adaptive_throughput = throughput_measurement(&adaptive_runs);
         rows.push(Fig5CrossoverRow {
             bandwidth,
-            adaptive_over_static: adaptive_throughput.mean
-                / static_throughput.mean.max(f64::MIN_POSITIVE),
+            adaptive_over_static: ratio(adaptive_throughput.mean, static_throughput.mean),
             static_throughput,
             adaptive_throughput,
             adaptive_recoveries: adaptive_runs.iter().map(|r| r.recoveries).sum(),

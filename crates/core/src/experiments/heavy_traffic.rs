@@ -31,8 +31,8 @@ use specsim_workloads::{BurstConfig, TrafficConfig, WorkloadKind, ZipfConfig};
 
 use crate::config::SystemConfig;
 use crate::experiments::runner::{
-    measure_directory, measurement_of, misspec_per_mcycle, throughput_measurement, ExperimentScale,
-    Measurement,
+    measure_directory, measurement_of, misspec_per_mcycle, ratio, throughput_measurement,
+    ExperimentScale, Measurement,
 };
 use crate::experiments::sweep::{Cell, Column, Sweep, SweepConfig};
 
@@ -132,10 +132,7 @@ pub fn heavy_burst() -> BurstConfig {
 /// bursty injection together.
 #[must_use]
 pub fn heavy_traffic() -> TrafficConfig {
-    TrafficConfig {
-        zipf: Some(heavy_zipf()),
-        burst: Some(heavy_burst()),
-    }
+    TrafficShape::ZipfianBursty.traffic()
 }
 
 /// One injection shape of the sweep's third axis.
@@ -292,11 +289,7 @@ pub fn run(cfg: &HeavyTrafficConfig) -> Result<HeavyTrafficData, ProtocolError> 
                 shape,
                 throughput: throughput_measurement(&runs),
                 misses_per_kcycle: measurement_of(&runs, |r| {
-                    if r.cycles == 0 {
-                        0.0
-                    } else {
-                        r.misses as f64 * 1e3 / r.cycles as f64
-                    }
+                    ratio(r.misses as f64 * 1e3, r.cycles as f64)
                 }),
                 misspec_per_mcycle: measurement_of(&runs, misspec_per_mcycle),
                 recoveries: runs.iter().map(|r| r.recoveries).sum(),

@@ -1,4 +1,4 @@
-//! The paper's evaluation (Section 5), one module per table/figure.
+//! The paper's figures and tables (Sections 3–5), one module per artifact.
 //!
 //! Every experiment follows the methodology of Section 5.2: each design
 //! point is simulated several times with small pseudo-random perturbations
@@ -9,17 +9,20 @@
 //! header params and the columns once ([`sweep::SweepConfig`]), and its
 //! `run` returns a [`sweep::Sweep`], whose `render()` and `to_json()` derive
 //! the console table and the `BENCH_*.json` artifact from that one list.
-//! The paper figures (`fig4`, `reorder`, `buffer_sweep`, `snooping`, and
-//! Figure 5 as [`fig5_crossover`] at 400 MB/s) print the table; the sweeps
-//! (`scaling`, `heavy_traffic`, `shared_buffer`, `fault_tolerance`,
-//! `snoop_bandwidth`, `fig5_crossover`) also write the artifact. The
-//! heavy-traffic sweeps share one operating point,
+//! The paper figures print the table: the fixed corner-case scenarios of
+//! Figures 1–3 ([`fig1`], [`fig23`]), and `fig4`, `reorder`,
+//! `buffer_sweep`, `snooping` and Figure 5 as [`fig5_crossover`] at
+//! 400 MB/s. The sweeps (`scaling`, `heavy_traffic`, `shared_buffer`,
+//! `fault_tolerance`, `snoop_bandwidth`, `fig5_crossover`) also write the
+//! artifact. The heavy-traffic sweeps share one operating point,
 //! [`heavy_traffic::heavy_machine`]. Only Tables 1–3 ([`tables`]) are
 //! rendered by hand. The bench harnesses in `crates/bench` simply run and
-//! print them.
+//! print them, and the integration tests check the same sweeps' rows.
 
 pub mod buffer_sweep;
 pub mod fault_tolerance;
+pub mod fig1;
+pub mod fig23;
 pub mod fig4;
 pub mod fig5_crossover;
 pub mod heavy_traffic;
@@ -34,6 +37,8 @@ pub mod tables;
 
 pub use buffer_sweep::{BufferSweepConfig, BufferSweepRow};
 pub use fault_tolerance::{FaultToleranceConfig, FaultToleranceData, FaultToleranceRow};
+pub use fig1::{Fig1Config, Fig1Row, Fig1Trial};
+pub use fig23::{BufferDesign, DeadlockRow, Fig2Config, Fig3Config};
 pub use fig4::{Fig4Config, Fig4Row};
 pub use fig5_crossover::{Fig5CrossoverConfig, Fig5CrossoverData, Fig5CrossoverRow};
 pub use heavy_traffic::{

@@ -14,7 +14,7 @@ use specsim_net::VirtualNetwork;
 use specsim_workloads::{WorkloadKind, ALL_WORKLOADS};
 
 use crate::config::SystemConfig;
-use crate::experiments::runner::{measure_directory, run_mean, ExperimentScale};
+use crate::experiments::runner::{measure_directory, ratio, run_mean, ExperimentScale};
 use crate::experiments::sweep::{Cell, Column, Sweep, SweepConfig};
 
 /// The bandwidth sweep of the paper (Table 2: 400 MB/s to 3.2 GB/s).
@@ -112,11 +112,7 @@ pub fn run(cfg: &ReorderConfig) -> Result<Sweep<ReorderConfig>, ProtocolError> {
                 messages += r.messages_delivered;
             }
             let frac = |vn: VirtualNetwork| {
-                if delivered[vn.index()] == 0 {
-                    0.0
-                } else {
-                    reordered[vn.index()] as f64 / delivered[vn.index()] as f64
-                }
+                ratio(reordered[vn.index()] as f64, delivered[vn.index()] as f64)
             };
             let others = [
                 VirtualNetwork::Request,
@@ -131,11 +127,7 @@ pub fn run(cfg: &ReorderConfig) -> Result<Sweep<ReorderConfig>, ProtocolError> {
                 bandwidth,
                 fwd_request_reorder_fraction: frac(VirtualNetwork::ForwardedRequest),
                 other_vnet_reorder_fraction: other_max,
-                total_reorder_fraction: if total_delivered == 0 {
-                    0.0
-                } else {
-                    total_reordered as f64 / total_delivered as f64
-                },
+                total_reorder_fraction: ratio(total_reordered as f64, total_delivered as f64),
                 ordering_recoveries: recoveries,
                 link_utilization: run_mean(&runs, |r| r.link_utilization),
                 messages,

@@ -1,7 +1,7 @@
 //! Multi-run experiment execution: perturbed runs in parallel, aggregated
 //! into means and standard deviations (the error bars of Section 5.2).
 
-use specsim_base::{CycleDelta, RunningStats};
+use specsim_base::CycleDelta;
 use specsim_coherence::types::ProtocolError;
 
 use crate::config::SystemConfig;
@@ -95,17 +95,25 @@ pub struct Measurement {
 }
 
 impl Measurement {
-    /// Aggregates a slice of observations.
+    /// Aggregates a slice of observations with Welford's numerically stable
+    /// recurrence (all zero for no observations).
     #[must_use]
     pub fn from_samples(samples: &[f64]) -> Self {
-        let mut stats = RunningStats::new();
-        for &s in samples {
-            stats.push(s);
+        let (mut mean, mut m2) = (0.0, 0.0);
+        for (i, &x) in samples.iter().enumerate() {
+            let delta = x - mean;
+            mean += delta / (i + 1) as f64;
+            m2 += delta * (x - mean);
         }
+        let runs = samples.len() as u64;
         Self {
-            mean: stats.mean(),
-            std_dev: stats.std_dev(),
-            runs: stats.count(),
+            mean,
+            std_dev: if runs < 2 {
+                0.0
+            } else {
+                (m2 / (runs - 1) as f64).sqrt()
+            },
+            runs,
         }
     }
 
@@ -193,6 +201,19 @@ pub fn run_mean(runs: &[RunMetrics], f: impl Fn(&RunMetrics) -> f64) -> f64 {
     runs.iter().map(f).sum::<f64>() / runs.len().max(1) as f64
 }
 
+/// `numerator / denominator`, or 0 when the denominator is 0. Every ratio
+/// the experiments report follows this one convention: a design point
+/// normalized to a baseline that committed nothing reads 0, and so does a
+/// rate over no cycles or a mean over no events.
+#[must_use]
+pub fn ratio(numerator: f64, denominator: f64) -> f64 {
+    if denominator == 0.0 {
+        0.0
+    } else {
+        numerator / denominator
+    }
+}
+
 /// Convenience: the throughput measurement over a set of per-run metrics.
 #[must_use]
 pub fn throughput_measurement(runs: &[RunMetrics]) -> Measurement {
@@ -204,11 +225,7 @@ pub fn throughput_measurement(runs: &[RunMetrics]) -> Measurement {
 #[must_use]
 pub fn misspec_per_mcycle(m: &RunMetrics) -> f64 {
     let total: u64 = m.misspeculations.iter().map(|(_, n)| n).sum();
-    if m.cycles == 0 {
-        0.0
-    } else {
-        total as f64 * 1e6 / m.cycles as f64
-    }
+    ratio(total as f64 * 1e6, m.cycles as f64)
 }
 
 /// Mean cycles one recovery cost (lost work plus recovery latency) over
@@ -216,19 +233,17 @@ pub fn misspec_per_mcycle(m: &RunMetrics) -> f64 {
 #[must_use]
 pub fn mean_recovery_cost(runs: &[RunMetrics]) -> f64 {
     let recoveries: u64 = runs.iter().map(RunMetrics::total_recoveries).sum();
-    if recoveries == 0 {
-        0.0
-    } else {
-        runs.iter()
-            .map(|r| r.lost_work_cycles + r.recovery_latency_cycles)
-            .sum::<u64>() as f64
-            / recoveries as f64
-    }
+    let cost: u64 = runs
+        .iter()
+        .map(|r| r.lost_work_cycles + r.recovery_latency_cycles)
+        .sum();
+    ratio(cost as f64, recoveries as f64)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn scale_from_vars_parses_counts_and_names_a_bad_value() {
@@ -265,6 +280,26 @@ mod tests {
         assert!((m.mean - 2.0).abs() < 1e-12);
         assert!((m.std_dev - 1.0).abs() < 1e-12);
         assert!(m.display().contains('±'));
+        // The textbook sample: mean 5, sample variance 32/7.
+        let m = Measurement::from_samples(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
+        assert_eq!(m.runs, 8);
+        assert!((m.mean - 5.0).abs() < 1e-12);
+        assert!((m.std_dev - (32.0f64 / 7.0).sqrt()).abs() < 1e-12);
+        // No samples, or one, have no spread.
+        assert_eq!(Measurement::from_samples(&[]), Measurement::default());
+        assert_eq!(Measurement::from_samples(&[4.5]).std_dev, 0.0);
+    }
+
+    proptest! {
+        #[test]
+        fn welford_matches_naive(xs in proptest::collection::vec(-1e6f64..1e6, 2..200)) {
+            let m = Measurement::from_samples(&xs);
+            let n = xs.len() as f64;
+            let mean = xs.iter().sum::<f64>() / n;
+            let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
+            prop_assert!((m.mean - mean).abs() < 1e-6 * mean.abs().max(1.0));
+            prop_assert!((m.std_dev.powi(2) - var).abs() < 1e-5 * var.abs().max(1.0));
+        }
     }
 
     #[test]

@@ -37,8 +37,8 @@ use specsim_workloads::WorkloadKind;
 use crate::config::SystemConfig;
 use crate::experiments::heavy_traffic::{heavy_machine, Machine, BANDWIDTH, NUM_NODES};
 use crate::experiments::runner::{
-    measure_directory, measure_snooping, measurement_of, throughput_measurement, ExperimentScale,
-    Measurement,
+    measure_directory, measure_snooping, measurement_of, ratio, throughput_measurement,
+    ExperimentScale, Measurement,
 };
 use crate::experiments::sweep::{Cell, Column, Sweep, SweepConfig};
 
@@ -200,15 +200,22 @@ impl SweepConfig for SharedBufferConfig {
     }
 }
 
-/// The directory machine with `buffering` on its torus.
-fn directory_config(
+/// The sweep's directory machine: the heavy-traffic operating point
+/// ([`heavy_machine`]) at base seed 6000, whose perturbed runs use seeds
+/// 6001, 6002, ... Its torus shares `pool` among every message class, or,
+/// for `None`, keeps the conservatively sized virtual networks.
+#[must_use]
+pub fn directory_config(
     workload: WorkloadKind,
     routing: RoutingPolicy,
-    buffering: Buffering,
+    pool: Option<PoolSlots>,
 ) -> SystemConfig {
     let mut sys = heavy_machine(Machine::Directory, workload, 6000);
     sys.routing = routing;
-    sys.buffering = buffering;
+    sys.buffering = pool.map_or(Buffering::VirtualChannels, |slots| Buffering::SharedPool {
+        virtual_channels: true,
+        slots,
+    });
     sys
 }
 
@@ -221,14 +228,13 @@ fn row_from_runs(
     runs: &[crate::metrics::RunMetrics],
     baseline_mean: f64,
 ) -> SharedBufferRow {
-    let denom = baseline_mean.max(f64::MIN_POSITIVE);
     SharedBufferRow {
         machine,
         workload,
         routing,
         pool,
         throughput: throughput_measurement(runs),
-        normalized: measurement_of(runs, |r| r.throughput() / denom),
+        normalized: measurement_of(runs, |r| ratio(r.throughput(), baseline_mean)),
         deadlock_recoveries: if pool.is_some() {
             runs.iter()
                 .map(|r| r.misspeculations_of(MisSpecKind::BufferDeadlock))
@@ -249,34 +255,24 @@ pub fn run(cfg: &SharedBufferConfig) -> Result<SharedBufferData, ProtocolError> 
     let mut rows = Vec::new();
     for &workload in &cfg.workloads {
         for &routing in &cfg.routings {
-            let base_cfg = directory_config(workload, routing, Buffering::VirtualChannels);
-            let base_runs = measure_directory(&base_cfg, cfg.scale)?;
-            let baseline = throughput_measurement(&base_runs).mean;
-            rows.push(row_from_runs(
-                Machine::Directory,
-                workload,
-                routing,
-                None,
-                &base_runs,
-                baseline,
-            ));
             let unified = POOL_SIZES.iter().map(|&n| PoolSlots::Unified(n));
             let splits = cfg
                 .pool_splits
                 .iter()
                 .map(|&(switch, endpoint)| PoolSlots::Split { switch, endpoint });
-            for slots in unified.chain(splits) {
-                let pooled = Buffering::SharedPool {
-                    virtual_channels: true,
-                    slots,
-                };
+            // The virtual-network baseline (`None`) runs first.
+            let mut baseline = 0.0;
+            for pool in std::iter::once(None).chain(unified.chain(splits).map(Some)) {
                 let runs =
-                    measure_directory(&directory_config(workload, routing, pooled), cfg.scale)?;
+                    measure_directory(&directory_config(workload, routing, pool), cfg.scale)?;
+                if pool.is_none() {
+                    baseline = throughput_measurement(&runs).mean;
+                }
                 rows.push(row_from_runs(
                     Machine::Directory,
                     workload,
                     routing,
-                    Some(slots),
+                    pool,
                     &runs,
                     baseline,
                 ));
@@ -327,6 +323,29 @@ mod tests {
         assert_eq!(vn_baseline_slots_per_node(RoutingPolicy::Static), 224);
         assert_eq!(vn_baseline_slots_per_node(RoutingPolicy::Adaptive), 320);
         assert!(vn_baseline_slots_per_node(RoutingPolicy::Static) > POOL_SIZES[0]);
+    }
+
+    #[test]
+    fn a_row_over_a_zero_baseline_reads_zero() {
+        // A 4-slot pool that commits 0.4 ops/kcycle over a baseline that
+        // committed nothing: the normalized column reads 0, as Figure 4's
+        // does, not a number near 1e307.
+        let runs = [crate::metrics::RunMetrics {
+            cycles: 20_000,
+            ops_completed: 8,
+            ..Default::default()
+        }];
+        let pool = Some(PoolSlots::Unified(4));
+        let row = row_from_runs(
+            Machine::Directory,
+            WorkloadKind::Oltp,
+            RoutingPolicy::Adaptive,
+            pool,
+            &runs,
+            0.0,
+        );
+        assert!((row.throughput.mean - 0.4).abs() < 1e-12);
+        assert_eq!(row.normalized, Measurement::from_samples(&[0.0]));
     }
 
     #[test]

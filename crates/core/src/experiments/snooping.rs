@@ -22,7 +22,7 @@ use specsim_workloads::{WorkloadKind, ALL_WORKLOADS};
 
 use crate::config::SystemConfig;
 use crate::experiments::runner::{
-    measure_snooping, measurement_of, throughput_measurement, ExperimentScale, Measurement,
+    measure_snooping, measurement_of, ratio, throughput_measurement, ExperimentScale, Measurement,
 };
 use crate::experiments::sweep::{Cell, Column, Sweep, SweepConfig};
 
@@ -96,12 +96,10 @@ pub fn run(cfg: &SnoopingConfig) -> Result<Sweep<SnoopingConfig>, ProtocolError>
 
         let full_runs = measure_snooping(&full_cfg, cfg.scale)?;
         let spec_runs = measure_snooping(&spec_cfg, cfg.scale)?;
-        let denom = throughput_measurement(&full_runs)
-            .mean
-            .max(f64::MIN_POSITIVE);
+        let baseline = throughput_measurement(&full_runs).mean;
         rows.push(SnoopingRow {
             workload,
-            speculative_normalized: measurement_of(&spec_runs, |r| r.throughput() / denom),
+            speculative_normalized: measurement_of(&spec_runs, |r| ratio(r.throughput(), baseline)),
             corner_case_recoveries: spec_runs
                 .iter()
                 .map(|r| r.misspeculations_of(MisSpecKind::WritebackDoubleRace))

@@ -16,7 +16,7 @@ use specsim_workloads::{WorkloadKind, ALL_WORKLOADS};
 use crate::config::SystemConfig;
 use crate::engine::MeasuredCharacterization;
 use crate::experiments::runner::{
-    mean_recovery_cost, measure_directory, measure_snooping, ExperimentScale,
+    mean_recovery_cost, measure_directory, measure_snooping, ratio, ExperimentScale,
 };
 use crate::framework::SpeculativeDesign;
 
@@ -208,16 +208,8 @@ pub fn render_table3(scale: ExperimentScale) -> Result<String, ProtocolError> {
             scale.cycles,
             runs.len(),
             ops,
-            if ops == 0 {
-                0.0
-            } else {
-                stores as f64 * 100.0 / ops as f64
-            },
-            if ops == 0 {
-                0.0
-            } else {
-                misses as f64 * 100.0 / ops as f64
-            },
+            ratio(stores as f64 * 100.0, ops as f64),
+            ratio(misses as f64 * 100.0, ops as f64),
         ));
     }
     Ok(out)

@@ -110,6 +110,13 @@ type Machine = ArchState<SnoopProtocol>;
 /// words could share a key only for addresses beyond any machine's
 /// memory, and even then they would merge into a superset of each set,
 /// which still names every node a snoop can change.
+///
+/// The index never drops an entry, so it grows with the blocks ever
+/// requested. It stays because the alternative measured slower: visiting
+/// the nodes that pass a dense `snoop_may_change` filter instead kept every
+/// digest, but ran at 0.84–0.93× the simulated ops per second on
+/// `snoop16-uniform` (0 wins in 5 interleaved pairs, 2-core host) and
+/// saved only about 0.4 MB of peak RSS.
 #[derive(Debug)]
 struct HolderIndex {
     words: usize,

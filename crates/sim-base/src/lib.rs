@@ -19,8 +19,6 @@
 //! * [`rng`] — a small, deterministic random number generator (checkpoint
 //!   recovery rewinds generators by clone, so a cloned RNG must continue
 //!   the identical stream),
-//! * [`stats`] — running mean/standard deviation for the evaluation
-//!   harness's error bars,
 //! * [`queue`] — bounded message queues, the port abstraction through which
 //!   controllers and the interconnection network exchange messages,
 //! * [`msgsize`] — the message size model (control vs. data messages) used by
@@ -42,7 +40,6 @@ pub mod ids;
 pub mod msgsize;
 pub mod queue;
 pub mod rng;
-pub mod stats;
 pub mod telemetry;
 pub mod time;
 pub mod wheel;
@@ -60,7 +57,6 @@ pub use ids::{Address, BlockAddr, NodeId};
 pub use msgsize::{MessageSize, CONTROL_MSG_BYTES, DATA_MSG_BYTES};
 pub use queue::MsgQueue;
 pub use rng::DetRng;
-pub use stats::RunningStats;
 pub use telemetry::{
     EngineMode, Log2Histogram, ModeTimeline, ModeTransition, SpecEvent, TelemetryConfig,
     TelemetryRecorder, WindowCounters, WindowSample, ALL_ENGINE_MODES, ENGINE_MODE_COUNT,

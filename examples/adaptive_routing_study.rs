@@ -13,7 +13,9 @@
 //! cargo run --release --example adaptive_routing_study
 //! ```
 
-use specsim::experiments::runner::{measure_directory, throughput_measurement, ExperimentScale};
+use specsim::experiments::runner::{
+    measure_directory, ratio, throughput_measurement, ExperimentScale,
+};
 use specsim::SystemConfig;
 use specsim_base::{LinkBandwidth, RoutingPolicy};
 use specsim_net::VirtualNetwork;
@@ -54,7 +56,7 @@ fn main() {
         let recoveries: u64 = runs.iter().map(|r| r.recoveries).sum();
         println!(
             "{name:<38} perf vs conventional: {:>5.2}   FwdRequest reorders: {:>4}   recoveries: {}",
-            t.mean / base.mean.max(f64::MIN_POSITIVE),
+            ratio(t.mean, base.mean),
             reorders,
             recoveries
         );

@@ -7,18 +7,20 @@
 //! 8 slots. At 8 slots the network wedges: a transaction times out, the
 //! pooled fabric's watchdog confirms the wedge as a buffer deadlock,
 //! SafetyNet rolls the machine back to its last checkpoint, and
-//! re-execution runs with per-network reserved slots. This is the design
-//! point `tests/pool_deadlock_recovery.rs` pins.
+//! re-execution runs with per-network reserved slots. These are the
+//! shared-buffer sweep's design points (`shared_buffer::directory_config`),
+//! which `tests/pool_deadlock_recovery.rs` pins at 8 and 16 slots.
 //!
 //! ```text
 //! cargo run --release --example deadlock_recovery
 //! ```
 
-use specsim::experiments::heavy_traffic::heavy_traffic;
+use specsim::experiments::shared_buffer::directory_config;
 use specsim::experiments::ExperimentScale;
-use specsim::{DirectorySystem, SystemConfig};
-use specsim_base::LinkBandwidth;
+use specsim::DirectorySystem;
+use specsim_base::RoutingPolicy;
 use specsim_coherence::MisSpecKind;
+use specsim_net::PoolSlots;
 use specsim_workloads::WorkloadKind;
 
 fn main() {
@@ -29,19 +31,11 @@ fn main() {
 
     let mut total_recoveries = 0;
     for slots in [32usize, 16, 8] {
-        let mut cfg = SystemConfig::shared_pool_interconnect(
-            WorkloadKind::Oltp,
-            LinkBandwidth::MB_400,
-            slots,
-            6001,
-        );
-        cfg.memory.num_nodes = 16;
-        cfg.memory.mshr_entries = 4;
-        // Short checkpoint interval so the deadlock timeout (3 intervals) is
-        // reached within the demo window.
-        cfg.memory.safetynet.checkpoint_interval_cycles = 5_000;
-        cfg.traffic = heavy_traffic();
-        let mut sys = DirectorySystem::new(cfg);
+        // The sweep's 5 000-cycle checkpoint interval puts the deadlock
+        // timeout (3 intervals) within the demo window.
+        let pool = Some(PoolSlots::Unified(slots));
+        let cfg = directory_config(WorkloadKind::Oltp, RoutingPolicy::Adaptive, pool);
+        let mut sys = DirectorySystem::new(cfg.with_seed(6001));
         let metrics = sys.run_for(scale.cycles).expect("protocol behaved");
         sys.verify_coherence().expect("coherence invariants hold");
         total_recoveries += metrics.recoveries;

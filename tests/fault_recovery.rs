@@ -12,7 +12,8 @@
 //! bit-identical determinism contract: the same `(seed, FaultPlan)` pair
 //! reproduces the run exactly, byte for byte.
 
-use specsim::experiments::heavy_traffic::heavy_traffic;
+use specsim::experiments::fault_tolerance::campaign_machine;
+use specsim::experiments::heavy_traffic::Machine;
 use specsim::{DirectorySystem, RunMetrics, SnoopingSystem, SystemConfig};
 use specsim_base::{
     FaultConfig, FaultEvent, FaultKind, FaultPlan, FaultSite, LinkBandwidth, ProtocolVariant,
@@ -23,19 +24,10 @@ use specsim_workloads::WorkloadKind;
 
 /// The chaos-campaign design point: the 16-node directory machine at the
 /// 400 MB/s operating point under the canonical heavy traffic shape
-/// (non-blocking processors, Zipfian hot set, bursty injection).
+/// (non-blocking processors, Zipfian hot set, bursty injection), with
+/// slow start sized to the checkpoint cadence.
 fn heavy_dir_cfg(seed: u64) -> SystemConfig {
-    let mut cfg =
-        SystemConfig::directory_speculative(WorkloadKind::Oltp, LinkBandwidth::MB_400, seed)
-            .with_nodes(16);
-    cfg.routing = specsim_base::RoutingPolicy::Adaptive;
-    cfg.memory.mshr_entries = 4;
-    cfg.memory.safetynet.checkpoint_interval_cycles = 5_000;
-    // Slow-start sized to the checkpoint cadence, not the congestion-tuned
-    // default, so post-recovery progress is observable within the test runs.
-    cfg.forward_progress.slow_start_cycles = 20_000;
-    cfg.traffic = heavy_traffic();
-    cfg
+    campaign_machine(Machine::Directory, seed)
 }
 
 /// A single fault of `kind` striking node 0 at cycle 1 000. Message kinds

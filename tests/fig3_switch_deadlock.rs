@@ -1,54 +1,41 @@
 //! Integration test for Figure 3 (switch deadlock): cross-coupled traffic
 //! with small shared buffers wedges the torus; dateline virtual-channel flow
 //! control (or worst-case buffering) keeps it moving under the same load.
+//!
+//! The scenario is the published one (`specsim::experiments::fig23`, which
+//! the `fig23_deadlock_scenarios` bench prints): heavy all-to-all traffic
+//! with consumers that drain only rarely.
 
-use specsim_base::{DetRng, LinkBandwidth, MessageSize, NodeId, RoutingPolicy};
-use specsim_net::{NetConfig, Network, VirtualNetwork};
+use std::sync::OnceLock;
 
-/// Drives heavy all-to-all traffic on a network built from `cfg`, with
-/// consumers that drain only rarely. Returns true if the fabric stalls (no
-/// message moves for the threshold).
-fn drive(mut cfg: NetConfig, cycles: u64, drain_period: u64) -> bool {
-    cfg.stall_threshold = 2_500;
-    let mut net: Network<u64> = Network::new(cfg);
-    let mut rng = DetRng::new(99);
-    let mut now = 0;
-    for _ in 0..cycles {
-        now += 1;
-        for _ in 0..4 {
-            let src = NodeId::from(rng.next_below(16) as usize);
-            let dst = NodeId::from(rng.next_below(16) as usize);
-            if src != dst && net.can_inject(src, VirtualNetwork::Request) {
-                let _ = net.inject(now, src, dst, VirtualNetwork::Request, MessageSize::Data, 0);
-            }
-        }
-        net.tick(now, None);
-        if now % drain_period == 0 {
-            for n in 0..16 {
-                let _ = net.eject_any(NodeId::from(n));
-            }
-        }
-        if net.is_stalled(now) {
-            return true;
-        }
-    }
-    false
+use specsim::experiments::{fig23, BufferDesign, Fig3Config, Sweep};
+
+/// Whether the fabric stalled (no message moved for the watchdog's
+/// threshold) under `design` in the Figure 3 scenario. The tests share one
+/// run of the figure.
+fn wedged(design: BufferDesign) -> bool {
+    static FIGURE: OnceLock<Sweep<Fig3Config>> = OnceLock::new();
+    FIGURE
+        .get_or_init(fig23::run_fig3)
+        .rows
+        .iter()
+        .find(|r| r.design == design)
+        .expect("the figure has a row per buffer design")
+        .wedged
 }
 
 #[test]
 fn tiny_shared_buffers_deadlock_under_cross_coupled_traffic() {
-    let cfg = NetConfig::speculative(16, LinkBandwidth::GB_3_2, 2);
     assert!(
-        drive(cfg, 30_000, 64),
+        wedged(BufferDesign::Shared(2)),
         "a two-entry shared-buffer torus with slow consumers must wedge"
     );
 }
 
 #[test]
 fn worst_case_buffering_never_deadlocks_under_the_same_load() {
-    let cfg = NetConfig::full_buffering(16, LinkBandwidth::GB_3_2, RoutingPolicy::Adaptive);
     assert!(
-        !drive(cfg, 30_000, 64),
+        !wedged(BufferDesign::WorstCase),
         "worst-case buffering can always absorb the same traffic"
     );
 }
@@ -59,9 +46,8 @@ fn dateline_virtual_channels_keep_the_torus_moving_under_the_same_load() {
     // (dateline allocation on the torus rings) breaks the cyclic buffer
     // dependencies, so even under the same saturating load the network keeps
     // making progress — it is congested, but never deadlocked.
-    let cfg = NetConfig::conventional(16, LinkBandwidth::GB_3_2);
     assert!(
-        !drive(cfg, 30_000, 64),
+        !wedged(BufferDesign::VirtualChannels),
         "a dateline-VC torus must not deadlock under cross-coupled traffic"
     );
 }

@@ -13,28 +13,24 @@
 //! (`fig2_endpoint_deadlock.rs`): nothing here drives the fabric by hand; the
 //! dependency cycle forms from real protocol traffic.
 
-use specsim::experiments::heavy_traffic::heavy_traffic;
+use specsim::experiments::heavy_traffic::{heavy_machine, Machine};
+use specsim::experiments::shared_buffer::directory_config;
 use specsim::{DirectorySystem, EngineMode, SnoopingSystem, SystemConfig};
-use specsim_base::{LinkBandwidth, ProtocolVariant};
+use specsim_base::RoutingPolicy;
 use specsim_coherence::MisSpecKind;
-use specsim_net::{Buffering, PoolSlots};
+use specsim_net::PoolSlots;
 use specsim_workloads::WorkloadKind;
 
-/// The 16-node 8-slot design point from the shared-buffer sweep, at the
-/// sweep's own knobs (heavy traffic, 4 MSHRs, 5k-cycle checkpoints).
-fn eight_slot_pool_config() -> SystemConfig {
-    let mut cfg =
-        SystemConfig::shared_pool_interconnect(WorkloadKind::Oltp, LinkBandwidth::MB_400, 8, 6001);
-    cfg.memory.num_nodes = 16;
-    cfg.memory.safetynet.checkpoint_interval_cycles = 5_000;
-    cfg.memory.mshr_entries = 4;
-    cfg.traffic = heavy_traffic();
-    cfg
+/// The shared-buffer sweep's adaptive OLTP design point with a `slots`-slot
+/// pool per node, at the sweep's first perturbed seed.
+fn pool_config(slots: usize) -> SystemConfig {
+    let pool = Some(PoolSlots::Unified(slots));
+    directory_config(WorkloadKind::Oltp, RoutingPolicy::Adaptive, pool).with_seed(6001)
 }
 
 #[test]
 fn heavy_traffic_deadlocks_the_8_slot_pool_and_recovery_restores_coherence() {
-    let cfg = eight_slot_pool_config();
+    let cfg = pool_config(8);
     assert!(
         cfg.validate().is_empty(),
         "the sweep design point must be a valid configuration: {:?}",
@@ -101,12 +97,7 @@ fn sixteen_slot_pool_rides_out_the_same_traffic_without_pool_deadlock() {
     // reports: doubling the pool at the same design point keeps the watchdog
     // quiet (any recovery that does fire is a plain starvation timeout, not
     // a buffer deadlock).
-    let mut cfg = eight_slot_pool_config();
-    cfg.buffering = Buffering::SharedPool {
-        virtual_channels: true,
-        slots: PoolSlots::Unified(16),
-    };
-    let mut sys = DirectorySystem::new(cfg);
+    let mut sys = DirectorySystem::new(pool_config(16));
     let m = sys.run_for(20_000).expect("no protocol errors");
     assert_eq!(
         m.misspeculations_of(MisSpecKind::BufferDeadlock),
@@ -124,12 +115,7 @@ fn sixteen_slot_pool_rides_out_the_same_traffic_without_pool_deadlock() {
 fn heavy_traffic_deadlocks_the_8_slot_snooping_data_torus_and_recovery_restores_coherence() {
     // The 8-slot pooled snooping row of the shared-buffer sweep (heavy
     // OLTP, 4 MSHRs, 5k-cycle timeout intervals), at its third seed.
-    let mut cfg = SystemConfig::new(WorkloadKind::Oltp, ProtocolVariant::Speculative, 6003);
-    cfg.memory.link_bandwidth = LinkBandwidth::MB_400;
-    cfg.memory.safetynet.checkpoint_interval_cycles = 5_000;
-    cfg.memory.mshr_entries = 4;
-    cfg.traffic = heavy_traffic();
-    let cfg = cfg.with_pooled_data_torus(8);
+    let cfg = heavy_machine(Machine::Snooping, WorkloadKind::Oltp, 6003).with_pooled_data_torus(8);
     assert!(cfg.validate().is_empty(), "{:?}", cfg.validate());
     let mut sys = SnoopingSystem::new(cfg);
 
