@@ -206,7 +206,8 @@ pub fn run_fig2() -> Sweep<Fig2Config> {
                     };
                     if vnet == Request {
                         let src = msg.expect("the head was peeked").src;
-                        let _ = net.inject(now, node, src, Response, MessageSize::Data, 0);
+                        net.inject(now, node, src, Response, MessageSize::Data, 0)
+                            .expect("response injection was checked");
                     }
                 }
             }

@@ -170,13 +170,14 @@ pub fn run(cfg: &Fig5CrossoverConfig) -> Result<Fig5CrossoverData, ProtocolError
 impl Fig5CrossoverData {
     /// The bandwidth (MB/s, linearly interpolated between sweep points) at
     /// which the adaptive/static ratio first crosses 1.0 from above, or
-    /// `None` when one policy dominates across the whole axis.
+    /// `None` when one policy dominates across the whole axis. A point where
+    /// static routing committed nothing (its ratio reads 0) is no crossing.
     #[must_use]
     pub fn crossover_mb_per_s(&self) -> Option<f64> {
         for pair in self.rows.windows(2) {
             let (a, b) = (&pair[0], &pair[1]);
             let (ra, rb) = (a.adaptive_over_static - 1.0, b.adaptive_over_static - 1.0);
-            if ra > 0.0 && rb <= 0.0 {
+            if ra > 0.0 && rb <= 0.0 && b.static_throughput.mean > 0.0 {
                 let xa = a.bandwidth.megabytes_per_second as f64;
                 let xb = b.bandwidth.megabytes_per_second as f64;
                 return Some(xa + (xb - xa) * ra / (ra - rb));
@@ -209,12 +210,17 @@ mod tests {
 
     #[test]
     fn crossover_interpolates_the_sign_change() {
+        let throughput = |mean: f64| Measurement {
+            mean,
+            std_dev: 0.0,
+            runs: 1,
+        };
         let row = |mb: u64, ratio: f64| Fig5CrossoverRow {
             bandwidth: LinkBandwidth {
                 megabytes_per_second: mb,
             },
-            static_throughput: Measurement::default(),
-            adaptive_throughput: Measurement::default(),
+            static_throughput: throughput(1.0),
+            adaptive_throughput: throughput(ratio),
             adaptive_over_static: ratio,
             adaptive_recoveries: 0,
             static_link_utilization: 0.0,
@@ -232,6 +238,15 @@ mod tests {
         };
         assert_eq!(none.crossover_mb_per_s(), None);
         assert!(none.render().contains("crossover_mb_per_s: null"));
+        // A point where static routing committed nothing reads 0, which is
+        // no measured ratio and so no crossing.
+        let mut idle = row(800, 0.0);
+        idle.static_throughput = throughput(0.0);
+        let zero_baseline = Fig5CrossoverData {
+            rows: vec![row(400, 1.2), idle],
+            ..none
+        };
+        assert_eq!(zero_baseline.crossover_mb_per_s(), None);
     }
 
     #[test]

@@ -204,7 +204,8 @@ pub fn run_mean(runs: &[RunMetrics], f: impl Fn(&RunMetrics) -> f64) -> f64 {
 /// `numerator / denominator`, or 0 when the denominator is 0. Every ratio
 /// the experiments report follows this one convention: a design point
 /// normalized to a baseline that committed nothing reads 0, and so does a
-/// rate over no cycles or a mean over no events.
+/// rate over no cycles or a mean over no events. That 0 looks like a
+/// measured 0, so a caller comparing ratios checks the denominator itself.
 #[must_use]
 pub fn ratio(numerator: f64, denominator: f64) -> f64 {
     if denominator == 0.0 {

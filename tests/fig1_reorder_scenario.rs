@@ -8,16 +8,20 @@
 //! reorders, (b) every message is delivered and the fabric drains under
 //! both policies, and (c) adaptive routing does reorder.
 
-use specsim::experiments::{fig1, Fig1Row};
+use std::sync::OnceLock;
+
+use specsim::experiments::{fig1, Fig1Config, Fig1Row, Sweep};
 use specsim_base::RoutingPolicy;
 
 /// The figure's row for `routing`, after checking that every trial
-/// delivered its whole stream and drained the fabric.
-fn row(routing: RoutingPolicy) -> Fig1Row {
-    let sweep = fig1::run();
-    let row = sweep
+/// delivered its whole stream and drained the fabric. The tests share one
+/// run of the figure.
+fn row(routing: RoutingPolicy) -> &'static Fig1Row {
+    static FIGURE: OnceLock<Sweep<Fig1Config>> = OnceLock::new();
+    let row = FIGURE
+        .get_or_init(fig1::run)
         .rows
-        .into_iter()
+        .iter()
         .find(|r| r.routing == routing)
         .expect("the figure has a row per routing policy");
     assert_eq!(row.trials.len() as u64, fig1::TRIALS);

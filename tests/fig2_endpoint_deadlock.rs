@@ -5,11 +5,16 @@
 //! The scenario is the published one (`specsim::experiments::fig23`, which
 //! the `fig23_deadlock_scenarios` bench prints).
 
-use specsim::experiments::{fig23, BufferDesign};
+use std::sync::OnceLock;
 
-/// Whether the fabric stalled under `design` in the Figure 2 scenario.
+use specsim::experiments::{fig23, BufferDesign, Fig2Config, Sweep};
+
+/// Whether the fabric stalled under `design` in the Figure 2 scenario. The
+/// tests share one run of the figure.
 fn wedged(design: BufferDesign) -> bool {
-    fig23::run_fig2()
+    static FIGURE: OnceLock<Sweep<Fig2Config>> = OnceLock::new();
+    FIGURE
+        .get_or_init(fig23::run_fig2)
         .rows
         .iter()
         .find(|r| r.design == design)
