@@ -7,8 +7,8 @@ use std::process::ExitCode;
 use specsim::experiments::fig1;
 
 fn main() -> ExitCode {
-    specsim_bench::run_figure(
+    specsim_bench::run_fixed(
         "Figure 1 — Violating point-to-point order with adaptive routing",
-        |_| Ok::<_, Infallible>(fig1::run().render()),
+        || Ok::<_, Infallible>(fig1::run().render()),
     )
 }

@@ -4,25 +4,19 @@
 
 use std::process::ExitCode;
 
-use specsim::experiments::scaling::workloads_from_env;
 use specsim::experiments::{buffer_sweep, BufferSweepConfig};
+use specsim_workloads::WorkloadKind;
 
 fn main() -> ExitCode {
     specsim_bench::run_figure(
         "Section 5.3 — Simplified interconnection network: buffer-size sweep",
         |scale| {
-            // The headline sweep runs OLTP (the most network-intensive
-            // workload); set SPECSIM_ALL_WORKLOADS=1 to sweep every workload
-            // (same semantics as the scaling sweep: unset or `0` means OLTP
-            // only).
-            workloads_from_env()
-                .into_iter()
-                .map(|workload| {
-                    buffer_sweep::run(&BufferSweepConfig { workload, scale })
-                        .map(|sweep| sweep.render())
-                })
-                .collect::<Result<Vec<_>, _>>()
-                .map(|t| t.join("\n"))
+            // The sweep runs OLTP, the most network-intensive workload.
+            let cfg = BufferSweepConfig {
+                workload: WorkloadKind::Oltp,
+                scale,
+            };
+            buffer_sweep::run(&cfg).map(|sweep| sweep.render())
         },
     )
 }

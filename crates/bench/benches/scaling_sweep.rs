@@ -5,8 +5,7 @@
 //! Besides the console table the run writes `BENCH_scaling.json`, so the
 //! perf trajectory across commits has a node-count axis. Set `SPECSIM_BENCH_QUICK=1` (as CI does) for a small
 //! sweep (8/32/256 nodes, two seeds); the full sweep size is controlled by
-//! `SPECSIM_CYCLES` / `SPECSIM_SEEDS` as usual, and `SPECSIM_ALL_WORKLOADS=1`
-//! sweeps every Table 3 workload generator instead of OLTP only.
+//! `SPECSIM_CYCLES` / `SPECSIM_SEEDS` as usual.
 
 use std::process::ExitCode;
 

@@ -1,15 +1,14 @@
 //! Regenerates Table 2: the target-system parameters, printed from the
-//! default configuration (and therefore guaranteed to match what every
-//! experiment in this repository actually simulates).
+//! default configuration and the Table 2 constants (and therefore guaranteed
+//! to match what every experiment in this repository actually simulates).
 
-use specsim::experiments::{render_table2, ExperimentScale};
-use specsim_bench::{finish, start};
+use std::convert::Infallible;
+use std::process::ExitCode;
 
-fn main() {
-    let t = start(
-        "Table 2 — Target system parameters",
-        ExperimentScale::quick(),
-    );
-    print!("{}", render_table2());
-    finish(t);
+use specsim::experiments::render_table2;
+
+fn main() -> ExitCode {
+    specsim_bench::run_fixed("Table 2 — Target system parameters", || {
+        Ok::<_, Infallible>(render_table2())
+    })
 }

@@ -18,19 +18,18 @@ pub use specsim::experiments::ExperimentScale;
 
 /// Prints a standard header for one reproduced artifact and returns a timer.
 pub fn start(artifact: &str, scale: ExperimentScale) -> Instant {
-    banner(
-        artifact,
-        &format!(
-            "scale: {} cycles per run, {} perturbed runs per design point\n\
-             (override with SPECSIM_CYCLES / SPECSIM_SEEDS)",
-            scale.cycles, scale.seeds
-        ),
-    )
+    banner(&format!(
+        "Reproducing: {artifact}\n\
+         scale: {} cycles per run, {} perturbed runs per design point\n\
+         (override with SPECSIM_CYCLES / SPECSIM_SEEDS)",
+        scale.cycles, scale.seeds
+    ))
 }
 
-fn banner(artifact: &str, detail: &str) -> Instant {
+/// Prints `header` between two rules and returns a timer.
+fn banner(header: &str) -> Instant {
     let rule = "================================================================";
-    println!("{rule}\nReproducing: {artifact}\n{detail}\n{rule}");
+    println!("{rule}\n{header}\n{rule}");
     Instant::now()
 }
 
@@ -40,16 +39,28 @@ pub fn finish(started: Instant) {
 }
 
 /// Reproduces one paper figure or table at the environment's scale
-/// ([`ExperimentScale::from_env`]): prints the header, the text `run`
-/// returns and the footer. A failed run prints its error and exits with
-/// failure.
+/// ([`ExperimentScale::from_env`]): prints the header with that scale, the
+/// text `run` returns and the footer. A failed run prints its error and
+/// exits with failure.
 pub fn run_figure<E: Display>(
     artifact: &str,
     run: impl FnOnce(ExperimentScale) -> Result<String, E>,
 ) -> ExitCode {
     let scale = ExperimentScale::from_env();
-    let started = start(artifact, scale);
-    let code = match run(scale) {
+    report(start(artifact, scale), run(scale))
+}
+
+/// Reproduces one artifact that reads no experiment scale (a fixed scenario,
+/// or a table that simulates nothing) as [`run_figure`] does, without the
+/// scale line in its header.
+pub fn run_fixed<E: Display>(artifact: &str, run: impl FnOnce() -> Result<String, E>) -> ExitCode {
+    report(banner(&format!("Reproducing: {artifact}")), run())
+}
+
+/// Prints a run's text and the footer, or its error; the exit code says
+/// which.
+fn report<E: Display>(started: Instant, result: Result<String, E>) -> ExitCode {
+    let code = match result {
         Ok(text) => {
             print!("{text}");
             ExitCode::SUCCESS
@@ -82,13 +93,11 @@ where
     } else {
         C::default()
     };
-    let started = banner(
-        C::TITLE,
-        &format!(
-            "{cfg:?}\n(SPECSIM_BENCH_QUICK=1 for the CI-sized sweep; \
-             SPECSIM_CYCLES / SPECSIM_SEEDS scale the full one)"
-        ),
-    );
+    let started = banner(&format!(
+        "Reproducing: {}\n{cfg:?}\n(SPECSIM_BENCH_QUICK=1 for the CI-sized sweep; \
+         SPECSIM_CYCLES / SPECSIM_SEEDS scale the full one)",
+        C::TITLE
+    ));
     let code = match run(&cfg) {
         Ok(sweep) => {
             println!("{}", sweep.render());
@@ -146,6 +155,8 @@ mod tests {
         assert_eq!(run_figure("smoke", ok), ExitCode::SUCCESS);
         let failed = |_| -> Result<String, &str> { Err("injected protocol error") };
         assert_eq!(run_figure("smoke", failed), ExitCode::FAILURE);
+        let fixed = || -> Result<String, &str> { Err("injected protocol error") };
+        assert_eq!(run_fixed("smoke", fixed), ExitCode::FAILURE);
     }
 
     #[test]

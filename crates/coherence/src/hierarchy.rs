@@ -32,6 +32,13 @@ use specsim_base::{BlockAddr, Cycle, CycleDelta, FastMap, MemorySystemConfig, No
 use crate::cache_array::{CacheArray, CacheGeometry, CacheLine};
 use crate::types::{CpuAccess, CpuRequest};
 
+/// Latency of a load or store that hits in the L1, in cycles.
+pub const L1_HIT_CYCLES: CycleDelta = 2;
+
+/// Latency of a load or store that misses the L1 and hits in the L2, in
+/// cycles.
+pub const L2_HIT_CYCLES: CycleDelta = 12;
+
 /// Stable cache states of the MOSI protocols (Invalid = not resident).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheState {
@@ -167,8 +174,6 @@ pub(crate) enum Miss {
 pub struct CacheHierarchy<P> {
     l1: CacheArray<()>,
     pub(crate) l2: CacheArray<CacheState>,
-    l1_hit_cycles: CycleDelta,
-    l2_hit_cycles: CycleDelta,
     /// MSHR file: in-flight demand misses, in issue order.
     pub(crate) demands: Vec<Demand<P>>,
     /// MSHR capacity.
@@ -178,7 +183,7 @@ pub struct CacheHierarchy<P> {
 }
 
 impl<P> CacheHierarchy<P> {
-    /// An empty hierarchy with the geometry and latencies of `config`.
+    /// An empty hierarchy with the geometry and MSHR count of `config`.
     pub(crate) fn new(config: &MemorySystemConfig) -> Self {
         Self {
             l1: CacheArray::new(CacheGeometry::from_capacity(
@@ -189,8 +194,6 @@ impl<P> CacheHierarchy<P> {
                 config.l2_bytes,
                 config.l2_ways,
             )),
-            l1_hit_cycles: config.l1_hit_cycles,
-            l2_hit_cycles: config.l2_hit_cycles,
             demands: Vec::new(),
             mshr_entries: config.mshr_entries.max(1),
             writebacks: FastMap::default(),
@@ -278,13 +281,13 @@ impl<P> CacheHierarchy<P> {
                     let value = line.data;
                     ControlFlow::Break(if l1_hit {
                         AccessOutcome::L1Hit {
-                            latency: self.l1_hit_cycles,
+                            latency: L1_HIT_CYCLES,
                             value,
                         }
                     } else {
                         self.l1.insert(req.addr, (), 0);
                         AccessOutcome::L2Hit {
-                            latency: self.l2_hit_cycles,
+                            latency: L2_HIT_CYCLES,
                             value,
                         }
                     })
@@ -486,7 +489,6 @@ mod tests {
     /// L1; once L1 conflict misses push the block out of the L1 while the
     /// L2 keeps it, the next access hits in the L2 and refills the L1.
     fn hits_in_l1_then_in_l2_after_l1_conflicts<C: Controller>(c: &mut C) {
-        let cfg = config();
         let mut now = 0;
         let mut miss = |c: &mut C, addr: u64, data: u64| {
             now += 10;
@@ -498,7 +500,7 @@ mod tests {
         assert_eq!(
             c.cpu_request(100, load(0x0)),
             AccessOutcome::L1Hit {
-                latency: cfg.l1_hit_cycles,
+                latency: L1_HIT_CYCLES,
                 value: 11
             }
         );
@@ -508,18 +510,18 @@ mod tests {
         assert_eq!(
             c.cpu_request(200, load(0x0)),
             AccessOutcome::L2Hit {
-                latency: cfg.l2_hit_cycles,
+                latency: L2_HIT_CYCLES,
                 value: 11
             }
         );
         assert_eq!(
             c.cpu_request(201, load(0x0)),
             AccessOutcome::L1Hit {
-                latency: cfg.l1_hit_cycles,
+                latency: L1_HIT_CYCLES,
                 value: 11
             }
         );
-        assert_ne!(cfg.l1_hit_cycles, cfg.l2_hit_cycles);
+        assert_ne!(L1_HIT_CYCLES, L2_HIT_CYCLES);
     }
 
     #[test]

@@ -4,6 +4,12 @@
 //! machine's data network, described by the same routing and buffering
 //! fields, and the snooping machine adds the ordered address bus, whose
 //! grant interval is the one field only it reads.
+//!
+//! Only parameters some experiment varies are fields. The Table 2 values
+//! nothing varies are constants beside the one module that reads each (the
+//! docs of [`MemorySystemConfig`] and [`specsim_base::SafetyNetConfig`] say
+//! where), and the three forward-progress measures share one window,
+//! [`SystemConfig::forward_progress_window`].
 
 use std::sync::Arc;
 
@@ -11,43 +17,8 @@ use specsim_base::{
     CycleDelta, FaultConfig, LinkBandwidth, MemorySystemConfig, ProtocolVariant, RoutingPolicy,
     TelemetryConfig,
 };
-use specsim_net::{Buffering, NetConfig, PoolSlots};
+use specsim_net::{Buffering, NetConfig, PoolSlots, ALL_VIRTUAL_NETWORKS};
 use specsim_workloads::{Trace, TrafficConfig, WorkloadKind};
-
-/// Forward-progress measures applied after a recovery (Section 2, feature 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ForwardProgressConfig {
-    /// Directory system (Section 3.1): after a recovery caused by an ordering
-    /// mis-speculation, adaptive routing is disabled for this many cycles so
-    /// the race cannot recur during re-execution. `0` disables the mechanism.
-    pub disable_adaptive_cycles: CycleDelta,
-    /// Snooping system / interconnect (Sections 3.2 and 4): after a recovery,
-    /// the system enters "slow-start" mode for this many cycles, with one
-    /// coherence transaction outstanding system-wide (the paper's
-    /// suggestion). `0` disables the mechanism.
-    pub slow_start_cycles: CycleDelta,
-    /// Shared-pool interconnect (Section 4): after a buffer-deadlock
-    /// recovery, every node's slot pool reserves
-    /// [`Self::reserved_slots_per_network`] slots per virtual network for
-    /// this many cycles — the "revert to conservative" re-execution that
-    /// keeps the deadlocked buffer-dependency cycle from re-forming. `0`
-    /// disables the mechanism.
-    pub reserved_slot_cycles: CycleDelta,
-    /// Slots each virtual network is guaranteed while the reservation window
-    /// is active (clamped per node so four reservations fit the pool).
-    pub reserved_slots_per_network: usize,
-}
-
-impl Default for ForwardProgressConfig {
-    fn default() -> Self {
-        Self {
-            disable_adaptive_cycles: 200_000,
-            slow_start_cycles: 200_000,
-            reserved_slot_cycles: 200_000,
-            reserved_slots_per_network: 1,
-        }
-    }
-}
 
 /// Configuration of one full-system simulation run, on either machine
 /// (Table 2 describes both in one parameter table). The directory machine
@@ -77,8 +48,13 @@ pub struct SystemConfig {
     /// Top-level seed; every generator, perturbation and arbitration draw is
     /// derived from it.
     pub seed: u64,
-    /// Forward-progress measures after recoveries.
-    pub forward_progress: ForwardProgressConfig,
+    /// Forward progress (Section 2, feature 4): cycles a recovery's
+    /// re-execution runs under the measure its cause calls for — adaptive
+    /// routing disabled after a reorder (Section 3.1), slots reserved for
+    /// every virtual network after a buffer deadlock (Section 4), or
+    /// slow-start with one coherence transaction outstanding system-wide
+    /// (Sections 3.2 and 4). `0` disables the measures.
+    pub forward_progress_window: CycleDelta,
     /// If set, inject a recovery every this many cycles regardless of
     /// mis-speculations (the stress test of Figure 4).
     pub inject_recovery_every: Option<CycleDelta>,
@@ -135,7 +111,7 @@ impl SystemConfig {
             bus_arbitration_interval: 8,
             workload,
             seed,
-            forward_progress: ForwardProgressConfig::default(),
+            forward_progress_window: 200_000,
             inject_recovery_every: None,
             traffic: TrafficConfig::default(),
             record_trace: false,
@@ -196,8 +172,8 @@ impl SystemConfig {
     /// replaced by one pool of `total_slots` message slots per node.
     /// Deadlock is possible; it is detected by the transaction timeout
     /// (three checkpoint intervals), confirmed by the fabric watchdog,
-    /// broken by SafetyNet recovery, and re-execution runs with per-network
-    /// reserved slots ([`ForwardProgressConfig::reserved_slots_per_network`]).
+    /// broken by SafetyNet recovery, and re-execution runs with a slot
+    /// reserved for each virtual network.
     #[must_use]
     pub fn shared_pool_interconnect(
         workload: WorkloadKind,
@@ -263,8 +239,7 @@ impl SystemConfig {
                 _ => {}
             }
             let total = slots.total();
-            let fp = &self.forward_progress;
-            if fp.reserved_slot_cycles > 0 && fp.reserved_slots_per_network > 0 && total < 4 {
+            if self.forward_progress_window > 0 && total < ALL_VIRTUAL_NETWORKS.len() {
                 problems.push(format!(
                     "a {total}-slot pool cannot hold one reserved slot per virtual \
                      network; the post-deadlock reservation would be inert"
@@ -280,7 +255,7 @@ impl SystemConfig {
     }
 
     /// The torus the machine instantiates (the snooping machine's data
-    /// network): geometry and link timing from [`Self::memory`], routing and
+    /// network): geometry and link bandwidth from [`Self::memory`], routing and
     /// buffer design from [`Self::routing`] and [`Self::buffering`]. A
     /// pooled fabric's progress watchdog must *confirm* a wedge before the
     /// three-checkpoint-interval transaction timeout fires, so the engine
@@ -296,7 +271,6 @@ impl SystemConfig {
             self.buffering,
         );
         cfg.torus_dims = self.memory.torus_dims;
-        cfg.switch_latency = self.memory.switch_latency_cycles;
         if self.buffering.pool_slots().is_some() {
             let interval = self.memory.safetynet.checkpoint_interval_cycles.max(1);
             cfg.stall_threshold = cfg.stall_threshold.min(interval);
@@ -476,7 +450,7 @@ mod tests {
             !cfg.validate().is_empty(),
             "a pool too small for the reservation measure must be flagged"
         );
-        cfg.forward_progress.reserved_slots_per_network = 0;
+        cfg.forward_progress_window = 0;
         assert!(
             cfg.validate().is_empty(),
             "tiny pools are fine once the reservation measure is disabled"

@@ -438,14 +438,13 @@ mod tests {
             SystemConfig::shared_pool_interconnect(WorkloadKind::Jbb, LinkBandwidth::GB_3_2, 64, 7);
         cfg.memory.l1_bytes = 16 * 1024;
         cfg.memory.l2_bytes = 64 * 1024;
-        cfg.forward_progress.reserved_slot_cycles = 2_000;
-        cfg.forward_progress.reserved_slots_per_network = 2;
+        cfg.forward_progress_window = 2_000;
         let mut sys = DirectorySystem::new(cfg);
         sys.run_for(1_000).expect("no protocol errors");
         assert_eq!(sys.arch().torus.pool_reservation(), Some(0));
         sys.enter_forward_progress(MisSpecKind::BufferDeadlock, sys.now());
         assert_eq!(sys.forward_progress_mode(), EngineMode::ReservedSlots);
-        assert_eq!(sys.arch().torus.pool_reservation(), Some(2));
+        assert_eq!(sys.arch().torus.pool_reservation(), Some(1));
         // The window expires mid-run; the engine lifts the reservation.
         sys.run_for(3_000).expect("no protocol errors");
         assert_eq!(sys.forward_progress_mode(), EngineMode::Normal);

@@ -96,7 +96,7 @@ use specsim_net::Network;
 use specsim_safetynet::{LogOutcome, SafetyNet};
 use specsim_workloads::{Processor, Trace, WorkloadGenerator, ZipfTable};
 
-use crate::config::{ForwardProgressConfig, SystemConfig};
+use crate::config::SystemConfig;
 use crate::metrics::RunMetrics;
 use crate::shared::{Outgoing, Shared};
 
@@ -106,9 +106,19 @@ use crate::shared::{Outgoing, Shared};
 /// perturbations provide the error bars.
 const PERTURBATION_CYCLES: u64 = 4;
 
+/// DRAM access time of a memory data response at the home node's memory
+/// controller, before perturbation (part of Table 2's 180 ns end-to-end
+/// miss budget).
+pub const DRAM_ACCESS_CYCLES: CycleDelta = 200;
+
+/// Slots each virtual network is guaranteed while the reserved-slot measure
+/// runs after a buffer deadlock (Section 4), clamped per node so a
+/// reservation for every network fits the pool.
+const RESERVED_SLOTS_PER_NETWORK: usize = 1;
+
 /// Look-ahead of the wake index's timing wheel. Its farthest common entry
-/// is a parked outbox waiting out a DRAM access (200 cycles at the Table 2
-/// defaults, plus the perturbation); think times and hit latencies are far
+/// is a parked outbox waiting out a DRAM access ([`DRAM_ACCESS_CYCLES`]
+/// plus the perturbation); think times and hit latencies are far
 /// shorter. Rarer, longer waits (a recovery's resume cycle) overflow.
 const WAKE_HORIZON: Cycle = 255;
 
@@ -550,7 +560,6 @@ pub struct EngineCtx<'a, P: ProtocolNode> {
     pending_misspec: &'a mut Option<MisSpeculation>,
     protocol_error: &'a mut Option<ProtocolError>,
     perturb_rng: &'a mut DetRng,
-    dram_access_cycles: CycleDelta,
     metrics: &'a mut RunMetrics,
     faults: Option<&'a mut FaultDirector>,
     /// The tick phase's wake index; completion delivery and cache ingest
@@ -609,7 +618,7 @@ impl<P: ProtocolNode> EngineCtx<'_, P> {
     /// one pseudo-random perturbation draw, in `0..4` cycles (Section 5.2
     /// methodology).
     pub fn dram_response_latency(&mut self) -> CycleDelta {
-        self.dram_access_cycles + self.perturb_rng.next_below(PERTURBATION_CYCLES)
+        DRAM_ACCESS_CYCLES + self.perturb_rng.next_below(PERTURBATION_CYCLES)
     }
 
     /// The shared completion-delivery pass: wakes processors whose misses
@@ -819,7 +828,8 @@ pub struct SystemEngine<P: ProtocolNode> {
     now: Cycle,
     arch: ArchState<P>,
     safetynet: SafetyNet<ArchState<P>>,
-    fp_cfg: ForwardProgressConfig,
+    /// Cycles each forward-progress measure runs (`0`: none runs).
+    fp_window: CycleDelta,
     /// The forward-progress mode in force: `Normal`, or the measure of the
     /// latest recovery, which ends at [`SystemEngine::fp_until`].
     fp_mode: EngineMode,
@@ -838,8 +848,6 @@ pub struct SystemEngine<P: ProtocolNode> {
     pending_misspec: Option<MisSpeculation>,
     protocol_error: Option<ProtocolError>,
     perturb_rng: DetRng,
-    /// DRAM access time of a memory data response, before perturbation.
-    dram_access_cycles: CycleDelta,
     metrics: RunMetrics,
     probe: EngineProbe,
     /// Most recent cycle at which the torus reported deadlock evidence
@@ -954,7 +962,7 @@ impl<P: ProtocolNode> SystemEngine<P> {
             now: 0,
             arch,
             safetynet,
-            fp_cfg: cfg.forward_progress,
+            fp_window: cfg.forward_progress_window,
             fp_mode: EngineMode::Normal,
             fp_until: Cycle::MAX,
             routing: cfg.routing,
@@ -966,7 +974,6 @@ impl<P: ProtocolNode> SystemEngine<P> {
             pending_misspec: None,
             protocol_error: None,
             perturb_rng: DetRng::new(perturb_seed).fork(),
-            dram_access_cycles: cfg.memory.dram_access_cycles,
             metrics: RunMetrics::default(),
             probe: EngineProbe::default(),
             fabric_deadlock_at: None,
@@ -1187,7 +1194,6 @@ impl<P: ProtocolNode> SystemEngine<P> {
                 pending_misspec: &mut self.pending_misspec,
                 protocol_error: &mut self.protocol_error,
                 perturb_rng: &mut self.perturb_rng,
-                dram_access_cycles: self.dram_access_cycles,
                 metrics: &mut self.metrics,
                 faults: self.fault_director.as_mut(),
                 wake: &mut self.wake,
@@ -1275,7 +1281,7 @@ impl<P: ProtocolNode> SystemEngine<P> {
 
     /// Forward progress (Section 2, feature 4): the measure a recovery
     /// caused by `kind` re-executes under, so the rare event behind it
-    /// cannot recur at once, and the length of its window:
+    /// cannot recur at once:
     ///
     /// * a forwarded request that found an invalid cache (Section 3.1's
     ///   reorder) disables adaptive routing, if the torus routes adaptively;
@@ -1284,33 +1290,31 @@ impl<P: ProtocolNode> SystemEngine<P> {
     /// * any other kind, and a buffer deadlock that cannot reserve, enters
     ///   slow-start (Sections 3.2 and 4).
     ///
-    /// `None` when no measure applies or its window is 0: the mode in force
+    /// `None` when no measure applies or the window is 0: the mode in force
     /// then stays.
-    fn forward_progress_measure(&self, kind: MisSpecKind) -> Option<(EngineMode, CycleDelta)> {
-        let fp = &self.fp_cfg;
-        let torus = &self.arch.torus;
-        let reservable = || torus.reservation_for(fp.reserved_slots_per_network) > 0;
-        let (mode, window) = match kind {
+    fn forward_progress_measure(&self, kind: MisSpecKind) -> Option<EngineMode> {
+        if self.fp_window == 0 {
+            return None;
+        }
+        match kind {
             MisSpecKind::ForwardedRequestToInvalidCache => {
-                if self.routing != RoutingPolicy::Adaptive {
-                    return None;
-                }
-                (EngineMode::AdaptiveDegraded, fp.disable_adaptive_cycles)
+                (self.routing == RoutingPolicy::Adaptive).then_some(EngineMode::AdaptiveDegraded)
             }
-            MisSpecKind::BufferDeadlock if fp.reserved_slot_cycles > 0 && reservable() => {
-                (EngineMode::ReservedSlots, fp.reserved_slot_cycles)
+            MisSpecKind::BufferDeadlock
+                if self.arch.torus.reservation_for(RESERVED_SLOTS_PER_NETWORK) > 0 =>
+            {
+                Some(EngineMode::ReservedSlots)
             }
-            _ => (EngineMode::SlowStart, fp.slow_start_cycles),
-        };
-        (window > 0).then_some((mode, window))
+            _ => Some(EngineMode::SlowStart),
+        }
     }
 
     /// Enters the measure for a recovery caused by `kind`, its window
     /// starting at `resume_at`, unless none applies.
     pub(crate) fn enter_forward_progress(&mut self, kind: MisSpecKind, resume_at: Cycle) {
-        if let Some((mode, window)) = self.forward_progress_measure(kind) {
+        if let Some(mode) = self.forward_progress_measure(kind) {
             self.fp_mode = mode;
-            self.fp_until = resume_at + window;
+            self.fp_until = resume_at + self.fp_window;
         }
         self.sync_torus();
     }
@@ -1340,7 +1344,7 @@ impl<P: ProtocolNode> SystemEngine<P> {
             _ => self.routing,
         };
         let reservation = match self.fp_mode {
-            EngineMode::ReservedSlots => self.fp_cfg.reserved_slots_per_network,
+            EngineMode::ReservedSlots => RESERVED_SLOTS_PER_NETWORK,
             _ => 0,
         };
         let torus = &mut self.arch.torus;
@@ -1482,7 +1486,7 @@ impl<P: ProtocolNode> SystemEngine<P> {
     /// forward-progress measure applies. When no wait has timed out, the
     /// scan sleeps until the first cycle one can.
     fn scan_timeouts(&mut self, now: Cycle) -> Option<MisSpeculation> {
-        let timeout = self.safetynet.config().transaction_timeout_cycles();
+        let timeout = self.safetynet.transaction_timeout_cycles();
         // A fault wedges not only the transaction whose message it ate but
         // also transactions that queue up behind the damage (e.g. at a
         // directory entry stuck busy); those start their timers *after* the
@@ -1675,7 +1679,7 @@ pub(crate) mod snapshot_probe {
     use std::sync::Arc;
 
     use specsim_base::Cycle;
-    use specsim_safetynet::station::RECOVERY_RESTORE_CYCLES;
+    use specsim_safetynet::station::{RECOVERY_RESTORE_CYCLES, REGISTER_CHECKPOINT_CYCLES};
 
     use super::{ArchState, ProtocolNode, SystemEngine};
 
@@ -1710,7 +1714,7 @@ pub(crate) mod snapshot_probe {
         mut checkpoint: impl FnMut(&ArchState<P>, &ArchState<P>),
         mut stalled: impl FnMut(&ArchState<P>, &ArchState<P>),
     ) {
-        let latency = sys.safetynet().config().register_checkpoint_cycles + RECOVERY_RESTORE_CYCLES;
+        let latency = REGISTER_CHECKPOINT_CYCLES + RECOVERY_RESTORE_CYCLES;
         let counts = |sys: &SystemEngine<P>| {
             let stats = sys.safetynet().stats();
             (stats.checkpoints_taken, stats.recovery.recoveries)
@@ -1926,7 +1930,7 @@ mod tests {
         cfg.memory.l1_ways = 1;
         cfg.memory.l2_bytes = 64;
         cfg.memory.l2_ways = 1;
-        cfg.forward_progress.slow_start_cycles = 50_000;
+        cfg.forward_progress_window = 50_000;
         cfg.replay_trace = Some(std::sync::Arc::new(Trace { nodes }));
         let mut sys = DirectorySystem::new(cfg.clone());
         let mut dense = DirectorySystem::new(cfg);
@@ -1995,7 +1999,7 @@ mod tests {
         cfg.traffic = crate::experiments::heavy_traffic::heavy_traffic();
         cfg.memory.mshr_entries = 4;
         cfg.memory.safetynet.checkpoint_interval_cycles = 1_000;
-        cfg.forward_progress.slow_start_cycles = 5_000;
+        cfg.forward_progress_window = 5_000;
         cfg = cfg.with_data_bandwidth(LinkBandwidth::MB_400);
         let mut sys = SnoopingSystem::new(cfg);
         assert!(assert_probe_tiles_the_ticked_cycles(&mut sys, 20_000) >= 1);
@@ -2014,7 +2018,7 @@ mod tests {
         cfg.traffic = crate::experiments::heavy_traffic::heavy_traffic();
         cfg.memory.mshr_entries = 4;
         cfg.memory.safetynet.checkpoint_interval_cycles = 5_000;
-        cfg.forward_progress.slow_start_cycles = 20_000;
+        cfg.forward_progress_window = 20_000;
         cfg.inject_recovery_every = Some(30_000);
         let mut sys = DirectorySystem::new(cfg);
         // Nodes parked on the gate: held since the last gate wake-up and
@@ -2150,15 +2154,6 @@ mod tests {
     /// per-network reservation (`None` when it is not pooled).
     type TorusSetting = (RoutingPolicy, Option<usize>);
 
-    /// Forward-progress windows short enough to expire inside a unit test,
-    /// and a reservation of two slots per virtual network.
-    fn short_windows(fp: &mut ForwardProgressConfig) {
-        fp.disable_adaptive_cycles = 2_000;
-        fp.slow_start_cycles = 2_000;
-        fp.reserved_slot_cycles = 2_000;
-        fp.reserved_slots_per_network = 2;
-    }
-
     /// Forces the measure for `kind` on a running machine and checks the
     /// mode it enters and the torus setting during its window; once the
     /// window expires the mode is `Normal` and the torus is back to the
@@ -2187,7 +2182,7 @@ mod tests {
     }
 
     /// The full-protocol test directory with `routing`, a unified pool of
-    /// `pool` slots per node if given, and short forward-progress windows.
+    /// `pool` slots per node if given, and a short forward-progress window.
     fn dir(routing: RoutingPolicy, pool: Option<usize>) -> DirectorySystem {
         let mut cfg = dir_cfg();
         if let Some(slots) = pool {
@@ -2197,7 +2192,7 @@ mod tests {
             };
         }
         cfg.routing = routing;
-        short_windows(&mut cfg.forward_progress);
+        cfg.forward_progress_window = 2_000;
         DirectorySystem::new(cfg)
     }
 
@@ -2226,7 +2221,7 @@ mod tests {
             (
                 "pooled directory, buffer deadlock",
                 dir(Adaptive, Some(64)),
-                (BufferDeadlock, ReservedSlots, (Adaptive, Some(2))),
+                (BufferDeadlock, ReservedSlots, (Adaptive, Some(1))),
             ),
             (
                 "unpooled directory, buffer deadlock",
@@ -2247,14 +2242,14 @@ mod tests {
             if let Some(slots) = pool {
                 cfg = cfg.with_pooled_data_torus(slots);
             }
-            short_windows(&mut cfg.forward_progress);
+            cfg.forward_progress_window = 2_000;
             SnoopingSystem::new(cfg)
         };
         let snoop_rows = [
             (
                 "pooled snooping data torus, buffer deadlock",
                 snoop(Some(16)),
-                (BufferDeadlock, ReservedSlots, (Adaptive, Some(2))),
+                (BufferDeadlock, ReservedSlots, (Adaptive, Some(1))),
             ),
             (
                 "unpooled snooping data torus, buffer deadlock",
@@ -2281,7 +2276,7 @@ mod tests {
             (
                 dir(Adaptive, Some(64)),
                 MisSpecKind::BufferDeadlock,
-                (Adaptive, Some(2)),
+                (Adaptive, Some(1)),
             ),
             (
                 dir(Adaptive, None),
@@ -2456,7 +2451,7 @@ mod tests {
         cfg.memory.safetynet.checkpoint_interval_cycles = 5_000;
         // Shorten the post-recovery slow-start so the re-execution reaches
         // full speed inside the test horizon.
-        cfg.forward_progress.slow_start_cycles = 20_000;
+        cfg.forward_progress_window = 20_000;
         cfg.fault_config = FaultConfig::Explicit(link_plan(1_000, 0, FaultKind::Drop, 0));
         let mut sys = SnoopingSystem::new(cfg);
         let m = sys.run_for(80_000).expect("no protocol errors");
@@ -2539,7 +2534,7 @@ mod tests {
         }
         // Far enough ahead that every outstanding wait has timed out: the
         // first waiting node fires, blaming its oldest demand.
-        let timeout = sys.safetynet.config().transaction_timeout_cycles();
+        let timeout = sys.safetynet.transaction_timeout_cycles();
         let ms = sys
             .scan_timeouts(sys.now() + timeout)
             .expect("an outstanding demand times out");

@@ -189,14 +189,15 @@ fn campaign(cfg: &FaultToleranceConfig, kind: Option<FaultKind>, rate: u64) -> F
 }
 
 /// The campaign's machine before any fault: the heavy-traffic operating
-/// point of `machine` ([`heavy_machine`]) at `seed`, with post-recovery
-/// slow start scaled to the checkpoint cadence rather than the
-/// congestion-tuned default, so high fault rates measure repeated recovery
-/// cost instead of one recovery followed by a throttled tail.
+/// point of `machine` ([`heavy_machine`]) at `seed`, with the
+/// post-recovery forward-progress window scaled to the checkpoint cadence
+/// rather than the congestion-tuned default, so high fault rates measure
+/// repeated recovery cost instead of one recovery followed by a throttled
+/// tail.
 #[must_use]
 pub fn campaign_machine(machine: Machine, seed: u64) -> SystemConfig {
     let mut sys = heavy_machine(machine, WORKLOAD, seed);
-    sys.forward_progress.slow_start_cycles = 20_000;
+    sys.forward_progress_window = 20_000;
     sys
 }
 

@@ -20,17 +20,13 @@
 //!
 //! The `scaling_sweep` bench binary renders the table and writes the rows as
 //! machine-readable `BENCH_scaling.json`, giving the perf trajectory a
-//! node-count axis.
-//!
-//! By default the sweep runs OLTP only; set the `SPECSIM_ALL_WORKLOADS`
-//! environment variable (to anything but `0`) to sweep every Table 3
-//! workload generator at every design point.
+//! node-count axis. The sweep runs OLTP; a config may list more workloads.
 
 use std::time::Instant;
 
 use specsim_base::{squarest_torus_dims, LinkBandwidth, RoutingPolicy};
 use specsim_coherence::types::ProtocolError;
-use specsim_workloads::{TrafficConfig, WorkloadKind, ZipfConfig, ALL_WORKLOADS};
+use specsim_workloads::{TrafficConfig, WorkloadKind, ZipfConfig};
 
 use crate::config::SystemConfig;
 use crate::dirsys::DirectorySystem;
@@ -121,24 +117,6 @@ fn torus_diameter(num_nodes: usize) -> usize {
     w / 2 + h / 2
 }
 
-/// The workloads the sweep visits, controlled by the
-/// `SPECSIM_ALL_WORKLOADS` environment variable: unset (or `0`) sweeps OLTP
-/// only, anything else sweeps every Table 3 workload generator.
-#[must_use]
-pub fn workloads_from_env() -> Vec<WorkloadKind> {
-    workloads_from_flag(std::env::var("SPECSIM_ALL_WORKLOADS").ok().as_deref())
-}
-
-/// The pure half of [`workloads_from_env`]: maps the flag's value (`None`
-/// when unset) to the workload list.
-#[must_use]
-pub fn workloads_from_flag(flag: Option<&str>) -> Vec<WorkloadKind> {
-    match flag {
-        Some(v) if !v.is_empty() && v != "0" => ALL_WORKLOADS.to_vec(),
-        _ => vec![WorkloadKind::Oltp],
-    }
-}
-
 /// What to sweep: which machine sizes and workloads, and how long/often to
 /// run each.
 #[derive(Debug, Clone, PartialEq)]
@@ -146,20 +124,19 @@ pub struct ScalingConfig {
     /// Machine sizes to visit (each must have a `W × H` torus
     /// factorisation with both dimensions ≥ 2).
     pub node_counts: Vec<usize>,
-    /// Workloads to run at every design point (default: OLTP, or all of
-    /// Table 3 under `SPECSIM_ALL_WORKLOADS` — see [`workloads_from_env`]).
+    /// Workloads to run at every design point (default: OLTP).
     pub workloads: Vec<WorkloadKind>,
     /// Cycles and perturbed seeds per design point.
     pub scale: ExperimentScale,
 }
 
 impl Default for ScalingConfig {
-    /// The full sweep: 8 → 128 nodes at the environment-controlled scale
-    /// (`SPECSIM_CYCLES` / `SPECSIM_SEEDS` / `SPECSIM_ALL_WORKLOADS`).
+    /// The full sweep: 8 → 1024 nodes under OLTP at the
+    /// environment-controlled scale (`SPECSIM_CYCLES` / `SPECSIM_SEEDS`).
     fn default() -> Self {
         Self {
             node_counts: FULL_NODE_COUNTS.to_vec(),
-            workloads: workloads_from_env(),
+            workloads: vec![WorkloadKind::Oltp],
             scale: ExperimentScale::from_env(),
         }
     }
@@ -167,13 +144,12 @@ impl Default for ScalingConfig {
 
 impl ScalingConfig {
     /// A CI-sized sweep: two small machines plus one at-scale point (256
-    /// nodes), few seeds, short runs (still honouring
-    /// `SPECSIM_ALL_WORKLOADS`).
+    /// nodes) under OLTP, few seeds, short runs.
     #[must_use]
     pub fn quick() -> Self {
         Self {
             node_counts: vec![8, 32, 256],
-            workloads: workloads_from_env(),
+            workloads: vec![WorkloadKind::Oltp],
             scale: ExperimentScale {
                 cycles: 20_000,
                 seeds: 2,
@@ -352,18 +328,6 @@ mod tests {
         for &n in &cfg.node_counts {
             assert!(squarest_torus_dims(n).is_some(), "{n} nodes");
         }
-    }
-
-    #[test]
-    fn workload_list_follows_the_flag_value() {
-        // The pure flag parser is tested directly: mutating the
-        // process-global environment would race sibling tests that read it
-        // (ScalingConfig::default() calls workloads_from_env()).
-        assert_eq!(workloads_from_flag(None), vec![WorkloadKind::Oltp]);
-        assert_eq!(workloads_from_flag(Some("")), vec![WorkloadKind::Oltp]);
-        assert_eq!(workloads_from_flag(Some("0")), vec![WorkloadKind::Oltp]);
-        assert_eq!(workloads_from_flag(Some("1")), ALL_WORKLOADS.to_vec());
-        assert_eq!(workloads_from_flag(Some("yes")), ALL_WORKLOADS.to_vec());
     }
 
     #[test]

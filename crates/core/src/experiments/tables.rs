@@ -11,6 +11,8 @@ use specsim_base::time::{cycles_to_ns, ns_to_cycles};
 use specsim_base::{CycleDelta, LinkBandwidth, MemorySystemConfig, ProtocolVariant};
 use specsim_coherence::types::{MisSpecKind, ProtocolError};
 use specsim_net::VirtualNetwork;
+use specsim_safetynet::log::{LOG_BUFFER_BYTES, LOG_ENTRY_BYTES};
+use specsim_safetynet::station::REGISTER_CHECKPOINT_CYCLES;
 use specsim_workloads::{WorkloadKind, ALL_WORKLOADS};
 
 use crate::config::SystemConfig;
@@ -132,7 +134,8 @@ pub fn render_table1(scale: ExperimentScale) -> Result<String, ProtocolError> {
     Ok(out)
 }
 
-/// Renders Table 2 (target system parameters) from the default configuration.
+/// Renders Table 2 (target system parameters) from the default configuration
+/// and the Table 2 constants.
 #[must_use]
 pub fn render_table2() -> String {
     let c = MemorySystemConfig::default();
@@ -160,16 +163,15 @@ pub fn render_table2() -> String {
     out.push_str("Interconnection Networks        link bandwidth = 400MB/sec to 3.2 GB/sec\n");
     out.push_str(&format!(
         "Checkpoint Log Buffer           {} kbytes total, {} byte entries\n",
-        c.safetynet.log_buffer_bytes / 1024,
-        c.safetynet.log_entry_bytes
+        LOG_BUFFER_BYTES / 1024,
+        LOG_ENTRY_BYTES
     ));
     out.push_str(&format!(
         "SafetyNet Checkpoint Interval   {} cycles (directory), {} requests (snooping)\n",
         c.safetynet.checkpoint_interval_cycles, c.safetynet.checkpoint_interval_requests
     ));
     out.push_str(&format!(
-        "Register Checkpointing Latency  {} cycles\n",
-        c.safetynet.register_checkpoint_cycles
+        "Register Checkpointing Latency  {REGISTER_CHECKPOINT_CYCLES} cycles\n"
     ));
     out
 }

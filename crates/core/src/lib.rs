@@ -49,7 +49,7 @@ pub mod metrics;
 mod shared;
 pub mod snoopsys;
 
-pub use config::{ForwardProgressConfig, SnoopSystemConfig, SystemConfig};
+pub use config::{SnoopSystemConfig, SystemConfig};
 pub use dirsys::DirectorySystem;
 pub use engine::{
     ArchState, EngineCtx, EngineProbe, MeasuredCharacterization, ProtocolNode, StagedOutbox,

@@ -725,10 +725,8 @@ mod tests {
     fn data_net_link_timing_follows_the_memory_config() {
         let mut cfg = small_config(ProtocolVariant::Full);
         cfg.memory.link_bandwidth = LinkBandwidth::MB_800;
-        cfg.memory.switch_latency_cycles = 12;
         let net = cfg.net_config();
         assert_eq!(net.link_bandwidth, LinkBandwidth::MB_800);
-        assert_eq!(net.switch_latency, 12);
     }
 
     #[test]

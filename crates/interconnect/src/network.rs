@@ -47,7 +47,7 @@ use specsim_base::{
     RoutingPolicy, TimingWheel, WorkerPool,
 };
 
-use crate::config::{BufferLayout, NetConfig, PoolSlots};
+use crate::config::{BufferLayout, NetConfig, PoolSlots, SWITCH_LATENCY_CYCLES};
 use crate::deadlock::ProgressWatchdog;
 use crate::ordering::OrderingTracker;
 use crate::packet::{Packet, PacketArena, PacketTaint, VirtualNetwork};
@@ -247,7 +247,7 @@ impl<P> Network<P> {
             arrivals: TimingWheel::with_horizon(
                 cfg.link_bandwidth
                     .serialization_cycles(specsim_base::DATA_MSG_BYTES)
-                    + cfg.switch_latency,
+                    + SWITCH_LATENCY_CYCLES,
             ),
             arrival_scratch: Vec::new(),
             forward_rounds: 0,
@@ -1014,7 +1014,7 @@ impl<P> Network<P> {
                     // cycles, so per-link arrivals stay in FIFO order.
                     self.pools.release(i, vnet);
                     self.pools.acquire(j, vnet);
-                    let arrival = now + serialization + self.cfg.switch_latency + delay;
+                    let arrival = now + serialization + SWITCH_LATENCY_CYCLES + delay;
                     let l = SwitchSlab::link(i, dir.index());
                     self.slab.busy_until[l] = now + serialization + delay;
                     self.stats.link_busy_cycles += serialization;

@@ -7,7 +7,16 @@
 //! node's log fills, that node must stall speculative progress until a
 //! commit frees space — a performance effect, never a correctness loss.
 
-use specsim_base::SafetyNetConfig;
+/// Capacity of each node's checkpoint log buffer in bytes (Table 2:
+/// 512 KB).
+pub const LOG_BUFFER_BYTES: usize = 512 * 1024;
+
+/// Size of one log entry in bytes (Table 2: 72 bytes — a 64-byte block
+/// pre-image plus an 8-byte address/metadata word).
+pub const LOG_ENTRY_BYTES: usize = 72;
+
+/// Log entries that fit in one node's checkpoint log buffer.
+pub const LOG_CAPACITY_ENTRIES: usize = LOG_BUFFER_BYTES / LOG_ENTRY_BYTES;
 
 /// Result of attempting to append entries to a node's log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,11 +37,12 @@ pub struct NodeLog {
 }
 
 impl NodeLog {
-    /// Creates an empty log with the capacity implied by `cfg`.
+    /// Creates an empty log of `capacity_entries` entries (a node's log
+    /// holds [`LOG_CAPACITY_ENTRIES`]).
     #[must_use]
-    pub fn new(cfg: &SafetyNetConfig) -> Self {
+    pub fn new(capacity_entries: usize) -> Self {
         Self {
-            capacity_entries: cfg.log_capacity_entries(),
+            capacity_entries,
             per_interval: vec![0],
         }
     }
@@ -82,13 +92,11 @@ impl NodeLog {
 mod tests {
     use super::*;
 
-    fn cfg() -> SafetyNetConfig {
-        SafetyNetConfig::default()
-    }
-
     #[test]
     fn capacity_matches_table_2() {
-        let mut log = NodeLog::new(&cfg());
+        assert_eq!(LOG_BUFFER_BYTES, 512 * 1024);
+        assert_eq!(LOG_ENTRY_BYTES, 72);
+        let mut log = NodeLog::new(LOG_CAPACITY_ENTRIES);
         let capacity = 512 * 1024 / 72;
         assert_eq!(log.record(capacity), LogOutcome::Recorded);
         assert_eq!(log.record(1), LogOutcome::Full);
@@ -97,11 +105,7 @@ mod tests {
 
     #[test]
     fn record_accumulates_until_full() {
-        let mut log = NodeLog::new(&SafetyNetConfig {
-            log_buffer_bytes: 720,
-            log_entry_bytes: 72,
-            ..cfg()
-        });
+        let mut log = NodeLog::new(10);
         assert_eq!(log.record(6), LogOutcome::Recorded);
         assert_eq!(log.record(4), LogOutcome::Recorded);
         assert_eq!(log.record(1), LogOutcome::Full);
@@ -110,11 +114,7 @@ mod tests {
 
     #[test]
     fn committing_the_oldest_interval_frees_its_entries() {
-        let mut log = NodeLog::new(&SafetyNetConfig {
-            log_buffer_bytes: 720,
-            log_entry_bytes: 72,
-            ..cfg()
-        });
+        let mut log = NodeLog::new(10);
         log.record(5);
         log.start_interval();
         log.record(3);
@@ -132,7 +132,7 @@ mod tests {
 
     #[test]
     fn clear_resets_to_a_single_empty_interval() {
-        let mut log = NodeLog::new(&cfg());
+        let mut log = NodeLog::new(LOG_CAPACITY_ENTRIES);
         log.record(100);
         log.start_interval();
         log.record(50);

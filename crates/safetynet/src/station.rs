@@ -4,7 +4,7 @@ use std::collections::VecDeque;
 
 use specsim_base::{Cycle, CycleDelta, NodeId, SafetyNetConfig};
 
-use crate::log::{LogOutcome, NodeLog};
+use crate::log::{LogOutcome, NodeLog, LOG_CAPACITY_ENTRIES};
 use crate::recovery::{RecoveryOutcome, RecoveryStats};
 
 /// One logical checkpoint of the whole shared-memory system.
@@ -57,7 +57,9 @@ impl<S: Clone> SafetyNet<S> {
     /// taken at cycle `now`.
     #[must_use]
     pub fn new(cfg: SafetyNetConfig, num_nodes: usize, initial_state: S, now: Cycle) -> Self {
-        let logs = (0..num_nodes).map(|_| NodeLog::new(&cfg)).collect();
+        let logs = (0..num_nodes)
+            .map(|_| NodeLog::new(LOG_CAPACITY_ENTRIES))
+            .collect();
         let mut checkpoints = VecDeque::new();
         checkpoints.push_back(Checkpoint {
             id: 0,
@@ -79,6 +81,13 @@ impl<S: Clone> SafetyNet<S> {
     #[must_use]
     pub fn config(&self) -> &SafetyNetConfig {
         &self.cfg
+    }
+
+    /// The coherence-transaction timeout in cycles for the directory
+    /// system: [`TIMEOUT_CHECKPOINT_INTERVALS`] checkpoint intervals.
+    #[must_use]
+    pub fn transaction_timeout_cycles(&self) -> CycleDelta {
+        self.cfg.checkpoint_interval_cycles * TIMEOUT_CHECKPOINT_INTERVALS
     }
 
     /// Aggregate statistics.
@@ -137,7 +146,7 @@ impl<S: Clone> SafetyNet<S> {
     /// as long as the timeout latency"). Always keeps at least one
     /// checkpoint as the recovery point.
     pub fn advance(&mut self, now: Cycle) {
-        let window = self.cfg.transaction_timeout_cycles();
+        let window = self.transaction_timeout_cycles();
         while self.checkpoints.len() > 1 {
             // The front checkpoint can be discarded once the *next* one is
             // older than the validation window: the next one then becomes the
@@ -162,7 +171,7 @@ impl<S: Clone> SafetyNet<S> {
     #[must_use]
     pub fn next_commit_at(&self) -> Cycle {
         self.checkpoints.get(1).map_or(Cycle::MAX, |c| {
-            c.at.saturating_add(self.cfg.transaction_timeout_cycles())
+            c.at.saturating_add(self.transaction_timeout_cycles())
         })
     }
 
@@ -239,7 +248,7 @@ impl<S: Clone> SafetyNet<S> {
         // the state it just restored, which fills an outstanding slot and
         // restarts the interval without recording anything new.
         self.last_checkpoint_at = point.at;
-        let latency = self.cfg.register_checkpoint_cycles + RECOVERY_RESTORE_CYCLES;
+        let latency = REGISTER_CHECKPOINT_CYCLES + RECOVERY_RESTORE_CYCLES;
         let outcome = RecoveryOutcome {
             checkpoint_id: point.id,
             checkpoint_cycle: point.at,
@@ -251,6 +260,15 @@ impl<S: Clone> SafetyNet<S> {
         (point.state.clone(), outcome)
     }
 }
+
+/// Latency to checkpoint (and restore) the processor registers (Table 2:
+/// 100 cycles).
+pub const REGISTER_CHECKPOINT_CYCLES: CycleDelta = 100;
+
+/// How many checkpoint intervals must elapse before an outstanding coherence
+/// transaction is declared timed out (Section 4: "a processor times out on
+/// its request after three checkpoint intervals").
+pub const TIMEOUT_CHECKPOINT_INTERVALS: u64 = 3;
 
 /// Fixed cost of restoring memory-system state and draining the interconnect
 /// during a recovery, charged on top of the register-checkpoint restore
@@ -266,7 +284,6 @@ mod tests {
     fn cfg() -> SafetyNetConfig {
         SafetyNetConfig {
             checkpoint_interval_cycles: 1_000,
-            timeout_checkpoint_intervals: 3,
             ..SafetyNetConfig::default()
         }
     }
@@ -368,15 +385,18 @@ mod tests {
     }
 
     #[test]
+    fn safetynet_derived_values() {
+        assert_eq!(LOG_CAPACITY_ENTRIES, 512 * 1024 / 72);
+        assert_eq!(REGISTER_CHECKPOINT_CYCLES, 100);
+        let s: SafetyNet<u8> = SafetyNet::new(SafetyNetConfig::default(), 1, 0, 0);
+        assert_eq!(s.transaction_timeout_cycles(), 300_000);
+    }
+
+    #[test]
     fn log_accounting_fills_and_frees_with_commits() {
-        let tiny = SafetyNetConfig {
-            log_buffer_bytes: 720, // 10 entries
-            log_entry_bytes: 72,
-            checkpoint_interval_cycles: 1_000,
-            ..SafetyNetConfig::default()
-        };
-        let mut s: SafetyNet<u8> = SafetyNet::new(tiny, 2, 0, 0);
-        assert_eq!(s.log_writes(NodeId(0), 6), LogOutcome::Recorded);
+        let mut s: SafetyNet<u8> = SafetyNet::new(cfg(), 2, 0, 0);
+        let rest = LOG_CAPACITY_ENTRIES - 4;
+        assert_eq!(s.log_writes(NodeId(0), rest), LogOutcome::Recorded);
         s.take_checkpoint(1_000, 1);
         assert_eq!(s.log_writes(NodeId(0), 4), LogOutcome::Recorded);
         assert_eq!(s.log_writes(NodeId(0), 1), LogOutcome::Full);

@@ -357,17 +357,16 @@ impl ModeTimeline {
     }
 }
 
-/// Telemetry knobs. The default (`window_cycles == 0`, no event trace) is
-/// fully disabled: the engine allocates no recorder and the per-cycle cost
-/// is a single `Option` check.
+/// Telemetry knobs. The default (`window_cycles == 0`) is fully disabled:
+/// the engine allocates no recorder and the per-cycle cost is a single
+/// `Option` check. With windows on, the recorder also keeps the
+/// speculation-lifecycle event trace (checkpoints, mis-speculations,
+/// rollbacks, fault fire/detect).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TelemetryConfig {
     /// Width of the time-series sampler windows in simulated cycles; 0
-    /// disables the windowed sampler.
+    /// disables telemetry.
     pub window_cycles: u64,
-    /// Record the speculation-lifecycle event trace (checkpoints,
-    /// mis-speculations, rollbacks, fault fire/detect).
-    pub trace_events: bool,
 }
 
 impl TelemetryConfig {
@@ -377,19 +376,17 @@ impl TelemetryConfig {
         Self::default()
     }
 
-    /// Windowed sampling plus the event trace — the everything-on preset.
+    /// Windowed sampling of `window_cycles`-cycle windows plus the event
+    /// trace.
     #[must_use]
     pub fn windowed(window_cycles: u64) -> Self {
-        Self {
-            window_cycles,
-            trace_events: true,
-        }
+        Self { window_cycles }
     }
 
-    /// True when any surface is recording.
+    /// True when the recorder runs.
     #[must_use]
     pub fn enabled(&self) -> bool {
-        self.window_cycles > 0 || self.trace_events
+        self.window_cycles > 0
     }
 }
 
@@ -523,7 +520,7 @@ pub enum SpecEvent {
 #[derive(Debug, Clone)]
 pub struct TelemetryRecorder {
     cfg: TelemetryConfig,
-    /// Next window boundary (0 when the sampler is off).
+    /// Next window boundary.
     next_window: Cycle,
     last: WindowCounters,
     samples: Vec<WindowSample>,
@@ -552,19 +549,14 @@ impl TelemetryRecorder {
     /// True when cycle `now` is a window boundary the sampler must close.
     #[must_use]
     pub fn window_due(&self, now: Cycle) -> bool {
-        self.cfg.window_cycles > 0 && now >= self.next_window
+        now >= self.next_window
     }
 
-    /// The first cycle at which [`TelemetryRecorder::window_due`] holds
-    /// (`Cycle::MAX` when the sampler is off): the engine never
-    /// fast-forwards past a window boundary.
+    /// The first cycle at which [`TelemetryRecorder::window_due`] holds:
+    /// the engine never fast-forwards past a window boundary.
     #[must_use]
     pub fn next_window_at(&self) -> Cycle {
-        if self.cfg.window_cycles > 0 {
-            self.next_window
-        } else {
-            Cycle::MAX
-        }
+        self.next_window
     }
 
     /// Closes the window ending at `now` from the cumulative counter
@@ -599,11 +591,9 @@ impl TelemetryRecorder {
         self.next_window = now + window;
     }
 
-    /// Appends a lifecycle event (no-op unless the event trace is on).
+    /// Appends a lifecycle event.
     pub fn record(&mut self, ev: SpecEvent) {
-        if self.cfg.trace_events {
-            self.events.push(ev);
-        }
+        self.events.push(ev);
     }
 
     /// The collected window samples.
@@ -915,11 +905,7 @@ mod tests {
         for now in 6..=8u64 {
             t.observe(now, EngineMode::Rollback);
         }
-        let mut r = TelemetryRecorder::new(TelemetryConfig {
-            window_cycles: 0,
-            trace_events: true,
-        })
-        .expect("enabled");
+        let mut r = TelemetryRecorder::new(TelemetryConfig::windowed(100)).expect("enabled");
         r.record(SpecEvent::Checkpoint { at: 3 });
         r.record(SpecEvent::MisSpec {
             at: 5,

@@ -1019,7 +1019,7 @@ fn run_for_matches_a_step_loop_with_a_drop_fault() {
 #[test]
 fn run_for_matches_a_step_loop_with_telemetry_on() {
     let mut cfg = dir16_hot_config().with_telemetry(specsim::TelemetryConfig::windowed(2_000));
-    cfg.forward_progress.slow_start_cycles = 20_000;
+    cfg.forward_progress_window = 20_000;
     let (m, p) = assert_run_for_matches_step_loop(
         DirectorySystem::new(cfg.clone()),
         DirectorySystem::new(cfg),
@@ -1040,7 +1040,7 @@ fn run_for_matches_a_step_loop_on_snooping_slow_start() {
     cfg.traffic = heavy_traffic();
     cfg.memory.mshr_entries = 4;
     cfg.memory.safetynet.checkpoint_interval_cycles = 1_000;
-    cfg.forward_progress.slow_start_cycles = 20_000;
+    cfg.forward_progress_window = 20_000;
     let (m, p) = assert_run_for_matches_step_loop(
         SnoopingSystem::new(cfg.clone()),
         SnoopingSystem::new(cfg),

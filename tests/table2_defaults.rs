@@ -1,10 +1,12 @@
-//! Integration check: the default configuration of the workspace matches the
-//! target-system parameters of the paper's Table 2, and the Table 2 renderer
-//! reports exactly those values.
+//! Integration check: the default configuration of the workspace and the
+//! Table 2 constants match the target-system parameters of the paper's
+//! Table 2, and the Table 2 renderer reports exactly those values.
 
 use specsim::experiments::render_table2;
 use specsim::experiments::tables::{MEMORY_BYTES, MEMORY_LATENCY_CYCLES};
 use specsim_base::{LinkBandwidth, MemorySystemConfig};
+use specsim_safetynet::log::{LOG_BUFFER_BYTES, LOG_ENTRY_BYTES};
+use specsim_safetynet::station::REGISTER_CHECKPOINT_CYCLES;
 
 #[test]
 fn default_memory_system_matches_table_2() {
@@ -17,11 +19,11 @@ fn default_memory_system_matches_table_2() {
     assert_eq!(MEMORY_BYTES, 2 * 1024 * 1024 * 1024);
     assert_eq!(specsim_base::BLOCK_SIZE_BYTES, 64);
     assert_eq!(specsim_base::time::cycles_to_ns(MEMORY_LATENCY_CYCLES), 180);
-    assert_eq!(c.safetynet.log_buffer_bytes, 512 * 1024);
-    assert_eq!(c.safetynet.log_entry_bytes, 72);
+    assert_eq!(LOG_BUFFER_BYTES, 512 * 1024);
+    assert_eq!(LOG_ENTRY_BYTES, 72);
     assert_eq!(c.safetynet.checkpoint_interval_cycles, 100_000);
     assert_eq!(c.safetynet.checkpoint_interval_requests, 3_000);
-    assert_eq!(c.safetynet.register_checkpoint_cycles, 100);
+    assert_eq!(REGISTER_CHECKPOINT_CYCLES, 100);
 }
 
 #[test]

@@ -15,6 +15,8 @@ use specsim_suite::specsim_base::{
 };
 use specsim_suite::specsim_coherence::types::CpuAccess;
 use specsim_suite::specsim_net::VirtualNetwork;
+use specsim_suite::specsim_safetynet::log::{LOG_BUFFER_BYTES, LOG_ENTRY_BYTES};
+use specsim_suite::specsim_safetynet::station::REGISTER_CHECKPOINT_CYCLES;
 use specsim_suite::specsim_safetynet::LogOutcome;
 use specsim_suite::specsim_workloads::WorkloadKind;
 
@@ -41,8 +43,8 @@ fn default_system_config_matches_table_2_through_the_umbrella() {
 
     // SafetyNet, Table 2.
     let sn = &m.safetynet;
-    assert_eq!(sn.log_buffer_bytes, 512 * 1024, "512 KB checkpoint log");
-    assert_eq!(sn.log_entry_bytes, 72, "72-byte log entries");
+    assert_eq!(LOG_BUFFER_BYTES, 512 * 1024, "512 KB checkpoint log");
+    assert_eq!(LOG_ENTRY_BYTES, 72, "72-byte log entries");
     assert_eq!(
         sn.checkpoint_interval_cycles, 100_000,
         "directory checkpoint interval"
@@ -52,7 +54,7 @@ fn default_system_config_matches_table_2_through_the_umbrella() {
         "snooping checkpoint interval"
     );
     assert_eq!(
-        sn.register_checkpoint_cycles, 100,
+        REGISTER_CHECKPOINT_CYCLES, 100,
         "register checkpoint latency"
     );
 
