@@ -237,10 +237,10 @@ pub enum MisSpecKind {
     /// deadlock in the unprotected network.
     TransactionTimeout,
     /// Interconnect (Section 4, shared-pool buffers): the transaction
-    /// timeout fired *while the fabric's progress watchdog confirmed a
-    /// wedged network* — a detected buffer-dependency deadlock (Figures
-    /// 2–3), as opposed to a timeout caused by mere congestion. Recovery
-    /// re-executes with per-network reserved buffer slots.
+    /// timeout fired *and a node's shared slot pool was exhausted within its
+    /// window* — a detected buffer-dependency deadlock (Figures 2–3), as
+    /// opposed to a timeout caused by mere congestion. Recovery re-executes
+    /// with per-network reserved buffer slots.
     BufferDeadlock,
     /// An injected transient fault (SafetyNet's original adversary): either
     /// caught at message ingest by the endpoint checksum/duplicate model

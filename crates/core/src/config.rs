@@ -171,9 +171,9 @@ impl SystemConfig {
     /// routing and fairness are unchanged) but every sizing analysis
     /// replaced by one pool of `total_slots` message slots per node.
     /// Deadlock is possible; it is detected by the transaction timeout
-    /// (three checkpoint intervals), confirmed by the fabric watchdog,
-    /// broken by SafetyNet recovery, and re-execution runs with a slot
-    /// reserved for each virtual network.
+    /// (three checkpoint intervals) and classified as a buffer deadlock when
+    /// a pool is exhausted, broken by SafetyNet recovery, and re-execution
+    /// runs with a slot reserved for each virtual network.
     #[must_use]
     pub fn shared_pool_interconnect(
         workload: WorkloadKind,
@@ -206,7 +206,7 @@ impl SystemConfig {
     /// of `total_slots` slots shared by every traffic class. On the
     /// snooping machine that pools owner transfers and writebacks.
     /// Buffer-dependency deadlock becomes possible; the engine's detection
-    /// (progress watchdog + transaction timeout) and reserved-slot recovery
+    /// (transaction timeout + pool exhaustion) and reserved-slot recovery
     /// handle it, so this knob is all a sweep needs to turn.
     #[must_use]
     pub fn with_pooled_data_torus(&self, total_slots: usize) -> Self {
@@ -256,26 +256,18 @@ impl SystemConfig {
 
     /// The torus the machine instantiates (the snooping machine's data
     /// network): geometry and link bandwidth from [`Self::memory`], routing and
-    /// buffer design from [`Self::routing`] and [`Self::buffering`]. A
-    /// pooled fabric's progress watchdog must *confirm* a wedge before the
-    /// three-checkpoint-interval transaction timeout fires, so the engine
-    /// can classify the timeout as a detected deadlock: it gets at most one
-    /// checkpoint interval of silence. Other fabrics keep the default
-    /// threshold.
+    /// buffer design from [`Self::routing`] and [`Self::buffering`].
     #[must_use]
     pub fn net_config(&self) -> NetConfig {
-        let mut cfg = NetConfig::new(
-            self.memory.num_nodes,
-            self.memory.link_bandwidth,
-            self.routing,
-            self.buffering,
-        );
-        cfg.torus_dims = self.memory.torus_dims;
-        if self.buffering.pool_slots().is_some() {
-            let interval = self.memory.safetynet.checkpoint_interval_cycles.max(1);
-            cfg.stall_threshold = cfg.stall_threshold.min(interval);
+        NetConfig {
+            torus_dims: self.memory.torus_dims,
+            ..NetConfig::new(
+                self.memory.num_nodes,
+                self.memory.link_bandwidth,
+                self.routing,
+                self.buffering,
+            )
         }
-        cfg
     }
 
     /// [`Self::net_config`], under the name the frozen benchmark harness
@@ -384,32 +376,28 @@ mod tests {
             SystemConfig::directory_speculative(w, bw, 1).net_config(),
             NetConfig::full_buffering(16, bw, RoutingPolicy::Adaptive)
         );
-        // The pooled preset differs from the network preset only by the
-        // watchdog threshold fitted to the checkpoint interval.
-        let mut pooled = SystemConfig::shared_pool_interconnect(w, bw, 24, 1);
-        pooled.memory.safetynet.checkpoint_interval_cycles = 2_000;
-        let mut expected = NetConfig::shared_pool(16, bw, 24);
-        expected.stall_threshold = 2_000;
-        assert_eq!(pooled.net_config(), expected);
+        assert_eq!(
+            SystemConfig::shared_pool_interconnect(w, bw, 24, 1).net_config(),
+            NetConfig::shared_pool(16, bw, 24)
+        );
         // The snooping machine's default data torus, and its pooled variant.
         let base = SystemConfig::new(w, ProtocolVariant::Speculative, 1).with_data_bandwidth(bw);
         assert_eq!(
             base.net_config(),
             NetConfig::full_buffering(16, bw, RoutingPolicy::Static)
         );
-        let mut pooled_data = base.with_pooled_data_torus(16);
-        pooled_data.memory.safetynet.checkpoint_interval_cycles = 2_000;
         let unified = Buffering::SharedPool {
             virtual_channels: false,
             slots: PoolSlots::Unified(16),
         };
-        let mut expected = NetConfig::new(16, bw, RoutingPolicy::Adaptive, unified);
-        expected.stall_threshold = 2_000;
-        assert_eq!(pooled_data.net_config(), expected);
+        assert_eq!(
+            base.with_pooled_data_torus(16).net_config(),
+            NetConfig::new(16, bw, RoutingPolicy::Adaptive, unified)
+        );
     }
 
     #[test]
-    fn shared_pool_preset_pools_capacity_and_caps_the_stall_threshold() {
+    fn shared_pool_preset_pools_capacity() {
         let cfg = SystemConfig::shared_pool_interconnect(
             WorkloadKind::Oltp,
             LinkBandwidth::MB_400,
@@ -421,23 +409,10 @@ mod tests {
         assert!(cfg.validate().is_empty());
         let net = cfg.net_config();
         assert_eq!(net.buffering.pool_slots(), Some(PoolSlots::Unified(24)));
-        // The watchdog must confirm a wedge within one checkpoint interval,
-        // well before the three-interval transaction timeout fires (short
-        // experiment intervals tighten it; the Table 2 interval leaves the
-        // already-shorter default in place).
-        assert!(net.stall_threshold <= cfg.memory.safetynet.checkpoint_interval_cycles);
-        let mut short = cfg.clone();
-        short.memory.safetynet.checkpoint_interval_cycles = 2_000;
-        assert_eq!(short.net_config().stall_threshold, 2_000);
-        // Unpooled presets carry no pool and keep the default threshold.
-        let mut base =
+        // Unpooled presets carry no pool.
+        let base =
             SystemConfig::directory_speculative(WorkloadKind::Oltp, LinkBandwidth::MB_400, 1);
-        base.memory.safetynet.checkpoint_interval_cycles = 2_000;
         assert_eq!(base.net_config().buffering.pool_slots(), None);
-        assert_eq!(
-            base.net_config().stall_threshold,
-            specsim_net::config::DEFAULT_STALL_THRESHOLD
-        );
     }
 
     #[test]

@@ -12,11 +12,11 @@
 //! virtual channels and worst-case buffering keep moving under the same
 //! load.
 //!
-//! In both figures the fabric's progress watchdog reports the wedge. The
-//! speculative design of Section 4 accepts such wedges as possible: in the
-//! full system the coherence-transaction timeout detects them and SafetyNet
-//! recovers, instead of paying for virtual-channel flow control in the
-//! common case.
+//! In both figures a run counts as wedged once the fabric holds messages
+//! but none has moved for [`WATCHDOG_CYCLES`] cycles. The speculative
+//! design of Section 4 accepts such wedges as possible: in the full system
+//! the coherence-transaction timeout detects them and SafetyNet recovers,
+//! instead of paying for virtual-channel flow control in the common case.
 //!
 //! The scenarios are fixed: their parameters are the constants below, and
 //! the benches' `SPECSIM_CYCLES` / `SPECSIM_SEEDS` scale does not apply.
@@ -27,7 +27,8 @@ use specsim_net::{NetConfig, Network};
 
 use crate::experiments::sweep::{Cell, Column, Sweep, SweepConfig};
 
-/// Quiet cycles after which the progress watchdog reports a wedge.
+/// Quiet cycles (no hop, delivery, injection or loss while messages are in
+/// the fabric) after which a run counts as wedged.
 pub const WATCHDOG_CYCLES: u64 = 3_000;
 
 /// Cycles the Figure 2 endpoints run, unless the fabric wedges first.
@@ -75,7 +76,7 @@ impl BufferDesign {
 pub struct DeadlockRow {
     /// The buffer design.
     pub design: BufferDesign,
-    /// Whether the watchdog reported a wedge.
+    /// Whether the fabric wedged.
     pub wedged: bool,
     /// Messages in the fabric when the run ended (stuck, if it wedged).
     pub in_flight: usize,
@@ -138,24 +139,34 @@ impl SweepConfig for Fig3Config {
 }
 
 /// Runs `step` once per cycle on a 16-node torus of `design` for up to
-/// `cycles` cycles, stopping when the watchdog reports a wedge.
+/// `cycles` cycles, stopping when the fabric wedges: it holds messages but
+/// its hop, delivery and in-flight counts stay unchanged for
+/// [`WATCHDOG_CYCLES`] cycles.
 fn drive(
     design: BufferDesign,
     cycles: u64,
     mut step: impl FnMut(&mut Network<u64>, Cycle),
 ) -> DeadlockRow {
-    let mut cfg = match design {
+    let cfg = match design {
         BufferDesign::Shared(depth) => NetConfig::speculative(16, BANDWIDTH, depth),
         BufferDesign::VirtualChannels => NetConfig::conventional(16, BANDWIDTH),
         BufferDesign::WorstCase => {
             NetConfig::full_buffering(16, BANDWIDTH, RoutingPolicy::Adaptive)
         }
     };
-    cfg.stall_threshold = WATCHDOG_CYCLES;
     let mut net = Network::new(cfg);
+    let (mut last, mut since) = ((0, 0, 0), 0);
     let wedged = (1..=cycles).any(|now| {
         step(&mut net, now);
-        net.is_stalled(now)
+        let progress = (
+            net.stats().hops,
+            net.stats().total_delivered(),
+            net.in_flight(),
+        );
+        if progress != last {
+            (last, since) = (progress, now);
+        }
+        net.in_flight() > 0 && now - since >= WATCHDOG_CYCLES
     });
     DeadlockRow {
         design,

@@ -36,8 +36,8 @@ pub struct RunMetrics {
     pub recoveries: u64,
     /// The subset of [`RunMetrics::recoveries`] caused by detected
     /// buffer-dependency deadlocks ([`MisSpecKind::BufferDeadlock`]): the
-    /// transaction timeout fired while the shared-pool fabric's watchdog
-    /// confirmed a wedged network (Section 4's third case study).
+    /// transaction timeout fired and a node's shared slot pool was exhausted
+    /// within its window (Section 4's third case study).
     pub deadlock_recoveries: u64,
     /// Recoveries injected artificially (the Figure 4 stress test).
     pub injected_recoveries: u64,

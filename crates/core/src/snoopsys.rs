@@ -739,22 +739,6 @@ mod tests {
     }
 
     #[test]
-    fn pooled_data_torus_watchdog_follows_a_later_checkpoint_interval() {
-        // The watchdog must confirm a wedge before the three-interval
-        // transaction timeout fires, whatever order the knobs are set in.
-        let mut cfg = small_config(ProtocolVariant::Speculative).with_pooled_data_torus(16);
-        cfg.memory.safetynet.checkpoint_interval_cycles = 2_000;
-        assert_eq!(cfg.net_config().stall_threshold, 2_000);
-        // The unpooled data torus keeps the default threshold.
-        let mut plain = small_config(ProtocolVariant::Speculative);
-        plain.memory.safetynet.checkpoint_interval_cycles = 2_000;
-        assert_eq!(
-            plain.net_config().stall_threshold,
-            specsim_net::config::DEFAULT_STALL_THRESHOLD
-        );
-    }
-
-    #[test]
     fn data_network_contention_raises_miss_latency_at_low_bandwidth() {
         // The heart of the bandwidth axis: a 72-byte data packet occupies a
         // 400 MB/s link for 720 cycles but a 3.2 GB/s link for only 90, so

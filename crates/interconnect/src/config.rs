@@ -131,24 +131,16 @@ pub struct NetConfig {
     pub buffering: Buffering,
     /// Link bandwidth, which sets per-message serialization time.
     pub link_bandwidth: LinkBandwidth,
-    /// Quiet cycles the progress watchdog tolerates before reporting a stall
-    /// (see [`crate::ProgressWatchdog`]).
-    pub stall_threshold: u64,
 }
 
 /// Per-hop switch pipeline latency in cycles, on top of a message's
 /// serialization (the same for every network).
 pub const SWITCH_LATENCY_CYCLES: CycleDelta = 8;
 
-/// Default progress-watchdog threshold: long enough that back-pressure waves
-/// under saturation never trip it, short enough that experiments notice a
-/// true deadlock quickly.
-pub const DEFAULT_STALL_THRESHOLD: u64 = 10_000;
-
 impl NetConfig {
     /// A network of `num_nodes` nodes with the given routing and buffer
-    /// design, on the squarest torus, with the default watchdog threshold. The presets below name the designs
-    /// the paper evaluates.
+    /// design, on the squarest torus. The presets below name the designs the
+    /// paper evaluates.
     #[must_use]
     pub fn new(
         num_nodes: usize,
@@ -162,7 +154,6 @@ impl NetConfig {
             routing,
             buffering,
             link_bandwidth,
-            stall_threshold: DEFAULT_STALL_THRESHOLD,
         }
     }
 

@@ -26,8 +26,8 @@
 //! * per-(source, destination, virtual-network) **sequence stamping and
 //!   reorder accounting** (the "fraction of messages re-ordered" statistics of
 //!   Section 5.3),
-//! * a **progress watchdog** and structural occupancy snapshots used to
-//!   diagnose deadlocks in tests and experiments,
+//! * structural occupancy snapshots used to diagnose deadlocks in tests
+//!   and experiments,
 //! * an **ordered broadcast bus** used as the address network of the snooping
 //!   system (Section 3.2).
 //!
@@ -39,7 +39,6 @@
 
 pub mod bus;
 pub mod config;
-pub mod deadlock;
 pub mod network;
 pub mod ordering;
 pub mod packet;
@@ -51,7 +50,6 @@ pub mod topology;
 
 pub use bus::OrderedBus;
 pub use config::{Buffering, NetConfig, PoolSlots};
-pub use deadlock::ProgressWatchdog;
 pub use network::{ForwardProbe, InjectError, Network};
 pub use ordering::OrderingTracker;
 pub use packet::{Packet, PacketArena, PacketTaint, VirtualNetwork, ALL_VIRTUAL_NETWORKS};

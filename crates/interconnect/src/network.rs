@@ -48,7 +48,6 @@ use specsim_base::{
 };
 
 use crate::config::{BufferLayout, NetConfig, PoolSlots, SWITCH_LATENCY_CYCLES};
-use crate::deadlock::ProgressWatchdog;
 use crate::ordering::OrderingTracker;
 use crate::packet::{Packet, PacketArena, PacketTaint, VirtualNetwork};
 use crate::pool::{NodePools, SlotPool};
@@ -142,7 +141,6 @@ pub struct Network<P> {
     eject_active: ActiveSet,
     ordering: OrderingTracker,
     stats: NetStats,
-    watchdog: ProgressWatchdog,
     /// Per-node shared slot pools ([`crate::Buffering::SharedPool`] only;
     /// unpooled otherwise). A node's pool covers its switch input-port
     /// buffers (including the injection port) and its ejection queues: a slot
@@ -234,7 +232,6 @@ impl<P> Network<P> {
             eject_active: ActiveSet::new(cfg.num_nodes),
             ordering: OrderingTracker::new(),
             stats: NetStats::new(num_links),
-            watchdog: ProgressWatchdog::new(cfg.stall_threshold),
             pools: NodePools::new(switch_slots, cfg.num_nodes),
             endpoint_pools: NodePools::new(endpoint_slots, cfg.num_nodes),
             in_flight: 0,
@@ -454,16 +451,15 @@ impl<P> Network<P> {
         self.forward_phase(now, faults);
         // Sampled here, before endpoints eject from (and so free slots of)
         // the pools after the tick.
-        self.deadlock_evidence =
-            self.is_pooled() && (self.has_exhausted_pool() || self.is_stalled(now));
+        self.deadlock_evidence = self.has_exhausted_pool();
     }
 
     /// True when the latest [`Network::tick`] ended with evidence of a
     /// buffer-dependency deadlock: the network provisions buffers from
-    /// shared slot pools and a pool was exhausted, or the progress watchdog
-    /// had tripped. A system's transaction-timeout detector uses it to
-    /// classify a coincident timeout as a buffer deadlock rather than plain
-    /// congestion. Always `false` for unpooled networks.
+    /// shared slot pools and a pool was exhausted. A system's
+    /// transaction-timeout detector uses it to classify a coincident timeout
+    /// as a buffer deadlock rather than plain congestion. Always `false` for
+    /// unpooled networks.
     #[must_use]
     pub fn deadlock_evidence(&self) -> bool {
         self.deadlock_evidence
@@ -483,16 +479,14 @@ impl<P> Network<P> {
     /// fault-free [`Network::tick`] or an endpoint could change this
     /// network's state, capped at `limit`: `now + 1` while a switch on the
     /// worklist holds a packet that could move, a packet waits in an
-    /// ejection queue, or a pooled fabric holds packets (its progress
-    /// watchdog and pool-exhaustion evidence are read every cycle);
-    /// otherwise the earliest arrival-wheel entry, a link arrival or a parked
-    /// switch's wake. Checks the O(1) activity conditions first, so a busy
-    /// fabric answers without touching the arrival wheel.
+    /// ejection queue, or a pool is exhausted (the deadlock evidence each
+    /// tick samples); otherwise the earliest arrival-wheel entry, a link
+    /// arrival or a parked switch's wake. Checks the O(1) activity conditions
+    /// first, so a busy fabric answers without touching the arrival wheel.
     #[must_use]
     pub fn next_event_at(&self, now: Cycle, limit: Cycle) -> Cycle {
-        let busy = !self.active.is_empty()
-            || !self.eject_active.is_empty()
-            || (self.pools.is_pooled() && (self.in_flight > 0 || self.has_exhausted_pool()));
+        let busy =
+            !self.active.is_empty() || !self.eject_active.is_empty() || self.has_exhausted_pool();
         if busy {
             return limit.min(now + 1);
         }
@@ -626,13 +620,6 @@ impl<P> Network<P> {
         (busy as f64 / (links * now as f64)).clamp(0.0, 1.0)
     }
 
-    /// True when the fabric holds messages but none has moved for the
-    /// watchdog threshold (a deadlock or a complete endpoint stall).
-    #[must_use]
-    pub fn is_stalled(&self, now: Cycle) -> bool {
-        self.watchdog.is_stalled(now, self.in_flight)
-    }
-
     /// Total messages queued at each switch (diagnostic snapshot).
     #[must_use]
     pub fn occupancy_snapshot(&self) -> Vec<usize> {
@@ -673,14 +660,12 @@ impl<P> Network<P> {
                     let vnet = self.arena.take(id).vnet;
                     self.pools.release(j, vnet);
                     self.in_flight = self.in_flight.saturating_sub(1);
-                    self.watchdog.record_progress(now);
                     continue;
                 }
                 self.slab.accept_reserved(ts, id);
                 self.slab.queued[SwitchSlab::port(j, d.opposite().index())] += 1;
                 self.slab.queued_total[j] += 1;
                 self.active.insert(j);
-                self.watchdog.record_progress(now);
             }
         }
         self.arrival_scratch = batch;
@@ -954,7 +939,6 @@ impl<P> Network<P> {
                     let vnet = self.arena.take(id).vnet;
                     self.pools.release(i, vnet);
                     self.in_flight = self.in_flight.saturating_sub(1);
-                    self.watchdog.record_progress(now);
                 } else {
                     let (src, dst, vnet, seq, injected_at) = {
                         let pkt = self.arena.get(id);
@@ -975,7 +959,6 @@ impl<P> Network<P> {
                     self.eject_pending[i] += 1;
                     self.eject_active.insert(i);
                     self.in_flight = self.in_flight.saturating_sub(1);
-                    self.watchdog.record_progress(now);
                 }
             }
             MoveAction::Forward {
@@ -997,7 +980,6 @@ impl<P> Network<P> {
                     self.arena.take(id);
                     self.pools.release(i, vnet);
                     self.in_flight = self.in_flight.saturating_sub(1);
-                    self.watchdog.record_progress(now);
                 } else {
                     let delay = match fired {
                         Some((FaultKind::Delay, param)) => param,
@@ -1027,7 +1009,6 @@ impl<P> Network<P> {
                         .schedule(arrival, (i as u32, dir.index() as u8));
                     self.slab.reserved[target_slot] += 1;
                     self.stats.hops += 1;
-                    self.watchdog.record_progress(now);
                     if duplicate {
                         // The spurious copy follows back-to-back on the same
                         // link and consumes real downstream resources — if

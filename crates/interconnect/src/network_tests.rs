@@ -32,14 +32,20 @@ fn run_until_drained(net: &mut Net, start: Cycle, max_cycles: u64) -> (Cycle, Ve
 /// for SafetyNet's checkpoint interval.
 const CLONE_INTERVAL: Cycle = 1_000;
 
+/// Quiet cycles after which [`wedge_without_endpoints`] calls a fabric
+/// wedged.
+const WEDGE_CYCLES: u64 = 2_000;
+
 /// Injects random request traffic into `net` while no endpoint drains its
-/// ejection queues, until the progress watchdog reports a stall or `cycles`
-/// cycles pass. Returns the last cycle and the newest clone of `net` taken
-/// every [`CLONE_INTERVAL`] cycles before it: the checkpoint that recovery
-/// would restore.
-fn wedge_without_endpoints(net: &mut Net, seed: u64, cycles: u64) -> (Cycle, Net) {
+/// ejection queues, until the fabric wedges (it holds messages but its hop,
+/// delivery and in-flight counts stay unchanged for [`WEDGE_CYCLES`] cycles)
+/// or `cycles` cycles pass. Returns the wedge cycle and the newest clone of
+/// `net` taken every [`CLONE_INTERVAL`] cycles before it (the checkpoint that
+/// recovery would restore), or `None` if the fabric never wedged.
+fn wedge_without_endpoints(net: &mut Net, seed: u64, cycles: u64) -> Option<(Cycle, Net)> {
     let mut rng = DetRng::new(seed);
     let mut checkpoint = net.clone();
+    let (mut last, mut since) = ((0, 0, 0), 0);
     let mut now = 0;
     for _ in 0..cycles {
         now += 1;
@@ -56,14 +62,22 @@ fn wedge_without_endpoints(net: &mut Net, seed: u64, cycles: u64) -> (Cycle, Net
             );
         }
         net.tick(now, None);
-        if net.is_stalled(now) {
-            break;
+        let progress = (
+            net.stats().hops,
+            net.stats().total_delivered(),
+            net.in_flight(),
+        );
+        if progress != last {
+            (last, since) = (progress, now);
+        }
+        if net.in_flight() > 0 && now - since >= WEDGE_CYCLES {
+            return Some((now, checkpoint));
         }
         if now % CLONE_INTERVAL == 0 {
             checkpoint = net.clone();
         }
     }
-    (now, checkpoint)
+    None
 }
 
 #[test]
@@ -260,7 +274,6 @@ fn all_messages_are_delivered_under_heavy_random_traffic_with_vcs() {
     }
     let (now, _) = run_until_drained(&mut net, now, 200_000);
     assert_eq!(net.in_flight(), 0, "VC network wedged at {now}");
-    assert!(!net.is_stalled(now));
     assert!(!net.deadlock_evidence(), "an unpooled network has none");
     assert_eq!(net.stats().total_delivered(), injected);
     assert!(injected > 1000);
@@ -378,25 +391,19 @@ fn worst_case_buffering_never_rejects_injection() {
 #[test]
 fn undrained_endpoints_back_pressure_and_stall_the_fabric() {
     // Tiny shared buffers and nobody draining ejection queues: the fabric
-    // must eventually wedge (endpoint-induced stall), which the watchdog
-    // reports. This is the failure mode that, in the full system, the
-    // coherence-transaction timeout converts into a recovery.
-    let mut cfg = NetConfig::speculative(16, LinkBandwidth::GB_3_2, 2);
-    cfg.stall_threshold = 2_000;
-    let mut net: Net = Network::new(cfg);
-    let (now, checkpoint) = wedge_without_endpoints(&mut net, 17, 20_000);
-    assert!(
-        net.is_stalled(now),
-        "expected a stall with undrained endpoints"
-    );
+    // must eventually wedge (endpoint-induced stall). This is the failure
+    // mode that, in the full system, the coherence-transaction timeout
+    // converts into a recovery.
+    let mut net: Net = Network::new(NetConfig::speculative(16, LinkBandwidth::GB_3_2, 2));
+    let (now, checkpoint) = wedge_without_endpoints(&mut net, 17, 20_000)
+        .expect("expected a stall with undrained endpoints");
     assert!(net.in_flight() > 0);
     // Recovery restores the clone taken before the wedge; with live
-    // endpoints the restored fabric delivers everything and is not stalled.
+    // endpoints the restored fabric delivers everything.
     net = checkpoint;
-    let (end, delivered) = run_until_drained(&mut net, now, 100_000);
+    let (_, delivered) = run_until_drained(&mut net, now, 100_000);
     assert!(!delivered.is_empty());
     assert_eq!(net.in_flight(), 0);
-    assert!(!net.is_stalled(end + 1));
     net.assert_worklist_invariants();
 }
 
@@ -451,26 +458,6 @@ fn worklist_counters_stay_consistent_under_traffic() {
     let (_, delivered) = run_until_drained(&mut net, now, 10_000);
     assert_eq!(delivered.len(), 1);
     net.assert_worklist_invariants();
-}
-
-#[test]
-fn stall_threshold_comes_from_the_config() {
-    let mut cfg = NetConfig::speculative(16, LinkBandwidth::GB_3_2, 2);
-    cfg.stall_threshold = 500;
-    let mut net: Net = Network::new(cfg);
-    net.inject(
-        0,
-        NodeId(0),
-        NodeId(3),
-        VirtualNetwork::Request,
-        MessageSize::Control,
-        0,
-    )
-    .unwrap();
-    // Nothing moves (no ticks): the watchdog trips after the configured
-    // threshold rather than the 10_000-cycle default.
-    assert!(!net.is_stalled(499));
-    assert!(net.is_stalled(500));
 }
 
 #[test]
@@ -607,11 +594,9 @@ fn undrained_endpoints_deadlock_an_undersized_pool_and_drain_recovers() {
     // The tentpole failure mode: nobody drains ejection queues, delivered
     // packets pin pool slots, upstream hops back up across nodes and the
     // fabric wedges — the buffer-dependency deadlock of Figures 2–3.
-    let mut cfg = NetConfig::shared_pool(16, LinkBandwidth::GB_3_2, 4);
-    cfg.stall_threshold = 2_000;
-    let mut net: Net = Network::new(cfg);
-    let (now, checkpoint) = wedge_without_endpoints(&mut net, 29, 30_000);
-    assert!(net.is_stalled(now), "undersized pool should wedge");
+    let mut net: Net = Network::new(NetConfig::shared_pool(16, LinkBandwidth::GB_3_2, 4));
+    let (now, checkpoint) =
+        wedge_without_endpoints(&mut net, 29, 30_000).expect("undersized pool should wedge");
     assert!(net.deadlock_evidence(), "the tick records the wedge");
     assert!(net.in_flight() > 0);
     // Recovery restores the clone taken before the wedge; with live

@@ -4,8 +4,8 @@
 //! The example runs the 16-node speculative directory machine with one
 //! shared buffer pool per switch under heavy traffic (Zipfian hot set,
 //! bursty injection, 4 MSHRs per processor) and shrinks the pool from 32 to
-//! 8 slots. At 8 slots the network wedges: a transaction times out, the
-//! pooled fabric's watchdog confirms the wedge as a buffer deadlock,
+//! 8 slots. At 8 slots the network wedges: a transaction times out while a
+//! pool is exhausted, so the timeout counts as a buffer deadlock,
 //! SafetyNet rolls the machine back to its last checkpoint, and
 //! re-execution runs with per-network reserved slots. These are the
 //! shared-buffer sweep's design points (`shared_buffer::directory_config`),
@@ -41,7 +41,7 @@ fn main() {
         total_recoveries += metrics.recoveries;
         let deadlocks = metrics.misspeculations_of(MisSpecKind::BufferDeadlock);
         let note = if deadlocks > 0 {
-            "wedged -> timeout + watchdog -> SafetyNet recovery -> reserved slots"
+            "wedged -> timeout + full pool -> SafetyNet recovery -> reserved slots"
         } else if metrics.recoveries > 0 {
             "recovered from timeouts, no buffer deadlock"
         } else {

@@ -10,8 +10,8 @@ use std::sync::OnceLock;
 
 use specsim::experiments::{fig23, BufferDesign, Fig3Config, Sweep};
 
-/// Whether the fabric stalled (no message moved for the watchdog's
-/// threshold) under `design` in the Figure 3 scenario. The tests share one
+/// Whether the fabric stalled (no message moved for
+/// [`fig23::WATCHDOG_CYCLES`]) under `design` in the Figure 3 scenario. The tests share one
 /// run of the figure.
 fn wedged(design: BufferDesign) -> bool {
     static FIGURE: OnceLock<Sweep<Fig3Config>> = OnceLock::new();

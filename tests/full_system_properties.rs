@@ -182,10 +182,10 @@ fn small_buffer_interconnect_recovers_from_deadlock_and_keeps_going() {
 fn undersized_shared_pool_deadlocks_detector_fires_and_recovery_completes() {
     // The Section 4 speculation end-to-end: an undersized per-node slot pool
     // lets buffer-dependency cycles deadlock; the transaction timeout (three
-    // checkpoint intervals) fires while the fabric watchdog confirms the
-    // wedge, the mis-speculation is classified as a detected deadlock,
-    // SafetyNet recovers, re-execution runs with per-network reserved slots,
-    // and the run terminates with correct (coherent) results.
+    // checkpoint intervals) fires while a pool is exhausted, the
+    // mis-speculation is classified as a detected deadlock, SafetyNet
+    // recovers, re-execution runs with per-network reserved slots, and the
+    // run terminates with correct (coherent) results.
     // 32 nodes at the low-bandwidth operating point: longer paths and long
     // data serializations pin slots, and a 4-slot pool wedges reliably.
     let mut cfg =

@@ -794,9 +794,9 @@ fn pooled_dir_config(slots: PoolSlots) -> SystemConfig {
 
 #[test]
 fn directory_8_slot_pool_across_a_buffer_deadlock_matches_golden() {
-    // The 8-slot pool wedges under heavy traffic: the run crosses a
-    // watchdog-confirmed buffer deadlock, its SafetyNet recovery and the
-    // reserved-slot re-execution that follows.
+    // The 8-slot pool wedges under heavy traffic: the run crosses a buffer
+    // deadlock (a timeout while a pool is full), its SafetyNet recovery and
+    // the reserved-slot re-execution that follows.
     let mut sys = DirectorySystem::new(pooled_dir_config(PoolSlots::Unified(8)));
     let m = sys.run_for(40_000).expect("no protocol errors");
     assert!(

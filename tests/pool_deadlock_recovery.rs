@@ -1,9 +1,9 @@
 //! End-to-end Section 4 story on the full 16-node machine: a shared-pool
 //! interconnect with an 8-slot pool per node, driven by non-blocking
 //! processors (4 MSHRs) under the canonical heavy traffic shape (Zipfian hot
-//! set + bursty injection), must actually wedge — the checkpoint timeout plus
-//! the fabric watchdog classify it as a buffer deadlock, SafetyNet recovery
-//! breaks it, re-execution runs under per-network reserved slots, and the
+//! set + bursty injection), must actually wedge — the checkpoint timeout,
+//! firing while a pool is full, classifies it as a buffer deadlock,
+//! SafetyNet recovery breaks it, re-execution runs under per-network reserved slots, and the
 //! memory system comes out coherent on the other side.
 //!
 //! The snooping machine's pooled data torus tells the same story at its own
@@ -49,13 +49,13 @@ fn heavy_traffic_deadlocks_the_8_slot_pool_and_recovery_restores_coherence() {
     }
     let m = sys.collect_metrics();
 
-    // The deadlock fired, was classified as a buffer deadlock (timeout
-    // confirmed by the pooled-fabric watchdog, not a bare transaction
-    // timeout), and recovery ran.
+    // The deadlock fired, was classified as a buffer deadlock (the timeout
+    // fired while a pool was full, not a bare transaction timeout), and
+    // recovery ran.
     assert!(
         m.misspeculations_of(MisSpecKind::BufferDeadlock) > 0,
-        "an 8-slot pool under heavy traffic must hit a watchdog-confirmed \
-         buffer deadlock; got misspeculations {:?}",
+        "an 8-slot pool under heavy traffic must hit a buffer deadlock; \
+         got misspeculations {:?}",
         m.misspeculations
     );
     assert!(
@@ -94,9 +94,9 @@ fn heavy_traffic_deadlocks_the_8_slot_pool_and_recovery_restores_coherence() {
 #[test]
 fn sixteen_slot_pool_rides_out_the_same_traffic_without_pool_deadlock() {
     // Control arm pinning the 8→16-slot threshold the shared-buffer sweep
-    // reports: doubling the pool at the same design point keeps the watchdog
-    // quiet (any recovery that does fire is a plain starvation timeout, not
-    // a buffer deadlock).
+    // reports: doubling the pool at the same design point keeps every pool
+    // short of full when a timeout fires (any recovery that does fire is a
+    // plain starvation timeout, not a buffer deadlock).
     let mut sys = DirectorySystem::new(pool_config(16));
     let m = sys.run_for(20_000).expect("no protocol errors");
     assert_eq!(
@@ -144,5 +144,39 @@ fn heavy_traffic_deadlocks_the_8_slot_snooping_data_torus_and_recovery_restores_
     );
     if let Err(violation) = sys.verify_coherence() {
         panic!("memory system incoherent after deadlock recovery: {violation}");
+    }
+}
+
+#[test]
+fn a_wedge_under_reserved_slots_with_no_full_pool_is_a_plain_timeout() {
+    // The 4-slot static OLTP row of the shared-buffer sweep. The first wedge
+    // fills a pool, so its timeout is a buffer deadlock and re-execution
+    // reserves one slot per virtual network: with four networks that is the
+    // whole pool. The machine wedges again under the reservation with no
+    // pool full; that timeout must not count as a buffer deadlock (which
+    // would re-apply the same reservation), so the next measure is
+    // slow-start.
+    let pool = Some(PoolSlots::Unified(4));
+    let cfg = directory_config(WorkloadKind::Oltp, RoutingPolicy::Static, pool).with_seed(6001);
+    let mut sys = DirectorySystem::new(cfg);
+    let kinds = [MisSpecKind::BufferDeadlock, MisSpecKind::TransactionTimeout];
+    let mut seen = [0; 2];
+    let mut order = Vec::new();
+    for _ in 0..400 {
+        let m = sys.run_for(100).expect("no protocol errors");
+        for (kind, count) in kinds.iter().zip(&mut seen) {
+            let now = m.misspeculations_of(*kind);
+            order.extend((*count..now).map(|_| (*kind, sys.now())));
+            *count = now;
+        }
+    }
+    assert_eq!(
+        order.iter().map(|&(kind, _)| kind).collect::<Vec<_>>(),
+        kinds,
+        "one buffer deadlock, then one plain timeout; got (kind, cycle) {order:?}"
+    );
+    assert_eq!(sys.forward_progress_mode(), EngineMode::SlowStart);
+    if let Err(violation) = sys.verify_coherence() {
+        panic!("memory system incoherent: {violation}");
     }
 }
